@@ -8,6 +8,12 @@
 #   3. tier-1 tests      cargo build --release && cargo test -q, run twice:
 #                        once with the harvest-threads pool forced sequential
 #                        (HARVEST_THREADS=1) and once at the host default
+#  3b. ingest suites     cargo test --release over harvest-imaging, -preproc,
+#                        -tensor and -data: the codec and transform
+#                        bit-identity suites against the pre-rewrite oracles,
+#                        the corrupt-stream sweeps and the proptests, which
+#                        tier-1 (root package only) does not reach; run at
+#                        HARVEST_THREADS=1 and the host default
 #   4. overload smoke    experiments overload --smoke + artifact drift check
 #   5. integrity smoke   experiments integrity --smoke + schema/drift/determinism
 #   6. bench smoke       experiments bench --smoke + schema/determinism check,
@@ -52,7 +58,7 @@ cargo clippy --offline --release \
     -p harvest-simkit -p harvest-serving -p harvest-core -p harvest-bench \
     -p harvest -p harvest-perf -p harvest-models \
     -p harvest-engine -p harvest-tensor -p harvest-imaging \
-    -p harvest-threads -p harvest-net \
+    -p harvest-threads -p harvest-net -p harvest-preproc -p harvest-data \
     --all-targets -- -D warnings
 
 echo "== docs =="
@@ -75,6 +81,14 @@ HARVEST_THREADS=1 cargo test --offline -q
 
 echo "== tier-1: tests (default pool) =="
 cargo test --offline -q
+
+echo "== ingest suites (imaging, preproc, tensor, data) =="
+# Release build: the equivalence suites decode and re-encode 512² images
+# through the verbatim pre-rewrite codec, which a debug build makes slow.
+HARVEST_THREADS=1 cargo test --offline --release -q \
+    -p harvest-imaging -p harvest-preproc -p harvest-tensor -p harvest-data
+cargo test --offline --release -q \
+    -p harvest-imaging -p harvest-preproc -p harvest-tensor -p harvest-data
 
 echo "== overload smoke =="
 # The smoke run asserts conservation and bit-identical reruns internally;

@@ -1,16 +1,19 @@
 //! Codec benches: AJPG encode/decode across the dataset image sizes — the
-//! measured ground truth behind the Fig 7 decode-cost model.
+//! measured ground truth behind the Fig 7 decode-cost model — and the model
+//! transform at the two wire shapes the repo benchmark serves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use harvest_imaging::{ajpg_decode, ajpg_encode, rtif_decode, rtif_encode, AjpgOptions};
 use harvest_imaging::{FieldScene, SynthImageSpec};
+use harvest_preproc::preprocess_decoded;
 use std::hint::black_box;
 
 fn ajpg(c: &mut Criterion) {
     let mut group = c.benchmark_group("codec/ajpg");
     group.sample_size(10);
-    // Sizes matching Table 2's datasets (Fruits, Corn/Weed, Plant Village).
-    for size in [100usize, 224, 256] {
+    // Sizes matching Table 2's datasets (Fruits, Corn/Weed, Plant Village),
+    // then the `wire_decode512_sat` body size.
+    for size in [100usize, 224, 256, 512] {
         let img = FieldScene::LeafCloseup.render(&SynthImageSpec {
             width: size,
             height: size,
@@ -66,9 +69,29 @@ fn decode_cost_ratio(c: &mut Criterion) {
     group.finish();
 }
 
+fn transform(c: &mut Criterion) {
+    // Decoded image → model tensor at the wire workloads' shapes:
+    // 512 px → 16 px (`wire_decode512_sat`) and 128 px → 96 px (`wire_vit96_*`).
+    let mut group = c.benchmark_group("codec/preprocess_decoded");
+    group.sample_size(10);
+    for (from, to) in [(512usize, 16usize), (128, 96)] {
+        let img = FieldScene::RowCrop.render(&SynthImageSpec {
+            width: from,
+            height: from,
+            seed: 7,
+        });
+        group.throughput(Throughput::Elements((to * to) as u64));
+        let id = BenchmarkId::new(format!("{from}"), to);
+        group.bench_with_input(id, &to, |b, &to| {
+            b.iter(|| black_box(preprocess_decoded(&img, to).len()))
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = ajpg, rtif, decode_cost_ratio
+    targets = ajpg, rtif, decode_cost_ratio, transform
 }
 criterion_main!(benches);

@@ -10,7 +10,7 @@
 //! property the Fig. 7 preprocessing characterization depends on.
 
 use crate::bitio::{read_u32_le, BitReader, BitWriter};
-use crate::dct::{dct2_8x8, idct2_8x8, ZIGZAG};
+use crate::dct::{dct2_8x8, idct2_8x8_dc, idct2_8x8_sparse, ZIGZAG};
 use crate::image::RgbImage;
 
 const MAGIC: &[u8; 4] = b"AJPG";
@@ -75,83 +75,125 @@ fn rgb_to_ycbcr(r: f32, g: f32, b: f32) -> (f32, f32, f32) {
     (y, cb, cr)
 }
 
-fn ycbcr_to_rgb(y: f32, cb: f32, cr: f32) -> (f32, f32, f32) {
-    let cb = cb - 128.0;
-    let cr = cr - 128.0;
-    let r = y + 1.402 * cr;
-    let g = y - 0.344_136 * cb - 0.714_136 * cr;
-    let b = y + 1.772 * cb;
-    (r, g, b)
+/// `v.clamp(0.0, 255.0).round() as u8`, for every `v`, without the libm
+/// call or a float→int conversion (neither vectorizes). On the clamped
+/// range `x + 2²³` rounds `x` to the nearest integer, ties to even, and
+/// leaves it in the low mantissa bits; `x` minus that integer is exact, and
+/// is `+0.5` exactly when the tie went down and `round` would go up.
+#[inline]
+#[allow(clippy::manual_clamp)] // `clamp` would pass a NaN through
+fn round_u8(v: f32) -> u8 {
+    const MAGIC: f32 = 8_388_608.0; // 2²³: one ulp is 1.0 from here to 2²⁴
+    let x = v.max(0.0).min(255.0); // NaN → 0, as `NaN as u8` is
+    let shifted = x + MAGIC;
+    let tie_went_down = x - (shifted - MAGIC) == 0.5;
+    ((shifted.to_bits() & 0xFF) + tie_went_down as u32) as u8
 }
 
-/// A plane padded to a multiple of 8 by edge replication.
+/// One row of YCbCr→RGB over whole 8-sample groups (`row` and the plane
+/// rows are the padded width), `N` chroma samples to a group: 4 under
+/// 4:2:0, each serving two pixels (nearest-neighbour upsampling), else 8.
+/// Fixed-size arrays and plain indexed loops are what let this vectorize.
+fn rgb_row<const N: usize>(row: &mut [u8], y_row: &[f32], cb_row: &[f32], cr_row: &[f32]) {
+    for (c, px) in row.chunks_exact_mut(24).enumerate() {
+        let y: &[f32; 8] = y_row[c * 8..].first_chunk().expect("padded to 8");
+        let cb: &[f32; N] = cb_row[c * N..].first_chunk().expect("padded to 8");
+        let cr: &[f32; N] = cr_row[c * N..].first_chunk().expect("padded to 8");
+        // Per chroma sample: r - y, the two parts of y - g, b - y.
+        let mut terms = [[0.0f32; N]; 4];
+        for i in 0..N {
+            let (cb, cr) = (cb[i] - 128.0, cr[i] - 128.0);
+            terms[0][i] = 1.402 * cr;
+            terms[1][i] = 0.344_136 * cb;
+            terms[2][i] = 0.714_136 * cr;
+            terms[3][i] = 1.772 * cb;
+        }
+        let mut rgb = [[0.0f32; 8]; 3];
+        for i in 0..8 {
+            let at = i * N / 8;
+            rgb[0][i] = y[i] + terms[0][at];
+            rgb[1][i] = y[i] - terms[1][at] - terms[2][at];
+            rgb[2][i] = y[i] + terms[3][at];
+        }
+        for i in 0..8 {
+            for (ch, values) in rgb.iter().enumerate() {
+                px[3 * i + ch] = round_u8(values[i]);
+            }
+        }
+    }
+}
+
+/// `x.round() as i64` without the libm call (exact: `x - trunc(x)` is).
+#[inline]
+fn round_i64(x: f32) -> i64 {
+    let t = x as i64;
+    let frac = x - t as f32;
+    t + (frac >= 0.5) as i64 - (frac <= -0.5) as i64
+}
+
+/// A plane padded to a multiple of 8.
 struct Plane {
-    w: usize,
-    h: usize,
     padded_w: usize,
     padded_h: usize,
     data: Vec<f32>, // padded_w × padded_h
 }
 
 impl Plane {
-    fn from_samples(w: usize, h: usize, samples: &[f32]) -> Self {
-        assert_eq!(samples.len(), w * h);
-        let padded_w = w.div_ceil(8) * 8;
-        let padded_h = h.div_ceil(8) * 8;
-        let mut data = vec![0.0f32; padded_w * padded_h];
-        for py in 0..padded_h {
-            let sy = py.min(h - 1);
-            for px in 0..padded_w {
-                let sx = px.min(w - 1);
-                data[py * padded_w + px] = samples[sy * w + sx];
-            }
-        }
+    /// A `w × h` plane for the decoder, which writes every block of it.
+    fn blank(w: usize, h: usize) -> Self {
+        let (padded_w, padded_h) = (w.div_ceil(8) * 8, h.div_ceil(8) * 8);
         Plane {
-            w,
-            h,
             padded_w,
             padded_h,
-            data,
+            data: vec![0.0; padded_w * padded_h],
         }
+    }
+
+    /// `samples` (`w × h`, row-major) padded by edge replication.
+    fn from_samples(w: usize, h: usize, samples: &[f32]) -> Self {
+        assert_eq!(samples.len(), w * h);
+        let mut plane = Plane::blank(w, h);
+        for (py, row) in plane.data.chunks_exact_mut(plane.padded_w).enumerate() {
+            let src = &samples[py.min(h - 1) * w..][..w];
+            row[..w].copy_from_slice(src);
+            row[w..].fill(src[w - 1]);
+        }
+        plane
     }
 
     fn blocks(&self) -> usize {
         (self.padded_w / 8) * (self.padded_h / 8)
     }
 
-    fn block(&self, bi: usize) -> [f32; 64] {
+    /// Offset of block `bi`'s first sample.
+    fn block_origin(&self, bi: usize) -> usize {
         let bw = self.padded_w / 8;
-        let (by, bx) = (bi / bw, bi % bw);
-        let mut out = [0.0f32; 64];
-        for y in 0..8 {
-            let row = (by * 8 + y) * self.padded_w + bx * 8;
-            out[y * 8..(y + 1) * 8].copy_from_slice(&self.data[row..row + 8]);
-        }
-        out
+        (bi / bw) * 8 * self.padded_w + (bi % bw) * 8
     }
+}
 
-    fn set_block(&mut self, bi: usize, block: &[f32; 64]) {
-        let bw = self.padded_w / 8;
-        let (by, bx) = (bi / bw, bi % bw);
-        for y in 0..8 {
-            let row = (by * 8 + y) * self.padded_w + bx * 8;
-            self.data[row..row + 8].copy_from_slice(&block[y * 8..(y + 1) * 8]);
-        }
-    }
+/// `table` as f32 divisors/factors, in scan order.
+fn scan_order_f32(table: &[u16; 64]) -> [f32; 64] {
+    ZIGZAG.map(|src| table[src] as f32)
 }
 
 /// Encode one plane's blocks: DCT, quantize, zigzag, DC-delta + AC RLE.
 fn encode_plane(plane: &Plane, table: &[u16; 64], w: &mut BitWriter) {
+    let divisors = scan_order_f32(table);
     let mut prev_dc = 0i64;
     for bi in 0..plane.blocks() {
-        let mut block = plane.block(bi);
-        for v in block.iter_mut() {
-            *v -= 128.0; // level shift
+        let origin = plane.block_origin(bi);
+        let mut block = [0.0f32; 64];
+        for (y, row) in block.chunks_exact_mut(8).enumerate() {
+            let src = &plane.data[origin + y * plane.padded_w..][..8];
+            for (v, &s) in row.iter_mut().zip(src) {
+                *v = s - 128.0; // level shift
+            }
         }
         let coeffs = dct2_8x8(&block);
         let mut quant = [0i64; 64];
         for (zi, &src) in ZIGZAG.iter().enumerate() {
-            quant[zi] = (coeffs[src] / table[src] as f32).round() as i64;
+            quant[zi] = round_i64(coeffs[src] / divisors[zi]);
         }
         // DC delta.
         w.put_se(quant[0] - prev_dc);
@@ -173,13 +215,18 @@ fn encode_plane(plane: &Plane, table: &[u16; 64], w: &mut BitWriter) {
 
 /// Decode one plane's blocks (inverse of [`encode_plane`]).
 fn decode_plane(plane: &mut Plane, table: &[u16; 64], r: &mut BitReader<'_>) -> Result<(), String> {
+    let factors = scan_order_f32(table);
+    let stride = plane.padded_w;
     let mut prev_dc = 0i64;
     for bi in 0..plane.blocks() {
-        let mut quant = [0i64; 64];
         prev_dc = prev_dc
             .checked_add(r.get_se()?)
             .ok_or_else(|| format!("DC accumulator overflow in block {bi}"))?;
-        quant[0] = prev_dc;
+        // Dequantize straight off the scan, noting which coefficient rows
+        // and columns the block touches.
+        let mut coeffs = [0.0f32; 64];
+        coeffs[0] = prev_dc as f32 * factors[0];
+        let (mut rows, mut cols) = (1u8, 1u8);
         let mut zi = 1usize;
         loop {
             let run = r.get_ue()?;
@@ -194,20 +241,47 @@ fn decode_plane(plane: &mut Plane, table: &[u16; 64], r: &mut BitReader<'_>) -> 
             if zi >= 64 {
                 return Err(format!("AC index overflow in block {bi}"));
             }
-            quant[zi] = r.get_se()?;
+            let dst = ZIGZAG[zi];
+            coeffs[dst] = r.get_se()? as f32 * factors[zi];
+            rows |= 1 << (dst / 8);
+            cols |= 1 << (dst % 8);
             zi += 1;
         }
-        let mut coeffs = [0.0f32; 64];
-        for (zi, &dst) in ZIGZAG.iter().enumerate() {
-            coeffs[dst] = quant[zi] as f32 * table[dst] as f32;
+        let origin = plane.block_origin(bi);
+        if (rows, cols) == (1, 1) {
+            let flat = idct2_8x8_dc(coeffs[0]) + 128.0;
+            for y in 0..8 {
+                plane.data[origin + y * stride..][..8].fill(flat);
+            }
+        } else {
+            let block = idct2_8x8_sparse(&coeffs, rows, cols);
+            for (y, src) in block.chunks_exact(8).enumerate() {
+                let dst = &mut plane.data[origin + y * stride..][..8];
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    *d = s + 128.0;
+                }
+            }
         }
-        let mut block = idct2_8x8(&coeffs);
-        for v in block.iter_mut() {
-            *v += 128.0;
-        }
-        plane.set_block(bi, &block);
     }
     Ok(())
+}
+
+/// 2×2 box average of a `w × h` plane, the boxes clipped at its edges.
+fn halve(plane: &[f32], w: usize, h: usize) -> Vec<f32> {
+    let mut out = Vec::with_capacity(w.div_ceil(2) * h.div_ceil(2));
+    for sy in (0..h).step_by(2) {
+        for sx in (0..w).step_by(2) {
+            let (mut sum, mut n) = (0.0f32, 0.0f32);
+            for row in plane[sy * w..(sy + 2).min(h) * w].chunks_exact(w) {
+                for &v in &row[sx..(sx + 2).min(w)] {
+                    sum += v;
+                    n += 1.0;
+                }
+            }
+            out.push(sum / n);
+        }
+    }
+    out
 }
 
 /// Encode an RGB image to AJPG bytes.
@@ -224,37 +298,10 @@ pub fn ajpg_encode(img: &RgbImage, opts: &AjpgOptions) -> Vec<u8> {
         cr_plane[i] = cr;
     }
 
-    // Chroma subsampling (2×2 box average).
+    // Chroma subsampling.
     let (cw, ch, cb_s, cr_s) = if opts.subsample {
-        let cw = w.div_ceil(2);
-        let ch = h.div_ceil(2);
-        let mut cb_s = vec![0.0f32; cw * ch];
-        let mut cr_s = vec![0.0f32; cw * ch];
-        for oy in 0..ch {
-            for ox in 0..cw {
-                let mut sum_cb = 0.0;
-                let mut sum_cr = 0.0;
-                let mut n = 0.0;
-                for dy in 0..2 {
-                    let sy = oy * 2 + dy;
-                    if sy >= h {
-                        continue;
-                    }
-                    for dx in 0..2 {
-                        let sx = ox * 2 + dx;
-                        if sx >= w {
-                            continue;
-                        }
-                        sum_cb += cb_plane[sy * w + sx];
-                        sum_cr += cr_plane[sy * w + sx];
-                        n += 1.0;
-                    }
-                }
-                cb_s[oy * cw + ox] = sum_cb / n;
-                cr_s[oy * cw + ox] = sum_cr / n;
-            }
-        }
-        (cw, ch, cb_s, cr_s)
+        let (cb_s, cr_s) = (halve(&cb_plane, w, h), halve(&cr_plane, w, h));
+        (w.div_ceil(2), h.div_ceil(2), cb_s, cr_s)
     } else {
         (w, h, cb_plane, cr_plane)
     };
@@ -303,37 +350,29 @@ pub fn ajpg_decode(bytes: &[u8]) -> Result<RgbImage, String> {
     let q_chroma = scaled_table(&Q_CHROMA, quality);
 
     let mut r = BitReader::new(&bytes[14..]);
-    let mut y_plane = Plane::from_samples(w, h, &vec![0.0; w * h]);
-    let mut cb_plane = Plane::from_samples(cw, ch, &vec![0.0; cw * ch]);
-    let mut cr_plane = Plane::from_samples(cw, ch, &vec![0.0; cw * ch]);
+    let mut y_plane = Plane::blank(w, h);
+    let mut cb_plane = Plane::blank(cw, ch);
+    let mut cr_plane = Plane::blank(cw, ch);
     decode_plane(&mut y_plane, &q_luma, &mut r)?;
     decode_plane(&mut cb_plane, &q_chroma, &mut r)?;
     decode_plane(&mut cr_plane, &q_chroma, &mut r)?;
 
+    // Colour conversion, a padded row at a time; under 4:2:0 each chroma
+    // row serves two image rows.
     let mut img = RgbImage::new(w, h);
-    for yy in 0..h {
-        for xx in 0..w {
-            let y = y_plane.data[yy * y_plane.padded_w + xx];
-            let (cx, cy) = if subsample {
-                (xx / 2, yy / 2)
-            } else {
-                (xx, yy)
-            };
-            let cb = cb_plane.data[cy * cb_plane.padded_w + cx];
-            let cr = cr_plane.data[cy * cr_plane.padded_w + cx];
-            let (r, g, b) = ycbcr_to_rgb(y, cb, cr);
-            img.put(
-                xx,
-                yy,
-                [
-                    r.clamp(0.0, 255.0).round() as u8,
-                    g.clamp(0.0, 255.0).round() as u8,
-                    b.clamp(0.0, 255.0).round() as u8,
-                ],
-            );
-        }
+    let mut row = vec![0u8; y_plane.padded_w * 3];
+    let (step, convert) = if subsample {
+        (2, rgb_row::<4> as fn(&mut [u8], &[f32], &[f32], &[f32]))
+    } else {
+        (1, rgb_row::<8> as _)
+    };
+    for (yy, out) in img.data_mut().chunks_exact_mut(w * 3).enumerate() {
+        let y_row = &y_plane.data[yy * y_plane.padded_w..];
+        let cb_row = &cb_plane.data[yy / step * cb_plane.padded_w..];
+        let cr_row = &cr_plane.data[yy / step * cr_plane.padded_w..];
+        convert(&mut row, y_row, cb_row, cr_row);
+        out.copy_from_slice(&row[..w * 3]);
     }
-    let _ = (y_plane.w, y_plane.h); // sizes carried for clarity
     Ok(img)
 }
 
@@ -342,6 +381,29 @@ mod tests {
     use super::*;
     use crate::image::psnr;
     use crate::synth::{FieldScene, SynthImageSpec};
+
+    #[test]
+    fn libm_free_rounding_is_round_for_every_kind_of_float() {
+        let reference = |v: f32| v.clamp(0.0, 255.0).round() as u8;
+        // A stride through every exponent and sign (NaNs and infinities
+        // included), then every tie and near-tie in range.
+        for bits in (0..=u32::MAX).step_by(251) {
+            let v = f32::from_bits(bits);
+            assert_eq!(round_u8(v), reference(v), "{v:?} ({bits:#x})");
+        }
+        for k in 0..=256 {
+            for centre in [k as f32, k as f32 + 0.5] {
+                for ulps in -64i32..=64 {
+                    let v = f32::from_bits((centre.to_bits() as i32 + ulps).max(0) as u32);
+                    assert_eq!(round_u8(v), reference(v), "{v:?}");
+                    assert_eq!(round_u8(-v), 0, "{v:?} negated");
+                }
+            }
+        }
+        for x in (-20_480..=20_480).map(|i| i as f32 / 8.0) {
+            assert_eq!(round_i64(x), x.round() as i64, "{x}");
+        }
+    }
 
     #[test]
     fn solid_image_round_trips_nearly_exactly() {

@@ -1,4 +1,5 @@
-//! Bit-level I/O and exp-Golomb coding for the AJPG entropy stage.
+//! Bit-level I/O and exp-Golomb coding for the AJPG entropy stage, and the
+//! bounds-checked header reads AJPG and RTIF share.
 
 /// Bounds-checked little-endian u32 read, for container headers. Returns
 /// `Err` (never panics) when the stream is too short.
@@ -11,11 +12,12 @@ pub fn read_u32_le(bytes: &[u8], at: usize) -> Result<u32, String> {
     Ok(u32::from_le_bytes(b))
 }
 
-/// MSB-first bit writer.
+/// MSB-first bit writer. Bits collect in a 64-bit word (the low `nbits`
+/// of `acc`, `nbits < 64`) and leave it eight bytes at a time.
 #[derive(Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    cur: u8,
+    acc: u64,
     nbits: u8,
 }
 
@@ -28,33 +30,46 @@ impl BitWriter {
     /// Append one bit.
     #[inline]
     pub fn put_bit(&mut self, bit: bool) {
-        self.cur = (self.cur << 1) | bit as u8;
-        self.nbits += 1;
-        if self.nbits == 8 {
-            self.bytes.push(self.cur);
-            self.cur = 0;
-            self.nbits = 0;
-        }
+        self.put_bits(bit as u64, 1);
     }
 
     /// Append the low `n` bits of `value`, MSB first.
+    #[inline]
     pub fn put_bits(&mut self, value: u64, n: u8) {
         assert!(n <= 64);
-        for i in (0..n).rev() {
-            self.put_bit((value >> i) & 1 == 1);
+        if n == 0 {
+            return;
+        }
+        let value = value & (u64::MAX >> (64 - n));
+        let free = 64 - self.nbits;
+        if n < free {
+            self.acc = (self.acc << n) | value;
+            self.nbits += n;
+        } else {
+            // The top `free` bits complete the word; `n - free` stay behind.
+            self.nbits = n - free;
+            let word = self.acc.checked_shl(free as u32).unwrap_or(0) | (value >> self.nbits);
+            self.bytes.extend_from_slice(&word.to_be_bytes());
+            self.acc = value & !(u64::MAX << self.nbits);
         }
     }
 
     /// Unsigned exp-Golomb code (order 0): `v+1` written as
     /// `leading_zeros(len-1) ++ binary(v+1)`.
+    #[inline]
     pub fn put_ue(&mut self, v: u64) {
         let x = v + 1;
         let len = 64 - x.leading_zeros() as u8; // bit length of x ≥ 1
-        self.put_bits(0, len - 1);
-        self.put_bits(x, len);
+        if len <= 32 {
+            self.put_bits(x, 2 * len - 1); // x's own high zeros are the prefix
+        } else {
+            self.put_bits(0, len - 1);
+            self.put_bits(x, len);
+        }
     }
 
     /// Signed exp-Golomb: zigzag map then [`BitWriter::put_ue`].
+    #[inline]
     pub fn put_se(&mut self, v: i64) {
         let mapped = if v <= 0 {
             (-v as u64) * 2
@@ -67,8 +82,9 @@ impl BitWriter {
     /// Flush (zero-padding the final partial byte) and return the buffer.
     pub fn finish(mut self) -> Vec<u8> {
         if self.nbits > 0 {
-            self.cur <<= 8 - self.nbits;
-            self.bytes.push(self.cur);
+            let word = self.acc << (64 - self.nbits);
+            let tail = (self.nbits as usize).div_ceil(8);
+            self.bytes.extend_from_slice(&word.to_be_bytes()[..tail]);
         }
         self.bytes
     }
@@ -79,28 +95,73 @@ impl BitWriter {
     }
 }
 
-/// MSB-first bit reader over a byte slice.
+/// MSB-first bit reader over a byte slice. The next `have ≤ 63` unread bits
+/// sit left-aligned in `acc`, topped up a load at a time from `bytes[next..]`,
+/// so a code costs one bounds decision, not one per bit. A code `acc` cannot
+/// hold (longer than 56 bits, or running off the stream) is re-read a bit at
+/// a time on a copy of the reader — a copy, so that the reader's own fields
+/// can stay in registers across a decode loop — and that path words the errors.
+#[derive(Clone)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
-    pos: usize, // bit position
+    next: usize,
+    acc: u64,
+    have: u32,
+}
+
+/// The up-to-seven bytes of `rest` as the top of a big-endian word.
+#[cold]
+fn short_word(rest: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word[..rest.len()].copy_from_slice(rest);
+    u64::from_be_bytes(word)
 }
 
 impl<'a> BitReader<'a> {
     /// Read from the start of `bytes`.
     pub fn new(bytes: &'a [u8]) -> Self {
-        BitReader { bytes, pos: 0 }
+        BitReader {
+            bytes,
+            next: 0,
+            acc: 0,
+            have: 0,
+        }
+    }
+
+    /// Top `acc` up to at least 56 bits, or to the end of the stream. Only
+    /// whole bytes are counted in; what a load leaves below them is OR-ed in
+    /// again, identically, by the next one.
+    #[inline(always)]
+    fn refill(&mut self) {
+        let rest = &self.bytes[self.next..];
+        let room = ((63 - self.have) / 8) as usize;
+        let (word, taken) = match rest.first_chunk::<8>() {
+            Some(word) => (u64::from_be_bytes(*word), room),
+            None => (short_word(rest), room.min(rest.len())),
+        };
+        self.acc |= word >> self.have;
+        self.next += taken;
+        self.have += 8 * taken as u32;
+    }
+
+    #[inline(always)]
+    fn consume(&mut self, n: u32) {
+        self.acc <<= n;
+        self.have -= n;
     }
 
     /// Read one bit; error at end of stream.
     #[inline]
     pub fn get_bit(&mut self) -> Result<bool, String> {
-        let byte = self.pos / 8;
-        if byte >= self.bytes.len() {
-            return Err("bitstream exhausted".into());
+        if self.have == 0 {
+            self.refill();
+            if self.have == 0 {
+                return Err("bitstream exhausted".into());
+            }
         }
-        let bit = 7 - (self.pos % 8) as u8;
-        self.pos += 1;
-        Ok((self.bytes[byte] >> bit) & 1 == 1)
+        let bit = self.acc >> 63 == 1;
+        self.consume(1);
+        Ok(bit)
     }
 
     /// Read `n` bits MSB-first.
@@ -113,7 +174,22 @@ impl<'a> BitReader<'a> {
     }
 
     /// Unsigned exp-Golomb decode.
+    #[inline(always)]
     pub fn get_ue(&mut self) -> Result<u64, String> {
+        self.refill();
+        let len = 2 * self.acc.leading_zeros() + 1;
+        if len <= self.have {
+            let v = (self.acc >> (64 - len)) - 1;
+            self.consume(len);
+            return Ok(v);
+        }
+        let (v, reader) = self.clone().get_ue_bitwise()?;
+        *self = reader;
+        Ok(v)
+    }
+
+    #[cold]
+    fn get_ue_bitwise(mut self) -> Result<(u64, Self), String> {
         let mut zeros = 0u8;
         while !self.get_bit()? {
             zeros += 1;
@@ -122,10 +198,11 @@ impl<'a> BitReader<'a> {
             }
         }
         let rest = self.get_bits(zeros)?;
-        Ok(((1u64 << zeros) | rest) - 1)
+        Ok((((1u64 << zeros) | rest) - 1, self))
     }
 
     /// Signed exp-Golomb decode.
+    #[inline(always)]
     pub fn get_se(&mut self) -> Result<i64, String> {
         let v = self.get_ue()?;
         Ok(if v % 2 == 0 {
@@ -137,7 +214,7 @@ impl<'a> BitReader<'a> {
 
     /// Current bit position (for diagnostics).
     pub fn bit_pos(&self) -> usize {
-        self.pos
+        self.next * 8 - self.have as usize
     }
 }
 

@@ -1,48 +1,48 @@
 //! 8×8 type-II DCT and its inverse, the transform stage of the AJPG codec.
 //!
-//! Straightforward separable implementation with a precomputed 8×8 basis —
-//! clarity over raw speed; the codec's cost profile (per-block work
-//! proportional to pixel count) is what the preprocessing study needs.
+//! Separable, over a `static` basis. Every output is the same sum of the
+//! same products in the same order as the textbook triple loop, so the
+//! bits never depend on how the loops are arranged: the forward transform
+//! is laid out for the vectorizer, and the inverse skips coefficient rows
+//! and columns that are entirely zero. Skipping is exact, not approximate:
+//! a zero coefficient contributes a `±0.0` term, and adding `±0.0` to an
+//! accumulator seeded with `+0.0` never changes a bit (such an accumulator
+//! can never hold `-0.0`).
 
-/// Orthonormal 8-point DCT-II basis: `BASIS[k][n] = s(k)·cos((2n+1)kπ/16)`.
-fn basis() -> [[f32; 8]; 8] {
-    let mut b = [[0.0f32; 8]; 8];
-    for (k, row) in b.iter_mut().enumerate() {
-        let s = if k == 0 {
-            (1.0f32 / 8.0).sqrt()
-        } else {
-            (2.0f32 / 8.0).sqrt()
-        };
-        for (n, v) in row.iter_mut().enumerate() {
-            *v = s * ((std::f32::consts::PI * (2.0 * n as f32 + 1.0) * k as f32) / 16.0).cos();
-        }
-    }
-    b
-}
+/// Orthonormal 8-point DCT-II basis: `BASIS[k][n] = s(k)·cos((2n+1)kπ/16)`
+/// with `s(0) = √⅛`, `s(k) = √¼`, as f32 arithmetic and `cosf` produce it
+/// (a test holds the table to that formula). A table rather than a
+/// computation so that decoded pixels do not depend on the host's libm.
+#[rustfmt::skip]
+static BASIS: [[f32; 8]; 8] = [
+    [0.35355338, 0.35355338, 0.35355338, 0.35355338, 0.35355338, 0.35355338, 0.35355338, 0.35355338],
+    [0.49039263, 0.4157348, 0.2777851, 0.09754512, -0.09754516, -0.27778518, -0.41573483, -0.49039266],
+    [0.46193975, 0.19134171, -0.19134176, -0.4619398, -0.46193975, -0.19134156, 0.1913418, 0.46193978],
+    [0.4157348, -0.09754516, -0.49039266, -0.277785, 0.27778503, 0.49039263, 0.097545035, -0.4157349],
+    [0.35355338, -0.35355338, -0.35355332, 0.3535535, 0.35355338, -0.35355362, -0.35355327, 0.3535534],
+    [0.2777851, -0.49039266, 0.09754521, 0.41573468, -0.4157349, -0.09754464, 0.49039266, -0.27778503],
+    [0.19134171, -0.46193975, 0.46193987, -0.19134195, -0.19134192, 0.46193966, -0.46193987, 0.19134195],
+    [0.09754512, -0.277785, 0.41573468, -0.4903926, 0.49039263, -0.41573507, 0.27778557, -0.097544834],
+];
 
 /// Forward 8×8 DCT-II of a block (row-major), orthonormal scaling.
 pub fn dct2_8x8(block: &[f32; 64]) -> [f32; 64] {
-    let b = basis();
+    // Rows: tmp[y][k] = Σₙ block[y][n]·BASIS[k][n], all eight k at once.
     let mut tmp = [0.0f32; 64];
-    // Rows
-    for y in 0..8 {
-        for k in 0..8 {
-            let mut acc = 0.0;
-            for n in 0..8 {
-                acc += block[y * 8 + n] * b[k][n];
+    for (src, dst) in block.chunks_exact(8).zip(tmp.chunks_exact_mut(8)) {
+        for (n, &v) in src.iter().enumerate() {
+            for (acc, basis_k) in dst.iter_mut().zip(&BASIS) {
+                *acc += v * basis_k[n];
             }
-            tmp[y * 8 + k] = acc;
         }
     }
-    // Columns
+    // Columns: out[k][x] = Σₙ tmp[n][x]·BASIS[k][n], all eight x at once.
     let mut out = [0.0f32; 64];
-    for x in 0..8 {
-        for k in 0..8 {
-            let mut acc = 0.0;
-            for n in 0..8 {
-                acc += tmp[n * 8 + x] * b[k][n];
+    for (dst, basis_k) in out.chunks_exact_mut(8).zip(&BASIS) {
+        for (src, &b) in tmp.chunks_exact(8).zip(basis_k) {
+            for (acc, &v) in dst.iter_mut().zip(src) {
+                *acc += v * b;
             }
-            out[k * 8 + x] = acc;
         }
     }
     out
@@ -50,30 +50,58 @@ pub fn dct2_8x8(block: &[f32; 64]) -> [f32; 64] {
 
 /// Inverse 8×8 DCT (DCT-III with orthonormal scaling).
 pub fn idct2_8x8(coeffs: &[f32; 64]) -> [f32; 64] {
-    let b = basis();
-    let mut tmp = [0.0f32; 64];
-    // Columns
-    for x in 0..8 {
-        for n in 0..8 {
-            let mut acc = 0.0;
-            for k in 0..8 {
-                acc += coeffs[k * 8 + x] * b[k][n];
-            }
-            tmp[n * 8 + x] = acc;
-        }
+    idct2_8x8_sparse(coeffs, 0xFF, 0xFF)
+}
+
+/// The indices of the set bits of `mask`, ascending, and how many.
+#[inline]
+fn set_bits(mask: u8) -> ([usize; 8], usize) {
+    let (mut idx, mut len) = ([0usize; 8], 0);
+    for k in 0..8 {
+        idx[len] = k;
+        len += (mask >> k & 1) as usize;
     }
-    // Rows
-    let mut out = [0.0f32; 64];
-    for y in 0..8 {
-        for n in 0..8 {
-            let mut acc = 0.0;
-            for k in 0..8 {
-                acc += tmp[y * 8 + k] * b[k][n];
+    (idx, len)
+}
+
+/// [`idct2_8x8`] for a block whose nonzero coefficients all lie in the
+/// rows set in `rows` and the columns set in `cols` (bit `k` = row or
+/// column `k`; naming more than that is harmless). Same bits as the dense
+/// transform (see the module docs).
+pub fn idct2_8x8_sparse(coeffs: &[f32; 64], rows: u8, cols: u8) -> [f32; 64] {
+    let ((rows, nrows), (cols, ncols)) = (set_bits(rows), set_bits(cols));
+    // Columns: tmp[n][x] = Σₖ coeffs[k][x]·BASIS[k][n] over the live rows.
+    let mut tmp = [0.0f32; 64];
+    for (n, dst) in tmp.chunks_exact_mut(8).enumerate() {
+        let mut acc = [0.0f32; 8];
+        for &k in &rows[..nrows] {
+            for (a, &c) in acc.iter_mut().zip(&coeffs[k * 8..k * 8 + 8]) {
+                *a += c * BASIS[k][n];
             }
-            out[y * 8 + n] = acc;
         }
+        dst.copy_from_slice(&acc);
+    }
+    // Rows: out[y][n] = Σₖ tmp[y][k]·BASIS[k][n] over the live columns
+    // (tmp is +0.0 all the way down a column that held no coefficient).
+    let mut out = [0.0f32; 64];
+    for (src, dst) in tmp.chunks_exact(8).zip(out.chunks_exact_mut(8)) {
+        let mut acc = [0.0f32; 8];
+        for &k in &cols[..ncols] {
+            for (a, &b) in acc.iter_mut().zip(&BASIS[k]) {
+                *a += src[k] * b;
+            }
+        }
+        dst.copy_from_slice(&acc);
     }
     out
+}
+
+/// Every sample of the inverse DCT of a block whose only coefficient is
+/// `dc`: with one live row and column both passes are one product each,
+/// and `BASIS[0]` is the same value eight times.
+#[inline]
+pub fn idct2_8x8_dc(dc: f32) -> f32 {
+    0.0 + (0.0 + dc * BASIS[0][0]) * BASIS[0][0]
 }
 
 /// Zigzag scan order for an 8×8 block (JPEG's order).
@@ -86,6 +114,25 @@ pub const ZIGZAG: [usize; 64] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn basis_table_is_the_formula_in_f32() {
+        for (k, row) in BASIS.iter().enumerate() {
+            let s = if k == 0 {
+                (1.0f32 / 8.0).sqrt()
+            } else {
+                (2.0f32 / 8.0).sqrt()
+            };
+            for (n, &v) in row.iter().enumerate() {
+                let angle = (std::f32::consts::PI * (2.0 * n as f32 + 1.0) * k as f32) / 16.0;
+                assert_eq!(v.to_bits(), (s * angle.cos()).to_bits(), "BASIS[{k}][{n}]");
+            }
+        }
+        // What the DC-only shortcut leans on.
+        assert!(BASIS[0]
+            .iter()
+            .all(|v| v.to_bits() == BASIS[0][0].to_bits()));
+    }
 
     #[test]
     fn round_trip_is_identity() {

@@ -1569,6 +1569,9 @@ fn classify(
         }
     }
     let input = preprocess_decoded(&img, config.out_res);
+    // The decoded image (3·w·h bytes) has served its purpose; free it now
+    // rather than hold it through the engine round-trip below.
+    drop(img);
     let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
     let (reply_tx, reply_rx) = mpsc::channel();
     let outcome = if tx

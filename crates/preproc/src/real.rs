@@ -9,7 +9,8 @@
 use harvest_data::{DatasetSpec, EncodedSample};
 use harvest_imaging::RgbImage;
 use harvest_tensor::{
-    hwc_u8_to_chw, normalize_chw, perspective_warp, resize_bilinear, Homography, Tensor,
+    hwc_u8_to_chw, normalize_chw, perspective_warp, resize_bilinear, resize_normalize_hwc_u8,
+    Homography, Tensor,
 };
 use std::time::Instant;
 
@@ -38,67 +39,56 @@ impl RealPreprocResult {
     }
 }
 
-/// Model transform for an already-decoded image: CHW float → resize to
-/// `out_res` → ImageNet normalization → `[3, out_res, out_res]` tensor.
+/// Model transform for an already-decoded image: resize to `out_res` →
+/// ImageNet normalization → `[3, out_res, out_res]` CHW tensor, in one pass
+/// over the source pixels the resize samples.
 ///
 /// This is the wire-serving entry point: a request body has already been
 /// decoded (and its format sniffed) by the frontend, and no dataset stage
-/// applies to traffic of unknown provenance. Bit-identical to the
-/// resize+normalize stages of [`run_real`] for the same pixels.
+/// applies to traffic of unknown provenance. It is also the transform stage
+/// of [`run_real`] for every dataset without one.
 pub fn preprocess_decoded(img: &RgbImage, out_res: usize) -> Tensor {
-    let mut chw = hwc_u8_to_chw(img.data(), img.height(), img.width(), 3);
-    let (mut h, mut w) = (img.height(), img.width());
-    if (h, w) != (out_res, out_res) {
-        chw = resize_bilinear(&chw, 3, h, w, out_res, out_res);
-        h = out_res;
-        w = out_res;
-    }
-    normalize_chw(&mut chw, 3, &NORM_MEAN, &NORM_STD);
-    Tensor::from_vec(&[3, h, w], chw)
+    let (h, w, res) = (img.height(), img.width(), out_res);
+    let chw = resize_normalize_hwc_u8(img.data(), h, w, res, res, &NORM_MEAN, &NORM_STD);
+    Tensor::from_vec(&[3, res, res], chw)
 }
 
-/// Run the full real preprocessing pipeline on one encoded sample.
+/// Run the full real preprocessing pipeline on one encoded sample. The
+/// three stage times partition the call: each starts where the last ended.
 pub fn run_real(
     spec: &DatasetSpec,
     sample: &EncodedSample,
     out_res: usize,
 ) -> Result<RealPreprocResult, String> {
     // Stage 1: decode.
-    let t0 = Instant::now();
+    let start = Instant::now();
     let img: RgbImage = spec.format.decode(&sample.bytes)?;
-    let decode_s = t0.elapsed().as_secs_f64();
+    let decoded = Instant::now();
 
-    // To CHW float.
-    let t1 = Instant::now();
-    let mut chw = hwc_u8_to_chw(img.data(), img.height(), img.width(), 3);
-    let (mut h, mut w) = (img.height(), img.width());
-
-    // Stage 2: dataset-specific preprocessing (CRSA perspective correction).
-    let dataset_stage_s = if spec.needs_perspective {
+    let (tensor, staged) = if spec.needs_perspective {
+        // Stage 2: dataset-specific preprocessing (CRSA perspective
+        // correction), which works on CHW floats.
+        let (h, w) = (img.height(), img.width());
+        let chw = hwc_u8_to_chw(img.data(), h, w, 3);
         let hmg = Homography::ground_vehicle_tilt(0.35, h);
-        chw = perspective_warp(&chw, 3, h, w, h, w, &hmg);
-        let t = t1.elapsed().as_secs_f64();
-        let _ = (h, w);
-        t
+        let mut chw = perspective_warp(&chw, 3, h, w, h, w, &hmg);
+        let staged = Instant::now();
+        // Stage 3: model transform — resize to the model input, normalize.
+        if (h, w) != (out_res, out_res) {
+            chw = resize_bilinear(&chw, 3, h, w, out_res, out_res);
+        }
+        normalize_chw(&mut chw, 3, &NORM_MEAN, &NORM_STD);
+        (Tensor::from_vec(&[3, out_res, out_res], chw), staged)
     } else {
-        0.0
+        (preprocess_decoded(&img, out_res), decoded)
     };
-
-    // Stage 3: model transform — resize to the model input, normalize.
-    let t2 = Instant::now();
-    if (h, w) != (out_res, out_res) {
-        chw = resize_bilinear(&chw, 3, h, w, out_res, out_res);
-        h = out_res;
-        w = out_res;
-    }
-    normalize_chw(&mut chw, 3, &NORM_MEAN, &NORM_STD);
-    let transform_s = t2.elapsed().as_secs_f64();
+    let done = Instant::now();
 
     Ok(RealPreprocResult {
-        tensor: Tensor::from_vec(&[3, h, w], chw),
-        decode_s,
-        dataset_stage_s,
-        transform_s,
+        tensor,
+        decode_s: (decoded - start).as_secs_f64(),
+        dataset_stage_s: (staged - decoded).as_secs_f64(),
+        transform_s: (done - staged).as_secs_f64(),
     })
 }
 
@@ -214,16 +204,24 @@ mod tests {
     }
 
     #[test]
-    fn decode_dominates_for_jpeg_like_small_output() {
-        // AJPG decode of a 256² image costs more than resizing it to 32².
+    fn decode_touches_every_pixel_and_the_transform_only_its_taps() {
+        // Why decode dominates a JPEG-like source at a small output: it must
+        // produce every source pixel, while the transform reads only the
+        // pixels bilinear sampling names — at most 4 per output pixel.
         let sampler = Sampler::new(DatasetId::PlantVillage, 11);
         let sample = sampler.encode(3);
-        let out = run_real(sampler.spec(), &sample, 32).expect("preproc");
-        assert!(
-            out.decode_s > out.transform_s,
-            "decode {} vs transform {}",
-            out.decode_s,
-            out.transform_s
-        );
+        let img = sampler.spec().format.decode(&sample.bytes).expect("decode");
+        let decoded = img.pixels();
+        assert_eq!(decoded, 256 * 256);
+        let out_res = 32;
+        let axis = |n| {
+            let taps = harvest_tensor::bilinear_taps(n, out_res);
+            let touched: std::collections::BTreeSet<usize> =
+                taps.iter().flat_map(|&(i0, i1, _)| [i0, i1]).collect();
+            touched.len()
+        };
+        let sampled = axis(img.height()) * axis(img.width());
+        assert!(sampled <= 4 * out_res * out_res, "sampled {sampled}");
+        assert!(decoded >= 16 * sampled, "decoded {decoded} vs {sampled}");
     }
 }

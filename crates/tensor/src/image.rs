@@ -36,8 +36,22 @@ pub fn chw_to_hwc_u8(chw: &[f32], h: usize, w: usize, channels: usize) -> Vec<u8
     out
 }
 
-/// Bilinear resize of a CHW image to `oh × ow` (align-corners=false,
-/// half-pixel centres — the torchvision default).
+/// Bilinear sampling along one axis resized from `n` to `out` samples
+/// (align-corners=false, half-pixel centres — the torchvision default):
+/// per output index, the two source indices and the weight of the second.
+pub fn bilinear_taps(n: usize, out: usize) -> Vec<(usize, usize, f32)> {
+    assert!(n > 0 && out > 0);
+    let scale = n as f32 / out as f32;
+    (0..out)
+        .map(|o| {
+            let f = ((o as f32 + 0.5) * scale - 0.5).clamp(0.0, (n - 1) as f32);
+            let i0 = f.floor() as usize;
+            (i0, (i0 + 1).min(n - 1), f - i0 as f32)
+        })
+        .collect()
+}
+
+/// Bilinear resize of a CHW image to `oh × ow` (see [`bilinear_taps`]).
 pub fn resize_bilinear(
     input: &[f32],
     channels: usize,
@@ -47,28 +61,18 @@ pub fn resize_bilinear(
     ow: usize,
 ) -> Vec<f32> {
     assert_eq!(input.len(), channels * h * w);
-    assert!(h > 0 && w > 0 && oh > 0 && ow > 0);
     let mut out = vec![0.0f32; channels * oh * ow];
-    let sy = h as f32 / oh as f32;
-    let sx = w as f32 / ow as f32;
+    let (ys, xs) = (bilinear_taps(h, oh), bilinear_taps(w, ow));
     let per_plane = |(plane_in, plane_out): (&[f32], &mut [f32])| {
-        for oy in 0..oh {
-            let fy = ((oy as f32 + 0.5) * sy - 0.5).clamp(0.0, (h - 1) as f32);
-            let y0 = fy.floor() as usize;
-            let y1 = (y0 + 1).min(h - 1);
-            let wy = fy - y0 as f32;
-            for ox in 0..ow {
-                let fx = ((ox as f32 + 0.5) * sx - 0.5).clamp(0.0, (w - 1) as f32);
-                let x0 = fx.floor() as usize;
-                let x1 = (x0 + 1).min(w - 1);
-                let wx = fx - x0 as f32;
+        for (row_out, &(y0, y1, wy)) in plane_out.chunks_exact_mut(ow).zip(&ys) {
+            for (v, &(x0, x1, wx)) in row_out.iter_mut().zip(&xs) {
                 let p00 = plane_in[y0 * w + x0];
                 let p01 = plane_in[y0 * w + x1];
                 let p10 = plane_in[y1 * w + x0];
                 let p11 = plane_in[y1 * w + x1];
                 let top = p00 * (1.0 - wx) + p01 * wx;
                 let bot = p10 * (1.0 - wx) + p11 * wx;
-                plane_out[oy * ow + ox] = top * (1.0 - wy) + bot * wy;
+                *v = top * (1.0 - wy) + bot * wy;
             }
         }
     };
@@ -82,6 +86,44 @@ pub fn resize_bilinear(
             .chunks_exact(h * w)
             .zip(out.chunks_exact_mut(oh * ow))
             .for_each(per_plane);
+    }
+    out
+}
+
+/// A decoded image straight to model input: interleaved HWC u8 → `[0, 1]`
+/// → bilinear resize to `oh × ow` → per-channel `(x - mean) / std` → planar
+/// CHW f32, one channel per `mean` entry. Bit-identical to [`hwc_u8_to_chw`]
+/// → [`resize_bilinear`] (or not, at the same size: identity taps weigh the
+/// second sample by exactly 0) → [`normalize_chw`], but it reads only the at
+/// most `4·oh·ow` source pixels the taps name and builds no full-size floats.
+pub fn resize_normalize_hwc_u8(
+    pixels: &[u8],
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    mean: &[f32],
+    std: &[f32],
+) -> Vec<f32> {
+    let channels = mean.len();
+    assert_eq!(std.len(), channels);
+    assert_eq!(pixels.len(), h * w * channels);
+    let unit: [f32; 256] = std::array::from_fn(|v| v as f32 / 255.0);
+    let (ys, xs) = (bilinear_taps(h, oh), bilinear_taps(w, ow));
+    let mut out = vec![0.0f32; channels * oh * ow];
+    for (c, plane) in out.chunks_exact_mut(oh * ow).enumerate() {
+        let (mean, inv) = (mean[c], 1.0 / std[c]);
+        for (row_out, &(y0, y1, wy)) in plane.chunks_exact_mut(ow).zip(&ys) {
+            // Channel `c` of a source row: sample `x` is at `x * channels`.
+            let row0 = &pixels[y0 * w * channels + c..];
+            let row1 = &pixels[y1 * w * channels + c..];
+            let p = |row: &[u8], x: usize| unit[row[x * channels] as usize];
+            for (v, &(x0, x1, wx)) in row_out.iter_mut().zip(&xs) {
+                let top = p(row0, x0) * (1.0 - wx) + p(row0, x1) * wx;
+                let bot = p(row1, x0) * (1.0 - wx) + p(row1, x1) * wx;
+                *v = (top * (1.0 - wy) + bot * wy - mean) * inv;
+            }
+        }
     }
     out
 }
@@ -272,6 +314,36 @@ mod tests {
         let lo = input.iter().copied().fold(f32::INFINITY, f32::min);
         let hi = input.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         assert!(out.iter().all(|&v| v >= lo - 1e-5 && v <= hi + 1e-5));
+    }
+
+    #[test]
+    fn fused_u8_transform_equals_the_three_passes() {
+        let (h, w) = (9, 14);
+        let pixels: Vec<u8> = (0..h * w * 3).map(|i| (i * 37 % 256) as u8).collect();
+        let (mean, std) = ([0.5, 0.4, 0.3], [0.2, 0.25, 0.3]);
+        for (oh, ow) in [(4, 5), (20, 31), (h, w), (1, 1)] {
+            let mut want = resize_bilinear(&hwc_u8_to_chw(&pixels, h, w, 3), 3, h, w, oh, ow);
+            normalize_chw(&mut want, 3, &mean, &std);
+            let got = resize_normalize_hwc_u8(&pixels, h, w, oh, ow, &mean, &std);
+            assert!(got
+                .iter()
+                .zip(&want)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert_eq!(got.len(), want.len(), "{oh}x{ow}");
+        }
+    }
+
+    #[test]
+    fn taps_stay_in_range_and_identity_taps_carry_no_weight() {
+        for (n, out) in [(1, 7), (10, 3), (3, 10), (512, 16)] {
+            for (i0, i1, wt) in bilinear_taps(n, out) {
+                assert!(i0 <= i1 && i1 < n && (0.0..1.0).contains(&wt), "{n}->{out}");
+            }
+        }
+        assert!(bilinear_taps(9, 9)
+            .iter()
+            .enumerate()
+            .all(|(o, &(i0, _, wt))| i0 == o && wt == 0.0));
     }
 
     #[test]

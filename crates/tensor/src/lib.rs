@@ -34,8 +34,8 @@ pub use attention::{multi_head_attention, multi_head_attention_v};
 pub use conv::{avg_pool2d_global, conv2d, conv2d_into, conv2d_into_v, conv2d_v, max_pool2d};
 pub use gemm::{gemm, gemm_naive};
 pub use image::{
-    center_crop, chw_to_hwc_u8, hwc_u8_to_chw, normalize_chw, perspective_warp, resize_bilinear,
-    Homography,
+    bilinear_taps, center_crop, chw_to_hwc_u8, hwc_u8_to_chw, normalize_chw, perspective_warp,
+    resize_bilinear, resize_normalize_hwc_u8, Homography,
 };
 pub use integrity::{checksum_bytes, checksum_f32, flip_bit_in, max_abs_gap, scan_f32, ScanReport};
 pub use kernel::{
