@@ -14,6 +14,11 @@
 #                        the corrupt-stream sweeps and the proptests, which
 #                        tier-1 (root package only) does not reach; run at
 #                        HARVEST_THREADS=1 and the host default
+#  3c. workspace suites  cargo test --release --workspace: every crate's unit,
+#                        integration and property suites (http_fuzz,
+#                        wire_integration, calendar_diff, the serving
+#                        proptests, the experiments CLI contract, ...) that no
+#                        step above reaches
 #   4. overload smoke    experiments overload --smoke + artifact drift check
 #   5. integrity smoke   experiments integrity --smoke + schema/drift/determinism
 #   6. bench smoke       experiments bench --smoke + schema/determinism check,
@@ -89,6 +94,9 @@ HARVEST_THREADS=1 cargo test --offline --release -q \
     -p harvest-imaging -p harvest-preproc -p harvest-tensor -p harvest-data
 cargo test --offline --release -q \
     -p harvest-imaging -p harvest-preproc -p harvest-tensor -p harvest-data
+
+echo "== workspace suites =="
+cargo test --offline --release --workspace -q
 
 echo "== overload smoke =="
 # The smoke run asserts conservation and bit-identical reruns internally;

@@ -1,11 +1,13 @@
 //! Regenerate every table and figure of the paper.
 //!
 //! ```text
-//! experiments [table1|table2|table3|fig4|fig5|fig6|fig7|fig8|resilience|overload|integrity|bench|tune|wire|swap|serve|fleet|host]...
-//!             [--json DIR] [--smoke]
+//! experiments [table1|table2|table3|fig4|fig5|fig6|fig7|fig8|energy|continuum|scaling|
+//!              ablations|cluster|resilience|overload|integrity|bench|tune|wire|swap|
+//!              serve|fleet|host]... [--json DIR] [--smoke]
 //! ```
 //!
-//! With no arguments, everything runs. `--json DIR` additionally writes each
+//! With no subcommand, everything runs; a name that is none of the above is
+//! an error (exit 2) before anything runs. `--json DIR` additionally writes each
 //! result as a JSON artifact into DIR. `--smoke` keeps the self-checks but
 //! suppresses the tables — CI uses it to regenerate artifacts cheaply and
 //! diff them for drift. `host` runs the *real* host measurements (GEMM
@@ -57,6 +59,36 @@ fn count_allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
 }
 
+/// A subcommand: takes the artifact sink and the `--smoke` flag.
+type Subcommand = fn(&dyn Fn(&str, String), bool);
+
+/// Every subcommand, in the order a bare `experiments` runs them.
+const SUBCOMMANDS: &[(&str, Subcommand)] = &[
+    ("table1", |save, _| table1(save)),
+    ("table2", |save, _| table2(save)),
+    ("table3", |save, _| table3(save)),
+    ("fig4", |save, _| fig4(save)),
+    ("fig5", |save, _| fig5(save)),
+    ("fig6", |save, _| fig6(save)),
+    ("fig7", |save, _| fig7(save)),
+    ("fig8", |save, _| fig8(save)),
+    ("energy", |save, _| energy(save)),
+    ("continuum", |save, _| continuum(save)),
+    ("scaling", |save, _| scaling(save)),
+    ("ablations", |save, _| ablations(save)),
+    ("cluster", |save, _| cluster(save)),
+    ("resilience", |save, _| resilience(save)),
+    ("overload", overload),
+    ("integrity", integrity),
+    ("bench", bench),
+    ("tune", tune),
+    ("wire", wire),
+    ("swap", swap),
+    ("serve", serve),
+    ("fleet", fleet),
+    ("host", |_, _| host()),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json_dir: Option<PathBuf> = None;
@@ -69,12 +101,17 @@ fn main() {
             json_dir = Some(PathBuf::from(dir));
         } else if a == "--smoke" {
             smoke = true;
-        } else {
+        } else if SUBCOMMANDS.iter().any(|(name, _)| name == a) {
             wanted.insert(a.clone());
+        } else {
+            let names: Vec<&str> = SUBCOMMANDS.iter().map(|(name, _)| *name).collect();
+            eprintln!(
+                "experiments: unknown subcommand `{a}`; valid: {}",
+                names.join(" ")
+            );
+            std::process::exit(2);
         }
     }
-    let all = wanted.is_empty();
-    let run = |name: &str| all || wanted.contains(name);
     if let Some(dir) = &json_dir {
         fs::create_dir_all(dir).expect("create artifact dir");
     }
@@ -85,75 +122,10 @@ fn main() {
             println!("  [artifact] {}", path.display());
         }
     };
-
-    if run("table1") {
-        table1(&save);
-    }
-    if run("table2") {
-        table2(&save);
-    }
-    if run("table3") {
-        table3(&save);
-    }
-    if run("fig4") {
-        fig4(&save);
-    }
-    if run("fig5") {
-        fig5(&save);
-    }
-    if run("fig6") {
-        fig6(&save);
-    }
-    if run("fig7") {
-        fig7(&save);
-    }
-    if run("fig8") {
-        fig8(&save);
-    }
-    if run("energy") {
-        energy(&save);
-    }
-    if run("continuum") {
-        continuum(&save);
-    }
-    if run("scaling") {
-        scaling(&save);
-    }
-    if run("ablations") {
-        ablations(&save);
-    }
-    if run("cluster") {
-        cluster(&save);
-    }
-    if run("resilience") {
-        resilience(&save);
-    }
-    if run("overload") {
-        overload(&save, smoke);
-    }
-    if run("integrity") {
-        integrity(&save, smoke);
-    }
-    if run("bench") {
-        bench(&save, smoke);
-    }
-    if run("tune") {
-        tune(&save, smoke);
-    }
-    if run("wire") {
-        wire(&save, smoke);
-    }
-    if run("swap") {
-        swap(&save, smoke);
-    }
-    if run("serve") {
-        serve(&save, smoke);
-    }
-    if run("fleet") {
-        fleet(&save, smoke);
-    }
-    if run("host") {
-        host();
+    for (name, subcommand) in SUBCOMMANDS {
+        if wanted.is_empty() || wanted.contains(*name) {
+            subcommand(&save, smoke);
+        }
     }
 }
 
@@ -1156,6 +1128,10 @@ fn bench(save: &dyn Fn(&str, String), smoke: bool) {
         );
     }
     if !smoke {
+        println!(
+            "  host: {} threads, GEMM lane tier {}, INT8 over fastest f32 GEMM {:.2}x",
+            report.host_threads, report.lane_tier, report.int8_over_f32_gemm
+        );
         let ktab: Vec<Vec<String>> = report
             .kernels
             .iter()
@@ -2052,6 +2028,7 @@ fn fig8(save: &dyn Fn(&str, String)) {
 
 fn host() {
     println!("== Host measurements (real kernels on this machine) ==");
+    println!("  GEMM lane tier: {}", harvest_tensor::lane_tier());
     for n in [256usize, 512, 1024] {
         let gf = harvest_hw::host_gemm_gflops(n, 3);
         println!("  real GEMM {n}x{n}x{n}: {:.1} GFLOPS", gf);

@@ -1,0 +1,25 @@
+//! The `experiments` binary's argument contract, driven as a process.
+
+use std::process::Command;
+
+fn experiments(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .output()
+        .expect("spawn experiments")
+}
+
+/// An unknown name used to be a filter that matched nothing: exit 0, no
+/// output. It must fail, name the culprit and list what is valid — and do so
+/// before any subcommand named beside it has run.
+#[test]
+fn unknown_subcommand_is_rejected_before_anything_runs() {
+    let out = experiments(&["table2", "tabel1"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "a subcommand ran before validation");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("`tabel1`"), "{err}");
+    for name in ["table1", "bench", "fleet", "host"] {
+        assert!(err.contains(name), "valid list lacks {name}: {err}");
+    }
+}

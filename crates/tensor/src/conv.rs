@@ -15,8 +15,16 @@ pub fn conv_out_dim(in_dim: usize, kernel: usize, stride: usize, pad: usize) -> 
 }
 
 /// Lay out input patches as columns: output is `[cin·k·k] × [oh·ow]`.
+///
+/// Row `(c, ky, kx)` of the column matrix is, per output line `oy`, one
+/// stretch of input line `oy·stride + ky − pad` starting at `kx − pad`,
+/// every `stride`-th pixel, with zeros where that runs off the image. The
+/// stretch that stays inside depends on `kx` alone, so it is found once per
+/// row and each line is a border fill plus a copy (stride 1) or a strided
+/// walk.
+#[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
-fn im2col(
+pub fn im2col(
     input: &[f32],
     cin: usize,
     h: usize,
@@ -28,27 +36,35 @@ fn im2col(
 ) {
     let oh = conv_out_dim(h, kernel, stride, pad);
     let ow = conv_out_dim(w, kernel, stride, pad);
+    assert_eq!(input.len(), cin * h * w);
     assert_eq!(out.len(), cin * kernel * kernel * oh * ow);
     for c in 0..cin {
         let plane = &input[c * h * w..(c + 1) * h * w];
         for ky in 0..kernel {
             for kx in 0..kernel {
                 let row = ((c * kernel + ky) * kernel + kx) * oh * ow;
+                // Output columns lo..hi read inside the line:
+                // 0 <= ox·stride + kx − pad < w.
+                let lo = pad.saturating_sub(kx).div_ceil(stride).min(ow);
+                let hi = (w + pad).saturating_sub(kx).div_ceil(stride).clamp(lo, ow);
                 for oy in 0..oh {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
                     let out_row = &mut out[row + oy * ow..row + (oy + 1) * ow];
-                    if iy < 0 || iy >= h as isize {
+                    let iy = oy * stride + ky;
+                    if iy < pad || iy - pad >= h || lo == hi {
                         out_row.fill(0.0);
                         continue;
                     }
-                    let iy = iy as usize;
-                    for (ox, slot) in out_row.iter_mut().enumerate() {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        *slot = if ix < 0 || ix >= w as isize {
-                            0.0
-                        } else {
-                            plane[iy * w + ix as usize]
-                        };
+                    let line = &plane[(iy - pad) * w..(iy - pad + 1) * w];
+                    let first = lo * stride + kx - pad;
+                    out_row[..lo].fill(0.0);
+                    out_row[hi..].fill(0.0);
+                    if stride == 1 {
+                        out_row[lo..hi].copy_from_slice(&line[first..first + (hi - lo)]);
+                    } else {
+                        let taps = line[first..].iter().step_by(stride);
+                        for (slot, &v) in out_row[lo..hi].iter_mut().zip(taps) {
+                            *slot = v;
+                        }
                     }
                 }
             }
@@ -198,11 +214,18 @@ pub fn conv2d_into_v(
         return;
     }
 
+    // A 1×1 / stride-1 / pad-0 conv's column matrix is the input planes
+    // themselves (`[cin] × [h·w]`), so it needs no im2col.
+    let pointwise = kernel == 1 && stride == 1 && pad == 0;
     let per_image = |(img_in, img_out): (&[f32], &mut [f32])| {
-        crate::scratch::with_f32(col_rows * out_spatial, |col| {
-            im2col(img_in, cin, h, w, kernel, stride, pad, col);
-            gemm_v(variant, weight, col, img_out, cout, col_rows, out_spatial);
-        });
+        if pointwise {
+            gemm_v(variant, weight, img_in, img_out, cout, cin, out_spatial);
+        } else {
+            crate::scratch::with_f32(col_rows * out_spatial, |col| {
+                im2col(img_in, cin, h, w, kernel, stride, pad, col);
+                gemm_v(variant, weight, col, img_out, cout, col_rows, out_spatial);
+            });
+        }
         if !bias.is_empty() {
             for (c, plane) in img_out.chunks_exact_mut(out_spatial).enumerate() {
                 let b = bias[c];

@@ -4,7 +4,10 @@
 //!
 //! * [`gemm_naive`] — triple loop, the correctness oracle for tests.
 //! * [`gemm_blocked`] — cache-blocked (MC×KC×NC) single-threaded kernel with
-//!   an unrolled inner loop over packed panels.
+//!   an unrolled inner loop over packed panels. Its one loop body is compiled
+//!   once per x86-64 lane tier (SSE2 baseline, AVX2, AVX-512) and the widest
+//!   the host has is picked per call ([`lane_tier`]); all of them produce the
+//!   same bits, so which one ran is a speed, never a result.
 //! * [`gemm`] — the production entry point: rayon-parallel over row blocks of
 //!   C, each block running the blocked kernel. Falls back to the blocked
 //!   kernel for small problems where fork/join overhead would dominate.
@@ -62,7 +65,93 @@ pub fn gemm_blocked(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
     gemm_blocked_acc(a, b, c, m, k, n);
 }
 
-/// Blocked GEMM that *accumulates* into `c` (callers zero or pre-bias it).
+/// The lane tier the blocked kernel runs at on this host: `"sse2"`,
+/// `"avx2"` or `"avx512"` on x86-64, `"baseline"` elsewhere. Detected per
+/// call from CPUID; nothing selects it.
+pub fn lane_tier() -> &'static str {
+    // The dispatcher names the instantiation it ran, so this cannot drift
+    // from what a GEMM call does; an empty product runs no loop.
+    gemm_blocked_acc_upto(usize::MAX, &[], &[], &mut [], 0, 0, 0)
+}
+
+/// [`gemm_blocked`] held to lane-tier rank `cap` (0 baseline, 1 AVX2,
+/// 2 AVX-512); returns the tier that ran. The conformance suite's way to
+/// every instantiation — production code never caps.
+#[doc(hidden)]
+pub fn gemm_blocked_upto(
+    cap: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) -> &'static str {
+    check_dims(a, b, c, m, k, n);
+    c.fill(0.0);
+    gemm_blocked_acc_upto(cap, a, b, c, m, k, n)
+}
+
+/// Blocked GEMM that *accumulates* into `c` (callers zero or pre-bias it),
+/// at the widest lane tier the host has.
+fn gemm_blocked_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_blocked_acc_upto(usize::MAX, a, b, c, m, k, n);
+}
+
+/// Runs the widest instantiation of [`gemm_blocked_acc_body`] the host
+/// supports whose rank does not exceed `cap`, and returns its tier.
+///
+/// Every instantiation produces the same bits. rustc never contracts
+/// `a * b + c` into a fused multiply-add and never reorders a float
+/// reduction, so the wider instruction sets change how many columns `j` one
+/// instruction serves and nothing about any element's rounding sequence.
+#[inline]
+fn gemm_blocked_acc_upto(
+    cap: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if cap >= 2 && is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
+            // SAFETY: avx512f and avx512vl were just detected, and avx512f
+            // implies avx2; those are all the features the callee enables.
+            unsafe { gemm_blocked_acc_avx512(a, b, c, m, k, n) };
+            return "avx512";
+        }
+        if cap >= 1 && is_x86_feature_detected!("avx2") {
+            // SAFETY: avx2, the one feature the callee enables, was just
+            // detected.
+            unsafe { gemm_blocked_acc_avx2(a, b, c, m, k, n) };
+            return "avx2";
+        }
+    }
+    let _ = cap;
+    gemm_blocked_acc_body(a, b, c, m, k, n);
+    if cfg!(target_arch = "x86_64") {
+        "sse2"
+    } else {
+        "baseline"
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_blocked_acc_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_blocked_acc_body(a, b, c, m, k, n);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512vl")]
+fn gemm_blocked_acc_avx512(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_blocked_acc_body(a, b, c, m, k, n);
+}
+
+/// The blocked kernel's one loop body, compiled once per lane tier.
 ///
 /// The micro-kernel is register-blocked over four rows of C: one pass over
 /// the packed B panel feeds four output rows, quartering panel traffic and
@@ -71,7 +160,8 @@ pub fn gemm_blocked(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
 /// groups in the same sequence), so results are bit-identical regardless of
 /// how rows are grouped — the property the batched executor's
 /// batch-equals-single guarantee rests on.
-fn gemm_blocked_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+#[inline(always)]
+fn gemm_blocked_acc_body(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     let mut jc = 0;
     while jc < n {
         let nb = NC.min(n - jc);

@@ -1,14 +1,13 @@
 //! Kernel variants: the SIMD rewrite of the hot GEMM inner loops.
 //!
-//! Table 1 of the paper reports 75–83 % GEMM efficiency on its platforms;
-//! the scalar micro-kernels in [`mod@crate::gemm`] reach a fraction of host
-//! peak because the baseline `x86-64` target only emits 128-bit SSE2 from
-//! autovectorization. This module closes that gap with three explicit
-//! variants behind one dispatch point:
+//! Table 1 of the paper reports 75–83 % GEMM efficiency on its platforms.
+//! Three explicit variants sit behind one dispatch point:
 //!
-//! * [`KernelVariant::Scalar`] — the verbatim blocked kernel from
+//! * [`KernelVariant::Scalar`] — the blocked kernel from
 //!   [`mod@crate::gemm`]. It is the determinism oracle: every committed logit
-//!   fingerprint was produced by it, and it stays byte-for-byte untouched.
+//!   fingerprint was produced by its loop body, which is unchanged source
+//!   autovectorized once per lane tier (SSE2 / AVX2 / AVX-512, see
+//!   [`crate::gemm::lane_tier`]) — same bits at every tier, no FMA.
 //! * [`KernelVariant::Unrolled`] — safe-Rust explicit-width lane unrolling
 //!   (`f32x8`-style manual vectors) over a 4×16 register tile.
 //!   **Bit-identical to `Scalar`** by construction: each output element is

@@ -32,7 +32,7 @@ pub mod tune;
 
 pub use attention::{multi_head_attention, multi_head_attention_v};
 pub use conv::{avg_pool2d_global, conv2d, conv2d_into, conv2d_into_v, conv2d_v, max_pool2d};
-pub use gemm::{gemm, gemm_naive};
+pub use gemm::{gemm, gemm_naive, lane_tier};
 pub use image::{
     bilinear_taps, center_crop, chw_to_hwc_u8, hwc_u8_to_chw, normalize_chw, perspective_warp,
     resize_bilinear, resize_normalize_hwc_u8, Homography,

@@ -8,20 +8,27 @@
 //!
 //! The contracts pinned here are the ones CI's fingerprint gates rely on:
 //!
-//! * `Scalar` is deterministic (re-running produces the same bits).
+//! * `Scalar` is deterministic (re-running produces the same bits), and every
+//!   lane-tier instantiation of its loop body the host can run (SSE2, AVX2,
+//!   AVX-512) produces those same bits, alone or split across threads.
 //! * `Unrolled` is **bit-identical** to `Scalar` (same accumulation order).
 //! * Every FMA/AVX-512 micro-shape is **bit-identical** to the sequential
 //!   [`gemm_fma_oracle`] chain — for every shape, tile edge, and thread
 //!   split — which is what makes the tuned kernels safe to swap freely.
 //! * Everything is elementwise within `1e-5·k` of the naive triple loop.
 //! * The packed INT8 kernel is exactly the naive integer loop.
+//! * `im2col` is the gather it replaced (`oracle/`, verbatim), and the 1×1
+//!   conv that skips it equals the conv that does not.
 
-use harvest_tensor::gemm::gemm_naive;
+mod oracle;
+
+use harvest_tensor::conv::{conv_out_dim, im2col};
+use harvest_tensor::gemm::{gemm_blocked_upto, gemm_naive};
 use harvest_tensor::quant::{gemm_i8, gemm_i8_naive};
 use harvest_tensor::tune::{self, MicroShape};
 use harvest_tensor::{
-    conv2d, conv2d_v, gemm_bt_v, gemm_fma_oracle, gemm_v, gemm_with_shape, multi_head_attention,
-    multi_head_attention_v, KernelVariant,
+    conv2d, conv2d_v, gemm_bt_v, gemm_fma_oracle, gemm_v, gemm_with_shape, lane_tier,
+    multi_head_attention, multi_head_attention_v, KernelVariant,
 };
 use proptest::prelude::*;
 
@@ -109,6 +116,17 @@ proptest! {
         for (i, (x, y)) in first.iter().zip(&unrolled).enumerate() {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "unrolled idx {}: {} vs {}", i, x, y);
         }
+    }
+
+    /// Every lane tier the host can run is the baseline instantiation bit
+    /// for bit: wider lanes move columns between instructions, never an
+    /// element's rounding sequence.
+    #[test]
+    fn every_lane_tier_is_bit_identical_to_the_baseline(
+        (m, k, n, a, b) in (adversarial_dim(), adversarial_dim(), adversarial_dim())
+            .prop_flat_map(|(m, k, n)| (Just(m), Just(k), Just(n), vecf(m * k), vecf(k * n)))
+    ) {
+        assert_lane_tiers_agree(&a, &b, m, k, n);
     }
 
     /// Every micro-shape the autotuner may pick obeys its bit contract:
@@ -235,36 +253,157 @@ proptest! {
     }
 }
 
+/// Deterministic filler in [-0.5, 0.5) for the fixed-shape tests.
+fn ramp(len: usize, mul: usize, modulus: usize) -> Vec<f32> {
+    (0..len)
+        .map(|i| ((i * mul % modulus) as f32 / modulus as f32) - 0.5)
+        .collect()
+}
+
+/// Runs the blocked kernel capped at each lane-tier rank (AVX2, AVX-512; a
+/// host without one reruns the tier below) and holds it to rank 0.
+fn assert_lane_tiers_agree(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    let mut base = vec![f32::NAN; m * n];
+    let baseline = gemm_blocked_upto(0, a, b, &mut base, m, k, n);
+    for cap in [1, 2] {
+        let mut c = vec![f32::NAN; m * n];
+        let tier = gemm_blocked_upto(cap, a, b, &mut c, m, k, n);
+        assert_bits_eq(
+            &base,
+            &c,
+            &format!("{tier} vs {baseline} (m={m} k={k} n={n})"),
+        );
+    }
+}
+
+/// The blocked kernel's own edges: one short of, on and one past each of
+/// MC = 64, KC = 256 and NC = 512, which also walks every `m % 4` row tail
+/// and `k % 4` accumulation tail inside a full and a partial block.
+#[test]
+fn lane_tiers_agree_on_cache_block_edges_and_tails() {
+    for m in [63usize, 64, 65, 66] {
+        for k in [255usize, 256, 257, 258] {
+            for n in [511usize, 512, 513] {
+                let (a, b) = (ramp(m * k, 37, 113), ramp(k * n, 53, 127));
+                assert_lane_tiers_agree(&a, &b, m, k, n);
+            }
+        }
+    }
+}
+
+/// The dispatcher runs the widest tier CPUID reports; a cap holds it to
+/// narrower ones.
+#[test]
+fn dispatcher_picks_the_widest_detected_tier() {
+    #[cfg(target_arch = "x86_64")]
+    let tiers: &[&str] =
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
+            &["sse2", "avx2", "avx512"]
+        } else if is_x86_feature_detected!("avx2") {
+            &["sse2", "avx2", "avx2"]
+        } else {
+            &["sse2", "sse2", "sse2"]
+        };
+    #[cfg(not(target_arch = "x86_64"))]
+    let tiers: &[&str] = &["baseline"; 3];
+    assert_eq!(lane_tier(), tiers[2]);
+    for (cap, want) in tiers.iter().enumerate() {
+        assert_eq!(gemm_blocked_upto(cap, &[], &[], &mut [], 0, 0, 0), *want);
+    }
+}
+
+/// `im2col` against the per-element gather it replaced, over every geometry
+/// class: kernels that fit, overhang or exceed the image, both strides, and
+/// padding from none to wider than the image itself.
+#[test]
+fn im2col_is_the_gather_it_replaced_bitwise() {
+    let cin = 2;
+    for (h, w) in [(1usize, 1usize), (2, 13), (5, 7), (7, 5), (9, 4), (12, 3)] {
+        let input = ramp(cin * h * w, 37, 113);
+        for kernel in [1usize, 3, 7] {
+            for stride in [1usize, 2] {
+                for pad in [0usize, 1, 3] {
+                    let cols = cin
+                        * kernel
+                        * kernel
+                        * conv_out_dim(h, kernel, stride, pad)
+                        * conv_out_dim(w, kernel, stride, pad);
+                    let mut want = vec![f32::NAN; cols];
+                    let mut got = vec![f32::NAN; cols];
+                    oracle::im2col(&input, cin, h, w, kernel, stride, pad, &mut want);
+                    im2col(&input, cin, h, w, kernel, stride, pad, &mut got);
+                    assert_bits_eq(
+                        &want,
+                        &got,
+                        &format!("{h}x{w} kernel={kernel} stride={stride} pad={pad}"),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A 1×1 / stride-1 / pad-0 conv feeds the input planes to the GEMM
+/// directly; that must equal im2col-then-GEMM for every variant.
+#[test]
+fn pointwise_conv_shortcut_equals_the_im2col_path_bitwise() {
+    let (imgs, cin, cout, h, w) = (2usize, 3usize, 5usize, 7usize, 9usize);
+    let input = ramp(imgs * cin * h * w, 37, 113);
+    let weight = ramp(cout * cin, 53, 127);
+    let bias = ramp(cout, 11, 17);
+    for variant in KernelVariant::available() {
+        let got = conv2d_v(
+            variant, &input, &weight, &bias, imgs, cin, h, w, cout, 1, 1, 0,
+        );
+        let mut want = vec![f32::NAN; imgs * cout * h * w];
+        let mut col = vec![f32::NAN; cin * h * w];
+        for (img_in, img_out) in input
+            .chunks_exact(cin * h * w)
+            .zip(want.chunks_exact_mut(cout * h * w))
+        {
+            oracle::im2col(img_in, cin, h, w, 1, 1, 0, &mut col);
+            gemm_v(variant, &weight, &col, img_out, cout, cin, h * w);
+            for (plane, &b) in img_out.chunks_exact_mut(h * w).zip(&bias) {
+                plane.iter_mut().for_each(|v| *v += b);
+            }
+        }
+        assert_bits_eq(&want, &got, &format!("pointwise conv, {}", variant.name()));
+    }
+}
+
 /// Thread splits may not change a single bit, for any variant: each worker
 /// owns a disjoint row block and the per-element accumulation order is
-/// fixed (Scalar/Unrolled) or a full-k register chain (Simd).
+/// fixed (Scalar/Unrolled) or a full-k register chain (Simd). The first
+/// shape stays under the 2²⁰-MAC parallel threshold; the others cross it,
+/// with a split that leaves an `m % 4` tail in the last block and one that
+/// leaves workers idle. Whatever the split and whichever lane tier the
+/// dispatcher picked, `Scalar` is the baseline instantiation run in one
+/// piece.
 #[test]
 fn all_variants_are_bit_identical_across_thread_counts() {
-    let (m, k, n) = (96, 70, 50);
-    let a: Vec<f32> = (0..m * k)
-        .map(|i| ((i * 37 % 113) as f32 / 113.0) - 0.5)
-        .collect();
-    let b: Vec<f32> = (0..k * n)
-        .map(|i| ((i * 53 % 127) as f32 / 127.0) - 0.5)
-        .collect();
-    for variant in KernelVariant::available() {
-        let run = |threads: usize| {
-            harvest_threads::with_threads(threads, || {
-                let mut c = vec![0.0f32; m * n];
-                gemm_v(variant, &a, &b, &mut c, m, k, n);
-                c
-            })
-        };
-        let sequential = run(1);
-        for threads in [2usize, 3, 8] {
-            let pooled = run(threads);
-            for (i, (x, y)) in sequential.iter().zip(&pooled).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{}: threads={threads} idx {i}: {x} vs {y}",
-                    variant.name()
+    for (m, k, n) in [(96, 70, 50), (150, 120, 130), (67, 259, 131), (9, 300, 515)] {
+        let (a, b) = (ramp(m * k, 37, 113), ramp(k * n, 53, 127));
+        for variant in KernelVariant::available() {
+            let run = |threads: usize| {
+                harvest_threads::with_threads(threads, || {
+                    let mut c = vec![f32::NAN; m * n];
+                    gemm_v(variant, &a, &b, &mut c, m, k, n);
+                    c
+                })
+            };
+            let sequential = run(1);
+            if variant == KernelVariant::Scalar {
+                let mut base = vec![f32::NAN; m * n];
+                gemm_blocked_upto(0, &a, &b, &mut base, m, k, n);
+                assert_bits_eq(
+                    &base,
+                    &sequential,
+                    &format!("scalar vs baseline tier ({m},{k},{n})"),
                 );
+            }
+            for threads in [2usize, 3, 8] {
+                let what = format!("{}: threads={threads} ({m},{k},{n})", variant.name());
+                assert_bits_eq(&sequential, &run(threads), &what);
             }
         }
     }
