@@ -5,6 +5,9 @@
 #   2. lints             cargo clippy -D warnings (core crates of this stack)
 #                        and rustdoc over the whole workspace with warnings
 #                        promoted to errors (public-API docs can't rot)
+#  2b. no libm           non-test code of harvest-tensor and harvest-engine calls
+#                        no libm transcendental: logits bits must depend on
+#                        this repo's code, not on the host's glibc
 #   3. tier-1 tests      cargo build --release && cargo test -q, run twice:
 #                        once with the harvest-threads pool forced sequential
 #                        (HARVEST_THREADS=1) and once at the host default
@@ -70,6 +73,23 @@ echo "== docs =="
 # Broken intra-doc links, ambiguous paths, and links to private items are
 # errors: the public-API docs must keep building clean.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
+
+echo "== no libm on a forward path =="
+# `tanhf`, `expf`, `exp2f`, `logf` and `powf` differ in their last bits from
+# one libm to the next, so a call on the forward path ties the committed
+# fingerprints to the host. `harvest_tensor::ops::exp` is the replacement;
+# `.sqrt()` is IEEE-exact and stays. Each file is read up to its unit-test
+# module, comments skipped.
+libm_calls=$(for f in crates/tensor/src/*.rs crates/engine/src/*.rs; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// { next }
+        /\.(tanh|exp|exp2|ln)\(\)|\.powf\(/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$libm_calls" ]; then
+    echo "$libm_calls"
+    echo "libm transcendental on a forward path (use harvest_tensor::ops::exp)"
+    exit 1
+fi
 
 echo "== tier-1: build =="
 cargo build --offline --release
@@ -137,7 +157,8 @@ echo "== bench smoke =="
 for key in kernels models speedup logits_fingerprint rel_err_vs_reference \
     imgs_per_s_batched achieved_gflops peak_live_f32 \
     host_threads thread_scaling_kernels thread_scaling_models speedup_vs_1 \
-    event_core events_per_sec speedup_vs_heap; do
+    event_core events_per_sec speedup_vs_heap \
+    gelu_ns_per_elem softmax_ns_per_elem layernorm_ns_per_elem; do
     grep -q "\"$key\"" "$smoke_dir/BENCH.json" \
         || { echo "BENCH.json missing key: $key"; exit 1; }
 done

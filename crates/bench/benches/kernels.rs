@@ -5,7 +5,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use harvest_simkit::{Server, Sim, SimTime};
 use harvest_tensor::attention::AttentionWeights;
 use harvest_tensor::gemm::{gemm, gemm_blocked, gemm_naive};
-use harvest_tensor::{conv2d, multi_head_attention, resize_bilinear, softmax_rows};
+use harvest_tensor::{
+    conv2d, gelu, layernorm, multi_head_attention, resize_bilinear, softmax_rows, Tensor,
+};
 use std::hint::black_box;
 
 fn gemm_tiers(c: &mut Criterion) {
@@ -76,9 +78,35 @@ fn image_ops(c: &mut Criterion) {
             |b, &to| b.iter(|| black_box(resize_bilinear(&input, 3, h, from, to, to))),
         );
     }
-    let mut logits = vec![0.3f32; 257 * 257];
-    group.bench_function("softmax_257x257", |b| {
-        b.iter(|| softmax_rows(black_box(&mut logits), 257))
+    group.finish();
+}
+
+/// The pointwise and row kernels between a ViT block's GEMMs, on inputs
+/// spread like its activations: a transcendental's cost can depend on its
+/// argument (libm's `tanhf` took 6 ns on |x| < 0.5 and 23 ns on these), so a
+/// small-argument ramp does not see it. Each iteration starts from a fresh
+/// copy of the input; the copy is ~0.1 ns per element of every row.
+fn norm_act(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernels/norm_act");
+    let mut row = |name: &str, src: &[f32], op: &dyn Fn(&mut [f32])| {
+        let mut buf = src.to_vec();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                buf.copy_from_slice(src);
+                op(black_box(&mut buf))
+            })
+        });
+    };
+    // Uniform in ±scale: standard deviation 1 at ±1.73, and the ±3 range a
+    // block's MLP hidden layer actually spans.
+    let hidden = |scale: f32| Tensor::random(&[257 * 768], 7, scale).into_vec();
+    row("gelu_257x768_sigma1", &hidden(1.73), &gelu);
+    row("gelu_257x768_pm3", &hidden(3.0), &gelu);
+    let scores = Tensor::random(&[257 * 257], 8, 3.0).into_vec();
+    let gamma = Tensor::random(&[257], 9, 1.0).into_vec();
+    row("softmax_257x257", &scores, &|x| softmax_rows(x, 257));
+    row("layernorm_257x257", &scores, &|x| {
+        layernorm(x, 257, &gamma, &gamma, 1e-5)
     });
     group.finish();
 }
@@ -100,6 +128,6 @@ fn des_core(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = gemm_tiers, conv, attention, image_ops, des_core
+    targets = gemm_tiers, conv, attention, image_ops, norm_act, des_core
 }
 criterion_main!(benches);

@@ -1132,6 +1132,10 @@ fn bench(save: &dyn Fn(&str, String), smoke: bool) {
             "  host: {} threads, GEMM lane tier {}, INT8 over fastest f32 GEMM {:.2}x",
             report.host_threads, report.lane_tier, report.int8_over_f32_gemm
         );
+        println!(
+            "  ns per element: gelu {:.2}, softmax {:.2}, layernorm {:.2}",
+            report.gelu_ns_per_elem, report.softmax_ns_per_elem, report.layernorm_ns_per_elem
+        );
         let ktab: Vec<Vec<String>> = report
             .kernels
             .iter()

@@ -31,8 +31,8 @@ use harvest_tensor::attention::AttentionWeights;
 use harvest_tensor::gemm::{gemm, gemm_bt};
 use harvest_tensor::quant::{gemm_i8, quantize_symmetric, quantized_gemm};
 use harvest_tensor::{
-    conv2d, conv2d_v, gemm_v, multi_head_attention, multi_head_attention_v, tune, KernelVariant,
-    Tensor,
+    conv2d, conv2d_v, gelu, gemm_v, layernorm, multi_head_attention, multi_head_attention_v,
+    softmax_rows, tune, KernelVariant, Tensor,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -169,6 +169,14 @@ pub struct BenchReport {
     /// Packed INT8 GEMM GOP/s over the fastest f32 GEMM variant's GFLOP/s
     /// in this run (wall-clock; informational).
     pub int8_over_f32_gemm: f64,
+    /// `gelu` over a ViT-Tiny MLP activation (257×768, values spread over
+    /// ±3), nanoseconds per element (wall-clock; informational, as are the
+    /// next two).
+    pub gelu_ns_per_elem: f64,
+    /// `softmax_rows` over one head's 257×257 attention scores.
+    pub softmax_ns_per_elem: f64,
+    /// `layernorm` over 257 rows of 257.
+    pub layernorm_ns_per_elem: f64,
     /// Kernel microbenchmarks.
     pub kernels: Vec<BenchKernel>,
     /// Whole-model rows.
@@ -217,6 +225,21 @@ fn time_best_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
         best = best.min(start.elapsed().as_secs_f64() * 1e3);
     }
     best
+}
+
+/// Best-of-`reps` nanoseconds per element of the in-place `op`, run each
+/// time over a fresh copy of `src` made outside the timed region.
+fn ns_per_elem(reps: usize, src: &[f32], mut op: impl FnMut(&mut [f32])) -> f64 {
+    let mut buf = src.to_vec();
+    let mut best = f64::INFINITY;
+    for _ in 0..reps.max(1) {
+        buf.copy_from_slice(src);
+        let start = Instant::now();
+        op(&mut buf);
+        best = best.min(start.elapsed().as_secs_f64());
+        std::hint::black_box(&buf);
+    }
+    best * 1e9 / src.len() as f64
 }
 
 fn rand_vec(len: usize, seed: u64) -> Vec<f32> {
@@ -720,6 +743,19 @@ pub fn bench(smoke: bool) -> BenchReport {
     };
     let int8_over_f32_gemm = gemm_rate("gemm_i8") / gemm_rate("gemm");
 
+    // The pointwise and row kernels between the GEMMs, on inputs shaped and
+    // spread like a ViT-Tiny block's: libm's `tanhf` cost three times as much
+    // there as on a small-argument ramp, so the argument range is the point.
+    let (rows, reps) = if smoke { (37, 2) } else { (257, 9) };
+    let mut spread = rand_vec(rows * 768, 5);
+    spread.iter_mut().for_each(|v| *v *= 3.0);
+    let gelu_ns_per_elem = ns_per_elem(reps, &spread, gelu);
+    let scores = &spread[..rows * 257];
+    let softmax_ns_per_elem = ns_per_elem(reps, scores, |x| softmax_rows(x, 257));
+    let gamma = rand_vec(257, 6);
+    let layernorm_ns_per_elem =
+        ns_per_elem(reps, scores, |x| layernorm(x, 257, &gamma, &gamma, 1e-5));
+
     // Extra kernel variants run the headline model too: `unrolled` must
     // reproduce the scalar fingerprint bit for bit (same row dedups in the
     // CI gate), `simd` pins its own.
@@ -807,21 +843,6 @@ pub fn bench(smoke: bool) -> BenchReport {
         for &variant in &extra_variants {
             models.extend(bench_model(&tiny, "vit-tiny", &[16], 2, 2, variant));
         }
-        // Regression floor for the headline row: batched ViT-Tiny at B=16
-        // must beat the per-image reference path. The floor was 2.0 when
-        // the reference still ran scalar out-major linears (~2.9 GFLOP/s);
-        // `gemm_bt` now packs into the same blocked kernel the batched
-        // path uses, so the remaining gain is weight caching + batch
-        // folding — measured ~1.2x, floored with slack for noisy hosts.
-        let headline = models
-            .iter()
-            .find(|m| m.model == "vit-tiny" && m.batch == 16 && m.variant == "scalar")
-            .expect("headline row present");
-        assert!(
-            headline.speedup >= 1.02,
-            "vit-tiny B=16 speedup regressed: {:.2}x",
-            headline.speedup
-        );
     }
     let (thread_scaling_kernels, thread_scaling_models) = bench_thread_scaling(smoke);
     let event_core = bench_event_core(smoke);
@@ -830,6 +851,9 @@ pub fn bench(smoke: bool) -> BenchReport {
         host_threads: harvest_threads::hardware_threads(),
         lane_tier: harvest_tensor::lane_tier().to_string(),
         int8_over_f32_gemm,
+        gelu_ns_per_elem,
+        softmax_ns_per_elem,
+        layernorm_ns_per_elem,
         kernels,
         models,
         thread_scaling_kernels,
@@ -847,8 +871,9 @@ pub fn bench(smoke: bool) -> BenchReport {
 /// rate rather than being dominated by the initial fill. In the full
 /// configuration the largest population is 2M pending events — the
 /// fleet-scale regime (>= 1M) the calendar queue exists for, where the
-/// heap's pointer-chased sift has fallen out of cache — and that row
-/// asserts the >= 10x replacement floor.
+/// heap's pointer-chased sift has fallen out of cache. Its
+/// `speedup_vs_heap` is recorded, never asserted: a wall-clock ratio that
+/// reads anywhere from 8x to 13x on the reference host.
 fn bench_event_core(smoke: bool) -> Vec<BenchEventCore> {
     use harvest_simkit::{CalendarQueue, SimRng};
     use std::cmp::Reverse;
@@ -926,17 +951,6 @@ fn bench_event_core(smoke: bool) -> Vec<BenchEventCore> {
             speedup_vs_heap: calendar_eps / heap_eps,
         });
     }
-    if !smoke {
-        let flagship = rows
-            .iter()
-            .find(|r| r.engine == "calendar" && r.pending == 2_000_000)
-            .expect("2M calendar row present");
-        assert!(
-            flagship.speedup_vs_heap >= 10.0,
-            "calendar queue at 2M pending is only {:.1}x the heap (floor 10x)",
-            flagship.speedup_vs_heap
-        );
-    }
     rows
 }
 
@@ -951,6 +965,9 @@ mod tests {
         assert!(report.host_threads >= 1);
         assert_eq!(report.lane_tier, harvest_tensor::lane_tier());
         assert!(report.int8_over_f32_gemm > 0.0);
+        assert!(report.gelu_ns_per_elem > 0.0);
+        assert!(report.softmax_ns_per_elem > 0.0);
+        assert!(report.layernorm_ns_per_elem > 0.0);
         // gemm/conv2d/attention run once per available variant; gemm_bt,
         // quantized_gemm and gemm_i8 are one row each.
         let variants = KernelVariant::available().len();
@@ -1042,6 +1059,9 @@ mod tests {
             "\"host_threads\"",
             "\"lane_tier\"",
             "\"int8_over_f32_gemm\"",
+            "\"gelu_ns_per_elem\"",
+            "\"softmax_ns_per_elem\"",
+            "\"layernorm_ns_per_elem\"",
             "\"thread_scaling_kernels\"",
             "\"thread_scaling_models\"",
             "\"speedup_vs_1\"",

@@ -98,13 +98,8 @@ fn gemm_blocked_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
     gemm_blocked_acc_upto(usize::MAX, a, b, c, m, k, n);
 }
 
-/// Runs the widest instantiation of [`gemm_blocked_acc_body`] the host
-/// supports whose rank does not exceed `cap`, and returns its tier.
-///
-/// Every instantiation produces the same bits. rustc never contracts
-/// `a * b + c` into a fused multiply-add and never reorders a float
-/// reduction, so the wider instruction sets change how many columns `j` one
-/// instruction serves and nothing about any element's rounding sequence.
+/// Runs the instantiation of [`gemm_blocked_acc_body`] that [`at_lane_tier`]
+/// picks under `cap`, and returns its tier.
 #[inline]
 fn gemm_blocked_acc_upto(
     cap: usize,
@@ -115,23 +110,42 @@ fn gemm_blocked_acc_upto(
     k: usize,
     n: usize,
 ) -> &'static str {
+    at_lane_tier(
+        cap,
+        #[inline(always)]
+        || gemm_blocked_acc_body(a, b, c, m, k, n),
+    )
+}
+
+/// Runs `body` as compiled for the widest lane tier the host supports whose
+/// rank does not exceed `cap`, and returns that tier. The one place this
+/// crate detects an instruction set for a scalar loop; `body` must be an
+/// `#[inline(always)]` closure over `#[inline(always)]` code, so that its
+/// loops are compiled inside the tier's function and not before it.
+///
+/// Every instantiation produces the same bits. rustc never contracts
+/// `a * b + c` into a fused multiply-add and never reorders a float
+/// reduction, so the wider instruction sets change how many elements one
+/// instruction serves and nothing about any element's rounding sequence.
+#[inline(always)]
+pub(crate) fn at_lane_tier(cap: usize, body: impl FnOnce()) -> &'static str {
     #[cfg(target_arch = "x86_64")]
     {
         if cap >= 2 && is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
             // SAFETY: avx512f and avx512vl were just detected, and avx512f
             // implies avx2; those are all the features the callee enables.
-            unsafe { gemm_blocked_acc_avx512(a, b, c, m, k, n) };
+            unsafe { at_avx512(body) };
             return "avx512";
         }
         if cap >= 1 && is_x86_feature_detected!("avx2") {
             // SAFETY: avx2, the one feature the callee enables, was just
             // detected.
-            unsafe { gemm_blocked_acc_avx2(a, b, c, m, k, n) };
+            unsafe { at_avx2(body) };
             return "avx2";
         }
     }
     let _ = cap;
-    gemm_blocked_acc_body(a, b, c, m, k, n);
+    body();
     if cfg!(target_arch = "x86_64") {
         "sse2"
     } else {
@@ -141,14 +155,14 @@ fn gemm_blocked_acc_upto(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn gemm_blocked_acc_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_blocked_acc_body(a, b, c, m, k, n);
+fn at_avx2(body: impl FnOnce()) {
+    body()
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,avx512f,avx512vl")]
-fn gemm_blocked_acc_avx512(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_blocked_acc_body(a, b, c, m, k, n);
+fn at_avx512(body: impl FnOnce()) {
+    body()
 }
 
 /// The blocked kernel's one loop body, compiled once per lane tier.

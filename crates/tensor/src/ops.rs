@@ -1,5 +1,6 @@
 //! Pointwise and normalization ops used by the model zoo's forward pass.
 
+use crate::gemm::at_lane_tier;
 use rayon::prelude::*;
 
 /// In-place ReLU.
@@ -11,14 +12,76 @@ pub fn relu(x: &mut [f32]) {
     }
 }
 
-/// In-place tanh-approximation GELU (the approximation PyTorch ships for
-/// ViTs; exact-erf differences are ~1e-3 and irrelevant here).
-pub fn gelu(x: &mut [f32]) {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    for v in x.iter_mut() {
-        let x3 = *v * *v * *v;
-        *v = 0.5 * *v * (1.0 + (C * (*v + 0.044715 * x3)).tanh());
+/// `e^x` without libm: at most 1 ulp off down to `-87.3`, exactly `0` below
+/// it, `+inf` from 89 up; a NaN stays a NaN.
+///
+/// Every step is a float `+ - *`, a compare-select or an integer operation.
+/// rustc neither fuses nor reorders those, so the result bits are the same
+/// whichever instruction set a loop around this is compiled for and whatever
+/// libm the host has, and there is no branch or call to stop the loop from
+/// vectorizing.
+///
+/// There is no gradual underflow: a result below the smallest normal number
+/// is `0`, by select and not by arithmetic. A multiply that underflows costs
+/// a ~150-cycle microcode assist on x86, so a saturated softmax row or a
+/// large positive GELU argument would run 40× slower than any other input,
+/// and would hand denormals to the GEMM that follows.
+#[inline(always)]
+pub fn exp(x: f32) -> f32 {
+    const LN2_HI: f32 = 355.0 / 512.0; // 9 bits, so `n * LN2_HI` is exact
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    const ROUND: f32 = 12_582_912.0; // 1.5 * 2^23: adding it rounds to an integer
+    const FLOOR: f32 = -87.3; // e^FLOOR = 1.04 * 2^-126, the last normal result
+    let c = if x > 89.0 { 89.0 } else { x };
+    let c = if c < FLOOR { FLOOR } else { c };
+    // c = n ln 2 + r with |r| <= ln 2 / 2, and n in [-126, 128].
+    let t = c * std::f32::consts::LOG2_E + ROUND;
+    let n = t - ROUND;
+    let r = (c - n * LN2_HI) - n * LN2_LO;
+    let p = 1.987_569_1e-4;
+    let p = p * r + 1.398_2e-3;
+    let p = p * r + 8.333_452e-3;
+    let p = p * r + 4.166_579_6e-2;
+    let p = p * r + 1.666_666_5e-1;
+    let p = p * r + 0.5;
+    let p = p * (r * r) + r + 1.0;
+    // 2^n as two factors of about 2^(n/2): 2^128 is not a float, but
+    // p * 2^64 * 2^64 is finite when p < 1 and +inf by IEEE when it is not.
+    let n = (t.to_bits() as i32).wrapping_sub(ROUND.to_bits() as i32);
+    let half = n >> 1;
+    let pow2 = |e: i32| f32::from_bits(((e + 127) << 23) as u32);
+    let e = p * pow2(half) * pow2(n - half);
+    if x < FLOOR {
+        0.0
+    } else {
+        e
     }
+}
+
+/// In-place tanh-approximation GELU (the approximation PyTorch ships for
+/// ViTs; exact-erf differences are ~1e-3 and irrelevant here), through
+/// `0.5 x (1 + tanh u) = x / (1 + e^(-2u))`: one [`exp`], one divide, and no
+/// `1 + tanh` cancellation in the negative tail.
+pub fn gelu(x: &mut [f32]) {
+    gelu_upto(usize::MAX, x);
+}
+
+/// [`gelu`] held to lane-tier rank `cap` (0 baseline, 1 AVX2, 2 AVX-512);
+/// returns the tier that ran. The contract suite's way to every
+/// instantiation — production code never caps.
+#[doc(hidden)]
+pub fn gelu_upto(cap: usize, x: &mut [f32]) -> &'static str {
+    const C: f32 = 0.797_884_6; // sqrt(2/pi)
+    at_lane_tier(
+        cap,
+        #[inline(always)]
+        || {
+            for v in x.iter_mut() {
+                let u = C * (*v + 0.044715 * (*v * *v * *v));
+                *v /= 1.0 + exp(-2.0 * u);
+            }
+        },
+    )
 }
 
 /// Add a bias vector to each row of a `rows × cols` matrix.
@@ -36,20 +99,66 @@ pub fn add_bias(x: &mut [f32], bias: &[f32]) {
     }
 }
 
+/// Folds `map(v)` over `row` with `op`, in an order fixed by this code and
+/// not by the instruction set: 16 strided lanes (lane `l` takes elements `l`,
+/// `l + 16`, ...), the lanes folded by a pairwise tree (8, 4, 2, 1), then the
+/// `len % 16` tail one element at a time. The lanes are what lets a float
+/// reduction, which the compiler may not reorder, run wider than one add
+/// latency per element.
+#[inline(always)]
+fn lane_fold(
+    row: &[f32],
+    init: f32,
+    map: impl Fn(f32) -> f32,
+    op: impl Fn(f32, f32) -> f32,
+) -> f32 {
+    let mut lanes = [init; 16];
+    let chunks = row.chunks_exact(16);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (lane, &v) in lanes.iter_mut().zip(chunk) {
+            *lane = op(*lane, map(v));
+        }
+    }
+    for width in [8, 4, 2, 1] {
+        for l in 0..width {
+            lanes[l] = op(lanes[l], lanes[l + width]);
+        }
+    }
+    tail.iter().fold(lanes[0], |acc, &v| op(acc, map(v)))
+}
+
 /// Numerically-stable softmax over each row of a `rows × cols` matrix.
 pub fn softmax_rows(x: &mut [f32], cols: usize) {
+    softmax_rows_upto(usize::MAX, x, cols);
+}
+
+/// [`softmax_rows`] held to lane-tier rank `cap`, as [`gelu_upto`].
+#[doc(hidden)]
+pub fn softmax_rows_upto(cap: usize, x: &mut [f32], cols: usize) {
     assert!(cols > 0 && x.len().is_multiple_of(cols));
+    // Max, exp, sum and scale are separate passes so that each vectorizes.
     let apply = |row: &mut [f32]| {
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        let inv = 1.0 / sum;
-        for v in row.iter_mut() {
-            *v *= inv;
-        }
+        at_lane_tier(
+            cap,
+            #[inline(always)]
+            || {
+                // A NaN never wins the max; it reaches the sum through `exp`.
+                let max = lane_fold(
+                    row,
+                    f32::NEG_INFINITY,
+                    |v| v,
+                    |a, v| if v > a { v } else { a },
+                );
+                for v in row.iter_mut() {
+                    *v = exp(*v - max);
+                }
+                let inv = 1.0 / lane_fold(row, 0.0, |v| v, |a, v| a + v);
+                for v in row.iter_mut() {
+                    *v *= inv;
+                }
+            },
+        );
     };
     if x.len() >= 1 << 16 {
         x.par_chunks_exact_mut(cols).for_each(apply);
@@ -64,9 +173,12 @@ pub fn layernorm(x: &mut [f32], d: usize, gamma: &[f32], beta: &[f32], eps: f32)
     assert!(d > 0 && x.len().is_multiple_of(d));
     assert_eq!(gamma.len(), d);
     assert_eq!(beta.len(), d);
+    // Baseline lanes only: the wider tiers measured slower here (0.60 against
+    // 0.74 ns per element at AVX-512), the folds being too short to pay for
+    // them.
     let apply = |row: &mut [f32]| {
-        let mean = row.iter().sum::<f32>() / d as f32;
-        let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
+        let mean = lane_fold(row, 0.0, |v| v, |a, v| a + v) / d as f32;
+        let var = lane_fold(row, 0.0, |v| (v - mean) * (v - mean), |a, v| a + v) / d as f32;
         let inv_std = 1.0 / (var + eps).sqrt();
         for (j, v) in row.iter_mut().enumerate() {
             *v = (*v - mean) * inv_std * gamma[j] + beta[j];

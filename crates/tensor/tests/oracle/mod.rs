@@ -1,9 +1,18 @@
-//! `conv::im2col` as it stood before it became a row copy: the per-element
-//! bounds-checked gather, verbatim (`conv_out_dim` repointed at the crate).
-//! `kernel_conformance.rs` holds the shipped one to it bit for bit, so
-//! nothing here may be "improved".
+//! Kernels as they stood before they were rewritten, verbatim, for the
+//! differential suites: nothing here may be "improved".
+//!
+//! * `im2col` before it became a row copy: the per-element bounds-checked
+//!   gather (`conv_out_dim` repointed at the crate). `kernel_conformance.rs`
+//!   holds the shipped one to it bit for bit.
+//! * `gelu`, `softmax_rows` and `layernorm` as they were while libm's `tanhf`
+//!   and `expf` and a serial `sum += v` were inside them. `transcendentals.rs`
+//!   holds the shipped ones to these within a tolerance; their bits depend on
+//!   the host's libm, which is why they were replaced.
+
+#![allow(dead_code)]
 
 use harvest_tensor::conv::conv_out_dim;
+use rayon::prelude::*;
 
 /// Lay out input patches as columns: output is `[cin·k·k] × [oh·ow]`.
 #[allow(clippy::too_many_arguments)]
@@ -44,5 +53,58 @@ pub fn im2col(
                 }
             }
         }
+    }
+}
+
+/// In-place tanh-approximation GELU (the approximation PyTorch ships for
+/// ViTs; exact-erf differences are ~1e-3 and irrelevant here).
+pub fn gelu(x: &mut [f32]) {
+    const C: f32 = 0.797_884_6; // sqrt(2/pi)
+    for v in x.iter_mut() {
+        let x3 = *v * *v * *v;
+        *v = 0.5 * *v * (1.0 + (C * (*v + 0.044715 * x3)).tanh());
+    }
+}
+
+/// Numerically-stable softmax over each row of a `rows × cols` matrix.
+pub fn softmax_rows(x: &mut [f32], cols: usize) {
+    assert!(cols > 0 && x.len().is_multiple_of(cols));
+    let apply = |row: &mut [f32]| {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0f32;
+        for v in row.iter_mut() {
+            *v = (*v - max).exp();
+            sum += *v;
+        }
+        let inv = 1.0 / sum;
+        for v in row.iter_mut() {
+            *v *= inv;
+        }
+    };
+    if x.len() >= 1 << 16 {
+        x.par_chunks_exact_mut(cols).for_each(apply);
+    } else {
+        x.chunks_exact_mut(cols).for_each(apply);
+    }
+}
+
+/// LayerNorm over the last dimension of a `rows × d` matrix, with affine
+/// gamma/beta parameters.
+pub fn layernorm(x: &mut [f32], d: usize, gamma: &[f32], beta: &[f32], eps: f32) {
+    assert!(d > 0 && x.len().is_multiple_of(d));
+    assert_eq!(gamma.len(), d);
+    assert_eq!(beta.len(), d);
+    let apply = |row: &mut [f32]| {
+        let mean = row.iter().sum::<f32>() / d as f32;
+        let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
+        let inv_std = 1.0 / (var + eps).sqrt();
+        for (j, v) in row.iter_mut().enumerate() {
+            *v = (*v - mean) * inv_std * gamma[j] + beta[j];
+        }
+    };
+    if x.len() >= 1 << 16 {
+        x.par_chunks_exact_mut(d).for_each(apply);
+    } else {
+        x.chunks_exact_mut(d).for_each(apply);
     }
 }
