@@ -8,6 +8,8 @@
 #  2b. no libm           non-test code of harvest-tensor and harvest-engine calls
 #                        no libm transcendental: logits bits must depend on
 #                        this repo's code, not on the host's glibc
+#  2c. no forks          no second parallel API, kernel feature or tuner knob
+#                        under crates/, shims/ or the root manifest
 #   3. tier-1 tests      cargo build --release && cargo test -q, run twice:
 #                        once with the harvest-threads pool forced sequential
 #                        (HARVEST_THREADS=1) and once at the host default
@@ -47,11 +49,11 @@
 #                        queue simulator at worker widths 1/2/4/8; schema
 #                        check, drift vs artifacts/fleet.json, and a
 #                        byte-identical cross-process rerun
-#  11. simd kernels      clippy + the differential kernel-conformance suite
-#                        under --features simd, then a SIMD-build bench
-#                        smoke run twice: per-variant fingerprints must be
-#                        byte-identical across reruns, and the committed
-#                        scalar fingerprint set must survive as a subset
+#  11. benchmark smoke   the repo benchmark (benchmark/, its own workspace)
+#                        built from this checkout and run with --smoke:
+#                        schema plus the in-run correctness checks of all
+#                        five workloads, and the proof that the frozen
+#                        crate still compiles against the tensor/engine API
 #
 # Everything runs offline: the crates.io dependencies are vendored as
 # API-compatible shims under shims/, wired via workspace path deps.
@@ -88,6 +90,15 @@ done)
 if [ -n "$libm_calls" ]; then
     echo "$libm_calls"
     echo "libm transcendental on a forward path (use harvest_tensor::ops::exp)"
+    exit 1
+fi
+
+echo "== one GEMM family, one parallel API =="
+# The tree has one f32 GEMM family (harvest_tensor::gemm) and one parallel
+# API (harvest-threads); a file that names the vendored iterator shim, the
+# kernel feature or the tuner's env var is one of them growing back.
+if grep -rlE 'rayon|feature = "simd"|HARVEST_TUNE' crates shims Cargo.toml; then
+    echo "a deleted fork is named again (see the files above)"
     exit 1
 fi
 
@@ -273,40 +284,11 @@ cp "$smoke_dir/fleet.json" "$smoke_dir/fleet.run1.json"
 diff "$smoke_dir/fleet.run1.json" "$smoke_dir/fleet.json" \
     || { echo "fleet sweep is not deterministic across processes"; exit 1; }
 
-echo "== simd: clippy + kernel conformance =="
-# The same differential suite that gates the scalar build must hold with
-# the `std::arch` kernels compiled in (AVX2/FMA/AVX-512 paths runtime-
-# detect; on hosts without them the suite still runs via the fallbacks).
-cargo clippy --offline --release \
-    -p harvest-tensor -p harvest-engine -p harvest-core -p harvest-bench \
-    --features harvest-tensor/simd,harvest-engine/simd,harvest-core/simd,harvest-bench/simd \
-    --all-targets -- -D warnings
-cargo test --offline -q -p harvest-tensor --test kernel_conformance
-cargo test --offline -q -p harvest-tensor --features simd --test kernel_conformance
-cargo test --offline -q -p harvest-engine --features simd
-cargo test --offline -q -p harvest-core --features simd
-
-echo "== simd: bench smoke determinism =="
-# The SIMD build adds per-variant rows with their own fingerprints. Those
-# are host-dependent (FMA bits differ from scalar bits by design), so they
-# are not pinned to a committed file; instead two fresh runs must agree
-# byte for byte, and every committed scalar fingerprint must still appear
-# (the scalar/unrolled rows may not move even with SIMD compiled in).
-cargo build --offline --release -p harvest-bench --features simd
-./target/release/experiments tune --smoke --json "$smoke_dir"
-HARVEST_TUNE="$smoke_dir/TUNE.json" ./target/release/experiments bench --smoke --json "$smoke_dir"
-grep -o '"logits_fingerprint": "[0-9a-f]*"' "$smoke_dir/BENCH.json" \
-    | sort -u > "$smoke_dir/fp_simd1"
-HARVEST_TUNE="$smoke_dir/TUNE.json" ./target/release/experiments bench --smoke --json "$smoke_dir"
-grep -o '"logits_fingerprint": "[0-9a-f]*"' "$smoke_dir/BENCH.json" \
-    | sort -u > "$smoke_dir/fp_simd2"
-diff "$smoke_dir/fp_simd1" "$smoke_dir/fp_simd2" \
-    || { echo "simd bench fingerprints differ between reruns"; exit 1; }
-if [ -n "$(comm -23 artifacts/BENCH_fingerprints.txt "$smoke_dir/fp_simd1")" ]; then
-    echo "simd build lost committed scalar fingerprints"; exit 1
-fi
-# Leave a default-features binary behind so later manual runs match the
-# committed scalar artifacts.
-cargo build --offline --release -p harvest-bench
+echo "== benchmark smoke =="
+# benchmark/ is frozen between benchmark-archetype PRs and builds against
+# crates/ by path, so this is also what keeps the five names it imports
+# (KernelVariant, gemm_v, conv2d_v, multi_head_attention_v,
+# Executor::kernel_variant) compiling.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 echo "CI gate passed."

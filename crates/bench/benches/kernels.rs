@@ -1,4 +1,4 @@
-//! Kernel microbenches: the real tensor substrate (GEMM variants, conv,
+//! Kernel microbenches: the real tensor substrate (GEMM tiers, conv,
 //! attention, image ops) and the DES core.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! experiments [table1|table2|table3|fig4|fig5|fig6|fig7|fig8|energy|continuum|scaling|
-//!              ablations|cluster|resilience|overload|integrity|bench|tune|wire|swap|
-//!              serve|fleet|host]... [--json DIR] [--smoke]
+//!              ablations|cluster|resilience|overload|integrity|bench|wire|swap|serve|
+//!              fleet|host]... [--json DIR] [--smoke]
 //! ```
 //!
 //! With no subcommand, everything runs; a name that is none of the above is
@@ -81,7 +81,6 @@ const SUBCOMMANDS: &[(&str, Subcommand)] = &[
     ("overload", overload),
     ("integrity", integrity),
     ("bench", bench),
-    ("tune", tune),
     ("wire", wire),
     ("swap", swap),
     ("serve", serve),
@@ -1129,7 +1128,7 @@ fn bench(save: &dyn Fn(&str, String), smoke: bool) {
     }
     if !smoke {
         println!(
-            "  host: {} threads, GEMM lane tier {}, INT8 over fastest f32 GEMM {:.2}x",
+            "  host: {} threads, GEMM lane tier {}, INT8 over f32 GEMM {:.2}x",
             report.host_threads, report.lane_tier, report.int8_over_f32_gemm
         );
         println!(
@@ -1212,31 +1211,6 @@ fn bench(save: &dyn Fn(&str, String), smoke: bool) {
     }
     println!("  self-check: rel err < 1e-4, bit-identical logits across reruns — all OK");
     save("BENCH", serde_json::to_string_pretty(&report).unwrap());
-}
-
-fn tune(save: &dyn Fn(&str, String), smoke: bool) {
-    use harvest_tensor::tune as kt;
-    println!("== Kernel autotuner: GEMM micro-shape search ==");
-    let (size, reps) = if smoke { (64, 2) } else { (256, 5) };
-    let report = kt::tune(size, reps);
-    let tab: Vec<Vec<String>> = report
-        .entries
-        .iter()
-        .map(|e| {
-            let marker = if e.shape == report.best {
-                " <- best"
-            } else {
-                ""
-            };
-            vec![format!("{}{marker}", e.shape.name()), pretty(e.gflops, 2)]
-        })
-        .collect();
-    println!("{}", text_table(&["Micro-shape", "GFLOP/s"], &tab));
-    println!(
-        "  best: {} at {size}x{size}x{size} (best of {reps} reps per shape)",
-        report.best.name()
-    );
-    save("TUNE", report.to_json());
 }
 
 fn overload(save: &dyn Fn(&str, String), smoke: bool) {

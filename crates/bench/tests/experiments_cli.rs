@@ -23,3 +23,19 @@ fn unknown_subcommand_is_rejected_before_anything_runs() {
         assert!(err.contains(name), "valid list lacks {name}: {err}");
     }
 }
+
+/// The autotuner went with the kernels it chose between; its name is now
+/// one more unknown subcommand, and the valid list no longer offers it.
+#[test]
+fn tune_is_no_longer_a_subcommand() {
+    let out = experiments(&["tune"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown subcommand"), "{err}");
+    let listed = err.rsplit("valid:").next().unwrap();
+    assert!(
+        listed.contains("bench") && !listed.contains("tune"),
+        "{err}"
+    );
+}

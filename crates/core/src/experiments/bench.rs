@@ -3,7 +3,7 @@
 //! The paper's batch-scaling figures (achieved TFLOPS / latency vs batch
 //! size) are modeled analytically elsewhere; this experiment produces the
 //! *measured* counterpart on the machine the reproduction runs on. It times
-//! the kernels the executor is built from (GEMM variants, im2col conv,
+//! the kernels the executor is built from (GEMM, im2col conv,
 //! attention) and whole-model forwards at several batch sizes through both
 //! execution paths:
 //!
@@ -30,10 +30,7 @@ use harvest_models::{resnet50, vit, vit_tiny, Graph, GraphBuilder, Op, Shape, Vi
 use harvest_tensor::attention::AttentionWeights;
 use harvest_tensor::gemm::{gemm, gemm_bt};
 use harvest_tensor::quant::{gemm_i8, quantize_symmetric, quantized_gemm};
-use harvest_tensor::{
-    conv2d, conv2d_v, gelu, gemm_v, layernorm, multi_head_attention, multi_head_attention_v,
-    softmax_rows, tune, KernelVariant, Tensor,
-};
+use harvest_tensor::{conv2d, gelu, layernorm, multi_head_attention, softmax_rows, Tensor};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -43,8 +40,8 @@ pub struct BenchKernel {
     /// Kernel name (`gemm`, `gemm_bt`, `quantized_gemm`, `gemm_i8`,
     /// `conv2d`, `attention`).
     pub kernel: String,
-    /// GEMM kernel variant servicing the row (`scalar`, `unrolled`,
-    /// `simd`), or `int8-packed` for the integer kernel.
+    /// `scalar` for the f32 kernels (the one lane-tier GEMM family),
+    /// `int8-packed` for the integer kernel.
     pub variant: String,
     /// Problem shape, human-readable.
     pub shape: String,
@@ -62,9 +59,7 @@ pub struct BenchKernel {
 pub struct BenchModel {
     /// Model name.
     pub model: String,
-    /// GEMM kernel variant the batched path ran under. `scalar` and
-    /// `unrolled` rows share one fingerprint; `simd` rows have their own
-    /// pin (identical across reruns, gated by CI on SIMD builds).
+    /// Always `scalar`: the one f32 GEMM family the batched path runs.
     pub variant: String,
     /// Batch size.
     pub batch: usize,
@@ -166,8 +161,8 @@ pub struct BenchReport {
     /// Lane tier the scalar blocked GEMM ran at on that host (`sse2`,
     /// `avx2` or `avx512`; `harvest_tensor::lane_tier`).
     pub lane_tier: String,
-    /// Packed INT8 GEMM GOP/s over the fastest f32 GEMM variant's GFLOP/s
-    /// in this run (wall-clock; informational).
+    /// Packed INT8 GEMM GOP/s over the f32 GEMM's GFLOP/s in this run
+    /// (wall-clock; informational).
     pub int8_over_f32_gemm: f64,
     /// `gelu` over a ViT-Tiny MLP activation (257×768, values spread over
     /// ±3), nanoseconds per element (wall-clock; informational, as are the
@@ -268,24 +263,22 @@ fn bench_kernels(smoke: bool) -> Vec<BenchKernel> {
     let reps = if smoke { 2 } else { 5 };
     let mut rows = Vec::new();
 
-    // Square GEMM: one row per kernel variant, plus the two layouts/
-    // precisions the executor uses and the packed INT8 integer kernel.
+    // Square GEMM in the two layouts and precisions the executor uses,
+    // plus the packed INT8 integer kernel.
     let n = if smoke { 64 } else { 256 };
     let a = rand_vec(n * n, 1);
     let b = rand_vec(n * n, 2);
     let mut c = vec![0.0f32; n * n];
     let macs = (n * n * n) as f64;
-    for variant in KernelVariant::available() {
-        let ms = time_best_ms(reps, || gemm_v(variant, &a, &b, &mut c, n, n, n));
-        rows.push(kernel_row(
-            "gemm",
-            variant.name(),
-            format!("{n}x{n}x{n}"),
-            reps,
-            ms,
-            macs,
-        ));
-    }
+    let ms = time_best_ms(reps, || gemm(&a, &b, &mut c, n, n, n));
+    rows.push(kernel_row(
+        "gemm",
+        "scalar",
+        format!("{n}x{n}x{n}"),
+        reps,
+        ms,
+        macs,
+    ));
     let ms = time_best_ms(reps, || gemm_bt(&a, &b, &mut c, n, n, n));
     rows.push(kernel_row(
         "gemm_bt",
@@ -322,7 +315,7 @@ fn bench_kernels(smoke: bool) -> Vec<BenchKernel> {
         macs,
     ));
 
-    // im2col convolution at a ResNet-interior shape, per variant.
+    // im2col convolution at a ResNet-interior shape.
     let (cin, cout, hw, k) = if smoke {
         (8, 8, 14, 3)
     } else {
@@ -330,34 +323,19 @@ fn bench_kernels(smoke: bool) -> Vec<BenchKernel> {
     };
     let input = rand_vec(cin * hw * hw, 3);
     let weight = rand_vec(cout * cin * k * k, 4);
-    for variant in KernelVariant::available() {
-        let ms = time_best_ms(reps, || {
-            std::hint::black_box(conv2d_v(
-                variant,
-                &input,
-                &weight,
-                &[],
-                1,
-                cin,
-                hw,
-                hw,
-                cout,
-                k,
-                1,
-                1,
-            ));
-        });
-        rows.push(kernel_row(
-            "conv2d",
-            variant.name(),
-            format!("{cin}x{hw}x{hw} -> {cout}, k{k}"),
-            reps,
-            ms,
-            (cout * cin * k * k * hw * hw) as f64,
-        ));
-    }
+    let ms = time_best_ms(reps, || {
+        std::hint::black_box(conv2d(&input, &weight, &[], 1, cin, hw, hw, cout, k, 1, 1));
+    });
+    rows.push(kernel_row(
+        "conv2d",
+        "scalar",
+        format!("{cin}x{hw}x{hw} -> {cout}, k{k}"),
+        reps,
+        ms,
+        (cout * cin * k * k * hw * hw) as f64,
+    ));
 
-    // Multi-head attention at ViT-Tiny geometry, per variant.
+    // Multi-head attention at ViT-Tiny geometry.
     let (s, d, heads) = if smoke { (17, 32, 2) } else { (257, 192, 3) };
     let x = rand_vec(s * d, 5);
     let w_qkv = rand_vec(3 * d * d, 6);
@@ -371,19 +349,17 @@ fn bench_kernels(smoke: bool) -> Vec<BenchKernel> {
         b_out: &b_out,
     };
     let attn_macs = (4 * d * d * s + 2 * s * s * d) as f64;
-    for variant in KernelVariant::available() {
-        let ms = time_best_ms(reps, || {
-            std::hint::black_box(multi_head_attention_v(variant, &x, s, d, heads, &weights));
-        });
-        rows.push(kernel_row(
-            "attention",
-            variant.name(),
-            format!("s{s} d{d} h{heads}"),
-            reps,
-            ms,
-            attn_macs,
-        ));
-    }
+    let ms = time_best_ms(reps, || {
+        std::hint::black_box(multi_head_attention(&x, s, d, heads, &weights));
+    });
+    rows.push(kernel_row(
+        "attention",
+        "scalar",
+        format!("s{s} d{d} h{heads}"),
+        reps,
+        ms,
+        attn_macs,
+    ));
     rows
 }
 
@@ -395,9 +371,8 @@ fn bench_model(
     batches: &[usize],
     reps: usize,
     baseline_images: usize,
-    variant: KernelVariant,
 ) -> Vec<BenchModel> {
-    let exec = Executor::new(graph, 42).with_kernel_variant(variant);
+    let exec = Executor::new(graph, 42);
     let side = match graph.input_shape() {
         Shape::Chw { h, .. } => h,
         s => panic!("image models only, got {s}"),
@@ -450,7 +425,7 @@ fn bench_model(
             let imgs_per_s_batched = 1e3 / batched_ms;
             BenchModel {
                 model: name.to_string(),
-                variant: variant.name().to_string(),
+                variant: "scalar".to_string(),
                 batch: b,
                 reps,
                 per_image_baseline_ms: baseline_ms,
@@ -721,25 +696,15 @@ fn micro_cnn() -> Graph {
 /// models so CI can regenerate and gate the report in seconds; the full
 /// configuration times the real zoo at the Fig-5 batch sizes.
 pub fn bench(smoke: bool) -> BenchReport {
-    // Activate the autotuned micro-shape if an artifact is present (the
-    // `experiments tune` subcommand writes it). Safe on every build: shapes
-    // the host/build cannot run degrade to the unrolled kernel, and the
-    // Simd variant's bits are invariant to the shape choice.
-    let tune_path =
-        std::env::var("HARVEST_TUNE").unwrap_or_else(|_| "artifacts/TUNE.json".to_string());
-    if let Some(shape) = tune::load_artifact(std::path::Path::new(&tune_path)) {
-        tune::set_active_shape(shape);
-    }
-
     let kernels = bench_kernels(smoke);
     // What INT8 serving buys for its accuracy cost, measured in this same
-    // process: packed INT8 GOP/s over the fastest f32 GEMM variant's
-    // GFLOP/s. Recorded, not asserted — with the f32 oracle on wide lanes
-    // the two sit within this host's slow stretches of each other, and no
-    // gate may ride on wall-clock.
+    // process: packed INT8 GOP/s over the f32 GEMM's GFLOP/s. Recorded,
+    // not asserted — with the f32 kernel on wide lanes the two sit within
+    // this host's slow stretches of each other, and no gate may ride on
+    // wall-clock.
     let gemm_rate = |kernel: &str| {
-        let rows = kernels.iter().filter(|k| k.kernel == kernel);
-        rows.map(|k| k.gflops).fold(0.0, f64::max)
+        let row = kernels.iter().find(|k| k.kernel == kernel);
+        row.expect("kernel row").gflops
     };
     let int8_over_f32_gemm = gemm_rate("gemm_i8") / gemm_rate("gemm");
 
@@ -756,14 +721,6 @@ pub fn bench(smoke: bool) -> BenchReport {
     let layernorm_ns_per_elem =
         ns_per_elem(reps, scores, |x| layernorm(x, 257, &gamma, &gamma, 1e-5));
 
-    // Extra kernel variants run the headline model too: `unrolled` must
-    // reproduce the scalar fingerprint bit for bit (same row dedups in the
-    // CI gate), `simd` pins its own.
-    let extra_variants: Vec<KernelVariant> = KernelVariant::available()
-        .into_iter()
-        .filter(|v| *v != KernelVariant::Scalar)
-        .collect();
-
     let mut models = Vec::new();
     if smoke {
         let micro_vit = vit(
@@ -778,71 +735,19 @@ pub fn bench(smoke: bool) -> BenchReport {
                 classes: 10,
             },
         );
-        models.extend(bench_model(
-            &micro_vit,
-            "vit-micro",
-            &[1, 4],
-            2,
-            2,
-            KernelVariant::Scalar,
-        ));
-        let cnn = micro_cnn();
-        models.extend(bench_model(
-            &cnn,
-            "cnn-micro",
-            &[1, 4],
-            2,
-            2,
-            KernelVariant::Scalar,
-        ));
-        for &variant in &extra_variants {
-            models.extend(bench_model(&micro_vit, "vit-micro", &[4], 2, 2, variant));
-        }
-        let scalar_fp = models
-            .iter()
-            .find(|m| m.model == "vit-micro" && m.batch == 4 && m.variant == "scalar")
-            .map(|m| m.logits_fingerprint.clone())
-            .expect("scalar headline row");
-        if let Some(unrolled) = models
-            .iter()
-            .find(|m| m.model == "vit-micro" && m.batch == 4 && m.variant == "unrolled")
-        {
-            assert_eq!(
-                unrolled.logits_fingerprint, scalar_fp,
-                "unrolled variant must reproduce the scalar logits bit for bit"
-            );
-        }
+        models.extend(bench_model(&micro_vit, "vit-micro", &[1, 4], 2, 2));
+        models.extend(bench_model(&micro_cnn(), "cnn-micro", &[1, 4], 2, 2));
     } else {
-        let tiny = vit_tiny(39);
         models.extend(bench_model(
-            &tiny,
+            &vit_tiny(39),
             "vit-tiny",
             &[1, 4, 16, 64],
             2,
             2,
-            KernelVariant::Scalar,
         ));
         let small = harvest_models::vit_small(39);
-        models.extend(bench_model(
-            &small,
-            "vit-small",
-            &[1, 16],
-            2,
-            1,
-            KernelVariant::Scalar,
-        ));
-        let r50 = resnet50(1000);
-        models.extend(bench_model(
-            &r50,
-            "resnet50",
-            &[1, 8],
-            2,
-            1,
-            KernelVariant::Scalar,
-        ));
-        for &variant in &extra_variants {
-            models.extend(bench_model(&tiny, "vit-tiny", &[16], 2, 2, variant));
-        }
+        models.extend(bench_model(&small, "vit-small", &[1, 16], 2, 1));
+        models.extend(bench_model(&resnet50(1000), "resnet50", &[1, 8], 2, 1));
     }
     let (thread_scaling_kernels, thread_scaling_models) = bench_thread_scaling(smoke);
     let event_core = bench_event_core(smoke);
@@ -968,20 +873,27 @@ mod tests {
         assert!(report.gelu_ns_per_elem > 0.0);
         assert!(report.softmax_ns_per_elem > 0.0);
         assert!(report.layernorm_ns_per_elem > 0.0);
-        // gemm/conv2d/attention run once per available variant; gemm_bt,
-        // quantized_gemm and gemm_i8 are one row each.
-        let variants = KernelVariant::available().len();
-        assert_eq!(report.kernels.len(), 3 * variants + 3);
+        // One row per kernel, in this order.
+        let kernels: Vec<_> = report
+            .kernels
+            .iter()
+            .map(|k| (k.kernel.as_str(), k.variant.as_str()))
+            .collect();
         assert_eq!(
-            report.models.len(),
-            4 + (variants - 1),
-            "two models x two batch sizes + per-variant headline rows"
+            kernels,
+            [
+                ("gemm", "scalar"),
+                ("gemm_bt", "scalar"),
+                ("quantized_gemm", "scalar"),
+                ("gemm_i8", "int8-packed"),
+                ("conv2d", "scalar"),
+                ("attention", "scalar"),
+            ]
         );
+        assert_eq!(report.models.len(), 4, "two models x two batch sizes");
         for k in &report.kernels {
             assert!(k.ms > 0.0 && k.gflops > 0.0, "{}: empty timing", k.kernel);
-            assert!(!k.variant.is_empty());
         }
-        assert!(report.kernels.iter().any(|k| k.kernel == "gemm_i8"));
         for m in &report.models {
             assert!(m.rel_err_vs_reference < 1e-4);
             assert_eq!(m.logits_fingerprint.len(), 16);

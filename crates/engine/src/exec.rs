@@ -44,7 +44,7 @@ use harvest_tensor::integrity::{checksum_f32, flip_bit_in, max_abs_gap, scan_f32
 use harvest_tensor::ops::exp;
 use harvest_tensor::quant::{quantize_symmetric, QuantizedTensor};
 use harvest_tensor::{
-    add_bias, avg_pool2d_global, conv2d, conv2d_into_v, gelu, gemm_v, layernorm, max_pool2d,
+    add_bias, avg_pool2d_global, conv2d, conv2d_into, gelu, gemm, layernorm, max_pool2d,
     multi_head_attention, relu, softmax_rows, KernelVariant, Tensor,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -700,18 +700,9 @@ pub struct Executor<'g> {
     weights: WeightStore,
     materialized: Arc<MaterializedWeights>,
     int8_linears: bool,
-    /// When false (validation knob), the INT8 path re-quantizes the weight
-    /// matrix from the cached f32 form on every call instead of using the
-    /// cached quantization — used to prove caching changes no logits.
-    int8_cache: bool,
     /// `last_use[i]` = topological index of node `i`'s final consumer
     /// (`usize::MAX` for the output, which must outlive the pass).
     last_use: Vec<usize>,
-    /// GEMM implementation for the batched path (f32 matmuls, im2col conv,
-    /// attention cores). `Scalar`/`Unrolled` are bit-identical; `Simd`
-    /// carries its own pinned fingerprints. The reference path and the INT8
-    /// integer kernels are variant-independent.
-    kernel_variant: KernelVariant,
     /// Persistent forward-pass scratch (arena + value table). Behind a
     /// mutex so the `&self` forward API is preserved; the serving pool
     /// gives each worker its own executor, so the lock is uncontended.
@@ -737,7 +728,7 @@ impl<'g> Executor<'g> {
     /// Executor over `graph` with weights from `seed` (f32 math). Weights
     /// are materialized eagerly, once.
     pub fn new(graph: &'g Graph, seed: u64) -> Self {
-        Self::build(graph, seed, false, true)
+        Self::build(graph, seed, false)
     }
 
     /// Executor that runs every `Linear` layer through the real INT8
@@ -745,17 +736,10 @@ impl<'g> Executor<'g> {
     /// ablation, letting accuracy loss be *measured* on whole models. The
     /// quantized weight matrices are cached at construction.
     pub fn new_int8(graph: &'g Graph, seed: u64) -> Self {
-        Self::build(graph, seed, true, true)
+        Self::build(graph, seed, true)
     }
 
-    /// INT8 executor that re-quantizes weights on every matmul instead of
-    /// using the construction-time cache. Exists only so tests can prove
-    /// the cache is logit-preserving; prefer [`Executor::new_int8`].
-    pub fn new_int8_uncached(graph: &'g Graph, seed: u64) -> Self {
-        Self::build(graph, seed, true, false)
-    }
-
-    fn build(graph: &'g Graph, seed: u64, int8_linears: bool, int8_cache: bool) -> Self {
+    fn build(graph: &'g Graph, seed: u64, int8_linears: bool) -> Self {
         let weights = WeightStore::new(seed);
         let materialized = Arc::new(MaterializedWeights::new(graph, &weights, int8_linears));
         let last_use = compute_last_use(graph);
@@ -764,9 +748,7 @@ impl<'g> Executor<'g> {
             weights,
             materialized,
             int8_linears,
-            int8_cache,
             last_use,
-            kernel_variant: KernelVariant::Scalar,
             scratch: Mutex::new(ExecScratch::default()),
             scratch_reuse: AtomicBool::new(true),
         }
@@ -803,19 +785,10 @@ impl<'g> Executor<'g> {
         harvest_tensor::scratch::trim_thread_pool();
     }
 
-    /// Select which GEMM kernel variant services the batched path. The
-    /// default is [`KernelVariant::Scalar`], whose outputs every committed
-    /// fingerprint artifact is pinned against; [`KernelVariant::Unrolled`]
-    /// is bit-identical to it, and [`KernelVariant::Simd`] (behind the
-    /// `simd` feature + runtime CPU detection) has its own pins.
-    pub fn with_kernel_variant(mut self, variant: KernelVariant) -> Self {
-        self.kernel_variant = variant;
-        self
-    }
-
-    /// The GEMM variant servicing the batched path.
+    /// The one f32 GEMM family every executor runs; kept for `benchmark/`
+    /// (see [`KernelVariant`]).
     pub fn kernel_variant(&self) -> KernelVariant {
-        self.kernel_variant
+        KernelVariant::Scalar
     }
 
     /// The underlying graph.
@@ -1126,13 +1099,7 @@ impl<'g> Executor<'g> {
         debug_assert_eq!(x.len(), rows * w.k);
         debug_assert_eq!(out.len(), rows * w.n);
         match (&w.int8, self.int8_linears) {
-            (Some(cached), true) => {
-                let requantized = if self.int8_cache {
-                    None
-                } else {
-                    Some(quantize_symmetric(&w.kxn))
-                };
-                let qw = requantized.as_ref().unwrap_or(cached);
+            (Some(qw), true) => {
                 debug_assert_eq!(rows % groups, 0);
                 let rpg = rows / groups;
                 for g in 0..groups {
@@ -1145,7 +1112,7 @@ impl<'g> Executor<'g> {
                     }
                 }
             }
-            _ => gemm_v(self.kernel_variant, x, &w.kxn, out, rows, w.k, w.n),
+            _ => gemm(x, &w.kxn, out, rows, w.k, w.n),
         }
     }
 
@@ -1204,8 +1171,7 @@ impl<'g> Executor<'g> {
                     .as_ref()
                     .expect("topological order");
                 let mut out = arena.take(b * per_out);
-                conv2d_into_v(
-                    self.kernel_variant,
+                conv2d_into(
                     &x.data,
                     weight.data(),
                     bias.data(),
@@ -1335,8 +1301,7 @@ impl<'g> Executor<'g> {
                 // Strided conv with kernel = stride = patch, whole batch at
                 // once, then per-image token rearrangement.
                 let mut conv = arena.take(b * dim * n_patches);
-                conv2d_into_v(
-                    self.kernel_variant,
+                conv2d_into(
                     &x.data,
                     weight.data(),
                     bias.data(),
@@ -1413,7 +1378,6 @@ impl<'g> Executor<'g> {
                 // its single-thread path).
                 let dim = *dim;
                 let heads = *heads;
-                let variant = self.kernel_variant;
                 let mut heads_buf = arena.take(b * heads * s * head_dim);
                 harvest_threads::for_each_chunk_mut(
                     &mut heads_buf[..b * heads * s * head_dim],
@@ -1436,12 +1400,12 @@ impl<'g> Executor<'g> {
                                 v[t * head_dim..(t + 1) * head_dim]
                                     .copy_from_slice(&row[2 * dim + off..2 * dim + off + head_dim]);
                             }
-                            gemm_v(variant, q, k_t, scores, s, head_dim, s);
+                            gemm(q, k_t, scores, s, head_dim, s);
                             for sc in scores.iter_mut() {
                                 *sc *= scale;
                             }
                             softmax_rows(scores, s);
-                            gemm_v(variant, scores, v, outh, s, s, head_dim);
+                            gemm(scores, v, outh, s, s, head_dim);
                         });
                     },
                 );
@@ -2034,42 +1998,6 @@ mod tests {
     }
 
     #[test]
-    fn unrolled_variant_logits_bit_identical_to_scalar() {
-        // The Unrolled kernel keeps the scalar accumulation contract, so a
-        // whole-model forward (patch-embed conv, attention cores, linears)
-        // must agree with the default executor bit for bit.
-        let g = small_vit();
-        let scalar = Executor::new(&g, 11);
-        let unrolled = Executor::new(&g, 11).with_kernel_variant(KernelVariant::Unrolled);
-        let x = Tensor::random(&[3, 16, 16], 5, 1.0);
-        let a = scalar.forward(&x);
-        let b = unrolled.forward(&x);
-        for (i, (va, vb)) in a.data().iter().zip(b.data()).enumerate() {
-            assert_eq!(va.to_bits(), vb.to_bits(), "logit {i}: {va} vs {vb}");
-        }
-    }
-
-    #[test]
-    fn simd_variant_logits_match_scalar_closely() {
-        // Simd reassociates the k-loop (FMA, register accumulation), so
-        // bit-identity to Scalar is not expected — but whole-model logits
-        // must stay numerically indistinguishable for classification.
-        // Without the `simd` feature (or on hosts without AVX2+FMA) the
-        // variant falls back to Unrolled and this still holds trivially.
-        let g = small_vit();
-        let scalar = Executor::new(&g, 11);
-        let simd = Executor::new(&g, 11).with_kernel_variant(KernelVariant::Simd);
-        assert_eq!(simd.kernel_variant(), KernelVariant::Simd);
-        let x = Tensor::random(&[3, 16, 16], 5, 1.0);
-        let a = scalar.forward(&x);
-        let b = simd.forward(&x);
-        assert!(b.data().iter().all(|v| v.is_finite()));
-        let err = relative_l2(&a, &b);
-        assert!(err < 1e-4, "scalar-vs-simd logit error {err}");
-        assert_eq!(a.argmax(), b.argmax());
-    }
-
-    #[test]
     fn rwkv_vision_forward_runs_and_differs_from_vit() {
         use harvest_models::{rwkv_vision, vit, VitConfig};
         let cfg = VitConfig {
@@ -2280,16 +2208,29 @@ mod tests {
     }
 
     #[test]
-    fn int8_logits_unchanged_by_weight_cache() {
-        // Caching the quantized k×n weight at construction must be
-        // bit-equivalent to re-quantizing it on every call.
+    fn cached_int8_weights_equal_a_fresh_quantization() {
+        // `matmul_into` serves INT8 matmuls from the quantization taken at
+        // materialization; it must be what quantizing the cached k×n
+        // weight now would give, field for field.
         let g = small_vit();
-        let cached = Executor::new_int8(&g, 9);
-        let uncached = Executor::new_int8_uncached(&g, 9);
-        for i in 0..4 {
-            let x = Tensor::random(&[3, 16, 16], 200 + i, 1.0);
-            assert_eq!(cached.forward(&x), uncached.forward(&x));
+        let exec = Executor::new_int8(&g, 9);
+        let mut checked = 0;
+        for nw in &exec.materialized().nodes {
+            let linears: Vec<&LinearWeight> = match nw {
+                NodeWeights::Linear { w, .. } => vec![w],
+                NodeWeights::Mlp { w1, w2, .. } => vec![w1, w2],
+                _ => vec![],
+            };
+            for w in linears {
+                let cached = w.int8.as_ref().expect("INT8 executor caches every linear");
+                let fresh = quantize_symmetric(&w.kxn);
+                assert_eq!(cached.data, fresh.data);
+                assert_eq!(cached.scale.to_bits(), fresh.scale.to_bits());
+                checked += 1;
+            }
         }
+        // Three blocks of two MLP linears, plus the classifier head.
+        assert_eq!(checked, 7);
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub fn measure_practical_tflops(spec: &PlatformSpec) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-/// Really measure host GEMM GFLOPS (f32, rayon-parallel kernel) at the
-/// given square size; `reps` timed repetitions after one warm-up.
+/// Really measure host GEMM GFLOPS (f32, `harvest_tensor::gemm` over the
+/// `harvest-threads` pool) at the given square size; `reps` timed repetitions after one warm-up.
 pub fn host_gemm_gflops(n: usize, reps: usize) -> f64 {
     let shape = GemmShape::square(n);
     let a = vec![1.0f32; n * n];

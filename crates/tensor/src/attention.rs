@@ -5,9 +5,9 @@
 //! module composes exactly those kernels so the executable path and the
 //! analytic FLOPs model in `harvest-models` count the same operations.
 
-use crate::kernel::{gemm_bt_v, gemm_v, KernelVariant};
+use crate::gemm::{gemm, gemm_bt, KernelVariant};
 use crate::ops::{add_bias, softmax_rows};
-use rayon::prelude::*;
+use harvest_threads::par_map;
 
 /// Packed multi-head attention weights (all row-major, `[out][in]` layout,
 /// i.e. applied via x · Wᵀ like `torch.nn.Linear`).
@@ -34,19 +34,6 @@ pub fn multi_head_attention(
     heads: usize,
     w: &AttentionWeights<'_>,
 ) -> Vec<f32> {
-    multi_head_attention_v(KernelVariant::Scalar, x, seq, dim, heads, w)
-}
-
-/// [`multi_head_attention`] with all four GEMMs serviced by an explicit
-/// [`KernelVariant`]. The softmax and bias stages are variant-independent.
-pub fn multi_head_attention_v(
-    variant: KernelVariant,
-    x: &[f32],
-    seq: usize,
-    dim: usize,
-    heads: usize,
-    w: &AttentionWeights<'_>,
-) -> Vec<f32> {
     assert_eq!(x.len(), seq * dim);
     assert!(
         heads > 0 && dim.is_multiple_of(heads),
@@ -59,42 +46,39 @@ pub fn multi_head_attention_v(
 
     // Fused QKV projection: [seq, 3·dim].
     let mut qkv = vec![0.0f32; seq * 3 * dim];
-    gemm_bt_v(variant, x, w.w_qkv, &mut qkv, seq, dim, 3 * dim);
+    gemm_bt(x, w.w_qkv, &mut qkv, seq, dim, 3 * dim);
     if !w.b_qkv.is_empty() {
         add_bias(&mut qkv, w.b_qkv);
     }
 
     // Split per head. qkv row layout: [q(dim) | k(dim) | v(dim)].
     let mut heads_out = vec![0.0f32; seq * dim];
-    let head_results: Vec<(usize, Vec<f32>)> = (0..heads)
-        .into_par_iter()
-        .map(|h| {
-            let off = h * head_dim;
-            // Gather contiguous per-head Q, K, V: [seq, head_dim].
-            let mut q = vec![0.0f32; seq * head_dim];
-            let mut k = vec![0.0f32; seq * head_dim];
-            let mut v = vec![0.0f32; seq * head_dim];
-            for s in 0..seq {
-                let row = &qkv[s * 3 * dim..(s + 1) * 3 * dim];
-                q[s * head_dim..(s + 1) * head_dim].copy_from_slice(&row[off..off + head_dim]);
-                k[s * head_dim..(s + 1) * head_dim]
-                    .copy_from_slice(&row[dim + off..dim + off + head_dim]);
-                v[s * head_dim..(s + 1) * head_dim]
-                    .copy_from_slice(&row[2 * dim + off..2 * dim + off + head_dim]);
-            }
-            // scores = Q · Kᵀ / sqrt(d): [seq, seq]
-            let mut scores = vec![0.0f32; seq * seq];
-            gemm_bt_v(variant, &q, &k, &mut scores, seq, head_dim, seq);
-            for s in scores.iter_mut() {
-                *s *= scale;
-            }
-            softmax_rows(&mut scores, seq);
-            // out = scores · V: [seq, head_dim]
-            let mut out = vec![0.0f32; seq * head_dim];
-            gemm_v(variant, &scores, &v, &mut out, seq, seq, head_dim);
-            (h, out)
-        })
-        .collect();
+    let head_results: Vec<(usize, Vec<f32>)> = par_map(heads, |h| {
+        let off = h * head_dim;
+        // Gather contiguous per-head Q, K, V: [seq, head_dim].
+        let mut q = vec![0.0f32; seq * head_dim];
+        let mut k = vec![0.0f32; seq * head_dim];
+        let mut v = vec![0.0f32; seq * head_dim];
+        for s in 0..seq {
+            let row = &qkv[s * 3 * dim..(s + 1) * 3 * dim];
+            q[s * head_dim..(s + 1) * head_dim].copy_from_slice(&row[off..off + head_dim]);
+            k[s * head_dim..(s + 1) * head_dim]
+                .copy_from_slice(&row[dim + off..dim + off + head_dim]);
+            v[s * head_dim..(s + 1) * head_dim]
+                .copy_from_slice(&row[2 * dim + off..2 * dim + off + head_dim]);
+        }
+        // scores = Q · Kᵀ / sqrt(d): [seq, seq]
+        let mut scores = vec![0.0f32; seq * seq];
+        gemm_bt(&q, &k, &mut scores, seq, head_dim, seq);
+        for s in scores.iter_mut() {
+            *s *= scale;
+        }
+        softmax_rows(&mut scores, seq);
+        // out = scores · V: [seq, head_dim]
+        let mut out = vec![0.0f32; seq * head_dim];
+        gemm(&scores, &v, &mut out, seq, seq, head_dim);
+        (h, out)
+    });
     for (h, out) in head_results {
         let off = h * head_dim;
         for s in 0..seq {
@@ -105,11 +89,23 @@ pub fn multi_head_attention_v(
 
     // Output projection.
     let mut y = vec![0.0f32; seq * dim];
-    gemm_bt_v(variant, &heads_out, w.w_out, &mut y, seq, dim, dim);
+    gemm_bt(&heads_out, w.w_out, &mut y, seq, dim, dim);
     if !w.b_out.is_empty() {
         add_bias(&mut y, w.b_out);
     }
     y
+}
+
+/// [`multi_head_attention`]; kept for `benchmark/` (see [`KernelVariant`]).
+pub fn multi_head_attention_v(
+    _variant: KernelVariant,
+    x: &[f32],
+    seq: usize,
+    dim: usize,
+    heads: usize,
+    w: &AttentionWeights<'_>,
+) -> Vec<f32> {
+    multi_head_attention(x, seq, dim, heads, w)
 }
 
 #[cfg(test)]

@@ -5,8 +5,8 @@
 //! `[cout] × [cin·k·k] · [cin·k·k] × [oh·ow]` — so building it this way keeps
 //! our host kernels and the analytic FLOPs model in exact agreement.
 
-use crate::kernel::{gemm_v, KernelVariant};
-use rayon::prelude::*;
+use crate::gemm::{gemm, KernelVariant};
+use harvest_threads::for_each_zipped_chunks;
 
 /// Shape of a conv output for given input spatial size and geometry.
 pub fn conv_out_dim(in_dim: usize, kernel: usize, stride: usize, pad: usize) -> usize {
@@ -95,43 +95,10 @@ pub fn conv2d(
     stride: usize,
     pad: usize,
 ) -> Vec<f32> {
-    conv2d_v(
-        KernelVariant::Scalar,
-        input,
-        weight,
-        bias,
-        n,
-        cin,
-        h,
-        w,
-        cout,
-        kernel,
-        stride,
-        pad,
-    )
-}
-
-/// [`conv2d`] with the im2col GEMM serviced by an explicit [`KernelVariant`].
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_v(
-    variant: KernelVariant,
-    input: &[f32],
-    weight: &[f32],
-    bias: &[f32],
-    n: usize,
-    cin: usize,
-    h: usize,
-    w: usize,
-    cout: usize,
-    kernel: usize,
-    stride: usize,
-    pad: usize,
-) -> Vec<f32> {
     let oh = conv_out_dim(h, kernel, stride, pad);
     let ow = conv_out_dim(w, kernel, stride, pad);
     let mut output = vec![0.0f32; n * cout * oh * ow];
-    conv2d_into_v(
-        variant,
+    conv2d_into(
         input,
         weight,
         bias,
@@ -148,11 +115,10 @@ pub fn conv2d_v(
     output
 }
 
-/// [`conv2d`] writing into a caller-provided output buffer of
-/// `n·cout·oh·ow` elements — lets batched executors recycle activation
-/// buffers instead of allocating per layer.
+/// [`conv2d`]; kept for `benchmark/` (see [`KernelVariant`]).
 #[allow(clippy::too_many_arguments)]
-pub fn conv2d_into(
+pub fn conv2d_v(
+    _variant: KernelVariant,
     input: &[f32],
     weight: &[f32],
     bias: &[f32],
@@ -164,31 +130,15 @@ pub fn conv2d_into(
     kernel: usize,
     stride: usize,
     pad: usize,
-    output: &mut [f32],
-) {
-    conv2d_into_v(
-        KernelVariant::Scalar,
-        input,
-        weight,
-        bias,
-        n,
-        cin,
-        h,
-        w,
-        cout,
-        kernel,
-        stride,
-        pad,
-        output,
-    );
+) -> Vec<f32> {
+    conv2d(input, weight, bias, n, cin, h, w, cout, kernel, stride, pad)
 }
 
-/// [`conv2d_into`] with the im2col GEMM serviced by an explicit
-/// [`KernelVariant`]. `Scalar` and `Unrolled` are bit-identical; `Simd`
-/// carries its own fingerprint pin (see `kernel` module docs).
+/// [`conv2d`] writing into a caller-provided output buffer of
+/// `n·cout·oh·ow` elements — lets batched executors recycle activation
+/// buffers instead of allocating per layer.
 #[allow(clippy::too_many_arguments)]
-pub fn conv2d_into_v(
-    variant: KernelVariant,
+pub fn conv2d_into(
     input: &[f32],
     weight: &[f32],
     bias: &[f32],
@@ -217,13 +167,13 @@ pub fn conv2d_into_v(
     // A 1×1 / stride-1 / pad-0 conv's column matrix is the input planes
     // themselves (`[cin] × [h·w]`), so it needs no im2col.
     let pointwise = kernel == 1 && stride == 1 && pad == 0;
-    let per_image = |(img_in, img_out): (&[f32], &mut [f32])| {
+    let per_image = |img_in: &[f32], img_out: &mut [f32]| {
         if pointwise {
-            gemm_v(variant, weight, img_in, img_out, cout, cin, out_spatial);
+            gemm(weight, img_in, img_out, cout, cin, out_spatial);
         } else {
             crate::scratch::with_f32(col_rows * out_spatial, |col| {
                 im2col(img_in, cin, h, w, kernel, stride, pad, col);
-                gemm_v(variant, weight, col, img_out, cout, col_rows, out_spatial);
+                gemm(weight, col, img_out, cout, col_rows, out_spatial);
             });
         }
         if !bias.is_empty() {
@@ -236,17 +186,10 @@ pub fn conv2d_into_v(
         }
     };
 
-    if n > 1 {
-        input
-            .par_chunks_exact(cin * h * w)
-            .zip(output.par_chunks_exact_mut(cout * out_spatial))
-            .for_each(per_image);
-    } else {
-        input
-            .chunks_exact(cin * h * w)
-            .zip(output.chunks_exact_mut(cout * out_spatial))
-            .for_each(per_image);
-    }
+    // One task per image; a single image runs on the caller, outside any
+    // pool region, so its GEMM is free to split rows across the pool.
+    let (in_len, out_len) = (cin * h * w, cout * out_spatial);
+    for_each_zipped_chunks(input, in_len, output, out_len, |_, i, o| per_image(i, o));
 }
 
 /// Max pooling over an NCHW batch. Padding is `-inf`-semantics (ignored).

@@ -8,15 +8,19 @@
 //!   once per x86-64 lane tier (SSE2 baseline, AVX2, AVX-512) and the widest
 //!   the host has is picked per call ([`lane_tier`]); all of them produce the
 //!   same bits, so which one ran is a speed, never a result.
-//! * [`gemm`] — the production entry point: rayon-parallel over row blocks of
-//!   C, each block running the blocked kernel. Falls back to the blocked
-//!   kernel for small problems where fork/join overhead would dominate.
+//! * [`gemm`] — the production entry point: row blocks of C spread over the
+//!   `harvest-threads` pool, each block running the blocked kernel. Falls
+//!   back to the blocked kernel for small problems where fork/join overhead
+//!   would dominate.
+//!
+//! [`gemm`] and [`gemm_bt`] are the only f32 GEMMs in the tree; `Executor`,
+//! `conv2d` and `multi_head_attention` call them directly.
 //!
 //! The same routine doubles as the *host side* of Table 1: the GEMM FLOPS
 //! microbenchmark in `harvest-hw` runs this kernel to produce a practical-
 //! vs-theoretical efficiency figure for the machine the reproduction runs on.
 
-use rayon::prelude::*;
+use harvest_threads::{for_each_chunk_mut, max_threads};
 
 /// Cache-block sizes. Chosen for typical x86-64 L1/L2; correctness does not
 /// depend on them, and perf only weakly (the benches sweep them).
@@ -26,10 +30,8 @@ const NC: usize = 512;
 
 /// Problems smaller than this many multiply-accumulates stay single-threaded.
 /// The pool spawns scoped threads per region (no persistent workers), so the
-/// crossover sits higher than a work-stealing runtime's would. Shared with
-/// the variant kernels in `crate::kernel` so every variant crosses over at
-/// the same point.
-pub(crate) const PAR_THRESHOLD_MACS: usize = 1 << 20;
+/// crossover sits higher than a work-stealing runtime's would.
+const PAR_THRESHOLD_MACS: usize = 1 << 20;
 
 /// `c[m×n] = a[m×k] · b[k×n]` — reference triple loop (ikj order so the inner
 /// loop streams through `b` and `c` rows).
@@ -278,11 +280,8 @@ fn gemm_blocked_acc_body(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize
 /// enough to amortize fork/join, otherwise the blocked kernel.
 pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     check_dims(a, b, c, m, k, n);
-    // Explicit degenerate-dimension guards. The blocked kernel handles all
-    // of these by falling through empty loops, but the packed variant
-    // kernels dispatched alongside this one (see `crate::kernel`) index
-    // panel buffers whose sizes derive from these dims — keep the contract
-    // uniform and early-out before any path can divide or chunk by zero.
+    // Degenerate dimensions early-out before the parallel path can chunk
+    // by zero columns.
     if m == 0 || n == 0 {
         return;
     }
@@ -300,16 +299,42 @@ pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     // to MC so no worker is left idle on mid-sized m, and rounded up to the
     // 4-row micro-tile so only the final block runs the slower remainder-row
     // kernel.
-    let threads = rayon::current_num_threads().max(1);
-    let rows_per_block = m.div_ceil(threads).next_multiple_of(4);
-    c.par_chunks_mut(rows_per_block * n)
-        .enumerate()
-        .for_each(|(blk, c_block)| {
-            let i0 = blk * rows_per_block;
-            let mb = c_block.len() / n;
-            c_block.fill(0.0);
-            gemm_blocked_acc(&a[i0 * k..(i0 + mb) * k], b, c_block, mb, k, n);
-        });
+    let rows_per_block = m.div_ceil(max_threads()).next_multiple_of(4);
+    for_each_chunk_mut(c, rows_per_block * n, |blk, c_block| {
+        let i0 = blk * rows_per_block;
+        let mb = c_block.len() / n;
+        c_block.fill(0.0);
+        gemm_blocked_acc(&a[i0 * k..(i0 + mb) * k], b, c_block, mb, k, n);
+    });
+}
+
+/// The one kernel family's name, kept for the frozen `benchmark/` crate
+/// (which passes it back into [`gemm_v`], `conv2d_v` and
+/// `multi_head_attention_v`) until a `benchmark`-archetype PR drops it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum KernelVariant {
+    /// The blocked kernel of this module at the host's widest lane tier.
+    Scalar,
+}
+
+impl KernelVariant {
+    /// Stable lowercase name used in artifacts.
+    pub fn name(self) -> &'static str {
+        "scalar"
+    }
+}
+
+/// [`gemm`]; kept for `benchmark/` (see [`KernelVariant`]).
+pub fn gemm_v(
+    _variant: KernelVariant,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    gemm(a, b, c, m, k, n)
 }
 
 /// `c = a · bᵀ` where `b` is stored row-major as `n×k` — the layout linear

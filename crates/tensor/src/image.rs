@@ -7,7 +7,7 @@
 //! All kernels operate on planar CHW f32 (model layout); the u8 HWC entry
 //! points mirror decoded-image layout.
 
-use rayon::prelude::*;
+use harvest_threads::for_each_zipped_chunks;
 
 /// Convert interleaved HWC u8 (decoded-image layout) to planar CHW f32 in
 /// `[0, 1]`.
@@ -77,10 +77,7 @@ pub fn resize_bilinear(
         }
     };
     if channels * oh * ow >= 1 << 18 {
-        input
-            .par_chunks_exact(h * w)
-            .zip(out.par_chunks_exact_mut(oh * ow))
-            .for_each(per_plane);
+        for_each_zipped_chunks(input, h * w, &mut out, oh * ow, |_, i, o| per_plane((i, o)));
     } else {
         input
             .chunks_exact(h * w)
@@ -248,10 +245,7 @@ pub fn perspective_warp(
         }
     };
     if channels * oh * ow >= 1 << 18 {
-        input
-            .par_chunks_exact(h * w)
-            .zip(out.par_chunks_exact_mut(oh * ow))
-            .for_each(per_plane);
+        for_each_zipped_chunks(input, h * w, &mut out, oh * ow, |_, i, o| per_plane((i, o)));
     } else {
         input
             .chunks_exact(h * w)

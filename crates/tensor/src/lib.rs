@@ -14,33 +14,29 @@
 //!    "PyTorch/OpenCV on CPU" baselines — the decode/resize/normalize/warp
 //!    costs we report for the host are measured on these kernels.
 //!
-//! Parallelism uses rayon parallel iterators over independent row/channel
-//! blocks, following the data-race-free patterns of the workspace's HPC style
-//! guides.
+//! Parallel regions hand disjoint row, channel or image blocks to the
+//! `harvest-threads` pool (`for_each_chunk_mut`, `for_each_zipped_chunks`,
+//! `par_map`); every block is computed in a fixed order from read-only
+//! inputs, so results are bit-identical at every pool width.
 
 pub mod attention;
 pub mod conv;
 pub mod gemm;
 pub mod image;
 pub mod integrity;
-pub mod kernel;
 pub mod ops;
 pub mod quant;
 pub mod scratch;
 pub mod tensor;
-pub mod tune;
 
 pub use attention::{multi_head_attention, multi_head_attention_v};
-pub use conv::{avg_pool2d_global, conv2d, conv2d_into, conv2d_into_v, conv2d_v, max_pool2d};
-pub use gemm::{gemm, gemm_naive, lane_tier};
+pub use conv::{avg_pool2d_global, conv2d, conv2d_into, conv2d_v, max_pool2d};
+pub use gemm::{gemm, gemm_naive, gemm_v, lane_tier, KernelVariant};
 pub use image::{
     bilinear_taps, center_crop, chw_to_hwc_u8, hwc_u8_to_chw, normalize_chw, perspective_warp,
     resize_bilinear, resize_normalize_hwc_u8, Homography,
 };
 pub use integrity::{checksum_bytes, checksum_f32, flip_bit_in, max_abs_gap, scan_f32, ScanReport};
-pub use kernel::{
-    gemm_bt_v, gemm_fma_oracle, gemm_unrolled, gemm_v, gemm_with_shape, KernelVariant,
-};
 pub use ops::{add_bias, batchnorm_inference, gelu, layernorm, relu, softmax_rows};
 pub use quant::{
     dequantize, gemm_i8, gemm_i8_naive, quantize_symmetric, quantized_gemm, QuantizedTensor,

@@ -1,7 +1,7 @@
 //! Pointwise and normalization ops used by the model zoo's forward pass.
 
 use crate::gemm::at_lane_tier;
-use rayon::prelude::*;
+use harvest_threads::for_each_chunk_mut;
 
 /// In-place ReLU.
 pub fn relu(x: &mut [f32]) {
@@ -161,7 +161,7 @@ pub fn softmax_rows_upto(cap: usize, x: &mut [f32], cols: usize) {
         );
     };
     if x.len() >= 1 << 16 {
-        x.par_chunks_exact_mut(cols).for_each(apply);
+        for_each_chunk_mut(x, cols, |_, row| apply(row));
     } else {
         x.chunks_exact_mut(cols).for_each(apply);
     }
@@ -185,7 +185,7 @@ pub fn layernorm(x: &mut [f32], d: usize, gamma: &[f32], beta: &[f32], eps: f32)
         }
     };
     if x.len() >= 1 << 16 {
-        x.par_chunks_exact_mut(d).for_each(apply);
+        for_each_chunk_mut(x, d, |_, row| apply(row));
     } else {
         x.chunks_exact_mut(d).for_each(apply);
     }

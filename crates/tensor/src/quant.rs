@@ -7,7 +7,7 @@
 //! quantization, an integer GEMM with i32 accumulation, and the
 //! dequantization that recovers approximate f32 results.
 
-use rayon::prelude::*;
+use harvest_threads::{for_each_chunk_mut, max_threads};
 
 /// A symmetrically quantized tensor: `f32 ≈ i8 × scale`.
 #[derive(Clone, Debug, PartialEq)]
@@ -72,10 +72,10 @@ pub fn gemm_i8_naive(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i3
 /// panels: both operands are widened to i16 and interleaved in adjacent-k
 /// pairs, so one multiply-add instruction retires two k steps for eight
 /// (SSE2), sixteen (AVX2) or thirty-two (AVX512BW) columns at once. SSE2
-/// is baseline on x86-64 so the fast path needs no cargo feature — unlike
-/// the f32 `simd` variant this is *exact* (integer arithmetic, products
-/// ≤ 127², pair sums ≤ 32 258, safe in i32 to k ≈ 130 000), so it cannot
-/// perturb any fingerprint and is simply always on. Wider paths are
+/// is baseline on x86-64 so the fast path needs no cargo feature, and the
+/// arithmetic is *exact* (integers, products ≤ 127², pair sums ≤ 32 258,
+/// safe in i32 to k ≈ 130 000), so no instruction set can perturb a
+/// fingerprint and it is simply always on. Wider paths are
 /// runtime-detected. Other architectures use [`gemm_i8_naive`].
 ///
 /// Row blocks of C are processed in parallel for large problems; results
@@ -95,20 +95,20 @@ pub fn gemm_i8(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i32> {
             let mb = c_rows.len() / n;
             x86::i8_rows(&a[i0 * k..(i0 + mb) * k], b, &bp, c_rows, mb, k, n);
         };
-        let threads = rayon::current_num_threads().max(1);
+        let threads = max_threads();
         if m * n * k < 1 << 18 || m < 2 || threads == 1 {
             run(0, &mut c);
         } else {
             let rows_per_block = m.div_ceil(threads).next_multiple_of(4);
-            c.par_chunks_mut(rows_per_block * n)
-                .enumerate()
-                .for_each(|(blk, c_rows)| run(blk * rows_per_block, c_rows));
+            for_each_chunk_mut(&mut c, rows_per_block * n, |blk, c_rows| {
+                run(blk * rows_per_block, c_rows)
+            });
         }
         c
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let run = |(i, c_row): (usize, &mut [i32])| {
+        let run = |i: usize, c_row: &mut [i32]| {
             let a_row = &a[i * k..(i + 1) * k];
             for (p, &ap) in a_row.iter().enumerate() {
                 if ap == 0 {
@@ -122,9 +122,11 @@ pub fn gemm_i8(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i32> {
             }
         };
         if m * n * k < 1 << 18 {
-            c.chunks_mut(n).enumerate().for_each(run);
+            c.chunks_mut(n)
+                .enumerate()
+                .for_each(|(i, c_row)| run(i, c_row));
         } else {
-            c.par_chunks_mut(n).enumerate().for_each(run);
+            for_each_chunk_mut(&mut c, n, run);
         }
         c
     }

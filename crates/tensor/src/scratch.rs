@@ -1,16 +1,15 @@
 //! Thread-local recycling pool for kernel scratch buffers.
 //!
-//! The im2col column buffer, the `gemm_bt` transpose pack, and the SIMD
-//! A/B panel packs are all short-lived `Vec<f32>`s whose sizes repeat
-//! exactly from forward to forward. On the serving hot path that used to
+//! The im2col column buffer, the `gemm_bt` transpose pack and the
+//! executor's per-head attention temporaries are all short-lived `Vec<f32>`s
+//! whose sizes repeat exactly from forward to forward. On the serving hot path that used to
 //! mean a handful of heap allocations per layer per request. This module
 //! loans those buffers from a per-thread free list instead: `with_f32`
 //! hands the closure a zero-filled `&mut [f32]` of the requested length,
 //! then returns the backing `Vec` to the pool when the closure exits.
 //!
 //! Semantics are identical to `vec![0.0f32; len]` — the loaned slice is
-//! always fully zeroed, which the packed-panel kernels rely on for their
-//! zero padding — so converting a call site cannot change numerics.
+//! always fully zeroed — so converting a call site cannot change numerics.
 //!
 //! Recycling is a process-wide toggle (default **on**). The bench
 //! harness's allocation probe turns it off to measure the pre-recycling

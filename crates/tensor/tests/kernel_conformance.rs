@@ -1,40 +1,38 @@
 //! Differential kernel-conformance suite.
 //!
-//! Every GEMM variant ([`KernelVariant`] plus every autotunable
-//! [`MicroShape`]) is driven against independent oracles across degenerate
-//! and adversarial shapes — zeros, ones, odd primes, and dimensions sitting
-//! just past a micro-kernel tile boundary (4/8/16/32/64 + 1) so the packed
-//! edge-tile paths are always exercised.
+//! [`gemm`] and [`gemm_bt`] — the one f32 GEMM family — are driven against
+//! independent oracles across degenerate and adversarial shapes: zeros,
+//! ones, odd primes, and dimensions sitting just past a tile boundary
+//! (4/8/16/32/64 + 1) so the row and accumulation tails are always
+//! exercised.
 //!
 //! The contracts pinned here are the ones CI's fingerprint gates rely on:
 //!
-//! * `Scalar` is deterministic (re-running produces the same bits), and every
+//! * `gemm` is deterministic (re-running produces the same bits), and every
 //!   lane-tier instantiation of its loop body the host can run (SSE2, AVX2,
 //!   AVX-512) produces those same bits, alone or split across threads.
-//! * `Unrolled` is **bit-identical** to `Scalar` (same accumulation order).
-//! * Every FMA/AVX-512 micro-shape is **bit-identical** to the sequential
-//!   [`gemm_fma_oracle`] chain — for every shape, tile edge, and thread
-//!   split — which is what makes the tuned kernels safe to swap freely.
-//! * Everything is elementwise within `1e-5·k` of the naive triple loop.
+//! * It is elementwise within `1e-5·k` of the naive triple loop.
 //! * The packed INT8 kernel is exactly the naive integer loop.
 //! * `im2col` is the gather it replaced (`oracle/`, verbatim), and the 1×1
 //!   conv that skips it equals the conv that does not.
+//! * The three names kept for `benchmark/` (`gemm_v`, `conv2d_v`,
+//!   `multi_head_attention_v`) return what they forward to.
 
 mod oracle;
 
+use harvest_tensor::attention::AttentionWeights;
 use harvest_tensor::conv::{conv_out_dim, im2col};
-use harvest_tensor::gemm::{gemm_blocked_upto, gemm_naive};
+use harvest_tensor::gemm::{gemm, gemm_blocked_upto, gemm_bt, gemm_naive};
 use harvest_tensor::quant::{gemm_i8, gemm_i8_naive};
-use harvest_tensor::tune::{self, MicroShape};
 use harvest_tensor::{
-    conv2d, conv2d_v, gemm_bt_v, gemm_fma_oracle, gemm_v, gemm_with_shape, lane_tier,
-    multi_head_attention, multi_head_attention_v, KernelVariant,
+    conv2d, conv2d_v, gemm_v, lane_tier, multi_head_attention, multi_head_attention_v,
+    KernelVariant,
 };
 use proptest::prelude::*;
 
 /// Adversarial GEMM dimension: degenerate (0, 1), odd primes that never
-/// divide a tile, and values one past each micro-tile boundary
-/// (MR ∈ {3,4,6,8}, NR ∈ {8,16,24,32}, plus the 64-wide unrolled j-block).
+/// divide a tile, and values one past a power-of-two tile edge (4, 8, 16,
+/// 32 and the 64-row cache block).
 fn adversarial_dim() -> impl Strategy<Value = usize> {
     prop_oneof![
         Just(0usize),
@@ -75,46 +73,38 @@ fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every `KernelVariant` stays within the differential tolerance of the
-    /// naive triple-loop oracle, on every adversarial shape.
+    /// `gemm` stays within the differential tolerance of the naive
+    /// triple-loop oracle, on every adversarial shape.
     #[test]
-    fn every_variant_tracks_the_naive_oracle(
+    fn gemm_tracks_the_naive_oracle(
         (m, k, n, a, b) in (adversarial_dim(), adversarial_dim(), adversarial_dim())
             .prop_flat_map(|(m, k, n)| (Just(m), Just(k), Just(n), vecf(m * k), vecf(k * n)))
     ) {
         let mut reference = vec![0.0f32; m * n];
         gemm_naive(&a, &b, &mut reference, m, k, n);
-        for variant in KernelVariant::available() {
-            let mut c = vec![f32::NAN; m * n];
-            gemm_v(variant, &a, &b, &mut c, m, k, n);
-            for (i, (r, v)) in reference.iter().zip(&c).enumerate() {
-                prop_assert!(
-                    (r - v).abs() <= tol(k),
-                    "{}: idx {i}: |{r} - {v}| > {} (m={m} k={k} n={n})",
-                    variant.name(), tol(k)
-                );
-            }
+        let mut c = vec![f32::NAN; m * n];
+        gemm(&a, &b, &mut c, m, k, n);
+        for (i, (r, v)) in reference.iter().zip(&c).enumerate() {
+            prop_assert!(
+                (r - v).abs() <= tol(k),
+                "idx {i}: |{r} - {v}| > {} (m={m} k={k} n={n})",
+                tol(k)
+            );
         }
     }
 
-    /// Scalar is deterministic: two runs of the default kernel produce the
-    /// same bits, and `Unrolled` reproduces them exactly.
+    /// `gemm` is deterministic: two runs produce the same bits.
     #[test]
-    fn scalar_rerun_and_unrolled_are_bit_identical(
+    fn gemm_rerun_is_bit_identical(
         (m, k, n, a, b) in (adversarial_dim(), adversarial_dim(), adversarial_dim())
             .prop_flat_map(|(m, k, n)| (Just(m), Just(k), Just(n), vecf(m * k), vecf(k * n)))
     ) {
         let mut first = vec![0.0f32; m * n];
         let mut second = vec![f32::NAN; m * n];
-        let mut unrolled = vec![f32::NAN; m * n];
-        gemm_v(KernelVariant::Scalar, &a, &b, &mut first, m, k, n);
-        gemm_v(KernelVariant::Scalar, &a, &b, &mut second, m, k, n);
-        gemm_v(KernelVariant::Unrolled, &a, &b, &mut unrolled, m, k, n);
+        gemm(&a, &b, &mut first, m, k, n);
+        gemm(&a, &b, &mut second, m, k, n);
         for (i, (x, y)) in first.iter().zip(&second).enumerate() {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "rerun idx {}: {} vs {}", i, x, y);
-        }
-        for (i, (x, y)) in first.iter().zip(&unrolled).enumerate() {
-            prop_assert_eq!(x.to_bits(), y.to_bits(), "unrolled idx {}: {} vs {}", i, x, y);
         }
     }
 
@@ -127,32 +117,6 @@ proptest! {
             .prop_flat_map(|(m, k, n)| (Just(m), Just(k), Just(n), vecf(m * k), vecf(k * n)))
     ) {
         assert_lane_tiers_agree(&a, &b, m, k, n);
-    }
-
-    /// Every micro-shape the autotuner may pick obeys its bit contract:
-    /// `Unrolled` equals Scalar, every SIMD shape equals the sequential FMA
-    /// oracle — so swapping the tuned shape can never change results.
-    #[test]
-    fn every_tunable_shape_honours_its_bit_contract(
-        (m, k, n, a, b) in (adversarial_dim(), adversarial_dim(), adversarial_dim())
-            .prop_flat_map(|(m, k, n)| (Just(m), Just(k), Just(n), vecf(m * k), vecf(k * n)))
-    ) {
-        let mut scalar = vec![0.0f32; m * n];
-        let mut fma = vec![0.0f32; m * n];
-        gemm_v(KernelVariant::Scalar, &a, &b, &mut scalar, m, k, n);
-        gemm_fma_oracle(&a, &b, &mut fma, m, k, n);
-        for shape in tune::search_space() {
-            let mut c = vec![f32::NAN; m * n];
-            gemm_with_shape(shape, &a, &b, &mut c, m, k, n);
-            let oracle = if shape == MicroShape::Unrolled { &scalar } else { &fma };
-            for (i, (x, y)) in oracle.iter().zip(&c).enumerate() {
-                prop_assert_eq!(
-                    x.to_bits(), y.to_bits(),
-                    "{} idx {}: {} vs {} (m={} k={} n={})",
-                    shape.name(), i, x, y, m, k, n
-                );
-            }
-        }
     }
 
     /// The packed INT8 kernel is *exact* integer arithmetic: every SIMD
@@ -168,10 +132,10 @@ proptest! {
         prop_assert_eq!(fast, slow, "m={} k={} n={}", m, k, n);
     }
 
-    /// `gemm_bt_v` (the linear-layer layout) matches an explicit transpose
-    /// followed by `gemm_v`, for every variant.
+    /// `gemm_bt` (the linear-layer layout) matches an explicit transpose
+    /// followed by `gemm`.
     #[test]
-    fn gemm_bt_variants_match_explicit_transpose(
+    fn gemm_bt_matches_explicit_transpose(
         (m, k, n, a, bt) in (adversarial_dim(), adversarial_dim(), adversarial_dim())
             .prop_flat_map(|(m, k, n)| (Just(m), Just(k), Just(n), vecf(m * k), vecf(n * k)))
     ) {
@@ -181,74 +145,12 @@ proptest! {
                 b[p * n + j] = bt[j * k + p];
             }
         }
-        for variant in KernelVariant::available() {
-            let mut c_bt = vec![f32::NAN; m * n];
-            let mut c = vec![f32::NAN; m * n];
-            gemm_bt_v(variant, &a, &bt, &mut c_bt, m, k, n);
-            gemm_v(variant, &a, &b, &mut c, m, k, n);
-            for (i, (x, y)) in c.iter().zip(&c_bt).enumerate() {
-                prop_assert_eq!(
-                    x.to_bits(), y.to_bits(),
-                    "{} idx {}: {} vs {}", variant.name(), i, x, y
-                );
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Composite kernels: the Unrolled variant of conv/attention is
-    /// bit-identical to the default path, and the Simd variant stays within
-    /// the differential tolerance of it.
-    #[test]
-    fn conv_variants_agree_with_default_path(
-        ((imgs, cin, cout, hw), input, weight) in (1usize..3, 1usize..4, 1usize..5, 3usize..10)
-            .prop_flat_map(|dims| {
-                let (imgs, cin, cout, hw) = dims;
-                (Just(dims), vecf(imgs * cin * hw * hw), vecf(cout * cin * 9))
-            })
-    ) {
-        let base = conv2d(&input, &weight, &[], imgs, cin, hw, hw, cout, 3, 1, 1);
-        let unrolled = conv2d_v(
-            KernelVariant::Unrolled, &input, &weight, &[], imgs, cin, hw, hw, cout, 3, 1, 1,
-        );
-        assert_bits_eq(&base, &unrolled, "conv unrolled");
-        let simd = conv2d_v(
-            KernelVariant::Simd, &input, &weight, &[], imgs, cin, hw, hw, cout, 3, 1, 1,
-        );
-        let k = cin * 9;
-        for (i, (x, y)) in base.iter().zip(&simd).enumerate() {
-            prop_assert!((x - y).abs() <= tol(k), "conv simd idx {i}: {x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn attention_variants_agree_with_default_path(
-        ((s, hd, heads), x, w_qkv, w_out) in (2usize..10, 1usize..3, 1usize..3)
-            .prop_flat_map(|dims| {
-                let (s, hd, heads) = dims;
-                let d = hd * 8 * heads;
-                (Just(dims), vecf(s * d), vecf(3 * d * d), vecf(d * d))
-            })
-    ) {
-        let d = hd * 8 * heads;
-        let w = harvest_tensor::attention::AttentionWeights {
-            w_qkv: &w_qkv,
-            b_qkv: &[],
-            w_out: &w_out,
-            b_out: &[],
-        };
-        let base = multi_head_attention(&x, s, d, heads, &w);
-        let unrolled = multi_head_attention_v(KernelVariant::Unrolled, &x, s, d, heads, &w);
-        assert_bits_eq(&base, &unrolled, "attention unrolled");
-        let simd = multi_head_attention_v(KernelVariant::Simd, &x, s, d, heads, &w);
-        // Four chained GEMMs (QKV, QKᵀ, attn·V, out) plus softmax: give the
-        // composite the summed per-GEMM budget over the largest k (= dim).
-        let budget = 4.0 * tol(d) * 10.0;
-        for (i, (a, b)) in base.iter().zip(&simd).enumerate() {
-            prop_assert!((a - b).abs() <= budget, "attention simd idx {i}: {a} vs {b}");
+        let mut c_bt = vec![f32::NAN; m * n];
+        let mut c = vec![f32::NAN; m * n];
+        gemm_bt(&a, &bt, &mut c_bt, m, k, n);
+        gemm(&a, &b, &mut c, m, k, n);
+        for (i, (x, y)) in c.iter().zip(&c_bt).enumerate() {
+            prop_assert_eq!(x.to_bits(), y.to_bits(), "idx {}: {} vs {}", i, x, y);
         }
     }
 }
@@ -344,92 +246,166 @@ fn im2col_is_the_gather_it_replaced_bitwise() {
 }
 
 /// A 1×1 / stride-1 / pad-0 conv feeds the input planes to the GEMM
-/// directly; that must equal im2col-then-GEMM for every variant.
+/// directly; that must equal im2col-then-GEMM.
 #[test]
 fn pointwise_conv_shortcut_equals_the_im2col_path_bitwise() {
     let (imgs, cin, cout, h, w) = (2usize, 3usize, 5usize, 7usize, 9usize);
     let input = ramp(imgs * cin * h * w, 37, 113);
     let weight = ramp(cout * cin, 53, 127);
     let bias = ramp(cout, 11, 17);
-    for variant in KernelVariant::available() {
-        let got = conv2d_v(
-            variant, &input, &weight, &bias, imgs, cin, h, w, cout, 1, 1, 0,
-        );
-        let mut want = vec![f32::NAN; imgs * cout * h * w];
-        let mut col = vec![f32::NAN; cin * h * w];
-        for (img_in, img_out) in input
-            .chunks_exact(cin * h * w)
-            .zip(want.chunks_exact_mut(cout * h * w))
-        {
-            oracle::im2col(img_in, cin, h, w, 1, 1, 0, &mut col);
-            gemm_v(variant, &weight, &col, img_out, cout, cin, h * w);
-            for (plane, &b) in img_out.chunks_exact_mut(h * w).zip(&bias) {
-                plane.iter_mut().for_each(|v| *v += b);
-            }
+    let got = conv2d(&input, &weight, &bias, imgs, cin, h, w, cout, 1, 1, 0);
+    let mut want = vec![f32::NAN; imgs * cout * h * w];
+    let mut col = vec![f32::NAN; cin * h * w];
+    for (img_in, img_out) in input
+        .chunks_exact(cin * h * w)
+        .zip(want.chunks_exact_mut(cout * h * w))
+    {
+        oracle::im2col(img_in, cin, h, w, 1, 1, 0, &mut col);
+        gemm(&weight, &col, img_out, cout, cin, h * w);
+        for (plane, &b) in img_out.chunks_exact_mut(h * w).zip(&bias) {
+            plane.iter_mut().for_each(|v| *v += b);
         }
-        assert_bits_eq(&want, &got, &format!("pointwise conv, {}", variant.name()));
     }
+    assert_bits_eq(&want, &got, "pointwise conv");
 }
 
-/// Thread splits may not change a single bit, for any variant: each worker
-/// owns a disjoint row block and the per-element accumulation order is
-/// fixed (Scalar/Unrolled) or a full-k register chain (Simd). The first
+/// Thread splits may not change a single bit: each worker owns a disjoint
+/// row block and the per-element accumulation order is fixed. The first
 /// shape stays under the 2²⁰-MAC parallel threshold; the others cross it,
 /// with a split that leaves an `m % 4` tail in the last block and one that
 /// leaves workers idle. Whatever the split and whichever lane tier the
-/// dispatcher picked, `Scalar` is the baseline instantiation run in one
-/// piece.
+/// dispatcher picked, `gemm` is the baseline instantiation run in one piece,
+/// and `gemm_bt` is `gemm` behind a transpose at every width.
 #[test]
-fn all_variants_are_bit_identical_across_thread_counts() {
+fn gemm_is_bit_identical_across_thread_counts() {
     for (m, k, n) in [(96, 70, 50), (150, 120, 130), (67, 259, 131), (9, 300, 515)] {
         let (a, b) = (ramp(m * k, 37, 113), ramp(k * n, 53, 127));
-        for variant in KernelVariant::available() {
-            let run = |threads: usize| {
-                harvest_threads::with_threads(threads, || {
-                    let mut c = vec![f32::NAN; m * n];
-                    gemm_v(variant, &a, &b, &mut c, m, k, n);
-                    c
-                })
-            };
-            let sequential = run(1);
-            if variant == KernelVariant::Scalar {
-                let mut base = vec![f32::NAN; m * n];
-                gemm_blocked_upto(0, &a, &b, &mut base, m, k, n);
-                assert_bits_eq(
-                    &base,
-                    &sequential,
-                    &format!("scalar vs baseline tier ({m},{k},{n})"),
-                );
+        let mut bt = vec![0.0f32; n * k];
+        for j in 0..n {
+            for p in 0..k {
+                bt[j * k + p] = b[p * n + j];
             }
-            for threads in [2usize, 3, 8] {
-                let what = format!("{}: threads={threads} ({m},{k},{n})", variant.name());
-                assert_bits_eq(&sequential, &run(threads), &what);
-            }
+        }
+        let run = |threads: usize| {
+            harvest_threads::with_threads(threads, || {
+                let mut c = vec![f32::NAN; m * n];
+                let mut c_bt = vec![f32::NAN; m * n];
+                gemm(&a, &b, &mut c, m, k, n);
+                gemm_bt(&a, &bt, &mut c_bt, m, k, n);
+                assert_bits_eq(&c, &c_bt, &format!("gemm_bt, threads={threads}"));
+                c
+            })
+        };
+        let sequential = run(1);
+        let mut base = vec![f32::NAN; m * n];
+        gemm_blocked_upto(0, &a, &b, &mut base, m, k, n);
+        assert_bits_eq(
+            &base,
+            &sequential,
+            &format!("gemm vs baseline tier ({m},{k},{n})"),
+        );
+        for threads in [2usize, 3, 8] {
+            let what = format!("threads={threads} ({m},{k},{n})");
+            assert_bits_eq(&sequential, &run(threads), &what);
         }
     }
 }
 
-/// Autotuner artifact round-trip: tune, write the JSON artifact, reload it,
-/// and get back exactly the shape that won.
-#[test]
-fn tune_artifact_round_trips_through_disk() {
-    let report = tune::tune(48, 1);
-    assert!(!report.entries.is_empty());
-    let dir = std::env::temp_dir().join(format!("harvest-tune-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("TUNE.json");
-    std::fs::write(&path, report.to_json()).unwrap();
-    let loaded = tune::load_artifact(&path).expect("artifact parses");
-    assert_eq!(
-        loaded, report.best,
-        "reloaded shape differs from tuned best"
-    );
-    std::fs::remove_dir_all(&dir).ok();
+/// A conv over several images at a GEMM past the parallel threshold, and an
+/// attention block with its per-head fan-out.
+struct Composite {
+    input: Vec<f32>,
+    weight: Vec<f32>,
+    bias: Vec<f32>,
+    x: Vec<f32>,
+    w_qkv: Vec<f32>,
+    w_out: Vec<f32>,
 }
 
-/// The `Simd` variant honours whatever shape the loaded artifact activates;
-/// with no artifact it must still be a valid member of the search space.
+impl Composite {
+    const CONV: (usize, usize, usize, usize) = (3, 16, 24, 40); // imgs, cin, cout, hw
+    const ATTN: (usize, usize, usize) = (70, 96, 3); // seq, dim, heads
+
+    fn new() -> Self {
+        let (imgs, cin, cout, hw) = Self::CONV;
+        let (s, d, _) = Self::ATTN;
+        Composite {
+            input: ramp(imgs * cin * hw * hw, 37, 113),
+            weight: ramp(cout * cin * 9, 53, 127),
+            bias: ramp(cout, 11, 17),
+            x: ramp(s * d, 37, 113),
+            w_qkv: ramp(3 * d * d, 53, 127),
+            w_out: ramp(d * d, 29, 101),
+        }
+    }
+
+    fn attention_weights(&self) -> AttentionWeights<'_> {
+        AttentionWeights {
+            w_qkv: &self.w_qkv,
+            b_qkv: &[],
+            w_out: &self.w_out,
+            b_out: &[],
+        }
+    }
+
+    fn conv(&self) -> Vec<f32> {
+        let (imgs, cin, cout, hw) = Self::CONV;
+        conv2d(
+            &self.input,
+            &self.weight,
+            &self.bias,
+            imgs,
+            cin,
+            hw,
+            hw,
+            cout,
+            3,
+            1,
+            1,
+        )
+    }
+
+    fn attention(&self) -> Vec<f32> {
+        let (s, d, heads) = Self::ATTN;
+        multi_head_attention(&self.x, s, d, heads, &self.attention_weights())
+    }
+}
+
+/// The image fan-out of `conv2d` and the head fan-out of
+/// `multi_head_attention` hand out disjoint outputs too.
 #[test]
-fn active_shape_is_always_in_the_search_space() {
-    assert!(tune::search_space().contains(&tune::active_shape()));
+fn conv_and_attention_are_bit_identical_across_thread_counts() {
+    let c = Composite::new();
+    let run = |threads: usize| harvest_threads::with_threads(threads, || (c.conv(), c.attention()));
+    let (conv_seq, attn_seq) = run(1);
+    for threads in [2usize, 3, 8] {
+        let (conv, attn) = run(threads);
+        assert_bits_eq(&conv_seq, &conv, &format!("conv2d, threads={threads}"));
+        assert_bits_eq(&attn_seq, &attn, &format!("attention, threads={threads}"));
+    }
+}
+
+/// The names `benchmark/` still imports are forwards, nothing else.
+#[test]
+fn compat_forwards_return_what_they_forward_to() {
+    let v = KernelVariant::Scalar;
+    assert_eq!(v.name(), "scalar");
+
+    let (m, k, n) = (67, 259, 131);
+    let (a, b) = (ramp(m * k, 37, 113), ramp(k * n, 53, 127));
+    let (mut direct, mut forwarded) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
+    gemm(&a, &b, &mut direct, m, k, n);
+    gemm_v(v, &a, &b, &mut forwarded, m, k, n);
+    assert_bits_eq(&direct, &forwarded, "gemm_v");
+
+    let c = Composite::new();
+    let (imgs, cin, cout, hw) = Composite::CONV;
+    let forwarded = conv2d_v(
+        v, &c.input, &c.weight, &c.bias, imgs, cin, hw, hw, cout, 3, 1, 1,
+    );
+    assert_bits_eq(&c.conv(), &forwarded, "conv2d_v");
+
+    let (s, d, heads) = Composite::ATTN;
+    let forwarded = multi_head_attention_v(v, &c.x, s, d, heads, &c.attention_weights());
+    assert_bits_eq(&c.attention(), &forwarded, "multi_head_attention_v");
 }

@@ -12,7 +12,7 @@
 #![allow(dead_code)]
 
 use harvest_tensor::conv::conv_out_dim;
-use rayon::prelude::*;
+use harvest_threads::for_each_chunk_mut;
 
 /// Lay out input patches as columns: output is `[cin·k·k] × [oh·ow]`.
 #[allow(clippy::too_many_arguments)]
@@ -82,7 +82,7 @@ pub fn softmax_rows(x: &mut [f32], cols: usize) {
         }
     };
     if x.len() >= 1 << 16 {
-        x.par_chunks_exact_mut(cols).for_each(apply);
+        for_each_chunk_mut(x, cols, |_, row| apply(row));
     } else {
         x.chunks_exact_mut(cols).for_each(apply);
     }
@@ -103,7 +103,7 @@ pub fn layernorm(x: &mut [f32], d: usize, gamma: &[f32], beta: &[f32], eps: f32)
         }
     };
     if x.len() >= 1 << 16 {
-        x.par_chunks_exact_mut(d).for_each(apply);
+        for_each_chunk_mut(x, d, |_, row| apply(row));
     } else {
         x.chunks_exact_mut(d).for_each(apply);
     }

@@ -1,12 +1,12 @@
 //! A deterministic multicore runtime with no external dependencies.
 //!
-//! Every "rayon-parallel" kernel in this workspace used to run sequentially
-//! through the `shims/rayon` stand-in. This crate makes those paths actually
-//! parallel: a [`std::thread::scope`]-based work-sharing pool that hands out
-//! task indices from an atomic counter, with the calling thread itself
-//! participating as a worker. There is no persistent thread state and no
-//! unsafe lifetime erasure of closures — each parallel region borrows its
-//! inputs through the scope, so the borrow checker sees everything.
+//! The one parallel API of this workspace: a [`std::thread::scope`]-based
+//! work-sharing pool that hands out task indices from an atomic counter, with
+//! the calling thread itself participating as a worker. Kernels call
+//! [`run_tasks`], [`for_each_chunk_mut`], [`for_each_zipped_chunks`] and
+//! [`par_map`] directly. There is no persistent thread state and no unsafe
+//! lifetime erasure of closures — each parallel region borrows its inputs
+//! through the scope, so the borrow checker sees everything.
 //!
 //! # Determinism contract
 //!
@@ -34,7 +34,6 @@
 use std::cell::Cell;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::num::NonZeroUsize;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -242,225 +241,9 @@ where
     par_map(n, f).into_iter().sum()
 }
 
-/// The subset of the `rayon` parallel-iterator API surface this workspace
-/// uses, implemented over [`run_tasks`]. The vendored `rayon` shim
-/// re-exports these so kernel code written against `rayon::prelude` runs on
-/// the real pool unchanged.
-pub mod iter {
-    use super::*;
-
-    /// Parallel view of `&[T]` in `size`-element chunks (last may be short).
-    pub struct ParChunks<'a, T> {
-        pub(crate) data: &'a [T],
-        pub(crate) size: usize,
-    }
-
-    /// Parallel view of `&[T]` in complete `size`-element chunks.
-    pub struct ParChunksExact<'a, T> {
-        pub(crate) data: &'a [T],
-        pub(crate) size: usize,
-    }
-
-    /// Parallel view of `&mut [T]` in `size`-element chunks (last may be
-    /// short).
-    pub struct ParChunksMut<'a, T> {
-        pub(crate) data: &'a mut [T],
-        pub(crate) size: usize,
-    }
-
-    /// Parallel view of `&mut [T]` in complete `size`-element chunks.
-    pub struct ParChunksExactMut<'a, T> {
-        pub(crate) data: &'a mut [T],
-        pub(crate) size: usize,
-    }
-
-    /// An index-tagged parallel chunk iterator (`enumerate` adapter).
-    pub struct Enumerated<I>(pub(crate) I);
-
-    /// A zipped pair of a read-only and a mutable chunk iterator.
-    pub struct Zipped<A, B>(pub(crate) A, pub(crate) B);
-
-    /// Constructor used by the slice extension traits.
-    pub fn par_chunks<T>(data: &[T], size: usize) -> ParChunks<'_, T> {
-        assert!(size > 0, "chunk size must be positive");
-        ParChunks { data, size }
-    }
-
-    /// Constructor used by the slice extension traits.
-    pub fn par_chunks_exact<T>(data: &[T], size: usize) -> ParChunksExact<'_, T> {
-        assert!(size > 0, "chunk size must be positive");
-        ParChunksExact { data, size }
-    }
-
-    /// Constructor used by the slice extension traits.
-    pub fn par_chunks_mut<T>(data: &mut [T], size: usize) -> ParChunksMut<'_, T> {
-        assert!(size > 0, "chunk size must be positive");
-        ParChunksMut { data, size }
-    }
-
-    /// Constructor used by the slice extension traits.
-    pub fn par_chunks_exact_mut<T>(data: &mut [T], size: usize) -> ParChunksExactMut<'_, T> {
-        assert!(size > 0, "chunk size must be positive");
-        ParChunksExactMut { data, size }
-    }
-
-    impl<'a, T: Sync> ParChunks<'a, T> {
-        /// Pair with a mutable chunk view; iteration covers the shorter of
-        /// the two (complete chunks only on the mutable side).
-        pub fn zip<U>(
-            self,
-            other: ParChunksExactMut<'a, U>,
-        ) -> Zipped<Self, ParChunksExactMut<'a, U>> {
-            Zipped(self, other)
-        }
-
-        /// Run `f` on every chunk, in parallel.
-        pub fn for_each<F: Fn(&[T]) + Sync>(self, f: F) {
-            let (data, size) = (self.data, self.size);
-            run_tasks(data.len().div_ceil(size), |i| {
-                let end = ((i + 1) * size).min(data.len());
-                f(&data[i * size..end]);
-            });
-        }
-    }
-
-    impl<'a, T: Sync> ParChunksExact<'a, T> {
-        /// Pair with a mutable chunk view; iteration covers the shorter of
-        /// the two.
-        pub fn zip<U>(
-            self,
-            other: ParChunksExactMut<'a, U>,
-        ) -> Zipped<Self, ParChunksExactMut<'a, U>> {
-            Zipped(self, other)
-        }
-
-        /// Run `f` on every complete chunk, in parallel.
-        pub fn for_each<F: Fn(&[T]) + Sync>(self, f: F) {
-            let (data, size) = (self.data, self.size);
-            run_tasks(data.len() / size, |i| f(&data[i * size..(i + 1) * size]));
-        }
-    }
-
-    impl<T: Send> ParChunksMut<'_, T> {
-        /// Tag each chunk with its block index.
-        pub fn enumerate(self) -> Enumerated<Self> {
-            Enumerated(self)
-        }
-
-        /// Run `f` on every chunk, in parallel.
-        pub fn for_each<F: Fn(&mut [T]) + Sync>(self, f: F) {
-            for_each_chunk_mut(self.data, self.size, |_, c| f(c));
-        }
-    }
-
-    impl<T: Send> ParChunksExactMut<'_, T> {
-        /// Tag each chunk with its block index.
-        pub fn enumerate(self) -> Enumerated<Self> {
-            Enumerated(self)
-        }
-
-        /// Run `f` on every complete chunk, in parallel.
-        pub fn for_each<F: Fn(&mut [T]) + Sync>(self, f: F) {
-            let size = self.size;
-            let complete = self.data.len() / size * size;
-            for_each_chunk_mut(&mut self.data[..complete], size, |_, c| f(c));
-        }
-    }
-
-    impl<T: Send> Enumerated<ParChunksMut<'_, T>> {
-        /// Run `f((index, chunk))` on every chunk, in parallel.
-        pub fn for_each<F: for<'c> Fn((usize, &'c mut [T])) + Sync>(self, f: F) {
-            for_each_chunk_mut(self.0.data, self.0.size, |i, c| f((i, c)));
-        }
-    }
-
-    impl<T: Send> Enumerated<ParChunksExactMut<'_, T>> {
-        /// Run `f((index, chunk))` on every complete chunk, in parallel.
-        pub fn for_each<F: for<'c> Fn((usize, &'c mut [T])) + Sync>(self, f: F) {
-            let size = self.0.size;
-            let complete = self.0.data.len() / size * size;
-            for_each_chunk_mut(&mut self.0.data[..complete], size, |i, c| f((i, c)));
-        }
-    }
-
-    impl<T: Sync, U: Send> Zipped<ParChunksExact<'_, T>, ParChunksExactMut<'_, U>> {
-        /// Run `f((a_chunk, b_chunk))` on every complete pair, in parallel.
-        pub fn for_each<F: for<'c> Fn((&'c [T], &'c mut [U])) + Sync>(self, f: F) {
-            for_each_zipped_chunks(
-                self.0.data,
-                self.0.size,
-                self.1.data,
-                self.1.size,
-                |_, a, b| f((a, b)),
-            );
-        }
-    }
-
-    impl<T: Sync, U: Send> Zipped<ParChunks<'_, T>, ParChunksExactMut<'_, U>> {
-        /// Run `f((a_chunk, b_chunk))` on every complete pair, in parallel.
-        pub fn for_each<F: for<'c> Fn((&'c [T], &'c mut [U])) + Sync>(self, f: F) {
-            let complete = self.0.data.len() / self.0.size * self.0.size;
-            for_each_zipped_chunks(
-                &self.0.data[..complete],
-                self.0.size,
-                self.1.data,
-                self.1.size,
-                |_, a, b| f((a, b)),
-            );
-        }
-    }
-
-    /// Parallel integer range (`(0..n).into_par_iter()`).
-    pub struct ParRange {
-        pub(crate) range: Range<usize>,
-    }
-
-    /// A mapped parallel range awaiting `collect`.
-    pub struct ParRangeMap<F> {
-        pub(crate) range: Range<usize>,
-        pub(crate) f: F,
-    }
-
-    /// Constructor used by the `IntoParallelIterator` shim impl.
-    pub fn par_range(range: Range<usize>) -> ParRange {
-        ParRange { range }
-    }
-
-    impl ParRange {
-        /// Map each index through `f`, evaluated in parallel on `collect`.
-        pub fn map<T, F: Fn(usize) -> T + Sync>(self, f: F) -> ParRangeMap<F> {
-            ParRangeMap {
-                range: self.range,
-                f,
-            }
-        }
-
-        /// Run `f` on every index, in parallel.
-        pub fn for_each<F: Fn(usize) + Sync>(self, f: F) {
-            let start = self.range.start;
-            run_tasks(self.range.len(), |i| f(start + i));
-        }
-    }
-
-    impl<F> ParRangeMap<F> {
-        /// Evaluate and collect results in index order.
-        pub fn collect<T, C>(self) -> C
-        where
-            T: Send,
-            F: Fn(usize) -> T + Sync,
-            Vec<T>: Into<C>,
-        {
-            let start = self.range.start;
-            let f = self.f;
-            par_map(self.range.len(), |i| f(start + i)).into()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn every_task_runs_exactly_once() {
@@ -570,29 +353,5 @@ mod tests {
             let got = with_threads(threads, || par_sum(1000, |i| i as u64 * 3));
             assert_eq!(got, expect, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn iter_surface_matches_std() {
-        use iter::*;
-        let v: Vec<u32> = (0..25).collect();
-        let total = AtomicU64::new(0);
-        with_threads(3, || {
-            par_chunks(&v, 4).for_each(|c| {
-                total.fetch_add(c.iter().map(|&x| x as u64).sum(), Ordering::Relaxed);
-            });
-        });
-        assert_eq!(total.load(Ordering::Relaxed), (0..25u64).sum());
-
-        let mut m = vec![0u32; 12];
-        with_threads(4, || {
-            par_chunks_exact_mut(&mut m, 5)
-                .enumerate()
-                .for_each(|(i, c)| c.fill(i as u32 + 1));
-        });
-        assert_eq!(m, [1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 0, 0]);
-
-        let collected: Vec<usize> = with_threads(2, || par_range(3..9).map(|i| i * 2).collect());
-        assert_eq!(collected, vec![6, 8, 10, 12, 14, 16]);
     }
 }
