@@ -42,9 +42,11 @@
 #   9. serve smoke       experiments serve --smoke: the data-parallel engine
 #                        pool at widths 1/2/4/8 — width-invariant wire
 #                        fingerprints, ≥3x width-8 scale-up under the batch
-#                        floor, ≥10x steady-state allocation cut; schema
-#                        check, drift vs artifacts/serve_scale.json, and a
-#                        byte-identical cross-process rerun
+#                        floor, ≥10x steady-state allocation cut, and the
+#                        unfloored vit96 curve recorded with host_threads
+#                        (never asserted); schema check, drift vs
+#                        artifacts/serve_scale.json, and a byte-identical
+#                        cross-process rerun
 #  10. fleet smoke       experiments fleet --smoke: the sharded calendar-
 #                        queue simulator at worker widths 1/2/4/8; schema
 #                        check, drift vs artifacts/fleet.json, and a
@@ -251,7 +253,8 @@ for key in widths width requests responded statuses classes fingerprint \
         || { echo "serve_scale.json missing key: $key"; exit 1; }
 done
 for key in floor_ms curve elapsed_ms requests_per_s speedup_w8_over_w1 \
-    real_curve allocations baseline_per_request steady_per_request ratio; do
+    real_curve real_forward_curve speedup_over_w1 host_threads \
+    allocations baseline_per_request steady_per_request ratio; do
     grep -q "\"$key\"" "$smoke_dir/serve_throughput.json" \
         || { echo "serve_throughput.json missing key: $key"; exit 1; }
 done

@@ -27,6 +27,7 @@
 pub mod chaos;
 pub mod http;
 pub mod loadgen;
+mod pool;
 pub mod server;
 
 pub use chaos::FaultySocket;

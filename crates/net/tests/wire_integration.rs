@@ -152,34 +152,49 @@ fn drain_mid_burst_answers_every_request_exactly_once() {
     let addr = server.addr();
     let draining = Arc::new(AtomicBool::new(false));
 
-    // Sustained load: 4 client threads, 10 sequential requests each,
-    // with the drain flipped partway through the burst.
+    // Sustained load: 4 client threads, each sending back to back until its
+    // first 503. No sleep decides where the drain lands: every 200 is
+    // reported on a channel and the drain is flipped once DRAIN_AFTER of
+    // them have been seen, so it is mid-burst however fast the server is.
+    const DRAIN_AFTER: usize = 12;
+    const MAX_PER_CLIENT: usize = 5_000;
+    let (ok_tx, ok_rx) = std::sync::mpsc::channel::<()>();
     let workers: Vec<_> = (0..4u64)
         .map(|w| {
             let draining = Arc::clone(&draining);
+            let ok_tx = ok_tx.clone();
             std::thread::spawn(move || {
                 let body = image_body(w);
                 let mut statuses = Vec::new();
-                for i in 0..10 {
+                for _ in 0..MAX_PER_CLIENT {
                     let drain_was_on = draining.load(Ordering::SeqCst);
                     let status = classify_once(addr, &body);
                     statuses.push((status, drain_was_on));
-                    let _ = i;
-                    std::thread::sleep(Duration::from_millis(4));
+                    if status != 200 {
+                        break;
+                    }
+                    let _ = ok_tx.send(());
                 }
                 statuses
             })
         })
         .collect();
-    std::thread::sleep(Duration::from_millis(60));
+    for _ in 0..DRAIN_AFTER {
+        ok_rx.recv().expect("a client reports each 200");
+    }
     server.begin_drain();
     draining.store(true, Ordering::SeqCst);
 
     let mut all: Vec<(u16, bool)> = Vec::new();
     for w in workers {
-        all.extend(w.join().expect("client thread"));
+        let statuses = w.join().expect("client thread");
+        assert_eq!(
+            statuses.last().map(|&(s, _)| s),
+            Some(503),
+            "every client runs into the drain"
+        );
+        all.extend(statuses);
     }
-    assert_eq!(all.len(), 40, "every request produced exactly one response");
     for &(status, drain_was_on) in &all {
         assert!(
             status == 200 || status == 503,
@@ -193,13 +208,20 @@ fn drain_mid_burst_answers_every_request_exactly_once() {
     }
     let ok = all.iter().filter(|&&(s, _)| s == 200).count() as u64;
     let rejected = all.iter().filter(|&&(s, _)| s == 503).count() as u64;
-    assert!(ok > 0, "some requests must land before the drain");
-    assert!(rejected > 0, "some requests must hit the drain");
+    assert!(
+        ok >= DRAIN_AFTER as u64,
+        "the drain waited for {DRAIN_AFTER}"
+    );
+    assert_eq!(rejected, 4, "each client stops at its first 503");
 
     let report = server.shutdown();
     assert_eq!(report.threads_joined, 4, "3 accept loops + 1 engine");
     assert!(report.stats.conserved(), "ledger: {:?}", report.stats);
-    assert_eq!(report.stats.accepted, 40);
+    assert_eq!(
+        report.stats.accepted,
+        all.len() as u64,
+        "every request produced exactly one response"
+    );
     assert_eq!(report.stats.responded_ok, ok);
     assert_eq!(report.stats.rejected + report.stats.shed, rejected);
 }
@@ -298,12 +320,16 @@ fn pipelined_loadgen_saturates_a_wide_pool_and_conserves() {
 
 #[test]
 fn overload_with_drop_oldest_sheds_but_conserves() {
-    // A queue of 2 with a long delay trigger and a big burst: the batcher
-    // must shed, and every shed request must still draw its 503.
+    // Two workers and a queue of 2 under DropOldest, against eight clients
+    // that each keep one request outstanding until the server has shed
+    // something: with both workers busy a fifth outstanding request evicts
+    // the oldest queued one, and every shed request must still draw its
+    // 503. The floor is what a request costs here; no request has to land
+    // inside any time window for the bound to engage.
     let server = WireServer::start(WireConfig {
-        accept_threads: 4,
+        accept_threads: 8,
         preferred_batch: 8,
-        max_queue_delay_ms: 40,
+        engine_batch_floor_ms: 10,
         drop_oldest: true,
         limits: ServingLimits {
             max_queue: 2,
@@ -314,24 +340,47 @@ fn overload_with_drop_oldest_sheds_but_conserves() {
     .expect("start");
     let addr = server.addr();
 
-    let workers: Vec<_> = (0..16u64)
-        .map(|w| std::thread::spawn(move || classify_once(addr, &image_body(w))))
-        .collect();
-    let statuses: Vec<u16> = workers
-        .into_iter()
-        .map(|w| w.join().expect("client"))
-        .collect();
-    assert_eq!(statuses.len(), 16);
+    let statuses: Vec<u16> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..8u64)
+            .map(|w| {
+                let server = &server;
+                s.spawn(move || {
+                    let body = image_body(w);
+                    let mut seen = Vec::new();
+                    while server.stats().shed == 0 && seen.len() < 500 {
+                        seen.push(classify_once(addr, &body));
+                    }
+                    seen
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("client"))
+            .collect()
+    });
     for &s in &statuses {
         assert!(s == 200 || s == 503, "got {s}");
     }
+    let refused = statuses.iter().filter(|&&s| s == 503).count() as u64;
 
     let report = server.shutdown();
     assert!(report.stats.conserved(), "ledger: {:?}", report.stats);
-    assert_eq!(report.stats.accepted, 16);
+    assert!(
+        report.stats.shed >= 1,
+        "nothing was shed: {:?}",
+        report.stats
+    );
+    assert_eq!(report.stats.accepted, statuses.len() as u64);
     assert_eq!(
-        report.stats.responded_ok + report.stats.rejected + report.stats.shed,
-        16,
+        report.stats.rejected + report.stats.shed,
+        refused,
+        "every shed request drew its 503: {:?}",
+        report.stats
+    );
+    assert_eq!(
+        report.stats.responded_ok + refused,
+        report.stats.accepted,
         "every accepted request is accounted: {:?}",
         report.stats
     );

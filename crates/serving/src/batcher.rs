@@ -10,6 +10,14 @@
 //! structure — the DES driver calls [`DynamicBatcher::offer`] /
 //! [`DynamicBatcher::poll`] and acts on the returned batches, keeping the
 //! policy unit-testable without a simulator.
+//!
+//! The two triggers are built from two smaller calls,
+//! [`DynamicBatcher::admit`] (the bounded queue and shed policy, no
+//! dispatch) and [`DynamicBatcher::take_oldest`] (the oldest
+//! `min(queued, preferred_batch)` requests, whatever their age). A caller
+//! that knows when its engine is idle — the wire pool in `harvest-net` —
+//! uses those two directly and dispatches work-conservingly instead of by
+//! size or delay; the simulator keeps Triton's rule.
 
 use harvest_simkit::SimTime;
 use std::collections::VecDeque;
@@ -226,8 +234,29 @@ impl DynamicBatcher {
 
     /// Offer a request to the bounded queue, applying the shed policy; the
     /// full admission outcome reports rejection, evictions, and any batch
-    /// the size trigger produced.
+    /// the size trigger produced. This is [`DynamicBatcher::admit`] followed
+    /// by the size trigger.
     pub fn offer(
+        &mut self,
+        id: u64,
+        now: SimTime,
+        arrival: SimTime,
+        deadline: Option<SimTime>,
+    ) -> Admission {
+        let mut out = self.admit(id, now, arrival, deadline);
+        if out.admitted && self.queue.len() >= self.config.preferred_batch as usize {
+            out.batch = self.take_oldest();
+        }
+        out
+    }
+
+    /// Admission alone: apply the queue bound and the shed policy, enqueue
+    /// the request if it is admitted, and never dispatch
+    /// (`Admission::batch` stays `None`). For a caller that decides itself
+    /// when work leaves the queue — the wire pool takes a batch with
+    /// [`DynamicBatcher::take_oldest`] whenever a worker is idle — so the
+    /// queue bound governs everything not yet running.
+    pub fn admit(
         &mut self,
         id: u64,
         now: SimTime,
@@ -273,14 +302,24 @@ impl DynamicBatcher {
                 arrival,
                 deadline,
             });
-            if self.queue.len() >= self.config.preferred_batch as usize {
-                out.batch = Some(self.take(self.config.preferred_batch as usize));
-            }
         } else {
             self.rejected_requests += 1;
         }
         self.shed_requests += out.shed.len() as u64;
         out
+    }
+
+    /// Dispatch the oldest `min(queued, preferred_batch)` requests as one
+    /// batch, whatever their age; `None` when the queue is empty.
+    pub fn take_oldest(&mut self) -> Option<Vec<QueuedRequest>> {
+        let n = self.queue.len().min(self.config.preferred_batch as usize);
+        if n == 0 {
+            return None;
+        }
+        let batch: Vec<QueuedRequest> = self.queue.drain(..n).collect();
+        self.dispatched_batches += 1;
+        self.dispatched_requests += batch.len() as u64;
+        Some(batch)
     }
 
     /// Drain queued requests that can no longer complete by their deadline.
@@ -322,30 +361,15 @@ impl DynamicBatcher {
             self.purge_hopeless(now, service_estimate, &mut out.shed);
         }
         self.shed_requests += out.shed.len() as u64;
-        if let Some(front) = self.queue.front() {
-            if now >= front.enqueued + self.config.max_queue_delay {
-                let n = self.queue.len().min(self.config.preferred_batch as usize);
-                out.batch = Some(self.take(n));
-            }
+        if self.next_deadline().is_some_and(|due| now >= due) {
+            out.batch = self.take_oldest();
         }
         out
     }
 
     /// Drain everything immediately (offline mode end-of-stream flush).
     pub fn flush(&mut self) -> Vec<Vec<QueuedRequest>> {
-        let mut batches = Vec::new();
-        while !self.queue.is_empty() {
-            let n = self.queue.len().min(self.config.preferred_batch as usize);
-            batches.push(self.take(n));
-        }
-        batches
-    }
-
-    fn take(&mut self, n: usize) -> Vec<QueuedRequest> {
-        let batch: Vec<QueuedRequest> = self.queue.drain(..n).collect();
-        self.dispatched_batches += 1;
-        self.dispatched_requests += batch.len() as u64;
-        batch
+        std::iter::from_fn(|| self.take_oldest()).collect()
     }
 }
 

@@ -1,6 +1,9 @@
 //! Property-based tests for the dynamic batcher, the shed policies, and
 //! the circuit-breaker state machine.
 
+mod oracle;
+
+use harvest_serving::batcher::QueuedRequest;
 use harvest_serving::{
     run_online_protected_faulted, AdmissionConfig, BatcherConfig, BreakerConfig, BreakerState,
     CircuitBreaker, DynamicBatcher, FaultInjection, OnlineConfig, PipelineConfig, ShedPolicy,
@@ -8,6 +11,23 @@ use harvest_serving::{
 use harvest_simkit::{FaultPlan, SimTime};
 use proptest::prelude::*;
 use std::collections::HashSet;
+
+/// A queued request as both batchers report it.
+type Seen = (u64, SimTime, SimTime, Option<SimTime>);
+
+fn seen(batch: &[QueuedRequest]) -> Vec<Seen> {
+    batch
+        .iter()
+        .map(|r| (r.id, r.enqueued, r.arrival(), r.deadline()))
+        .collect()
+}
+
+fn seen_oracle(batch: &[oracle::QueuedRequest]) -> Vec<Seen> {
+    batch
+        .iter()
+        .map(|r| (r.id, r.enqueued, r.arrival(), r.deadline()))
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -244,6 +264,95 @@ proptest! {
         let mut seen = HashSet::new();
         for id in dispatched.iter().chain(shed_ids.iter()) {
             prop_assert!(seen.insert(*id), "request {} surfaced twice", id);
+        }
+    }
+
+    #[test]
+    fn offer_poll_flush_equal_the_pre_split_batcher_and_offer_is_admit_plus_size_trigger(
+        // (time delta µs, op, deadline offset µs): op 0..=5 offers, 6..=8
+        // polls, 9 flushes — every call the DES and `RealBatchServer` make.
+        ops in proptest::collection::vec((0u64..2_000, 0u8..10, 0u64..40_000), 1..300),
+        preferred in 1u32..12,
+        // Bounds below, at and above `preferred`, and 0 = unbounded.
+        max_queue in 0usize..30,
+        policy_pick in 0u8..3,
+        service_us in 1u64..10_000,
+        delay_us in 1u64..3_000,
+    ) {
+        let service_estimate = SimTime::from_micros(service_us);
+        let delay = SimTime::from_micros(delay_us);
+        let mut config = BatcherConfig::new(preferred, delay);
+        config.max_queue = max_queue;
+        config.shed = match policy_pick {
+            0 => ShedPolicy::RejectNew,
+            1 => ShedPolicy::DropOldest,
+            _ => ShedPolicy::DeadlineAware { service_estimate },
+        };
+        let mut old_config = oracle::BatcherConfig::new(preferred, delay);
+        old_config.max_queue = max_queue;
+        old_config.shed = match policy_pick {
+            0 => oracle::ShedPolicy::RejectNew,
+            1 => oracle::ShedPolicy::DropOldest,
+            _ => oracle::ShedPolicy::DeadlineAware { service_estimate },
+        };
+        let mut old = oracle::DynamicBatcher::new(old_config).expect("valid config");
+        // `offered` goes through the shipped `offer`; `split` through the
+        // two calls the wire pool's rule is built from.
+        let mut offered = DynamicBatcher::new(config).expect("valid config");
+        let mut split = DynamicBatcher::new(config).expect("valid config");
+
+        let mut now_us = 0u64;
+        for (id, &(dt, op, deadline_off_us)) in ops.iter().enumerate() {
+            let id = id as u64;
+            now_us += dt;
+            let now = SimTime::from_micros(now_us);
+            match op {
+                0..=5 => {
+                    let arrival = SimTime::from_micros(now_us - dt / 2);
+                    let deadline = (op != 0).then(|| SimTime::from_micros(now_us + deadline_off_us));
+                    let want = old.offer(id, now, arrival, deadline);
+                    let got = offered.offer(id, now, arrival, deadline);
+                    let mut two = split.admit(id, now, arrival, deadline);
+                    prop_assert!(two.batch.is_none(), "admit never dispatches");
+                    if two.admitted && split.queued() >= preferred as usize {
+                        two.batch = split.take_oldest();
+                    }
+                    for out in [&got, &two] {
+                        prop_assert_eq!(out.admitted, want.admitted);
+                        prop_assert_eq!(seen(&out.shed), seen_oracle(&want.shed));
+                        prop_assert_eq!(
+                            out.batch.as_deref().map(seen),
+                            want.batch.as_deref().map(seen_oracle)
+                        );
+                    }
+                }
+                6..=8 => {
+                    let want = old.poll(now);
+                    for b in [&mut offered, &mut split] {
+                        let got = b.poll(now);
+                        prop_assert_eq!(seen(&got.shed), seen_oracle(&want.shed));
+                        prop_assert_eq!(
+                            got.batch.as_deref().map(seen),
+                            want.batch.as_deref().map(seen_oracle)
+                        );
+                    }
+                }
+                _ => {
+                    let want: Vec<Vec<Seen>> = old.flush().iter().map(|b| seen_oracle(b)).collect();
+                    for b in [&mut offered, &mut split] {
+                        let got: Vec<Vec<Seen>> = b.flush().iter().map(|b| seen(b)).collect();
+                        prop_assert_eq!(&got, &want);
+                    }
+                }
+            }
+            for b in [&offered, &split] {
+                prop_assert_eq!(b.queued(), old.queued());
+                prop_assert_eq!(b.next_deadline(), old.next_deadline());
+                prop_assert_eq!(b.dispatched_batches(), old.dispatched_batches());
+                prop_assert_eq!(b.dispatched_requests(), old.dispatched_requests());
+                prop_assert_eq!(b.shed_requests(), old.shed_requests());
+                prop_assert_eq!(b.rejected_requests(), old.rejected_requests());
+            }
         }
     }
 
