@@ -7,7 +7,8 @@
 #                        promoted to errors (public-API docs can't rot)
 #  2b. no libm           non-test code of harvest-tensor and harvest-engine calls
 #                        no libm transcendental: logits bits must depend on
-#                        this repo's code, not on the host's glibc
+#                        this repo's code, not on the host's glibc (`mul_add`
+#                        is exact by IEEE-754 and is the GEMM's accumulate)
 #  2c. no forks          no second parallel API, kernel feature or tuner knob
 #                        under crates/, shims/ or the root manifest
 #   3. tier-1 tests      cargo build --release && cargo test -q, run twice:
@@ -81,9 +82,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
 echo "== no libm on a forward path =="
 # `tanhf`, `expf`, `exp2f`, `logf` and `powf` differ in their last bits from
 # one libm to the next, so a call on the forward path ties the committed
-# fingerprints to the host. `harvest_tensor::ops::exp` is the replacement;
-# `.sqrt()` is IEEE-exact and stays. Each file is read up to its unit-test
-# module, comments skipped.
+# fingerprints to the host. `harvest_tensor::ops::exp` is the replacement.
+# `.sqrt()` and `.mul_add()` stay: IEEE-754 defines both as correctly
+# rounded, so the GEMM's fused chain has the same bits as one instruction
+# (AVX2 / AVX-512 tiers) and as libm's `fmaf` (baseline tier), on any host.
+# Each file is read up to its unit-test module, comments skipped.
 libm_calls=$(for f in crates/tensor/src/*.rs crates/engine/src/*.rs; do
     awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
         /^[[:space:]]*\/\// { next }

@@ -1,53 +1,70 @@
 //! General matrix multiplication: the kernel the whole stack leans on.
 //!
-//! Three tiers:
+//! One kernel, one bit contract: **`c[i][j]` is the left-to-right chain of
+//! fused multiply-adds `c = fma(a[i][p], b[p][j], c)` over `p = 0..k`,
+//! starting from `+0.0`.** A fused multiply-add rounds once and is correctly
+//! rounded on every IEEE-754 host, so the chain names one f32 per element
+//! and nothing about how it was computed: not the register tile (`MR`×`NR`),
+//! not the cache blocks (`MC`, `KC`, `NC` — a K panel ends by storing C and
+//! the next resumes from that stored value, exactly), not the lane tier, the
+//! thread split or the B packing. Any tiling satisfies it.
 //!
-//! * [`gemm_naive`] — triple loop, the correctness oracle for tests.
-//! * [`gemm_blocked`] — cache-blocked (MC×KC×NC) single-threaded kernel with
-//!   an unrolled inner loop over packed panels. Its one loop body is compiled
-//!   once per x86-64 lane tier (SSE2 baseline, AVX2, AVX-512) and the widest
-//!   the host has is picked per call ([`lane_tier`]); all of them produce the
-//!   same bits, so which one ran is a speed, never a result.
+//! * [`gemm_naive`] — the chain written as the triple loop: the exact
+//!   oracle the conformance suite holds everything else to, bit for bit.
+//! * [`gemm_blocked`] — the single-threaded kernel: a `jc / pc / ic` cache
+//!   nest around one register-tiled micro-kernel that holds an `MR`×`NR`
+//!   tile of C in registers across a whole K panel and reads B from a
+//!   `KC`×`NR` panel packed into thread-local scratch. Its body is compiled
+//!   once per x86-64 lane tier (SSE2 baseline, AVX2+FMA, AVX-512+FMA) and
+//!   the widest the host has is picked per call ([`lane_tier`]); which one
+//!   ran is a speed, never a result.
 //! * [`gemm`] — the production entry point: row blocks of C spread over the
-//!   `harvest-threads` pool, each block running the blocked kernel. Falls
-//!   back to the blocked kernel for small problems where fork/join overhead
-//!   would dominate.
+//!   `harvest-threads` pool, each running the blocked kernel; small problems,
+//!   where fork/join would dominate, run it directly.
 //!
 //! [`gemm`] and [`gemm_bt`] are the only f32 GEMMs in the tree; `Executor`,
-//! `conv2d` and `multi_head_attention` call them directly.
-//!
-//! The same routine doubles as the *host side* of Table 1: the GEMM FLOPS
-//! microbenchmark in `harvest-hw` runs this kernel to produce a practical-
-//! vs-theoretical efficiency figure for the machine the reproduction runs on.
+//! `conv2d` and `multi_head_attention` call them directly. The same routine
+//! is the *host side* of Table 1: `harvest-hw`'s GEMM FLOPS microbenchmark
+//! runs it for this machine's practical-vs-theoretical efficiency figure.
 
 use harvest_threads::{for_each_chunk_mut, max_threads};
 
-/// Cache-block sizes. Chosen for typical x86-64 L1/L2; correctness does not
-/// depend on them, and perf only weakly (the benches sweep them).
-const MC: usize = 64;
+/// The register tile: `MR` rows of C by `NR` columns. 12×32 is 24
+/// sixteen-lane accumulators, which with two B vectors and one broadcast of
+/// A fills AVX-512's 32 registers and gives the two FMA ports three times
+/// the 8 independent chains their 4-cycle latency needs. (It spills on
+/// AVX2's 16 half-width registers: that tier is correct and, run capped on
+/// the reference host, about as fast as the unfused kernel it replaces.)
+const MR: usize = 12;
+const NR: usize = 32;
+
+/// Cache-block sizes (`MC` a multiple of `MR`, `NC` of `NR`): the packed B
+/// panel is 32 KB of L1, a block of A 240 KB of L2. No result depends on them.
+const MC: usize = 240;
 const KC: usize = 256;
 const NC: usize = 512;
 
 /// Problems smaller than this many multiply-accumulates stay single-threaded.
-/// The pool spawns scoped threads per region (no persistent workers), so the
-/// crossover sits higher than a work-stealing runtime's would.
-const PAR_THRESHOLD_MACS: usize = 1 << 20;
+/// The pool spawns scoped threads per region (no persistent workers).
+/// Measured on the 2-vCPU reference host: an empty two-way region costs
+/// ≈ 70 µs and one thread runs 40–60 GMAC/s, so two threads still lose
+/// (1.25× the time) at 2²³·² MACs and first win (0.83×) at 2²³·⁸; 2²⁴ is
+/// ≈ 300–400 µs of work. (2²⁰, the old value, is ≈ 20 µs of this kernel.)
+const PAR_THRESHOLD_MACS: usize = 1 << 24;
 
-/// `c[m×n] = a[m×k] · b[k×n]` — reference triple loop (ikj order so the inner
-/// loop streams through `b` and `c` rows).
+/// `c[m×n] = a[m×k] · b[k×n]` — the bit contract as a triple loop (ikj order
+/// so the inner loop streams through `b` and `c` rows): every element is the
+/// FMA chain over `p` from zero, with no shortcut for a zero operand.
 pub fn gemm_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     check_dims(a, b, c, m, k, n);
     c.fill(0.0);
     for i in 0..m {
         for p in 0..k {
             let aip = a[i * k + p];
-            if aip == 0.0 {
-                continue;
-            }
             let b_row = &b[p * n..p * n + n];
             let c_row = &mut c[i * n..i * n + n];
             for j in 0..n {
-                c_row[j] += aip * b_row[j];
+                c_row[j] = aip.mul_add(b_row[j], c_row[j]);
             }
         }
     }
@@ -60,11 +77,9 @@ fn check_dims(a: &[f32], b: &[f32], c: &[f32], m: usize, k: usize, n: usize) {
     assert_eq!(c.len(), m * n, "c is {m}x{n}");
 }
 
-/// Cache-blocked single-threaded GEMM. Accumulates into `c` after zeroing it.
+/// Cache-blocked single-threaded GEMM; overwrites `c`.
 pub fn gemm_blocked(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    check_dims(a, b, c, m, k, n);
-    c.fill(0.0);
-    gemm_blocked_acc(a, b, c, m, k, n);
+    gemm_blocked_upto(usize::MAX, a, b, c, m, k, n);
 }
 
 /// The lane tier the blocked kernel runs at on this host: `"sse2"`,
@@ -73,12 +88,17 @@ pub fn gemm_blocked(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
 pub fn lane_tier() -> &'static str {
     // The dispatcher names the instantiation it ran, so this cannot drift
     // from what a GEMM call does; an empty product runs no loop.
-    gemm_blocked_acc_upto(usize::MAX, &[], &[], &mut [], 0, 0, 0)
+    gemm_blocked_upto(usize::MAX, &[], &[], &mut [], 0, 0, 0)
 }
 
 /// [`gemm_blocked`] held to lane-tier rank `cap` (0 baseline, 1 AVX2,
-/// 2 AVX-512); returns the tier that ran. The conformance suite's way to
-/// every instantiation — production code never caps.
+/// 2 AVX-512): runs the instantiation of [`blocked_body`] that
+/// [`at_lane_tier`] picks under it and returns its tier. Capping is the
+/// conformance suite's way to every instantiation — production code never
+/// does. The B panel is one scratch loan per call, taken outside the tier
+/// so that the body inlines into it, and starts on a cache line: where the
+/// allocator put a `Vec` would otherwise decide, per process, whether every
+/// 64-byte B load splits in two (three placements in four, 3–7 % slower).
 #[doc(hidden)]
 pub fn gemm_blocked_upto(
     cap: usize,
@@ -90,33 +110,16 @@ pub fn gemm_blocked_upto(
     n: usize,
 ) -> &'static str {
     check_dims(a, b, c, m, k, n);
-    c.fill(0.0);
-    gemm_blocked_acc_upto(cap, a, b, c, m, k, n)
-}
-
-/// Blocked GEMM that *accumulates* into `c` (callers zero or pre-bias it),
-/// at the widest lane tier the host has.
-fn gemm_blocked_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_blocked_acc_upto(usize::MAX, a, b, c, m, k, n);
-}
-
-/// Runs the instantiation of [`gemm_blocked_acc_body`] that [`at_lane_tier`]
-/// picks under `cap`, and returns its tier.
-#[inline]
-fn gemm_blocked_acc_upto(
-    cap: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> &'static str {
-    at_lane_tier(
-        cap,
-        #[inline(always)]
-        || gemm_blocked_acc_body(a, b, c, m, k, n),
-    )
+    let len = KC.min(k) * NR;
+    crate::scratch::with_f32(len + 15, |loan| {
+        let skip = loan.as_ptr().align_offset(64).min(15);
+        let panel = &mut loan[skip..skip + len];
+        at_lane_tier(
+            cap,
+            #[inline(always)]
+            || blocked_body(a, b, c, m, k, n, panel),
+        )
+    })
 }
 
 /// Runs `body` as compiled for the widest lane tier the host supports whose
@@ -125,23 +128,27 @@ fn gemm_blocked_acc_upto(
 /// `#[inline(always)]` closure over `#[inline(always)]` code, so that its
 /// loops are compiled inside the tier's function and not before it.
 ///
-/// Every instantiation produces the same bits. rustc never contracts
-/// `a * b + c` into a fused multiply-add and never reorders a float
-/// reduction, so the wider instruction sets change how many elements one
+/// Every instantiation produces the same bits. The two wide tiers require
+/// and enable `fma`, so `f32::mul_add` is one instruction there; on the
+/// baseline tier — where a wide host without `fma` also lands — it is
+/// libm's `fmaf`, exact by definition: same bits, slow, never wrong. What
+/// the compiler will not do is fuse or reorder on its own: an `a * b + c`
+/// written unfused stays two roundings and a float reduction keeps its
+/// order, so a wider instruction set changes how many elements one
 /// instruction serves and nothing about any element's rounding sequence.
 #[inline(always)]
 pub(crate) fn at_lane_tier(cap: usize, body: impl FnOnce()) -> &'static str {
     #[cfg(target_arch = "x86_64")]
-    {
+    if is_x86_feature_detected!("fma") {
         if cap >= 2 && is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
-            // SAFETY: avx512f and avx512vl were just detected, and avx512f
-            // implies avx2; those are all the features the callee enables.
+            // SAFETY: fma, avx512f and avx512vl were just detected and
+            // avx512f implies avx2: all the features the callee enables.
             unsafe { at_avx512(body) };
             return "avx512";
         }
         if cap >= 1 && is_x86_feature_detected!("avx2") {
-            // SAFETY: avx2, the one feature the callee enables, was just
-            // detected.
+            // SAFETY: fma and avx2, the two features the callee enables,
+            // were just detected.
             unsafe { at_avx2(body) };
             return "avx2";
         }
@@ -156,155 +163,170 @@ pub(crate) fn at_lane_tier(cap: usize, body: impl FnOnce()) -> &'static str {
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn at_avx2(body: impl FnOnce()) {
     body()
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,avx512f,avx512vl")]
+#[target_feature(enable = "avx2,fma,avx512f,avx512vl")]
 fn at_avx512(body: impl FnOnce()) {
     body()
 }
 
-/// The blocked kernel's one loop body, compiled once per lane tier.
-///
-/// The micro-kernel is register-blocked over four rows of C: one pass over
-/// the packed B panel feeds four output rows, quartering panel traffic and
-/// giving the vectorizer four independent accumulator streams. Each row's
-/// k-accumulation order is identical to the single-row kernel (same 4-way
-/// groups in the same sequence), so results are bit-identical regardless of
-/// how rows are grouped — the property the batched executor's
-/// batch-equals-single guarantee rests on.
+/// The blocked kernel's one loop body, compiled once per lane tier: each
+/// `KC`×`NR` panel of B is packed contiguous into `panel` (a 3 KB row stride
+/// would alias a handful of L1 sets), then every row tile of the `MC` block
+/// runs the micro-kernel against it. Overwrites `c`.
 #[inline(always)]
-fn gemm_blocked_acc_body(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let mut jc = 0;
-    while jc < n {
-        let nb = NC.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kb = KC.min(k - pc);
-            let mut ic = 0;
-            while ic < m {
-                let mb = MC.min(m - ic);
-                let mut i = ic;
-                // 4-row micro-tile over the (mb × nb) block of C.
-                while i + 4 <= ic + mb {
-                    let a0_row = &a[i * k + pc..i * k + pc + kb];
-                    let a1_row = &a[(i + 1) * k + pc..(i + 1) * k + pc + kb];
-                    let a2_row = &a[(i + 2) * k + pc..(i + 2) * k + pc + kb];
-                    let a3_row = &a[(i + 3) * k + pc..(i + 3) * k + pc + kb];
-                    let (c0, rest) = c[i * n..(i + 4) * n].split_at_mut(n);
-                    let (c1, rest) = rest.split_at_mut(n);
-                    let (c2, c3) = rest.split_at_mut(n);
-                    let c0 = &mut c0[jc..jc + nb];
-                    let c1 = &mut c1[jc..jc + nb];
-                    let c2 = &mut c2[jc..jc + nb];
-                    let c3 = &mut c3[jc..jc + nb];
-                    // 4-way unrolled accumulation over the K panel.
-                    let mut p = 0;
-                    while p + 4 <= kb {
-                        let b0 = &b[(pc + p) * n + jc..(pc + p) * n + jc + nb];
-                        let b1 = &b[(pc + p + 1) * n + jc..(pc + p + 1) * n + jc + nb];
-                        let b2 = &b[(pc + p + 2) * n + jc..(pc + p + 2) * n + jc + nb];
-                        let b3 = &b[(pc + p + 3) * n + jc..(pc + p + 3) * n + jc + nb];
-                        let (x00, x01, x02, x03) =
-                            (a0_row[p], a0_row[p + 1], a0_row[p + 2], a0_row[p + 3]);
-                        let (x10, x11, x12, x13) =
-                            (a1_row[p], a1_row[p + 1], a1_row[p + 2], a1_row[p + 3]);
-                        let (x20, x21, x22, x23) =
-                            (a2_row[p], a2_row[p + 1], a2_row[p + 2], a2_row[p + 3]);
-                        let (x30, x31, x32, x33) =
-                            (a3_row[p], a3_row[p + 1], a3_row[p + 2], a3_row[p + 3]);
-                        for j in 0..nb {
-                            let (b0j, b1j, b2j, b3j) = (b0[j], b1[j], b2[j], b3[j]);
-                            c0[j] += x00 * b0j + x01 * b1j + x02 * b2j + x03 * b3j;
-                            c1[j] += x10 * b0j + x11 * b1j + x12 * b2j + x13 * b3j;
-                            c2[j] += x20 * b0j + x21 * b1j + x22 * b2j + x23 * b3j;
-                            c3[j] += x30 * b0j + x31 * b1j + x32 * b2j + x33 * b3j;
-                        }
-                        p += 4;
-                    }
-                    while p < kb {
-                        let b_row = &b[(pc + p) * n + jc..(pc + p) * n + jc + nb];
-                        let (x0, x1, x2, x3) = (a0_row[p], a1_row[p], a2_row[p], a3_row[p]);
-                        for j in 0..nb {
-                            let bj = b_row[j];
-                            c0[j] += x0 * bj;
-                            c1[j] += x1 * bj;
-                            c2[j] += x2 * bj;
-                            c3[j] += x3 * bj;
-                        }
-                        p += 1;
-                    }
-                    i += 4;
-                }
-                // Remainder rows (mb % 4) through the single-row kernel.
-                while i < ic + mb {
-                    let a_row = &a[i * k + pc..i * k + pc + kb];
-                    let c_row = &mut c[i * n + jc..i * n + jc + nb];
-                    let mut p = 0;
-                    while p + 4 <= kb {
-                        let a0 = a_row[p];
-                        let a1 = a_row[p + 1];
-                        let a2 = a_row[p + 2];
-                        let a3 = a_row[p + 3];
-                        let b0 = &b[(pc + p) * n + jc..(pc + p) * n + jc + nb];
-                        let b1 = &b[(pc + p + 1) * n + jc..(pc + p + 1) * n + jc + nb];
-                        let b2 = &b[(pc + p + 2) * n + jc..(pc + p + 2) * n + jc + nb];
-                        let b3 = &b[(pc + p + 3) * n + jc..(pc + p + 3) * n + jc + nb];
-                        for j in 0..nb {
-                            c_row[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-                        }
-                        p += 4;
-                    }
-                    while p < kb {
-                        let ap = a_row[p];
-                        let b_row = &b[(pc + p) * n + jc..(pc + p) * n + jc + nb];
-                        for j in 0..nb {
-                            c_row[j] += ap * b_row[j];
-                        }
-                        p += 1;
-                    }
-                    i += 1;
-                }
-                ic += mb;
-            }
-            pc += kb;
-        }
-        jc += nb;
+fn blocked_body(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    panel: &mut [f32],
+) {
+    if k == 0 {
+        return c.fill(0.0);
     }
+    // Equal K panels no deeper than KC: k = 257 is 129 + 128, not 256 + 1.
+    let kc = k.div_ceil(k.div_ceil(KC));
+    for jc in (0..n).step_by(NC) {
+        let nb = NC.min(n - jc);
+        for pc in (0..k).step_by(kc) {
+            let panel = &mut panel[..kc.min(k - pc) * NR];
+            for ic in (0..m).step_by(MC) {
+                let mb = MC.min(m - ic);
+                for jr in (jc..jc + nb).step_by(NR) {
+                    let nr = NR.min(jc + nb - jr);
+                    // Pack B[pc.., jr..jr + nr], zero-padded to NR columns.
+                    for (p, row) in panel.chunks_exact_mut(NR).enumerate() {
+                        let src = &b[(pc + p) * n + jr..][..nr];
+                        if nr == NR {
+                            row.copy_from_slice(&src[..NR]);
+                        } else {
+                            row[..nr].copy_from_slice(src);
+                            row[nr..].fill(0.0);
+                        }
+                    }
+                    // Row tails narrow the tile (8, 4, then single rows)
+                    // instead of masking it; a column tail runs full width on
+                    // a staged copy of its C rows and stores back what exists.
+                    let first = pc == 0;
+                    let mut edge = [0.0f32; MR * NR];
+                    let mut i = ic;
+                    while i < ic + mb {
+                        let rows = MR.min(ic + mb - i);
+                        let c = &mut c[i * n + jr..];
+                        let (ct, ldc) = if nr == NR {
+                            (&mut *c, n)
+                        } else {
+                            for r in if first { 0..0 } else { 0..rows } {
+                                edge[r * NR..][..nr].copy_from_slice(&c[r * n..][..nr]);
+                            }
+                            (&mut edge[..], NR)
+                        };
+                        let a = &a[i * k + pc..];
+                        let done = match rows {
+                            MR => tile::<MR>(a, k, panel, ct, ldc, first),
+                            8.. => tile::<8>(a, k, panel, ct, ldc, first),
+                            4.. => tile::<4>(a, k, panel, ct, ldc, first),
+                            _ => tile::<1>(a, k, panel, ct, ldc, first),
+                        };
+                        if nr != NR {
+                            for r in 0..done {
+                                c[r * n..][..nr].copy_from_slice(&edge[r * NR..][..nr]);
+                            }
+                        }
+                        i += done;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One vector of the widest tier (two or four of a narrower one).
+pub(crate) type Lane = [f32; 16];
+
+/// Runs `$body` with `$r` bound to each tile row below `$rows`, unrolled in
+/// the source: a rolled loop that LLVM declines to unroll indexes the
+/// accumulators dynamically, which alone moves them from registers to the
+/// stack (measured: 6 GFLOP/s, not 100). The literal row list makes the
+/// register tile a property of this code and not of an unroll threshold.
+macro_rules! for_rows {
+    ($r:ident < $rows:ident, $body:block) => {
+        for_rows!($r < $rows, $body, 0 1 2 3 4 5 6 7 8 9 10 11)
+    };
+    ($r:ident < $rows:ident, $body:block, $($i:literal)*) => {$(
+        if $i < $rows {
+            let $r: usize = $i;
+            $body
+        }
+    )*};
+}
+const _: () = assert!(MR == 12 && NR == 2 * 16, "for_rows! and tile spell it out");
+
+/// The micro-kernel: `c[r][j] = fma(a[r][p], panel[p][j], c[r][j])` for `p`
+/// ascending, on an `R`×`NR` tile of C held in registers from the first `p`
+/// to the last; returns `R`. `a` and `c` start at the tile's first element
+/// and have row strides `lda` / `ldc`; the chain starts from `+0.0` on the
+/// `first` K panel and from what the previous one stored otherwise.
+#[inline(always)]
+fn tile<const R: usize>(
+    a: &[f32],
+    lda: usize,
+    panel: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    first: bool,
+) -> usize {
+    let fma =
+        |x: f32, b: &Lane, c: Lane| -> Lane { std::array::from_fn(|l| x.mul_add(b[l], c[l])) };
+    let lane = |s: &[f32]| -> Lane { s[..16].try_into().expect("16 lanes") };
+    let kb = panel.len() / NR;
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * lda..][..kb]);
+    let mut acc = [[[0.0f32; 16]; 2]; R];
+    if !first {
+        for_rows!(r < R, {
+            acc[r] = [lane(&c[r * ldc..]), lane(&c[r * ldc + 16..])];
+        });
+    }
+    for (p, b_row) in panel.chunks_exact(NR).enumerate() {
+        let (b0, b1) = (lane(b_row), lane(&b_row[16..]));
+        for_rows!(r < R, {
+            let x = a_rows[r][p];
+            acc[r] = [fma(x, &b0, acc[r][0]), fma(x, &b1, acc[r][1])];
+        });
+    }
+    for_rows!(r < R, {
+        c[r * ldc..][..16].copy_from_slice(&acc[r][0]);
+        c[r * ldc + 16..][..16].copy_from_slice(&acc[r][1]);
+    });
+    R
 }
 
 /// Production GEMM: parallel over row blocks of `C` when the problem is big
 /// enough to amortize fork/join, otherwise the blocked kernel.
 pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     check_dims(a, b, c, m, k, n);
-    // Degenerate dimensions early-out before the parallel path can chunk
-    // by zero columns.
+    // Before the parallel path can chunk by zero columns.
     if m == 0 || n == 0 {
         return;
     }
-    if k == 0 {
-        c.fill(0.0);
-        return;
-    }
     if m * n * k < PAR_THRESHOLD_MACS || m < 2 {
-        c.fill(0.0);
-        gemm_blocked_acc(a, b, c, m, k, n);
-        return;
+        return gemm_blocked(a, b, c, m, k, n);
     }
-    // Each worker owns a disjoint row block of C — data-race freedom by
-    // construction. Blocks are balanced (ceil(m/threads)) rather than clamped
-    // to MC so no worker is left idle on mid-sized m, and rounded up to the
-    // 4-row micro-tile so only the final block runs the slower remainder-row
-    // kernel.
-    let rows_per_block = m.div_ceil(max_threads()).next_multiple_of(4);
+    // Each worker owns a disjoint row block of C: balanced (ceil(m/threads))
+    // rather than clamped to MC, so no worker idles on mid-sized m, and rounded
+    // up to the register tile, so only the final block runs the row tails.
+    let rows_per_block = m.div_ceil(max_threads()).next_multiple_of(MR);
     for_each_chunk_mut(c, rows_per_block * n, |blk, c_block| {
         let i0 = blk * rows_per_block;
         let mb = c_block.len() / n;
-        c_block.fill(0.0);
-        gemm_blocked_acc(&a[i0 * k..(i0 + mb) * k], b, c_block, mb, k, n);
+        gemm_blocked(&a[i0 * k..(i0 + mb) * k], b, c_block, mb, k, n);
     });
 }
 
@@ -340,34 +362,21 @@ pub fn gemm_v(
 /// `c = a · bᵀ` where `b` is stored row-major as `n×k` — the layout linear
 /// layers use (`weight[out][in]`).
 ///
-/// Packs the transpose of `b_t` into a scratch buffer and runs the blocked
-/// [`gemm`] kernel. The O(k·n) pack is noise next to the O(m·k·n) multiply,
-/// and the packed path runs ~7× faster than the per-(i,j) scalar dot
-/// products this function used to do: those walked `b_t` column-wise with a
-/// single accumulator stream, while the micro-kernel streams four output
-/// rows per B-panel pass.
-///
-/// Bit-compatibility with the old scalar path (and hence with every
-/// committed logit fingerprint): both accumulate each `c[i][j]` over `p` in
-/// strictly increasing order, in the same left-associative 4-way groups
-/// (`KC` is a multiple of 4, so panel boundaries never split a group), with
-/// a single-add tail and f32 rounding after every operation. Register vs
-/// memory accumulation does not change the rounding sequence.
+/// [`gemm`] behind a transpose, and so under the same bit contract: the
+/// `n×k` operand is written out as `k×n` into a scratch loan on every call
+/// and the blocked kernel packs its panels from that. The extra O(k·n) pass
+/// and buffer are the price of the reference path — the per-image executor
+/// and `multi_head_attention`, which the conformance suites compare the
+/// batched engine against. Production forwards never pay it: the engine
+/// stores every weight already transposed and calls [`gemm`].
 pub fn gemm_bt(a: &[f32], b_t: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "a is {m}x{k}");
     assert_eq!(b_t.len(), n * k, "b_t is {n}x{k}");
     assert_eq!(c.len(), m * n, "c is {m}x{n}");
-    if n == 0 || m == 0 {
-        return;
-    }
     if k == 0 {
-        // Empty dot products: the output is all zeros.
-        c.fill(0.0);
-        return;
+        return c.fill(0.0);
     }
-    // Pack bᵀ (n×k) into b (k×n): column-major reads, row-major writes. The
-    // pack buffer is loaned from the thread-local scratch pool so repeated
-    // forwards reuse one allocation (every element is written below).
+    // Transpose bᵀ (n×k) into b (k×n); every element of the loan is written.
     crate::scratch::with_f32(k * n, |b| {
         for (j, b_t_row) in b_t.chunks_exact(k).enumerate() {
             for (p, &v) in b_t_row.iter().enumerate() {
@@ -394,13 +403,6 @@ mod tests {
             .collect()
     }
 
-    fn assert_close(a: &[f32], b: &[f32], tol: f32) {
-        assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert!((x - y).abs() <= tol, "idx {i}: {x} vs {y}");
-        }
-    }
-
     #[test]
     fn identity_matrix_is_neutral() {
         let m = 5;
@@ -411,7 +413,7 @@ mod tests {
         }
         let mut c = vec![0.0; m * m];
         gemm(&a, &eye, &mut c, m, m, m);
-        assert_close(&c, &a, 1e-6);
+        assert_eq!(c, a);
     }
 
     #[test]
@@ -439,28 +441,27 @@ mod tests {
             let mut c_blk = vec![0.0; m * n];
             gemm_naive(&a, &b, &mut c_ref, m, k, n);
             gemm_blocked(&a, &b, &mut c_blk, m, k, n);
-            assert_close(&c_blk, &c_ref, 1e-3);
+            assert_eq!(c_blk, c_ref, "{m}x{k}x{n}");
         }
     }
 
     #[test]
     fn parallel_matches_naive_above_threshold() {
-        let (m, k, n) = (150, 120, 130);
+        let (m, k, n) = (300, 240, 260); // 2²⁴·² MACs
         let a = rand_vec(m * k, 21);
         let b = rand_vec(k * n, 23);
         let mut c_ref = vec![0.0; m * n];
         let mut c_par = vec![0.0; m * n];
         gemm_naive(&a, &b, &mut c_ref, m, k, n);
         gemm(&a, &b, &mut c_par, m, k, n);
-        assert_close(&c_par, &c_ref, 1e-3);
+        assert_eq!(c_par, c_ref);
     }
 
     #[test]
     fn gemm_bt_matches_explicit_transpose() {
         let (m, k, n) = (9, 17, 5);
         let a = rand_vec(m * k, 31);
-        let b_t = rand_vec(n * k, 33); // n×k
-                                       // Build b = transpose(b_t): k×n
+        let b_t = rand_vec(n * k, 33); // n×k; b is its transpose, k×n
         let mut b = vec![0.0; k * n];
         for j in 0..n {
             for p in 0..k {
@@ -471,7 +472,7 @@ mod tests {
         let mut c_bt = vec![0.0; m * n];
         gemm_naive(&a, &b, &mut c_ref, m, k, n);
         gemm_bt(&a, &b_t, &mut c_bt, m, k, n);
-        assert_close(&c_bt, &c_ref, 1e-4);
+        assert_eq!(c_bt, c_ref);
     }
 
     #[test]
@@ -480,7 +481,7 @@ mod tests {
         let b = [1.0f32, 2.0, 3.0, 4.0];
         let mut c = [99.0f32; 4];
         gemm(&a, &b, &mut c, 2, 2, 2);
-        assert_close(&c, &b, 1e-6);
+        assert_eq!(c, b);
     }
 
     #[test]
@@ -502,8 +503,7 @@ mod tests {
         let mut c: Vec<f32> = vec![];
         gemm(&[], &b, &mut c, 0, 3, 4);
         assert!(c.is_empty());
-        // n == 0: zero-width rows; the parallel path would otherwise chunk
-        // by zero columns.
+        // n == 0: the parallel path would otherwise chunk by zero columns.
         let a = rand_vec(5 * 3, 43);
         let mut c2: Vec<f32> = vec![];
         gemm(&a, &[], &mut c2, 5, 3, 0);

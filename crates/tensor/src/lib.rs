@@ -25,6 +25,7 @@ pub mod gemm;
 pub mod image;
 pub mod integrity;
 pub mod ops;
+pub mod peak;
 pub mod quant;
 pub mod scratch;
 pub mod tensor;

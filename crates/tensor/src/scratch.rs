@@ -1,8 +1,9 @@
 //! Thread-local recycling pool for kernel scratch buffers.
 //!
-//! The im2col column buffer, the `gemm_bt` transpose pack and the
-//! executor's per-head attention temporaries are all short-lived `Vec<f32>`s
-//! whose sizes repeat exactly from forward to forward. On the serving hot path that used to
+//! The im2col column buffer, the GEMM's packed B panel, the `gemm_bt`
+//! transpose and the executor's per-head attention temporaries are all
+//! short-lived `Vec<f32>`s whose sizes repeat exactly from forward to
+//! forward. On the serving hot path that used to
 //! mean a handful of heap allocations per layer per request. This module
 //! loans those buffers from a per-thread free list instead: `with_f32`
 //! hands the closure a zero-filled `&mut [f32]` of the requested length,

@@ -1,17 +1,19 @@
 //! Differential kernel-conformance suite.
 //!
 //! [`gemm`] and [`gemm_bt`] — the one f32 GEMM family — are driven against
-//! independent oracles across degenerate and adversarial shapes: zeros,
-//! ones, odd primes, and dimensions sitting just past a tile boundary
-//! (4/8/16/32/64 + 1) so the row and accumulation tails are always
-//! exercised.
+//! an exact oracle across degenerate and adversarial shapes: zeros, ones,
+//! odd primes, dimensions one either side of the register tile (12×32), of
+//! a K panel (256) and of the other tile and block edges, and the repo
+//! benchmark's own shapes.
 //!
 //! The contracts pinned here are the ones CI's fingerprint gates rely on:
 //!
-//! * `gemm` is deterministic (re-running produces the same bits), and every
-//!   lane-tier instantiation of its loop body the host can run (SSE2, AVX2,
-//!   AVX-512) produces those same bits, alone or split across threads.
-//! * It is elementwise within `1e-5·k` of the naive triple loop.
+//! * `gemm`, `gemm_bt` and every lane-tier instantiation of the loop body
+//!   the host can run (SSE2, AVX2, AVX-512) are **bit for bit** the
+//!   left-to-right FMA chain over `k` — `gemm_naive` — alone or split
+//!   across 1/2/3/8 threads.
+//! * They stay elementwise within `1e-5·k` of the unfused kernel they
+//!   replaced (`oracle/gemm.rs`, verbatim).
 //! * The packed INT8 kernel is exactly the naive integer loop.
 //! * `im2col` is the gather it replaced (`oracle/`, verbatim), and the 1×1
 //!   conv that skips it equals the conv that does not.
@@ -31,8 +33,9 @@ use harvest_tensor::{
 use proptest::prelude::*;
 
 /// Adversarial GEMM dimension: degenerate (0, 1), odd primes that never
-/// divide a tile, and values one past a power-of-two tile edge (4, 8, 16,
-/// 32 and the 64-row cache block).
+/// divide a tile, values one past a power-of-two edge (4, 8, 16, 32, 64),
+/// and one either side of the register tile's rows (12), its columns (32)
+/// and a K panel (256).
 fn adversarial_dim() -> impl Strategy<Value = usize> {
     prop_oneof![
         Just(0usize),
@@ -41,11 +44,14 @@ fn adversarial_dim() -> impl Strategy<Value = usize> {
         Just(5usize),
         Just(7usize),
         Just(9usize),
+        Just(11usize),
         Just(13usize),
         Just(17usize),
         Just(31usize),
         Just(33usize),
         Just(65usize),
+        Just(255usize),
+        Just(257usize),
         2usize..40,
     ]
 }
@@ -58,8 +64,8 @@ fn veci8(len: usize) -> impl Strategy<Value = Vec<i8>> {
     proptest::collection::vec(any::<i8>(), len..=len)
 }
 
-/// `1e-5·k` elementwise tolerance from the issue contract (floored at one
-/// k so degenerate products still get a nonzero budget).
+/// `1e-5·k` elementwise tolerance between two accumulation orders (floored
+/// at one k so degenerate products still get a nonzero budget).
 fn tol(k: usize) -> f32 {
     1e-5 * k.max(1) as f32
 }
@@ -73,8 +79,8 @@ fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `gemm` stays within the differential tolerance of the naive
-    /// triple-loop oracle, on every adversarial shape.
+    /// `gemm` is the naive triple-loop FMA chain bit for bit, on every
+    /// adversarial shape.
     #[test]
     fn gemm_tracks_the_naive_oracle(
         (m, k, n, a, b) in (adversarial_dim(), adversarial_dim(), adversarial_dim())
@@ -84,7 +90,21 @@ proptest! {
         gemm_naive(&a, &b, &mut reference, m, k, n);
         let mut c = vec![f32::NAN; m * n];
         gemm(&a, &b, &mut c, m, k, n);
-        for (i, (r, v)) in reference.iter().zip(&c).enumerate() {
+        assert_bits_eq(&reference, &c, &format!("gemm vs naive (m={m} k={k} n={n})"));
+    }
+
+    /// The FMA chain stays within the differential tolerance of the unfused
+    /// 4-way-group kernel it replaced: the re-pin moved last bits, not values.
+    #[test]
+    fn gemm_stays_within_tolerance_of_the_kernel_it_replaced(
+        (m, k, n, a, b) in (adversarial_dim(), adversarial_dim(), adversarial_dim())
+            .prop_flat_map(|(m, k, n)| (Just(m), Just(k), Just(n), vecf(m * k), vecf(k * n)))
+    ) {
+        let mut old = vec![0.0f32; m * n];
+        oracle::gemm::gemm_blocked_acc_body(&a, &b, &mut old, m, k, n);
+        let mut c = vec![f32::NAN; m * n];
+        gemm(&a, &b, &mut c, m, k, n);
+        for (i, (r, v)) in old.iter().zip(&c).enumerate() {
             prop_assert!(
                 (r - v).abs() <= tol(k),
                 "idx {i}: |{r} - {v}| > {} (m={m} k={k} n={n})",
@@ -108,9 +128,9 @@ proptest! {
         }
     }
 
-    /// Every lane tier the host can run is the baseline instantiation bit
-    /// for bit: wider lanes move columns between instructions, never an
-    /// element's rounding sequence.
+    /// Every lane tier the host can run is the naive chain bit for bit:
+    /// wider lanes move columns between instructions, and `mul_add` is one
+    /// instruction or a libm call, never another rounding sequence.
     #[test]
     fn every_lane_tier_is_bit_identical_to_the_baseline(
         (m, k, n, a, b) in (adversarial_dim(), adversarial_dim(), adversarial_dim())
@@ -139,12 +159,7 @@ proptest! {
         (m, k, n, a, bt) in (adversarial_dim(), adversarial_dim(), adversarial_dim())
             .prop_flat_map(|(m, k, n)| (Just(m), Just(k), Just(n), vecf(m * k), vecf(n * k)))
     ) {
-        let mut b = vec![0.0f32; k * n];
-        for j in 0..n {
-            for p in 0..k {
-                b[p * n + j] = bt[j * k + p];
-            }
-        }
+        let b = transposed(&bt, n, k);
         let mut c_bt = vec![f32::NAN; m * n];
         let mut c = vec![f32::NAN; m * n];
         gemm_bt(&a, &bt, &mut c_bt, m, k, n);
@@ -162,50 +177,95 @@ fn ramp(len: usize, mul: usize, modulus: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Runs the blocked kernel capped at each lane-tier rank (AVX2, AVX-512; a
-/// host without one reruns the tier below) and holds it to rank 0.
+/// Runs the blocked kernel capped at each lane-tier rank (baseline, AVX2,
+/// AVX-512; a host without one reruns the tier below) and holds every one of
+/// them to the naive FMA chain.
 fn assert_lane_tiers_agree(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    let mut base = vec![f32::NAN; m * n];
-    let baseline = gemm_blocked_upto(0, a, b, &mut base, m, k, n);
-    for cap in [1, 2] {
+    let mut chain = vec![f32::NAN; m * n];
+    gemm_naive(a, b, &mut chain, m, k, n);
+    for cap in [0, 1, 2] {
         let mut c = vec![f32::NAN; m * n];
         let tier = gemm_blocked_upto(cap, a, b, &mut c, m, k, n);
-        assert_bits_eq(
-            &base,
-            &c,
-            &format!("{tier} vs {baseline} (m={m} k={k} n={n})"),
-        );
+        assert_bits_eq(&chain, &c, &format!("{tier} vs naive (m={m} k={k} n={n})"));
     }
 }
 
-/// The blocked kernel's own edges: one short of, on and one past each of
-/// MC = 64, KC = 256 and NC = 512, which also walks every `m % 4` row tail
-/// and `k % 4` accumulation tail inside a full and a partial block.
+/// The blocked kernel's own edges: one short of, on and one past MC = 240,
+/// a K panel (256, and 513 = three balanced panels) and NC = 512, which also
+/// walks the 8-, 4- and 1-row tile tails and a 31- and a 1-column panel
+/// inside a full and a partial block.
 #[test]
 fn lane_tiers_agree_on_cache_block_edges_and_tails() {
-    for m in [63usize, 64, 65, 66] {
-        for k in [255usize, 256, 257, 258] {
-            for n in [511usize, 512, 513] {
-                let (a, b) = (ramp(m * k, 37, 113), ramp(k * n, 53, 127));
-                assert_lane_tiers_agree(&a, &b, m, k, n);
-            }
+    for (m, k, n) in [
+        (239, 255, 511),
+        (240, 256, 512),
+        (241, 257, 513),
+        (253, 513, 33),
+        (13, 257, 543),
+        (1, 511, 31),
+    ] {
+        let (a, b) = (ramp(m * k, 37, 113), ramp(k * n, 53, 127));
+        assert_lane_tiers_agree(&a, &b, m, k, n);
+    }
+}
+
+/// The repo benchmark's GEMM shapes — vit96's MLP, ViT-Tiny's two attention
+/// products, ResNet50's last 3×3 stage — through every entry point: each
+/// lane tier alone, then `gemm` and `gemm_bt` at 1, 2, 3 and 8 threads.
+#[test]
+fn benchmark_shapes_are_the_naive_chain_at_every_tier_and_width() {
+    for (m, k, n) in [
+        (37, 192, 768),
+        (257, 64, 257),
+        (257, 257, 64),
+        (512, 4608, 49),
+    ] {
+        let (a, b) = (ramp(m * k, 37, 113), ramp(k * n, 53, 127));
+        assert_lane_tiers_agree(&a, &b, m, k, n);
+        let bt = transposed(&b, k, n);
+        let mut chain = vec![f32::NAN; m * n];
+        gemm_naive(&a, &b, &mut chain, m, k, n);
+        for threads in [1usize, 2, 3, 8] {
+            harvest_threads::with_threads(threads, || {
+                let what = format!("threads={threads} ({m},{k},{n})");
+                let mut c = vec![f32::NAN; m * n];
+                gemm(&a, &b, &mut c, m, k, n);
+                assert_bits_eq(&chain, &c, &format!("gemm, {what}"));
+                c.fill(f32::NAN);
+                gemm_bt(&a, &bt, &mut c, m, k, n);
+                assert_bits_eq(&chain, &c, &format!("gemm_bt, {what}"));
+            });
         }
     }
 }
 
+/// The transpose of a row-major `rows×cols` matrix: `b` (k×n) as the n×k
+/// operand `gemm_bt` takes, or back.
+fn transposed(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut t = vec![0.0f32; cols * rows];
+    for j in 0..cols {
+        for p in 0..rows {
+            t[j * rows + p] = x[p * cols + j];
+        }
+    }
+    t
+}
+
 /// The dispatcher runs the widest tier CPUID reports; a cap holds it to
-/// narrower ones.
+/// narrower ones. Both wide tiers need `fma` beside their vector width: a
+/// host without it runs the baseline, where `mul_add` is a libm call.
 #[test]
 fn dispatcher_picks_the_widest_detected_tier() {
     #[cfg(target_arch = "x86_64")]
-    let tiers: &[&str] =
-        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
-            &["sse2", "avx2", "avx512"]
-        } else if is_x86_feature_detected!("avx2") {
-            &["sse2", "avx2", "avx2"]
-        } else {
-            &["sse2", "sse2", "sse2"]
-        };
+    let tiers: &[&str] = if !is_x86_feature_detected!("fma") {
+        &["sse2", "sse2", "sse2"]
+    } else if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
+        &["sse2", "avx2", "avx512"]
+    } else if is_x86_feature_detected!("avx2") {
+        &["sse2", "avx2", "avx2"]
+    } else {
+        &["sse2", "sse2", "sse2"]
+    };
     #[cfg(not(target_arch = "x86_64"))]
     let tiers: &[&str] = &["baseline"; 3];
     assert_eq!(lane_tier(), tiers[2]);
@@ -270,22 +330,22 @@ fn pointwise_conv_shortcut_equals_the_im2col_path_bitwise() {
 }
 
 /// Thread splits may not change a single bit: each worker owns a disjoint
-/// row block and the per-element accumulation order is fixed. The first
-/// shape stays under the 2²⁰-MAC parallel threshold; the others cross it,
-/// with a split that leaves an `m % 4` tail in the last block and one that
-/// leaves workers idle. Whatever the split and whichever lane tier the
-/// dispatcher picked, `gemm` is the baseline instantiation run in one piece,
-/// and `gemm_bt` is `gemm` behind a transpose at every width.
+/// row block and every element's chain is fixed. The first shape stays
+/// under the 2²⁴-MAC parallel threshold; the others cross it, with a split
+/// that leaves an `m % 12` tail in the last block and one that leaves
+/// workers idle. Whatever the split and whichever lane tier the dispatcher
+/// picked, `gemm` is the naive chain, and `gemm_bt` is `gemm` behind a
+/// transpose at every width.
 #[test]
 fn gemm_is_bit_identical_across_thread_counts() {
-    for (m, k, n) in [(96, 70, 50), (150, 120, 130), (67, 259, 131), (9, 300, 515)] {
+    for (m, k, n) in [
+        (96, 70, 50),
+        (300, 240, 260),
+        (67, 1030, 259),
+        (9, 3000, 700),
+    ] {
         let (a, b) = (ramp(m * k, 37, 113), ramp(k * n, 53, 127));
-        let mut bt = vec![0.0f32; n * k];
-        for j in 0..n {
-            for p in 0..k {
-                bt[j * k + p] = b[p * n + j];
-            }
-        }
+        let bt = transposed(&b, k, n);
         let run = |threads: usize| {
             harvest_threads::with_threads(threads, || {
                 let mut c = vec![f32::NAN; m * n];
@@ -297,13 +357,9 @@ fn gemm_is_bit_identical_across_thread_counts() {
             })
         };
         let sequential = run(1);
-        let mut base = vec![f32::NAN; m * n];
-        gemm_blocked_upto(0, &a, &b, &mut base, m, k, n);
-        assert_bits_eq(
-            &base,
-            &sequential,
-            &format!("gemm vs baseline tier ({m},{k},{n})"),
-        );
+        let mut chain = vec![f32::NAN; m * n];
+        gemm_naive(&a, &b, &mut chain, m, k, n);
+        assert_bits_eq(&chain, &sequential, &format!("gemm vs naive ({m},{k},{n})"));
         for threads in [2usize, 3, 8] {
             let what = format!("threads={threads} ({m},{k},{n})");
             assert_bits_eq(&sequential, &run(threads), &what);

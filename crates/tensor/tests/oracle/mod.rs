@@ -8,8 +8,13 @@
 //!   and `expf` and a serial `sum += v` were inside them. `transcendentals.rs`
 //!   holds the shipped ones to these within a tolerance; their bits depend on
 //!   the host's libm, which is why they were replaced.
+//! * `gemm::gemm_blocked_acc_body`, the unfused 4-way-group GEMM loop body
+//!   every fingerprint was pinned to before the FMA chain replaced it.
+//!   `kernel_conformance.rs` holds the shipped kernel within `1e-5·k` of it.
 
 #![allow(dead_code)]
+
+pub mod gemm;
 
 use harvest_tensor::conv::conv_out_dim;
 use harvest_threads::for_each_chunk_mut;
