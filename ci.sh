@@ -15,11 +15,13 @@
 #                        once with the harvest-threads pool forced sequential
 #                        (HARVEST_THREADS=1) and once at the host default
 #  3b. ingest suites     cargo test --release over harvest-imaging, -preproc,
-#                        -tensor and -data: the codec and transform
-#                        bit-identity suites against the pre-rewrite oracles,
-#                        the corrupt-stream sweeps and the proptests, which
-#                        tier-1 (root package only) does not reach; run at
-#                        HARVEST_THREADS=1 and the host default
+#                        -tensor, -data and -engine: the codec, transform
+#                        and kernel bit-identity suites against the
+#                        pre-rewrite oracles, the engine's whole-model
+#                        batch-size × pool-width suite, the corrupt-stream
+#                        sweeps and the proptests, which tier-1 (root package
+#                        only) does not reach; run at HARVEST_THREADS=1 and
+#                        the host default
 #  3c. workspace suites  cargo test --release --workspace: every crate's unit,
 #                        integration and property suites (http_fuzz,
 #                        wire_integration, calendar_diff, the serving
@@ -123,13 +125,16 @@ HARVEST_THREADS=1 cargo test --offline -q
 echo "== tier-1: tests (default pool) =="
 cargo test --offline -q
 
-echo "== ingest suites (imaging, preproc, tensor, data) =="
+echo "== ingest and kernel suites (imaging, preproc, tensor, data, engine) =="
 # Release build: the equivalence suites decode and re-encode 512² images
-# through the verbatim pre-rewrite codec, which a debug build makes slow.
+# through the verbatim pre-rewrite codec, and the engine's width suite
+# runs whole ResNet50 and ViT-Small forwards, which a debug build makes slow.
 HARVEST_THREADS=1 cargo test --offline --release -q \
-    -p harvest-imaging -p harvest-preproc -p harvest-tensor -p harvest-data
+    -p harvest-imaging -p harvest-preproc -p harvest-tensor -p harvest-data \
+    -p harvest-engine
 cargo test --offline --release -q \
-    -p harvest-imaging -p harvest-preproc -p harvest-tensor -p harvest-data
+    -p harvest-imaging -p harvest-preproc -p harvest-tensor -p harvest-data \
+    -p harvest-engine
 
 echo "== workspace suites =="
 cargo test --offline --release --workspace -q

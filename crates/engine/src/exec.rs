@@ -17,10 +17,12 @@
 //!   blocked [`harvest_tensor::gemm::gemm`] instead of the scalar
 //!   dot-product `gemm_bt`, and INT8 executors additionally cache the
 //!   quantized weight matrices. The batch dimension is folded into the
-//!   GEMMs (`Linear`/`Mlp`/QKV become single `(B·s)×k` matmuls; convs run
-//!   the whole NCHW batch through one im2col+GEMM call), and a liveness
-//!   pass drops every intermediate after its last consumer, recycling the
-//!   backing buffers through a per-forward arena.
+//!   GEMMs (`Linear`/`Mlp`/QKV become single `(B·s)×k` matmuls; a conv is
+//!   one implicit GEMM per image, its panels packed straight from the image
+//!   planes; the attention core reads Q, Kᵀ and V out of the fused `qkv`
+//!   buffer where they lie and writes each head into its columns), and a
+//!   liveness pass drops every intermediate after its last consumer,
+//!   recycling the backing buffers through a per-forward arena.
 //! * [`Executor::forward_reference`] — the seed per-image path, kept
 //!   verbatim: weights regenerated from the seed on every call, linears via
 //!   `gemm_bt`, INT8 weights re-transposed and re-quantized per call. It is
@@ -44,8 +46,8 @@ use harvest_tensor::integrity::{checksum_f32, flip_bit_in, max_abs_gap, scan_f32
 use harvest_tensor::ops::exp;
 use harvest_tensor::quant::{quantize_symmetric, QuantizedTensor};
 use harvest_tensor::{
-    add_bias, avg_pool2d_global, conv2d, conv2d_into, gelu, gemm, layernorm, max_pool2d,
-    multi_head_attention, relu, softmax_rows, KernelVariant, Tensor,
+    add_bias, attention_core, avg_pool2d_global, conv2d, conv2d_into, gelu, gemm, layernorm,
+    max_pool2d, multi_head_attention, relu, softmax_rows, KernelVariant, Tensor,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -1233,7 +1235,8 @@ impl<'g> Executor<'g> {
                 let x = values[node.inputs[0].0]
                     .as_ref()
                     .expect("topological order");
-                let out = max_pool2d(&x.data, b, c, h, w, *kernel, *stride, *pad);
+                let mut out = arena.take(b * per_out);
+                max_pool2d(&x.data, b, c, h, w, *kernel, *stride, *pad, &mut out);
                 BatchVal {
                     data: out,
                     per_image: per_out,
@@ -1244,7 +1247,8 @@ impl<'g> Executor<'g> {
                 let x = values[node.inputs[0].0]
                     .as_ref()
                     .expect("topological order");
-                let out = avg_pool2d_global(&x.data, b, c, h, w);
+                let mut out = arena.take(b * per_out);
+                avg_pool2d_global(&x.data, b, c, h, w, &mut out);
                 BatchVal {
                     data: out,
                     per_image: per_out,
@@ -1350,13 +1354,10 @@ impl<'g> Executor<'g> {
                 else {
                     unreachable!("attention weights")
                 };
-                let (s, d) = match node.out_shape {
-                    Shape::Seq { s, d } => (s, d),
+                let s = match node.out_shape {
+                    Shape::Seq { s, .. } => s,
                     sh => panic!("attention output {sh}"),
                 };
-                debug_assert_eq!(d, *dim);
-                let head_dim = dim / heads;
-                let scale = 1.0 / (head_dim as f32).sqrt();
                 let bs = b * s;
                 let x = values[node.inputs[0].0]
                     .as_ref()
@@ -1365,65 +1366,12 @@ impl<'g> Executor<'g> {
                 let mut qkv = arena.take(bs * 3 * dim);
                 self.matmul_into(&x.data, w_qkv, bs, b, &mut qkv);
                 add_bias(&mut qkv, b_qkv.data());
+                // The cores read Q, K and V out of `qkv` where they lie and
+                // write each head into its columns of `mixed`; blocks of the
+                // batch's query rows fan out over the pool in one region.
                 let mut mixed = arena.take(bs * dim);
-                // Per-(image, head) attention cores fan out over the pool —
-                // each task owns a disjoint `s×head_dim` chunk of a shared
-                // flat head buffer and reads its own slice of the QKV
-                // buffer, so scheduling order cannot change a single bit.
-                // Per-head temporaries (q, k_t, v, scores) are loaned from
-                // the thread-local kernel scratch pool instead of allocated,
-                // and K is gathered already transposed so the score matmul
-                // runs through the blocked GEMM too (sequentially: the task
-                // already sits on a pool worker, so the nested GEMM takes
-                // its single-thread path).
-                let dim = *dim;
-                let heads = *heads;
-                let mut heads_buf = arena.take(b * heads * s * head_dim);
-                harvest_threads::for_each_chunk_mut(
-                    &mut heads_buf[..b * heads * s * head_dim],
-                    s * head_dim,
-                    |ih, outh| {
-                        let (img, h) = (ih / heads, ih % heads);
-                        let qkv_img = &qkv[img * s * 3 * dim..(img + 1) * s * 3 * dim];
-                        let off = h * head_dim;
-                        harvest_tensor::scratch::with_f32(3 * s * head_dim + s * s, |tmp| {
-                            let (q, rest) = tmp.split_at_mut(s * head_dim);
-                            let (k_t, rest) = rest.split_at_mut(head_dim * s);
-                            let (v, scores) = rest.split_at_mut(s * head_dim);
-                            for t in 0..s {
-                                let row = &qkv_img[t * 3 * dim..(t + 1) * 3 * dim];
-                                q[t * head_dim..(t + 1) * head_dim]
-                                    .copy_from_slice(&row[off..off + head_dim]);
-                                for i in 0..head_dim {
-                                    k_t[i * s + t] = row[dim + off + i];
-                                }
-                                v[t * head_dim..(t + 1) * head_dim]
-                                    .copy_from_slice(&row[2 * dim + off..2 * dim + off + head_dim]);
-                            }
-                            gemm(q, k_t, scores, s, head_dim, s);
-                            for sc in scores.iter_mut() {
-                                *sc *= scale;
-                            }
-                            softmax_rows(scores, s);
-                            gemm(scores, v, outh, s, s, head_dim);
-                        });
-                    },
-                );
+                attention_core(&qkv, s, *dim, *heads, &mut mixed);
                 arena.give(qkv);
-                // Ordered scatter of the strided head columns (cheap copies;
-                // destinations interleave within a token row, so this stays
-                // on the calling thread).
-                for ih in 0..b * heads {
-                    let outh = &heads_buf[ih * s * head_dim..(ih + 1) * s * head_dim];
-                    let (img, h) = (ih / heads, ih % heads);
-                    let off = h * head_dim;
-                    let mixed_img = &mut mixed[img * s * dim..(img + 1) * s * dim];
-                    for t in 0..s {
-                        mixed_img[t * dim + off..t * dim + off + head_dim]
-                            .copy_from_slice(&outh[t * head_dim..(t + 1) * head_dim]);
-                    }
-                }
-                arena.give(heads_buf);
                 let mut y = arena.take(bs * dim);
                 self.matmul_into(&mixed, w_out, bs, b, &mut y);
                 add_bias(&mut y, b_out.data());
@@ -1686,11 +1634,12 @@ impl<'g> Executor<'g> {
                     Shape::Chw { c, h, w } => (c, h, w),
                     s => panic!("pool input {s}"),
                 };
-                let out = max_pool2d(x.data(), 1, c, h, w, *kernel, *stride, *pad);
                 let (oh, ow) = match node.out_shape {
                     Shape::Chw { h, w, .. } => (h, w),
                     s => panic!("pool output {s}"),
                 };
+                let mut out = vec![0.0f32; c * oh * ow];
+                max_pool2d(x.data(), 1, c, h, w, *kernel, *stride, *pad, &mut out);
                 Tensor::from_vec(&[c, oh, ow], out)
             }
             Op::GlobalAvgPool => {
@@ -1699,7 +1648,9 @@ impl<'g> Executor<'g> {
                     Shape::Chw { c, h, w } => (c, h, w),
                     s => panic!("gap input {s}"),
                 };
-                Tensor::from_vec(&[c], avg_pool2d_global(x.data(), 1, c, h, w))
+                let mut out = vec![0.0f32; c];
+                avg_pool2d_global(x.data(), 1, c, h, w, &mut out);
+                Tensor::from_vec(&[c], out)
             }
             Op::Linear { cin, cout, bias } => {
                 let x = arg(0);

@@ -5,9 +5,9 @@
 //! module composes exactly those kernels so the executable path and the
 //! analytic FLOPs model in `harvest-models` count the same operations.
 
-use crate::gemm::{gemm, gemm_bt, KernelVariant};
+use crate::gemm::{gemm_bt, gemm_with, KernelVariant, PanelSource};
 use crate::ops::{add_bias, softmax_rows};
-use harvest_threads::par_map;
+use harvest_threads::{for_each_chunk_mut, max_threads};
 
 /// Packed multi-head attention weights (all row-major, `[out][in]` layout,
 /// i.e. applied via x · Wᵀ like `torch.nn.Linear`).
@@ -22,11 +22,63 @@ pub struct AttentionWeights<'a> {
     pub b_out: &'a [f32],
 }
 
+/// The attention core: `softmax(Q·Kᵀ / √head_dim) · V` per image and head,
+/// over any number of images stacked row-wise. Q, K and V are read from the
+/// `[seq, 3·dim]` rows of `qkv` where the fused projection left them
+/// (`[q | k | v]`, head `h` at columns `h·head_dim..`) and head `h` is
+/// written into its columns of `mixed`'s `[seq, dim]` rows.
+///
+/// Equal blocks of query rows — of the whole stack, so that a batch smaller
+/// than the pool still fills it — fan out in one region; a block that spans
+/// two images runs each image's part against that image's K and V. No
+/// element's arithmetic depends on the split.
+pub fn attention_core(qkv: &[f32], seq: usize, dim: usize, heads: usize, mixed: &mut [f32]) {
+    assert_eq!(qkv.len(), mixed.len() * 3);
+    if seq == 0 || dim == 0 {
+        return;
+    }
+    assert_eq!(mixed.len() % (seq * dim), 0, "whole images");
+    let head_dim = dim / heads;
+    let scale = 1.0 / (head_dim as f32).sqrt();
+    let ld = 3 * dim;
+    let block = (mixed.len() / dim).div_ceil(max_threads());
+    for_each_chunk_mut(mixed, block * dim, |blk, mixed| {
+        crate::scratch::with_f32(block.min(seq) * seq, |scores| {
+            let (mut row, mut rest) = (blk * block, mixed);
+            while !rest.is_empty() {
+                // This block's rows of the image `row` falls in.
+                let rows = (seq - row % seq).min(rest.len() / dim);
+                let (mixed, tail) = rest.split_at_mut(rows * dim);
+                let image = &qkv[row / seq * seq * ld..][..seq * ld];
+                let q = &qkv[row * ld..];
+                let scores = &mut scores[..rows * seq];
+                for off in (0..dim).step_by(head_dim) {
+                    // scores = Q · Kᵀ / sqrt(d): [rows, seq]
+                    let k = PanelSource::Transposed {
+                        b: &image[dim + off..],
+                        ldb: ld,
+                    };
+                    gemm_with(&q[off..], ld, k, scores, seq, rows, head_dim, seq);
+                    for s in scores.iter_mut() {
+                        *s *= scale;
+                    }
+                    softmax_rows(scores, seq);
+                    // out = scores · V: [rows, head_dim]
+                    let v = PanelSource::Dense {
+                        b: &image[2 * dim + off..],
+                        ldb: ld,
+                    };
+                    let out = &mut mixed[off..];
+                    gemm_with(scores, seq, v, out, dim, rows, seq, head_dim);
+                }
+                (row, rest) = (row + rows, tail);
+            }
+        });
+    });
+}
+
 /// Multi-head self-attention over a `[seq, dim]` sequence. Returns
 /// `[seq, dim]`.
-///
-/// Heads are processed in parallel: each head owns disjoint slices of the
-/// Q/K/V buffers and a disjoint output slice.
 pub fn multi_head_attention(
     x: &[f32],
     seq: usize,
@@ -41,55 +93,17 @@ pub fn multi_head_attention(
     );
     assert_eq!(w.w_qkv.len(), 3 * dim * dim);
     assert_eq!(w.w_out.len(), dim * dim);
-    let head_dim = dim / heads;
-    let scale = 1.0 / (head_dim as f32).sqrt();
-
     // Fused QKV projection: [seq, 3·dim].
     let mut qkv = vec![0.0f32; seq * 3 * dim];
     gemm_bt(x, w.w_qkv, &mut qkv, seq, dim, 3 * dim);
     if !w.b_qkv.is_empty() {
         add_bias(&mut qkv, w.b_qkv);
     }
-
-    // Split per head. qkv row layout: [q(dim) | k(dim) | v(dim)].
-    let mut heads_out = vec![0.0f32; seq * dim];
-    let head_results: Vec<(usize, Vec<f32>)> = par_map(heads, |h| {
-        let off = h * head_dim;
-        // Gather contiguous per-head Q, K, V: [seq, head_dim].
-        let mut q = vec![0.0f32; seq * head_dim];
-        let mut k = vec![0.0f32; seq * head_dim];
-        let mut v = vec![0.0f32; seq * head_dim];
-        for s in 0..seq {
-            let row = &qkv[s * 3 * dim..(s + 1) * 3 * dim];
-            q[s * head_dim..(s + 1) * head_dim].copy_from_slice(&row[off..off + head_dim]);
-            k[s * head_dim..(s + 1) * head_dim]
-                .copy_from_slice(&row[dim + off..dim + off + head_dim]);
-            v[s * head_dim..(s + 1) * head_dim]
-                .copy_from_slice(&row[2 * dim + off..2 * dim + off + head_dim]);
-        }
-        // scores = Q · Kᵀ / sqrt(d): [seq, seq]
-        let mut scores = vec![0.0f32; seq * seq];
-        gemm_bt(&q, &k, &mut scores, seq, head_dim, seq);
-        for s in scores.iter_mut() {
-            *s *= scale;
-        }
-        softmax_rows(&mut scores, seq);
-        // out = scores · V: [seq, head_dim]
-        let mut out = vec![0.0f32; seq * head_dim];
-        gemm(&scores, &v, &mut out, seq, seq, head_dim);
-        (h, out)
-    });
-    for (h, out) in head_results {
-        let off = h * head_dim;
-        for s in 0..seq {
-            heads_out[s * dim + off..s * dim + off + head_dim]
-                .copy_from_slice(&out[s * head_dim..(s + 1) * head_dim]);
-        }
-    }
-
+    let mut mixed = vec![0.0f32; seq * dim];
+    attention_core(&qkv, seq, dim, heads, &mut mixed);
     // Output projection.
     let mut y = vec![0.0f32; seq * dim];
-    gemm_bt(&heads_out, w.w_out, &mut y, seq, dim, dim);
+    gemm_bt(&mixed, w.w_out, &mut y, seq, dim, dim);
     if !w.b_out.is_empty() {
         add_bias(&mut y, w.b_out);
     }

@@ -1,11 +1,14 @@
-//! Convolution and pooling via im2col + GEMM.
+//! Convolution as an implicit GEMM, and pooling.
 //!
-//! im2col is how the paper's engines (cuDNN/TensorRT implicit GEMM) treat
-//! convolution computationally — a conv is a GEMM of shape
-//! `[cout] × [cin·k·k] · [cin·k·k] × [oh·ow]` — so building it this way keeps
-//! our host kernels and the analytic FLOPs model in exact agreement.
+//! A conv is the GEMM `[cout] × [cin·k·k] · [cin·k·k] × [oh·ow]`, which is
+//! how the paper's engines (cuDNN/TensorRT implicit GEMM) treat it and what
+//! keeps our host kernels and the analytic FLOPs model in exact agreement.
+//! The `[cin·k·k] × [oh·ow]` column matrix is never built: the blocked
+//! kernel packs each panel of it straight from the image planes
+//! ([`PanelSource::Im2col`]). [`im2col`] writes the same matrix out for the
+//! tests.
 
-use crate::gemm::{gemm, KernelVariant};
+use crate::gemm::{gemm_with, KernelVariant, PanelSource};
 use harvest_threads::for_each_zipped_chunks;
 
 /// Shape of a conv output for given input spatial size and geometry.
@@ -14,14 +17,9 @@ pub fn conv_out_dim(in_dim: usize, kernel: usize, stride: usize, pad: usize) -> 
     (in_dim + 2 * pad).saturating_sub(kernel) / stride + 1
 }
 
-/// Lay out input patches as columns: output is `[cin·k·k] × [oh·ow]`.
-///
-/// Row `(c, ky, kx)` of the column matrix is, per output line `oy`, one
-/// stretch of input line `oy·stride + ky − pad` starting at `kx − pad`,
-/// every `stride`-th pixel, with zeros where that runs off the image. The
-/// stretch that stays inside depends on `kx` alone, so it is found once per
-/// row and each line is a border fill plus a copy (stride 1) or a strided
-/// walk.
+/// Lay out input patches as columns: output is `[cin·k·k] × [oh·ow]`, the
+/// matrix [`PanelSource::Im2col`] stands for, written by its pack loop. The
+/// conformance suite's materializer; no forward path calls it.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn im2col(
@@ -34,42 +32,19 @@ pub fn im2col(
     pad: usize,
     out: &mut [f32],
 ) {
-    let oh = conv_out_dim(h, kernel, stride, pad);
-    let ow = conv_out_dim(w, kernel, stride, pad);
+    let columns = conv_out_dim(h, kernel, stride, pad) * conv_out_dim(w, kernel, stride, pad);
     assert_eq!(input.len(), cin * h * w);
-    assert_eq!(out.len(), cin * kernel * kernel * oh * ow);
-    for c in 0..cin {
-        let plane = &input[c * h * w..(c + 1) * h * w];
-        for ky in 0..kernel {
-            for kx in 0..kernel {
-                let row = ((c * kernel + ky) * kernel + kx) * oh * ow;
-                // Output columns lo..hi read inside the line:
-                // 0 <= ox·stride + kx − pad < w.
-                let lo = pad.saturating_sub(kx).div_ceil(stride).min(ow);
-                let hi = (w + pad).saturating_sub(kx).div_ceil(stride).clamp(lo, ow);
-                for oy in 0..oh {
-                    let out_row = &mut out[row + oy * ow..row + (oy + 1) * ow];
-                    let iy = oy * stride + ky;
-                    if iy < pad || iy - pad >= h || lo == hi {
-                        out_row.fill(0.0);
-                        continue;
-                    }
-                    let line = &plane[(iy - pad) * w..(iy - pad + 1) * w];
-                    let first = lo * stride + kx - pad;
-                    out_row[..lo].fill(0.0);
-                    out_row[hi..].fill(0.0);
-                    if stride == 1 {
-                        out_row[lo..hi].copy_from_slice(&line[first..first + (hi - lo)]);
-                    } else {
-                        let taps = line[first..].iter().step_by(stride);
-                        for (slot, &v) in out_row[lo..hi].iter_mut().zip(taps) {
-                            *slot = v;
-                        }
-                    }
-                }
-            }
-        }
-    }
+    assert_eq!(out.len(), cin * kernel * kernel * columns);
+    let source = PanelSource::Im2col {
+        input,
+        cin,
+        h,
+        w,
+        kernel,
+        stride,
+        pad,
+    };
+    source.pack(0, 0, columns, out, columns);
 }
 
 /// 2-D convolution over an NCHW batch.
@@ -79,8 +54,7 @@ pub fn im2col(
 /// * `bias`   — `[cout]` or empty
 ///
 /// Returns `[n, cout, oh, ow]`. Images in the batch are processed in
-/// parallel (each worker owns one output image and one im2col scratch
-/// buffer).
+/// parallel (each worker owns one output image).
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d(
     input: &[f32],
@@ -164,35 +138,40 @@ pub fn conv2d_into(
         return;
     }
 
-    // A 1×1 / stride-1 / pad-0 conv's column matrix is the input planes
-    // themselves (`[cin] × [h·w]`), so it needs no im2col.
-    let pointwise = kernel == 1 && stride == 1 && pad == 0;
-    let per_image = |img_in: &[f32], img_out: &mut [f32]| {
-        if pointwise {
-            gemm(weight, img_in, img_out, cout, cin, out_spatial);
-        } else {
-            crate::scratch::with_f32(col_rows * out_spatial, |col| {
-                im2col(img_in, cin, h, w, kernel, stride, pad, col);
-                gemm(weight, col, img_out, cout, col_rows, out_spatial);
-            });
-        }
-        if !bias.is_empty() {
-            for (c, plane) in img_out.chunks_exact_mut(out_spatial).enumerate() {
-                let b = bias[c];
-                for v in plane.iter_mut() {
-                    *v += b;
-                }
-            }
-        }
-    };
-
     // One task per image; a single image runs on the caller, outside any
     // pool region, so its GEMM is free to split rows across the pool.
     let (in_len, out_len) = (cin * h * w, cout * out_spatial);
-    for_each_zipped_chunks(input, in_len, output, out_len, |_, i, o| per_image(i, o));
+    for_each_zipped_chunks(input, in_len, output, out_len, |_, input, img_out| {
+        // A 1×1 / stride-1 / pad-0 conv's column matrix is the input planes
+        // themselves (`[cin] × [h·w]`).
+        let b = if kernel == 1 && stride == 1 && pad == 0 {
+            let ldb = out_spatial;
+            PanelSource::Dense { b: input, ldb }
+        } else {
+            PanelSource::Im2col {
+                input,
+                cin,
+                h,
+                w,
+                kernel,
+                stride,
+                pad,
+            }
+        };
+        let (rows, cols) = (col_rows, out_spatial);
+        gemm_with(weight, rows, b, img_out, cols, cout, rows, cols);
+        for (plane, b) in img_out.chunks_exact_mut(out_spatial).zip(bias) {
+            for v in plane.iter_mut() {
+                *v += b;
+            }
+        }
+    });
 }
 
-/// Max pooling over an NCHW batch. Padding is `-inf`-semantics (ignored).
+/// Max pooling over an NCHW batch into `out` (`n·c·oh·ow`). Padding is
+/// `-inf`-semantics (ignored): each output clips its window to the image
+/// once and then takes the taps that are left, in row-major order, with no
+/// test per tap.
 #[allow(clippy::too_many_arguments)]
 pub fn max_pool2d(
     input: &[f32],
@@ -203,48 +182,46 @@ pub fn max_pool2d(
     kernel: usize,
     stride: usize,
     pad: usize,
-) -> Vec<f32> {
+    out: &mut [f32],
+) {
     assert_eq!(input.len(), n * c * h * w);
     let oh = conv_out_dim(h, kernel, stride, pad);
     let ow = conv_out_dim(w, kernel, stride, pad);
-    let mut out = vec![0.0f32; n * c * oh * ow];
+    assert_eq!(out.len(), n * c * oh * ow);
+    // The taps of output `o` that land on a `size`-long axis of the image.
+    let taps = |o: usize, size: usize| {
+        pad.saturating_sub(o * stride)..kernel.min((size + pad).saturating_sub(o * stride))
+    };
     for (plane_in, plane_out) in input.chunks_exact(h * w).zip(out.chunks_exact_mut(oh * ow)) {
-        for oy in 0..oh {
-            for ox in 0..ow {
+        for (oy, line_out) in plane_out.chunks_exact_mut(ow).enumerate() {
+            let ys = taps(oy, h);
+            for (ox, slot) in line_out.iter_mut().enumerate() {
+                let xs = taps(ox, w);
+                let first = ox * stride + xs.start - pad;
                 let mut best = f32::NEG_INFINITY;
-                for ky in 0..kernel {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for kx in 0..kernel {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        let v = plane_in[iy as usize * w + ix as usize];
+                for ky in ys.clone() {
+                    let line = &plane_in[(oy * stride + ky - pad) * w..][..w];
+                    for &v in line.get(first..first + xs.len()).unwrap_or(&[]) {
                         if v > best {
                             best = v;
                         }
                     }
                 }
-                plane_out[oy * ow + ox] = best;
+                *slot = best;
             }
         }
     }
-    out
 }
 
-/// Global average pooling: `[n, c, h, w] -> [n, c]`.
-pub fn avg_pool2d_global(input: &[f32], n: usize, c: usize, h: usize, w: usize) -> Vec<f32> {
+/// Global average pooling: `[n, c, h, w] -> [n, c]`, into `out`.
+pub fn avg_pool2d_global(input: &[f32], n: usize, c: usize, h: usize, w: usize, out: &mut [f32]) {
     assert_eq!(input.len(), n * c * h * w);
+    assert_eq!(out.len(), n * c);
     let spatial = h * w;
     assert!(spatial > 0);
-    let mut out = vec![0.0f32; n * c];
-    for (i, plane) in input.chunks_exact(spatial).enumerate() {
-        out[i] = plane.iter().sum::<f32>() / spatial as f32;
+    for (slot, plane) in out.iter_mut().zip(input.chunks_exact(spatial)) {
+        *slot = plane.iter().sum::<f32>() / spatial as f32;
     }
-    out
 }
 
 #[cfg(test)]
@@ -339,14 +316,16 @@ mod tests {
             9.0, 10.0, 13.0, 14.0, //
             11.0, 12.0, 15.0, 16.0,
         ];
-        let out = max_pool2d(&input, 1, 1, 4, 4, 2, 2, 0);
-        assert_eq!(out, vec![4.0, 8.0, 12.0, 16.0]);
+        let mut out = [0.0f32; 4];
+        max_pool2d(&input, 1, 1, 4, 4, 2, 2, 0, &mut out);
+        assert_eq!(out, [4.0, 8.0, 12.0, 16.0]);
     }
 
     #[test]
     fn maxpool_padding_ignored() {
         let input = vec![-5.0f32; 4];
-        let out = max_pool2d(&input, 1, 1, 2, 2, 3, 1, 1);
+        let mut out = [0.0f32; 4];
+        max_pool2d(&input, 1, 1, 2, 2, 3, 1, 1, &mut out);
         // Every window sees only real (negative) values, never the pad.
         assert!(out.iter().all(|&v| v == -5.0));
     }
@@ -354,7 +333,8 @@ mod tests {
     #[test]
     fn global_avg_pool() {
         let input = vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0];
-        let out = avg_pool2d_global(&input, 1, 2, 2, 2);
-        assert_eq!(out, vec![2.5, 25.0]);
+        let mut out = [0.0f32; 2];
+        avg_pool2d_global(&input, 1, 2, 2, 2, &mut out);
+        assert_eq!(out, [2.5, 25.0]);
     }
 }

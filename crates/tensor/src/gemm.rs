@@ -18,15 +18,26 @@
 //!   once per x86-64 lane tier (SSE2 baseline, AVX2+FMA, AVX-512+FMA) and
 //!   the widest the host has is picked per call ([`lane_tier`]); which one
 //!   ran is a speed, never a result.
-//! * [`gemm`] — the production entry point: row blocks of C spread over the
-//!   `harvest-threads` pool, each running the blocked kernel; small problems,
-//!   where fork/join would dominate, run it directly.
+//! * [`gemm_with`] — the production entry point: row blocks of C spread over
+//!   the `harvest-threads` pool, each running the blocked kernel; small
+//!   problems, where fork/join would dominate, run it directly. [`gemm`] and
+//!   [`gemm_bt`] are this with a dense or a transposed B.
 //!
-//! [`gemm`] and [`gemm_bt`] are the only f32 GEMMs in the tree; `Executor`,
-//! `conv2d` and `multi_head_attention` call them directly. The same routine
+//! The body has one hook, and it cannot reach the chain: a **panel source**
+//! ([`PanelSource`]) says where `B[p][j]` lives when a panel is packed — a
+//! strided row-major matrix, a transposed one (`weight[out][in]`, or K
+//! inside a fused `qkv` buffer), or the column matrix of a convolution read
+//! straight from the image planes. The pack loop copies values; the
+//! micro-kernel sees the same `KC`×`NR` panel whatever it was copied from. A
+//! and C take row strides for the same reason: an operand is used where it
+//! lies instead of being gathered.
+//!
+//! This is the only f32 GEMM in the tree; `Executor`, `conv2d_into` and the
+//! attention core call it directly. The same routine
 //! is the *host side* of Table 1: `harvest-hw`'s GEMM FLOPS microbenchmark
 //! runs it for this machine's practical-vs-theoretical efficiency figure.
 
+use crate::conv::conv_out_dim;
 use harvest_threads::{for_each_chunk_mut, max_threads};
 
 /// The register tile: `MR` rows of C by `NR` columns. 12×32 is 24
@@ -38,8 +49,9 @@ use harvest_threads::{for_each_chunk_mut, max_threads};
 const MR: usize = 12;
 const NR: usize = 32;
 
-/// Cache-block sizes (`MC` a multiple of `MR`, `NC` of `NR`): the packed B
-/// panel is 32 KB of L1, a block of A 240 KB of L2. No result depends on them.
+/// Cache-block sizes (`MC` a multiple of `MR`, `NC` of `NR`): a packed B
+/// panel is 32 KB of L1, the packed block 512 KB and a block of A 240 KB of
+/// L2. No result depends on them.
 const MC: usize = 240;
 const KC: usize = 256;
 const NC: usize = 512;
@@ -77,6 +89,204 @@ fn check_dims(a: &[f32], b: &[f32], c: &[f32], m: usize, k: usize, n: usize) {
     assert_eq!(c.len(), m * n, "c is {m}x{n}");
 }
 
+/// Where the blocked kernel finds `B[p][j]` (`p < k`, `j < n`) when it packs
+/// a panel. Packing copies values, so every source gives the micro-kernel the
+/// same panel and every element of C the same chain.
+#[derive(Clone, Copy, Debug)]
+pub enum PanelSource<'a> {
+    /// Row-major `k×n` with row stride `ldb`: `B[p][j] = b[p·ldb + j]`.
+    Dense {
+        /// At least `(k − 1)·ldb + n` elements.
+        b: &'a [f32],
+        /// Elements between the starts of two rows.
+        ldb: usize,
+    },
+    /// Row-major `n×k` with row stride `ldb` — a `weight[out][in]` matrix, or
+    /// K where it lies in a fused `qkv` buffer: `B[p][j] = b[j·ldb + p]`.
+    Transposed {
+        /// At least `(n − 1)·ldb + k` elements.
+        b: &'a [f32],
+        /// Elements between the starts of two rows.
+        ldb: usize,
+    },
+    /// The `[cin·kernel²] × [oh·ow]` column matrix of a convolution over one
+    /// `[cin, h, w]` image, read from the planes and never materialized: row
+    /// `(c, ky, kx)`, column `(oy, ox)` is input pixel
+    /// `(c, oy·stride + ky − pad, ox·stride + kx − pad)`, zero off the image.
+    Im2col {
+        /// The `[cin, h, w]` image.
+        input: &'a [f32],
+        /// Input channels.
+        cin: usize,
+        /// Input height.
+        h: usize,
+        /// Input width.
+        w: usize,
+        /// Square kernel side.
+        kernel: usize,
+        /// Stride, both directions.
+        stride: usize,
+        /// Zero padding, all four sides.
+        pad: usize,
+    },
+}
+
+impl PanelSource<'_> {
+    fn check(&self, k: usize, n: usize) {
+        match *self {
+            PanelSource::Dense { b, ldb } => {
+                assert!(ldb >= n && b.len() >= (k * ldb + n).saturating_sub(ldb));
+            }
+            PanelSource::Transposed { b, ldb } => {
+                assert!(ldb >= k && b.len() >= (n * ldb + k).saturating_sub(ldb));
+            }
+            PanelSource::Im2col {
+                input,
+                cin,
+                h,
+                w,
+                kernel,
+                stride,
+                pad,
+            } => {
+                let (oh, ow) = (
+                    conv_out_dim(h, kernel, stride, pad),
+                    conv_out_dim(w, kernel, stride, pad),
+                );
+                assert_eq!(input.len(), cin * h * w, "input is {cin}x{h}x{w}");
+                assert_eq!((k, n), (cin * kernel * kernel, oh * ow), "column matrix");
+            }
+        }
+    }
+
+    /// Packs `B[p0.., j0..j0 + nr]` into `panel` (`ld` floats per row of B,
+    /// as many rows as it holds), columns `nr..ld` zeroed.
+    #[inline(always)]
+    pub(crate) fn pack(&self, p0: usize, j0: usize, nr: usize, panel: &mut [f32], ld: usize) {
+        match *self {
+            PanelSource::Dense { b, ldb } => {
+                for (p, row) in panel.chunks_exact_mut(ld).enumerate() {
+                    let src = &b[(p0 + p) * ldb + j0..][..nr];
+                    if nr == NR && ld == NR {
+                        row.copy_from_slice(&src[..NR]);
+                    } else {
+                        row[..nr].copy_from_slice(src);
+                        row[nr..].fill(0.0);
+                    }
+                }
+            }
+            PanelSource::Transposed { b, ldb } => {
+                if nr < ld {
+                    panel.fill(0.0);
+                }
+                let kb = panel.len() / ld;
+                for j in 0..nr {
+                    let src = &b[(j0 + j) * ldb + p0..][..kb];
+                    for (slot, &v) in panel[j..].iter_mut().step_by(ld).zip(src) {
+                        *slot = v;
+                    }
+                }
+            }
+            PanelSource::Im2col {
+                input,
+                h,
+                w,
+                kernel,
+                stride,
+                pad,
+                ..
+            } => {
+                let ow = conv_out_dim(w, kernel, stride, pad);
+                let at = (j0 / ow, j0 % ow);
+                let mut tap = (p0 / (kernel * kernel), p0 / kernel % kernel, p0 % kernel);
+                for row in panel.chunks_exact_mut(ld) {
+                    let (c, ky, kx) = tap;
+                    let plane = &input[c * h * w..][..h * w];
+                    column_row(plane, h, w, (ky, kx), stride, pad, ow, at, &mut row[..nr]);
+                    row[nr..].fill(0.0);
+                    tap = match (ky + 1 == kernel, kx + 1 == kernel) {
+                        (true, true) => (c + 1, 0, 0),
+                        (false, true) => (c, ky + 1, 0),
+                        _ => (c, ky, kx + 1),
+                    };
+                }
+            }
+        }
+    }
+}
+
+/// Row `(plane, ky, kx)` of a convolution's column matrix from column
+/// `(oy, ox)` on, as many entries as `out` holds.
+///
+/// Per output line the row is one stretch of input line
+/// `oy·stride + ky − pad` starting at `kx − pad`, every `stride`-th pixel,
+/// with zeros where that runs off the image. The columns `lo..hi` that stay
+/// inside depend on `kx` alone, so they are found once and each line is a
+/// border fill plus a copy (stride 1) or a strided walk.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn column_row(
+    plane: &[f32],
+    h: usize,
+    w: usize,
+    (ky, kx): (usize, usize),
+    stride: usize,
+    pad: usize,
+    ow: usize,
+    (mut oy, mut ox): (usize, usize),
+    out: &mut [f32],
+) {
+    // 0 <= ox·stride + kx − pad < w, by stepping: `pad / stride` steps at
+    // most from either end, and no division per row.
+    let mut lo = 0;
+    while lo < ow && lo * stride + kx < pad {
+        lo += 1;
+    }
+    let mut hi = ow;
+    while hi > lo && (hi - 1) * stride + kx >= w + pad {
+        hi -= 1;
+    }
+    // A full-width panel row that is one unclipped stretch of one line — most
+    // of them, away from the borders — is 32 floats at a known stride.
+    let iy = oy * stride + ky;
+    if out.len() == NR && lo <= ox && ox + NR <= hi && (pad..pad + h).contains(&iy) {
+        let src = &plane[(iy - pad) * w + ox * stride + kx - pad..];
+        match stride {
+            1 => return out.copy_from_slice(&src[..NR]),
+            2 => {
+                let src = &src[..2 * NR - 1];
+                return (0..NR).for_each(|j| out[j] = src[2 * j]);
+            }
+            _ => {}
+        }
+    }
+    let mut done = 0;
+    while done < out.len() {
+        let len = (ow - ox).min(out.len() - done);
+        let seg = &mut out[done..done + len];
+        let iy = oy * stride + ky;
+        let (a, b) = if iy < pad || iy - pad >= h {
+            (ox, ox)
+        } else {
+            (lo.clamp(ox, ox + len), hi.clamp(ox, ox + len))
+        };
+        seg[..a - ox].fill(0.0);
+        seg[b - ox..].fill(0.0);
+        if a < b {
+            let src = &plane[(iy - pad) * w + a * stride + kx - pad..];
+            let inside = &mut seg[a - ox..b - ox];
+            if stride == 1 {
+                inside.copy_from_slice(&src[..b - a]);
+            } else {
+                for (slot, &v) in inside.iter_mut().zip(src.iter().step_by(stride)) {
+                    *slot = v;
+                }
+            }
+        }
+        (done, oy, ox) = (done + len, oy + 1, 0);
+    }
+}
+
 /// Cache-blocked single-threaded GEMM; overwrites `c`.
 pub fn gemm_blocked(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     gemm_blocked_upto(usize::MAX, a, b, c, m, k, n);
@@ -92,13 +302,8 @@ pub fn lane_tier() -> &'static str {
 }
 
 /// [`gemm_blocked`] held to lane-tier rank `cap` (0 baseline, 1 AVX2,
-/// 2 AVX-512): runs the instantiation of [`blocked_body`] that
-/// [`at_lane_tier`] picks under it and returns its tier. Capping is the
-/// conformance suite's way to every instantiation — production code never
-/// does. The B panel is one scratch loan per call, taken outside the tier
-/// so that the body inlines into it, and starts on a cache line: where the
-/// allocator put a `Vec` would otherwise decide, per process, whether every
-/// 64-byte B load splits in two (three placements in four, 3–7 % slower).
+/// 2 AVX-512); returns the tier that ran. Capping is the conformance suite's
+/// way to every instantiation — production code never does.
 #[doc(hidden)]
 pub fn gemm_blocked_upto(
     cap: usize,
@@ -110,14 +315,48 @@ pub fn gemm_blocked_upto(
     n: usize,
 ) -> &'static str {
     check_dims(a, b, c, m, k, n);
-    let len = KC.min(k) * NR;
+    let b = PanelSource::Dense { b, ldb: n };
+    blocked_upto(cap, a, k, b, c, n, m, k, n)
+}
+
+/// The blocked kernel over strided operands: runs the instantiation of
+/// [`blocked_body`] that [`at_lane_tier`] picks under `cap` and returns its
+/// tier. The packed B block is one scratch loan per call,
+/// taken outside the tier so that the body inlines into it, and starts on a
+/// cache line: where the allocator put a `Vec` would otherwise decide, per
+/// process, whether every 64-byte B load splits in two (three placements in
+/// four, 3–7 % slower).
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn blocked_upto(
+    cap: usize,
+    a: &[f32],
+    lda: usize,
+    b: PanelSource<'_>,
+    c: &mut [f32],
+    ldc: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) -> &'static str {
+    if m > 0 && n > 0 {
+        assert!(lda >= k && a.len() >= (m - 1) * lda + k, "a is {m}x{k}");
+        assert!(ldc >= n && c.len() >= (m - 1) * ldc + n, "c is {m}x{n}");
+        b.check(k, n);
+    }
+    let width = if packs_ahead(m) {
+        NC.min(n).next_multiple_of(NR)
+    } else {
+        NR
+    };
+    let len = KC.min(k) * width;
     crate::scratch::with_f32(len + 15, |loan| {
         let skip = loan.as_ptr().align_offset(64).min(15);
-        let panel = &mut loan[skip..skip + len];
+        let packed = &mut loan[skip..skip + len];
         at_lane_tier(
             cap,
             #[inline(always)]
-            || blocked_body(a, b, c, m, k, n, panel),
+            || blocked_body(a, lda, b, c, ldc, m, k, n, packed),
         )
     })
 }
@@ -174,70 +413,99 @@ fn at_avx512(body: impl FnOnce()) {
     body()
 }
 
-/// The blocked kernel's one loop body, compiled once per lane tier: each
-/// `KC`×`NR` panel of B is packed contiguous into `panel` (a 3 KB row stride
-/// would alias a handful of L1 sets), then every row tile of the `MC` block
-/// runs the micro-kernel against it. Overwrites `c`.
+/// Whether the body packs a whole `KC`×`NC` block of B before it starts on A.
+/// Each `MC` block of A needs every panel: with several of them the block is
+/// packed once and read back from L2; with one, a panel is packed right
+/// before its only use, into the same 32 KB, and is still in L1 for it.
+/// Each side wins on a benchmark workload (one thread, paired in process):
+/// always per panel costs a ResNet50 B=4 forward ≈ 9 % (its convs pack from
+/// the image planes, `cout` ≥ 256 rows), always ahead costs the wire
+/// workloads' vit96 B=1 forward (37 rows) ≈ 5 %.
+fn packs_ahead(m: usize) -> bool {
+    m > MC
+}
+
+/// The blocked kernel's one loop body, compiled once per lane tier: B is
+/// packed into `packed`, from wherever `b` says it lives, as contiguous
+/// `KC`×`NR` panels (a 3 KB row stride would alias a handful of L1 sets);
+/// every `MC` block of A runs the micro-kernel down each panel. Overwrites
+/// `c`.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn blocked_body(
     a: &[f32],
-    b: &[f32],
+    lda: usize,
+    b: PanelSource<'_>,
     c: &mut [f32],
+    ldc: usize,
     m: usize,
     k: usize,
     n: usize,
-    panel: &mut [f32],
+    packed: &mut [f32],
 ) {
+    if n == 0 {
+        return;
+    }
     if k == 0 {
-        return c.fill(0.0);
+        // An empty chain is `+0.0`.
+        for i in 0..m {
+            c[i * ldc..][..n].fill(0.0);
+        }
+        return;
     }
     // Equal K panels no deeper than KC: k = 257 is 129 + 128, not 256 + 1.
     let kc = k.div_ceil(k.div_ceil(KC));
+    let ahead = packs_ahead(m);
     for jc in (0..n).step_by(NC) {
         let nb = NC.min(n - jc);
         for pc in (0..k).step_by(kc) {
-            let panel = &mut panel[..kc.min(k - pc) * NR];
+            let panel_len = kc.min(k - pc) * NR;
+            let first = pc == 0;
+            let columns = || {
+                (jc..jc + nb)
+                    .step_by(NR)
+                    .map(|jr| (jr, NR.min(jc + nb - jr)))
+            };
+            if ahead {
+                for ((jr, nr), panel) in columns().zip(packed.chunks_exact_mut(panel_len)) {
+                    b.pack(pc, jr, nr, panel, NR);
+                }
+            }
             for ic in (0..m).step_by(MC) {
                 let mb = MC.min(m - ic);
-                for jr in (jc..jc + nb).step_by(NR) {
-                    let nr = NR.min(jc + nb - jr);
-                    // Pack B[pc.., jr..jr + nr], zero-padded to NR columns.
-                    for (p, row) in panel.chunks_exact_mut(NR).enumerate() {
-                        let src = &b[(pc + p) * n + jr..][..nr];
-                        if nr == NR {
-                            row.copy_from_slice(&src[..NR]);
-                        } else {
-                            row[..nr].copy_from_slice(src);
-                            row[nr..].fill(0.0);
-                        }
-                    }
+                for (at, (jr, nr)) in columns().enumerate() {
+                    let panel = if ahead {
+                        &packed[at * panel_len..][..panel_len]
+                    } else {
+                        b.pack(pc, jr, nr, &mut packed[..panel_len], NR);
+                        &packed[..panel_len]
+                    };
                     // Row tails narrow the tile (8, 4, then single rows)
                     // instead of masking it; a column tail runs full width on
                     // a staged copy of its C rows and stores back what exists.
-                    let first = pc == 0;
                     let mut edge = [0.0f32; MR * NR];
                     let mut i = ic;
                     while i < ic + mb {
                         let rows = MR.min(ic + mb - i);
-                        let c = &mut c[i * n + jr..];
-                        let (ct, ldc) = if nr == NR {
-                            (&mut *c, n)
+                        let c = &mut c[i * ldc + jr..];
+                        let (ct, ldt) = if nr == NR {
+                            (&mut *c, ldc)
                         } else {
                             for r in if first { 0..0 } else { 0..rows } {
-                                edge[r * NR..][..nr].copy_from_slice(&c[r * n..][..nr]);
+                                edge[r * NR..][..nr].copy_from_slice(&c[r * ldc..][..nr]);
                             }
                             (&mut edge[..], NR)
                         };
-                        let a = &a[i * k + pc..];
+                        let a = &a[i * lda + pc..];
                         let done = match rows {
-                            MR => tile::<MR>(a, k, panel, ct, ldc, first),
-                            8.. => tile::<8>(a, k, panel, ct, ldc, first),
-                            4.. => tile::<4>(a, k, panel, ct, ldc, first),
-                            _ => tile::<1>(a, k, panel, ct, ldc, first),
+                            MR => tile::<MR>(a, lda, panel, ct, ldt, first),
+                            8.. => tile::<8>(a, lda, panel, ct, ldt, first),
+                            4.. => tile::<4>(a, lda, panel, ct, ldt, first),
+                            _ => tile::<1>(a, lda, panel, ct, ldt, first),
                         };
                         if nr != NR {
                             for r in 0..done {
-                                c[r * n..][..nr].copy_from_slice(&edge[r * NR..][..nr]);
+                                c[r * ldc..][..nr].copy_from_slice(&edge[r * NR..][..nr]);
                             }
                         }
                         i += done;
@@ -308,25 +576,49 @@ fn tile<const R: usize>(
     R
 }
 
-/// Production GEMM: parallel over row blocks of `C` when the problem is big
-/// enough to amortize fork/join, otherwise the blocked kernel.
+/// `c[m×n] = a[m×k] · b[k×n]`, all three dense row-major: [`gemm_with`]
+/// without strides.
 pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     check_dims(a, b, c, m, k, n);
+    let b = PanelSource::Dense { b, ldb: n };
+    gemm_with(a, k, b, c, n, m, k, n);
+}
+
+/// Production GEMM over operands where they lie: `a` is `m×k` with row
+/// stride `lda`, `b` whatever its [`PanelSource`] describes, `c` is `m×n`
+/// with row stride `ldc` (only those `n` columns of each row are written).
+/// Parallel over row blocks of C when the problem is big enough to amortize
+/// fork/join, otherwise the blocked kernel.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_with(
+    a: &[f32],
+    lda: usize,
+    b: PanelSource<'_>,
+    c: &mut [f32],
+    ldc: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     // Before the parallel path can chunk by zero columns.
     if m == 0 || n == 0 {
         return;
     }
     if m * n * k < PAR_THRESHOLD_MACS || m < 2 {
-        return gemm_blocked(a, b, c, m, k, n);
+        blocked_upto(usize::MAX, a, lda, b, c, ldc, m, k, n);
+        return;
     }
+    assert!(ldc >= n && c.len() >= (m - 1) * ldc + n, "c is {m}x{n}");
     // Each worker owns a disjoint row block of C: balanced (ceil(m/threads))
     // rather than clamped to MC, so no worker idles on mid-sized m, and rounded
     // up to the register tile, so only the final block runs the row tails.
     let rows_per_block = m.div_ceil(max_threads()).next_multiple_of(MR);
-    for_each_chunk_mut(c, rows_per_block * n, |blk, c_block| {
-        let i0 = blk * rows_per_block;
-        let mb = c_block.len() / n;
-        gemm_blocked(&a[i0 * k..(i0 + mb) * k], b, c_block, mb, k, n);
+    let c = &mut c[..(m - 1) * ldc + n];
+    for_each_chunk_mut(c, rows_per_block * ldc, |blk, c_block| {
+        // A whole block is `rows·ldc` long, the last one ends with its row.
+        let mb = (c_block.len() - n) / ldc + 1;
+        let a = &a[blk * rows_per_block * lda..];
+        blocked_upto(usize::MAX, a, lda, b, c_block, ldc, mb, k, n);
     });
 }
 
@@ -362,29 +654,17 @@ pub fn gemm_v(
 /// `c = a · bᵀ` where `b` is stored row-major as `n×k` — the layout linear
 /// layers use (`weight[out][in]`).
 ///
-/// [`gemm`] behind a transpose, and so under the same bit contract: the
-/// `n×k` operand is written out as `k×n` into a scratch loan on every call
-/// and the blocked kernel packs its panels from that. The extra O(k·n) pass
-/// and buffer are the price of the reference path — the per-image executor
+/// [`gemm`] with a [`PanelSource::Transposed`] B, and so under the same bit
+/// contract: the pack loop reads the `n×k` operand down its rows instead of
+/// along them. This is the reference path's linear — the per-image executor
 /// and `multi_head_attention`, which the conformance suites compare the
-/// batched engine against. Production forwards never pay it: the engine
-/// stores every weight already transposed and calls [`gemm`].
+/// batched engine against; the engine stores every weight already `k×n`.
 pub fn gemm_bt(a: &[f32], b_t: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "a is {m}x{k}");
     assert_eq!(b_t.len(), n * k, "b_t is {n}x{k}");
     assert_eq!(c.len(), m * n, "c is {m}x{n}");
-    if k == 0 {
-        return c.fill(0.0);
-    }
-    // Transpose bᵀ (n×k) into b (k×n); every element of the loan is written.
-    crate::scratch::with_f32(k * n, |b| {
-        for (j, b_t_row) in b_t.chunks_exact(k).enumerate() {
-            for (p, &v) in b_t_row.iter().enumerate() {
-                b[p * n + j] = v;
-            }
-        }
-        gemm(a, b, c, m, k, n);
-    });
+    let b = PanelSource::Transposed { b: b_t, ldb: k };
+    gemm_with(a, k, b, c, n, m, k, n);
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! The paper's measurements run on GPUs we do not have; those are modelled
 //! analytically in `harvest-hw`/`harvest-perf`. This crate is the part of the
 //! stack that is *not* simulated: data-parallel f32 kernels (blocked GEMM,
-//! im2col convolution, multi-head attention, normalization, image
+//! implicit-GEMM convolution, multi-head attention, normalization, image
 //! preprocessing ops) that
 //!
 //! 1. give the model zoo an executable forward pass (used by the engine's
@@ -30,9 +30,9 @@ pub mod quant;
 pub mod scratch;
 pub mod tensor;
 
-pub use attention::{multi_head_attention, multi_head_attention_v};
+pub use attention::{attention_core, multi_head_attention, multi_head_attention_v};
 pub use conv::{avg_pool2d_global, conv2d, conv2d_into, conv2d_v, max_pool2d};
-pub use gemm::{gemm, gemm_naive, gemm_v, lane_tier, KernelVariant};
+pub use gemm::{gemm, gemm_naive, gemm_v, gemm_with, lane_tier, KernelVariant, PanelSource};
 pub use image::{
     bilinear_taps, center_crop, chw_to_hwc_u8, hwc_u8_to_chw, normalize_chw, perspective_warp,
     resize_bilinear, resize_normalize_hwc_u8, Homography,

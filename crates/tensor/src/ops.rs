@@ -3,13 +3,25 @@
 use crate::gemm::at_lane_tier;
 use harvest_threads::for_each_chunk_mut;
 
-/// In-place ReLU.
+/// In-place ReLU: negatives become `+0.0`, everything else — `-0.0` and NaN
+/// included — keeps its bits.
 pub fn relu(x: &mut [f32]) {
-    for v in x.iter_mut() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
-    }
+    relu_upto(usize::MAX, x);
+}
+
+/// [`relu`] held to lane-tier rank `cap`, as [`gelu_upto`].
+#[doc(hidden)]
+pub fn relu_upto(cap: usize, x: &mut [f32]) -> &'static str {
+    at_lane_tier(
+        cap,
+        #[inline(always)]
+        || {
+            // A select, not a conditional store, so that it vectorizes.
+            for v in x.iter_mut() {
+                *v = if *v < 0.0 { 0.0 } else { *v };
+            }
+        },
+    )
 }
 
 /// `e^x` without libm: at most 1 ulp off down to `-87.3`, exactly `0` below

@@ -1,7 +1,6 @@
 //! Thread-local recycling pool for kernel scratch buffers.
 //!
-//! The im2col column buffer, the GEMM's packed B panel, the `gemm_bt`
-//! transpose and the executor's per-head attention temporaries are all
+//! The GEMM's packed B panels and the attention core's score rows are
 //! short-lived `Vec<f32>`s whose sizes repeat exactly from forward to
 //! forward. On the serving hot path that used to
 //! mean a handful of heap allocations per layer per request. This module

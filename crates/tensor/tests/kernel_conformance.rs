@@ -15,8 +15,13 @@
 //! * They stay elementwise within `1e-5·k` of the unfused kernel they
 //!   replaced (`oracle/gemm.rs`, verbatim).
 //! * The packed INT8 kernel is exactly the naive integer loop.
+//! * The kernel's panel source cannot move a bit: through every one (dense,
+//!   transposed, the implicit column matrix of a convolution) and over
+//!   strided A and C, `gemm_with` is `gemm_naive` on the operand written out.
 //! * `im2col` is the gather it replaced (`oracle/`, verbatim), and the 1×1
 //!   conv that skips it equals the conv that does not.
+//! * `max_pool2d` and `avg_pool2d_global` are the per-tap-tested loops they
+//!   replaced (`oracle/`, verbatim).
 //! * The three names kept for `benchmark/` (`gemm_v`, `conv2d_v`,
 //!   `multi_head_attention_v`) return what they forward to.
 
@@ -24,11 +29,13 @@ mod oracle;
 
 use harvest_tensor::attention::AttentionWeights;
 use harvest_tensor::conv::{conv_out_dim, im2col};
-use harvest_tensor::gemm::{gemm, gemm_blocked_upto, gemm_bt, gemm_naive};
+use harvest_tensor::gemm::{
+    blocked_upto, gemm, gemm_blocked_upto, gemm_bt, gemm_naive, gemm_with, PanelSource,
+};
 use harvest_tensor::quant::{gemm_i8, gemm_i8_naive};
 use harvest_tensor::{
-    conv2d, conv2d_v, gemm_v, lane_tier, multi_head_attention, multi_head_attention_v,
-    KernelVariant,
+    attention_core, avg_pool2d_global, conv2d, conv2d_v, gemm_v, lane_tier, max_pool2d,
+    multi_head_attention, multi_head_attention_v, KernelVariant,
 };
 use proptest::prelude::*;
 
@@ -152,6 +159,16 @@ proptest! {
         prop_assert_eq!(fast, slow, "m={} k={} n={}", m, k, n);
     }
 
+    /// Dense and transposed panel sources over strided operands on every
+    /// adversarial shape.
+    #[test]
+    fn panel_sources_track_the_naive_oracle(
+        (m, k, n, a, b) in (adversarial_dim(), adversarial_dim(), adversarial_dim())
+            .prop_flat_map(|(m, k, n)| (Just(m), Just(k), Just(n), vecf(m * k), vecf(k * n)))
+    ) {
+        assert_sources_keep_the_chain(&a, &b, m, k, n);
+    }
+
     /// `gemm_bt` (the linear-layer layout) matches an explicit transpose
     /// followed by `gemm`.
     #[test]
@@ -236,6 +253,192 @@ fn benchmark_shapes_are_the_naive_chain_at_every_tier_and_width() {
                 assert_bits_eq(&chain, &c, &format!("gemm_bt, {what}"));
             });
         }
+    }
+}
+
+/// `x` (`rows×cols`, dense) copied out with row stride `ld`, the slack filled
+/// with a value no product contains.
+fn strided(x: &[f32], rows: usize, cols: usize, ld: usize) -> Vec<f32> {
+    let mut out = vec![777.0f32; (rows * ld + cols).saturating_sub(ld)];
+    for (src, dst) in x.chunks_exact(cols.max(1)).zip(out.chunks_mut(ld)) {
+        dst[..cols].copy_from_slice(src);
+    }
+    out
+}
+
+/// Holds one product through `source` to `reference` (the naive chain on the
+/// operand written out): A and C strided, every lane-tier cap single-threaded
+/// and `gemm_with` at 1, 2, 3 and 8 threads; C's slack columns must come
+/// back untouched.
+fn assert_source_keeps_the_chain(
+    a: &[f32],
+    source: PanelSource<'_>,
+    reference: &[f32],
+    (m, k, n): (usize, usize, usize),
+    what: &str,
+) {
+    let (lda, ldc) = (k + 3, n + 5);
+    let a = strided(a, m, k, lda);
+    let check = |c: &[f32], how: &str| {
+        for (i, row) in c.chunks(ldc).enumerate() {
+            for (j, v) in row.iter().enumerate() {
+                let want = if j < n { reference[i * n + j] } else { 555.0 };
+                assert_eq!(
+                    v.to_bits(),
+                    want.to_bits(),
+                    "{what}, {how}: row {i} col {j}"
+                );
+            }
+        }
+    };
+    let c_len = (m * ldc + n).saturating_sub(ldc);
+    for cap in [0, 1, 2] {
+        let mut c = vec![555.0f32; c_len];
+        let tier = blocked_upto(cap, &a, lda, source, &mut c, ldc, m, k, n);
+        if m > 0 && n > 0 {
+            check(&c, tier);
+        }
+    }
+    for threads in [1usize, 2, 3, 8] {
+        harvest_threads::with_threads(threads, || {
+            let mut c = vec![555.0f32; c_len];
+            gemm_with(&a, lda, source, &mut c, ldc, m, k, n);
+            if m > 0 && n > 0 {
+                check(&c, &format!("threads={threads}"));
+            }
+        });
+    }
+}
+
+/// [`assert_source_keeps_the_chain`] for a dense `k×n` B, read as it is
+/// (strided) and from its transpose.
+fn assert_sources_keep_the_chain(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    let mut chain = vec![f32::NAN; m * n];
+    gemm_naive(a, b, &mut chain, m, k, n);
+    let dense = strided(b, k, n, n + 2);
+    let source = PanelSource::Dense {
+        b: &dense,
+        ldb: n + 2,
+    };
+    assert_source_keeps_the_chain(
+        a,
+        source,
+        &chain,
+        (m, k, n),
+        &format!("dense ({m},{k},{n})"),
+    );
+    let bt = strided(&transposed(b, k, n), n, k, k + 1);
+    let source = PanelSource::Transposed { b: &bt, ldb: k + 1 };
+    let what = format!("transposed ({m},{k},{n})");
+    assert_source_keeps_the_chain(a, source, &chain, (m, k, n), &what);
+}
+
+/// Strided operands and both matrix sources on the kernel's own edges — one
+/// either side of the register tile's rows (12) and columns (32) and of a K
+/// panel (256) — on `k = 0`, the two-panel `k = 257`, `m < MR`, a staged
+/// column tail, the parallel row split, more than one block of A (so that B
+/// is packed ahead) and on the benchmark's shapes.
+#[test]
+fn panel_sources_keep_the_chain_on_tile_edges_and_benchmark_shapes() {
+    let mut shapes = vec![
+        (5, 0, 37),
+        (3, 9, 70),
+        (7, 257, 45),
+        (300, 240, 260),
+        (253, 513, 33),
+        (37, 192, 768),
+        (257, 64, 257),
+        (257, 257, 64),
+        (512, 4608, 49),
+    ];
+    for m in [11, 12, 13] {
+        for n in [31, 32, 33] {
+            shapes.extend([255, 256, 257].map(|k| (m, k, n)));
+        }
+    }
+    for (m, k, n) in shapes {
+        let (a, b) = (ramp(m * k, 37, 113), ramp(k * n, 53, 127));
+        assert_sources_keep_the_chain(&a, &b, m, k, n);
+    }
+}
+
+/// The implicit column matrix: a conv's GEMM through `PanelSource::Im2col`
+/// is the naive chain on the matrix `im2col` writes out — ResNet50's 3×3
+/// stride-1 and stride-2 stages at the benchmark's sizes, and small
+/// geometries where the kernel overhangs or exceeds the image, the padding
+/// is wider than the kernel, a panel spans many output lines, or lines are
+/// wide enough for whole panel rows to be one strided stretch (strides 1, 2
+/// and 3: the stem's 7×7 stride-2 among them).
+#[test]
+fn implicit_im2col_is_the_naive_chain_on_the_materialized_columns() {
+    // (m = cout, cin, h, w, kernel, stride, pad)
+    for (m, cin, h, w, kernel, stride, pad) in [
+        (64, 64, 56, 56, 3, 1, 1),
+        (128, 128, 56, 56, 3, 2, 1),
+        (13, 3, 9, 7, 7, 2, 3),
+        (5, 2, 1, 1, 3, 1, 1),
+        (5, 2, 2, 13, 1, 2, 0),
+        (4, 3, 5, 4, 1, 1, 3),
+        (7, 1, 12, 3, 3, 1, 2),
+        (250, 2, 6, 40, 3, 1, 1),
+        (9, 3, 10, 224, 7, 2, 3),
+        (4, 1, 4, 200, 3, 3, 1),
+    ] {
+        let (k, n) = (
+            cin * kernel * kernel,
+            conv_out_dim(h, kernel, stride, pad) * conv_out_dim(w, kernel, stride, pad),
+        );
+        let input = ramp(cin * h * w, 37, 113);
+        let a = ramp(m * k, 53, 127);
+        let mut columns = vec![f32::NAN; k * n];
+        im2col(&input, cin, h, w, kernel, stride, pad, &mut columns);
+        let mut chain = vec![f32::NAN; m * n];
+        gemm_naive(&a, &columns, &mut chain, m, k, n);
+        let source = PanelSource::Im2col {
+            input: &input,
+            cin,
+            h,
+            w,
+            kernel,
+            stride,
+            pad,
+        };
+        let what = format!("im2col {cin}x{h}x{w} k{kernel} s{stride} p{pad} -> {m}");
+        assert_source_keeps_the_chain(&a, source, &chain, (m, k, n), &what);
+    }
+}
+
+/// Pooling against the loops it replaced, on ResNet50's stem (112×112,
+/// kernel 3, stride 2, pad 1) and on shapes where the window overhangs every
+/// side, exceeds the image, or the padding is at least the kernel — with
+/// NaNs, both zeros and infinities among the values, since a max that
+/// compares differently would pick differently among them.
+#[test]
+fn pooling_is_the_per_tap_loop_it_replaced_bitwise() {
+    let edges = [f32::NAN, -0.0, 0.0, f32::NEG_INFINITY, f32::INFINITY, -1.5];
+    for (n, c, h, w, kernel, stride, pad) in [
+        (2usize, 3usize, 112usize, 112usize, 3usize, 2usize, 1usize),
+        (1, 2, 1, 1, 1, 1, 0),
+        (1, 2, 1, 1, 3, 1, 1),
+        (2, 1, 2, 3, 5, 1, 2),
+        (1, 2, 4, 5, 2, 2, 0),
+        (1, 1, 3, 3, 2, 1, 2),
+        (1, 2, 5, 4, 3, 3, 3),
+        (1, 1, 7, 9, 3, 2, 0),
+    ] {
+        let mut input = ramp(n * c * h * w, 37, 113);
+        for (slot, edge) in input.iter_mut().step_by(5).zip(edges.iter().cycle()) {
+            *slot = *edge;
+        }
+        let what = format!("{n}x{c}x{h}x{w} kernel={kernel} stride={stride} pad={pad}");
+        let want = oracle::max_pool2d(&input, n, c, h, w, kernel, stride, pad);
+        let mut got = vec![f32::NAN; want.len()];
+        max_pool2d(&input, n, c, h, w, kernel, stride, pad, &mut got);
+        assert_bits_eq(&want, &got, &format!("max pool {what}"));
+        let want = oracle::avg_pool2d_global(&input, n, c, h, w);
+        let mut got = vec![f32::NAN; want.len()];
+        avg_pool2d_global(&input, n, c, h, w, &mut got);
+        assert_bits_eq(&want, &got, &format!("avg pool {what}"));
     }
 }
 
@@ -438,6 +641,25 @@ fn conv_and_attention_are_bit_identical_across_thread_counts() {
         let (conv, attn) = run(threads);
         assert_bits_eq(&conv_seq, &conv, &format!("conv2d, threads={threads}"));
         assert_bits_eq(&attn_seq, &attn, &format!("attention, threads={threads}"));
+    }
+}
+
+/// `attention_core` over a stack of images fans out equal blocks of the
+/// stack's query rows, so a block can end in one image and begin in the next
+/// (3 × 70 rows over 8 threads: blocks of 27). Whatever the split, every
+/// image comes out as its own core run alone.
+#[test]
+fn attention_core_over_a_stack_is_each_image_alone_at_every_width() {
+    let (imgs, s, d, heads) = (3, 70, 96, 3);
+    let qkv = ramp(imgs * s * 3 * d, 37, 113);
+    let mut alone = vec![f32::NAN; imgs * s * d];
+    for (qkv, mixed) in qkv.chunks(s * 3 * d).zip(alone.chunks_mut(s * d)) {
+        harvest_threads::with_threads(1, || attention_core(qkv, s, d, heads, mixed));
+    }
+    for threads in [1usize, 2, 3, 4, 8] {
+        let mut stacked = vec![f32::NAN; imgs * s * d];
+        harvest_threads::with_threads(threads, || attention_core(&qkv, s, d, heads, &mut stacked));
+        assert_bits_eq(&alone, &stacked, &format!("stack, threads={threads}"));
     }
 }
 

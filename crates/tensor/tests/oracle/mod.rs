@@ -8,6 +8,10 @@
 //!   and `expf` and a serial `sum += v` were inside them. `transcendentals.rs`
 //!   holds the shipped ones to these within a tolerance; their bits depend on
 //!   the host's libm, which is why they were replaced.
+//! * `relu` while it was a conditional store, and `max_pool2d` /
+//!   `avg_pool2d_global` while every tap was bounds-tested and each forward
+//!   got a fresh `Vec`. `transcendentals.rs` and `kernel_conformance.rs`
+//!   hold the shipped ones to these bit for bit.
 //! * `gemm::gemm_blocked_acc_body`, the unfused 4-way-group GEMM loop body
 //!   every fingerprint was pinned to before the FMA chain replaced it.
 //!   `kernel_conformance.rs` holds the shipped kernel within `1e-5·k` of it.
@@ -112,4 +116,68 @@ pub fn layernorm(x: &mut [f32], d: usize, gamma: &[f32], beta: &[f32], eps: f32)
     } else {
         x.chunks_exact_mut(d).for_each(apply);
     }
+}
+
+/// In-place ReLU.
+pub fn relu(x: &mut [f32]) {
+    for v in x.iter_mut() {
+        if *v < 0.0 {
+            *v = 0.0;
+        }
+    }
+}
+
+/// Max pooling over an NCHW batch. Padding is `-inf`-semantics (ignored).
+#[allow(clippy::too_many_arguments)]
+pub fn max_pool2d(
+    input: &[f32],
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    kernel: usize,
+    stride: usize,
+    pad: usize,
+) -> Vec<f32> {
+    assert_eq!(input.len(), n * c * h * w);
+    let oh = conv_out_dim(h, kernel, stride, pad);
+    let ow = conv_out_dim(w, kernel, stride, pad);
+    let mut out = vec![0.0f32; n * c * oh * ow];
+    for (plane_in, plane_out) in input.chunks_exact(h * w).zip(out.chunks_exact_mut(oh * ow)) {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut best = f32::NEG_INFINITY;
+                for ky in 0..kernel {
+                    let iy = (oy * stride + ky) as isize - pad as isize;
+                    if iy < 0 || iy >= h as isize {
+                        continue;
+                    }
+                    for kx in 0..kernel {
+                        let ix = (ox * stride + kx) as isize - pad as isize;
+                        if ix < 0 || ix >= w as isize {
+                            continue;
+                        }
+                        let v = plane_in[iy as usize * w + ix as usize];
+                        if v > best {
+                            best = v;
+                        }
+                    }
+                }
+                plane_out[oy * ow + ox] = best;
+            }
+        }
+    }
+    out
+}
+
+/// Global average pooling: `[n, c, h, w] -> [n, c]`.
+pub fn avg_pool2d_global(input: &[f32], n: usize, c: usize, h: usize, w: usize) -> Vec<f32> {
+    assert_eq!(input.len(), n * c * h * w);
+    let spatial = h * w;
+    assert!(spatial > 0);
+    let mut out = vec![0.0f32; n * c];
+    for (i, plane) in input.chunks_exact(spatial).enumerate() {
+        out[i] = plane.iter().sum::<f32>() / spatial as f32;
+    }
+    out
 }

@@ -9,6 +9,8 @@
 //! * **Edges**: overflow to `+inf`, underflow straight to `0` with no
 //!   denormal in between, NaN in NaN out, and GELU's sign, bound and
 //!   infinities.
+//! * **ReLU**, now a select under the lane tiers, against the conditional
+//!   store it replaced (`oracle/`, verbatim), bit for bit.
 //! * **Bit identity**: a slice equals its elements one at a time whatever its
 //!   length and alignment, every lane tier equals the baseline, every pool
 //!   width equals the sequential run, and the row fold's order is the one
@@ -17,7 +19,7 @@
 mod oracle;
 
 use harvest_tensor::gemm::{gemm, gemm_bt};
-use harvest_tensor::ops::{exp, gelu_upto, softmax_rows_upto};
+use harvest_tensor::ops::{exp, gelu_upto, relu_upto, softmax_rows_upto};
 use harvest_tensor::{add_bias, gelu, layernorm, softmax_rows, Tensor};
 
 /// Distance from `want` in units of the f32 spacing at `want`.
@@ -429,4 +431,44 @@ fn softmax_keeps_a_poisoned_row_poisoned_and_a_saturated_row_clean() {
         assert!(row.contains(&0.0), "the row did not saturate");
         assert!((row.iter().sum::<f32>() - 1.0).abs() < 1e-6);
     }
+}
+
+/// `relu` as a select is the conditional store it replaced, bit for bit:
+/// negatives (denormals and `-inf` included) become `+0.0`, and `-0.0`, a
+/// NaN of either sign and everything positive keep their bits — at every
+/// lane-tier cap and at lengths that leave every kind of vector tail.
+#[test]
+fn relu_is_the_conditional_store_it_replaced_at_every_tier() {
+    let edges = [
+        0.0f32,
+        -0.0,
+        f32::NAN,
+        -f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+        f32::from_bits(1),
+        -f32::from_bits(1),
+        f32::from_bits(0x007f_ffff),
+        -f32::from_bits(0x007f_ffff),
+        f32::MAX,
+        f32::MIN,
+        1.0,
+        -1.0,
+    ];
+    for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 257, 64 * 112 * 112] {
+        let mut src = gaussian(len, 31, 2.0);
+        for (slot, edge) in src.iter_mut().step_by(3).zip(edges.iter().cycle()) {
+            *slot = *edge;
+        }
+        let mut want = src.clone();
+        oracle::relu(&mut want);
+        for cap in [0, 1, 2, usize::MAX] {
+            let mut got = src.clone();
+            let tier = relu_upto(cap, &mut got);
+            assert_bits_eq(&want, &got, &format!("relu {tier}, len {len}"));
+        }
+    }
+    assert_eq!(relu_upto(usize::MAX, &mut []), harvest_tensor::lane_tier());
 }
