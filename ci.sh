@@ -9,8 +9,9 @@
 #                        no libm transcendental: logits bits must depend on
 #                        this repo's code, not on the host's glibc (`mul_add`
 #                        is exact by IEEE-754 and is the GEMM's accumulate)
-#  2c. no forks          no second parallel API, kernel feature or tuner knob
-#                        under crates/, shims/ or the root manifest
+#  2c. no forks          no second parallel API, kernel feature, tuner knob or
+#                        third measuring harness (Criterion benches) under
+#                        crates/, shims/ or the root manifest
 #   3. tier-1 tests      cargo build --release && cargo test -q, run twice:
 #                        once with the harvest-threads pool forced sequential
 #                        (HARVEST_THREADS=1) and once at the host default
@@ -100,11 +101,14 @@ if [ -n "$libm_calls" ]; then
     exit 1
 fi
 
-echo "== one GEMM family, one parallel API =="
-# The tree has one f32 GEMM family (harvest_tensor::gemm) and one parallel
-# API (harvest-threads); a file that names the vendored iterator shim, the
-# kernel feature or the tuner's env var is one of them growing back.
-if grep -rlE 'rayon|feature = "simd"|HARVEST_TUNE' crates shims Cargo.toml; then
+echo "== one GEMM family, one parallel API, two measuring harnesses =="
+# The tree has one f32 GEMM family (harvest_tensor::gemm), one parallel
+# API (harvest-threads) and two measuring harnesses (`experiments` and
+# benchmark/); a file that names the vendored iterator shim, the kernel
+# feature, the tuner's env var, the Criterion shim or a `[[bench]]` target
+# is one of them growing back.
+if grep -rlE 'rayon|feature = "simd"|HARVEST_TUNE|criterion|\[\[bench\]\]' \
+    crates shims Cargo.toml; then
     echo "a deleted fork is named again (see the files above)"
     exit 1
 fi

@@ -11,8 +11,8 @@
 //! result as a JSON artifact into DIR. `--smoke` keeps the self-checks but
 //! suppresses the tables — CI uses it to regenerate artifacts cheaply and
 //! diff them for drift. `host` runs the *real* host measurements (GEMM
-//! GFLOPS + real preprocessing timings) — the executable-substrate
-//! counterpart of the simulated platforms.
+//! GFLOPS, real preprocessing timings, the AJPG-vs-RTIF decode gap) — the
+//! executable-substrate counterpart of the simulated platforms.
 
 use harvest_bench::{ascii_series, pretty, text_table};
 use harvest_core::experiments as exp;
@@ -2125,4 +2125,32 @@ fn host() {
             out.transform_s * 1e3
         );
     }
+    // The TIFF-vs-JPEG claim in one number: the same 224² image decoded from
+    // both formats, best of 9 each. Recorded, never asserted.
+    use harvest_imaging::{ajpg_decode, ajpg_encode, rtif_decode, rtif_encode};
+    use harvest_imaging::{AjpgOptions, FieldScene, SynthImageSpec};
+    let img = FieldScene::RowCrop.render(&SynthImageSpec {
+        width: 224,
+        height: 224,
+        seed: 3,
+    });
+    let best_of_9 = |decode: &dyn Fn() -> usize| {
+        (0..9)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                std::hint::black_box(decode());
+                t.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let jpg = ajpg_encode(&img, &AjpgOptions::default());
+    let raw = rtif_encode(&img);
+    let ajpg_s = best_of_9(&|| ajpg_decode(&jpg).unwrap().pixels());
+    let rtif_s = best_of_9(&|| rtif_decode(&raw).unwrap().pixels());
+    println!(
+        "  decode 224x224 RowCrop: AJPG {:.1} us, RTIF {:.1} us = {:.0}x",
+        ajpg_s * 1e6,
+        rtif_s * 1e6,
+        ajpg_s / rtif_s
+    );
 }

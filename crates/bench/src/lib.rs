@@ -12,8 +12,8 @@
 //! cargo run -p harvest-bench --bin experiments --release -- --json out/
 //! ```
 //!
-//! Criterion benches (one per table/figure plus kernel microbenches) live
-//! under `benches/`.
+//! Real kernels are timed in two places only: `experiments bench` / `host`
+//! here, and the repo benchmark (`benchmark/`, gated end to end).
 
 use std::fmt::Write as _;
 

@@ -39,3 +39,24 @@ fn tune_is_no_longer_a_subcommand() {
         "{err}"
     );
 }
+
+/// The AJPG-vs-RTIF decode gap EXPERIMENTS.md quotes is a line of `host`:
+/// two timings are printed, nothing is asserted about their values.
+#[test]
+fn host_prints_the_format_gap() {
+    let out = experiments(&["host"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let line = stdout
+        .lines()
+        .find(|l| l.contains("decode 224x224 RowCrop"))
+        .unwrap_or_else(|| panic!("no format-gap line: {stdout}"));
+    let times: Vec<f64> = ["AJPG ", "RTIF "]
+        .iter()
+        .map(|tag| {
+            let rest = &line[line.find(tag).unwrap() + tag.len()..];
+            rest.split(' ').next().unwrap().parse().unwrap()
+        })
+        .collect();
+    assert!(times.iter().all(|&t| t > 0.0), "{line}");
+}

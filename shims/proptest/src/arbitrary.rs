@@ -41,23 +41,7 @@ macro_rules! impl_arbitrary_int {
         }
     )*};
 }
-impl_arbitrary_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl Arbitrary for f64 {
-    fn arbitrary(rng: &mut TestRng) -> f64 {
-        // Finite values spanning many magnitudes; non-finite values are not
-        // produced (the workspace's properties assume finite inputs).
-        let mag = rng.f64() * 600.0 - 300.0;
-        let sign = if rng.next_u64() & 1 == 1 { -1.0 } else { 1.0 };
-        sign * 10f64.powf(mag / 10.0)
-    }
-}
-
-impl Arbitrary for f32 {
-    fn arbitrary(rng: &mut TestRng) -> f32 {
-        (rng.f64() * 2e6 - 1e6) as f32
-    }
-}
+impl_arbitrary_int!(u8, u64, i8);
 
 #[cfg(test)]
 mod tests {

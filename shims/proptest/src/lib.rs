@@ -19,11 +19,9 @@ pub mod test_runner;
 pub mod prelude {
     //! Glob-import surface matching `proptest::prelude`.
     pub use crate::arbitrary::any;
-    pub use crate::strategy::{BoxedStrategy, Just, Strategy, Union};
-    pub use crate::test_runner::{ProptestConfig, TestCaseError, TestRng};
-    pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
-    };
+    pub use crate::strategy::{Just, Strategy};
+    pub use crate::test_runner::{ProptestConfig, TestCaseError};
+    pub use crate::{prop_assert, prop_assert_eq, prop_assume, prop_oneof, proptest};
 }
 
 /// Define property tests. Mirrors proptest's macro grammar for the forms
@@ -42,9 +40,6 @@ pub mod prelude {
 macro_rules! proptest {
     (#![proptest_config($config:expr)] $($rest:tt)*) => {
         $crate::__proptest_impl! { ($config); $($rest)* }
-    };
-    ($($rest:tt)*) => {
-        $crate::__proptest_impl! { ($crate::test_runner::ProptestConfig::default()); $($rest)* }
     };
 }
 
@@ -94,19 +89,6 @@ macro_rules! prop_assert_eq {
     ($left:expr, $right:expr, $($fmt:tt)*) => {{
         let (l, r) = (&$left, &$right);
         $crate::prop_assert!(*l == *r, "{}: {:?} == {:?}", format!($($fmt)*), l, r);
-    }};
-}
-
-/// `prop_assert_ne!` — inequality assertion inside a property.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr) => {{
-        let (l, r) = (&$left, &$right);
-        $crate::prop_assert!(*l != *r, "assertion failed: {:?} != {:?}", l, r);
-    }};
-    ($left:expr, $right:expr, $($fmt:tt)*) => {{
-        let (l, r) = (&$left, &$right);
-        $crate::prop_assert!(*l != *r, "{}: {:?} != {:?}", format!($($fmt)*), l, r);
     }};
 }
 

@@ -31,19 +31,6 @@ pub trait Strategy {
         FlatMap { base: self, f }
     }
 
-    /// Keep only values satisfying `pred`; other draws are retried.
-    fn prop_filter<F>(self, whence: &'static str, pred: F) -> Filter<Self, F>
-    where
-        Self: Sized,
-        F: Fn(&Self::Value) -> bool,
-    {
-        Filter {
-            base: self,
-            whence,
-            pred,
-        }
-    }
-
     /// Type-erase the strategy (needed by `prop_oneof!`).
     fn boxed(self) -> BoxedStrategy<Self::Value>
     where
@@ -89,30 +76,6 @@ impl<S: Strategy, T: Strategy, F: Fn(S::Value) -> T> Strategy for FlatMap<S, F> 
     type Value = T::Value;
     fn generate(&self, rng: &mut TestRng) -> T::Value {
         (self.f)(self.base.generate(rng)).generate(rng)
-    }
-}
-
-/// `prop_filter` adapter: rejection-samples until `pred` holds.
-#[derive(Clone, Debug)]
-pub struct Filter<S, F> {
-    base: S,
-    whence: &'static str,
-    pred: F,
-}
-
-impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
-    type Value = S::Value;
-    fn generate(&self, rng: &mut TestRng) -> S::Value {
-        for _ in 0..10_000 {
-            let v = self.base.generate(rng);
-            if (self.pred)(&v) {
-                return v;
-            }
-        }
-        panic!(
-            "prop_filter({}) rejected 10000 consecutive draws",
-            self.whence
-        );
     }
 }
 
@@ -170,7 +133,7 @@ macro_rules! impl_int_range {
         }
     )*};
 }
-impl_int_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_int_range!(u8, u16, u32, u64, usize, i64);
 
 macro_rules! impl_float_range {
     ($($t:ty),*) => {$(
@@ -179,14 +142,6 @@ macro_rules! impl_float_range {
             fn generate(&self, rng: &mut TestRng) -> $t {
                 assert!(self.start < self.end, "empty range strategy");
                 self.start + (self.end - self.start) * rng.f64() as $t
-            }
-        }
-        impl Strategy for RangeInclusive<$t> {
-            type Value = $t;
-            fn generate(&self, rng: &mut TestRng) -> $t {
-                let (lo, hi) = (*self.start(), *self.end());
-                assert!(lo <= hi, "empty range strategy");
-                lo + (hi - lo) * rng.f64() as $t
             }
         }
     )*};
@@ -213,13 +168,6 @@ impl_tuple_strategy!(A, B, C, D, E);
 impl_tuple_strategy!(A, B, C, D, E, F);
 impl_tuple_strategy!(A, B, C, D, E, F, G);
 impl_tuple_strategy!(A, B, C, D, E, F, G, H);
-
-impl<S: Strategy + ?Sized> Strategy for &S {
-    type Value = S::Value;
-    fn generate(&self, rng: &mut TestRng) -> S::Value {
-        (**self).generate(rng)
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -14,15 +14,6 @@ impl ProptestConfig {
     }
 }
 
-impl Default for ProptestConfig {
-    fn default() -> Self {
-        // The real proptest defaults to 256; 64 keeps the offline suite
-        // well under the repo's test-time budget at equivalent coverage for
-        // these small state spaces.
-        ProptestConfig { cases: 64 }
-    }
-}
-
 /// Why a case did not pass.
 #[derive(Clone, Debug)]
 pub enum TestCaseError {

@@ -59,7 +59,7 @@ macro_rules! impl_ser_signed {
         }
     )*};
 }
-impl_ser_signed!(i8, i16, i32, i64, isize);
+impl_ser_signed!(i32, i64);
 
 macro_rules! impl_ser_unsigned {
     ($($t:ty),*) => {$(
@@ -117,12 +117,6 @@ impl<T: Serialize> Serialize for Vec<T> {
     }
 }
 
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
@@ -140,12 +134,8 @@ macro_rules! impl_ser_tuple {
         }
     };
 }
-impl_ser_tuple!(A);
 impl_ser_tuple!(A, B);
 impl_ser_tuple!(A, B, C);
-impl_ser_tuple!(A, B, C, D);
-impl_ser_tuple!(A, B, C, D, E);
-impl_ser_tuple!(A, B, C, D, E, F);
 
 #[cfg(test)]
 mod tests {

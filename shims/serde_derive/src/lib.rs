@@ -1,14 +1,13 @@
 //! `#[derive(Serialize)]` for the offline serde shim.
 //!
 //! Implemented directly on `proc_macro` token streams (no syn/quote — the
-//! container cannot fetch them). Supports the shapes the workspace actually
-//! derives on: non-generic structs with named fields, and enums whose
-//! variants are all unit variants (serialized as their name string).
+//! container cannot fetch them). Supports the one shape the workspace
+//! derives on: non-generic structs with named fields.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// Derive the shim `serde::Serialize` (see `shims/serde`) for a struct with
-/// named fields or a unit-variant enum.
+/// named fields.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
@@ -28,10 +27,10 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
             _ => break,
         }
     }
-    let kind = match &tokens[i] {
-        TokenTree::Ident(id) => id.to_string(),
-        other => panic!("expected `struct` or `enum`, got {other}"),
-    };
+    match &tokens[i] {
+        TokenTree::Ident(id) if id.to_string() == "struct" => {}
+        other => panic!("derive(Serialize) supports named-field structs, got `{other}`"),
+    }
     i += 1;
     let name = match &tokens[i] {
         TokenTree::Ident(id) => id.to_string(),
@@ -44,36 +43,20 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
             TokenTree::Group(g) if g.delimiter() == Delimiter::Brace => Some(g.stream()),
             _ => None,
         })
-        .unwrap_or_else(|| panic!("derive(Serialize) needs a braced {kind} body for {name}"));
+        .unwrap_or_else(|| panic!("derive(Serialize) needs a braced struct body for {name}"));
 
-    let impl_body = match kind.as_str() {
-        "struct" => {
-            let fields = named_fields(body);
-            let pushes: String = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "__fields.push((\"{f}\".to_string(), ::serde::Serialize::to_value(&self.{f})));"
-                    )
-                })
-                .collect();
+    let pushes: String = named_fields(body)
+        .iter()
+        .map(|f| {
             format!(
-                "let mut __fields: Vec<(String, ::serde::Value)> = Vec::new(); {pushes} ::serde::Value::Object(__fields)"
+                "__fields.push((\"{f}\".to_string(), ::serde::Serialize::to_value(&self.{f})));"
             )
-        }
-        "enum" => {
-            let variants = unit_variants(body, &name);
-            let arms: String = variants
-                .iter()
-                .map(|v| format!("{name}::{v} => ::serde::Value::Str(\"{v}\".to_string()),"))
-                .collect();
-            format!("match self {{ {arms} }}")
-        }
-        other => panic!("derive(Serialize) supports structs and enums, got `{other}`"),
-    };
-
+        })
+        .collect();
     format!(
-        "impl ::serde::Serialize for {name} {{ fn to_value(&self) -> ::serde::Value {{ {impl_body} }} }}"
+        "impl ::serde::Serialize for {name} {{ fn to_value(&self) -> ::serde::Value {{ \
+         let mut __fields: Vec<(String, ::serde::Value)> = Vec::new(); {pushes} \
+         ::serde::Value::Object(__fields) }} }}"
     )
     .parse()
     .expect("generated impl parses")
@@ -123,31 +106,4 @@ fn named_fields(body: TokenStream) -> Vec<String> {
         }
     }
     fields
-}
-
-/// Variant names of an enum body; panics if any variant carries data.
-fn unit_variants(body: TokenStream, enum_name: &str) -> Vec<String> {
-    let mut variants = Vec::new();
-    let mut iter = body.into_iter().peekable();
-    while let Some(tok) = iter.next() {
-        match &tok {
-            TokenTree::Punct(p) if p.as_char() == '#' => {
-                iter.next();
-            }
-            TokenTree::Ident(id) => {
-                variants.push(id.to_string());
-                match iter.peek() {
-                    None => {}
-                    Some(TokenTree::Punct(p)) if p.as_char() == ',' => {
-                        iter.next();
-                    }
-                    Some(other) => panic!(
-                        "derive(Serialize) on enum {enum_name}: variant {id} must be a unit variant, found {other}"
-                    ),
-                }
-            }
-            _ => {}
-        }
-    }
-    variants
 }

@@ -12,14 +12,6 @@ pub use serde::{Serialize, Value};
 #[derive(Debug)]
 pub struct Error;
 
-impl std::fmt::Display for Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("json serialization error")
-    }
-}
-
-impl std::error::Error for Error {}
-
 /// Render compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
@@ -123,10 +115,9 @@ fn write_escaped(s: &str, out: &mut String) {
 
 /// Build a [`Value`] from JSON-looking syntax. Supports the shapes the
 /// workspace uses: object literals with string-literal keys and expression
-/// values, array literals of expressions, `null`, and bare expressions.
+/// values, array literals of expressions, and bare expressions.
 #[macro_export]
 macro_rules! json {
-    (null) => { $crate::Value::Null };
     ([ $($elem:expr),* $(,)? ]) => {
         $crate::Value::Array(vec![ $( $crate::json!($elem) ),* ])
     };
