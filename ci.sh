@@ -11,7 +11,9 @@
 #                        is exact by IEEE-754 and is the GEMM's accumulate)
 #  2c. no forks          no second parallel API, kernel feature, tuner knob or
 #                        third measuring harness (Criterion benches) under
-#                        crates/, shims/ or the root manifest
+#                        crates/, shims/ or the root manifest; no `std::arch`
+#                        under crates/ or shims/, and no `unsafe` in non-test
+#                        harvest-tensor code outside gemm.rs
 #   3. tier-1 tests      cargo build --release && cargo test -q, run twice:
 #                        once with the harvest-threads pool forced sequential
 #                        (HARVEST_THREADS=1) and once at the host default
@@ -110,6 +112,24 @@ echo "== one GEMM family, one parallel API, two measuring harnesses =="
 if grep -rlE 'rayon|feature = "simd"|HARVEST_TUNE|criterion|\[\[bench\]\]' \
     crates shims Cargo.toml; then
     echo "a deleted fork is named again (see the files above)"
+    exit 1
+fi
+# The one instruction-set dispatcher is `at_lane_tier` in gemm.rs: the INT8
+# GEMM runs through it as exact integers, so no intrinsic kernel and no
+# other `unsafe` belongs in the tensor crate.
+if grep -rn 'std::arch' crates shims; then
+    echo "std::arch is back (the f32 GEMM's lane tiers are the one dispatch)"
+    exit 1
+fi
+tensor_unsafe=$(for f in crates/tensor/src/*.rs; do
+    [ "$f" = crates/tensor/src/gemm.rs ] && continue
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// { next }
+        /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$tensor_unsafe" ]; then
+    echo "$tensor_unsafe"
+    echo "unsafe in harvest-tensor outside gemm.rs's lane-tier dispatcher"
     exit 1
 fi
 

@@ -41,7 +41,8 @@ pub struct BenchKernel {
     /// `conv2d`, `attention`).
     pub kernel: String,
     /// `scalar` for the f32 kernels (the one lane-tier GEMM family),
-    /// `int8-packed` for the integer kernel.
+    /// `int8-packed` for `gemm_i8` (the label of its deleted `pmaddwd`
+    /// kernels, kept; it runs the f32 GEMM over exact integers).
     pub variant: String,
     /// Problem shape, human-readable.
     pub shape: String,
@@ -161,7 +162,7 @@ pub struct BenchReport {
     /// Lane tier the scalar blocked GEMM ran at on that host (`sse2`,
     /// `avx2` or `avx512`; `harvest_tensor::lane_tier`).
     pub lane_tier: String,
-    /// Packed INT8 GEMM GOP/s over the f32 GEMM's GFLOP/s in this run
+    /// `gemm_i8` GOP/s over the f32 GEMM's GFLOP/s in this run
     /// (wall-clock; informational).
     pub int8_over_f32_gemm: f64,
     /// `gelu` over a ViT-Tiny MLP activation (257×768, values spread over
@@ -264,7 +265,7 @@ fn bench_kernels(smoke: bool) -> Vec<BenchKernel> {
     let mut rows = Vec::new();
 
     // Square GEMM in the two layouts and precisions the executor uses,
-    // plus the packed INT8 integer kernel.
+    // plus the INT8 GEMM on its own.
     let n = if smoke { 64 } else { 256 };
     let a = rand_vec(n * n, 1);
     let b = rand_vec(n * n, 2);
@@ -299,8 +300,9 @@ fn bench_kernels(smoke: bool) -> Vec<BenchKernel> {
         ms,
         macs,
     ));
-    // Apples-to-apples INT8: weights and activations quantized outside the
-    // timed region, exactly as the executor's cached-weight path sees them.
+    // INT8 with weights and activations quantized outside the timed region;
+    // the timed call still widens both operands to f32, where the executor
+    // widens its weights once, at materialization.
     let qa = quantize_symmetric(&a);
     let qb = quantize_symmetric(&b);
     let ms = time_best_ms(reps, || {
@@ -697,11 +699,10 @@ fn micro_cnn() -> Graph {
 /// configuration times the real zoo at the Fig-5 batch sizes.
 pub fn bench(smoke: bool) -> BenchReport {
     let kernels = bench_kernels(smoke);
-    // What INT8 serving buys for its accuracy cost, measured in this same
-    // process: packed INT8 GOP/s over the f32 GEMM's GFLOP/s. Recorded,
-    // not asserted — with the f32 kernel on wide lanes the two sit within
-    // this host's slow stretches of each other, and no gate may ride on
-    // wall-clock.
+    // What INT8 costs on this host, measured in this same process: `gemm_i8`
+    // GOP/s over the f32 GEMM's GFLOP/s. INT8 runs that GEMM over exact
+    // integers, so the ratio is below 1 by the widening and the i32 sums.
+    // Recorded, not asserted: no gate may ride on wall-clock.
     let gemm_rate = |kernel: &str| {
         let row = kernels.iter().find(|k| k.kernel == kernel);
         row.expect("kernel row").gflops

@@ -44,7 +44,7 @@ use harvest_simkit::fault::FaultPlan;
 use harvest_tensor::attention::AttentionWeights;
 use harvest_tensor::integrity::{checksum_f32, flip_bit_in, max_abs_gap, scan_f32, ScanReport};
 use harvest_tensor::ops::exp;
-use harvest_tensor::quant::{quantize_symmetric, QuantizedTensor};
+use harvest_tensor::quant::{gemm_exact_i32, quantize_symmetric};
 use harvest_tensor::{
     add_bias, attention_core, avg_pool2d_global, conv2d, conv2d_into, gelu, gemm, layernorm,
     max_pool2d, multi_head_attention, relu, softmax_rows, KernelVariant, Tensor,
@@ -75,13 +75,14 @@ impl WeightStore {
 
 /// A matmul weight in the layout the fast path wants: `k×n`, ready to be
 /// the B operand of [`harvest_tensor::gemm::gemm`], with an optional cached
-/// symmetric INT8 quantization of the same matrix.
+/// symmetric INT8 quantization of the same matrix: its i8 values widened
+/// once to f32, the B operand of [`gemm_exact_i32`], and its scale.
 #[derive(Clone)]
 struct LinearWeight {
     k: usize,
     n: usize,
     kxn: Vec<f32>,
-    int8: Option<QuantizedTensor>,
+    int8: Option<(Vec<f32>, f32)>,
 }
 
 impl LinearWeight {
@@ -96,13 +97,16 @@ impl LinearWeight {
                 kxn[p * n + j] = src[j * k + p];
             }
         }
-        let int8 = if quantize {
-            Some(quantize_symmetric(&kxn))
-        } else {
-            None
-        };
+        let int8 = quantize.then(|| quantize_widened(&kxn));
         LinearWeight { k, n, kxn, int8 }
     }
+}
+
+/// Symmetric INT8 quantization of `x` as the integer-valued f32 operand
+/// [`gemm_exact_i32`] multiplies, and its scale.
+fn quantize_widened(x: &[f32]) -> (Vec<f32>, f32) {
+    let q = quantize_symmetric(x);
+    (q.data.iter().map(|&v| v as f32).collect(), q.scale)
 }
 
 /// Per-node weights in execution-ready form.
@@ -538,7 +542,7 @@ impl MaterializedWeights {
             };
             for lw in linears {
                 if lw.int8.is_some() {
-                    lw.int8 = Some(quantize_symmetric(&lw.kxn));
+                    lw.int8 = Some(quantize_widened(&lw.kxn));
                 }
             }
         }
@@ -1101,14 +1105,14 @@ impl<'g> Executor<'g> {
         debug_assert_eq!(x.len(), rows * w.k);
         debug_assert_eq!(out.len(), rows * w.n);
         match (&w.int8, self.int8_linears) {
-            (Some(qw), true) => {
+            (Some((qw, w_scale)), true) => {
                 debug_assert_eq!(rows % groups, 0);
                 let rpg = rows / groups;
                 for g in 0..groups {
                     let xs = &x[g * rpg * w.k..(g + 1) * rpg * w.k];
-                    let qa = quantize_symmetric(xs);
-                    let acc = harvest_tensor::quant::gemm_i8(&qa.data, &qw.data, rpg, w.k, w.n);
-                    let scale = qa.scale * qw.scale;
+                    let (qa, a_scale) = quantize_widened(xs);
+                    let acc = gemm_exact_i32(&qa, qw, rpg, w.k, w.n);
+                    let scale = a_scale * w_scale;
                     for (o, v) in out[g * rpg * w.n..(g + 1) * rpg * w.n].iter_mut().zip(acc) {
                         *o = v as f32 * scale;
                     }
@@ -2162,7 +2166,7 @@ mod tests {
     fn cached_int8_weights_equal_a_fresh_quantization() {
         // `matmul_into` serves INT8 matmuls from the quantization taken at
         // materialization; it must be what quantizing the cached k×n
-        // weight now would give, field for field.
+        // weight now would give, value for value, widened to f32.
         let g = small_vit();
         let exec = Executor::new_int8(&g, 9);
         let mut checked = 0;
@@ -2173,10 +2177,11 @@ mod tests {
                 _ => vec![],
             };
             for w in linears {
-                let cached = w.int8.as_ref().expect("INT8 executor caches every linear");
+                let (panel, scale) = w.int8.as_ref().expect("INT8 executor caches every linear");
                 let fresh = quantize_symmetric(&w.kxn);
-                assert_eq!(cached.data, fresh.data);
-                assert_eq!(cached.scale.to_bits(), fresh.scale.to_bits());
+                let widened: Vec<f32> = fresh.data.iter().map(|&v| v as f32).collect();
+                assert_eq!(panel, &widened);
+                assert_eq!(scale.to_bits(), fresh.scale.to_bits());
                 checked += 1;
             }
         }
@@ -2196,6 +2201,48 @@ mod tests {
         let batch = exec.forward_batch(&xs);
         for (x, y) in xs.iter().zip(&batch) {
             assert_eq!(&exec.forward(x), y);
+        }
+    }
+
+    #[test]
+    fn int8_logits_are_pinned_across_a_k_chunk_boundary() {
+        // The MLP's hidden width is 1088, so `w2` is a k = 1088 integer
+        // GEMM: two k-chunks of the exact-integer f32 GEMM. Integer
+        // arithmetic has one answer, so these hashes were taken from the
+        // `pmaddwd` kernels the f32 GEMM replaced and may never move.
+        use harvest_models::{vit, VitConfig};
+        let g = vit(
+            "int8-pin",
+            &VitConfig {
+                dim: 64,
+                depth: 2,
+                heads: 2,
+                patch: 4,
+                img: 16,
+                mlp_ratio: 17,
+                classes: 7,
+            },
+        );
+        let exec = Executor::new_int8(&g, 5);
+        let xs: Vec<Tensor> = (0..3)
+            .map(|i| Tensor::random(&[3, 16, 16], 500 + i, 1.0))
+            .collect();
+        let hash = |b: usize| {
+            let logits: Vec<f32> = exec
+                .forward_batch(&xs[..b])
+                .iter()
+                .flat_map(|t| t.data().to_vec())
+                .collect();
+            checksum_f32(&logits)
+        };
+        let pinned = [(1, 0x6b39_7300_9f87_f0a3), (3, 0x34cb_2539_abe5_0079)];
+        for (b, want) in pinned {
+            assert_eq!(
+                harvest_threads::with_threads(1, || hash(b)),
+                want,
+                "B={b}, one thread"
+            );
+            assert_eq!(hash(b), want, "B={b}, default width");
         }
     }
 

@@ -11,13 +11,10 @@
 //! deadline, per second, stays at the saturation plateau and p99 stays
 //! bounded.
 
-use crate::resilience::{FaultContext, FaultInjection, ResilienceStats, ResilienceSummary};
-use crate::scenario::OnlineConfig;
-use crate::server::{AdmissionConfig, PipelineSim};
+use crate::resilience::{FaultInjection, ResilienceSummary};
+use crate::scenario::{drive_online, OnlineConfig, OnlineReport};
+use crate::server::AdmissionConfig;
 use harvest_engine::EngineError;
-use harvest_simkit::{SimRng, SimTime};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Protected-online results. Conservation holds at every point:
 /// `completed + shed + rejected == submitted` (see
@@ -69,7 +66,7 @@ pub fn run_online_protected(
     config: &OnlineConfig,
     admission: &AdmissionConfig,
 ) -> Result<OverloadReport, EngineError> {
-    run_online_protected_inner(config, admission, None)
+    drive_online(config, Some(admission), None).map(protected_report)
 }
 
 /// Run the protected online scenario under an active fault plan as well:
@@ -80,57 +77,31 @@ pub fn run_online_protected_faulted(
     admission: &AdmissionConfig,
     faults: &FaultInjection,
 ) -> Result<OverloadReport, EngineError> {
-    run_online_protected_inner(config, admission, Some(faults))
+    drive_online(config, Some(admission), Some(faults)).map(protected_report)
 }
 
-fn run_online_protected_inner(
-    config: &OnlineConfig,
-    admission: &AdmissionConfig,
-    faults: Option<&FaultInjection>,
-) -> Result<OverloadReport, EngineError> {
-    let mut pipeline = PipelineSim::new(&config.pipeline)?;
-    // Protection always installs a fault context: the shared stats are
-    // where shed/rejected accounting lives, fault plan or not.
-    let default_faults = FaultInjection::default();
-    let f = faults.unwrap_or(&default_faults);
-    let plan = Rc::new(f.plan.clone());
-    let stats = Rc::new(RefCell::new(ResilienceStats::default()));
-    pipeline.set_fault_context(FaultContext::new(plan.clone(), 0, f.policy, stats.clone()));
-    pipeline.set_admission(admission)?;
-    let mut rng = SimRng::new(config.seed);
-    let mut t = 0.0f64;
-    for _ in 0..config.requests {
-        t += rng.exponential(config.arrival_rate);
-        pipeline.submit(SimTime::from_secs_f64(t));
-    }
-    pipeline.run_to_completion();
-    let submitted = pipeline.submitted();
-    let metrics = pipeline.metrics();
-    let mut m = metrics.borrow_mut();
-    let makespan = m.last_completion.as_secs_f64().max(1e-9);
-    let deadline_ms = admission.deadline.as_millis_f64();
-    let misses = m.latencies_ms.count_above(deadline_ms) as u64;
-    let resilience =
-        ResilienceSummary::from_stats(&stats.borrow(), submitted, &plan, 1, m.last_completion);
-    Ok(OverloadReport {
+fn protected_report(
+    (r, submitted, makespan_s, misses): (OnlineReport, u64, f64, u64),
+) -> OverloadReport {
+    OverloadReport {
         submitted,
-        completed: m.completed,
-        rejected: resilience.rejected,
-        shed: resilience.shed,
-        throughput: m.completed as f64 / makespan,
-        goodput: m.completed.saturating_sub(misses) as f64 / makespan,
-        deadline_miss_rate: if m.completed == 0 {
+        completed: r.completed,
+        rejected: r.resilience.rejected,
+        shed: r.resilience.shed,
+        throughput: r.throughput,
+        goodput: r.completed.saturating_sub(misses) as f64 / makespan_s,
+        deadline_miss_rate: if r.completed == 0 {
             0.0
         } else {
-            misses as f64 / m.completed as f64
+            misses as f64 / r.completed as f64
         },
-        mean_ms: m.latencies_ms.mean(),
-        p50_ms: m.latencies_ms.percentile(50.0),
-        p99_ms: m.latencies_ms.percentile(99.0),
-        mean_batch: pipeline.mean_batch(),
-        makespan_s: makespan,
-        resilience,
-    })
+        mean_ms: r.mean_ms,
+        p50_ms: r.p50_ms,
+        p99_ms: r.p99_ms,
+        mean_batch: r.mean_batch,
+        makespan_s,
+        resilience: r.resilience,
+    }
 }
 
 #[cfg(test)]
@@ -144,6 +115,7 @@ mod tests {
     use harvest_models::ModelId;
     use harvest_perf::MemoryContext;
     use harvest_preproc::PreprocMethod;
+    use harvest_simkit::SimTime;
 
     fn pipeline(max_batch: u32) -> PipelineConfig {
         PipelineConfig {

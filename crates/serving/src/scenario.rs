@@ -1,7 +1,7 @@
 //! The three deployment scenarios of §2.2, driven over [`PipelineSim`].
 
 use crate::resilience::{FaultContext, FaultInjection, ResilienceStats, ResilienceSummary};
-use crate::server::{PipelineConfig, PipelineSim};
+use crate::server::{AdmissionConfig, PipelineConfig, PipelineSim};
 use harvest_engine::EngineError;
 use harvest_simkit::{SimRng, SimTime};
 use std::cell::RefCell;
@@ -43,7 +43,7 @@ pub struct OnlineReport {
 
 /// Run the online scenario.
 pub fn run_online(config: &OnlineConfig) -> Result<OnlineReport, EngineError> {
-    run_online_inner(config, None)
+    drive_online(config, None, None).map(|(report, ..)| report)
 }
 
 /// Run the online scenario under an active fault plan: transient errors
@@ -54,20 +54,32 @@ pub fn run_online_faulted(
     config: &OnlineConfig,
     faults: &FaultInjection,
 ) -> Result<OnlineReport, EngineError> {
-    run_online_inner(config, Some(faults))
+    drive_online(config, None, Some(faults)).map(|(report, ..)| report)
 }
 
-fn run_online_inner(
+/// One online run as a `(report, submitted, makespan_s, deadline_misses)`
+/// tuple, the last three read by the protected pair in [`crate::overload`]
+/// (misses are 0 without admission). The one body behind all four
+/// `run_online*`: build the pipeline, install the fault context and
+/// admission control asked for, offer Poisson arrivals, run to completion
+/// and read the metrics. Admission always brings a fault context: its shared
+/// stats are where shed/rejected accounting lives, fault plan or not.
+pub(crate) fn drive_online(
     config: &OnlineConfig,
+    admission: Option<&AdmissionConfig>,
     faults: Option<&FaultInjection>,
-) -> Result<OnlineReport, EngineError> {
+) -> Result<(OnlineReport, u64, f64, u64), EngineError> {
     let mut pipeline = PipelineSim::new(&config.pipeline)?;
-    let fault_state = faults.map(|f| {
+    let no_faults = FaultInjection::default();
+    let fault_state = faults.or(admission.map(|_| &no_faults)).map(|f| {
         let plan = Rc::new(f.plan.clone());
         let stats = Rc::new(RefCell::new(ResilienceStats::default()));
         pipeline.set_fault_context(FaultContext::new(plan.clone(), 0, f.policy, stats.clone()));
         (plan, stats)
     });
+    if let Some(admission) = admission {
+        pipeline.set_admission(admission)?;
+    }
     let mut rng = SimRng::new(config.seed);
     let mut t = 0.0f64;
     for _ in 0..config.requests {
@@ -79,13 +91,16 @@ fn run_online_inner(
     let metrics = pipeline.metrics();
     let mut m = metrics.borrow_mut();
     let makespan = m.last_completion.as_secs_f64().max(1e-9);
+    let misses = admission.map_or(0, |a| {
+        m.latencies_ms.count_above(a.deadline.as_millis_f64()) as u64
+    });
     let resilience = match &fault_state {
         Some((plan, stats)) => {
             ResilienceSummary::from_stats(&stats.borrow(), submitted, plan, 1, m.last_completion)
         }
         None => ResilienceSummary::healthy(),
     };
-    Ok(OnlineReport {
+    let report = OnlineReport {
         completed: m.completed,
         throughput: m.completed as f64 / makespan,
         mean_ms: m.latencies_ms.mean(),
@@ -94,7 +109,8 @@ fn run_online_inner(
         p99_ms: m.latencies_ms.percentile(99.0),
         mean_batch: pipeline.mean_batch(),
         resilience,
-    })
+    };
+    Ok((report, submitted, makespan, misses))
 }
 
 /// Offline (batch) scenario configuration: a field's worth of images is

@@ -14,7 +14,10 @@
 //!   across 1/2/3/8 threads.
 //! * They stay elementwise within `1e-5·k` of the unfused kernel they
 //!   replaced (`oracle/gemm.rs`, verbatim).
-//! * The packed INT8 kernel is exactly the naive integer loop.
+//! * `gemm_i8`, the f32 GEMM over k-chunks of ≤ 1024, is exactly the naive
+//!   integer loop: on adversarial shapes, at the chunk boundary with every
+//!   operand `-128` (the largest partial sum, 2²⁴ per chunk) and with
+//!   full-range values, and across 1/2/3/8 threads.
 //! * The kernel's panel source cannot move a bit: through every one (dense,
 //!   transposed, the implicit column matrix of a convolution) and over
 //!   strided A and C, `gemm_with` is `gemm_naive` on the operand written out.
@@ -146,9 +149,9 @@ proptest! {
         assert_lane_tiers_agree(&a, &b, m, k, n);
     }
 
-    /// The packed INT8 kernel is *exact* integer arithmetic: every SIMD
-    /// dispatch path must reproduce the naive i32 loop bit for bit, on
-    /// full-range i8 inputs (including -128) and adversarial shapes.
+    /// The INT8 GEMM is *exact* integer arithmetic: it must reproduce the
+    /// naive i32 loop bit for bit, on full-range i8 inputs (including -128)
+    /// and adversarial shapes.
     #[test]
     fn int8_kernel_is_exactly_the_naive_integer_loop(
         (m, k, n, a, b) in (adversarial_dim(), adversarial_dim(), adversarial_dim())
@@ -192,6 +195,47 @@ fn ramp(len: usize, mul: usize, modulus: usize) -> Vec<f32> {
     (0..len)
         .map(|i| ((i * mul % modulus) as f32 / modulus as f32) - 0.5)
         .collect()
+}
+
+/// Depths either side of and on the INT8 GEMM's 1024-deep k-chunk, and two
+/// and three chunks deep, by row tails (1, 13) and column tails (1, 33).
+fn int8_chunk_edge_shapes() -> impl Iterator<Item = (usize, usize, usize)> {
+    [1023, 1024, 1025, 2048, 3000]
+        .into_iter()
+        .flat_map(|k| [(1, k, 1), (1, k, 33), (13, k, 1), (13, k, 33)])
+}
+
+/// The extreme operands. Every one `-128` is the largest sum: each product
+/// is 2¹⁴, so a full 1024-deep chunk sums to exactly 2²⁴. Every one `127` is
+/// the odd case: 16 129 per product, whose sums past 2²⁴ (from the 1041st
+/// term on) an f32 would round — what a chunk deeper than 1024 gets wrong.
+#[test]
+fn int8_gemm_is_exact_at_the_k_chunk_boundary_on_minus_128() {
+    for fill in [-128i8, 127] {
+        for (m, k, n) in int8_chunk_edge_shapes() {
+            let (a, b) = (vec![fill; m * k], vec![fill; k * n]);
+            let got = gemm_i8(&a, &b, m, k, n);
+            assert_eq!(got, gemm_i8_naive(&a, &b, m, k, n), "{fill}: ({m},{k},{n})");
+            let each = fill as i32 * fill as i32 * k as i32;
+            assert!(got.iter().all(|&v| v == each), "{fill}: ({m},{k},{n})");
+        }
+    }
+}
+
+/// Full-range i8 (every value from -128 to 127) at the same depths.
+#[test]
+fn int8_gemm_is_exact_at_the_k_chunk_boundary_on_full_range_values() {
+    let full_range = |len: usize, mul: usize| -> Vec<i8> {
+        (0..len).map(|i| (i * mul % 256) as u8 as i8).collect()
+    };
+    for (m, k, n) in int8_chunk_edge_shapes() {
+        let (a, b) = (full_range(m * k, 37), full_range(k * n, 101));
+        assert_eq!(
+            gemm_i8(&a, &b, m, k, n),
+            gemm_i8_naive(&a, &b, m, k, n),
+            "({m},{k},{n})"
+        );
+    }
 }
 
 /// Runs the blocked kernel capped at each lane-tier rank (baseline, AVX2,
@@ -538,7 +582,10 @@ fn pointwise_conv_shortcut_equals_the_im2col_path_bitwise() {
 /// that leaves an `m % 12` tail in the last block and one that leaves
 /// workers idle. Whatever the split and whichever lane tier the dispatcher
 /// picked, `gemm` is the naive chain, and `gemm_bt` is `gemm` behind a
-/// transpose at every width.
+/// transpose at every width. `gemm_i8` on the same shapes, its operands
+/// filled from the ramp's full i8 range, is the naive integer loop at every
+/// width: the second and third shapes cross the threshold in its first
+/// k-chunk, and the third and fourth run two and three k-chunks.
 #[test]
 fn gemm_is_bit_identical_across_thread_counts() {
     for (m, k, n) in [
@@ -566,6 +613,20 @@ fn gemm_is_bit_identical_across_thread_counts() {
         for threads in [2usize, 3, 8] {
             let what = format!("threads={threads} ({m},{k},{n})");
             assert_bits_eq(&sequential, &run(threads), &what);
+        }
+        let to_i8 = |x: &[f32]| -> Vec<i8> {
+            x.iter()
+                .map(|&v| (((v + 0.5) * 256.0) as i32 - 128) as i8)
+                .collect()
+        };
+        let (a8, b8) = (to_i8(&a), to_i8(&b));
+        let integer_loop = gemm_i8_naive(&a8, &b8, m, k, n);
+        for threads in [1usize, 2, 3, 8] {
+            let got = harvest_threads::with_threads(threads, || gemm_i8(&a8, &b8, m, k, n));
+            assert_eq!(
+                got, integer_loop,
+                "gemm_i8, threads={threads} ({m},{k},{n})"
+            );
         }
     }
 }
