@@ -13,7 +13,11 @@
 #                        third measuring harness (Criterion benches) under
 #                        crates/, shims/ or the root manifest; no `std::arch`
 #                        under crates/ or shims/, and no `unsafe` in non-test
-#                        harvest-tensor code outside gemm.rs
+#                        harvest-tensor code outside gemm.rs; the wire names
+#                        no second serving core (`RealBatchServer`,
+#                        `ServeFault`) and its server writes and counts every
+#                        response in one function (one `write_response` call,
+#                        no ledger class bumped by name)
 #   3. tier-1 tests      cargo build --release && cargo test -q, run twice:
 #                        once with the harvest-threads pool forced sequential
 #                        (HARVEST_THREADS=1) and once at the host default
@@ -130,6 +134,24 @@ done)
 if [ -n "$tensor_unsafe" ]; then
     echo "$tensor_unsafe"
     echo "unsafe in harvest-tensor outside gemm.rs's lane-tier dispatcher"
+    exit 1
+fi
+# The wire serves through the pool alone; its degraded rung is a bare
+# `Executor` on the coordinator, not a second batching core.
+if grep -rnE 'RealBatchServer|ServeFault' crates/net/src; then
+    echo "the wire names the offline serving core again"
+    exit 1
+fi
+# One reply path: every response the wire server sends is written and
+# counted by one function (`Conn::reply`), so the ledger cannot drift from
+# the bytes: one `write_response` call, and no ledger class bumped by name.
+reply_path=$(awk '/^#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }
+    /write_response\(/ { w++ }
+    /\.(responded_ok|responded_error|rejected|shed)\.fetch_add/ { b++ }
+    END { print w + 0, b + 0 }' crates/net/src/server.rs)
+if [ "$reply_path" != "1 0" ]; then
+    echo "crates/net/src/server.rs: $reply_path (write_response calls, named ledger bumps; want 1 0)"
     exit 1
 fi
 

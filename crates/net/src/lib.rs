@@ -4,8 +4,8 @@
 //! This crate puts a real socket in front of the real-execution serving
 //! stack: thread-per-core accept loops over `std::net::TcpListener` take
 //! image POSTs, decode them (AJPG/RTIF sniffing), preprocess to the model
-//! tensor, and run them through [`harvest_serving::RealBatchServer`] on a
-//! dedicated engine thread, streaming classification responses back.
+//! tensor, and run them through a pool of engine workers behind one
+//! coordinator thread, streaming classification responses back.
 //!
 //! The robustness story, in four layers:
 //!

@@ -48,7 +48,8 @@ pub(crate) enum WireOutcome {
     BreakerOpen,
     /// DropOldest evicted the request to admit newer work.
     Shed,
-    /// Internal fault ([`harvest_serving::ServeFault`]); answered 500.
+    /// Internal fault (a queued id without its payload, or an engine that
+    /// never answered); answered 500.
     Failed,
 }
 
@@ -459,12 +460,12 @@ impl<'g> Pool<'g> {
 
     /// The engine-side half of the `/metrics` counter section: the
     /// weight-generation cell, queue depths, breaker and ladder state
-    /// (`degraded` is the degraded rung's `(queued, executed_requests)`,
+    /// (`degraded` is the requests the degraded rung has served,
     /// `ladder` the breaker position 0/1/2), integrity counters, and the
     /// pool's per-worker and scratch counters. One `name value` pair per
     /// line, fixed order, no timestamps — the text is a pure function of the
     /// counters, so identical runs produce identical snapshots.
-    pub(crate) fn metrics_text(&self, degraded: Option<(usize, u64)>, ladder: u8) -> String {
+    pub(crate) fn metrics_text(&self, degraded: Option<u64>, ladder: u8) -> String {
         let mut out = Lines(String::new());
         let cell = &self.cell;
         let (current, previous) = (cell.current(), cell.previous());
@@ -485,9 +486,10 @@ impl<'g> Pool<'g> {
         let requests: u64 = self.workers.iter().map(|c| c.requests).sum();
         out.put("executed_batches_full", batches);
         out.put("executed_requests_full", requests);
-        let (queued, executed) = degraded.unwrap_or((0, 0));
-        out.put("queue_depth_degraded", queued);
-        out.put("executed_requests_degraded", executed);
+        // The rung answers inline on the coordinator, so nothing ever waits
+        // for it; the line stays for snapshot-format stability.
+        out.put("queue_depth_degraded", 0);
+        out.put("executed_requests_degraded", degraded.unwrap_or(0));
         out.put("breaker_state", ladder);
         out.put("ladder_degraded_configured", degraded.is_some() as u8);
         // The wire pool serves the plain path; the integrity state machine

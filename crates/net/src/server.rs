@@ -15,7 +15,10 @@
 //! and wire fingerprints are bit-identical at every pool width.
 //! Connections talk to the coordinator over an mpsc channel and block on a
 //! per-request reply channel, so batches form across connections while the
-//! pool overlaps their execution.
+//! pool overlaps their execution. While the admission breaker is half-open,
+//! the coordinator answers admitted probes itself on one executor over the
+//! cheaper degraded model: one image at a time, never swapped, so every
+//! degraded answer is a batch of one on generation 0.
 //!
 //! Hardening contract:
 //!
@@ -24,6 +27,9 @@
 //!   cost at most one bounded buffer and one deadline tick;
 //! * every fully parsed request gets **exactly one** response: a
 //!   classification, a typed error, or an explicit `503 Retry-After`.
+//!   Every response leaves through one function, which picks the status
+//!   line and headers and counts it in exactly one ledger class (the
+//!   statuses each class holds are listed on [`WireSnapshot`]);
 //!   [`WireSnapshot::conserved`] checks the ledger:
 //!   `responded_ok + responded_error + rejected + shed == accepted`;
 //! * graceful drain ([`WireServer::begin_drain`] /
@@ -45,8 +51,7 @@ use harvest_imaging::decode_auto;
 use harvest_models::{vit, VitConfig};
 use harvest_preproc::preprocess_decoded;
 use harvest_serving::{
-    BatcherConfig, BreakerConfig, BreakerState, CircuitBreaker, RealBatchServer, ServeFault,
-    ServingLimits, ShedPolicy,
+    BatcherConfig, BreakerConfig, BreakerState, CircuitBreaker, ServingLimits, ShedPolicy,
 };
 use harvest_simkit::SimTime;
 use harvest_tensor::Tensor;
@@ -68,8 +73,7 @@ pub struct WireConfig {
     /// Accept loops ("thread per core" on the target edge boxes).
     pub accept_threads: usize,
     /// Largest batch one worker is handed: when a worker comes free it
-    /// takes the oldest `min(queued, preferred_batch)` requests. Also the
-    /// degraded rung's batcher size.
+    /// takes the oldest `min(queued, preferred_batch)` requests.
     pub preferred_batch: u32,
     /// No effect on the pool path: nothing is ever held while a worker is
     /// idle, so there is no partial batch for a delay to release. The field
@@ -166,26 +170,28 @@ impl Default for WireConfig {
 /// `responded_error`, `rejected`, `shed`. Connection-level failures that
 /// never produced a parsed request (`bad_requests`, `timeouts`,
 /// `incomplete`, `idle_closes`) sit outside the ledger — nothing was
-/// promised for them beyond the error/close they got.
+/// promised for them beyond the error/close they got. Every response is
+/// counted by the one reply path, which bumps exactly one of the six
+/// answering classes; [`WireSnapshot`] lists the statuses each class holds.
 #[derive(Debug, Default)]
 pub struct WireStats {
     /// Connections that delivered at least one byte.
     pub connections: AtomicU64,
     /// Fully parsed requests (the conservation base).
     pub accepted: AtomicU64,
-    /// 2xx responses.
+    /// See [`WireSnapshot::responded_ok`].
     pub responded_ok: AtomicU64,
-    /// 4xx/5xx responses to accepted requests (404/405/422/500).
+    /// See [`WireSnapshot::responded_error`].
     pub responded_error: AtomicU64,
-    /// Explicit 503s: queue full, in-flight cap, or draining.
+    /// See [`WireSnapshot::rejected`].
     pub rejected: AtomicU64,
-    /// Explicit 503s for requests shed from the queue by DropOldest.
+    /// See [`WireSnapshot::shed`].
     pub shed: AtomicU64,
-    /// Malformed requests answered with the parser's typed status.
+    /// See [`WireSnapshot::bad_requests`].
     pub bad_requests: AtomicU64,
     /// Connections that died mid-request (reset/EOF with bytes pending).
     pub incomplete: AtomicU64,
-    /// Read deadlines that fired with a partial request (answered 408).
+    /// See [`WireSnapshot::timeouts`].
     pub timeouts: AtomicU64,
     /// Clean closes with no partial request pending.
     pub idle_closes: AtomicU64,
@@ -207,19 +213,31 @@ pub struct WireSnapshot {
     pub connections: u64,
     /// See [`WireStats::accepted`].
     pub accepted: u64,
-    /// See [`WireStats::responded_ok`].
+    /// `200` to an accepted request: `/healthz`, `/classify` (full model or
+    /// degraded rung), `/admin/swap` that swapped, `/metrics`.
     pub responded_ok: u64,
-    /// See [`WireStats::responded_error`].
+    /// Typed errors to an accepted request: `404` unknown path, `405` known
+    /// path with the wrong method, `409` a swap already staging, `422` an
+    /// undecodable image or a refused artifact, `500` an engine fault, and
+    /// the `/metrics` `503` when the engine does not answer (no
+    /// `Retry-After`: retrying will not help a stopped engine).
     pub responded_error: u64,
-    /// See [`WireStats::rejected`].
+    /// `503` with `Retry-After`: draining (`/classify` and `/admin/swap`
+    /// at the door, or refused by an engine already draining), the
+    /// in-flight cap, a full queue, or an open breaker (`/classify`,
+    /// `/admin/swap`).
     pub rejected: u64,
-    /// See [`WireStats::shed`].
+    /// `503` with `Retry-After` for a request DropOldest shed from the
+    /// queue.
     pub shed: u64,
-    /// See [`WireStats::bad_requests`].
+    /// Bytes that never parsed into a request, answered with the parser's
+    /// typed status (`400`, `413`, `414`, `431`, `501`) or `431` when the
+    /// read buffer hits its cap; outside the ledger.
     pub bad_requests: u64,
     /// See [`WireStats::incomplete`].
     pub incomplete: u64,
-    /// See [`WireStats::timeouts`].
+    /// Read deadlines that fired with a partial request pending, answered
+    /// `408`; outside the ledger.
     pub timeouts: u64,
     /// See [`WireStats::idle_closes`].
     pub idle_closes: u64,
@@ -645,6 +663,13 @@ fn engine_loop(
         .degraded_model
         .as_ref()
         .map(|m| vit("wire-degraded", m));
+    // The degraded rung: one executor over the cheaper graph, run inline on
+    // the coordinator. It serves one probe at a time and nothing swaps it,
+    // so every answer is a batch of one on generation 0.
+    let degraded = degraded_graph
+        .as_ref()
+        .map(|g| Executor::new(g, seed ^ 0x0dd));
+    let mut degraded_served = 0u64;
 
     std::thread::scope(|scope| {
         let mut worker_txs: Vec<mpsc::Sender<WorkerMsg>> = Vec::with_capacity(width);
@@ -662,10 +687,6 @@ fn engine_loop(
         // channel's liveness tracks the accept loops and the pool only.
         drop(pool_tx);
 
-        let mut degraded_server = degraded_graph.as_ref().map(|g| {
-            RealBatchServer::new(Executor::new(g, seed ^ 0x0ddu64), batcher_config)
-                .expect("batcher config validated at start()")
-        });
         let swap_guard = ActivationGuard {
             range_limit: config.swap_guard_range_limit,
         };
@@ -691,52 +712,36 @@ fn engine_loop(
                     // The ladder: closed → full model; half-open → degraded
                     // probes; open → explicit refusal. A draining pool
                     // refuses by itself, without spending a probe.
-                    let use_degraded = !pool.draining()
-                        && match shell.breaker.state(t) {
-                            BreakerState::Closed => false,
-                            BreakerState::HalfOpen if shell.breaker.allow(t) => {
-                                degraded_server.is_some()
-                            }
+                    let rung = if pool.draining() {
+                        None
+                    } else {
+                        match shell.breaker.state(t) {
+                            BreakerState::Closed => None,
+                            BreakerState::HalfOpen if shell.breaker.allow(t) => degraded.as_ref(),
                             BreakerState::HalfOpen | BreakerState::Open => {
                                 let _ = reply.send(WireOutcome::BreakerOpen);
                                 continue;
                             }
-                        };
+                        }
+                    };
                     let pending = PendingReply {
                         tx: reply,
                         submitted: t,
                     };
                     shell.waiting.insert(id, pending);
-                    if !use_degraded {
-                        shell.perform(pool.on_submit(id, input, t), t);
-                        continue;
-                    }
-                    // The degraded rung stays coordinator-local: cheap
-                    // capacity while confidence rebuilds does not need the
-                    // pool. It executes inline, so it is idle whenever it
-                    // is called and runs what it was just offered at once.
-                    let target = degraded_server.as_mut().expect("checked above");
-                    let sub = target.submit(id, input, t);
-                    if !sub.admitted {
-                        shell.answer(id, WireOutcome::Rejected, t);
-                    }
-                    for id in sub.shed {
-                        shell.answer(id, WireOutcome::Shed, t);
-                    }
-                    let rest = target.flush();
-                    for c in sub.completed.into_iter().chain(rest) {
-                        let done = WireOutcome::Done {
-                            class: argmax(c.output.data()),
-                            batch: c.batch_size,
-                            degraded: true,
-                            generation: c.generation,
-                        };
-                        shell.answer(c.id, done, t);
-                    }
-                    for fault in target.take_faults() {
-                        if let ServeFault::MissingPayload { id } = fault {
-                            shell.answer(id, WireOutcome::Failed, t);
+                    match rung {
+                        Some(exec) => {
+                            let class = argmax(exec.forward(&input).data());
+                            degraded_served += 1;
+                            let done = WireOutcome::Done {
+                                class,
+                                batch: 1,
+                                degraded: true,
+                                generation: 0,
+                            };
+                            shell.answer(id, done, t);
                         }
+                        None => shell.perform(pool.on_submit(id, input, t), t),
                     }
                 }
                 EngineMsg::WorkerDone(d) => shell.perform(pool.on_done(d, t), t),
@@ -752,9 +757,7 @@ fn engine_loop(
                     shell.perform(pool.on_swap(body), t);
                 }
                 EngineMsg::Metrics { reply } => {
-                    let degraded = degraded_server
-                        .as_ref()
-                        .map(|d| (d.queued(), d.executed_requests()));
+                    let served = degraded.as_ref().map(|_| degraded_served);
                     // Ladder position doubles as the breaker state: 0 =
                     // closed (full model), 1 = half-open (degraded rung),
                     // 2 = open (refusing).
@@ -763,10 +766,8 @@ fn engine_loop(
                         BreakerState::HalfOpen => 1,
                         BreakerState::Open => 2,
                     };
-                    let _ = reply.send((
-                        pool.metrics_text(degraded, ladder),
-                        pool.timing_text(wakeups),
-                    ));
+                    let _ =
+                        reply.send((pool.metrics_text(served, ladder), pool.timing_text(wakeups)));
                 }
                 EngineMsg::Drain => pool.on_drain(),
                 EngineMsg::Stop => {
@@ -839,7 +840,7 @@ fn handle_connection(
     tx: &mpsc::Sender<EngineMsg>,
     config: &WireConfig,
 ) {
-    serve_connection(&mut stream, shared, tx, config);
+    serve_connection(&stream, shared, tx, config);
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let mut sink = [0u8; 1024];
     for _ in 0..64 {
@@ -850,11 +851,99 @@ fn handle_connection(
     }
 }
 
+/// The ledger class of one response: the four outcomes of an accepted
+/// request, and the two kinds of bytes that never became one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Class {
+    Ok,
+    Error,
+    Rejected,
+    Shed,
+    BadRequest,
+    Timeout,
+}
+
+/// The reason phrase of every status the server sends (the parser's typed
+/// errors pick theirs in [`crate::http::ParseError::status`]; a test holds
+/// this table to it).
+fn reason(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        408 => "Request Timeout",
+        409 => "Conflict",
+        413 => "Content Too Large",
+        414 => "URI Too Long",
+        422 => "Unprocessable Content",
+        431 => "Request Header Fields Too Large",
+        500 => "Internal Server Error",
+        501 => "Not Implemented",
+        503 => "Service Unavailable",
+        _ => unreachable!("no reason phrase for {status}"),
+    }
+}
+
+/// One connection's reply path: where responses go, the buffer they are
+/// serialized into, the ledger that counts them, the engine behind them,
+/// and whether the request being answered keeps the connection open.
+struct Conn<'a, W> {
+    out: W,
+    /// Reused across every keep-alive request: cleared and refilled by
+    /// [`Conn::reply`], so it reaches its high-water capacity once and then
+    /// serializes responses allocation-free.
+    wout: Vec<u8>,
+    shared: &'a Shared,
+    tx: &'a mpsc::Sender<EngineMsg>,
+    config: &'a WireConfig,
+    keep_alive: bool,
+}
+
+impl<W: Write> Conn<'_, W> {
+    /// The one way a response leaves the server. It counts the response in
+    /// exactly one class, gives the refusals (`Rejected`, `Shed`) their one
+    /// header, `Retry-After: 1`, and closes after bytes that never parsed.
+    /// A failed write closes the connection but never un-counts the
+    /// outcome: the ledger tracks what the server resolved, not what the
+    /// peer managed to read. Returns whether the connection may continue.
+    fn reply(&mut self, class: Class, status: u16, extra: &[(&str, &str)], body: &[u8]) -> bool {
+        let stats = &self.shared.stats;
+        let (counter, keep) = match class {
+            Class::Ok => (&stats.responded_ok, self.keep_alive),
+            Class::Error => (&stats.responded_error, self.keep_alive),
+            Class::Rejected => (&stats.rejected, self.keep_alive),
+            Class::Shed => (&stats.shed, self.keep_alive),
+            Class::BadRequest => (&stats.bad_requests, false),
+            Class::Timeout => (&stats.timeouts, false),
+        };
+        counter.fetch_add(1, Ordering::SeqCst);
+        let retry = [("Retry-After", "1")];
+        let extra = match class {
+            Class::Rejected | Class::Shed => {
+                debug_assert!(extra.is_empty(), "a refusal carries Retry-After alone");
+                &retry[..]
+            }
+            _ => extra,
+        };
+        self.wout.clear();
+        write_response(&mut self.wout, status, reason(status), extra, body, keep);
+        let sent = self
+            .out
+            .write_all(&self.wout)
+            .and_then(|()| self.out.flush());
+        if sent.is_err() {
+            stats.write_failures.fetch_add(1, Ordering::SeqCst);
+        }
+        sent.is_ok()
+    }
+}
+
 /// Serve one connection to completion: accumulate bytes under deadline,
 /// parse bounded requests, answer each exactly once, keep-alive until the
 /// peer closes, errors, or goes quiet.
 fn serve_connection(
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
     shared: &Shared,
     tx: &mpsc::Sender<EngineMsg>,
     config: &WireConfig,
@@ -865,12 +954,18 @@ fn serve_connection(
     let _ = stream.set_nodelay(true);
 
     let stats = &shared.stats;
-    // Per-connection buffers, reused across every keep-alive request: the
-    // read accumulator drains in place and the write buffer is cleared and
-    // refilled by `send_response`, so steady-state pipelined traffic
-    // allocates nothing on this path.
+    let mut conn = Conn {
+        out: stream,
+        wout: Vec::new(),
+        shared,
+        tx,
+        config,
+        keep_alive: false,
+    };
+    // The read accumulator drains in place and is reused across every
+    // keep-alive request, like the write buffer, so steady-state pipelined
+    // traffic allocates nothing on this path.
     let mut buf: Vec<u8> = Vec::new();
-    let mut wout: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     let mut counted_conn = false;
 
@@ -881,44 +976,23 @@ fn serve_connection(
             Ok(Parsed::Complete { request, consumed }) => {
                 buf.drain(..consumed);
                 stats.accepted.fetch_add(1, Ordering::SeqCst);
-                let keep = respond(stream, &mut wout, &request, shared, tx, config);
-                if !keep || !request.keep_alive {
+                conn.keep_alive = request.keep_alive;
+                if !respond(&mut conn, &request) || !request.keep_alive {
                     return;
                 }
                 continue;
             }
             Ok(Parsed::NeedMore) => {}
             Err(e) => {
-                let (status, reason) = e.status();
-                stats.bad_requests.fetch_add(1, Ordering::SeqCst);
                 let body = format!("{{\"error\":\"{e:?}\"}}");
-                send_response(
-                    stream,
-                    stats,
-                    &mut wout,
-                    status,
-                    reason,
-                    &[],
-                    body.as_bytes(),
-                    false,
-                );
+                conn.reply(Class::BadRequest, e.status().0, &[], body.as_bytes());
                 return;
             }
         }
         if buf.len() > limits.max_buffered() {
             // Defense in depth: the parser's caps should make this
             // unreachable, but never let a connection grow without bound.
-            stats.bad_requests.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                stream,
-                stats,
-                &mut wout,
-                431,
-                "Request Header Fields Too Large",
-                &[],
-                b"{\"error\":\"buffer cap\"}",
-                false,
-            );
+            conn.reply(Class::BadRequest, 431, &[], b"{\"error\":\"buffer cap\"}");
             return;
         }
         match stream.read(&mut chunk) {
@@ -945,17 +1019,7 @@ fn serve_connection(
                 } else {
                     // Slowloris: a partial request that stopped making
                     // progress. Answer and hang up.
-                    stats.timeouts.fetch_add(1, Ordering::SeqCst);
-                    send_response(
-                        stream,
-                        stats,
-                        &mut wout,
-                        408,
-                        "Request Timeout",
-                        &[],
-                        b"{\"error\":\"request timeout\"}",
-                        false,
-                    );
+                    conn.reply(Class::Timeout, 408, &[], b"{\"error\":\"request timeout\"}");
                 }
                 return;
             }
@@ -973,114 +1037,46 @@ fn serve_connection(
 
 /// Answer one accepted request. Returns whether the connection may
 /// continue (false on write failure).
-fn respond(
-    stream: &mut TcpStream,
-    wout: &mut Vec<u8>,
-    request: &Request,
-    shared: &Shared,
-    tx: &mpsc::Sender<EngineMsg>,
-    config: &WireConfig,
-) -> bool {
-    let stats = &shared.stats;
-    let keep = request.keep_alive;
+fn respond<W: Write>(conn: &mut Conn<W>, request: &Request) -> bool {
     match (request.method, request.path.as_str()) {
         (Method::Get, "/healthz") => {
-            let draining = shared.draining.load(Ordering::SeqCst);
-            stats.responded_ok.fetch_add(1, Ordering::SeqCst);
+            let draining = conn.shared.draining.load(Ordering::SeqCst);
             let body = format!("{{\"ok\":true,\"draining\":{draining}}}");
-            send_response(stream, stats, wout, 200, "OK", &[], body.as_bytes(), keep)
+            conn.reply(Class::Ok, 200, &[], body.as_bytes())
         }
-        (Method::Get, "/metrics") => metrics(stream, wout, request, shared, tx),
-        (Method::Post, "/classify") => classify(stream, wout, request, shared, tx, config),
-        (Method::Post, "/admin/swap") => admin_swap(stream, wout, request, shared, tx),
+        (Method::Get, "/metrics") => metrics(conn),
+        (Method::Post, "/classify") => classify(conn, request),
+        (Method::Post, "/admin/swap") => admin_swap(conn, request),
         // Known path, wrong method: 405 with the allowed method spelled
         // out, as RFC 9110 requires.
-        (_, "/healthz") | (_, "/metrics") => {
-            stats.responded_error.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                stream,
-                stats,
-                wout,
-                405,
-                "Method Not Allowed",
-                &[("Allow", "GET")],
-                b"{\"error\":\"method not allowed\"}",
-                keep,
-            )
+        (_, path @ ("/healthz" | "/metrics" | "/classify" | "/admin/swap")) => {
+            let allow = if matches!(path, "/healthz" | "/metrics") {
+                "GET"
+            } else {
+                "POST"
+            };
+            let body = b"{\"error\":\"method not allowed\"}";
+            conn.reply(Class::Error, 405, &[("Allow", allow)], body)
         }
-        (_, "/classify") | (_, "/admin/swap") => {
-            stats.responded_error.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                stream,
-                stats,
-                wout,
-                405,
-                "Method Not Allowed",
-                &[("Allow", "POST")],
-                b"{\"error\":\"method not allowed\"}",
-                keep,
-            )
-        }
-        _ => {
-            stats.responded_error.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                stream,
-                stats,
-                wout,
-                404,
-                "Not Found",
-                &[],
-                b"{\"error\":\"not found\"}",
-                keep,
-            )
-        }
+        _ => conn.reply(Class::Error, 404, &[], b"{\"error\":\"not found\"}"),
     }
 }
 
 /// The classification path: decode → preprocess → engine round-trip.
-fn classify(
-    stream: &mut TcpStream,
-    wout: &mut Vec<u8>,
-    request: &Request,
-    shared: &Shared,
-    tx: &mpsc::Sender<EngineMsg>,
-    config: &WireConfig,
-) -> bool {
-    let stats = &shared.stats;
-    let keep = request.keep_alive;
-    let retry = [("Retry-After", "1")];
+fn classify<W: Write>(conn: &mut Conn<W>, request: &Request) -> bool {
+    let shared = conn.shared;
     if shared.draining.load(Ordering::SeqCst) {
-        stats.rejected.fetch_add(1, Ordering::SeqCst);
-        return send_response(
-            stream,
-            stats,
-            wout,
-            503,
-            "Service Unavailable",
-            &retry,
-            b"{\"error\":\"draining\"}",
-            keep,
-        );
+        return conn.reply(Class::Rejected, 503, &[], b"{\"error\":\"draining\"}");
     }
     let img = match decode_auto(&request.body) {
         Ok(img) => img,
         Err(e) => {
-            stats.responded_error.fetch_add(1, Ordering::SeqCst);
             let body = format!("{{\"error\":\"bad image: {e}\"}}");
-            return send_response(
-                stream,
-                stats,
-                wout,
-                422,
-                "Unprocessable Content",
-                &[],
-                body.as_bytes(),
-                keep,
-            );
+            return conn.reply(Class::Error, 422, &[], body.as_bytes());
         }
     };
     // In-flight gate (part of the shared ServingLimits contract).
-    let cap = config.limits.max_in_flight;
+    let cap = conn.config.limits.max_in_flight;
     if cap > 0 {
         let admitted = shared
             .in_flight
@@ -1089,27 +1085,18 @@ fn classify(
             })
             .is_ok();
         if !admitted {
-            stats.rejected.fetch_add(1, Ordering::SeqCst);
-            return send_response(
-                stream,
-                stats,
-                wout,
-                503,
-                "Service Unavailable",
-                &retry,
-                b"{\"error\":\"overloaded\"}",
-                keep,
-            );
+            return conn.reply(Class::Rejected, 503, &[], b"{\"error\":\"overloaded\"}");
         }
     }
-    let input = preprocess_decoded(&img, config.out_res);
+    let input = preprocess_decoded(&img, conn.config.out_res);
     // The decoded image (3·w·h bytes) has served its purpose; free it now
     // rather than hold it through the engine round-trip below.
     drop(img);
     let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
     let (reply_tx, reply_rx) = mpsc::channel();
     let handed_off = Instant::now();
-    let outcome = if tx
+    let outcome = if conn
+        .tx
         .send(EngineMsg::Submit {
             id,
             input,
@@ -1129,127 +1116,52 @@ fn classify(
     if cap > 0 {
         shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
-    if let WireOutcome::Done {
-        degraded: false, ..
-    } = outcome
-    {
-        let ns = handed_off.elapsed().as_nanos() as u64;
-        shared.round_trip_ns.fetch_add(ns, Ordering::Relaxed);
-        shared.round_trip_requests.fetch_add(1, Ordering::Relaxed);
-    }
-    match outcome {
+    let done;
+    let (class, status, body): (_, _, &[u8]) = match outcome {
         WireOutcome::Done {
             class,
             batch,
             degraded,
             generation,
         } => {
-            stats.responded_ok.fetch_add(1, Ordering::SeqCst);
             if degraded {
-                stats.degraded_ok.fetch_add(1, Ordering::SeqCst);
+                shared.stats.degraded_ok.fetch_add(1, Ordering::SeqCst);
+            } else {
+                let ns = handed_off.elapsed().as_nanos() as u64;
+                shared.round_trip_ns.fetch_add(ns, Ordering::Relaxed);
+                shared.round_trip_requests.fetch_add(1, Ordering::Relaxed);
             }
-            let body = format!(
+            done = format!(
                 "{{\"class\":{class},\"batch\":{batch},\"degraded\":{degraded},\"generation\":{generation}}}"
             );
-            send_response(stream, stats, wout, 200, "OK", &[], body.as_bytes(), keep)
+            (Class::Ok, 200, done.as_bytes())
         }
         WireOutcome::BreakerOpen => {
-            stats.rejected.fetch_add(1, Ordering::SeqCst);
-            stats.breaker_open.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                stream,
-                stats,
-                wout,
-                503,
-                "Service Unavailable",
-                &retry,
-                b"{\"error\":\"breaker open\"}",
-                keep,
-            )
+            shared.stats.breaker_open.fetch_add(1, Ordering::SeqCst);
+            (Class::Rejected, 503, b"{\"error\":\"breaker open\"}")
         }
-        WireOutcome::Rejected => {
-            stats.rejected.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                stream,
-                stats,
-                wout,
-                503,
-                "Service Unavailable",
-                &retry,
-                b"{\"error\":\"queue full\"}",
-                keep,
-            )
-        }
-        WireOutcome::Shed => {
-            stats.shed.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                stream,
-                stats,
-                wout,
-                503,
-                "Service Unavailable",
-                &retry,
-                b"{\"error\":\"shed\"}",
-                keep,
-            )
-        }
-        WireOutcome::Failed => {
-            stats.responded_error.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                stream,
-                stats,
-                wout,
-                500,
-                "Internal Server Error",
-                &[],
-                b"{\"error\":\"internal fault\"}",
-                keep,
-            )
-        }
-    }
+        WireOutcome::Rejected => (Class::Rejected, 503, b"{\"error\":\"queue full\"}"),
+        WireOutcome::Shed => (Class::Shed, 503, b"{\"error\":\"shed\"}"),
+        WireOutcome::Failed => (Class::Error, 500, b"{\"error\":\"internal fault\"}"),
+    };
+    conn.reply(class, status, &[], body)
 }
 
 /// The hot-swap path: stage the artifact body through the engine's
 /// integrity-gated load. One swap stages at a time (`409` for a racing
 /// second one); a draining server or an open breaker answers `503`.
-fn admin_swap(
-    stream: &mut TcpStream,
-    wout: &mut Vec<u8>,
-    request: &Request,
-    shared: &Shared,
-    tx: &mpsc::Sender<EngineMsg>,
-) -> bool {
-    let stats = &shared.stats;
-    let keep = request.keep_alive;
-    let retry = [("Retry-After", "1")];
+fn admin_swap<W: Write>(conn: &mut Conn<W>, request: &Request) -> bool {
+    let shared = conn.shared;
     if shared.draining.load(Ordering::SeqCst) {
-        stats.rejected.fetch_add(1, Ordering::SeqCst);
-        return send_response(
-            stream,
-            stats,
-            wout,
-            503,
-            "Service Unavailable",
-            &retry,
-            b"{\"error\":\"draining\"}",
-            keep,
-        );
+        return conn.reply(Class::Rejected, 503, &[], b"{\"error\":\"draining\"}");
     }
     if shared.swap_staging.swap(true, Ordering::SeqCst) {
-        stats.responded_error.fetch_add(1, Ordering::SeqCst);
-        return send_response(
-            stream,
-            stats,
-            wout,
-            409,
-            "Conflict",
-            &[],
-            b"{\"error\":\"a swap is already staging\"}",
-            keep,
-        );
+        let body = b"{\"error\":\"a swap is already staging\"}";
+        return conn.reply(Class::Error, 409, &[], body);
     }
     let (reply_tx, reply_rx) = mpsc::channel();
-    let outcome = if tx
+    let outcome = if conn
+        .tx
         .send(EngineMsg::Swap {
             body: request.body.clone(),
             reply: reply_tx,
@@ -1265,58 +1177,27 @@ fn admin_swap(
             })
     };
     shared.swap_staging.store(false, Ordering::SeqCst);
-    match outcome {
+    let text;
+    let (class, status, body): (_, _, &[u8]) = match outcome {
         SwapOutcome::Swapped {
             generation,
             fingerprint,
         } => {
-            stats.responded_ok.fetch_add(1, Ordering::SeqCst);
-            let body =
+            text =
                 format!("{{\"generation\":{generation},\"fingerprint\":\"{fingerprint:#018x}\"}}");
-            send_response(stream, stats, wout, 200, "OK", &[], body.as_bytes(), keep)
+            (Class::Ok, 200, text.as_bytes())
         }
         SwapOutcome::Rejected { error } => {
-            stats.responded_error.fetch_add(1, Ordering::SeqCst);
-            let body = format!("{{\"error\":\"{error}\"}}");
-            send_response(
-                stream,
-                stats,
-                wout,
-                422,
-                "Unprocessable Content",
-                &[],
-                body.as_bytes(),
-                keep,
-            )
+            text = format!("{{\"error\":\"{error}\"}}");
+            (Class::Error, 422, text.as_bytes())
         }
         SwapOutcome::BreakerOpen => {
-            stats.rejected.fetch_add(1, Ordering::SeqCst);
-            stats.breaker_open.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                stream,
-                stats,
-                wout,
-                503,
-                "Service Unavailable",
-                &retry,
-                b"{\"error\":\"breaker open\"}",
-                keep,
-            )
+            shared.stats.breaker_open.fetch_add(1, Ordering::SeqCst);
+            (Class::Rejected, 503, b"{\"error\":\"breaker open\"}")
         }
-        SwapOutcome::Draining => {
-            stats.rejected.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                stream,
-                stats,
-                wout,
-                503,
-                "Service Unavailable",
-                &retry,
-                b"{\"error\":\"draining\"}",
-                keep,
-            )
-        }
-    }
+        SwapOutcome::Draining => (Class::Rejected, 503, b"{\"error\":\"draining\"}"),
+    };
+    conn.reply(class, status, &[], body)
 }
 
 /// The live metrics snapshot as `name value` text lines: a counter
@@ -1326,33 +1207,17 @@ fn admin_swap(
 /// the dispatch rule did, queue waits, worker and round-trip times) that
 /// is not. An engine that does not answer is a `503`, never a `200` with
 /// half a body.
-fn metrics(
-    stream: &mut TcpStream,
-    wout: &mut Vec<u8>,
-    request: &Request,
-    shared: &Shared,
-    tx: &mpsc::Sender<EngineMsg>,
-) -> bool {
+fn metrics<W: Write>(conn: &mut Conn<W>) -> bool {
     use std::fmt::Write as _;
-    let stats = &shared.stats;
-    let keep = request.keep_alive;
+    let shared = conn.shared;
     let (reply_tx, reply_rx) = mpsc::channel();
-    let engine = tx
+    let engine = conn
+        .tx
         .send(EngineMsg::Metrics { reply: reply_tx })
         .ok()
         .and_then(|()| reply_rx.recv_timeout(Duration::from_secs(5)).ok());
     let Some((mut body, timing)) = engine else {
-        stats.responded_error.fetch_add(1, Ordering::SeqCst);
-        return send_response(
-            stream,
-            stats,
-            wout,
-            503,
-            "Service Unavailable",
-            &[],
-            b"{\"error\":\"engine timeout\"}",
-            keep,
-        );
+        return conn.reply(Class::Error, 503, &[], b"{\"error\":\"engine timeout\"}");
     };
     let snap = shared.stats.snapshot();
     let _ = writeln!(body, "wire_connections {}", snap.connections);
@@ -1381,45 +1246,8 @@ fn metrics(
         "engine_round_trip_requests {}",
         shared.round_trip_requests.load(Ordering::Relaxed)
     );
-    stats.responded_ok.fetch_add(1, Ordering::SeqCst);
-    send_response(
-        stream,
-        stats,
-        wout,
-        200,
-        "OK",
-        &[("Content-Type", "text/plain; version=0.0.4")],
-        body.as_bytes(),
-        keep,
-    )
-}
-
-/// Write one response; a failed write closes the connection but never
-/// un-counts the outcome (the ledger tracks what the server resolved, not
-/// what the peer managed to read). `out` is the connection's reusable
-/// write buffer: cleared, refilled, and flushed here, so keep-alive
-/// traffic reaches its high-water capacity once and then serializes
-/// responses allocation-free.
-#[allow(clippy::too_many_arguments)]
-fn send_response(
-    stream: &mut TcpStream,
-    stats: &WireStats,
-    out: &mut Vec<u8>,
-    status: u16,
-    reason: &str,
-    extra: &[(&str, &str)],
-    body: &[u8],
-    keep_alive: bool,
-) -> bool {
-    out.clear();
-    write_response(out, status, reason, extra, body, keep_alive);
-    match stream.write_all(out).and_then(|()| stream.flush()) {
-        Ok(()) => true,
-        Err(_) => {
-            stats.write_failures.fetch_add(1, Ordering::SeqCst);
-            false
-        }
-    }
+    let text_plain = [("Content-Type", "text/plain; version=0.0.4")];
+    conn.reply(Class::Ok, 200, &text_plain, body.as_bytes())
 }
 
 #[cfg(test)]
@@ -1650,11 +1478,22 @@ mod tests {
         assert!(text.contains("breaker open"), "{text}");
 
         // After the cooldown the breaker half-opens and probes run on the
-        // degraded model.
+        // degraded model: the image alone, on generation 0, classified by a
+        // fresh executor over the degraded weights.
+        let config = server.config();
+        let rung = vit(
+            "wire-degraded",
+            config.degraded_model.as_ref().expect("a rung"),
+        );
+        let decoded = decode_auto(&img).expect("sample decodes");
+        let input = preprocess_decoded(&decoded, config.out_res);
+        let class = argmax(Executor::new(&rung, 7 ^ 0x0dd).forward(&input).data());
+        let degraded =
+            format!("{{\"class\":{class},\"batch\":1,\"degraded\":true,\"generation\":0}}");
         std::thread::sleep(Duration::from_millis(300));
         let (status, body) = post_classify(addr, &img);
         assert_eq!(status, 200, "{body}");
-        assert!(body.contains("\"degraded\":true"), "{body}");
+        assert_eq!(body, degraded);
 
         // Enough successful probes close the breaker; the full model is back.
         let mut recovered = false;
@@ -1664,13 +1503,24 @@ mod tests {
                 recovered = true;
                 break;
             }
+            if body.contains("\"degraded\":true") {
+                assert_eq!(body, degraded);
+            }
         }
         assert!(recovered, "breaker never closed after successful probes");
+
+        // The engine counts exactly the degraded answers the wire sent.
+        let (status, text) = raw_request(addr, "GET", "/metrics", b"");
+        assert_eq!(status, 200, "{text}");
+        let executed = metric(&text, "executed_requests_degraded");
+        assert_eq!(executed, metric(&text, "wire_degraded_ok"), "{text}");
+        assert_eq!(metric(&text, "queue_depth_degraded"), 0, "{text}");
 
         let report = server.shutdown();
         assert!(report.stats.conserved(), "{:?}", report.stats);
         assert!(report.stats.breaker_open >= 1, "{:?}", report.stats);
         assert!(report.stats.degraded_ok >= 1, "{:?}", report.stats);
+        assert_eq!(report.stats.degraded_ok, executed, "{:?}", report.stats);
     }
 
     /// Send one raw request, return (status, full response text).
@@ -2143,30 +1993,21 @@ mod tests {
 
     #[test]
     fn metrics_from_a_stopped_engine_is_a_503_not_a_200_with_half_a_body() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        let (mut served, _) = listener.accept().expect("accept");
         let shared = Shared::default();
         // An engine channel nobody reads: the send fails at once.
         let (tx, rx) = mpsc::channel::<EngineMsg>();
         drop(rx);
-        let request = Request {
-            method: Method::Get,
-            path: "/metrics".to_string(),
+        let config = WireConfig::default();
+        let mut conn = Conn {
+            out: Vec::new(),
+            wout: Vec::new(),
+            shared: &shared,
+            tx: &tx,
+            config: &config,
             keep_alive: false,
-            body: Vec::new(),
         };
-        assert!(metrics(
-            &mut served,
-            &mut Vec::new(),
-            &request,
-            &shared,
-            &tx
-        ));
-        drop(served);
-        let mut resp = Vec::new();
-        client.read_to_end(&mut resp).expect("recv");
-        let text = String::from_utf8_lossy(&resp);
+        assert!(metrics(&mut conn));
+        let text = String::from_utf8_lossy(&conn.out);
         assert!(text.starts_with("HTTP/1.1 503 "), "{text}");
         assert!(text.ends_with("{\"error\":\"engine timeout\"}"), "{text}");
         assert!(!text.contains("wire_accepted"), "{text}");
@@ -2176,5 +2017,494 @@ mod tests {
             (1, 0),
             "{snap:?}"
         );
+    }
+
+    /// What the stand-in engine answers the one message it receives.
+    /// `Gone`: nobody reads the channel, so a send fails at once.
+    #[derive(Clone)]
+    enum Engine {
+        Gone,
+        Classify(WireOutcome),
+        Swap(SwapOutcome),
+        Metrics,
+    }
+
+    /// How a table row provokes its response.
+    enum Via {
+        /// `respond` to an accepted request.
+        Request(Method, &'static str, Vec<u8>),
+        /// The connection loop's reply to bytes that never became a
+        /// request, with the arguments its call site passes.
+        Loop(Class, u16, &'static str),
+    }
+
+    struct Row {
+        via: Via,
+        engine: Engine,
+        /// Server state the reply depends on, set before it is provoked.
+        setup: fn(&Shared),
+        /// The one class field the reply lands in, and the diagnostic
+        /// overlap counter it also bumps, if any.
+        moved: (&'static str, Option<&'static str>),
+        /// The response, `{conn}` standing for the `Connection` value.
+        bytes: &'static str,
+    }
+
+    fn fields(s: &WireSnapshot) -> [(&'static str, u64); 13] {
+        [
+            ("connections", s.connections),
+            ("accepted", s.accepted),
+            ("responded_ok", s.responded_ok),
+            ("responded_error", s.responded_error),
+            ("rejected", s.rejected),
+            ("shed", s.shed),
+            ("bad_requests", s.bad_requests),
+            ("incomplete", s.incomplete),
+            ("timeouts", s.timeouts),
+            ("idle_closes", s.idle_closes),
+            ("write_failures", s.write_failures),
+            ("breaker_open", s.breaker_open),
+            ("degraded_ok", s.degraded_ok),
+        ]
+    }
+
+    /// Answer the one message a row sends the engine, then exit when the
+    /// channel closes.
+    fn stand_in(engine: Engine, rx: mpsc::Receiver<EngineMsg>) -> Option<JoinHandle<()>> {
+        if let Engine::Gone = engine {
+            return None;
+        }
+        Some(std::thread::spawn(move || match (rx.recv(), engine) {
+            (Ok(EngineMsg::Submit { reply, .. }), Engine::Classify(outcome)) => {
+                let _ = reply.send(outcome);
+            }
+            (Ok(EngineMsg::Swap { reply, .. }), Engine::Swap(outcome)) => {
+                let _ = reply.send(outcome);
+            }
+            (Ok(EngineMsg::Metrics { reply }), Engine::Metrics) => {
+                let _ = reply.send(("E 1\n".to_string(), "T 2\n".to_string()));
+            }
+            _ => {}
+        }))
+    }
+
+    /// Every reply the server can send, byte for byte, with keep-alive on
+    /// and off, and the one ledger class each lands in.
+    #[test]
+    fn every_reply_keeps_its_bytes_and_lands_in_one_class() {
+        use Method::{Get, Post};
+        let config = WireConfig {
+            limits: ServingLimits {
+                max_in_flight: 1,
+                ..ServingLimits::default()
+            },
+            ..WireConfig::default()
+        };
+        let img = sample_image();
+        let classify = || Via::Request(Post, "/classify", img.clone());
+        let swap = || Via::Request(Post, "/admin/swap", b"artifact".to_vec());
+        let done = |class, batch, degraded, generation| {
+            Engine::Classify(WireOutcome::Done {
+                class,
+                batch,
+                degraded,
+                generation,
+            })
+        };
+        let idle: fn(&Shared) = |_| {};
+        let draining: fn(&Shared) = |s| s.draining.store(true, Ordering::SeqCst);
+        let rows = vec![
+            Row {
+                via: Via::Loop(Class::BadRequest, 400, "{\"error\":\"BadRequestLine\"}"),
+                engine: Engine::Gone,
+                setup: idle,
+                moved: ("bad_requests", None),
+                bytes: "HTTP/1.1 400 Bad Request\r\n\
+                    Content-Length: 26\r\n\
+                    Content-Type: application/json\r\n\
+                    Connection: close\r\n\r\n\
+                    {\"error\":\"BadRequestLine\"}",
+            },
+            Row {
+                via: Via::Loop(Class::BadRequest, 431, "{\"error\":\"buffer cap\"}"),
+                engine: Engine::Gone,
+                setup: idle,
+                moved: ("bad_requests", None),
+                bytes: "HTTP/1.1 431 Request Header Fields Too Large\r\n\
+                    Content-Length: 22\r\n\
+                    Content-Type: application/json\r\n\
+                    Connection: close\r\n\r\n\
+                    {\"error\":\"buffer cap\"}",
+            },
+            Row {
+                via: Via::Loop(Class::Timeout, 408, "{\"error\":\"request timeout\"}"),
+                engine: Engine::Gone,
+                setup: idle,
+                moved: ("timeouts", None),
+                bytes: "HTTP/1.1 408 Request Timeout\r\n\
+                    Content-Length: 27\r\n\
+                    Content-Type: application/json\r\n\
+                    Connection: close\r\n\r\n\
+                    {\"error\":\"request timeout\"}",
+            },
+            Row {
+                via: Via::Request(Get, "/healthz", Vec::new()),
+                engine: Engine::Gone,
+                setup: idle,
+                moved: ("responded_ok", None),
+                bytes: "HTTP/1.1 200 OK\r\n\
+                    Content-Length: 28\r\n\
+                    Content-Type: application/json\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"ok\":true,\"draining\":false}",
+            },
+            Row {
+                via: Via::Request(Post, "/healthz", Vec::new()),
+                engine: Engine::Gone,
+                setup: idle,
+                moved: ("responded_error", None),
+                bytes: "HTTP/1.1 405 Method Not Allowed\r\n\
+                    Content-Length: 30\r\n\
+                    Content-Type: application/json\r\n\
+                    Allow: GET\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"error\":\"method not allowed\"}",
+            },
+            Row {
+                via: Via::Request(Post, "/metrics", Vec::new()),
+                engine: Engine::Gone,
+                setup: idle,
+                moved: ("responded_error", None),
+                bytes: "HTTP/1.1 405 Method Not Allowed\r\n\
+                    Content-Length: 30\r\n\
+                    Content-Type: application/json\r\n\
+                    Allow: GET\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"error\":\"method not allowed\"}",
+            },
+            Row {
+                via: Via::Request(Get, "/classify", Vec::new()),
+                engine: Engine::Gone,
+                setup: idle,
+                moved: ("responded_error", None),
+                bytes: "HTTP/1.1 405 Method Not Allowed\r\n\
+                    Content-Length: 30\r\n\
+                    Content-Type: application/json\r\n\
+                    Allow: POST\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"error\":\"method not allowed\"}",
+            },
+            Row {
+                via: Via::Request(Get, "/admin/swap", Vec::new()),
+                engine: Engine::Gone,
+                setup: idle,
+                moved: ("responded_error", None),
+                bytes: "HTTP/1.1 405 Method Not Allowed\r\n\
+                    Content-Length: 30\r\n\
+                    Content-Type: application/json\r\n\
+                    Allow: POST\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"error\":\"method not allowed\"}",
+            },
+            Row {
+                via: Via::Request(Get, "/nope", Vec::new()),
+                engine: Engine::Gone,
+                setup: idle,
+                moved: ("responded_error", None),
+                bytes: "HTTP/1.1 404 Not Found\r\n\
+                    Content-Length: 21\r\n\
+                    Content-Type: application/json\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"error\":\"not found\"}",
+            },
+            Row {
+                via: classify(),
+                engine: Engine::Gone,
+                setup: draining,
+                moved: ("rejected", None),
+                bytes: "HTTP/1.1 503 Service Unavailable\r\n\
+                    Content-Length: 20\r\n\
+                    Content-Type: application/json\r\n\
+                    Retry-After: 1\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"error\":\"draining\"}",
+            },
+            Row {
+                via: Via::Request(Post, "/classify", b"not an image at all".to_vec()),
+                engine: Engine::Gone,
+                setup: idle,
+                moved: ("responded_error", None),
+                bytes: "HTTP/1.1 422 Unprocessable Content\r\n\
+                    Content-Length: 81\r\n\
+                    Content-Type: application/json\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"error\":\"bad image: unrecognized image container \
+                    (expected AJPG or RTIF magic)\"}",
+            },
+            Row {
+                via: classify(),
+                engine: Engine::Gone,
+                setup: |s| s.in_flight.store(1, Ordering::SeqCst),
+                moved: ("rejected", None),
+                bytes: "HTTP/1.1 503 Service Unavailable\r\n\
+                    Content-Length: 22\r\n\
+                    Content-Type: application/json\r\n\
+                    Retry-After: 1\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"error\":\"overloaded\"}",
+            },
+            Row {
+                via: classify(),
+                engine: done(2, 3, false, 1),
+                setup: idle,
+                moved: ("responded_ok", None),
+                bytes: "HTTP/1.1 200 OK\r\n\
+                    Content-Length: 53\r\n\
+                    Content-Type: application/json\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"class\":2,\"batch\":3,\"degraded\":false,\"generation\":1}",
+            },
+            Row {
+                via: classify(),
+                engine: done(1, 1, true, 0),
+                setup: idle,
+                moved: ("responded_ok", Some("degraded_ok")),
+                bytes: "HTTP/1.1 200 OK\r\n\
+                    Content-Length: 52\r\n\
+                    Content-Type: application/json\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"class\":1,\"batch\":1,\"degraded\":true,\"generation\":0}",
+            },
+            Row {
+                via: classify(),
+                engine: Engine::Classify(WireOutcome::BreakerOpen),
+                setup: idle,
+                moved: ("rejected", Some("breaker_open")),
+                bytes: "HTTP/1.1 503 Service Unavailable\r\n\
+                    Content-Length: 24\r\n\
+                    Content-Type: application/json\r\n\
+                    Retry-After: 1\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"error\":\"breaker open\"}",
+            },
+            Row {
+                via: classify(),
+                engine: Engine::Classify(WireOutcome::Rejected),
+                setup: idle,
+                moved: ("rejected", None),
+                bytes: "HTTP/1.1 503 Service Unavailable\r\n\
+                    Content-Length: 22\r\n\
+                    Content-Type: application/json\r\n\
+                    Retry-After: 1\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"error\":\"queue full\"}",
+            },
+            Row {
+                via: classify(),
+                engine: Engine::Classify(WireOutcome::Shed),
+                setup: idle,
+                moved: ("shed", None),
+                bytes: "HTTP/1.1 503 Service Unavailable\r\n\
+                    Content-Length: 16\r\n\
+                    Content-Type: application/json\r\n\
+                    Retry-After: 1\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"error\":\"shed\"}",
+            },
+            Row {
+                via: classify(),
+                engine: Engine::Classify(WireOutcome::Failed),
+                setup: idle,
+                moved: ("responded_error", None),
+                bytes: "HTTP/1.1 500 Internal Server Error\r\n\
+                    Content-Length: 26\r\n\
+                    Content-Type: application/json\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"error\":\"internal fault\"}",
+            },
+            Row {
+                via: swap(),
+                engine: Engine::Gone,
+                setup: draining,
+                moved: ("rejected", None),
+                bytes: "HTTP/1.1 503 Service Unavailable\r\n\
+                    Content-Length: 20\r\n\
+                    Content-Type: application/json\r\n\
+                    Retry-After: 1\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"error\":\"draining\"}",
+            },
+            Row {
+                via: swap(),
+                engine: Engine::Gone,
+                setup: |s| s.swap_staging.store(true, Ordering::SeqCst),
+                moved: ("responded_error", None),
+                bytes: "HTTP/1.1 409 Conflict\r\n\
+                    Content-Length: 37\r\n\
+                    Content-Type: application/json\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"error\":\"a swap is already staging\"}",
+            },
+            Row {
+                via: swap(),
+                engine: Engine::Swap(SwapOutcome::Swapped {
+                    generation: 1,
+                    fingerprint: 0xab,
+                }),
+                setup: idle,
+                moved: ("responded_ok", None),
+                bytes: "HTTP/1.1 200 OK\r\n\
+                    Content-Length: 51\r\n\
+                    Content-Type: application/json\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"generation\":1,\"fingerprint\":\"0x00000000000000ab\"}",
+            },
+            Row {
+                via: swap(),
+                engine: Engine::Swap(SwapOutcome::Rejected {
+                    error: "bad checksum".to_string(),
+                }),
+                setup: idle,
+                moved: ("responded_error", None),
+                bytes: "HTTP/1.1 422 Unprocessable Content\r\n\
+                    Content-Length: 24\r\n\
+                    Content-Type: application/json\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"error\":\"bad checksum\"}",
+            },
+            Row {
+                via: swap(),
+                engine: Engine::Swap(SwapOutcome::BreakerOpen),
+                setup: idle,
+                moved: ("rejected", Some("breaker_open")),
+                bytes: "HTTP/1.1 503 Service Unavailable\r\n\
+                    Content-Length: 24\r\n\
+                    Content-Type: application/json\r\n\
+                    Retry-After: 1\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"error\":\"breaker open\"}",
+            },
+            Row {
+                via: swap(),
+                engine: Engine::Swap(SwapOutcome::Draining),
+                setup: idle,
+                moved: ("rejected", None),
+                bytes: "HTTP/1.1 503 Service Unavailable\r\n\
+                    Content-Length: 20\r\n\
+                    Content-Type: application/json\r\n\
+                    Retry-After: 1\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"error\":\"draining\"}",
+            },
+            Row {
+                via: Via::Request(Get, "/metrics", Vec::new()),
+                engine: Engine::Gone,
+                setup: idle,
+                moved: ("responded_error", None),
+                bytes: "HTTP/1.1 503 Service Unavailable\r\n\
+                    Content-Length: 26\r\n\
+                    Content-Type: application/json\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"error\":\"engine timeout\"}",
+            },
+            Row {
+                via: Via::Request(Get, "/metrics", Vec::new()),
+                engine: Engine::Metrics,
+                setup: idle,
+                moved: ("responded_ok", None),
+                bytes: "HTTP/1.1 200 OK\r\n\
+                    Content-Length: 254\r\n\
+                    Content-Type: text/plain; version=0.0.4\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    E 1\nwire_connections 0\nwire_accepted 1\nwire_responded_ok 0\n\
+                    wire_responded_error 0\nwire_rejected 0\nwire_shed 0\n\
+                    wire_bad_requests 0\nwire_breaker_open 0\nwire_degraded_ok 0\n\
+                    wire_draining 0\n# timing\nT 2\nengine_round_trip_us_sum 0\n\
+                    engine_round_trip_requests 0\n",
+            },
+        ];
+        for (i, row) in rows.iter().enumerate() {
+            for keep_alive in [true, false] {
+                let shared = Shared::default();
+                (row.setup)(&shared);
+                let (tx, rx) = mpsc::channel::<EngineMsg>();
+                let engine = stand_in(row.engine.clone(), rx);
+                let mut conn = Conn {
+                    out: Vec::new(),
+                    wout: Vec::new(),
+                    shared: &shared,
+                    tx: &tx,
+                    config: &config,
+                    keep_alive,
+                };
+                let before = match &row.via {
+                    Via::Request(method, path, body) => {
+                        shared.stats.accepted.fetch_add(1, Ordering::SeqCst);
+                        let before = shared.stats.snapshot();
+                        let request = Request {
+                            method: *method,
+                            path: path.to_string(),
+                            keep_alive,
+                            body: body.clone(),
+                        };
+                        assert!(respond(&mut conn, &request), "row {i}");
+                        before
+                    }
+                    Via::Loop(class, status, body) => {
+                        let before = shared.stats.snapshot();
+                        assert!(conn.reply(*class, *status, &[], body.as_bytes()));
+                        before
+                    }
+                };
+                let out = std::mem::take(&mut conn.out);
+                drop(tx);
+                if let Some(engine) = engine {
+                    engine.join().expect("stand-in engine");
+                }
+                let connection = if keep_alive { "keep-alive" } else { "close" };
+                let expected = row.bytes.replace("{conn}", connection);
+                let what = format!("row {i}, keep-alive {keep_alive}");
+                assert_eq!(String::from_utf8_lossy(&out), expected, "{what}");
+                let after = shared.stats.snapshot();
+                let mut moved = Vec::new();
+                for ((name, was), (_, now)) in fields(&before).into_iter().zip(fields(&after)) {
+                    if now != was {
+                        assert_eq!(now, was + 1, "{what}: {name}");
+                        moved.push(name);
+                    }
+                }
+                let (class, diagnostic) = row.moved;
+                let expected: Vec<_> = fields(&after)
+                    .into_iter()
+                    .map(|(name, _)| name)
+                    .filter(|&name| name == class || Some(name) == diagnostic)
+                    .collect();
+                assert_eq!(moved, expected, "{what}");
+                assert!(after.conserved(), "{what}: {after:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn reason_table_agrees_with_the_parser() {
+        use crate::http::ParseError;
+        for e in [
+            ParseError::BadRequestLine,
+            ParseError::RequestLineTooLong,
+            ParseError::UnsupportedMethod,
+            ParseError::BadVersion,
+            ParseError::HeadTooLarge,
+            ParseError::TooManyHeaders,
+            ParseError::BadHeader,
+            ParseError::BadContentLength,
+            ParseError::BodyTooLarge {
+                declared: 2,
+                cap: 1,
+            },
+            ParseError::UnsupportedTransferEncoding,
+        ] {
+            let (status, phrase) = e.status();
+            assert_eq!(reason(status), phrase, "{e:?}");
+        }
     }
 }
