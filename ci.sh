@@ -17,7 +17,8 @@
 #                        no second serving core (`RealBatchServer`,
 #                        `ServeFault`) and its server writes and counts every
 #                        response in one function (one `write_response` call,
-#                        no ledger class bumped by name)
+#                        no ledger class bumped by name) and has one ingest
+#                        entry (`decode_for`, never `decode_auto`)
 #   3. tier-1 tests      cargo build --release && cargo test -q, run twice:
 #                        once with the harvest-threads pool forced sequential
 #                        (HARVEST_THREADS=1) and once at the host default
@@ -35,6 +36,11 @@
 #                        proptests, the experiments CLI contract, ...) that no
 #                        step above reaches
 #   4. overload smoke    experiments overload --smoke + artifact drift check
+#  4b. paper artifacts   the 17 artifacts of the paper's tables, figures and
+#                        extension studies, regenerated with --smoke at
+#                        HARVEST_THREADS=1 and the host default and `cmp`ed
+#                        against artifacts/: a change that moves a reproduced
+#                        figure has to commit the new artifact
 #   5. integrity smoke   experiments integrity --smoke + schema/drift/determinism
 #   6. bench smoke       experiments bench --smoke + schema/determinism check,
 #                        with fingerprints gated against the committed
@@ -154,6 +160,17 @@ if [ "$reply_path" != "1 0" ]; then
     echo "crates/net/src/server.rs: $reply_path (write_response calls, named ledger bumps; want 1 0)"
     exit 1
 fi
+# One ingest entry: the server decodes a body with `decode_for`, which
+# produces only the rows its preprocessing reads, never with the full
+# `decode_auto` beside it.
+full_decode=$(awk '/^#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }
+    /decode_auto\(/ { print FILENAME ":" FNR ": " $0 }' crates/net/src/server.rs)
+if [ -n "$full_decode" ]; then
+    echo "$full_decode"
+    echo "the wire server calls decode_auto (its ingest entry is decode_for)"
+    exit 1
+fi
 
 echo "== tier-1: build =="
 cargo build --offline --release
@@ -193,6 +210,26 @@ trap 'rm -rf "$smoke_dir"' EXIT
 ./target/release/experiments overload --smoke --json "$smoke_dir"
 diff artifacts/overload.json "$smoke_dir/overload.json" \
     || { echo "artifacts/overload.json drifted from the code"; exit 1; }
+
+echo "== paper artifacts =="
+# Every table, figure and extension study the paper's reproduction commits,
+# regenerated and compared byte for byte, at both pool widths.
+paper="table1 table2 table3 fig4 fig5 fig6 fig7 fig8 energy continuum scaling
+    cluster resilience ablations"
+for threads in 1 ""; do
+    out="$smoke_dir/paper$threads"
+    mkdir -p "$out"
+    env ${threads:+HARVEST_THREADS=$threads} ./target/release/experiments $paper \
+        --smoke --json "$out" > /dev/null
+    count=$(ls "$out" | wc -l)
+    [ "$count" = 17 ] || { echo "paper artifacts: $count files, want 17"; exit 1; }
+    for f in "$out"/*.json; do
+        cmp "artifacts/$(basename "$f")" "$f" || {
+            echo "artifacts/$(basename "$f") drifted (HARVEST_THREADS=${threads:-default})"
+            exit 1
+        }
+    done
+done
 
 echo "== integrity smoke =="
 # The run itself asserts per-cell conservation, escaped == 0 under the full

@@ -2153,4 +2153,37 @@ fn host() {
         rtif_s * 1e6,
         ajpg_s / rtif_s
     );
+    // The wire's ingest, decode + transform of one body: the full decode
+    // against the rows-only one the server runs, best of 9 each, the two
+    // interleaved rep by rep so a swing in the host's speed hits both.
+    // 128 -> 96 taps every row, so there the two should tie. Recorded,
+    // never asserted.
+    use harvest_imaging::decode_auto;
+    use harvest_preproc::{decode_for, preprocess_decoded};
+    for (side, out_res) in [(512, 16), (128, 96), (512, 224)] {
+        let body = ajpg_encode(
+            &FieldScene::RowCrop.render(&SynthImageSpec {
+                width: side,
+                height: side,
+                seed: 3,
+            }),
+            &AjpgOptions::default(),
+        );
+        let time = |decode: &dyn Fn() -> harvest_imaging::RgbImage| {
+            let t = std::time::Instant::now();
+            std::hint::black_box(preprocess_decoded(&decode(), out_res));
+            t.elapsed().as_secs_f64()
+        };
+        let (mut full, mut rows) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..9 {
+            full = full.min(time(&|| decode_auto(&body).unwrap()));
+            rows = rows.min(time(&|| decode_for(&body, out_res).unwrap()));
+        }
+        println!(
+            "  ingest {side}->{out_res} RowCrop: full {:.3} ms, rows {:.3} ms = {:.2}x",
+            full * 1e3,
+            rows * 1e3,
+            full / rows
+        );
+    }
 }

@@ -40,23 +40,35 @@ fn tune_is_no_longer_a_subcommand() {
     );
 }
 
-/// The AJPG-vs-RTIF decode gap EXPERIMENTS.md quotes is a line of `host`:
-/// two timings are printed, nothing is asserted about their values.
-#[test]
-fn host_prints_the_format_gap() {
-    let out = experiments(&["host"]);
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8(out.stdout).unwrap();
+/// The two timings after `tags` on the line of `stdout` containing `key`.
+fn times_on(stdout: &str, key: &str, tags: [&str; 2]) -> Vec<f64> {
     let line = stdout
         .lines()
-        .find(|l| l.contains("decode 224x224 RowCrop"))
-        .unwrap_or_else(|| panic!("no format-gap line: {stdout}"));
-    let times: Vec<f64> = ["AJPG ", "RTIF "]
-        .iter()
+        .find(|l| l.contains(key))
+        .unwrap_or_else(|| panic!("no `{key}` line: {stdout}"));
+    tags.iter()
         .map(|tag| {
             let rest = &line[line.find(tag).unwrap() + tag.len()..];
             rest.split(' ').next().unwrap().parse().unwrap()
         })
-        .collect();
-    assert!(times.iter().all(|&t| t > 0.0), "{line}");
+        .collect()
+}
+
+/// The AJPG-vs-RTIF decode gap and the full-vs-rows ingest table
+/// EXPERIMENTS.md quotes are lines of `host`: two timings a line are
+/// printed, nothing is asserted about their values.
+#[test]
+fn host_prints_the_format_gap_and_the_ingest_table() {
+    let out = experiments(&["host"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let mut times = times_on(&stdout, "decode 224x224 RowCrop", ["AJPG ", "RTIF "]);
+    for case in ["512->16", "128->96", "512->224"] {
+        times.extend(times_on(
+            &stdout,
+            &format!("ingest {case} "),
+            ["full ", "rows "],
+        ));
+    }
+    assert!(times.iter().all(|&t| t > 0.0), "{times:?}");
 }

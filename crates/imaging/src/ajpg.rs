@@ -213,12 +213,22 @@ fn encode_plane(plane: &Plane, table: &[u16; 64], w: &mut BitWriter) {
     }
 }
 
-/// Decode one plane's blocks (inverse of [`encode_plane`]).
-fn decode_plane(plane: &mut Plane, table: &[u16; 64], r: &mut BitReader<'_>) -> Result<(), String> {
+/// Decode one plane's blocks (inverse of [`encode_plane`]). Every block is
+/// entropy-walked — the DC deltas chain and the AC runs move the bit
+/// position, so the stream's verdict cannot depend on `wanted` — but only
+/// blocks in a block row `wanted` names are dequantized and inverse-
+/// transformed; the others leave their samples as they were.
+fn decode_plane(
+    plane: &mut Plane,
+    table: &[u16; 64],
+    wanted: &[bool],
+    r: &mut BitReader<'_>,
+) -> Result<(), String> {
     let factors = scan_order_f32(table);
     let stride = plane.padded_w;
     let mut prev_dc = 0i64;
     for bi in 0..plane.blocks() {
+        let keep = wanted[bi / (stride / 8)];
         prev_dc = prev_dc
             .checked_add(r.get_se()?)
             .ok_or_else(|| format!("DC accumulator overflow in block {bi}"))?;
@@ -241,11 +251,17 @@ fn decode_plane(plane: &mut Plane, table: &[u16; 64], r: &mut BitReader<'_>) -> 
             if zi >= 64 {
                 return Err(format!("AC index overflow in block {bi}"));
             }
-            let dst = ZIGZAG[zi];
-            coeffs[dst] = r.get_se()? as f32 * factors[zi];
-            rows |= 1 << (dst / 8);
-            cols |= 1 << (dst % 8);
+            let level = r.get_se()?;
+            if keep {
+                let dst = ZIGZAG[zi];
+                coeffs[dst] = level as f32 * factors[zi];
+                rows |= 1 << (dst / 8);
+                cols |= 1 << (dst % 8);
+            }
             zi += 1;
+        }
+        if !keep {
+            continue;
         }
         let origin = plane.block_origin(bi);
         if (rows, cols) == (1, 1) {
@@ -325,8 +341,29 @@ pub fn ajpg_encode(img: &RgbImage, opts: &AjpgOptions) -> Vec<u8> {
     out
 }
 
-/// Decode AJPG bytes back to an RGB image.
+/// Decode AJPG bytes back to an RGB image: [`ajpg_decode_rows`] with every
+/// row.
 pub fn ajpg_decode(bytes: &[u8]) -> Result<RgbImage, String> {
+    ajpg_decode_rows(bytes, |_, h| 0..h)
+}
+
+/// Decode AJPG bytes, producing only the image rows `rows(w, h)` names —
+/// the others stay black (all zero). `rows` is called once, with the
+/// header's dimensions, after they have passed every header check; each
+/// row it names must be below `h`.
+///
+/// The verdict is [`ajpg_decode`]'s for every stream, error text included,
+/// and every named row is its row byte for byte: the whole entropy stream
+/// is still walked, while dequantization and the inverse DCT run only for
+/// the luma block rows holding a named row and the chroma block rows
+/// holding its chroma row, and colour conversion only for the named rows.
+pub fn ajpg_decode_rows<R>(
+    bytes: &[u8],
+    rows: impl FnOnce(usize, usize) -> R,
+) -> Result<RgbImage, String>
+where
+    R: IntoIterator<Item = usize>,
+{
     if bytes.get(..4) != Some(MAGIC.as_slice()) {
         return Err("not an AJPG stream".into());
     }
@@ -340,11 +377,22 @@ pub fn ajpg_decode(bytes: &[u8]) -> Result<RgbImage, String> {
     if w > MAX_DIM || h > MAX_DIM || w * h > MAX_PIXELS {
         return Err(format!("implausible dimensions {w}x{h}"));
     }
-    let (cw, ch) = if subsample {
-        (w.div_ceil(2), h.div_ceil(2))
+    let (cw, ch, step) = if subsample {
+        (w.div_ceil(2), h.div_ceil(2), 2)
     } else {
-        (w, h)
+        (w, h, 1)
     };
+
+    // The named rows, and the block rows of each plane they reach.
+    let mut named = vec![false; h];
+    let mut luma_rows = vec![false; h.div_ceil(8)];
+    let mut chroma_rows = vec![false; ch.div_ceil(8)];
+    for yy in rows(w, h) {
+        assert!(yy < h, "row {yy} of a {h}-row image");
+        named[yy] = true;
+        luma_rows[yy / 8] = true;
+        chroma_rows[yy / step / 8] = true;
+    }
 
     let q_luma = scaled_table(&Q_LUMA, quality);
     let q_chroma = scaled_table(&Q_CHROMA, quality);
@@ -353,20 +401,23 @@ pub fn ajpg_decode(bytes: &[u8]) -> Result<RgbImage, String> {
     let mut y_plane = Plane::blank(w, h);
     let mut cb_plane = Plane::blank(cw, ch);
     let mut cr_plane = Plane::blank(cw, ch);
-    decode_plane(&mut y_plane, &q_luma, &mut r)?;
-    decode_plane(&mut cb_plane, &q_chroma, &mut r)?;
-    decode_plane(&mut cr_plane, &q_chroma, &mut r)?;
+    decode_plane(&mut y_plane, &q_luma, &luma_rows, &mut r)?;
+    decode_plane(&mut cb_plane, &q_chroma, &chroma_rows, &mut r)?;
+    decode_plane(&mut cr_plane, &q_chroma, &chroma_rows, &mut r)?;
 
     // Colour conversion, a padded row at a time; under 4:2:0 each chroma
     // row serves two image rows.
     let mut img = RgbImage::new(w, h);
     let mut row = vec![0u8; y_plane.padded_w * 3];
-    let (step, convert) = if subsample {
-        (2, rgb_row::<4> as fn(&mut [u8], &[f32], &[f32], &[f32]))
+    let convert = if subsample {
+        rgb_row::<4> as fn(&mut [u8], &[f32], &[f32], &[f32])
     } else {
-        (1, rgb_row::<8> as _)
+        rgb_row::<8> as _
     };
     for (yy, out) in img.data_mut().chunks_exact_mut(w * 3).enumerate() {
+        if !named[yy] {
+            continue;
+        }
         let y_row = &y_plane.data[yy * y_plane.padded_w..];
         let cb_row = &cb_plane.data[yy / step * cb_plane.padded_w..];
         let cr_row = &cr_plane.data[yy / step * cr_plane.padded_w..];

@@ -1,8 +1,10 @@
 //! The bit-identity contract of the word-level, sparse-aware codec, held
 //! against the codec it replaced (`oracle/`, verbatim): same decoded
 //! pixels, same encoded bytes, same `Ok`/`Err` — and the same error text —
-//! for every stream, whole or damaged.
+//! for every stream, whole or damaged. Every stream also goes through the
+//! wire's row-sampled ingest entry (`ingest/`), held to the full decode.
 
+mod ingest;
 mod oracle;
 
 use harvest_imaging::bitio::{BitReader, BitWriter};
@@ -66,6 +68,7 @@ fn streams_and_pixels_match_the_oracle_across_sizes_qualities_and_scenes() {
                     let pixels = ajpg_decode(&stream).expect("decodes");
                     let expected = oracle::ajpg::ajpg_decode(&stream).expect("oracle decodes");
                     assert!(pixels == expected, "{case}: decoded pixels differ");
+                    ingest::decode_for_agrees(&stream, &case).expect("decodes");
                 }
             }
         }
@@ -92,11 +95,13 @@ fn flat_and_checkerboard_extremes_match_the_oracle() {
                     stream == oracle::ajpg::ajpg_encode(img, &oracle_options(&opts)),
                     "image {i} q{quality} 420={subsample}: encoded bytes differ"
                 );
+                let case = format!("image {i} q{quality} 420={subsample}");
                 assert_eq!(
                     ajpg_decode(&stream),
                     oracle::ajpg::ajpg_decode(&stream),
-                    "image {i} q{quality} 420={subsample}"
+                    "{case}"
                 );
+                ingest::decode_for_agrees(&stream, &case).expect("decodes");
             }
         }
     }
@@ -128,11 +133,13 @@ fn corpus() -> Vec<Vec<u8>> {
 fn every_truncation_gets_the_oracles_verdict() {
     for (i, clean) in corpus().iter().enumerate() {
         for cut in 0..=clean.len() {
+            let case = format!("stream {i} cut at {cut}");
             assert_eq!(
                 ajpg_decode(&clean[..cut]),
                 oracle::ajpg::ajpg_decode(&clean[..cut]),
-                "stream {i} cut at {cut}"
+                "{case}"
             );
+            let _ = ingest::decode_for_agrees(&clean[..cut], &case);
         }
     }
 }
@@ -145,12 +152,10 @@ fn every_single_bit_flip_gets_the_oracles_verdict() {
             for bit in 0..8 {
                 let mut bytes = clean.clone();
                 bytes[byte] ^= 1 << bit;
+                let case = format!("stream {i} byte {byte} bit {bit}");
                 let got = ajpg_decode(&bytes);
-                assert_eq!(
-                    got,
-                    oracle::ajpg::ajpg_decode(&bytes),
-                    "stream {i} byte {byte} bit {bit}"
-                );
+                assert_eq!(got, oracle::ajpg::ajpg_decode(&bytes), "{case}");
+                let _ = ingest::decode_for_agrees(&bytes, &case);
                 match got {
                     Ok(_) => accepted += 1,
                     Err(_) => rejected += 1,

@@ -2,7 +2,11 @@
 //! the deterministic input-corruption injector ([`FaultPlan::corrupt_input`])
 //! and with hand-built hostile headers. The contract under test is the
 //! integrity layer's foundation — a corrupt byte stream must surface as
-//! `Err`, never as a panic, an abort, or a runaway allocation.
+//! `Err`, never as a panic, an abort, or a runaway allocation. Every stream
+//! also goes through the wire's row-sampled ingest entry (`ingest/`), which
+//! must reach the full decode's verdict, error text included.
+
+mod ingest;
 
 use harvest_imaging::{ajpg_decode, rtif_decode, ImageFormat, RgbImage};
 use harvest_imaging::{FieldScene, SynthImageSpec};
@@ -44,6 +48,7 @@ fn injector_mangled_streams_never_panic_either_codec() {
                 if decode(&fmt, &bytes).is_err() {
                     rejected += 1;
                 }
+                let _ = ingest::decode_for_agrees(&bytes, &format!("{} id {id}", fmt.label()));
             }
         }
         assert!(corrupted > 150, "{}: injector barely fired", fmt.label());
@@ -85,13 +90,34 @@ fn hostile_ajpg_headers_are_rejected_without_allocation() {
     bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
     let err = ajpg_decode(&bytes).unwrap_err();
     assert!(err.contains("implausible"), "got: {err}");
+    ingest::decode_for_agrees(&bytes, "4G x 4G").unwrap_err();
     // Dimensions under the per-axis cap whose product is still huge.
     bytes[4..8].copy_from_slice(&16384u32.to_le_bytes());
     bytes[8..12].copy_from_slice(&16384u32.to_le_bytes());
     assert!(ajpg_decode(&bytes).is_err());
+    ingest::decode_for_agrees(&bytes, "16384 x 16384").unwrap_err();
     // Header cut mid-field.
     assert!(ajpg_decode(&bytes[..7]).is_err());
     assert!(ajpg_decode(&bytes[..13]).is_err());
+    ingest::decode_for_agrees(&bytes[..7], "7-byte stream").unwrap_err();
+    let clean = ImageFormat::camera_default().encode(&img);
+    ingest::decode_for_agrees(&clean[..13], "13-byte stream").unwrap_err();
+    // A zero axis either way round (the resize's taps need a positive
+    // height), one past the per-axis cap, and an area one past the pixel
+    // cap with both axes under it.
+    for (w, h, what) in [
+        (0u32, 36u32, "0 x N"),
+        (48, 0, "N x 0"),
+        (16385, 36, "MAX_DIM + 1"),
+        (48, 16385, "N x (MAX_DIM + 1)"),
+        (16384, 1025, "area over MAX_PIXELS"),
+    ] {
+        let mut bytes = ImageFormat::camera_default().encode(&img);
+        bytes[4..8].copy_from_slice(&w.to_le_bytes());
+        bytes[8..12].copy_from_slice(&h.to_le_bytes());
+        let err = ingest::decode_for_agrees(&bytes, what).unwrap_err();
+        assert!(ajpg_decode(&bytes).is_err(), "{what}: {err}");
+    }
 }
 
 #[test]
@@ -118,6 +144,7 @@ fn every_byte_truncation_of_an_ajpg_stream_errors_or_decodes() {
         // prefixes must error; longer ones may decode if only padding was
         // lost.)
         let res = ajpg_decode(&clean[..cut]);
+        let _ = ingest::decode_for_agrees(&clean[..cut], &format!("cut {cut}"));
         if cut < 14 {
             assert!(res.is_err(), "cut {cut}: accepted a headerless stream");
         }
@@ -137,6 +164,7 @@ fn single_bit_flips_in_the_entropy_stream_never_panic() {
             let mut bytes = clean.clone();
             bytes[byte] ^= 1 << bit;
             let _ = ajpg_decode(&bytes); // Ok or Err both fine; no panic.
+            let _ = ingest::decode_for_agrees(&bytes, &format!("byte {byte} bit {bit}"));
         }
     }
 }

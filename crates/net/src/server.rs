@@ -2,7 +2,10 @@
 //!
 //! Architecture: `accept_threads` accept loops share one
 //! `std::net::TcpListener`, each handling its accepted connection to
-//! completion (parse → decode → preprocess → submit). Inference runs on a
+//! completion (parse → decode → preprocess → submit; the decode produces
+//! only the source rows the preprocessing resize samples, so a 512² body
+//! bound for a 16² model is inverse-transformed and colour-converted in 32
+//! of its 512 rows). Inference runs on a
 //! **data-parallel engine worker pool**: a coordinator thread owns the
 //! model graph, the dynamic batcher, and the weight-generation cell, and
 //! `engine_workers` replica executors each serve whole batches. Dispatch is
@@ -47,9 +50,8 @@
 
 use crate::http::{parse_request, write_response, HttpLimits, Method, Parsed, Request};
 use crate::pool::{Batch, Effect, Pool, SwapOutcome, WireOutcome, WorkerDone};
-use harvest_imaging::decode_auto;
 use harvest_models::{vit, VitConfig};
-use harvest_preproc::preprocess_decoded;
+use harvest_preproc::{decode_for, preprocess_decoded};
 use harvest_serving::{
     BatcherConfig, BreakerConfig, BreakerState, CircuitBreaker, ServingLimits, ShedPolicy,
 };
@@ -1062,13 +1064,14 @@ fn respond<W: Write>(conn: &mut Conn<W>, request: &Request) -> bool {
     }
 }
 
-/// The classification path: decode → preprocess → engine round-trip.
+/// The classification path: decode (the rows `out_res` samples) →
+/// preprocess → engine round-trip.
 fn classify<W: Write>(conn: &mut Conn<W>, request: &Request) -> bool {
     let shared = conn.shared;
     if shared.draining.load(Ordering::SeqCst) {
         return conn.reply(Class::Rejected, 503, &[], b"{\"error\":\"draining\"}");
     }
-    let img = match decode_auto(&request.body) {
+    let img = match decode_for(&request.body, conn.config.out_res) {
         Ok(img) => img,
         Err(e) => {
             let body = format!("{{\"error\":\"bad image: {e}\"}}");
@@ -1254,7 +1257,7 @@ fn metrics<W: Write>(conn: &mut Conn<W>) -> bool {
 mod tests {
     use super::*;
     use crate::http::parse_response;
-    use harvest_imaging::{ajpg_encode, AjpgOptions, RgbImage};
+    use harvest_imaging::{ajpg_encode, decode_auto, AjpgOptions, RgbImage};
 
     fn post_classify(addr: SocketAddr, body: &[u8]) -> (u16, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -2240,6 +2243,19 @@ mod tests {
                     Connection: {conn}\r\n\r\n\
                     {\"error\":\"bad image: unrecognized image container \
                     (expected AJPG or RTIF magic)\"}",
+            },
+            Row {
+                // An AJPG body cut short in its entropy stream: the rows-only
+                // decode walks every block, so its verdict is the full one's.
+                via: Via::Request(Post, "/classify", img[..20].to_vec()),
+                engine: Engine::Gone,
+                setup: idle,
+                moved: ("responded_error", None),
+                bytes: "HTTP/1.1 422 Unprocessable Content\r\n\
+                    Content-Length: 42\r\n\
+                    Content-Type: application/json\r\n\
+                    Connection: {conn}\r\n\r\n\
+                    {\"error\":\"bad image: bitstream exhausted\"}",
             },
             Row {
                 via: classify(),

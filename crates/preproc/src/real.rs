@@ -7,10 +7,10 @@
 //! measured host numbers alongside the modelled platform numbers.
 
 use harvest_data::{DatasetSpec, EncodedSample};
-use harvest_imaging::RgbImage;
+use harvest_imaging::{ajpg_decode_rows, decode_auto, RgbImage};
 use harvest_tensor::{
-    hwc_u8_to_chw, normalize_chw, perspective_warp, resize_bilinear, resize_normalize_hwc_u8,
-    Homography, Tensor,
+    bilinear_taps, hwc_u8_to_chw, normalize_chw, perspective_warp, resize_bilinear,
+    resize_normalize_hwc_u8, Homography, Tensor,
 };
 use std::time::Instant;
 
@@ -43,14 +43,33 @@ impl RealPreprocResult {
 /// ImageNet normalization → `[3, out_res, out_res]` CHW tensor, in one pass
 /// over the source pixels the resize samples.
 ///
-/// This is the wire-serving entry point: a request body has already been
-/// decoded (and its format sniffed) by the frontend, and no dataset stage
-/// applies to traffic of unknown provenance. It is also the transform stage
-/// of [`run_real`] for every dataset without one.
+/// This is the wire-serving entry point: the frontend has already decoded
+/// the request body with [`decode_for`], which produces only the rows read
+/// here, and no dataset stage applies to traffic of unknown provenance. It
+/// is also the transform stage of [`run_real`] for every dataset without
+/// one.
 pub fn preprocess_decoded(img: &RgbImage, out_res: usize) -> Tensor {
     let (h, w, res) = (img.height(), img.width(), out_res);
     let chw = resize_normalize_hwc_u8(img.data(), h, w, res, res, &NORM_MEAN, &NORM_STD);
     Tensor::from_vec(&[3, res, res], chw)
+}
+
+/// Decode a request body for [`preprocess_decoded`] at `out_res` (which
+/// must be positive, as there). The format is sniffed as [`decode_auto`]
+/// sniffs it, with the same `Ok`/`Err` and error text for every body, but
+/// an AJPG body is decoded only in the source rows the resize's bilinear
+/// taps name ([`ajpg_decode_rows`]); every other row is black. The tensor
+/// `preprocess_decoded` makes from it is bit-identical to the one it makes
+/// from the full decode. RTIF bodies decode in full.
+pub fn decode_for(bytes: &[u8], out_res: usize) -> Result<RgbImage, String> {
+    if bytes.get(..4) != Some(b"AJPG".as_slice()) {
+        return decode_auto(bytes);
+    }
+    ajpg_decode_rows(bytes, |_, h| {
+        bilinear_taps(h, out_res)
+            .into_iter()
+            .flat_map(|(y0, y1, _)| [y0, y1])
+    })
 }
 
 /// Run the full real preprocessing pipeline on one encoded sample. The
@@ -205,9 +224,10 @@ mod tests {
 
     #[test]
     fn decode_touches_every_pixel_and_the_transform_only_its_taps() {
-        // Why decode dominates a JPEG-like source at a small output: it must
-        // produce every source pixel, while the transform reads only the
-        // pixels bilinear sampling names — at most 4 per output pixel.
+        // Why a full decode dominates a JPEG-like source at a small output:
+        // it produces every source pixel (as `run_real`'s does), while the
+        // transform reads only the pixels bilinear sampling names — at most
+        // 4 per output pixel. That gap is what `decode_for` closes by rows.
         let sampler = Sampler::new(DatasetId::PlantVillage, 11);
         let sample = sampler.encode(3);
         let img = sampler.spec().format.decode(&sample.bytes).expect("decode");
