@@ -18,7 +18,10 @@
 #                        `ServeFault`) and its server writes and counts every
 #                        response in one function (one `write_response` call,
 #                        no ledger class bumped by name) and has one ingest
-#                        entry (`decode_for`, never `decode_auto`)
+#                        entry (`decode_for`, never `decode_auto`); no
+#                        oracle in the library: non-test crates/*/src
+#                        names neither the seed reference forward nor the
+#                        seed heap queue, which live under tests/oracle/
 #   3. tier-1 tests      cargo build --release && cargo test -q, run twice:
 #                        once with the harvest-threads pool forced sequential
 #                        (HARVEST_THREADS=1) and once at the host default
@@ -172,6 +175,21 @@ if [ -n "$full_decode" ]; then
     exit 1
 fi
 
+# No oracle in the library: the seed per-image forward and the seed
+# `BinaryHeap` event queue live under crates/*/tests/oracle/, and the
+# integrity cross-check runs against a clean executor, so no non-test
+# source names them.
+oracle_names=$(find crates/*/src -name '*.rs' | sort | while read -r f; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+        /forward_reference|eval_reference|reference_gap|new_oracle|Queue::Heap/ {
+            print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$oracle_names" ]; then
+    echo "$oracle_names"
+    echo "test-only oracle code is back in the library (it lives under tests/oracle/)"
+    exit 1
+fi
+
 echo "== tier-1: build =="
 cargo build --offline --release
 # The root package does not depend on harvest-bench, so the experiments
@@ -251,7 +269,8 @@ diff "$smoke_dir/integrity.run1.json" "$smoke_dir/integrity.json" \
 
 echo "== bench smoke =="
 # Reduced-size kernel + model benches: the run itself asserts batched logits
-# match the per-image reference (< 1e-4 rel), that reruns are bit-identical,
+# match the one-image-at-a-time, one-thread baseline (< 1e-4 rel), that
+# reruns are bit-identical,
 # and that the thread-scaling sweep's fingerprints agree at every pool
 # width. Here we gate the BENCH.json schema and pin the model fingerprints
 # against the committed baseline — at the host's default pool width AND

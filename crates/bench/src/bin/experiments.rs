@@ -1192,7 +1192,9 @@ fn serve(save: &dyn Fn(&str, String), smoke: bool) {
 }
 
 fn bench(save: &dyn Fn(&str, String), smoke: bool) {
-    println!("== Extension: measured execution performance (batched engine vs per-image seed) ==");
+    println!(
+        "== Extension: measured execution performance (batched engine vs one image at a time, one thread) =="
+    );
     let report = exp::bench(smoke);
     // Self-checks beyond the ones inside the runner (tolerance, same-run
     // determinism, full-mode speedup floor): a full second run must

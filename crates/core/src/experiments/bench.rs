@@ -4,17 +4,23 @@
 //! size) are modeled analytically elsewhere; this experiment produces the
 //! *measured* counterpart on the machine the reproduction runs on. It times
 //! the kernels the executor is built from (GEMM, im2col conv,
-//! attention) and whole-model forwards at several batch sizes through both
-//! execution paths:
+//! attention) and whole-model forwards at several batch sizes, two ways
+//! through the one forward path:
 //!
-//! * baseline — [`Executor::forward_reference`], the seed per-image path
-//!   (weights regenerated every call, scalar `gemm_bt` linears, no reuse);
-//! * batched — [`Executor::forward_batch`], the weight-cached engine with
-//!   the batch dimension folded into the GEMMs.
+//! * baseline — one image at a time through [`Executor::forward`] on one
+//!   thread (`with_threads(1, …)`): no batching, no pool;
+//! * batched — [`Executor::forward_batch`] at the batch size, the batch
+//!   dimension folded into the GEMMs, at the host's pool width.
+//!
+//! The baseline used to be the seed per-image path (weights regenerated
+//! every call, `gemm_bt` linears); that path now lives outside the library
+//! as the engine's test oracle, and `speedup` figures recorded before the
+//! move are against it.
 //!
 //! Every row carries correctness evidence next to its timing: the relative
-//! error of batched logits against the reference path (must stay below
-//! `1e-4`) and an order-sensitive FNV-1a fingerprint of the logits that
+//! error of batched logits against the baseline's (must stay below
+//! `1e-4`; it reads 0, the pool-width invariance the engine's `widths`
+//! suite pins) and an order-sensitive FNV-1a fingerprint of the logits that
 //! must be bit-identical across reruns — the determinism CI gates on.
 //! Timings themselves vary run to run; the *schema* and the fingerprints
 //! do not.
@@ -66,7 +72,7 @@ pub struct BenchModel {
     pub batch: usize,
     /// Timing repetitions for the batched path (best-of).
     pub reps: usize,
-    /// Seed per-image reference path: milliseconds per image.
+    /// One image at a time on one thread: milliseconds per image.
     pub per_image_baseline_ms: f64,
     /// Batched path: milliseconds per image at this batch size.
     pub batched_ms_per_image: f64,
@@ -78,8 +84,8 @@ pub struct BenchModel {
     pub speedup: f64,
     /// Achieved GFLOP/s of the batched path (2 · analytic MACs · img/s).
     pub achieved_gflops: f64,
-    /// Largest relative L2 error of batched logits vs the reference path
-    /// over the checked images.
+    /// Largest relative L2 error of batched logits vs the baseline's over
+    /// the checked images.
     pub rel_err_vs_reference: f64,
     /// FNV-1a 64 fingerprint over the batch's logit bits — bit-identical
     /// across reruns (the determinism CI checks).
@@ -366,7 +372,7 @@ fn bench_kernels(smoke: bool) -> Vec<BenchKernel> {
 }
 
 /// Bench one model at the given batch sizes. `baseline_images` bounds how
-/// many images the (slow) reference path is timed and checked on.
+/// many images the one-at-a-time baseline is timed and checked on.
 fn bench_model(
     graph: &Graph,
     name: &str,
@@ -384,18 +390,17 @@ fn bench_model(
         .map(|i| Tensor::random(&[3, side, side], 1000 + i as u64, 1.0))
         .collect();
 
-    // The reference path is identical per image, so time it once on a few
-    // images and reuse the per-image figure for every batch-size row.
+    // The baseline is identical per image, so time it once on a few images
+    // and reuse the per-image figure for every batch-size row.
     let check = baseline_images.min(max_batch).max(1);
-    let references: Vec<Tensor> = inputs[..check]
-        .iter()
-        .map(|x| exec.forward_reference(x))
-        .collect();
-    let baseline_ms = time_best_ms(1, || {
-        for x in &inputs[..check] {
-            std::hint::black_box(exec.forward_reference(x));
-        }
-    }) / check as f64;
+    let alone = || -> Vec<Tensor> { inputs[..check].iter().map(|x| exec.forward(x)).collect() };
+    let (references, baseline_ms) = harvest_threads::with_threads(1, || {
+        let references = alone();
+        let ms = time_best_ms(1, || {
+            std::hint::black_box(alone());
+        });
+        (references, ms / check as f64)
+    });
 
     let macs = graph.stats().macs_with_attention;
     batches
@@ -403,13 +408,13 @@ fn bench_model(
         .map(|&b| {
             let slice = &inputs[..b];
             let (outputs, peak) = exec.forward_batch_with_peak(slice);
-            // Correctness first: batched logits track the reference path.
+            // Correctness first: batched logits track the baseline's.
             let mut rel_err = 0.0f64;
             for (out, reference) in outputs.iter().zip(&references) {
                 let err = harvest_tensor::quant::relative_error(reference.data(), out.data());
                 assert!(
                     err < 1e-4,
-                    "{name} B={b}: batched vs reference relative error {err}"
+                    "{name} B={b}: batched vs one-at-a-time relative error {err}"
                 );
                 rel_err = rel_err.max(err);
             }

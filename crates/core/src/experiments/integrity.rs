@@ -7,7 +7,7 @@
 //! injects deterministic corruption (weight bit flips, sticky "failing
 //! cell" weight flips, activation bit flips at a named pass) into real
 //! cluster serving on all three platform shapes, and sweeps the detector
-//! ladder from nothing to the full checksums + sentinels + reference
+//! ladder from nothing to the full checksums + sentinels + oracle
 //! cross-check stack. Every cell reports conservation-checked counters;
 //! the headline invariants, asserted on every run:
 //!
@@ -100,7 +100,7 @@ pub struct IntegrityCell {
 /// construction, no timings).
 #[derive(Clone, Debug, Serialize)]
 pub struct IntegrityExperiment {
-    /// Cross-check detection tolerance (max-abs vs reference).
+    /// Cross-check detection tolerance (max-abs vs the clean oracle).
     pub detect_tol: f32,
     /// Ground-truth escape tolerance (max-abs vs clean oracle).
     pub escape_tol: f32,
@@ -135,7 +135,7 @@ const SHAPES: [PlatformShape; 3] = [
 ];
 
 /// The micro ViT every cell serves: small enough that a 72-cell sweep of
-/// real cluster execution (with oracle re-runs and reference cross-checks)
+/// real cluster execution (with an oracle re-run per attempt)
 /// stays a smoke-test cost, structurally identical to the zoo's ViTs.
 fn micro_vit() -> Graph {
     vit(
@@ -323,17 +323,19 @@ pub struct OverheadRow {
     pub sentinels_pct: f64,
     /// Checksums (+ sentinels) overhead vs plain, percent.
     pub checksums_pct: f64,
-    /// Full ladder (+ per-request reference cross-check) overhead vs
-    /// plain, percent.
+    /// Full ladder (+ cross-check of every batch against a clean oracle
+    /// executor) overhead vs plain, percent.
     pub full_pct: f64,
 }
 
 /// Measure detector overhead on the micro ViT at the given batch sizes.
 pub fn detector_overhead(batches: &[usize]) -> Vec<OverheadRow> {
     use harvest_engine::{ActivationGuard, Executor};
+    use harvest_tensor::integrity::max_abs_gap;
     use std::time::Instant;
     let graph = micro_vit();
     let exec = Executor::new(&graph, 7);
+    let oracle = Executor::new(&graph, 7);
     let guard = ActivationGuard {
         range_limit: Some(RANGE_LIMIT),
     };
@@ -355,18 +357,23 @@ pub fn detector_overhead(batches: &[usize]) -> Vec<OverheadRow> {
             let plain = time(&|| {
                 std::hint::black_box(exec.forward_batch(&inputs));
             });
+            let guarded = || {
+                let mut sink = Vec::new();
+                let run = exec.run(&inputs, Some(&guard), None, &mut sink);
+                exec.outputs(&sink, run.per_image)
+            };
             let sentinels = time(&|| {
-                std::hint::black_box(exec.forward_batch_checked(&inputs, Some(&guard), None));
+                std::hint::black_box(guarded());
             });
             let checksums = time(&|| {
                 assert!(exec.verify_weights().is_ok());
-                std::hint::black_box(exec.forward_batch_checked(&inputs, Some(&guard), None));
+                std::hint::black_box(guarded());
             });
             let full = time(&|| {
                 assert!(exec.verify_weights().is_ok());
-                let out = exec.forward_batch_checked(&inputs, Some(&guard), None);
-                for (x, y) in inputs.iter().zip(&out.outputs) {
-                    assert!(exec.reference_gap(x, y) <= harvest_serving::DETECT_TOL);
+                let clean = oracle.forward_batch(&inputs);
+                for (y, c) in guarded().iter().zip(&clean) {
+                    assert!(max_abs_gap(c.data(), y.data()) <= harvest_serving::DETECT_TOL);
                 }
             });
             let pct = |ms: f64| 100.0 * (ms - plain) / plain;

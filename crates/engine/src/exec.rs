@@ -8,46 +8,42 @@
 //! given (model, seed) always produces the same logits — the property the
 //! integration tests and examples rely on.
 //!
-//! Two execution paths live here:
+//! One forward path lives here, [`Executor::run`]. Weights are
+//! materialized **once per executor** ([`MaterializedWeights`]): matmul
+//! weights are stored pre-transposed in `k×n` layout so every linear-like
+//! layer runs through the blocked [`harvest_tensor::gemm::gemm`], and INT8
+//! executors additionally cache the quantized weight matrices. The batch
+//! dimension is folded into the GEMMs (`Linear`/`Mlp`/QKV become single
+//! `(B·s)×k` matmuls; a conv is one implicit GEMM per image, its panels
+//! packed straight from the image planes; the attention core reads Q, Kᵀ
+//! and V out of the fused `qkv` buffer where they lie and writes each head
+//! into its columns), and a liveness pass drops every intermediate after
+//! its last consumer, recycling the backing buffers through a per-executor
+//! arena. `forward`, `forward_batch`, `forward_batch_with_peak` and
+//! `forward_batch_into` are thin forwards to it.
 //!
-//! * [`Executor::forward_batch`] / [`Executor::forward`] — the production
-//!   path. Weights are materialized **once per executor**
-//!   ([`MaterializedWeights`]): matmul weights are stored pre-transposed in
-//!   `k×n` layout so every linear-like layer runs through the vectorizable
-//!   blocked [`harvest_tensor::gemm::gemm`] instead of the scalar
-//!   dot-product `gemm_bt`, and INT8 executors additionally cache the
-//!   quantized weight matrices. The batch dimension is folded into the
-//!   GEMMs (`Linear`/`Mlp`/QKV become single `(B·s)×k` matmuls; a conv is
-//!   one implicit GEMM per image, its panels packed straight from the image
-//!   planes; the attention core reads Q, Kᵀ and V out of the fused `qkv`
-//!   buffer where they lie and writes each head into its columns), and a
-//!   liveness pass drops every intermediate after its last consumer,
-//!   recycling the backing buffers through a per-forward arena.
-//! * [`Executor::forward_reference`] — the seed per-image path, kept
-//!   verbatim: weights regenerated from the seed on every call, linears via
-//!   `gemm_bt`, INT8 weights re-transposed and re-quantized per call. It is
-//!   the correctness oracle for the batched path and the baseline the
-//!   `experiments bench` harness measures speedups against.
+//! The seed per-image path (weights regenerated from the seed on every
+//! call, linears via `gemm_bt`) is not in the library: it lives in
+//! `crates/engine/tests/oracle/reference.rs` as the correctness oracle that
+//! `tests/reference.rs` holds this path to.
 //!
-//! On top of the production path sits the **integrity layer**: every
-//! materialized tensor carries an FNV-1a checksum taken at construction
+//! On top of the forward sits the **integrity layer**: every materialized
+//! tensor carries an FNV-1a checksum taken at construction
 //! ([`MaterializedWeights::verify_integrity`] detects any bit of weight
-//! corruption), [`Executor::forward_batch_checked`] adds opt-in NaN/Inf/
-//! range sentinels after each GEMM stage plus deterministic activation-flip
-//! injection, and [`Executor::reference_gap`] is the sampled cross-check
-//! that re-runs a request through the reference path. The default
-//! `forward_batch` takes none of these branches, so the integrity-off path
-//! is bit-identical to the PR-3 engine.
+//! corruption), and [`Executor::run`] takes opt-in NaN/Inf/range sentinels
+//! after each GEMM stage plus deterministic activation-flip injection. The
+//! sampled cross-check against a clean executor lives in
+//! `harvest-serving`. A pass without guard or injection takes none of these
+//! branches, and neither hook changes the bits of a pass it lets through.
 
 use harvest_models::{Graph, Node, NodeId, Op, Shape};
 use harvest_simkit::fault::FaultPlan;
-use harvest_tensor::attention::AttentionWeights;
-use harvest_tensor::integrity::{checksum_f32, flip_bit_in, max_abs_gap, scan_f32, ScanReport};
+use harvest_tensor::integrity::{checksum_f32, flip_bit_in, scan_f32, ScanReport};
 use harvest_tensor::ops::exp;
 use harvest_tensor::quant::{gemm_exact_i32, quantize_symmetric};
 use harvest_tensor::{
-    add_bias, attention_core, avg_pool2d_global, conv2d, conv2d_into, gelu, gemm, layernorm,
-    max_pool2d, multi_head_attention, relu, softmax_rows, KernelVariant, Tensor,
+    add_bias, attention_core, avg_pool2d_global, conv2d_into, gelu, gemm, layernorm, max_pool2d,
+    relu, softmax_rows, KernelVariant, Tensor,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -417,36 +413,8 @@ impl MaterializedWeights {
         }
         let f32_elements = nodes
             .iter()
-            .map(|w| match w {
-                NodeWeights::None => 0,
-                NodeWeights::Conv { weight, bias } => weight.len() + bias.len(),
-                NodeWeights::BatchNorm {
-                    gamma,
-                    beta,
-                    mean,
-                    var,
-                } => gamma.len() + beta.len() + mean.len() + var.len(),
-                NodeWeights::LayerNorm { gamma, beta } => gamma.len() + beta.len(),
-                NodeWeights::Linear { w, bias } => {
-                    w.kxn.len() + bias.as_ref().map_or(0, Tensor::len)
-                }
-                NodeWeights::PatchEmbed {
-                    weight,
-                    bias,
-                    cls,
-                    pos,
-                } => weight.len() + bias.len() + cls.len() + pos.len(),
-                NodeWeights::Attention {
-                    w_qkv,
-                    b_qkv,
-                    w_out,
-                    b_out,
-                } => w_qkv.kxn.len() + b_qkv.len() + w_out.kxn.len() + b_out.len(),
-                NodeWeights::LinearAttention { w_rkv, w_out } => w_rkv.kxn.len() + w_out.kxn.len(),
-                NodeWeights::Mlp { w1, b1, w2, b2 } => {
-                    w1.kxn.len() + b1.len() + w2.kxn.len() + b2.len()
-                }
-            })
+            .flat_map(NodeWeights::buffers)
+            .map(|(_, buf)| buf.len())
             .sum();
         let checksums = Self::compute_checksums(&nodes);
         MaterializedWeights {
@@ -640,7 +608,7 @@ struct BatchVal {
     per_image: usize,
 }
 
-/// Activation-sentinel configuration for [`Executor::forward_batch_checked`]:
+/// Activation-sentinel configuration for [`Executor::run`]:
 /// after every GEMM-stage node, scan the output for NaN/Inf and (optionally)
 /// finite values with |v| above `range_limit`.
 #[derive(Clone, Copy, Debug, Default)]
@@ -673,10 +641,15 @@ pub struct ActivationInjection<'p> {
     pub attempt: u32,
 }
 
-/// Result of a guarded forward pass.
-pub struct CheckedForward {
-    /// Per-input outputs; empty when a sentinel aborted the pass.
-    pub outputs: Vec<Tensor>,
+/// What one [`Executor::run`] did.
+#[derive(Clone, Debug, Default)]
+pub struct RunReport {
+    /// Output elements per image written to the sink; 0 when the batch was
+    /// empty or a sentinel aborted the pass.
+    pub per_image: usize,
+    /// Peak live activation f32 elements — the quantity the liveness pass
+    /// bounds (weights excluded).
+    pub peak_live_f32: usize,
     /// The sentinel violation that aborted the pass, if any.
     pub violation: Option<GuardViolation>,
     /// Activation bits actually flipped by the injection context.
@@ -699,11 +672,10 @@ fn is_gemm_stage(op: &Op) -> bool {
     )
 }
 
-/// Executes a graph on the host kernels: batched, weight-cached production
-/// path plus the seed per-image reference path.
+/// Executes a graph on the host kernels through one batched, weight-cached
+/// forward ([`Executor::run`]).
 pub struct Executor<'g> {
     graph: &'g Graph,
-    weights: WeightStore,
     materialized: Arc<MaterializedWeights>,
     int8_linears: bool,
     /// `last_use[i]` = topological index of node `i`'s final consumer
@@ -746,12 +718,14 @@ impl<'g> Executor<'g> {
     }
 
     fn build(graph: &'g Graph, seed: u64, int8_linears: bool) -> Self {
-        let weights = WeightStore::new(seed);
-        let materialized = Arc::new(MaterializedWeights::new(graph, &weights, int8_linears));
+        let materialized = Arc::new(MaterializedWeights::new(
+            graph,
+            &WeightStore::new(seed),
+            int8_linears,
+        ));
         let last_use = compute_last_use(graph);
         Executor {
             graph,
-            weights,
             materialized,
             int8_linears,
             last_use,
@@ -846,6 +820,42 @@ impl<'g> Executor<'g> {
         }
     }
 
+    /// The one forward pass. Runs the batch with its batch dimension folded
+    /// into the kernels and writes its outputs contiguously into `sink`
+    /// (`inputs.len() · per_image` elements, image-major). With scratch
+    /// reuse on and a recycled `sink`, a steady-state call performs no heap
+    /// allocation at all.
+    ///
+    /// The integrity hooks are opt-in. With `guard`, the output of every
+    /// GEMM-stage node is scanned for NaN/Inf and the optional |v| range,
+    /// and a violation aborts the pass with an empty `sink`: corrupted work
+    /// is cut short instead of completed and discarded. With `inject`, the
+    /// targeted node's output gets deterministic bit flips before the scan.
+    /// Neither hook changes the bits of a pass it lets through.
+    pub fn run(
+        &self,
+        inputs: &[Tensor],
+        guard: Option<&ActivationGuard>,
+        inject: Option<&ActivationInjection<'_>>,
+        sink: &mut Vec<f32>,
+    ) -> RunReport {
+        sink.clear();
+        if inputs.is_empty() {
+            return RunReport::default();
+        }
+        for x in inputs {
+            self.check_input(x);
+        }
+        if self.scratch_reuse.load(Ordering::Relaxed) {
+            let mut scratch = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
+            self.forward_batch_in(inputs, guard, inject, sink, &mut scratch)
+        } else {
+            // Baseline mode: fresh scratch per forward (the pre-pool path).
+            let mut scratch = ExecScratch::default();
+            self.forward_batch_in(inputs, guard, inject, sink, &mut scratch)
+        }
+    }
+
     /// Run one input (CHW image `[3, h, w]`, token sequence `[s, d]` or
     /// flat vector `[d]`, matching the graph's input) through the model;
     /// returns the output tensor (logits for the zoo's classifiers).
@@ -855,70 +865,34 @@ impl<'g> Executor<'g> {
             .expect("one output per input")
     }
 
-    /// Run a batch through the model with the batch dimension folded into
-    /// the kernels; returns per-image outputs. Results are bit-identical
-    /// to calling [`Executor::forward`] on each input (every kernel's
-    /// per-row/per-image arithmetic is independent of batch size).
+    /// [`Executor::run`] without guard or injection, as per-image outputs.
+    /// Results are bit-identical to calling [`Executor::forward`] on each
+    /// input (every kernel's per-row/per-image arithmetic is independent of
+    /// batch size).
     pub fn forward_batch(&self, inputs: &[Tensor]) -> Vec<Tensor> {
         self.forward_batch_with_peak(inputs).0
     }
 
-    /// [`Executor::forward_batch`], additionally reporting the peak number
-    /// of live activation f32 elements — the quantity the liveness pass
-    /// bounds (weights excluded).
+    /// [`Executor::forward_batch`] plus [`RunReport::peak_live_f32`].
     pub fn forward_batch_with_peak(&self, inputs: &[Tensor]) -> (Vec<Tensor>, usize) {
         let mut sink = Vec::new();
-        let (per, peak, violation, _) = self.forward_batch_inner(inputs, None, None, &mut sink);
-        debug_assert!(violation.is_none(), "no guard, no violation");
-        (self.split_sink(inputs.len(), per, &sink), peak)
+        let report = self.run(inputs, None, None, &mut sink);
+        (self.outputs(&sink, report.per_image), report.peak_live_f32)
     }
 
-    /// [`Executor::forward_batch`] writing the batch's logits contiguously
-    /// into `sink` (`inputs.len() · per_image` elements, image-major) and
-    /// returning `per_image`. This is the zero-allocation serving entry
-    /// point: with scratch reuse on and a recycled `sink`, a steady-state
-    /// call performs no heap allocation at all. Bit-identical to
-    /// [`Executor::forward_batch`] (same pass, different output packaging).
+    /// [`Executor::run`] without guard or injection, returning
+    /// [`RunReport::per_image`].
     pub fn forward_batch_into(&self, inputs: &[Tensor], sink: &mut Vec<f32>) -> usize {
-        let (per, _, violation, _) = self.forward_batch_inner(inputs, None, None, sink);
-        debug_assert!(violation.is_none(), "no guard, no violation");
-        per
+        self.run(inputs, None, None, sink).per_image
     }
 
-    /// Slice a contiguous logits sink into per-image tensors.
-    fn split_sink(&self, b: usize, per: usize, sink: &[f32]) -> Vec<Tensor> {
+    /// Slice a contiguous logits sink written by [`Executor::run`] into
+    /// per-image tensors.
+    pub fn outputs(&self, sink: &[f32], per_image: usize) -> Vec<Tensor> {
         let dims = shape_dims(self.graph.output_shape());
-        (0..b)
-            .map(|i| Tensor::from_vec(&dims, sink[i * per..(i + 1) * per].to_vec()))
+        sink.chunks_exact(per_image.max(1))
+            .map(|logits| Tensor::from_vec(&dims, logits.to_vec()))
             .collect()
-    }
-
-    /// [`Executor::forward_batch`] with the integrity hooks engaged: after
-    /// each GEMM-stage node the output activation is scanned against
-    /// `guard` (NaN/Inf and optional |v| range), and — when an injection
-    /// context is supplied — the targeted pass's output gets deterministic
-    /// bit flips before the scan. A violation aborts the pass immediately
-    /// (no outputs), which is what makes the sentinel cheap: corrupted work
-    /// is cut short instead of completed and discarded.
-    pub fn forward_batch_checked(
-        &self,
-        inputs: &[Tensor],
-        guard: Option<&ActivationGuard>,
-        inject: Option<&ActivationInjection<'_>>,
-    ) -> CheckedForward {
-        let mut sink = Vec::new();
-        let (per, _, violation, activation_flips) =
-            self.forward_batch_inner(inputs, guard, inject, &mut sink);
-        let outputs = if violation.is_some() {
-            Vec::new()
-        } else {
-            self.split_sink(inputs.len(), per, &sink)
-        };
-        CheckedForward {
-            outputs,
-            violation,
-            activation_flips,
-        }
     }
 
     /// Inject deterministic weight bit flips from `plan` into the
@@ -953,52 +927,6 @@ impl<'g> Executor<'g> {
         })
     }
 
-    /// Rebuild the materialized weights from the (pristine, seed-derived)
-    /// weight store — the recovery action after detected weight corruption.
-    /// Checksums are recomputed, so a subsequent
-    /// [`Executor::verify_weights`] passes.
-    pub fn rematerialize(&mut self) {
-        self.materialized = Arc::new(MaterializedWeights::new(
-            self.graph,
-            &self.weights,
-            self.int8_linears,
-        ));
-    }
-
-    /// Largest absolute element-wise gap between `output` and the reference
-    /// path's result for `input` — the sampled cross-check detector. The
-    /// reference path regenerates weights from the seed on every call, so
-    /// it is immune to materialized-weight corruption; a corrupted batched
-    /// pass therefore shows up as a large gap.
-    pub fn reference_gap(&self, input: &Tensor, output: &Tensor) -> f32 {
-        let reference = self.forward_reference(input);
-        max_abs_gap(output.data(), reference.data())
-    }
-
-    fn forward_batch_inner(
-        &self,
-        inputs: &[Tensor],
-        guard: Option<&ActivationGuard>,
-        inject: Option<&ActivationInjection<'_>>,
-        sink: &mut Vec<f32>,
-    ) -> (usize, usize, Option<GuardViolation>, u64) {
-        sink.clear();
-        if inputs.is_empty() {
-            return (0, 0, None, 0);
-        }
-        for x in inputs {
-            self.check_input(x);
-        }
-        if self.scratch_reuse.load(Ordering::Relaxed) {
-            let mut scratch = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-            self.forward_batch_in(inputs, guard, inject, sink, &mut scratch)
-        } else {
-            // Baseline mode: fresh scratch per forward (the pre-pool path).
-            let mut scratch = ExecScratch::default();
-            self.forward_batch_in(inputs, guard, inject, sink, &mut scratch)
-        }
-    }
-
     fn forward_batch_in(
         &self,
         inputs: &[Tensor],
@@ -1006,7 +934,7 @@ impl<'g> Executor<'g> {
         inject: Option<&ActivationInjection<'_>>,
         sink: &mut Vec<f32>,
         scratch: &mut ExecScratch,
-    ) -> (usize, usize, Option<GuardViolation>, u64) {
+    ) -> RunReport {
         let b = inputs.len();
         let per = self.graph.input_shape().elements();
         let n_nodes = self.graph.nodes().len();
@@ -1087,7 +1015,12 @@ impl<'g> Executor<'g> {
         }
         scratch.passes += 1;
         scratch.high_water_bytes = scratch.high_water_bytes.max(scratch.arena.pooled_bytes());
-        (per_out, peak, violation, flips)
+        RunReport {
+            per_image: per_out,
+            peak_live_f32: peak,
+            violation,
+            activation_flips: flips,
+        }
     }
 
     /// Matrix multiply `x[rows×k] → out[rows×n]` against a materialized
@@ -1494,325 +1427,12 @@ impl<'g> Executor<'g> {
             }
         }
     }
-
-    // ------------------------------------------------------------------
-    // Reference path: the seed per-image executor, kept verbatim. Weights
-    // are regenerated from the seed on every call, linears run through
-    // `gemm_bt`, and the INT8 path re-transposes and re-quantizes per
-    // call. It is the correctness oracle for the batched engine and the
-    // baseline the benchmark harness measures speedups against.
-    // ------------------------------------------------------------------
-
-    /// Matrix multiply `x[rows×cin] · wᵀ` honouring the precision mode —
-    /// reference (seed) implementation.
-    fn linear_matmul_reference(
-        &self,
-        x: &[f32],
-        w_t: &[f32],
-        rows: usize,
-        cin: usize,
-        cout: usize,
-    ) -> Vec<f32> {
-        if self.int8_linears {
-            // quantized_gemm wants b as k×n; w_t is cout×cin — transpose.
-            let mut b = vec![0.0f32; cin * cout];
-            for j in 0..cout {
-                for p in 0..cin {
-                    b[p * cout + j] = w_t[j * cin + p];
-                }
-            }
-            harvest_tensor::quant::quantized_gemm(x, &b, rows, cin, cout)
-        } else {
-            let mut out = vec![0.0f32; rows * cout];
-            harvest_tensor::gemm::gemm_bt(x, w_t, &mut out, rows, cin, cout);
-            out
-        }
-    }
-
-    /// The seed per-image forward pass: weights regenerated every call,
-    /// every intermediate held until the end. Use as a correctness oracle
-    /// and performance baseline, not in production paths.
-    pub fn forward_reference(&self, input: &Tensor) -> Tensor {
-        self.check_input(input);
-        let mut values: Vec<Option<Tensor>> = vec![None; self.graph.nodes().len()];
-        values[0] = Some(input.clone());
-        for node in self.graph.nodes().iter().skip(1) {
-            let out = self.eval_reference(node.id, &values);
-            values[node.id.0] = Some(out);
-        }
-        values[self.graph.output().0]
-            .take()
-            .expect("output computed")
-    }
-
-    fn eval_reference(&self, id: NodeId, values: &[Option<Tensor>]) -> Tensor {
-        let node = self.graph.node(id);
-        let arg = |i: usize| -> &Tensor {
-            values[node.inputs[i].0]
-                .as_ref()
-                .expect("topological order")
-        };
-        match &node.op {
-            Op::Input { .. } => unreachable!("input pre-seeded"),
-            Op::Conv2d {
-                cin,
-                cout,
-                kernel,
-                stride,
-                pad,
-                bias,
-            } => {
-                let x = arg(0);
-                let (h, w) = match self.graph.node(node.inputs[0]).out_shape {
-                    Shape::Chw { h, w, .. } => (h, w),
-                    s => panic!("conv input {s}"),
-                };
-                let weight = self.weights.tensor(
-                    id,
-                    0,
-                    &[cout * cin * kernel * kernel],
-                    cin * kernel * kernel,
-                );
-                let bias_t = if *bias {
-                    self.weights.tensor(id, 1, &[*cout], *cin)
-                } else {
-                    Tensor::zeros(&[0])
-                };
-                let out = conv2d(
-                    x.data(),
-                    weight.data(),
-                    bias_t.data(),
-                    1,
-                    *cin,
-                    h,
-                    w,
-                    *cout,
-                    *kernel,
-                    *stride,
-                    *pad,
-                );
-                let (oh, ow) = match node.out_shape {
-                    Shape::Chw { h, w, .. } => (h, w),
-                    s => panic!("conv output {s}"),
-                };
-                Tensor::from_vec(&[*cout, oh, ow], out)
-            }
-            Op::BatchNorm { channels } => {
-                // Inference BN with near-identity statistics (a trained
-                // model folds these anyway): gamma ~ 1, beta small.
-                let mut x = arg(0).clone();
-                let spatial = x.len() / channels;
-                let gamma = vec![1.0f32; *channels];
-                let beta = self.weights.tensor(id, 0, &[*channels], *channels);
-                let mean = vec![0.0f32; *channels];
-                let var = vec![1.0f32; *channels];
-                harvest_tensor::batchnorm_inference(
-                    x.data_mut(),
-                    *channels,
-                    spatial,
-                    &mean,
-                    &var,
-                    &gamma,
-                    beta.data(),
-                    1e-5,
-                );
-                x
-            }
-            Op::Relu => {
-                let mut x = arg(0).clone();
-                relu(x.data_mut());
-                x
-            }
-            Op::Gelu => {
-                let mut x = arg(0).clone();
-                gelu(x.data_mut());
-                x
-            }
-            Op::MaxPool {
-                kernel,
-                stride,
-                pad,
-            } => {
-                let x = arg(0);
-                let (c, h, w) = match self.graph.node(node.inputs[0]).out_shape {
-                    Shape::Chw { c, h, w } => (c, h, w),
-                    s => panic!("pool input {s}"),
-                };
-                let (oh, ow) = match node.out_shape {
-                    Shape::Chw { h, w, .. } => (h, w),
-                    s => panic!("pool output {s}"),
-                };
-                let mut out = vec![0.0f32; c * oh * ow];
-                max_pool2d(x.data(), 1, c, h, w, *kernel, *stride, *pad, &mut out);
-                Tensor::from_vec(&[c, oh, ow], out)
-            }
-            Op::GlobalAvgPool => {
-                let x = arg(0);
-                let (c, h, w) = match self.graph.node(node.inputs[0]).out_shape {
-                    Shape::Chw { c, h, w } => (c, h, w),
-                    s => panic!("gap input {s}"),
-                };
-                let mut out = vec![0.0f32; c];
-                avg_pool2d_global(x.data(), 1, c, h, w, &mut out);
-                Tensor::from_vec(&[c], out)
-            }
-            Op::Linear { cin, cout, bias } => {
-                let x = arg(0);
-                let rows = x.len() / cin;
-                let w = self.weights.tensor(id, 0, &[cout * cin], *cin);
-                let mut out = self.linear_matmul_reference(x.data(), w.data(), rows, *cin, *cout);
-                if *bias {
-                    let b = self.weights.tensor(id, 1, &[*cout], *cin);
-                    harvest_tensor::add_bias(&mut out, b.data());
-                }
-                match node.out_shape {
-                    Shape::Seq { s, d } => Tensor::from_vec(&[s, d], out),
-                    Shape::Flat { d } => Tensor::from_vec(&[d], out),
-                    s => panic!("linear output {s}"),
-                }
-            }
-            Op::LayerNorm { dim } => {
-                let mut x = arg(0).clone();
-                let gamma = vec![1.0f32; *dim];
-                let beta = vec![0.0f32; *dim];
-                layernorm(x.data_mut(), *dim, &gamma, &beta, 1e-5);
-                x
-            }
-            Op::PatchEmbed { in_ch, dim, patch } => {
-                let x = arg(0);
-                let (h, w) = match self.graph.node(node.inputs[0]).out_shape {
-                    Shape::Chw { h, w, .. } => (h, w),
-                    s => panic!("patch-embed input {s}"),
-                };
-                // Strided conv with kernel = stride = patch.
-                let weight = self.weights.tensor(
-                    id,
-                    0,
-                    &[dim * in_ch * patch * patch],
-                    in_ch * patch * patch,
-                );
-                let bias = self.weights.tensor(id, 1, &[*dim], in_ch * patch * patch);
-                let conv = conv2d(
-                    x.data(),
-                    weight.data(),
-                    bias.data(),
-                    1,
-                    *in_ch,
-                    h,
-                    w,
-                    *dim,
-                    *patch,
-                    *patch,
-                    0,
-                );
-                let (gh, gw) = (h / patch, w / patch);
-                let n_patches = gh * gw;
-                let (s, d) = match node.out_shape {
-                    Shape::Seq { s, d } => (s, d),
-                    sh => panic!("patch-embed output {sh}"),
-                };
-                debug_assert_eq!(s, n_patches + 1);
-                // conv output is [dim, gh, gw]; tokens want [n_patches, dim].
-                let mut seq = vec![0.0f32; s * d];
-                let cls = self.weights.tensor(id, 2, &[*dim], *dim);
-                seq[..d].copy_from_slice(cls.data());
-                for p in 0..n_patches {
-                    for c in 0..d {
-                        seq[(p + 1) * d + c] = conv[c * n_patches + p];
-                    }
-                }
-                // Learned positional embedding.
-                let pos = self.weights.tensor(id, 3, &[s * d], *dim);
-                for (v, p) in seq.iter_mut().zip(pos.data()) {
-                    *v += p;
-                }
-                Tensor::from_vec(&[s, d], seq)
-            }
-            Op::Attention { dim, heads } => {
-                let x = arg(0);
-                let (s, d) = match node.out_shape {
-                    Shape::Seq { s, d } => (s, d),
-                    sh => panic!("attention output {sh}"),
-                };
-                debug_assert_eq!(d, *dim);
-                let w_qkv = self.weights.tensor(id, 0, &[3 * dim * dim], *dim);
-                let b_qkv = self.weights.tensor(id, 1, &[3 * dim], *dim);
-                let w_out = self.weights.tensor(id, 2, &[dim * dim], *dim);
-                let b_out = self.weights.tensor(id, 3, &[*dim], *dim);
-                let weights = AttentionWeights {
-                    w_qkv: w_qkv.data(),
-                    b_qkv: b_qkv.data(),
-                    w_out: w_out.data(),
-                    b_out: b_out.data(),
-                };
-                Tensor::from_vec(
-                    &[s, d],
-                    multi_head_attention(x.data(), s, *dim, *heads, &weights),
-                )
-            }
-            Op::LinearAttention { dim, heads } => {
-                let x = arg(0);
-                let (s, d) = match node.out_shape {
-                    Shape::Seq { s, d } => (s, d),
-                    sh => panic!("linear-attention output {sh}"),
-                };
-                let w_rkv = self.weights.tensor(id, 0, &[3 * dim * dim], *dim);
-                let w_out = self.weights.tensor(id, 2, &[dim * dim], *dim);
-                let mut rkv = vec![0.0f32; s * 3 * dim];
-                harvest_tensor::gemm::gemm_bt(x.data(), w_rkv.data(), &mut rkv, s, *dim, 3 * dim);
-                let mut mixed = vec![0.0f32; s * d];
-                linear_attention_mix(&rkv, s, *dim, *heads, &mut mixed);
-                let mut y = vec![0.0f32; s * d];
-                harvest_tensor::gemm::gemm_bt(&mixed, w_out.data(), &mut y, s, *dim, *dim);
-                Tensor::from_vec(&[s, d], y)
-            }
-            Op::Mlp { dim, hidden } => {
-                let x = arg(0);
-                let (s, d) = match node.out_shape {
-                    Shape::Seq { s, d } => (s, d),
-                    sh => panic!("mlp output {sh}"),
-                };
-                let w1 = self.weights.tensor(id, 0, &[hidden * dim], *dim);
-                let b1 = self.weights.tensor(id, 1, &[*hidden], *dim);
-                let w2 = self.weights.tensor(id, 2, &[dim * hidden], *hidden);
-                let b2 = self.weights.tensor(id, 3, &[*dim], *hidden);
-                let mut h1 = self.linear_matmul_reference(x.data(), w1.data(), s, *dim, *hidden);
-                harvest_tensor::add_bias(&mut h1, b1.data());
-                gelu(&mut h1);
-                let mut out = self.linear_matmul_reference(&h1, w2.data(), s, *hidden, *dim);
-                harvest_tensor::add_bias(&mut out, b2.data());
-                Tensor::from_vec(&[s, d], out)
-            }
-            Op::Add => {
-                let a = arg(0);
-                let b = arg(1);
-                assert_eq!(a.shape(), b.shape());
-                let data = a.data().iter().zip(b.data()).map(|(x, y)| x + y).collect();
-                Tensor::from_vec(a.shape(), data)
-            }
-            Op::ClsSelect => {
-                let x = arg(0);
-                let (_, d) = match self.graph.node(node.inputs[0]).out_shape {
-                    Shape::Seq { s, d } => (s, d),
-                    sh => panic!("cls input {sh}"),
-                };
-                Tensor::from_vec(&[d], x.data()[..d].to_vec())
-            }
-            Op::Softmax => {
-                let mut x = arg(0).clone();
-                let cols = x.len();
-                softmax_rows(x.data_mut(), cols);
-                x
-            }
-        }
-    }
 }
 
 /// Causal linear attention with positive feature map φ=elu+1:
 /// `S_t = decay·S_{t-1} + k_t ⊗ v_t ;  z_t = decay·z_{t-1} + k_t`
 /// `out_t = (S_tᵀ q_t) / (z_tᵀ q_t + ε)`. `rkv` is `[s, 3·dim]`
-/// (pre-projection rows); `mixed` receives `[s, dim]`. Shared by the
-/// batched and reference paths so both compute identical recurrences.
+/// (pre-projection rows); `mixed` receives `[s, dim]`.
 fn linear_attention_mix(rkv: &[f32], s: usize, dim: usize, heads: usize, mixed: &mut [f32]) {
     let head_dim = dim / heads;
     debug_assert_eq!(rkv.len(), s * 3 * dim);
@@ -1891,10 +1511,6 @@ mod tests {
                 classes: 7,
             },
         )
-    }
-
-    fn relative_l2(a: &Tensor, b: &Tensor) -> f64 {
-        harvest_tensor::quant::relative_error(a.data(), b.data())
     }
 
     #[test]
@@ -2049,104 +1665,6 @@ mod tests {
         Executor::new(&g, 1).forward(&Tensor::zeros(&[3, 64, 64]));
     }
 
-    // ---- batched engine vs reference-path tests ----
-
-    #[test]
-    fn batched_matches_reference_within_tolerance_vit() {
-        // The batched engine reorders GEMM accumulation (pre-transposed
-        // blocked kernel vs per-call gemm_bt); logits must stay within
-        // 1e-4 relative of the seed per-image path.
-        let g = small_vit();
-        let exec = Executor::new(&g, 11);
-        let xs: Vec<Tensor> = (0..4)
-            .map(|i| Tensor::random(&[3, 16, 16], 50 + i, 1.0))
-            .collect();
-        let batch = exec.forward_batch(&xs);
-        for (x, y) in xs.iter().zip(&batch) {
-            let r = exec.forward_reference(x);
-            let err = relative_l2(&r, y);
-            assert!(err < 1e-4, "relative error {err}");
-            assert_eq!(r.argmax(), y.argmax());
-        }
-    }
-
-    #[test]
-    fn default_variant_batched_equals_reference_bitwise() {
-        // With the scalar GEMM both paths run one accumulation order, and
-        // gelu, softmax, layernorm and φ give an element the same bits
-        // wherever it sits in a batch buffer: BENCH.json's
-        // `rel_err_vs_reference` of exactly 0 depends on it.
-        use harvest_models::{rwkv_vision, vit, VitConfig};
-        let cfg = VitConfig {
-            dim: 48,
-            depth: 2,
-            heads: 3,
-            patch: 4,
-            img: 20,
-            mlp_ratio: 4,
-            classes: 7,
-        };
-        for g in [vit("vit", &cfg), rwkv_vision("rwkv", &cfg)] {
-            let exec = Executor::new(&g, 23);
-            let xs: Vec<Tensor> = (0..5)
-                .map(|i| Tensor::random(&[3, 20, 20], 700 + i, 1.0))
-                .collect();
-            for (x, y) in xs.iter().zip(&exec.forward_batch(&xs)) {
-                assert_eq!(&exec.forward_reference(x), y, "{}", g.name());
-            }
-        }
-    }
-
-    #[test]
-    fn batched_matches_reference_within_tolerance_cnn() {
-        use harvest_models::{GraphBuilder, Op, Shape};
-        let (mut b, input) = GraphBuilder::new("cnn", Shape::Chw { c: 3, h: 16, w: 16 });
-        let conv = b.push(
-            "conv",
-            Op::Conv2d {
-                cin: 3,
-                cout: 8,
-                kernel: 3,
-                stride: 1,
-                pad: 1,
-                bias: true,
-            },
-            &[input],
-        );
-        let bn = b.push("bn", Op::BatchNorm { channels: 8 }, &[conv]);
-        let relu = b.push("relu", Op::Relu, &[bn]);
-        let pool = b.push(
-            "pool",
-            Op::MaxPool {
-                kernel: 2,
-                stride: 2,
-                pad: 0,
-            },
-            &[relu],
-        );
-        let gap = b.push("gap", Op::GlobalAvgPool, &[pool]);
-        let fc = b.push(
-            "fc",
-            Op::Linear {
-                cin: 8,
-                cout: 5,
-                bias: true,
-            },
-            &[gap],
-        );
-        let sm = b.push("sm", Op::Softmax, &[fc]);
-        let g = b.finish(sm);
-        let exec = Executor::new(&g, 4);
-        let xs: Vec<Tensor> = (0..3)
-            .map(|i| Tensor::random(&[3, 16, 16], 70 + i, 1.0))
-            .collect();
-        let batch = exec.forward_batch(&xs);
-        for (x, y) in xs.iter().zip(&batch) {
-            let r = exec.forward_reference(x);
-            assert!(relative_l2(&r, y) < 1e-4);
-        }
-    }
-
     #[test]
     fn forward_batch_is_bit_identical_across_reruns() {
         let g = small_vit();
@@ -2282,30 +1800,6 @@ mod tests {
     }
 
     #[test]
-    fn rwkv_batched_matches_reference() {
-        use harvest_models::{rwkv_vision, VitConfig};
-        let cfg = VitConfig {
-            dim: 64,
-            depth: 2,
-            heads: 2,
-            patch: 4,
-            img: 16,
-            mlp_ratio: 4,
-            classes: 5,
-        };
-        let g = rwkv_vision("rwkv", &cfg);
-        let exec = Executor::new(&g, 17);
-        let xs: Vec<Tensor> = (0..3)
-            .map(|i| Tensor::random(&[3, 16, 16], 500 + i, 1.0))
-            .collect();
-        let batch = exec.forward_batch(&xs);
-        for (x, y) in xs.iter().zip(&batch) {
-            let r = exec.forward_reference(x);
-            assert!(relative_l2(&r, y) < 1e-4);
-        }
-    }
-
-    #[test]
     fn empty_batch_returns_empty() {
         let g = small_vit();
         let exec = Executor::new(&g, 3);
@@ -2317,6 +1811,8 @@ mod tests {
         let g = small_vit();
         let mut exec = Executor::new(&g, 42);
         assert!(exec.verify_weights().is_ok(), "pristine weights must pass");
+        // Copy-on-write: the handle keeps the pristine bits the flips miss.
+        let pristine = exec.weights_handle();
 
         let plan = FaultPlan::new(9001).with_weight_bit_flips(1e-4, false);
         let flips = exec.inject_weight_flips(&plan, 0);
@@ -2324,8 +1820,11 @@ mod tests {
         let (corruption, node) = exec.verify_weights().expect_err("flip must be detected");
         assert_eq!(node, g.nodes()[corruption.node].name);
 
-        exec.rematerialize();
-        assert!(exec.verify_weights().is_ok(), "rematerialize must restore");
+        exec.install_weights(pristine);
+        assert!(
+            exec.verify_weights().is_ok(),
+            "the pristine copy must restore"
+        );
         // And the restored weights compute the clean logits again.
         let x = Tensor::random(&[3, 16, 16], 7, 1.0);
         let clean = Executor::new(&g, 42).forward(&x);
@@ -2377,10 +1876,12 @@ mod tests {
             batch: 0,
             attempt: 0,
         };
-        let r = exec.forward_batch_checked(&xs, Some(&guard), Some(&inj));
+        let mut sink = vec![1.0];
+        let r = exec.run(&xs, Some(&guard), Some(&inj), &mut sink);
         assert!(r.activation_flips > 0, "flips must land");
         let v = r.violation.expect("sentinel must fire on exponent flips");
-        assert!(r.outputs.is_empty(), "violating pass yields no outputs");
+        assert!(sink.is_empty(), "violating pass yields no outputs");
+        assert_eq!(r.per_image, 0);
         // The sentinel fires at the corrupted pass or a GEMM stage downstream
         // of it, never upstream.
         assert!(!v.node.starts_with("patch_embed") || v.node == "blocks.0.mlp");
@@ -2397,41 +1898,15 @@ mod tests {
         let guard = ActivationGuard {
             range_limit: Some(1e6),
         };
-        let checked = exec.forward_batch_checked(&xs, Some(&guard), None);
+        let mut sink = Vec::new();
+        let checked = exec.run(&xs, Some(&guard), None, &mut sink);
         assert!(checked.violation.is_none());
         assert_eq!(checked.activation_flips, 0);
-        for (a, b) in plain.iter().zip(&checked.outputs) {
+        let outputs = exec.outputs(&sink, checked.per_image);
+        assert_eq!(outputs.len(), plain.len());
+        for (a, b) in plain.iter().zip(&outputs) {
             assert_eq!(a.data(), b.data(), "guard must not perturb the math");
         }
-    }
-
-    #[test]
-    fn reference_gap_is_small_clean_and_large_under_weight_corruption() {
-        let g = small_vit();
-        let mut exec = Executor::new(&g, 42);
-        let x = Tensor::random(&[3, 16, 16], 21, 1.0);
-        let clean_out = exec.forward(&x);
-        let clean_gap = exec.reference_gap(&x, &clean_out);
-        assert!(
-            clean_gap.is_finite() && clean_gap < 1e-3,
-            "clean batched-vs-reference gap {clean_gap} too large"
-        );
-        // Corrupt a high exponent bit of the first weight buffer: the
-        // output moves, and the reference (regenerated from seed, immune to
-        // materialized corruption) exposes it.
-        let mut done = false;
-        Arc::make_mut(&mut exec.materialized).for_each_buffer_mut(|_, buf| {
-            if !done && !buf.is_empty() {
-                harvest_tensor::flip_bit_in(buf, 0, 30);
-                done = true;
-            }
-        });
-        let bad_out = exec.forward(&x);
-        let bad_gap = exec.reference_gap(&x, &bad_out);
-        assert!(
-            bad_gap > 1e-3,
-            "corrupted gap {bad_gap} should exceed the detect tolerance"
-        );
     }
 
     proptest::proptest! {
@@ -2463,16 +1938,14 @@ mod tests {
             let xs = vec![Tensor::random(&[3, 16, 16], 9, 1.0)];
             let run = |attempt: u32| {
                 let inj = ActivationInjection { plan: &plan, batch: 5, attempt };
-                exec.forward_batch_checked(&xs, None, Some(&inj))
+                let mut sink = Vec::new();
+                let report = exec.run(&xs, None, Some(&inj), &mut sink);
+                (report.activation_flips, sink)
             };
             let a0 = run(0);
             let a0b = run(0);
-            proptest::prop_assert_eq!(a0.activation_flips, a0b.activation_flips);
-            proptest::prop_assert_eq!(
-                a0.outputs[0].data(),
-                a0b.outputs[0].data(),
-                "same attempt must replay identically"
-            );
+            proptest::prop_assert_eq!(a0.0, a0b.0);
+            proptest::prop_assert_eq!(a0.1, a0b.1, "same attempt must replay identically");
         }
     }
 }

@@ -17,8 +17,9 @@
 //! * [`exec`] — a *real* forward pass over `harvest-tensor` kernels with
 //!   deterministic weights, so the whole model zoo actually runs on the
 //!   host: batched, weight-cached ([`MaterializedWeights`]) execution with
-//!   liveness-driven buffer reuse, plus the seed per-image reference path
-//!   used as oracle and benchmark baseline.
+//!   liveness-driven buffer reuse, through one entry point
+//!   ([`Executor::run`]). The seed per-image reference path is its oracle
+//!   and lives outside the library, in `tests/oracle/reference.rs`.
 //! * [`swap`] — hot-swappable weight generations: a length-framed,
 //!   checksummed artifact format ([`encode_artifact`] / [`decode_artifact`]
 //!   with typed rejection), and the double-buffered [`WeightsCell`] whose
@@ -33,8 +34,8 @@ pub mod swap;
 
 pub use engine::{Engine, EngineError};
 pub use exec::{
-    ActivationGuard, ActivationInjection, CheckedForward, Executor, GuardViolation,
-    MaterializedWeights, ScratchStats, WeightCorruption, WeightStore,
+    ActivationGuard, ActivationInjection, Executor, GuardViolation, MaterializedWeights, RunReport,
+    ScratchStats, WeightCorruption, WeightStore,
 };
 pub use passes::{compile, ExecPlan, ExecStep, StepKind};
 pub use planner::{plan_activations, ActivationPlan};

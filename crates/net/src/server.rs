@@ -591,22 +591,12 @@ fn worker_loop(
                     guard,
                 }) => {
                     let started = Instant::now();
-                    let (classes, violation) = match guard {
-                        Some(g) => {
-                            let run = exec.forward_batch_checked(&inputs, Some(&g), None);
-                            match run.violation {
-                                Some(_) => (Vec::new(), true),
-                                None => {
-                                    let classes = run.outputs.iter().map(|t| argmax(t.data()));
-                                    (classes.collect(), false)
-                                }
-                            }
-                        }
-                        None => {
-                            let per = exec.forward_batch_into(&inputs, &mut sink).max(1);
-                            (sink.chunks_exact(per).map(argmax).collect(), false)
-                        }
-                    };
+                    let run = exec.run(&inputs, guard.as_ref(), None, &mut sink);
+                    let violation = run.violation.is_some();
+                    let classes = sink
+                        .chunks_exact(run.per_image.max(1))
+                        .map(argmax)
+                        .collect();
                     if let Some(rest) = floor.checked_sub(started.elapsed()) {
                         std::thread::sleep(rest);
                     }

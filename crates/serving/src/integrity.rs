@@ -3,25 +3,26 @@
 //!
 //! A bit flip in cached weights or in an activation buffer does not crash
 //! anything — it silently ships wrong logits. This module wires the
-//! engine-level integrity mechanics ([`harvest_engine`]'s weight checksums,
-//! activation sentinels, and reference cross-check) into the real-execution
-//! servers and a small protected cluster:
+//! engine-level integrity mechanics ([`harvest_engine`]'s weight checksums
+//! and activation sentinels) and a cross-check against a clean oracle
+//! executor into the real-execution servers and a small protected cluster:
 //!
 //! * [`DetectorConfig`] — which detectors run, forming the ladder measured
 //!   by the `experiments integrity` sweep: **off** → **sentinels**
 //!   (NaN/Inf/range scan after each GEMM stage, catches exponent
 //!   explosions) → **checksums** (per-tensor FNV sums verified before every
 //!   batch, catch *any* weight flip including a mantissa LSB) → **full**
-//!   (adds a reference re-run cross-check per batch, which also catches
-//!   small activation corruption).
+//!   (adds an oracle cross-check per batch, which also catches small
+//!   activation corruption).
 //! * [`IntegrityStats`] — the conservation-checked counters: every batch is
 //!   dispatched exactly once as quarantined / clean / masked / escaped, and
 //!   every detection resolves as recovered or quarantined
 //!   ([`IntegrityStats::conserved`]).
 //! * [`NodeIntegrity`] — one node's fault plan + detector config + a
-//!   pristine oracle executor used *only* to classify emitted batches
-//!   against ground truth (the oracle regenerates nothing at serve time;
-//!   it is the same deterministic executor without injection).
+//!   pristine oracle executor: the same deterministic executor on the
+//!   serving generation's weights, never injection-targeted. Its one
+//!   forward per attempt is both the cross-check's reference and the ground
+//!   truth each emitted batch is classified against.
 //! * [`IntegrityCluster`] — N real-execution nodes behind the circuit
 //!   breaker bank: a node whose post-recovery retry still detects
 //!   corruption is quarantined (breaker forced open, node excluded from
@@ -29,16 +30,12 @@
 //!
 //! ## Why detection implies no escape in full mode
 //!
-//! The batched path and the reference path agree within `g_0 ≈ 1e-4`
-//! (asserted by engine tests). The cross-check fires when
-//! `gap(output, reference) > DETECT_TOL = 1e-3`. Because
-//! [`harvest_tensor::integrity::max_abs_gap`]
-//! is a true metric, an *undetected* batch satisfies
-//! `gap(output, clean) ≤ gap(output, reference) + gap(reference, clean)
-//! ≤ 1e-3 + g_0`, which is below `ESCAPE_TOL = 4e-3` — so with the full
-//! ladder enabled every materially corrupted batch is either recovered or
-//! quarantined, never emitted: `escaped == 0` by construction, with the
-//! tolerance margin absorbing the kernel-order noise.
+//! The cross-check fires when `gap(output, clean) > DETECT_TOL = 1e-3`,
+//! with [`harvest_tensor::integrity::max_abs_gap`] against the oracle's
+//! output for the same batch. An *undetected* batch therefore satisfies
+//! `gap(output, clean) ≤ 1e-3`, below `ESCAPE_TOL = 4e-3` — so with the
+//! full ladder enabled every materially corrupted batch is either recovered
+//! or quarantined, never emitted: `escaped == 0` by construction.
 
 use crate::batcher::{BatcherConfig, BatcherConfigError};
 use crate::breaker::{BreakerBank, BreakerConfig};
@@ -51,8 +48,7 @@ use harvest_tensor::Tensor;
 use std::collections::HashSet;
 
 /// Cross-check detection threshold: a batched output further than this
-/// (max-abs) from its reference re-run is declared corrupted. Sits an order
-/// of magnitude above the honest batched-vs-reference kernel gap.
+/// (max-abs) from the clean oracle's output is declared corrupted.
 pub const DETECT_TOL: f32 = 1e-3;
 
 /// Ground-truth escape threshold: an *emitted* output further than this
@@ -68,8 +64,8 @@ pub struct DetectorConfig {
     pub weight_checksums: bool,
     /// Activation sentinel after each GEMM stage (`None` disables).
     pub guard: Option<ActivationGuard>,
-    /// Cross-check every `period`-th batch against the reference path
-    /// (0 disables, 1 checks every batch).
+    /// Cross-check every `period`-th batch against the clean oracle
+    /// executor (0 disables, 1 checks every batch).
     pub cross_check_period: u64,
 }
 
@@ -97,7 +93,7 @@ impl DetectorConfig {
         }
     }
 
-    /// The full ladder: checksums + sentinels + a reference cross-check on
+    /// The full ladder: checksums + sentinels + an oracle cross-check on
     /// every batch. The configuration with the `escaped == 0` guarantee.
     pub fn full(range_limit: f32) -> Self {
         DetectorConfig {
@@ -106,7 +102,7 @@ impl DetectorConfig {
         }
     }
 
-    /// Does batch number `batch` get a reference cross-check?
+    /// Does batch number `batch` get an oracle cross-check?
     pub fn cross_checks(&self, batch: u64) -> bool {
         self.cross_check_period != 0 && batch.is_multiple_of(self.cross_check_period)
     }

@@ -30,7 +30,7 @@
 //!   drift-catching validation (single source of truth).
 //! * [`integrity`] — silent-data-corruption defense on the real path:
 //!   deterministic bit-flip injection, a detector ladder (weight checksums,
-//!   activation sentinels, reference cross-check), re-materialize-and-retry
+//!   activation sentinels, oracle cross-check), re-materialize-and-retry
 //!   recovery, and breaker-backed node quarantine, all under conservation-
 //!   checked counters.
 //! * [`fleet`] — fleet-scale continuum serving: region-sharded clusters

@@ -368,22 +368,21 @@ impl<'g> RealBatchServer<'g> {
     /// rolled back and the batch re-served on the retained previous
     /// generation — no request is ever answered from the bad one.
     fn run_batch_plain(&mut self, inputs: &[Tensor]) -> Vec<Tensor> {
-        if self.cell.is_fresh() {
-            if let Some(guard) = self.swap_guard {
-                let run = self.exec.forward_batch_checked(inputs, Some(&guard), None);
-                if run.violation.is_none() {
-                    self.cell.mark_proven();
-                    return run.outputs;
-                }
-                if self.cell.rollback().is_some() {
-                    self.exec.install_weights(self.cell.current().weights());
-                }
-                return self.exec.forward_batch(inputs);
+        let fresh = self.cell.is_fresh();
+        let guard = self.swap_guard.filter(|_| fresh);
+        let mut sink = Vec::new();
+        let run = self.exec.run(inputs, guard.as_ref(), None, &mut sink);
+        if run.violation.is_some() {
+            if self.cell.rollback().is_some() {
+                self.exec.install_weights(self.cell.current().weights());
             }
-            // No sentinel armed: the batch itself is the proof.
+            return self.exec.forward_batch(inputs);
+        }
+        if fresh {
+            // Unguarded, the batch itself is the proof.
             self.cell.mark_proven();
         }
-        self.exec.forward_batch(inputs)
+        self.exec.outputs(&sink, run.per_image)
     }
 
     /// The integrity state machine for one dispatched batch. Returns the
@@ -392,7 +391,7 @@ impl<'g> RealBatchServer<'g> {
     ///
     /// Per batch: inject weight flips (round-keyed, so reruns replay
     /// identically) → attempt 0: verify checksums, run the guarded forward
-    /// with activation injection, cross-check against the reference path →
+    /// with activation injection, cross-check against the clean oracle →
     /// on any detection, re-materialize the weights (re-injecting when the
     /// fault is sticky — a failing cell, not a transient hit) and retry
     /// once with fresh activation coins → a second detection quarantines
@@ -429,47 +428,34 @@ impl<'g> RealBatchServer<'g> {
                     attempt,
                 };
                 let inject = intg.plan.corrupts_activations().then_some(&inj_ctx);
-                let run =
-                    self.exec
-                        .forward_batch_checked(&inputs, intg.config.guard.as_ref(), inject);
+                let mut sink = Vec::new();
+                let run = self
+                    .exec
+                    .run(&inputs, intg.config.guard.as_ref(), inject, &mut sink);
                 intg.stats.injected_activation_flips += run.activation_flips;
                 if run.violation.is_some() {
                     detected = true;
                 } else {
-                    outputs = Some(run.outputs);
-                }
-            }
-            if let Some(outs) = &outputs {
-                if intg.config.cross_checks(round) {
-                    if self.cell.current().number() == 0 {
-                        for (x, y) in inputs.iter().zip(outs) {
-                            if self.exec.reference_gap(x, y) > DETECT_TOL {
-                                detected = true;
-                                break;
-                            }
-                        }
-                    } else {
-                        // Swapped generations have no seed-derived reference
-                        // path; cross-check against the oracle executor,
-                        // which tracks published generations and is never
-                        // injection-targeted.
-                        let clean = intg.oracle.forward_batch(&inputs);
-                        for (c, y) in clean.iter().zip(outs) {
-                            if max_abs_gap(c.data(), y.data()) > DETECT_TOL {
-                                detected = true;
-                                break;
-                            }
-                        }
-                    }
+                    // The oracle executor tracks published generations and
+                    // is never injection-targeted: its outputs are both the
+                    // cross-check's reference and the ground truth the
+                    // emitted batch is classified against.
+                    let outs = self.exec.outputs(&sink, run.per_image);
+                    let clean = intg.oracle.forward_batch(&inputs);
+                    detected = intg.config.cross_checks(round)
+                        && outs
+                            .iter()
+                            .zip(&clean)
+                            .any(|(y, c)| max_abs_gap(c.data(), y.data()) > DETECT_TOL);
+                    outputs = Some((outs, clean));
                 }
             }
             if !detected {
-                if let Some(outs) = outputs {
+                if let Some((outs, clean)) = outputs {
                     if detected_once {
                         intg.stats.recovered += 1;
                     }
                     // Ground-truth disposition of what we are about to emit.
-                    let clean = intg.oracle.forward_batch(&inputs);
                     let mut worst = 0.0f32;
                     let mut bit_identical = true;
                     for (y, c) in outs.iter().zip(&clean) {
@@ -920,6 +906,43 @@ mod tests {
         assert!(stats.detected > 0, "cross-check must notice");
         assert_eq!(stats.escaped, 0, "{stats:?}");
         assert!(stats.conserved(), "{stats:?}");
+    }
+
+    #[test]
+    fn cross_check_alone_recovers_weight_corruption_on_any_generation() {
+        // Checksums and sentinels off: only the oracle cross-check stands
+        // between the flips and the client — on the booted generation 0,
+        // and on swapped-in generations. Two swaps, so that a rollback of
+        // the fresh second one still leaves a swapped generation serving.
+        let g = tiny_graph();
+        let config = DetectorConfig {
+            weight_checksums: false,
+            guard: None,
+            cross_check_period: 1,
+        };
+        for swaps in [0u64, 2] {
+            let plan = FaultPlan::new(2024).with_weight_bit_flips(1e-3, false);
+            let mut server = integrity_server(&g, plan, config, 2);
+            for n in 1..=swaps {
+                let number = server
+                    .swap_artifact(&artifact_bytes(&g, 98 + n))
+                    .expect("clean artifact loads");
+                assert_eq!(number, n);
+            }
+            let done = drive(&mut server, 16);
+            assert_eq!(done.len(), 16, "swaps={swaps}: nothing fails");
+            assert!(
+                done.iter().all(|c| (c.generation == 0) == (swaps == 0)),
+                "swaps={swaps}: served on the wrong generation"
+            );
+            let stats = *server.integrity_stats().expect("integrity on");
+            assert!(stats.injected_weight_flips > 0, "rate must land flips");
+            assert!(stats.detected > 0, "swaps={swaps}: cross-check must notice");
+            assert_eq!(stats.detected, stats.recovered, "swaps={swaps}: {stats:?}");
+            assert_eq!(stats.quarantined, 0);
+            assert_eq!(stats.escaped, 0, "swaps={swaps}: {stats:?}");
+            assert!(stats.conserved(), "{stats:?}");
+        }
     }
 
     // --- hot generation swaps ---

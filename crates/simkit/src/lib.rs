@@ -19,9 +19,10 @@
 //!   stalls, link degradation, transient errors) whose every decision is a
 //!   pure function of the plan, keeping chaos runs bit-reproducible.
 //! * [`calendar`] — the hierarchical calendar/bucket queue backing the event
-//!   loop: O(1) amortized schedule/pop at millions of pending events, with
-//!   the seed's `BinaryHeap` engine kept verbatim as a conformance oracle
-//!   (see [`Sim::new_oracle`]).
+//!   loop: O(1) amortized schedule/pop at millions of pending events. The
+//!   seed's `BinaryHeap` engine is its conformance oracle and lives outside
+//!   the library, in `tests/oracle/` (`tests/calendar_diff.rs` replays
+//!   against it).
 //! * [`fleet`] — conservative-sync sharded simulation: independent per-shard
 //!   event loops advanced in lookahead windows on `harvest-threads` workers,
 //!   with a deterministic cross-shard message merge so fleet runs are
@@ -53,48 +54,8 @@ pub use stats::{Histogram, Reservoir, Streaming};
 pub use time::SimTime;
 pub use trace::{FleetTraceConfig, RegionTrace, RequestKind, Timeline, TraceEvent, TraceRequest};
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// A scheduled event: a closure fired at a simulated instant.
-///
-/// Events scheduled for the same instant fire in scheduling order (FIFO),
-/// which keeps runs deterministic without requiring callers to perturb
-/// timestamps.
-struct Scheduled {
-    at: SimTime,
-    seq: u64,
-    action: Box<dyn FnOnce(&mut Sim)>,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// A scheduled event's action.
 type EventFn = Box<dyn FnOnce(&mut Sim)>;
-
-/// The pending-event store. [`Queue::Calendar`] is the production engine;
-/// [`Queue::Heap`] preserves the seed's `BinaryHeap` path verbatim as the
-/// conformance oracle the differential suite replays against. Both order
-/// events by `(at, seq)` — time order with FIFO tie-breaking.
-enum Queue {
-    Calendar(CalendarQueue<EventFn>),
-    Heap(BinaryHeap<Reverse<Scheduled>>),
-}
 
 /// The discrete-event simulator.
 ///
@@ -113,9 +74,10 @@ enum Queue {
 /// ```
 pub struct Sim {
     now: SimTime,
-    seq: u64,
     fired: u64,
-    queue: Queue,
+    /// Pending events in `(at, insertion)` order: time order with FIFO
+    /// tie-breaking.
+    queue: CalendarQueue<EventFn>,
 }
 
 impl Default for Sim {
@@ -125,28 +87,12 @@ impl Default for Sim {
 }
 
 impl Sim {
-    /// Create an empty simulator with the clock at zero, backed by the
-    /// calendar queue (the fast engine).
+    /// Create an empty simulator with the clock at zero.
     pub fn new() -> Self {
         Sim {
             now: SimTime::ZERO,
-            seq: 0,
             fired: 0,
-            queue: Queue::Calendar(CalendarQueue::new()),
-        }
-    }
-
-    /// Create an empty simulator backed by the seed's `BinaryHeap` engine.
-    ///
-    /// This path is kept verbatim as the conformance oracle: the differential
-    /// suite runs identical workloads through both engines and asserts the
-    /// event fire order matches bit-for-bit.
-    pub fn new_oracle() -> Self {
-        Sim {
-            now: SimTime::ZERO,
-            seq: 0,
-            fired: 0,
-            queue: Queue::Heap(BinaryHeap::new()),
+            queue: CalendarQueue::new(),
         }
     }
 
@@ -165,10 +111,7 @@ impl Sim {
     /// Number of events still pending.
     #[inline]
     pub fn pending(&self) -> usize {
-        match &self.queue {
-            Queue::Calendar(q) => q.len(),
-            Queue::Heap(q) => q.len(),
-        }
+        self.queue.len()
     }
 
     /// Schedule `action` to fire at absolute time `at`.
@@ -181,16 +124,7 @@ impl Sim {
             "schedule_at({at:?}) is before now ({:?})",
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
-        match &mut self.queue {
-            Queue::Calendar(q) => q.push(at.as_nanos(), Box::new(action)),
-            Queue::Heap(q) => q.push(Reverse(Scheduled {
-                at,
-                seq,
-                action: Box::new(action),
-            })),
-        }
+        self.queue.push(at.as_nanos(), Box::new(action));
     }
 
     /// Schedule `action` to fire `delay` after the current time.
@@ -201,28 +135,16 @@ impl Sim {
 
     /// Fire the single earliest event. Returns `false` if the queue is empty.
     pub fn step(&mut self) -> bool {
-        match &mut self.queue {
-            Queue::Calendar(q) => match q.pop() {
-                Some((at_ns, action)) => {
-                    let at = SimTime::from_nanos(at_ns);
-                    debug_assert!(at >= self.now);
-                    self.now = at;
-                    self.fired += 1;
-                    action(self);
-                    true
-                }
-                None => false,
-            },
-            Queue::Heap(q) => match q.pop() {
-                Some(Reverse(ev)) => {
-                    debug_assert!(ev.at >= self.now);
-                    self.now = ev.at;
-                    self.fired += 1;
-                    (ev.action)(self);
-                    true
-                }
-                None => false,
-            },
+        match self.queue.pop() {
+            Some((at_ns, action)) => {
+                let at = SimTime::from_nanos(at_ns);
+                debug_assert!(at >= self.now);
+                self.now = at;
+                self.fired += 1;
+                action(self);
+                true
+            }
+            None => false,
         }
     }
 
@@ -239,11 +161,7 @@ impl Sim {
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let start = self.fired;
         loop {
-            let next = match &mut self.queue {
-                Queue::Calendar(q) => q.peek_time().map(SimTime::from_nanos),
-                Queue::Heap(q) => q.peek().map(|Reverse(ev)| ev.at),
-            };
-            match next {
+            match self.next_event_time() {
                 Some(at) if at <= deadline => {
                     self.step();
                 }
@@ -258,10 +176,7 @@ impl Sim {
 
     /// Time of the earliest pending event, if any.
     pub fn next_event_time(&mut self) -> Option<SimTime> {
-        match &mut self.queue {
-            Queue::Calendar(q) => q.peek_time().map(SimTime::from_nanos),
-            Queue::Heap(q) => q.peek().map(|Reverse(ev)| ev.at),
-        }
+        self.queue.peek_time().map(SimTime::from_nanos)
     }
 }
 

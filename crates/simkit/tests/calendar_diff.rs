@@ -1,5 +1,5 @@
 //! Differential conformance suite: [`CalendarQueue`] vs the seed's
-//! `BinaryHeap` oracle.
+//! `BinaryHeap` oracle (`oracle/mod.rs`).
 //!
 //! The calendar queue replaces the simulator's hot path, so its pop order
 //! must be **bit-identical** to the heap's `(time, seq)` total order — not
@@ -10,30 +10,14 @@
 //! the floor while bottom drains), and far-future outliers (top-bag spans
 //! that stress rung width arithmetic).
 
+mod oracle;
+
 use harvest_simkit::{CalendarQueue, Sim, SimRng, SimTime};
+use oracle::{heap_fire_order, HeapOracle};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::rc::Rc;
-
-/// The reference engine: exactly the seed simulator's data structure.
-#[derive(Default)]
-struct HeapOracle {
-    heap: BinaryHeap<Reverse<(u64, u64)>>,
-    seq: u64,
-}
-
-impl HeapOracle {
-    fn push(&mut self, time: u64) {
-        self.heap.push(Reverse((time, self.seq)));
-        self.seq += 1;
-    }
-
-    fn pop(&mut self) -> Option<(u64, u64)> {
-        self.heap.pop().map(|Reverse(k)| k)
-    }
-}
 
 /// One scripted operation. `Push` carries a *delay above the current
 /// floor* so random scripts can never violate the queue's monotone-push
@@ -147,15 +131,16 @@ proptest! {
         }
     }
 
-    /// End-to-end through the simulator: `Sim::new` (calendar) and
-    /// `Sim::new_oracle` (heap) fire the same actions in the same order at
-    /// the same clock readings — including chains of zero-delay
+    /// End-to-end through the simulator: `Sim` fires the same actions in
+    /// the same order at the same clock readings as the seed heap engine
+    /// interpreting the same script — including chains of zero-delay
     /// self-schedules spawned from inside running actions.
     #[test]
     fn sim_and_oracle_fire_identical_sequences(
         events in proptest::collection::vec((delay_strategy(), 0usize..3), 1..60),
     ) {
-        let run = |mut sim: Sim| {
+        let calendar = {
+            let mut sim = Sim::new();
             let fired: Rc<RefCell<Vec<(u64, u64)>>> = Rc::new(RefCell::new(Vec::new()));
             for (i, &(at, children)) in events.iter().enumerate() {
                 let fired = fired.clone();
@@ -175,9 +160,7 @@ proptest! {
             sim.run();
             Rc::try_unwrap(fired).expect("sim dropped all clones").into_inner()
         };
-        let calendar = run(Sim::new());
-        let oracle = run(Sim::new_oracle());
-        prop_assert_eq!(calendar, oracle);
+        prop_assert_eq!(calendar, heap_fire_order(&events));
     }
 }
 

@@ -656,9 +656,10 @@ pub fn gemm_v(
 ///
 /// [`gemm`] with a [`PanelSource::Transposed`] B, and so under the same bit
 /// contract: the pack loop reads the `n×k` operand down its rows instead of
-/// along them. This is the reference path's linear — the per-image executor
-/// and `multi_head_attention`, which the conformance suites compare the
-/// batched engine against; the engine stores every weight already `k×n`.
+/// along them. This is the reference path's linear — the seed per-image
+/// executor (the engine's test oracle) and `multi_head_attention`, which
+/// the conformance suites compare the batched engine against; the engine
+/// stores every weight already `k×n`.
 pub fn gemm_bt(a: &[f32], b_t: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "a is {m}x{k}");
     assert_eq!(b_t.len(), n * k, "b_t is {n}x{k}");

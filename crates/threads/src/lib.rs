@@ -229,18 +229,6 @@ where
     }
 }
 
-/// Parallel sum of `f(i)` over `0..n`: per-worker partial results are
-/// combined **in index order**, so the reduction is deterministic at every
-/// thread count (each index contributes through the same tree shape).
-/// Deterministic only when `+` is associative for the produced values —
-/// counters and bit-sets, not floats.
-pub fn par_sum<F>(n: usize, f: F) -> u64
-where
-    F: Fn(usize) -> u64 + Sync,
-{
-    par_map(n, f).into_iter().sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,15 +331,6 @@ mod tests {
         for threads in [1, 2, 8] {
             let out = with_threads(threads, || par_map(57, |i| i * i));
             assert_eq!(out, (0..57).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn par_sum_is_thread_count_invariant() {
-        let expect: u64 = (0..1000u64).map(|i| i * 3).sum();
-        for threads in [1, 2, 5] {
-            let got = with_threads(threads, || par_sum(1000, |i| i as u64 * 3));
-            assert_eq!(got, expect, "threads={threads}");
         }
     }
 }
