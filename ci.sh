@@ -21,7 +21,10 @@
 #                        entry (`decode_for`, never `decode_auto`); no
 #                        oracle in the library: non-test crates/*/src
 #                        names neither the seed reference forward nor the
-#                        seed heap queue, which live under tests/oracle/
+#                        seed heap queue, which live under tests/oracle/;
+#                        weights laid out once: non-test crates/engine/src
+#                        calls neither `gemm(` nor `gemm_bt(` and names no
+#                        `kxn`, so every engine matmul reads a `PackedB`
 #   3. tier-1 tests      cargo build --release && cargo test -q, run twice:
 #                        once with the harvest-threads pool forced sequential
 #                        (HARVEST_THREADS=1) and once at the host default
@@ -187,6 +190,22 @@ done)
 if [ -n "$oracle_names" ]; then
     echo "$oracle_names"
     echo "test-only oracle code is back in the library (it lives under tests/oracle/)"
+    exit 1
+fi
+
+# Weights laid out once: every engine matmul reads its B from the panels
+# packed when the weights were materialized (`PackedB`, through
+# `PanelSource::Packed`), so non-test engine code calls neither `gemm(` nor
+# `gemm_bt(` — both pack B again on every call — and holds no `kxn` copy
+# of a weight beside its panels.
+per_call_pack=$(find crates/engine/src -name '*.rs' | sort | while read -r f; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// { next }
+        /(^|[^A-Za-z0-9_])gemm(_bt)?\(|kxn/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$per_call_pack" ]; then
+    echo "$per_call_pack"
+    echo "an engine matmul packs its weight per call again (hold it as a PackedB)"
     exit 1
 fi
 

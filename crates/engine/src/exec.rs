@@ -9,16 +9,17 @@
 //! integration tests and examples rely on.
 //!
 //! One forward path lives here, [`Executor::run`]. Weights are
-//! materialized **once per executor** ([`MaterializedWeights`]): matmul
-//! weights are stored pre-transposed in `k×n` layout so every linear-like
-//! layer runs through the blocked [`harvest_tensor::gemm::gemm`], and INT8
-//! executors additionally cache the quantized weight matrices. The batch
-//! dimension is folded into the GEMMs (`Linear`/`Mlp`/QKV become single
-//! `(B·s)×k` matmuls; a conv is one implicit GEMM per image, its panels
+//! materialized **once per executor** ([`MaterializedWeights`], in
+//! [`crate::weights`]): every matmul weight is held as the GEMM's B panels,
+//! laid out once so that no call packs it again, and INT8 executors
+//! additionally cache the quantized weight matrices. The batch dimension is
+//! folded into the GEMMs (`Linear`/`Mlp`/QKV become single `(B·s)×k`
+//! matmuls; the patch embedding is one token GEMM per image writing straight
+//! into its sequence rows; a conv is one implicit GEMM per image, its panels
 //! packed straight from the image planes; the attention core reads Q, Kᵀ
 //! and V out of the fused `qkv` buffer where they lie and writes each head
-//! into its columns), and a liveness pass drops every intermediate after
-//! its last consumer, recycling the backing buffers through a per-executor
+//! into its columns), and a liveness pass drops every intermediate after its
+//! last consumer, recycling the backing buffers through a per-executor
 //! arena. `forward`, `forward_batch`, `forward_batch_with_peak` and
 //! `forward_batch_into` are thin forwards to it.
 //!
@@ -36,487 +37,20 @@
 //! `harvest-serving`. A pass without guard or injection takes none of these
 //! branches, and neither hook changes the bits of a pass it lets through.
 
+use crate::weights::{
+    quantize_widened, LinearWeight, MaterializedWeights, NodeWeights, WeightCorruption, WeightStore,
+};
 use harvest_models::{Graph, Node, NodeId, Op, Shape};
 use harvest_simkit::fault::FaultPlan;
-use harvest_tensor::integrity::{checksum_f32, flip_bit_in, scan_f32, ScanReport};
+use harvest_tensor::integrity::{flip_bit_in, scan_f32, ScanReport};
 use harvest_tensor::ops::exp;
-use harvest_tensor::quant::{gemm_exact_i32, quantize_symmetric};
+use harvest_tensor::quant::gemm_exact_i32;
 use harvest_tensor::{
-    add_bias, attention_core, avg_pool2d_global, conv2d_into, gelu, gemm, layernorm, max_pool2d,
-    relu, softmax_rows, KernelVariant, Tensor,
+    add_bias, attention_core, avg_pool2d_global, conv2d_into, gelu, gemm_with, layernorm,
+    max_pool2d, relu, softmax_rows, KernelVariant, PanelSource, Tensor,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Deterministic per-node weights for a graph.
-pub struct WeightStore {
-    seed: u64,
-}
-
-impl WeightStore {
-    /// Weights derived from `seed`.
-    pub fn new(seed: u64) -> Self {
-        WeightStore { seed }
-    }
-
-    fn tensor(&self, node: NodeId, role: u64, shape: &[usize], fan_in: usize) -> Tensor {
-        let scale = 1.0 / (fan_in.max(1) as f32).sqrt();
-        Tensor::random(
-            shape,
-            self.seed ^ (node.0 as u64) << 20 ^ role.wrapping_mul(0x517C_C1B7_2722_0A95),
-            scale,
-        )
-    }
-}
-
-/// A matmul weight in the layout the fast path wants: `k×n`, ready to be
-/// the B operand of [`harvest_tensor::gemm::gemm`], with an optional cached
-/// symmetric INT8 quantization of the same matrix: its i8 values widened
-/// once to f32, the B operand of [`gemm_exact_i32`], and its scale.
-#[derive(Clone)]
-struct LinearWeight {
-    k: usize,
-    n: usize,
-    kxn: Vec<f32>,
-    int8: Option<(Vec<f32>, f32)>,
-}
-
-impl LinearWeight {
-    /// Build from a `[n][k]` out-major weight (the `torch.nn.Linear`
-    /// layout the [`WeightStore`] generates), pre-transposing once.
-    fn from_out_major(w_t: &Tensor, k: usize, n: usize, quantize: bool) -> Self {
-        assert_eq!(w_t.len(), k * n);
-        let src = w_t.data();
-        let mut kxn = vec![0.0f32; k * n];
-        for j in 0..n {
-            for p in 0..k {
-                kxn[p * n + j] = src[j * k + p];
-            }
-        }
-        let int8 = quantize.then(|| quantize_widened(&kxn));
-        LinearWeight { k, n, kxn, int8 }
-    }
-}
-
-/// Symmetric INT8 quantization of `x` as the integer-valued f32 operand
-/// [`gemm_exact_i32`] multiplies, and its scale.
-fn quantize_widened(x: &[f32]) -> (Vec<f32>, f32) {
-    let q = quantize_symmetric(x);
-    (q.data.iter().map(|&v| v as f32).collect(), q.scale)
-}
-
-/// Per-node weights in execution-ready form.
-#[derive(Clone)]
-enum NodeWeights {
-    /// No learned state (input, activations, pooling, add, softmax, …).
-    None,
-    /// Conv kernel as the GEMM A operand `[cout][cin·k·k]` plus bias
-    /// (empty when the op has none).
-    Conv { weight: Tensor, bias: Tensor },
-    /// Inference BN constants: near-identity statistics, learned beta.
-    BatchNorm {
-        gamma: Vec<f32>,
-        beta: Tensor,
-        mean: Vec<f32>,
-        var: Vec<f32>,
-    },
-    /// LayerNorm affine constants (identity in this zoo).
-    LayerNorm { gamma: Vec<f32>, beta: Vec<f32> },
-    Linear {
-        w: LinearWeight,
-        bias: Option<Tensor>,
-    },
-    PatchEmbed {
-        weight: Tensor,
-        bias: Tensor,
-        cls: Tensor,
-        pos: Tensor,
-    },
-    Attention {
-        w_qkv: LinearWeight,
-        b_qkv: Tensor,
-        w_out: LinearWeight,
-        b_out: Tensor,
-    },
-    LinearAttention {
-        w_rkv: LinearWeight,
-        w_out: LinearWeight,
-    },
-    Mlp {
-        w1: LinearWeight,
-        b1: Tensor,
-        w2: LinearWeight,
-        b2: Tensor,
-    },
-}
-
-impl NodeWeights {
-    /// Every f32 buffer this node owns, tagged with a stable role index.
-    /// Enumeration order is fixed (struct-field order), which keeps
-    /// checksum and injection identities stable across runs.
-    fn buffers(&self) -> Vec<(u64, &[f32])> {
-        match self {
-            NodeWeights::None => Vec::new(),
-            NodeWeights::Conv { weight, bias } => vec![(0, weight.data()), (1, bias.data())],
-            NodeWeights::BatchNorm {
-                gamma,
-                beta,
-                mean,
-                var,
-            } => vec![(0, gamma), (1, beta.data()), (2, mean), (3, var)],
-            NodeWeights::LayerNorm { gamma, beta } => vec![(0, &gamma[..]), (1, beta)],
-            NodeWeights::Linear { w, bias } => {
-                let mut v = vec![(0, &w.kxn[..])];
-                if let Some(b) = bias {
-                    v.push((1, b.data()));
-                }
-                v
-            }
-            NodeWeights::PatchEmbed {
-                weight,
-                bias,
-                cls,
-                pos,
-            } => vec![
-                (0, weight.data()),
-                (1, bias.data()),
-                (2, cls.data()),
-                (3, pos.data()),
-            ],
-            NodeWeights::Attention {
-                w_qkv,
-                b_qkv,
-                w_out,
-                b_out,
-            } => vec![
-                (0, &w_qkv.kxn[..]),
-                (1, b_qkv.data()),
-                (2, &w_out.kxn[..]),
-                (3, b_out.data()),
-            ],
-            NodeWeights::LinearAttention { w_rkv, w_out } => {
-                vec![(0, &w_rkv.kxn[..]), (1, &w_out.kxn[..])]
-            }
-            NodeWeights::Mlp { w1, b1, w2, b2 } => vec![
-                (0, &w1.kxn[..]),
-                (1, b1.data()),
-                (2, &w2.kxn[..]),
-                (3, b2.data()),
-            ],
-        }
-    }
-
-    /// Mutable twin of [`NodeWeights::buffers`], same roles and order.
-    fn buffers_mut(&mut self) -> Vec<(u64, &mut [f32])> {
-        match self {
-            NodeWeights::None => Vec::new(),
-            NodeWeights::Conv { weight, bias } => {
-                vec![(0, weight.data_mut()), (1, bias.data_mut())]
-            }
-            NodeWeights::BatchNorm {
-                gamma,
-                beta,
-                mean,
-                var,
-            } => vec![
-                (0, &mut gamma[..]),
-                (1, beta.data_mut()),
-                (2, &mut mean[..]),
-                (3, &mut var[..]),
-            ],
-            NodeWeights::LayerNorm { gamma, beta } => {
-                vec![(0, &mut gamma[..]), (1, &mut beta[..])]
-            }
-            NodeWeights::Linear { w, bias } => {
-                let mut v = vec![(0, &mut w.kxn[..])];
-                if let Some(b) = bias {
-                    v.push((1, b.data_mut()));
-                }
-                v
-            }
-            NodeWeights::PatchEmbed {
-                weight,
-                bias,
-                cls,
-                pos,
-            } => vec![
-                (0, weight.data_mut()),
-                (1, bias.data_mut()),
-                (2, cls.data_mut()),
-                (3, pos.data_mut()),
-            ],
-            NodeWeights::Attention {
-                w_qkv,
-                b_qkv,
-                w_out,
-                b_out,
-            } => vec![
-                (0, &mut w_qkv.kxn[..]),
-                (1, b_qkv.data_mut()),
-                (2, &mut w_out.kxn[..]),
-                (3, b_out.data_mut()),
-            ],
-            NodeWeights::LinearAttention { w_rkv, w_out } => {
-                vec![(0, &mut w_rkv.kxn[..]), (1, &mut w_out.kxn[..])]
-            }
-            NodeWeights::Mlp { w1, b1, w2, b2 } => vec![
-                (0, &mut w1.kxn[..]),
-                (1, b1.data_mut()),
-                (2, &mut w2.kxn[..]),
-                (3, b2.data_mut()),
-            ],
-        }
-    }
-}
-
-/// A weight tensor whose current bits no longer match the checksum taken at
-/// materialization.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WeightCorruption {
-    /// Graph node owning the corrupt tensor.
-    pub node: usize,
-    /// Role index of the tensor within the node (enumeration order of
-    /// `NodeWeights::buffers`).
-    pub role: u64,
-}
-
-/// All weights of a graph, generated once and stored in the layouts the
-/// batched engine consumes — pre-transposed `k×n` matmul operands and
-/// (for INT8 executors) pre-quantized weight matrices. Building this once
-/// per [`Executor`] replaces the seed behavior of regenerating every
-/// weight tensor from the seed on *every* forward pass.
-///
-/// Each tensor's FNV-1a checksum is taken at construction; since weights
-/// are immutable during normal serving, any later mismatch is silent data
-/// corruption by definition.
-///
-/// `Clone` is what makes generation swaps safe: the swap layer keeps a
-/// pristine copy behind an `Arc` while an executor's in-place corruption
-/// (fault injection) works on a copy-on-write clone.
-#[derive(Clone)]
-pub struct MaterializedWeights {
-    nodes: Vec<NodeWeights>,
-    f32_elements: usize,
-    /// `(node << 3 | role, checksum)` per tensor, in enumeration order.
-    checksums: Vec<(u64, u64)>,
-}
-
-impl std::fmt::Debug for MaterializedWeights {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MaterializedWeights")
-            .field("nodes", &self.nodes.len())
-            .field("f32_elements", &self.f32_elements)
-            .field("fingerprint", &format_args!("{:#018x}", self.fingerprint()))
-            .finish()
-    }
-}
-
-impl MaterializedWeights {
-    /// Generate and lay out every weight of `graph` from `store`.
-    /// `int8_linears` additionally caches symmetric INT8 quantizations for
-    /// the weights the quantized path consumes (`Linear` and `Mlp`).
-    pub fn new(graph: &Graph, store: &WeightStore, int8_linears: bool) -> Self {
-        let mut nodes = Vec::with_capacity(graph.nodes().len());
-        for node in graph.nodes() {
-            let id = node.id;
-            let w = match &node.op {
-                Op::Conv2d {
-                    cin,
-                    cout,
-                    kernel,
-                    bias,
-                    ..
-                } => {
-                    let weight = store.tensor(
-                        id,
-                        0,
-                        &[cout * cin * kernel * kernel],
-                        cin * kernel * kernel,
-                    );
-                    let bias_t = if *bias {
-                        store.tensor(id, 1, &[*cout], *cin)
-                    } else {
-                        Tensor::zeros(&[0])
-                    };
-                    NodeWeights::Conv {
-                        weight,
-                        bias: bias_t,
-                    }
-                }
-                Op::BatchNorm { channels } => NodeWeights::BatchNorm {
-                    gamma: vec![1.0; *channels],
-                    beta: store.tensor(id, 0, &[*channels], *channels),
-                    mean: vec![0.0; *channels],
-                    var: vec![1.0; *channels],
-                },
-                Op::LayerNorm { dim } => NodeWeights::LayerNorm {
-                    gamma: vec![1.0; *dim],
-                    beta: vec![0.0; *dim],
-                },
-                Op::Linear { cin, cout, bias } => {
-                    let w_t = store.tensor(id, 0, &[cout * cin], *cin);
-                    NodeWeights::Linear {
-                        w: LinearWeight::from_out_major(&w_t, *cin, *cout, int8_linears),
-                        bias: bias.then(|| store.tensor(id, 1, &[*cout], *cin)),
-                    }
-                }
-                Op::PatchEmbed { in_ch, dim, patch } => {
-                    let s = match node.out_shape {
-                        Shape::Seq { s, .. } => s,
-                        sh => panic!("patch-embed output {sh}"),
-                    };
-                    NodeWeights::PatchEmbed {
-                        weight: store.tensor(
-                            id,
-                            0,
-                            &[dim * in_ch * patch * patch],
-                            in_ch * patch * patch,
-                        ),
-                        bias: store.tensor(id, 1, &[*dim], in_ch * patch * patch),
-                        cls: store.tensor(id, 2, &[*dim], *dim),
-                        pos: store.tensor(id, 3, &[s * dim], *dim),
-                    }
-                }
-                Op::Attention { dim, .. } => {
-                    let w_qkv = store.tensor(id, 0, &[3 * dim * dim], *dim);
-                    let w_out = store.tensor(id, 2, &[dim * dim], *dim);
-                    NodeWeights::Attention {
-                        // Attention projections stay f32 even in INT8 mode,
-                        // matching the seed's precision ablation.
-                        w_qkv: LinearWeight::from_out_major(&w_qkv, *dim, 3 * dim, false),
-                        b_qkv: store.tensor(id, 1, &[3 * dim], *dim),
-                        w_out: LinearWeight::from_out_major(&w_out, *dim, *dim, false),
-                        b_out: store.tensor(id, 3, &[*dim], *dim),
-                    }
-                }
-                Op::LinearAttention { dim, .. } => {
-                    let w_rkv = store.tensor(id, 0, &[3 * dim * dim], *dim);
-                    let w_out = store.tensor(id, 2, &[dim * dim], *dim);
-                    NodeWeights::LinearAttention {
-                        w_rkv: LinearWeight::from_out_major(&w_rkv, *dim, 3 * dim, false),
-                        w_out: LinearWeight::from_out_major(&w_out, *dim, *dim, false),
-                    }
-                }
-                Op::Mlp { dim, hidden } => {
-                    let w1 = store.tensor(id, 0, &[hidden * dim], *dim);
-                    let w2 = store.tensor(id, 2, &[dim * hidden], *hidden);
-                    NodeWeights::Mlp {
-                        w1: LinearWeight::from_out_major(&w1, *dim, *hidden, int8_linears),
-                        b1: store.tensor(id, 1, &[*hidden], *dim),
-                        w2: LinearWeight::from_out_major(&w2, *hidden, *dim, int8_linears),
-                        b2: store.tensor(id, 3, &[*dim], *hidden),
-                    }
-                }
-                _ => NodeWeights::None,
-            };
-            nodes.push(w);
-        }
-        let f32_elements = nodes
-            .iter()
-            .flat_map(NodeWeights::buffers)
-            .map(|(_, buf)| buf.len())
-            .sum();
-        let checksums = Self::compute_checksums(&nodes);
-        MaterializedWeights {
-            nodes,
-            f32_elements,
-            checksums,
-        }
-    }
-
-    /// Total f32 weight elements held (≈ parameter count).
-    pub fn f32_elements(&self) -> usize {
-        self.f32_elements
-    }
-
-    fn of(&self, id: NodeId) -> &NodeWeights {
-        &self.nodes[id.0]
-    }
-
-    fn compute_checksums(nodes: &[NodeWeights]) -> Vec<(u64, u64)> {
-        let mut sums = Vec::new();
-        for (node, w) in nodes.iter().enumerate() {
-            for (role, buf) in w.buffers() {
-                sums.push(((node as u64) << 3 | role, checksum_f32(buf)));
-            }
-        }
-        sums
-    }
-
-    /// Re-hash every tensor and compare against the construction-time
-    /// checksums; reports the first corrupt tensor found. O(parameters) —
-    /// cheap relative to a batch forward, so serving layers can afford to
-    /// run it per dispatched batch.
-    pub fn verify_integrity(&self) -> Result<(), WeightCorruption> {
-        for ((id, expect), actual) in self
-            .checksums
-            .iter()
-            .zip(Self::compute_checksums(&self.nodes))
-        {
-            debug_assert_eq!(*id, actual.0);
-            if *expect != actual.1 {
-                return Err(WeightCorruption {
-                    node: (*id >> 3) as usize,
-                    role: *id & 7,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Visit every f32 weight buffer mutably, tagged with its stable tensor
-    /// id (`node << 3 | role`). The corruption injector's entry point.
-    pub fn for_each_buffer_mut(&mut self, mut f: impl FnMut(u64, &mut [f32])) {
-        for (node, w) in self.nodes.iter_mut().enumerate() {
-            for (role, buf) in w.buffers_mut() {
-                f((node as u64) << 3 | role, buf);
-            }
-        }
-    }
-
-    /// Read-only twin of [`MaterializedWeights::for_each_buffer_mut`], same
-    /// tensor ids and enumeration order — the artifact serializer's walk.
-    pub fn for_each_buffer(&self, mut f: impl FnMut(u64, &[f32])) {
-        for (node, w) in self.nodes.iter().enumerate() {
-            for (role, buf) in w.buffers() {
-                f((node as u64) << 3 | role, buf);
-            }
-        }
-    }
-
-    /// A single FNV-1a fingerprint over every `(tensor id, checksum)` pair —
-    /// the identity of a weight *generation*. Two materializations collide
-    /// only if every tensor has identical bits (up to hash collisions).
-    pub fn fingerprint(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(self.checksums.len() * 16);
-        for (id, sum) in &self.checksums {
-            bytes.extend_from_slice(&id.to_le_bytes());
-            bytes.extend_from_slice(&sum.to_le_bytes());
-        }
-        harvest_tensor::integrity::checksum_bytes(&bytes)
-    }
-
-    /// Recompute every derived form after the f32 buffers were overwritten
-    /// in bulk (an artifact load): cached INT8 quantizations are re-derived
-    /// from the new `k×n` matrices and the construction-time checksums are
-    /// re-taken, so [`MaterializedWeights::verify_integrity`] passes against
-    /// the *new* bits.
-    pub fn rebuild_derived(&mut self) {
-        for w in &mut self.nodes {
-            let linears: Vec<&mut LinearWeight> = match w {
-                NodeWeights::Linear { w, .. } => vec![w],
-                NodeWeights::Mlp { w1, w2, .. } => vec![w1, w2],
-                _ => Vec::new(),
-            };
-            for lw in linears {
-                if lw.int8.is_some() {
-                    lw.int8 = Some(quantize_widened(&lw.kxn));
-                }
-            }
-        }
-        self.checksums = Self::compute_checksums(&self.nodes);
-    }
-}
 
 /// Buffer pool for forward-pass intermediates: freed buffers come back here
 /// and are handed out again, bounding allocator churn and peak memory.
@@ -1035,23 +569,24 @@ impl<'g> Executor<'g> {
         groups: usize,
         out: &mut [f32],
     ) {
-        debug_assert_eq!(x.len(), rows * w.k);
-        debug_assert_eq!(out.len(), rows * w.n);
+        let (k, n) = (w.b.k(), w.b.n());
+        debug_assert_eq!(x.len(), rows * k);
+        debug_assert_eq!(out.len(), rows * n);
         match (&w.int8, self.int8_linears) {
             (Some((qw, w_scale)), true) => {
                 debug_assert_eq!(rows % groups, 0);
                 let rpg = rows / groups;
                 for g in 0..groups {
-                    let xs = &x[g * rpg * w.k..(g + 1) * rpg * w.k];
+                    let xs = &x[g * rpg * k..(g + 1) * rpg * k];
                     let (qa, a_scale) = quantize_widened(xs);
-                    let acc = gemm_exact_i32(&qa, qw, rpg, w.k, w.n);
+                    let acc = gemm_exact_i32(&qa, qw, rpg, k, n);
                     let scale = a_scale * w_scale;
-                    for (o, v) in out[g * rpg * w.n..(g + 1) * rpg * w.n].iter_mut().zip(acc) {
+                    for (o, v) in out[g * rpg * n..(g + 1) * rpg * n].iter_mut().zip(acc) {
                         *o = v as f32 * scale;
                     }
                 }
             }
-            _ => gemm(x, &w.kxn, out, rows, w.k, w.n),
+            _ => gemm_with(x, k, PanelSource::Packed(&w.b), out, n, rows, k, n),
         }
     }
 
@@ -1200,7 +735,7 @@ impl<'g> Executor<'g> {
                     .as_ref()
                     .expect("topological order");
                 let rows = x.data.len() / cin;
-                let mut out = arena.take(rows * w.n);
+                let mut out = arena.take(rows * w.b.n());
                 self.matmul_into(&x.data, w, rows, b, &mut out);
                 if let Some(bias) = bias_t {
                     add_bias(&mut out, bias.data());
@@ -1218,7 +753,7 @@ impl<'g> Executor<'g> {
                 layernorm(&mut x.data, *dim, gamma, beta, 1e-5);
                 x
             }
-            Op::PatchEmbed { in_ch, dim, patch } => {
+            Op::PatchEmbed { in_ch, patch, .. } => {
                 let NodeWeights::PatchEmbed {
                     weight,
                     bias,
@@ -1232,50 +767,43 @@ impl<'g> Executor<'g> {
                 let x = values[node.inputs[0].0]
                     .as_ref()
                     .expect("topological order");
-                let (gh, gw) = (h / patch, w / patch);
-                let n_patches = gh * gw;
+                let (n_patches, gw, k) = ((h / patch) * (w / patch), w / patch, weight.k());
                 let (s, d) = match node.out_shape {
                     Shape::Seq { s, d } => (s, d),
                     sh => panic!("patch-embed output {sh}"),
                 };
                 debug_assert_eq!(s, n_patches + 1);
-                // Strided conv with kernel = stride = patch, whole batch at
-                // once, then per-image token rearrangement.
-                let mut conv = arena.take(b * dim * n_patches);
-                conv2d_into(
-                    &x.data,
-                    weight.data(),
-                    bias.data(),
-                    b,
-                    *in_ch,
-                    h,
-                    w,
-                    *dim,
-                    *patch,
-                    *patch,
-                    0,
-                    &mut conv,
-                );
-                let mut seq = arena.take(b * s * d);
-                // Token rearrangement is a pure per-image transpose+add:
-                // parallel over images, each task owning one sequence slice.
-                harvest_threads::for_each_chunk_mut(
-                    &mut seq[..b * s * d],
-                    s * d,
-                    |img, seq_img| {
-                        let conv_img = &conv[img * dim * n_patches..(img + 1) * dim * n_patches];
-                        seq_img[..d].copy_from_slice(cls.data());
-                        for p in 0..n_patches {
-                            for c in 0..d {
-                                seq_img[(p + 1) * d + c] = conv_img[c * n_patches + p];
-                            }
+                // Each image's patches as token rows, in the conv column
+                // matrix's (c, ky, kx) order; one GEMM per image against the
+                // packed weight writes them straight into sequence rows 1..s.
+                let mut tokens = arena.take(b * n_patches * k);
+                let images = x.data.chunks_exact(in_ch * h * w);
+                for (img, rows) in images.zip(tokens.chunks_exact_mut(n_patches * k)) {
+                    for (t, row) in rows.chunks_exact_mut(k).enumerate() {
+                        let (y0, x0) = (t / gw * patch, t % gw * patch);
+                        for (c_ky, seg) in row.chunks_exact_mut(*patch).enumerate() {
+                            let (c, ky) = (c_ky / patch, c_ky % patch);
+                            seg.copy_from_slice(&img[(c * h + y0 + ky) * w + x0..][..*patch]);
                         }
+                    }
+                }
+                let mut seq = arena.take(b * s * d);
+                harvest_threads::for_each_zipped_chunks(
+                    &tokens,
+                    n_patches * k,
+                    &mut seq,
+                    s * d,
+                    |_, tok, seq_img| {
+                        seq_img[..d].copy_from_slice(cls.data());
+                        let b = PanelSource::Packed(weight);
+                        gemm_with(tok, k, b, &mut seq_img[d..], d, n_patches, k, d);
+                        add_bias(&mut seq_img[d..], bias.data());
                         for (v, p) in seq_img.iter_mut().zip(pos.data()) {
                             *v += p;
                         }
                     },
                 );
-                arena.give(conv);
+                arena.give(tokens);
                 BatchVal {
                     data: seq,
                     per_image: per_out,
@@ -1491,6 +1019,7 @@ fn shape_dims(shape: Shape) -> Vec<usize> {
 mod tests {
     use super::*;
     use harvest_models::{resnet50, vit_small, vit_tiny, ModelId};
+    use harvest_tensor::integrity::checksum_f32;
 
     fn input_for(model: ModelId) -> Tensor {
         let n = model.input_size();
@@ -1681,33 +1210,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_int8_weights_equal_a_fresh_quantization() {
-        // `matmul_into` serves INT8 matmuls from the quantization taken at
-        // materialization; it must be what quantizing the cached k×n
-        // weight now would give, value for value, widened to f32.
-        let g = small_vit();
-        let exec = Executor::new_int8(&g, 9);
-        let mut checked = 0;
-        for nw in &exec.materialized().nodes {
-            let linears: Vec<&LinearWeight> = match nw {
-                NodeWeights::Linear { w, .. } => vec![w],
-                NodeWeights::Mlp { w1, w2, .. } => vec![w1, w2],
-                _ => vec![],
-            };
-            for w in linears {
-                let (panel, scale) = w.int8.as_ref().expect("INT8 executor caches every linear");
-                let fresh = quantize_symmetric(&w.kxn);
-                let widened: Vec<f32> = fresh.data.iter().map(|&v| v as f32).collect();
-                assert_eq!(panel, &widened);
-                assert_eq!(scale.to_bits(), fresh.scale.to_bits());
-                checked += 1;
-            }
-        }
-        // Three blocks of two MLP linears, plus the classifier head.
-        assert_eq!(checked, 7);
-    }
-
-    #[test]
     fn int8_batch_matches_individual_forwards() {
         // Activation quantization is applied per image in the batched
         // path, so INT8 batches reproduce per-image INT8 results exactly.
@@ -1780,22 +1282,6 @@ mod tests {
         assert!(
             peak * 2 < keep_all,
             "peak {peak} not meaningfully below keep-everything {keep_all}"
-        );
-    }
-
-    #[test]
-    fn materialized_weights_cover_parameters() {
-        let g = small_vit();
-        let exec = Executor::new(&g, 3);
-        // The materialized store holds at least the graph's parameter
-        // count (analytics params plus non-counted constants like
-        // positional embeddings).
-        let params = g.stats().params as usize;
-        assert!(
-            exec.materialized().f32_elements() >= params,
-            "{} < {}",
-            exec.materialized().f32_elements(),
-            params
         );
     }
 

@@ -16,10 +16,14 @@
 //!   calibrated performance model + the OOM-checked memory model.
 //! * [`exec`] — a *real* forward pass over `harvest-tensor` kernels with
 //!   deterministic weights, so the whole model zoo actually runs on the
-//!   host: batched, weight-cached ([`MaterializedWeights`]) execution with
-//!   liveness-driven buffer reuse, through one entry point
-//!   ([`Executor::run`]). The seed per-image reference path is its oracle
-//!   and lives outside the library, in `tests/oracle/reference.rs`.
+//!   host: batched, weight-cached execution with liveness-driven buffer
+//!   reuse, through one entry point ([`Executor::run`]). The seed per-image
+//!   reference path is its oracle and lives outside the library, in
+//!   `tests/oracle/reference.rs`.
+//! * [`weights`] — the weights an executor serves from
+//!   ([`MaterializedWeights`]): generated once, every matmul weight packed
+//!   once into the GEMM's panels, seen in its logical order by checksums,
+//!   artifacts and fault injection.
 //! * [`swap`] — hot-swappable weight generations: a length-framed,
 //!   checksummed artifact format ([`encode_artifact`] / [`decode_artifact`]
 //!   with typed rejection), and the double-buffered [`WeightsCell`] whose
@@ -31,11 +35,11 @@ pub mod exec;
 pub mod passes;
 pub mod planner;
 pub mod swap;
+pub mod weights;
 
 pub use engine::{Engine, EngineError};
 pub use exec::{
-    ActivationGuard, ActivationInjection, Executor, GuardViolation, MaterializedWeights, RunReport,
-    ScratchStats, WeightCorruption, WeightStore,
+    ActivationGuard, ActivationInjection, Executor, GuardViolation, RunReport, ScratchStats,
 };
 pub use passes::{compile, ExecPlan, ExecStep, StepKind};
 pub use planner::{plan_activations, ActivationPlan};
@@ -43,3 +47,4 @@ pub use swap::{
     decode_artifact, decode_artifact_staged, encode_artifact, ArtifactError, Generation,
     WeightsCell, ARTIFACT_MAGIC, ARTIFACT_VERSION,
 };
+pub use weights::{MaterializedWeights, WeightCorruption, WeightStore};

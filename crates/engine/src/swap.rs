@@ -25,7 +25,7 @@
 //!   quarantine the bad generation. Swap / rollback / rejected-load
 //!   counters feed the `/metrics` snapshot.
 
-use crate::exec::{MaterializedWeights, WeightStore};
+use crate::weights::{MaterializedWeights, WeightStore};
 use harvest_models::Graph;
 use harvest_tensor::integrity::{checksum_bytes, checksum_f32};
 use std::sync::Arc;

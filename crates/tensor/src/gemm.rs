@@ -26,11 +26,13 @@
 //! The body has one hook, and it cannot reach the chain: a **panel source**
 //! ([`PanelSource`]) says where `B[p][j]` lives when a panel is packed — a
 //! strided row-major matrix, a transposed one (`weight[out][in]`, or K
-//! inside a fused `qkv` buffer), or the column matrix of a convolution read
-//! straight from the image planes. The pack loop copies values; the
-//! micro-kernel sees the same `KC`×`NR` panel whatever it was copied from. A
-//! and C take row strides for the same reason: an operand is used where it
-//! lies instead of being gathered.
+//! inside a fused `qkv` buffer), the column matrix of a convolution read
+//! straight from the image planes, or a weight packed once ([`PackedB`]),
+//! whose panels are read where they lie. The pack loop copies values; the
+//! micro-kernel sees the same `KC`×`NR` panel whatever it was copied from,
+//! and a packed weight is that panel built ahead. A and C take row strides
+//! for the same reason: an operand is used where it lies instead of being
+//! gathered.
 //!
 //! This is the only f32 GEMM in the tree; `Executor`, `conv2d_into` and the
 //! attention core call it directly. The same routine
@@ -129,6 +131,9 @@ pub enum PanelSource<'a> {
         /// Zero padding, all four sides.
         pad: usize,
     },
+    /// A B laid out once as the panels the kernel reads ([`PackedB`]): the
+    /// micro-kernel takes them where they lie, with no pack and no scratch.
+    Packed(&'a PackedB),
 }
 
 impl PanelSource<'_> {
@@ -156,6 +161,7 @@ impl PanelSource<'_> {
                 assert_eq!(input.len(), cin * h * w, "input is {cin}x{h}x{w}");
                 assert_eq!((k, n), (cin * kernel * kernel, oh * ow), "column matrix");
             }
+            PanelSource::Packed(w) => assert_eq!((w.k, w.n), (k, n), "packed B"),
         }
     }
 
@@ -211,7 +217,115 @@ impl PanelSource<'_> {
                     };
                 }
             }
+            PanelSource::Packed(w) => {
+                for (p, row) in panel.chunks_exact_mut(ld).enumerate() {
+                    for (j, slot) in row[..nr].iter_mut().enumerate() {
+                        *slot = w.get(p0 + p, j0 + j);
+                    }
+                    row[nr..].fill(0.0);
+                }
+            }
         }
+    }
+}
+
+/// A `k×n` B laid out once as the kernel's panels: `ceil(n/NR)` panels of
+/// `k×NR` floats, panel `t` holding columns `t·NR..` row after row, with the
+/// columns past `n` zero — what the blocked kernel packs per call, built ahead
+/// for a B that does not change (a model weight). The panels start on a
+/// cache line, as the per-call scratch does.
+///
+/// Its only way to the kernel is [`PanelSource::Packed`], and its panels
+/// are only ever written by packing a source, so no other layout reaches
+/// the micro-kernel through it.
+#[derive(Debug)]
+pub struct PackedB {
+    k: usize,
+    n: usize,
+    /// Where the panels start in `store` (a 64-byte boundary).
+    at: usize,
+    store: Vec<f32>,
+}
+
+impl PackedB {
+    /// Packs the `k×n` B that `b` describes.
+    pub fn new(b: PanelSource<'_>, k: usize, n: usize) -> Self {
+        let mut packed = Self::zeros(k, n);
+        packed.repack(b);
+        packed
+    }
+
+    /// The `k×n` zero matrix, packed: the panels allocated, for a
+    /// [`PackedB::repack`] from a source that does not exist yet.
+    pub fn zeros(k: usize, n: usize) -> Self {
+        let store = vec![0.0; n.div_ceil(NR) * NR * k + 15];
+        let at = store.as_ptr().align_offset(64).min(15);
+        PackedB { k, n, at, store }
+    }
+
+    /// Rows of B.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Columns of B.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// The panels, `n` rounded up to `NR` times `k` floats.
+    pub fn panels(&self) -> &[f32] {
+        &self.store[self.at..][..self.n.div_ceil(NR) * NR * self.k]
+    }
+
+    fn panels_mut(&mut self) -> &mut [f32] {
+        let len = self.panels().len();
+        &mut self.store[self.at..][..len]
+    }
+
+    /// Packs `b`, a `k×n` B of the same shape, over the panels in place.
+    pub fn repack(&mut self, b: PanelSource<'_>) {
+        let (k, n) = (self.k, self.n);
+        b.check(k, n);
+        let panels = self.panels_mut().chunks_mut((k * NR).max(1));
+        for (t, panel) in panels.enumerate() {
+            b.pack(0, t * NR, NR.min(n - t * NR), panel, NR);
+        }
+    }
+
+    /// `B[p][j]`.
+    pub fn get(&self, p: usize, j: usize) -> f32 {
+        assert!(p < self.k && j < self.n, "B is {}x{}", self.k, self.n);
+        self.panels()[(j / NR * self.k + p) * NR + j % NR]
+    }
+
+    /// Writes B out to `out[p·ldp + j·ldj]`: `(n, 1)` gives back the
+    /// row-major `k×n` matrix, `(1, k)` its transpose.
+    pub fn unpack(&self, out: &mut [f32], ldp: usize, ldj: usize) {
+        let (k, n) = (self.k, self.n);
+        assert!(k == 0 || n == 0 || out.len() > (k - 1) * ldp + (n - 1) * ldj);
+        for (t, panel) in self.panels().chunks((k * NR).max(1)).enumerate() {
+            let nr = NR.min(n - t * NR);
+            for (p, row) in panel.chunks_exact(NR).enumerate() {
+                let start = p * ldp + t * NR * ldj;
+                if ldj == 1 {
+                    out[start..start + nr].copy_from_slice(&row[..nr]);
+                } else {
+                    for (j, &v) in row[..nr].iter().enumerate() {
+                        out[start + j * ldj] = v;
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl Clone for PackedB {
+    /// A copy whose panels start on a cache line of their own.
+    fn clone(&self) -> Self {
+        let mut copy = Self::zeros(self.k, self.n);
+        copy.panels_mut().copy_from_slice(self.panels());
+        copy
     }
 }
 
@@ -321,11 +435,11 @@ pub fn gemm_blocked_upto(
 
 /// The blocked kernel over strided operands: runs the instantiation of
 /// [`blocked_body`] that [`at_lane_tier`] picks under `cap` and returns its
-/// tier. The packed B block is one scratch loan per call,
-/// taken outside the tier so that the body inlines into it, and starts on a
-/// cache line: where the allocator put a `Vec` would otherwise decide, per
-/// process, whether every 64-byte B load splits in two (three placements in
-/// four, 3–7 % slower).
+/// tier. Unless B is already [`PanelSource::Packed`], its packed block is
+/// one scratch loan per call, taken outside the tier so that the body
+/// inlines into it, and starts on a cache line: where the allocator put a
+/// `Vec` would otherwise decide, per process, whether every 64-byte B load
+/// splits in two (three placements in four, 3–7 % slower).
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn blocked_upto(
@@ -344,6 +458,16 @@ pub fn blocked_upto(
         assert!(ldc >= n && c.len() >= (m - 1) * ldc + n, "c is {m}x{n}");
         b.check(k, n);
     }
+    let mut run = |packed: &mut [f32]| {
+        at_lane_tier(
+            cap,
+            #[inline(always)]
+            || blocked_body(a, lda, b, c, ldc, m, k, n, packed),
+        )
+    };
+    if let PanelSource::Packed(_) = b {
+        return run(&mut []);
+    }
     let width = if packs_ahead(m) {
         NC.min(n).next_multiple_of(NR)
     } else {
@@ -352,12 +476,7 @@ pub fn blocked_upto(
     let len = KC.min(k) * width;
     crate::scratch::with_f32(len + 15, |loan| {
         let skip = loan.as_ptr().align_offset(64).min(15);
-        let packed = &mut loan[skip..skip + len];
-        at_lane_tier(
-            cap,
-            #[inline(always)]
-            || blocked_body(a, lda, b, c, ldc, m, k, n, packed),
-        )
+        run(&mut loan[skip..skip + len])
     })
 }
 
@@ -427,9 +546,10 @@ fn packs_ahead(m: usize) -> bool {
 
 /// The blocked kernel's one loop body, compiled once per lane tier: B is
 /// packed into `packed`, from wherever `b` says it lives, as contiguous
-/// `KC`×`NR` panels (a 3 KB row stride would alias a handful of L1 sets);
-/// every `MC` block of A runs the micro-kernel down each panel. Overwrites
-/// `c`.
+/// `KC`×`NR` panels (a 3 KB row stride would alias a handful of L1 sets) —
+/// or, when it is [`PanelSource::Packed`], each panel is read where it lies
+/// and `packed` is unused; every `MC` block of A runs the micro-kernel down
+/// each panel. Overwrites `c`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn blocked_body(
@@ -455,7 +575,11 @@ fn blocked_body(
     }
     // Equal K panels no deeper than KC: k = 257 is 129 + 128, not 256 + 1.
     let kc = k.div_ceil(k.div_ceil(KC));
-    let ahead = packs_ahead(m);
+    let laid_out = match b {
+        PanelSource::Packed(w) => Some(w.panels()),
+        _ => None,
+    };
+    let ahead = packs_ahead(m) && laid_out.is_none();
     for jc in (0..n).step_by(NC) {
         let nb = NC.min(n - jc);
         for pc in (0..k).step_by(kc) {
@@ -474,7 +598,9 @@ fn blocked_body(
             for ic in (0..m).step_by(MC) {
                 let mb = MC.min(m - ic);
                 for (at, (jr, nr)) in columns().enumerate() {
-                    let panel = if ahead {
+                    let panel = if let Some(panels) = laid_out {
+                        &panels[(jr / NR * k + pc) * NR..][..panel_len]
+                    } else if ahead {
                         &packed[at * panel_len..][..panel_len]
                     } else {
                         b.pack(pc, jr, nr, &mut packed[..panel_len], NR);
@@ -658,8 +784,7 @@ pub fn gemm_v(
 /// contract: the pack loop reads the `n×k` operand down its rows instead of
 /// along them. This is the reference path's linear — the seed per-image
 /// executor (the engine's test oracle) and `multi_head_attention`, which
-/// the conformance suites compare the batched engine against; the engine
-/// stores every weight already `k×n`.
+/// the conformance suites compare the batched engine against.
 pub fn gemm_bt(a: &[f32], b_t: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "a is {m}x{k}");
     assert_eq!(b_t.len(), n * k, "b_t is {n}x{k}");

@@ -32,7 +32,9 @@ pub mod tensor;
 
 pub use attention::{attention_core, multi_head_attention, multi_head_attention_v};
 pub use conv::{avg_pool2d_global, conv2d, conv2d_into, conv2d_v, max_pool2d};
-pub use gemm::{gemm, gemm_naive, gemm_v, gemm_with, lane_tier, KernelVariant, PanelSource};
+pub use gemm::{
+    gemm, gemm_naive, gemm_v, gemm_with, lane_tier, KernelVariant, PackedB, PanelSource,
+};
 pub use image::{
     bilinear_taps, center_crop, chw_to_hwc_u8, hwc_u8_to_chw, normalize_chw, perspective_warp,
     resize_bilinear, resize_normalize_hwc_u8, Homography,

@@ -19,8 +19,10 @@
 //!   operand `-128` (the largest partial sum, 2²⁴ per chunk) and with
 //!   full-range values, and across 1/2/3/8 threads.
 //! * The kernel's panel source cannot move a bit: through every one (dense,
-//!   transposed, the implicit column matrix of a convolution) and over
-//!   strided A and C, `gemm_with` is `gemm_naive` on the operand written out.
+//!   transposed, the implicit column matrix of a convolution, a B packed
+//!   once) and over strided A and C, `gemm_with` is `gemm_naive` on the
+//!   operand written out; a packed B's logical view is every bit it was
+//!   packed from.
 //! * `im2col` is the gather it replaced (`oracle/`, verbatim), and the 1×1
 //!   conv that skips it equals the conv that does not.
 //! * `max_pool2d` and `avg_pool2d_global` are the per-tap-tested loops they
@@ -33,7 +35,7 @@ mod oracle;
 use harvest_tensor::attention::AttentionWeights;
 use harvest_tensor::conv::{conv_out_dim, im2col};
 use harvest_tensor::gemm::{
-    blocked_upto, gemm, gemm_blocked_upto, gemm_bt, gemm_naive, gemm_with, PanelSource,
+    blocked_upto, gemm, gemm_blocked_upto, gemm_bt, gemm_naive, gemm_with, PackedB, PanelSource,
 };
 use harvest_tensor::quant::{gemm_i8, gemm_i8_naive};
 use harvest_tensor::{
@@ -162,8 +164,8 @@ proptest! {
         prop_assert_eq!(fast, slow, "m={} k={} n={}", m, k, n);
     }
 
-    /// Dense and transposed panel sources over strided operands on every
-    /// adversarial shape.
+    /// Dense, transposed and packed panel sources over strided operands on
+    /// every adversarial shape.
     #[test]
     fn panel_sources_track_the_naive_oracle(
         (m, k, n, a, b) in (adversarial_dim(), adversarial_dim(), adversarial_dim())
@@ -355,7 +357,7 @@ fn assert_source_keeps_the_chain(
 }
 
 /// [`assert_source_keeps_the_chain`] for a dense `k×n` B, read as it is
-/// (strided) and from its transpose.
+/// (strided), from its transpose, and from its panels packed once.
 fn assert_sources_keep_the_chain(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     let mut chain = vec![f32::NAN; m * n];
     gemm_naive(a, b, &mut chain, m, k, n);
@@ -375,6 +377,9 @@ fn assert_sources_keep_the_chain(a: &[f32], b: &[f32], m: usize, k: usize, n: us
     let source = PanelSource::Transposed { b: &bt, ldb: k + 1 };
     let what = format!("transposed ({m},{k},{n})");
     assert_source_keeps_the_chain(a, source, &chain, (m, k, n), &what);
+    let packed = PackedB::new(PanelSource::Dense { b, ldb: n }, k, n);
+    let what = format!("packed ({m},{k},{n})");
+    assert_source_keeps_the_chain(a, PanelSource::Packed(&packed), &chain, (m, k, n), &what);
 }
 
 /// Strided operands and both matrix sources on the kernel's own edges — one
@@ -449,6 +454,65 @@ fn implicit_im2col_is_the_naive_chain_on_the_materialized_columns() {
         };
         let what = format!("im2col {cin}x{h}x{w} k{kernel} s{stride} p{pad} -> {m}");
         assert_source_keeps_the_chain(&a, source, &chain, (m, k, n), &what);
+    }
+}
+
+/// A packed B is the matrix it was packed from: its logical view gives back
+/// every input bit — NaN payloads, both zeros and infinities included — in
+/// either order, whether it was packed from the row-major matrix or from its
+/// transpose, and a clone and a repack over it hold the same bits; the tail
+/// columns past `n` of the last panel are zero.
+#[test]
+fn packed_b_gives_back_every_bit_it_was_packed_from() {
+    let odd = [
+        f32::from_bits(0x7fc0_0001),
+        f32::from_bits(0xffa0_5a5a),
+        -0.0,
+        0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE / 3.0,
+        -1.5,
+    ];
+    for n in [1, 16, 31, 32, 33] {
+        for k in [1, 255, 256, 257, 768] {
+            let b: Vec<f32> = ramp(k * n, 53, 127)
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| {
+                    if i % 5 == 0 {
+                        odd[i / 5 % odd.len()]
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            let bt = transposed(&b, k, n);
+            let dense = PackedB::new(PanelSource::Dense { b: &b, ldb: n }, k, n);
+            let from_t = PackedB::new(PanelSource::Transposed { b: &bt, ldb: k }, k, n);
+            let mut over = PackedB::zeros(k, n);
+            over.repack(PanelSource::Packed(&dense));
+            for (packed, how) in [
+                (&dense, "dense"),
+                (&from_t, "transposed"),
+                (&dense.clone(), "clone"),
+                (&over, "repack"),
+            ] {
+                let what = format!("{how} k={k} n={n}");
+                assert_eq!((packed.k(), packed.n()), (k, n), "{what}");
+                assert_eq!(packed.panels().len(), n.div_ceil(32) * 32 * k, "{what}");
+                let mut view = vec![7.0f32; k * n];
+                packed.unpack(&mut view, n, 1);
+                assert_bits_eq(&b, &view, &format!("{what}, k×n view"));
+                packed.unpack(&mut view, 1, k);
+                assert_bits_eq(&bt, &view, &format!("{what}, n×k view"));
+                let tail = packed.panels()[(n.div_ceil(32) - 1) * 32 * k..]
+                    .chunks_exact(32)
+                    .flat_map(|row| &row[(n - 1) % 32 + 1..]);
+                assert!(tail.into_iter().all(|v| v.to_bits() == 0), "{what}, tail");
+                assert_eq!(packed.get(k - 1, n - 1).to_bits(), b[k * n - 1].to_bits());
+            }
+        }
     }
 }
 
