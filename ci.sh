@@ -25,6 +25,16 @@
 #                        weights laid out once: non-test crates/engine/src
 #                        calls neither `gemm(` nor `gemm_bt(` and names no
 #                        `kxn`, so every engine matmul reads a `PackedB`
+#                        one driver per simulated scenario: non-test
+#                        crates/*/src names no `PipelineSim`, no wrapper
+#                        entry point (`run_online_faulted`,
+#                        `run_online_protected_faulted`,
+#                        `run_realtime_degraded`,
+#                        `run_cluster_offline_{faulted,protected}`: fault and
+#                        protection layers are `Option` arguments), no
+#                        stall or link fault kind (`with_preproc_stall`,
+#                        `with_link_degradation`) and no batcher wrapper
+#                        (`push_with_arrival`, `poll_deadline`)
 #   3. tier-1 tests      cargo build --release && cargo test -q, run twice:
 #                        once with the harvest-threads pool forced sequential
 #                        (HARVEST_THREADS=1) and once at the host default
@@ -190,6 +200,22 @@ done)
 if [ -n "$oracle_names" ]; then
     echo "$oracle_names"
     echo "test-only oracle code is back in the library (it lives under tests/oracle/)"
+    exit 1
+fi
+
+# One driver per simulated scenario: the fault and protection layers are
+# arguments of `run_online`, `run_online_protected`, `run_realtime` and
+# `run_cluster_offline`, each driver holds a `Sim` and a `PipelineCore`
+# itself, the batcher is driven through `offer` / `poll` alone, and the
+# fault plan has no kind that no experiment injects.
+scenario_forks=$(find crates/*/src -name '*.rs' | sort | while read -r f; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+        /PipelineSim|run_online_faulted|run_online_protected_faulted|run_realtime_degraded|run_cluster_offline_(faulted|protected)|with_preproc_stall|with_link_degradation|push_with_arrival|poll_deadline/ {
+            print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$scenario_forks" ]; then
+    echo "$scenario_forks"
+    echo "a scenario wrapper, PipelineSim, a deleted fault kind or a batcher wrapper is back"
     exit 1
 fi
 

@@ -65,12 +65,15 @@ pub fn multi_instance_ablation(
             preproc_instances: 4,
             engine_instances: instances,
         };
-        let report = run_online(&OnlineConfig {
-            pipeline,
-            arrival_rate,
-            requests: 2_000,
-            seed: 31,
-        })
+        let report = run_online(
+            &OnlineConfig {
+                pipeline,
+                arrival_rate,
+                requests: 2_000,
+                seed: 31,
+            },
+            None,
+        )
         .expect("fits");
         rows.push(InstanceAblationRow {
             instances,

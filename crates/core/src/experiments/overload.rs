@@ -21,9 +21,9 @@ use harvest_models::ModelId;
 use harvest_perf::{MemoryContext, LATENCY_BOUND_60QPS_MS};
 use harvest_preproc::PreprocMethod;
 use harvest_serving::{
-    run_cluster_offline_protected, run_online, run_online_protected, AdmissionConfig,
-    BreakerConfig, ClusterConfig, FaultInjection, HostedModel, LadderConfig, MultiModelServer,
-    OnlineConfig, PipelineConfig, RetryPolicy, ShedPolicy,
+    run_cluster_offline, run_online, run_online_protected, AdmissionConfig, BreakerConfig,
+    ClusterConfig, FaultInjection, HostedModel, LadderConfig, MultiModelServer, OnlineConfig,
+    PipelineConfig, RetryPolicy, ShedPolicy,
 };
 use harvest_simkit::{FaultPlan, SimRng, SimTime};
 use serde::Serialize;
@@ -176,7 +176,7 @@ fn sweep_point(point: &OperatingPoint, load_factor: f64) -> OverloadRow {
         requests: REQUESTS_PER_POINT,
         seed: 42,
     };
-    let baseline = run_online(&config).expect("baseline pipeline builds");
+    let baseline = run_online(&config, None).expect("baseline pipeline builds");
     // Deadline-aware shedding with an optimistic service estimate (batch-1
     // latency): a queued request is dropped once even an immediate solo
     // dispatch could no longer meet the 16.7 ms bound.
@@ -188,7 +188,8 @@ fn sweep_point(point: &OperatingPoint, load_factor: f64) -> OverloadRow {
         shed: ShedPolicy::DeadlineAware { service_estimate },
         deadline: SimTime::from_micros(16_700),
     };
-    let protected = run_online_protected(&config, &admission).expect("protected pipeline builds");
+    let protected =
+        run_online_protected(&config, &admission, None).expect("protected pipeline builds");
     OverloadRow {
         platform: platform.name().to_string(),
         batch,
@@ -311,7 +312,7 @@ fn breaker_scenario() -> BreakerScenarioReport {
         cooldown: SimTime::from_millis(50),
         ..BreakerConfig::default()
     };
-    let report = run_cluster_offline_protected(&config, 900, &faults, &breaker)
+    let report = run_cluster_offline(&config, 900, Some(&faults), Some(&breaker))
         .expect("cluster pipeline builds");
     BreakerScenarioReport {
         images: report.images,

@@ -16,8 +16,8 @@ use harvest_models::ModelId;
 use harvest_perf::MemoryContext;
 use harvest_preproc::PreprocMethod;
 use harvest_serving::{
-    run_cluster_offline_faulted, run_online_faulted, ClusterConfig, Dispatch, FaultInjection,
-    OnlineConfig, PipelineConfig, RetryPolicy,
+    run_cluster_offline, run_online, ClusterConfig, Dispatch, FaultInjection, OnlineConfig,
+    PipelineConfig, RetryPolicy,
 };
 use harvest_simkit::{FaultPlan, SimTime};
 use serde::Serialize;
@@ -91,7 +91,7 @@ fn online_row(injected: &str, plan: FaultPlan) -> ResilienceRow {
         plan,
         policy: RetryPolicy::default(),
     };
-    let report = run_online_faulted(&config, &faults).expect("online pipeline builds");
+    let report = run_online(&config, Some(&faults)).expect("online pipeline builds");
     ResilienceRow {
         scenario: "online".into(),
         injected: injected.into(),
@@ -117,7 +117,7 @@ fn cluster_row(injected: &str, dispatch: Dispatch, plan: FaultPlan) -> Resilienc
         policy: RetryPolicy::default(),
     };
     let report =
-        run_cluster_offline_faulted(&config, 600, &faults).expect("cluster pipeline builds");
+        run_cluster_offline(&config, 600, Some(&faults), None).expect("cluster pipeline builds");
     let scenario = match dispatch {
         Dispatch::RoundRobin => "cluster-rr",
         Dispatch::LeastLoaded => "cluster-ll",

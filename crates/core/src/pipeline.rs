@@ -147,25 +147,31 @@ impl Deployment {
     pub fn run(&self) -> Result<DeploymentReport, EngineError> {
         let pipeline = self.pipeline_config()?;
         match self.scenario {
-            DeploymentScenario::Online => run_online(&OnlineConfig {
-                pipeline,
-                arrival_rate: self.arrival_rate,
-                requests: self.requests,
-                seed: self.seed,
-            })
+            DeploymentScenario::Online => run_online(
+                &OnlineConfig {
+                    pipeline,
+                    arrival_rate: self.arrival_rate,
+                    requests: self.requests,
+                    seed: self.seed,
+                },
+                None,
+            )
             .map(DeploymentReport::Online),
             DeploymentScenario::Offline => run_offline(&OfflineConfig {
                 pipeline,
                 images: self.requests,
             })
             .map(DeploymentReport::Offline),
-            DeploymentScenario::RealTime => run_realtime(&RealTimeConfig {
-                pipeline,
-                fps: self.fps,
-                frames: self.requests,
-                deadline_ms: self.deadline_ms,
-                max_in_flight: 4,
-            })
+            DeploymentScenario::RealTime => run_realtime(
+                &RealTimeConfig {
+                    pipeline,
+                    fps: self.fps,
+                    frames: self.requests,
+                    deadline_ms: self.deadline_ms,
+                    max_in_flight: 4,
+                },
+                None,
+            )
             .map(DeploymentReport::RealTime),
         }
     }

@@ -214,24 +214,6 @@ impl DynamicBatcher {
         }
     }
 
-    /// Enqueue a request; returns a full batch if the size trigger fired.
-    /// Under a bounded queue the request may be rejected or evict older
-    /// ones — use [`DynamicBatcher::offer`] to observe those outcomes.
-    pub fn push(&mut self, id: u64, now: SimTime) -> Option<Vec<QueuedRequest>> {
-        self.offer(id, now, now, None).batch
-    }
-
-    /// Enqueue a request that originally arrived at the frontend at
-    /// `arrival` (≤ `now`); returns a full batch if the size trigger fired.
-    pub fn push_with_arrival(
-        &mut self,
-        id: u64,
-        now: SimTime,
-        arrival: SimTime,
-    ) -> Option<Vec<QueuedRequest>> {
-        self.offer(id, now, arrival, None).batch
-    }
-
     /// Offer a request to the bounded queue, applying the shed policy; the
     /// full admission outcome reports rejection, evictions, and any batch
     /// the size trigger produced. This is [`DynamicBatcher::admit`] followed
@@ -346,12 +328,6 @@ impl DynamicBatcher {
             .map(|r| r.enqueued + self.config.max_queue_delay)
     }
 
-    /// Fire the delay trigger: dispatch the waiting partial batch if the
-    /// oldest request's deadline has passed.
-    pub fn poll_deadline(&mut self, now: SimTime) -> Option<Vec<QueuedRequest>> {
-        self.poll(now).batch
-    }
-
     /// Fire the delay trigger, first purging hopeless requests under the
     /// deadline-aware policy; the outcome reports both the purge and any
     /// dispatched partial batch.
@@ -389,10 +365,13 @@ mod tests {
     fn size_trigger_fires_at_preferred_batch() {
         let mut b = batcher(cfg(4, 100));
         let t = SimTime::ZERO;
-        assert!(b.push(0, t).is_none());
-        assert!(b.push(1, t).is_none());
-        assert!(b.push(2, t).is_none());
-        let batch = b.push(3, t).expect("4th request completes the batch");
+        assert!(b.offer(0, t, t, None).batch.is_none());
+        assert!(b.offer(1, t, t, None).batch.is_none());
+        assert!(b.offer(2, t, t, None).batch.is_none());
+        let batch = b
+            .offer(3, t, t, None)
+            .batch
+            .expect("4th request completes the batch");
         assert_eq!(batch.len(), 4);
         assert_eq!(
             batch.iter().map(|r| r.id).collect::<Vec<_>>(),
@@ -404,12 +383,13 @@ mod tests {
     #[test]
     fn delay_trigger_dispatches_partial_batch() {
         let mut b = batcher(cfg(8, 10));
-        b.push(0, SimTime::from_millis(0));
-        b.push(1, SimTime::from_millis(2));
+        b.offer(0, SimTime::from_millis(0), SimTime::from_millis(0), None);
+        b.offer(1, SimTime::from_millis(2), SimTime::from_millis(2), None);
         assert_eq!(b.next_deadline(), Some(SimTime::from_millis(10)));
-        assert!(b.poll_deadline(SimTime::from_millis(9)).is_none());
+        assert!(b.poll(SimTime::from_millis(9)).batch.is_none());
         let batch = b
-            .poll_deadline(SimTime::from_millis(10))
+            .poll(SimTime::from_millis(10))
+            .batch
             .expect("deadline reached");
         assert_eq!(batch.len(), 2);
         assert_eq!(b.next_deadline(), None);
@@ -418,9 +398,18 @@ mod tests {
     #[test]
     fn overflow_stays_queued_after_size_trigger() {
         let mut b = batcher(cfg(2, 100));
-        assert!(b.push(0, SimTime::ZERO).is_none());
-        assert!(b.push(1, SimTime::ZERO).is_some());
-        assert!(b.push(2, SimTime::ZERO).is_none());
+        assert!(b
+            .offer(0, SimTime::ZERO, SimTime::ZERO, None)
+            .batch
+            .is_none());
+        assert!(b
+            .offer(1, SimTime::ZERO, SimTime::ZERO, None)
+            .batch
+            .is_some());
+        assert!(b
+            .offer(2, SimTime::ZERO, SimTime::ZERO, None)
+            .batch
+            .is_none());
         assert_eq!(b.queued(), 1);
     }
 
@@ -429,7 +418,7 @@ mod tests {
         let mut b = batcher(cfg(4, 1000));
         for i in 0..10u64 {
             // push returns full batches at 4 and 8; re-queue sizes shrink.
-            let _ = b.push(i, SimTime::ZERO);
+            let _ = b.offer(i, SimTime::ZERO, SimTime::ZERO, None);
         }
         // 10 pushed, two batches of 4 already dispatched, 2 remain.
         assert_eq!(b.queued(), 2);
@@ -444,10 +433,10 @@ mod tests {
     fn mean_batch_accounts_partials() {
         let mut b = batcher(cfg(4, 10));
         for i in 0..4u64 {
-            let _ = b.push(i, SimTime::ZERO);
+            let _ = b.offer(i, SimTime::ZERO, SimTime::ZERO, None);
         }
-        b.push(4, SimTime::ZERO);
-        let _ = b.poll_deadline(SimTime::from_millis(10));
+        b.offer(4, SimTime::ZERO, SimTime::ZERO, None);
+        let _ = b.poll(SimTime::from_millis(10));
         assert_eq!(b.dispatched_batches(), 2);
         assert!((b.mean_batch() - 2.5).abs() < 1e-9);
     }
@@ -455,9 +444,9 @@ mod tests {
     #[test]
     fn fifo_order_is_preserved_across_triggers() {
         let mut b = batcher(cfg(3, 5));
-        b.push(10, SimTime::from_millis(0));
-        b.push(11, SimTime::from_millis(1));
-        let batch = b.poll_deadline(SimTime::from_millis(6)).unwrap();
+        b.offer(10, SimTime::from_millis(0), SimTime::from_millis(0), None);
+        b.offer(11, SimTime::from_millis(1), SimTime::from_millis(1), None);
+        let batch = b.poll(SimTime::from_millis(6)).batch.unwrap();
         assert_eq!(batch[0].id, 10);
         assert_eq!(batch[1].id, 11);
     }
@@ -492,7 +481,7 @@ mod tests {
         let mut b = batcher(config);
         // Four admits fire the size trigger and drain the queue...
         for i in 0..4u64 {
-            let _ = b.push(i, SimTime::ZERO);
+            let _ = b.offer(i, SimTime::ZERO, SimTime::ZERO, None);
         }
         assert_eq!(b.queued(), 0);
         // ...then three more sit queued; the queue bound only bites once

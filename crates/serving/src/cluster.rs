@@ -5,15 +5,16 @@
 //! scales, distributed deployment introduces added complexity". This module
 //! quantifies the simplest strategy — data parallelism over identical
 //! nodes — including the dispatch policy's effect on scaling efficiency.
+//!
+//! [`run_cluster_offline`] is the one entry point: failover under a fault
+//! plan and per-node circuit breakers are its `faults` and `breaker`
+//! arguments.
 
 use crate::breaker::{BreakerBank, BreakerConfig, BreakerState};
-use crate::resilience::{
-    FailoverFn, FaultContext, FaultInjection, ResilienceStats, ResilienceSummary,
-};
+use crate::resilience::{FailoverFn, FaultInjection, ResilienceSummary};
 use crate::server::{DispatchHooks, PipelineConfig, PipelineCore};
 use harvest_engine::EngineError;
 use harvest_simkit::{Sim, SimTime};
-use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Frontend dispatch policy.
@@ -93,44 +94,22 @@ impl ClusterReport {
 
 /// Run the offline scenario over a cluster: `images` arrive at t = 0 and
 /// the frontend dispatches them across nodes.
+///
+/// Under `faults` the cluster fails over: a batch in flight when its node's
+/// engine crashes is detected by timeout and re-dispatched to a live sibling
+/// chosen by the configured [`Dispatch`] policy (ring order for round-robin,
+/// smallest engine backlog for least-loaded). When every engine is down the
+/// batch waits for its origin node to recover. No image is lost or
+/// duplicated; the report's `resilience` block carries the proof counters.
+///
+/// With `breaker`, every node gets a circuit breaker: crash aborts feed its
+/// failure EWMA, a tripped node is routed around by both the frontend
+/// dispatcher and the failover router, and half-open probes re-admit it
+/// after the cooldown. A breaker merely *stops new traffic early*, before
+/// the retry/timeout machinery would have paid for each doomed dispatch. A
+/// protection layer always brings a fault context, so `breaker` without
+/// `faults` runs under an empty plan.
 pub fn run_cluster_offline(
-    config: &ClusterConfig,
-    images: u32,
-) -> Result<ClusterReport, EngineError> {
-    run_cluster_offline_inner(config, images, None, None)
-}
-
-/// Run the offline cluster scenario under an active fault plan, with
-/// failover: a batch in flight when its node's engine crashes is detected
-/// by timeout and re-dispatched to a live sibling chosen by the configured
-/// [`Dispatch`] policy (ring order for round-robin, smallest engine backlog
-/// for least-loaded). When every engine is down the batch waits for its
-/// origin node to recover. No image is lost or duplicated; the report's
-/// `resilience` block carries the proof counters.
-pub fn run_cluster_offline_faulted(
-    config: &ClusterConfig,
-    images: u32,
-    faults: &FaultInjection,
-) -> Result<ClusterReport, EngineError> {
-    run_cluster_offline_inner(config, images, Some(faults), None)
-}
-
-/// Run the faulted offline cluster scenario with per-node circuit breakers:
-/// crash aborts feed each node's failure EWMA, a tripped node is routed
-/// around by both the frontend dispatcher and the failover router, and
-/// half-open probes re-admit it after the cooldown. Composes with the PR-1
-/// failover — a breaker merely *stops new traffic early*, before the
-/// retry/timeout machinery would have paid for each doomed dispatch.
-pub fn run_cluster_offline_protected(
-    config: &ClusterConfig,
-    images: u32,
-    faults: &FaultInjection,
-    breaker: &BreakerConfig,
-) -> Result<ClusterReport, EngineError> {
-    run_cluster_offline_inner(config, images, Some(faults), Some(breaker))
-}
-
-fn run_cluster_offline_inner(
     config: &ClusterConfig,
     images: u32,
     faults: Option<&FaultInjection>,
@@ -152,11 +131,9 @@ fn run_cluster_offline_inner(
     // Fault wiring: every node shares the plan, the stats, and one failover
     // cell; the router is installed into the cell after the per-node hooks
     // exist (the contexts hold the cell, so they observe the late install).
-    let fault_state = faults.map(|f| {
-        let plan = Rc::new(f.plan.clone());
-        let stats = Rc::new(RefCell::new(ResilienceStats::default()));
-        let ctx0 = FaultContext::new(plan.clone(), 0, f.policy, stats.clone());
-        let cell = ctx0.failover_cell();
+    let no_faults = FaultInjection::default();
+    let fault = faults.or(breaker.map(|_| &no_faults)).map(|f| {
+        let ctx0 = f.context();
         for (node, core) in cores.iter_mut().enumerate() {
             let mut ctx = ctx0.clone();
             ctx.node = node as u32;
@@ -168,8 +145,8 @@ fn run_cluster_offline_inner(
         let hooks: Vec<DispatchHooks> = cores.iter().map(|c| c.hooks()).collect();
         let backlogs: Vec<_> = cores.iter().map(|c| c.engine_backlog()).collect();
         let dispatch = config.dispatch;
-        let router_plan = plan.clone();
-        let router_stats = stats.clone();
+        let router_plan = ctx0.plan.clone();
+        let router_stats = ctx0.stats.clone();
         let router_bank = bank.clone();
         let router: FailoverFn = Rc::new(move |sim, batch, from, attempt| {
             let now = sim.now();
@@ -209,11 +186,11 @@ fn run_cluster_offline_inner(
                 }
             }
         });
-        *cell.borrow_mut() = Some(router);
-        (plan, stats, cell)
+        *ctx0.failover.borrow_mut() = Some(router);
+        ctx0
     });
 
-    if let (Some(bank), Some((plan, stats, _))) = (&bank, &fault_state) {
+    if let (Some(bank), Some(ctx)) = (&bank, &fault) {
         // Breaker-protected dispatch: the node choice happens *inside* the
         // scheduled event, so it observes every breaker transition caused
         // by completions and aborts before the request's dispatch time.
@@ -221,13 +198,9 @@ fn run_cluster_offline_inner(
         let backlogs: Vec<_> = cores.iter().map(|c| c.engine_backlog()).collect();
         for i in 0..images {
             let origin = i % config.nodes;
-            let mut at = config.dispatch_overhead * (u64::from(i) + 1);
-            let factor = plan.link_factor(at);
-            if factor > 1.0 {
-                at = SimTime::from_secs_f64(at.as_secs_f64() * factor);
-            }
+            let at = config.dispatch_overhead * (u64::from(i) + 1);
             let bank = bank.clone();
-            let stats = stats.clone();
+            let stats = ctx.stats.clone();
             let hooks = hooks.clone();
             let backlogs = backlogs.clone();
             let dispatch = config.dispatch;
@@ -274,16 +247,8 @@ fn run_cluster_offline_inner(
                 }
             };
             // The frontend serializes dispatch: the i-th request reaches its
-            // node only after i dispatch slots have elapsed. A degraded link
-            // multiplies the slot cost for requests dispatched inside the
-            // degradation window.
-            let mut at = config.dispatch_overhead * (i as u64 + 1);
-            if let Some((plan, _, _)) = &fault_state {
-                let factor = plan.link_factor(at);
-                if factor > 1.0 {
-                    at = SimTime::from_secs_f64(at.as_secs_f64() * factor);
-                }
-            }
+            // node only after i dispatch slots have elapsed.
+            let at = config.dispatch_overhead * (i as u64 + 1);
             // Global request ids keep the shared conservation set and the
             // per-request fault coins collision-free across nodes.
             cores[node].submit_as(&mut sim, at, u64::from(i));
@@ -294,8 +259,8 @@ fn run_cluster_offline_inner(
         core.flush(&mut sim);
     }
     sim.run();
-    if let (Some(bank), Some((_, stats, _))) = (&bank, &fault_state) {
-        let mut s = stats.borrow_mut();
+    if let (Some(bank), Some(ctx)) = (&bank, &fault) {
+        let mut s = ctx.stats.borrow_mut();
         s.breaker_trips = bank.total_trips();
         s.breaker_closes = bank.total_closes();
     }
@@ -310,20 +275,16 @@ fn run_cluster_offline_inner(
         .map(|c| c.metrics().borrow().last_completion.as_secs_f64())
         .fold(0.0f64, f64::max)
         .max(1e-9);
-    let resilience = match &fault_state {
-        Some((plan, stats, cell)) => {
-            // Break the router ↔ hooks ↔ context Rc cycle before returning.
-            *cell.borrow_mut() = None;
-            ResilienceSummary::from_stats(
-                &stats.borrow(),
-                u64::from(images),
-                plan,
-                config.nodes,
-                SimTime::from_secs_f64(makespan),
-            )
-        }
-        None => ResilienceSummary::healthy(),
-    };
+    if let Some(ctx) = &fault {
+        // Break the router ↔ hooks ↔ context Rc cycle before returning.
+        *ctx.failover.borrow_mut() = None;
+    }
+    let resilience = ResilienceSummary::of(
+        fault.as_ref(),
+        u64::from(images),
+        config.nodes,
+        SimTime::from_secs_f64(makespan),
+    );
     Ok(ClusterReport {
         nodes: config.nodes,
         images: images_done,
@@ -347,6 +308,8 @@ pub fn scaling_sweep(
         let report = run_cluster_offline(
             &ClusterConfig::standard(pipeline.clone(), nodes),
             images_per_node * nodes,
+            None,
+            None,
         )?;
         let base = *single.get_or_insert(report.throughput / nodes as f64 * 1.0);
         let efficiency = report.throughput / (base * nodes as f64);
@@ -380,7 +343,8 @@ mod tests {
 
     #[test]
     fn cluster_processes_everything_and_balances() {
-        let report = run_cluster_offline(&ClusterConfig::standard(pipeline(), 4), 1024).unwrap();
+        let report =
+            run_cluster_offline(&ClusterConfig::standard(pipeline(), 4), 1024, None, None).unwrap();
         assert_eq!(report.images, 1024);
         assert_eq!(report.per_node_completed, vec![256; 4]);
         assert!(report.imbalance() < 1.01);
@@ -399,13 +363,16 @@ mod tests {
 
     #[test]
     fn least_loaded_matches_round_robin_on_uniform_burst() {
-        let rr = run_cluster_offline(&ClusterConfig::standard(pipeline(), 3), 600).unwrap();
+        let rr =
+            run_cluster_offline(&ClusterConfig::standard(pipeline(), 3), 600, None, None).unwrap();
         let ll = run_cluster_offline(
             &ClusterConfig {
                 dispatch: Dispatch::LeastLoaded,
                 ..ClusterConfig::standard(pipeline(), 3)
             },
             600,
+            None,
+            None,
         )
         .unwrap();
         assert_eq!(rr.images, ll.images);
@@ -421,6 +388,8 @@ mod tests {
                 ..ClusterConfig::standard(pipeline(), 1)
             },
             512,
+            None,
+            None,
         )
         .unwrap();
         let single = run_offline(&OfflineConfig {
@@ -446,7 +415,7 @@ mod tests {
             ),
             policy: Default::default(),
         };
-        let report = run_cluster_offline_faulted(&config, 600, &faults).unwrap();
+        let report = run_cluster_offline(&config, 600, Some(&faults), None).unwrap();
         assert_eq!(report.images, 600, "every image completes exactly once");
         assert_eq!(report.resilience.lost, 0);
         assert_eq!(report.resilience.duplicated, 0);
@@ -475,7 +444,7 @@ mod tests {
             ),
             policy: Default::default(),
         };
-        let report = run_cluster_offline_faulted(&config, 600, &faults).unwrap();
+        let report = run_cluster_offline(&config, 600, Some(&faults), None).unwrap();
         assert_eq!(report.images, 600);
         assert_eq!(report.resilience.lost, 0);
         assert_eq!(report.resilience.duplicated, 0);
@@ -486,40 +455,12 @@ mod tests {
     fn faulted_cluster_with_empty_plan_matches_healthy_run() {
         use crate::resilience::FaultInjection;
         let config = ClusterConfig::standard(pipeline(), 2);
-        let healthy = run_cluster_offline(&config, 400).unwrap();
+        let healthy = run_cluster_offline(&config, 400, None, None).unwrap();
         let faulted =
-            run_cluster_offline_faulted(&config, 400, &FaultInjection::default()).unwrap();
+            run_cluster_offline(&config, 400, Some(&FaultInjection::default()), None).unwrap();
         assert_eq!(healthy.images, faulted.images);
         assert!((healthy.makespan_s - faulted.makespan_s).abs() < 1e-12);
         assert_eq!(faulted.resilience.retries, 0);
-    }
-
-    #[test]
-    fn link_degradation_slows_the_frontend() {
-        use crate::resilience::FaultInjection;
-        use harvest_simkit::FaultPlan;
-        let config = ClusterConfig {
-            dispatch_overhead: SimTime::from_millis(1),
-            ..ClusterConfig::standard(pipeline(), 2)
-        };
-        let healthy = run_cluster_offline(&config, 400).unwrap();
-        let faults = FaultInjection {
-            // The uplink runs 4× slower for the whole dispatch phase.
-            plan: FaultPlan::new(2).with_link_degradation(
-                SimTime::ZERO,
-                SimTime::from_secs(10),
-                4.0,
-            ),
-            policy: Default::default(),
-        };
-        let degraded = run_cluster_offline_faulted(&config, 400, &faults).unwrap();
-        assert_eq!(degraded.images, 400);
-        assert!(
-            degraded.makespan_s > healthy.makespan_s * 2.0,
-            "degraded {} vs healthy {}",
-            degraded.makespan_s,
-            healthy.makespan_s
-        );
     }
 
     #[test]
@@ -530,8 +471,8 @@ mod tests {
             dispatch_overhead: SimTime::from_millis(1),
             ..ClusterConfig::standard(pipeline(), nodes)
         };
-        let one = run_cluster_offline(&slow_frontend(1), 512).unwrap();
-        let four = run_cluster_offline(&slow_frontend(4), 2048).unwrap();
+        let one = run_cluster_offline(&slow_frontend(1), 512, None, None).unwrap();
+        let four = run_cluster_offline(&slow_frontend(4), 2048, None, None).unwrap();
         // Both pinned near the 1k req/s frontend limit.
         assert!(one.throughput < 1_100.0, "{}", one.throughput);
         assert!(four.throughput < 1_100.0, "{}", four.throughput);
@@ -599,7 +540,7 @@ mod tests {
             cooldown: SimTime::from_millis(50),
             ..BreakerConfig::default()
         };
-        let report = run_cluster_offline_protected(&config, 900, &faults, &breaker).unwrap();
+        let report = run_cluster_offline(&config, 900, Some(&faults), Some(&breaker)).unwrap();
         assert_eq!(report.images, 900, "every image completes exactly once");
         assert_eq!(report.resilience.lost, 0);
         assert_eq!(report.resilience.duplicated, 0);
@@ -619,14 +560,11 @@ mod tests {
         // Breakers that never trip must not perturb the simulation.
         use crate::resilience::FaultInjection;
         let config = ClusterConfig::standard(pipeline(), 2);
-        let plain = run_cluster_offline_faulted(&config, 400, &FaultInjection::default()).unwrap();
-        let protected = run_cluster_offline_protected(
-            &config,
-            400,
-            &FaultInjection::default(),
-            &BreakerConfig::default(),
-        )
-        .unwrap();
+        let empty = FaultInjection::default();
+        let plain = run_cluster_offline(&config, 400, Some(&empty), None).unwrap();
+        let protected =
+            run_cluster_offline(&config, 400, Some(&empty), Some(&BreakerConfig::default()))
+                .unwrap();
         assert_eq!(plain.images, protected.images);
         assert!((plain.makespan_s - protected.makespan_s).abs() < 1e-12);
         assert_eq!(protected.resilience.breaker_trips, 0);
@@ -650,7 +588,7 @@ mod tests {
             policy: Default::default(),
         };
         let report =
-            run_cluster_offline_protected(&config, 600, &faults, &BreakerConfig::default())
+            run_cluster_offline(&config, 600, Some(&faults), Some(&BreakerConfig::default()))
                 .unwrap();
         assert_eq!(report.images, 600);
         assert_eq!(report.resilience.lost, 0);

@@ -10,10 +10,15 @@
 //!   stage (GPU DALI-style or CPU pool) → dynamic batcher → engine
 //!   instance(s), with preprocessing/inference overlap falling out of the
 //!   queueing structure.
-//! * [`scenario`] — the three §2.2 deployment scenarios: **online**
-//!   (Poisson arrivals, latency percentiles), **offline** (a field's worth
-//!   of images enqueued at once, makespan → throughput), and **real-time**
-//!   (a closed-loop 60 fps camera with deadline-miss accounting).
+//! * [`scenario`] — the three §2.2 deployment scenarios, one entry point
+//!   each: **online** (Poisson arrivals, latency percentiles), **offline**
+//!   (a field's worth of images enqueued at once, makespan → throughput),
+//!   and **real-time** (a closed-loop 60 fps camera with deadline-miss
+//!   accounting). The fault layer is an argument
+//!   (`faults: Option<&FaultInjection>`), and so are the protection layers:
+//!   admission control ([`run_online_protected`]) and circuit breakers
+//!   ([`run_cluster_offline`]'s `breaker`). A protection layer always runs
+//!   under a fault context, an empty plan if none was given.
 //! * [`resilience`] — the reaction layer for injected faults
 //!   ([`harvest_simkit::fault`]): timeout-detected retries with bounded
 //!   exponential backoff, cross-node failover, skip-frame degradation, and
@@ -55,10 +60,7 @@ pub mod server;
 
 pub use batcher::{BatcherConfig, BatcherConfigError, DynamicBatcher, ShedPolicy};
 pub use breaker::{BreakerBank, BreakerConfig, BreakerState, CircuitBreaker};
-pub use cluster::{
-    run_cluster_offline, run_cluster_offline_faulted, run_cluster_offline_protected, ClusterConfig,
-    ClusterReport, Dispatch,
-};
+pub use cluster::{run_cluster_offline, ClusterConfig, ClusterReport, Dispatch};
 pub use fleet::{
     run_fleet, FleetConfig, FleetReport, RegionShard, ShardReport, ShardStats, TierSpec,
 };
@@ -68,11 +70,11 @@ pub use integrity::{
 };
 pub use limits::{LimitsError, ServingLimits};
 pub use multimodel::{HostedModel, LadderConfig, LadderSummary, MultiModelServer};
-pub use overload::{run_online_protected, run_online_protected_faulted, OverloadReport};
+pub use overload::{run_online_protected, OverloadReport};
 pub use realexec::{Completion, RealBatchServer, ServeFault, Submission};
 pub use resilience::{FaultInjection, ResilienceStats, ResilienceSummary, RetryPolicy};
 pub use scenario::{
-    run_offline, run_online, run_online_faulted, run_realtime, run_realtime_degraded,
-    OfflineConfig, OfflineReport, OnlineConfig, OnlineReport, RealTimeConfig, RealTimeReport,
+    run_offline, run_online, run_realtime, OfflineConfig, OfflineReport, OnlineConfig,
+    OnlineReport, RealTimeConfig, RealTimeReport,
 };
-pub use server::{AdmissionConfig, PipelineConfig, PipelineCore, PipelineSim};
+pub use server::{AdmissionConfig, PipelineConfig, PipelineCore};

@@ -374,16 +374,6 @@ impl MultiModelServer {
         *self.lanes[lane].completed.borrow()
     }
 
-    /// Latency percentile (ms) on a lane.
-    pub fn latency_percentile(&self, lane: usize, p: f64) -> f64 {
-        self.lanes[lane].latencies.borrow_mut().percentile(p)
-    }
-
-    /// Makespan so far, seconds.
-    pub fn now_s(&self) -> f64 {
-        self.sim.now().as_secs_f64()
-    }
-
     /// Preprocessing passes actually executed (reuse diagnostic).
     pub fn preproc_passes(&self) -> u64 {
         self.preproc_server.completed()
@@ -406,13 +396,14 @@ impl LaneHooks {
         let maybe = self
             .batcher
             .borrow_mut()
-            .push_with_arrival(id, now, arrival);
+            .offer(id, now, arrival, None)
+            .batch;
         if let Some(batch) = maybe {
             self.dispatch(sim, batch);
         } else if let Some(deadline) = self.batcher.borrow().next_deadline() {
             let hooks = self.clone();
             sim.schedule_at(deadline.max(sim.now()), move |sim| {
-                let maybe = hooks.batcher.borrow_mut().poll_deadline(sim.now());
+                let maybe = hooks.batcher.borrow_mut().poll(sim.now()).batch;
                 if let Some(batch) = maybe {
                     hooks.dispatch(sim, batch);
                 }
@@ -450,6 +441,18 @@ impl LaneHooks {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MultiModelServer {
+        /// Latency percentile (ms) on a lane.
+        fn latency_percentile(&self, lane: usize, p: f64) -> f64 {
+            self.lanes[lane].latencies.borrow_mut().percentile(p)
+        }
+
+        /// Makespan so far, seconds.
+        fn now_s(&self) -> f64 {
+            self.sim.now().as_secs_f64()
+        }
+    }
 
     fn hosted(model: ModelId, batch: u32) -> HostedModel {
         HostedModel {

@@ -10,6 +10,11 @@
 //! work; the payoff is *goodput*: completions that actually made their
 //! deadline, per second, stays at the saturation plateau and p99 stays
 //! bounded.
+//!
+//! [`run_online_protected`] is [`crate::scenario::run_online`]'s driver with
+//! the admission layer on; it takes the fault layer the same way, as
+//! `faults: Option<&FaultInjection>`, and runs under an empty plan without
+//! one, since shed and rejected requests are counted in the fault context.
 
 use crate::resilience::{FaultInjection, ResilienceSummary};
 use crate::scenario::{drive_online, OnlineConfig, OnlineReport};
@@ -61,23 +66,16 @@ impl OverloadReport {
     }
 }
 
-/// Run the online scenario with overload protection enabled.
+/// Run the online scenario with overload protection enabled. Under
+/// `faults`, admission control and the retry machinery compose and the
+/// conservation invariant must still hold; without, the admission layer's
+/// accounting runs under an empty plan.
 pub fn run_online_protected(
     config: &OnlineConfig,
     admission: &AdmissionConfig,
+    faults: Option<&FaultInjection>,
 ) -> Result<OverloadReport, EngineError> {
-    drive_online(config, Some(admission), None).map(protected_report)
-}
-
-/// Run the protected online scenario under an active fault plan as well:
-/// admission control and the retry/failover machinery compose, and the
-/// conservation invariant must still hold.
-pub fn run_online_protected_faulted(
-    config: &OnlineConfig,
-    admission: &AdmissionConfig,
-    faults: &FaultInjection,
-) -> Result<OverloadReport, EngineError> {
-    drive_online(config, Some(admission), Some(faults)).map(protected_report)
+    drive_online(config, Some(admission), faults).map(protected_report)
 }
 
 fn protected_report(
@@ -162,7 +160,7 @@ mod tests {
             requests: 800,
             seed: 7,
         };
-        let report = run_online_protected(&config, &deadline_aware_admission(5)).unwrap();
+        let report = run_online_protected(&config, &deadline_aware_admission(5), None).unwrap();
         assert!(
             report.conserved(),
             "completed {} + shed {} + rejected {} != submitted {}",
@@ -183,8 +181,8 @@ mod tests {
             requests: 1200,
             seed: 11,
         };
-        let baseline = run_online(&config).unwrap();
-        let protected = run_online_protected(&config, &deadline_aware_admission(5)).unwrap();
+        let baseline = run_online(&config, None).unwrap();
+        let protected = run_online_protected(&config, &deadline_aware_admission(5), None).unwrap();
         assert!(
             protected.p99_ms < baseline.p99_ms / 4.0,
             "protected p99 {} should be far below baseline {}",
@@ -204,14 +202,14 @@ mod tests {
             requests: 400,
             seed: 3,
         };
-        let plain = run_online(&config).unwrap();
+        let plain = run_online(&config, None).unwrap();
         let admission = AdmissionConfig {
             max_in_flight: 0,
             max_queue: 0,
             shed: ShedPolicy::RejectNew,
             deadline: SimTime::from_secs(3600),
         };
-        let protected = run_online_protected(&config, &admission).unwrap();
+        let protected = run_online_protected(&config, &admission, None).unwrap();
         assert_eq!(plain.completed, protected.completed);
         assert_eq!(plain.p99_ms, protected.p99_ms);
         assert_eq!(protected.shed + protected.rejected, 0);
@@ -233,7 +231,7 @@ mod tests {
             policy: Default::default(),
         };
         let report =
-            run_online_protected_faulted(&config, &deadline_aware_admission(5), &faults).unwrap();
+            run_online_protected(&config, &deadline_aware_admission(5), Some(&faults)).unwrap();
         assert!(report.conserved(), "faults must not break conservation");
         assert!(report.resilience.retries > 0);
     }
@@ -252,7 +250,7 @@ mod tests {
             shed: ShedPolicy::RejectNew,
             deadline: SimTime::from_micros(16_700),
         };
-        let report = run_online_protected(&config, &admission).unwrap();
+        let report = run_online_protected(&config, &admission, None).unwrap();
         assert!(report.rejected > 0, "4x load against a 16-deep frontend");
         assert!(report.conserved());
     }

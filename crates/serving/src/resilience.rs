@@ -62,14 +62,23 @@ impl RetryPolicy {
     }
 }
 
-/// A fault plan plus the policy for reacting to it — the knob bundle the
-/// faulted scenario entry points take.
+/// A fault plan plus the policy for reacting to it — the fault layer a
+/// scenario entry point takes as `Option<&FaultInjection>`.
 #[derive(Clone, Debug, Default)]
 pub struct FaultInjection {
     /// What goes wrong, and when.
     pub plan: FaultPlan,
     /// How the pipeline reacts.
     pub policy: RetryPolicy,
+}
+
+impl FaultInjection {
+    /// A run's fault context: node 0's view of a shared copy of the plan,
+    /// with fresh stats. Cluster drivers clone it once per node.
+    pub(crate) fn context(&self) -> FaultContext {
+        let stats = Rc::new(RefCell::new(ResilienceStats::default()));
+        FaultContext::new(Rc::new(self.plan.clone()), 0, self.policy, stats)
+    }
 }
 
 /// Mutable counters shared by every fault-aware event handler in a run.
@@ -85,8 +94,6 @@ pub struct ResilienceStats {
     pub failovers: u64,
     /// Batches aborted by an engine-crash window.
     pub crash_aborts: u64,
-    /// Requests preprocessed under an active stall window.
-    pub stalled: u64,
     /// Real-time frames skipped at the frontend because the engine was
     /// known-down on arrival (graceful degradation).
     pub skipped: u64,
@@ -136,8 +143,6 @@ pub struct ResilienceSummary {
     pub failovers: u64,
     /// Batches aborted by engine crashes.
     pub crash_aborts: u64,
-    /// Requests preprocessed under a stall window.
-    pub stalled: u64,
     /// Frames skipped at the frontend (real-time degradation).
     pub skipped: u64,
     /// Requests deliberately dropped by admission control after admission.
@@ -169,7 +174,6 @@ impl ResilienceSummary {
             transient_errors: 0,
             failovers: 0,
             crash_aborts: 0,
-            stalled: 0,
             skipped: 0,
             shed: 0,
             rejected: 0,
@@ -179,6 +183,20 @@ impl ResilienceSummary {
             lost: 0,
             duplicated: 0,
             availability: 1.0,
+        }
+    }
+
+    /// Summarize a run: from its fault context's stats and plan when it had
+    /// one, [`ResilienceSummary::healthy`] otherwise.
+    pub(crate) fn of(
+        fault: Option<&FaultContext>,
+        accepted: u64,
+        nodes: u32,
+        until: SimTime,
+    ) -> Self {
+        match fault {
+            Some(ctx) => Self::from_stats(&ctx.stats.borrow(), accepted, &ctx.plan, nodes, until),
+            None => Self::healthy(),
         }
     }
 
@@ -207,7 +225,6 @@ impl ResilienceSummary {
             transient_errors: stats.transient_errors,
             failovers: stats.failovers,
             crash_aborts: stats.crash_aborts,
-            stalled: stats.stalled,
             skipped: stats.skipped,
             shed: stats.shed,
             rejected: stats.rejected,
@@ -259,22 +276,6 @@ impl FaultContext {
     /// crash aborts on this context's node feed its breaker.
     pub fn set_breakers(&mut self, bank: Rc<BreakerBank>) {
         self.breakers = Some(bank);
-    }
-
-    /// The shared stats handle.
-    pub fn stats(&self) -> Rc<RefCell<ResilienceStats>> {
-        self.stats.clone()
-    }
-
-    /// The fault plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Install the cluster failover router (shared cell, so contexts built
-    /// before the router exists pick it up).
-    pub(crate) fn failover_cell(&self) -> Rc<RefCell<Option<FailoverFn>>> {
-        self.failover.clone()
     }
 }
 

@@ -1,11 +1,18 @@
-//! The three deployment scenarios of §2.2, driven over [`PipelineSim`].
+//! The three deployment scenarios of §2.2, one public driver each, every
+//! one a [`Sim`] plus a [`PipelineCore`]: [`run_online`], [`run_offline`]
+//! and [`run_realtime`] (with [`crate::overload::run_online_protected`] the
+//! online driver behind admission control, and
+//! [`crate::cluster::run_cluster_offline`] the offline one over several
+//! nodes). The fault layer is an argument, `faults: Option<&FaultInjection>`:
+//! `None` runs the healthy pipeline and reports
+//! [`ResilienceSummary::healthy`], `Some` installs the plan's fault context
+//! and reports its retry, timeout and conservation counters. An empty plan
+//! gives the same report as `None`.
 
-use crate::resilience::{FaultContext, FaultInjection, ResilienceStats, ResilienceSummary};
-use crate::server::{AdmissionConfig, PipelineConfig, PipelineSim};
+use crate::resilience::{FaultContext, FaultInjection, ResilienceSummary};
+use crate::server::{AdmissionConfig, PipelineConfig, PipelineCore};
 use harvest_engine::EngineError;
-use harvest_simkit::{SimRng, SimTime};
-use std::cell::RefCell;
-use std::rc::Rc;
+use harvest_simkit::{Sim, SimRng, SimTime};
 
 /// Online (streaming) scenario configuration.
 #[derive(Clone, Debug)]
@@ -41,65 +48,66 @@ pub struct OnlineReport {
     pub resilience: ResilienceSummary,
 }
 
-/// Run the online scenario.
-pub fn run_online(config: &OnlineConfig) -> Result<OnlineReport, EngineError> {
-    drive_online(config, None, None).map(|(report, ..)| report)
+/// Run the online scenario: Poisson arrivals, latency percentiles. Under
+/// `faults`, transient errors and engine crashes trigger timeout-detected
+/// retries with exponential backoff, and the report's `resilience` block
+/// carries the retry/timeout/conservation accounting.
+pub fn run_online(
+    config: &OnlineConfig,
+    faults: Option<&FaultInjection>,
+) -> Result<OnlineReport, EngineError> {
+    drive_online(config, None, faults).map(|(report, ..)| report)
 }
 
-/// Run the online scenario under an active fault plan: transient errors
-/// and engine crashes trigger timeout-detected retries with exponential
-/// backoff, preprocessing stalls slow the preproc stage, and the report's
-/// `resilience` block carries the retry/timeout/conservation accounting.
-pub fn run_online_faulted(
-    config: &OnlineConfig,
-    faults: &FaultInjection,
-) -> Result<OnlineReport, EngineError> {
-    drive_online(config, None, Some(faults)).map(|(report, ..)| report)
+/// One node's pipeline with `faults` wired in; the fault context comes back
+/// for the run's [`ResilienceSummary::of`].
+fn single_node(
+    config: &PipelineConfig,
+    faults: Option<&FaultInjection>,
+) -> Result<(PipelineCore, Option<FaultContext>), EngineError> {
+    let mut core = PipelineCore::new(config)?;
+    let fault = faults.map(FaultInjection::context);
+    if let Some(ctx) = &fault {
+        core.set_fault_context(ctx.clone());
+    }
+    Ok((core, fault))
 }
 
 /// One online run as a `(report, submitted, makespan_s, deadline_misses)`
-/// tuple, the last three read by the protected pair in [`crate::overload`]
-/// (misses are 0 without admission). The one body behind all four
-/// `run_online*`: build the pipeline, install the fault context and
-/// admission control asked for, offer Poisson arrivals, run to completion
-/// and read the metrics. Admission always brings a fault context: its shared
-/// stats are where shed/rejected accounting lives, fault plan or not.
+/// tuple, the last three read by [`crate::overload::run_online_protected`]
+/// (misses are 0 without admission). The one body behind both online entry
+/// points: build the pipeline, install the fault context and admission
+/// control asked for, offer Poisson arrivals, run to completion and read
+/// the metrics. A protection layer always brings a fault context: its
+/// shared stats are where shed/rejected accounting lives, so admission
+/// without `faults` runs under an empty plan.
 pub(crate) fn drive_online(
     config: &OnlineConfig,
     admission: Option<&AdmissionConfig>,
     faults: Option<&FaultInjection>,
 ) -> Result<(OnlineReport, u64, f64, u64), EngineError> {
-    let mut pipeline = PipelineSim::new(&config.pipeline)?;
     let no_faults = FaultInjection::default();
-    let fault_state = faults.or(admission.map(|_| &no_faults)).map(|f| {
-        let plan = Rc::new(f.plan.clone());
-        let stats = Rc::new(RefCell::new(ResilienceStats::default()));
-        pipeline.set_fault_context(FaultContext::new(plan.clone(), 0, f.policy, stats.clone()));
-        (plan, stats)
-    });
+    let faults = faults.or(admission.map(|_| &no_faults));
+    let mut sim = Sim::new();
+    let (mut core, fault) = single_node(&config.pipeline, faults)?;
     if let Some(admission) = admission {
-        pipeline.set_admission(admission)?;
+        core.set_admission(admission)?;
     }
     let mut rng = SimRng::new(config.seed);
     let mut t = 0.0f64;
     for _ in 0..config.requests {
         t += rng.exponential(config.arrival_rate);
-        pipeline.submit(SimTime::from_secs_f64(t));
+        core.submit(&mut sim, SimTime::from_secs_f64(t));
     }
-    pipeline.run_to_completion();
-    let submitted = pipeline.submitted();
-    let metrics = pipeline.metrics();
+    core.run_to_completion(&mut sim);
+    let submitted = core.submitted();
+    let metrics = core.metrics();
     let mut m = metrics.borrow_mut();
     let makespan = m.last_completion.as_secs_f64().max(1e-9);
     let misses = admission.map_or(0, |a| {
         m.latencies_ms.count_above(a.deadline.as_millis_f64()) as u64
     });
-    let resilience = match &fault_state {
-        Some((plan, stats)) => {
-            ResilienceSummary::from_stats(&stats.borrow(), submitted, plan, 1, m.last_completion)
-        }
-        None => ResilienceSummary::healthy(),
-    };
+    let resilience = ResilienceSummary::of(fault.as_ref(), submitted, 1, m.last_completion);
     let report = OnlineReport {
         completed: m.completed,
         throughput: m.completed as f64 / makespan,
@@ -107,7 +115,7 @@ pub(crate) fn drive_online(
         p50_ms: m.latencies_ms.percentile(50.0),
         p95_ms: m.latencies_ms.percentile(95.0),
         p99_ms: m.latencies_ms.percentile(99.0),
-        mean_batch: pipeline.mean_batch(),
+        mean_batch: core.mean_batch(),
         resilience,
     };
     Ok((report, submitted, makespan, misses))
@@ -138,21 +146,23 @@ pub struct OfflineReport {
     pub resilience: ResilienceSummary,
 }
 
-/// Run the offline scenario.
+/// Run the offline scenario: every image arrives at t = 0, and the makespan
+/// gives the throughput.
 pub fn run_offline(config: &OfflineConfig) -> Result<OfflineReport, EngineError> {
-    let mut pipeline = PipelineSim::new(&config.pipeline)?;
+    let mut sim = Sim::new();
+    let mut core = PipelineCore::new(&config.pipeline)?;
     for _ in 0..config.images {
-        pipeline.submit(SimTime::ZERO);
+        core.submit(&mut sim, SimTime::ZERO);
     }
-    pipeline.run_to_completion();
-    let metrics = pipeline.metrics();
+    core.run_to_completion(&mut sim);
+    let metrics = core.metrics();
     let m = metrics.borrow();
     let makespan = m.last_completion.as_secs_f64().max(1e-9);
     Ok(OfflineReport {
         images: m.completed,
         makespan_s: makespan,
         throughput: m.completed as f64 / makespan,
-        mean_batch: pipeline.mean_batch(),
+        mean_batch: core.mean_batch(),
         resilience: ResilienceSummary::healthy(),
     })
 }
@@ -193,51 +203,33 @@ pub struct RealTimeReport {
     pub resilience: ResilienceSummary,
 }
 
-/// Run the real-time scenario.
-pub fn run_realtime(config: &RealTimeConfig) -> Result<RealTimeReport, EngineError> {
-    run_realtime_inner(config, None)
-}
-
-/// Run the real-time scenario under an active fault plan with graceful
-/// degradation: frames arriving while the engine is crashed are skipped at
-/// the frontend (counted in `resilience.skipped`, not submitted), stalled
-/// preprocessing slows survivors (driving deadline misses up), and crashed
-/// in-flight frames are retried so none are lost.
-pub fn run_realtime_degraded(
-    config: &RealTimeConfig,
-    faults: &FaultInjection,
-) -> Result<RealTimeReport, EngineError> {
-    run_realtime_inner(config, Some(faults))
-}
-
-fn run_realtime_inner(
+/// Run the real-time scenario: a closed-loop camera with deadline-miss
+/// accounting. Under `faults` it degrades gracefully: frames arriving while
+/// the engine is crashed are skipped at the frontend (counted in
+/// `resilience.skipped`, not submitted), and crashed in-flight frames are
+/// retried so none are lost.
+pub fn run_realtime(
     config: &RealTimeConfig,
     faults: Option<&FaultInjection>,
 ) -> Result<RealTimeReport, EngineError> {
-    let mut pipeline = PipelineSim::new(&config.pipeline)?;
-    let fault_state = faults.map(|f| {
-        let plan = Rc::new(f.plan.clone());
-        let stats = Rc::new(RefCell::new(ResilienceStats::default()));
-        pipeline.set_fault_context(FaultContext::new(plan.clone(), 0, f.policy, stats.clone()));
-        (plan, stats)
-    });
+    let mut sim = Sim::new();
+    let (mut core, fault) = single_node(&config.pipeline, faults)?;
     let period = 1.0 / config.fps;
     let mut dropped = 0u64;
     // Closed-loop backpressure: the camera drops frames when too many are
     // still in flight. The pipeline is deterministic, so completion times
     // are tracked with a serialized-service estimate (arrival or previous
     // completion, whichever is later, plus the batch-1 service time).
-    let service_s =
-        pipeline.preproc_s() + pipeline.engine().batch_latency_s(1).expect("batch 1 fits");
+    let service_s = core.preproc_s() + core.engine().batch_latency_s(1).expect("batch 1 fits");
     let mut est_completions: Vec<f64> = Vec::new();
     for i in 0..config.frames {
         let at = i as f64 * period;
         // Graceful degradation: a frame offered while the engine is down
         // is shed immediately instead of queueing up a retry storm — stale
         // frames are worthless to a closed-loop actuator anyway.
-        if let Some((plan, stats)) = &fault_state {
-            if plan.engine_down(0, SimTime::from_secs_f64(at)) {
-                stats.borrow_mut().skipped += 1;
+        if let Some(ctx) = &fault {
+            if ctx.plan.engine_down(0, SimTime::from_secs_f64(at)) {
+                ctx.stats.borrow_mut().skipped += 1;
                 continue;
             }
         }
@@ -248,20 +240,15 @@ fn run_realtime_inner(
         }
         let start = est_completions.last().copied().unwrap_or(0.0).max(at);
         est_completions.push(start + service_s);
-        pipeline.submit(SimTime::from_secs_f64(at));
+        core.submit(&mut sim, SimTime::from_secs_f64(at));
     }
-    pipeline.run_to_completion();
-    let submitted = pipeline.submitted();
-    let metrics = pipeline.metrics();
+    core.run_to_completion(&mut sim);
+    let submitted = core.submitted();
+    let metrics = core.metrics();
     let mut m = metrics.borrow_mut();
     let misses = m.latencies_ms.count_above(config.deadline_ms) as u64;
     let makespan = m.last_completion.as_secs_f64().max(1e-9);
-    let resilience = match &fault_state {
-        Some((plan, stats)) => {
-            ResilienceSummary::from_stats(&stats.borrow(), submitted, plan, 1, m.last_completion)
-        }
-        None => ResilienceSummary::healthy(),
-    };
+    let resilience = ResilienceSummary::of(fault.as_ref(), submitted, 1, m.last_completion);
     Ok(RealTimeReport {
         frames: config.frames,
         processed: m.completed,
@@ -298,12 +285,15 @@ mod tests {
 
     #[test]
     fn online_low_load_has_low_latency() {
-        let report = run_online(&OnlineConfig {
-            pipeline: base_pipeline(PlatformId::MriA100, ModelId::VitTiny, 32),
-            arrival_rate: 100.0,
-            requests: 500,
-            seed: 1,
-        })
+        let report = run_online(
+            &OnlineConfig {
+                pipeline: base_pipeline(PlatformId::MriA100, ModelId::VitTiny, 32),
+                arrival_rate: 100.0,
+                requests: 500,
+                seed: 1,
+            },
+            None,
+        )
         .unwrap();
         assert_eq!(report.completed, 500);
         // Light load: latency ≈ preproc + queue delay + small batch compute.
@@ -313,12 +303,15 @@ mod tests {
 
     #[test]
     fn online_throughput_tracks_offered_load_when_underutilized() {
-        let report = run_online(&OnlineConfig {
-            pipeline: base_pipeline(PlatformId::MriA100, ModelId::VitTiny, 32),
-            arrival_rate: 200.0,
-            requests: 1000,
-            seed: 2,
-        })
+        let report = run_online(
+            &OnlineConfig {
+                pipeline: base_pipeline(PlatformId::MriA100, ModelId::VitTiny, 32),
+                arrival_rate: 200.0,
+                requests: 1000,
+                seed: 2,
+            },
+            None,
+        )
         .unwrap();
         assert!(
             (report.throughput - 200.0).abs() < 30.0,
@@ -329,19 +322,25 @@ mod tests {
 
     #[test]
     fn online_higher_load_forms_bigger_batches() {
-        let lo = run_online(&OnlineConfig {
-            pipeline: base_pipeline(PlatformId::MriA100, ModelId::VitSmall, 64),
-            arrival_rate: 50.0,
-            requests: 400,
-            seed: 3,
-        })
+        let lo = run_online(
+            &OnlineConfig {
+                pipeline: base_pipeline(PlatformId::MriA100, ModelId::VitSmall, 64),
+                arrival_rate: 50.0,
+                requests: 400,
+                seed: 3,
+            },
+            None,
+        )
         .unwrap();
-        let hi = run_online(&OnlineConfig {
-            pipeline: base_pipeline(PlatformId::MriA100, ModelId::VitSmall, 64),
-            arrival_rate: 5000.0,
-            requests: 400,
-            seed: 3,
-        })
+        let hi = run_online(
+            &OnlineConfig {
+                pipeline: base_pipeline(PlatformId::MriA100, ModelId::VitSmall, 64),
+                arrival_rate: 5000.0,
+                requests: 400,
+                seed: 3,
+            },
+            None,
+        )
         .unwrap();
         assert!(
             hi.mean_batch > lo.mean_batch,
@@ -405,13 +404,16 @@ mod tests {
     fn realtime_jetson_vit_tiny_keeps_up_at_30fps() {
         let mut pipeline = base_pipeline(PlatformId::JetsonOrinNano, ModelId::VitTiny, 4);
         pipeline.max_queue_delay = SimTime::from_millis(1);
-        let report = run_realtime(&RealTimeConfig {
-            pipeline,
-            fps: 30.0,
-            frames: 300,
-            deadline_ms: 33.3,
-            max_in_flight: 8,
-        })
+        let report = run_realtime(
+            &RealTimeConfig {
+                pipeline,
+                fps: 30.0,
+                frames: 300,
+                deadline_ms: 33.3,
+                max_in_flight: 8,
+            },
+            None,
+        )
         .unwrap();
         assert!(report.dropped < 30, "dropped {}", report.dropped);
         assert!(report.sustained_fps > 25.0, "fps {}", report.sustained_fps);
@@ -434,7 +436,7 @@ mod tests {
             ),
             policy: Default::default(),
         };
-        let report = run_online_faulted(&config, &faults).unwrap();
+        let report = run_online(&config, Some(&faults)).unwrap();
         assert_eq!(report.completed, 600);
         assert_eq!(report.resilience.lost, 0);
         assert_eq!(report.resilience.duplicated, 0);
@@ -458,7 +460,7 @@ mod tests {
             plan: FaultPlan::new(3).with_transient_errors(0.2),
             policy: Default::default(),
         };
-        let report = run_online_faulted(&config, &faults).unwrap();
+        let report = run_online(&config, Some(&faults)).unwrap();
         assert_eq!(report.completed, 400);
         assert_eq!(report.resilience.lost, 0);
         assert_eq!(report.resilience.duplicated, 0);
@@ -475,21 +477,74 @@ mod tests {
 
     #[test]
     fn healthy_faulted_run_matches_plain_run() {
-        let config = OnlineConfig {
+        use crate::batcher::ShedPolicy;
+        use crate::breaker::BreakerConfig;
+        use crate::cluster::{run_cluster_offline, ClusterConfig, Dispatch};
+        use crate::overload::run_online_protected;
+        // Every entry point, fault layer absent vs present with an empty
+        // plan: the whole report must be the same, down to its `{:?}`.
+        let empty = FaultInjection::default();
+        let online = OnlineConfig {
             pipeline: base_pipeline(PlatformId::MriA100, ModelId::VitSmall, 16),
             arrival_rate: 120.0,
             requests: 300,
             seed: 8,
         };
-        let plain = run_online(&config).unwrap();
-        let faulted = run_online_faulted(&config, &FaultInjection::default()).unwrap();
-        assert_eq!(plain.completed, faulted.completed);
-        assert_eq!(
-            plain.p99_ms, faulted.p99_ms,
-            "empty plan must not perturb timing"
-        );
-        assert_eq!(faulted.resilience.retries, 0);
-        assert_eq!(faulted.resilience.lost, 0);
+        let admission = AdmissionConfig {
+            max_in_flight: 32,
+            max_queue: 16,
+            shed: ShedPolicy::DeadlineAware {
+                service_estimate: SimTime::from_millis(5),
+            },
+            deadline: SimTime::from_micros(16_700),
+        };
+        let mut realtime = base_pipeline(PlatformId::JetsonOrinNano, ModelId::VitTiny, 4);
+        realtime.max_queue_delay = SimTime::from_millis(1);
+        let realtime = RealTimeConfig {
+            pipeline: realtime,
+            fps: 30.0,
+            frames: 300,
+            deadline_ms: 33.3,
+            max_in_flight: 8,
+        };
+        let run = |faults: Option<&FaultInjection>| {
+            vec![
+                format!("{:?}", run_online(&online, faults).unwrap()),
+                format!(
+                    "{:?}",
+                    run_online_protected(&online, &admission, faults).unwrap()
+                ),
+                format!("{:?}", run_realtime(&realtime, faults).unwrap()),
+            ]
+        };
+        let (plain, faulted) = (run(None), run(Some(&empty)));
+        for (row, (p, f)) in plain.iter().zip(&faulted).enumerate() {
+            assert_eq!(p, f, "entry point {row}: an empty plan moved the report");
+        }
+        let breaker = BreakerConfig::default();
+        for dispatch in [Dispatch::RoundRobin, Dispatch::LeastLoaded] {
+            let cluster = ClusterConfig {
+                dispatch,
+                ..ClusterConfig::standard(
+                    base_pipeline(PlatformId::MriA100, ModelId::ResNet50, 32),
+                    3,
+                )
+            };
+            let run = |faults, breaker| {
+                format!(
+                    "{:?}",
+                    run_cluster_offline(&cluster, 300, faults, breaker).unwrap()
+                )
+            };
+            assert_eq!(run(None, None), run(Some(&empty), None), "{dispatch:?}");
+            // A breaker always brings a fault context, an empty plan if none
+            // was given.
+            assert_eq!(
+                run(None, Some(&breaker)),
+                run(Some(&empty), Some(&breaker)),
+                "{dispatch:?} with breakers"
+            );
+        }
     }
 
     #[test]
@@ -512,7 +567,7 @@ mod tests {
             ),
             policy: Default::default(),
         };
-        let report = run_realtime_degraded(&config, &faults).unwrap();
+        let report = run_realtime(&config, Some(&faults)).unwrap();
         // One second of a 30 fps camera falls inside the outage.
         assert_eq!(report.resilience.skipped, 30);
         assert_eq!(report.resilience.lost, 0);
@@ -524,52 +579,22 @@ mod tests {
     }
 
     #[test]
-    fn realtime_degraded_stall_drives_deadline_misses() {
-        use harvest_simkit::FaultPlan;
-        let mut pipeline = base_pipeline(PlatformId::JetsonOrinNano, ModelId::VitTiny, 4);
-        pipeline.max_queue_delay = SimTime::from_millis(1);
-        let config = RealTimeConfig {
-            pipeline,
-            fps: 30.0,
-            frames: 300,
-            deadline_ms: 33.3,
-            max_in_flight: 64,
-        };
-        let healthy = run_realtime(&config).unwrap();
-        let faults = FaultInjection {
-            // A 40× preproc stall for 2 s mid-run.
-            plan: FaultPlan::new(4).with_preproc_stall(
-                0,
-                SimTime::from_secs(4),
-                SimTime::from_secs(6),
-                40.0,
-            ),
-            policy: Default::default(),
-        };
-        let degraded = run_realtime_degraded(&config, &faults).unwrap();
-        assert!(degraded.resilience.stalled > 0);
-        assert!(
-            degraded.deadline_misses > healthy.deadline_misses,
-            "stall must cost deadlines: {} vs {}",
-            degraded.deadline_misses,
-            healthy.deadline_misses
-        );
-    }
-
-    #[test]
     fn realtime_overload_drops_frames() {
         // ViT-Base batch-1 on the Jetson takes ~14 ms end to end: a 120 fps
         // camera (8.3 ms period) overruns it, so backpressure must drop
         // frames and survivors must miss an 8.3 ms deadline.
         let mut pipeline = base_pipeline(PlatformId::JetsonOrinNano, ModelId::VitBase, 2);
         pipeline.max_queue_delay = SimTime::from_millis(1);
-        let report = run_realtime(&RealTimeConfig {
-            pipeline,
-            fps: 120.0,
-            frames: 300,
-            deadline_ms: 8.3,
-            max_in_flight: 2,
-        })
+        let report = run_realtime(
+            &RealTimeConfig {
+                pipeline,
+                fps: 120.0,
+                frames: 300,
+                deadline_ms: 8.3,
+                max_in_flight: 2,
+            },
+            None,
+        )
         .unwrap();
         assert!(report.dropped > 50, "dropped {}", report.dropped);
         assert!(

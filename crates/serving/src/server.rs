@@ -160,10 +160,10 @@ impl PipelineCore {
         Ok(())
     }
 
-    /// Enable fault-aware operation: preprocessing stalls slow the preproc
-    /// stage, transient errors and engine crashes trigger timeout-detected
-    /// retries with exponential backoff, and completions are conservation-
-    /// checked through the context's shared [`ResilienceStats`].
+    /// Enable fault-aware operation: transient errors and engine crashes
+    /// trigger timeout-detected retries with exponential backoff, and
+    /// completions are conservation-checked through the context's shared
+    /// [`ResilienceStats`].
     ///
     /// [`ResilienceStats`]: crate::resilience::ResilienceStats
     pub fn set_fault_context(&mut self, ctx: FaultContext) {
@@ -232,39 +232,8 @@ impl PipelineCore {
     /// namespace across nodes.
     pub fn submit_as(&mut self, sim: &mut Sim, at: SimTime, id: u64) {
         self.submitted += 1;
-        let preproc_server = self.preproc_server.clone();
-        // Preprocessing stalls (thermal throttling) multiply the service
-        // time; the factor is sampled at arrival, which keeps it a pure
-        // function of the fault plan.
-        let mut service_s = self.preproc_s;
-        if let Some(ctx) = &self.fault {
-            let slowdown = ctx.plan.preproc_slowdown(ctx.node, at);
-            if slowdown > 1.0 {
-                ctx.stats.borrow_mut().stalled += 1;
-                service_s *= slowdown;
-            }
-        }
-        let service = SimTime::from_secs_f64(service_s);
         let hooks = self.hooks();
-        let admission = self.admission.clone();
-        sim.schedule_at(at, move |sim| {
-            // Frontend admission gate: when the in-flight bound is hit the
-            // request is turned away immediately — bounding every queue
-            // downstream of the frontend.
-            if let Some(adm) = &admission {
-                if adm.max_in_flight != 0 && adm.in_flight.get() >= adm.max_in_flight {
-                    if let Some(ctx) = &hooks.fault {
-                        ctx.stats.borrow_mut().rejected += 1;
-                    }
-                    return;
-                }
-                adm.in_flight.set(adm.in_flight.get() + 1);
-            }
-            let hooks = hooks.clone();
-            preproc_server.submit(sim, service, move |sim, _stats| {
-                hooks.after_preproc(sim, id, at, 0);
-            });
-        });
+        sim.schedule_at(at, move |sim| hooks.admit_now(sim, id, at));
     }
 
     /// Flush any residual partial batch (end of stream).
@@ -274,72 +243,13 @@ impl PipelineCore {
             self.hooks().dispatch_attempt(sim, batch, 0);
         }
     }
-}
 
-/// A single-node pipeline simulation: one [`PipelineCore`] plus its own
-/// simulator — the unit the scenario drivers use.
-pub struct PipelineSim {
-    /// The simulator (owned; scenarios drive it).
-    pub sim: Sim,
-    core: PipelineCore,
-}
-
-impl PipelineSim {
-    /// Build the pipeline; fails if the engine cannot be built at
-    /// `max_batch` within the platform's memory budget.
-    pub fn new(config: &PipelineConfig) -> Result<Self, EngineError> {
-        Ok(PipelineSim {
-            sim: Sim::new(),
-            core: PipelineCore::new(config)?,
-        })
-    }
-
-    /// The built engine.
-    pub fn engine(&self) -> &Engine {
-        self.core.engine()
-    }
-
-    /// Shared metrics handle.
-    pub fn metrics(&self) -> Rc<RefCell<Metrics>> {
-        self.core.metrics()
-    }
-
-    /// Requests submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.core.submitted()
-    }
-
-    /// Mean dispatched batch size so far.
-    pub fn mean_batch(&self) -> f64 {
-        self.core.mean_batch()
-    }
-
-    /// Per-image preprocessing service time, seconds.
-    pub fn preproc_s(&self) -> f64 {
-        self.core.preproc_s()
-    }
-
-    /// Enable fault-aware operation (see [`PipelineCore::set_fault_context`]).
-    pub fn set_fault_context(&mut self, ctx: FaultContext) {
-        self.core.set_fault_context(ctx);
-    }
-
-    /// Enable overload protection (see [`PipelineCore::set_admission`]).
-    pub fn set_admission(&mut self, config: &AdmissionConfig) -> Result<(), EngineError> {
-        self.core.set_admission(config)
-    }
-
-    /// Submit one request arriving at `at` (absolute sim time).
-    pub fn submit(&mut self, at: SimTime) {
-        self.core.submit(&mut self.sim, at);
-    }
-
-    /// Drain all pending work (ends when the event queue is empty), then
-    /// flush any residual partial batch and drain again.
-    pub fn run_to_completion(&mut self) {
-        self.sim.run();
-        self.core.flush(&mut self.sim);
-        self.sim.run();
+    /// End a single-node run: drain `sim`, flush any residual partial batch
+    /// and drain again.
+    pub fn run_to_completion(&mut self, sim: &mut Sim) {
+        sim.run();
+        self.flush(sim);
+        sim.run();
     }
 }
 
@@ -358,19 +268,25 @@ pub(crate) struct DispatchHooks {
 }
 
 impl DispatchHooks {
-    /// Admit request `id` into this node's preprocessing stage at the
-    /// current sim time — the entry point for dispatchers that choose the
-    /// node *inside* a scheduled event (breaker-aware cluster frontends).
+    /// Admit request `id` (which arrived at `arrival`) into this node's
+    /// preprocessing stage at the current sim time: the one admission path,
+    /// run by [`PipelineCore::submit_as`]'s event and by dispatchers that
+    /// choose the node *inside* a scheduled event (breaker-aware cluster
+    /// frontends).
     pub(crate) fn admit_now(&self, sim: &mut Sim, id: u64, arrival: SimTime) {
-        let mut service_s = self.preproc_s;
-        if let Some(ctx) = &self.fault {
-            let slowdown = ctx.plan.preproc_slowdown(ctx.node, sim.now());
-            if slowdown > 1.0 {
-                ctx.stats.borrow_mut().stalled += 1;
-                service_s *= slowdown;
+        // Frontend admission gate: when the in-flight bound is hit the
+        // request is turned away immediately — bounding every queue
+        // downstream of the frontend.
+        if let Some(adm) = &self.admission {
+            if adm.max_in_flight != 0 && adm.in_flight.get() >= adm.max_in_flight {
+                if let Some(ctx) = &self.fault {
+                    ctx.stats.borrow_mut().rejected += 1;
+                }
+                return;
             }
+            adm.in_flight.set(adm.in_flight.get() + 1);
         }
-        let service = SimTime::from_secs_f64(service_s);
+        let service = SimTime::from_secs_f64(self.preproc_s);
         let hooks = self.clone();
         self.preproc_server
             .submit(sim, service, move |sim, _stats| {
@@ -547,7 +463,7 @@ impl DispatchHooks {
 mod tests {
     use super::*;
 
-    fn small_pipeline() -> PipelineSim {
+    fn small_pipeline() -> (Sim, PipelineCore) {
         let cfg = PipelineConfig {
             platform: PlatformId::MriA100,
             model: ModelId::VitTiny,
@@ -559,16 +475,19 @@ mod tests {
             preproc_instances: 2,
             engine_instances: 1,
         };
-        PipelineSim::new(&cfg).expect("pipeline builds")
+        (
+            Sim::new(),
+            PipelineCore::new(&cfg).expect("pipeline builds"),
+        )
     }
 
     #[test]
     fn all_submitted_requests_complete() {
-        let mut p = small_pipeline();
+        let (mut sim, mut p) = small_pipeline();
         for i in 0..100u64 {
-            p.submit(SimTime::from_micros(i * 50));
+            p.submit(&mut sim, SimTime::from_micros(i * 50));
         }
-        p.run_to_completion();
+        p.run_to_completion(&mut sim);
         let m = p.metrics();
         assert_eq!(m.borrow().completed, 100);
         assert_eq!(m.borrow().latencies_ms.count(), 100);
@@ -576,11 +495,11 @@ mod tests {
 
     #[test]
     fn latencies_are_positive_and_bounded() {
-        let mut p = small_pipeline();
+        let (mut sim, mut p) = small_pipeline();
         for i in 0..64u64 {
-            p.submit(SimTime::from_micros(i * 100));
+            p.submit(&mut sim, SimTime::from_micros(i * 100));
         }
-        p.run_to_completion();
+        p.run_to_completion(&mut sim);
         let metrics = p.metrics();
         let mut m = metrics.borrow_mut();
         let p50 = m.latencies_ms.median();
@@ -590,12 +509,12 @@ mod tests {
 
     #[test]
     fn batcher_forms_full_batches_under_load() {
-        let mut p = small_pipeline();
+        let (mut sim, mut p) = small_pipeline();
         // Burst arrival: everything at t=0 → full batches of 8.
         for _ in 0..80u64 {
-            p.submit(SimTime::ZERO);
+            p.submit(&mut sim, SimTime::ZERO);
         }
-        p.run_to_completion();
+        p.run_to_completion(&mut sim);
         assert!(
             (p.mean_batch() - 8.0).abs() < 0.6,
             "mean batch {}",
@@ -605,12 +524,12 @@ mod tests {
 
     #[test]
     fn sparse_arrivals_dispatch_partial_batches_by_deadline() {
-        let mut p = small_pipeline();
+        let (mut sim, mut p) = small_pipeline();
         // One request every 50ms >> 2ms queue delay: batches of 1.
         for i in 0..10u64 {
-            p.submit(SimTime::from_millis(i * 50));
+            p.submit(&mut sim, SimTime::from_millis(i * 50));
         }
-        p.run_to_completion();
+        p.run_to_completion(&mut sim);
         assert_eq!(p.metrics().borrow().completed, 10);
         assert!(p.mean_batch() < 1.5, "mean batch {}", p.mean_batch());
     }
@@ -619,7 +538,7 @@ mod tests {
     fn oversized_engine_request_is_impossible_by_construction() {
         // The batcher's preferred batch equals the engine max batch, so
         // dispatch can never exceed it; sanity-check the wiring constant.
-        let p = small_pipeline();
+        let (_, p) = small_pipeline();
         assert_eq!(p.engine().max_batch(), 8);
     }
 
@@ -636,6 +555,6 @@ mod tests {
             preproc_instances: 1,
             engine_instances: 1,
         };
-        assert!(PipelineSim::new(&cfg).is_err());
+        assert!(PipelineCore::new(&cfg).is_err());
     }
 }

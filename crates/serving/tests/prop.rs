@@ -5,7 +5,7 @@ mod oracle;
 
 use harvest_serving::batcher::QueuedRequest;
 use harvest_serving::{
-    run_online_protected_faulted, AdmissionConfig, BatcherConfig, BreakerConfig, BreakerState,
+    run_online_protected, AdmissionConfig, BatcherConfig, BreakerConfig, BreakerState,
     CircuitBreaker, DynamicBatcher, FaultInjection, OnlineConfig, PipelineConfig, ShedPolicy,
 };
 use harvest_simkit::{FaultPlan, SimTime};
@@ -48,11 +48,11 @@ proptest! {
         for (i, &t) in sorted.iter().enumerate() {
             let now = SimTime::from_micros(t);
             // Fire any due deadline first (the sim driver would).
-            if let Some(batch) = b.poll_deadline(now) {
+            if let Some(batch) = b.poll(now).batch {
                 prop_assert!(batch.len() <= preferred as usize);
                 dispatched_ids.extend(batch.iter().map(|r| r.id));
             }
-            if let Some(batch) = b.push(i as u64, now) {
+            if let Some(batch) = b.offer(i as u64, now, now, None).batch {
                 prop_assert_eq!(batch.len(), preferred as usize);
                 dispatched_ids.extend(batch.iter().map(|r| r.id));
             }
@@ -79,8 +79,8 @@ proptest! {
             100,
             SimTime::from_millis(delay_ms),
         )).expect("valid config");
-        b.push(0, SimTime::ZERO);
-        let result = b.poll_deadline(SimTime::from_millis(age_ms));
+        b.offer(0, SimTime::ZERO, SimTime::ZERO, None);
+        let result = b.poll(SimTime::from_millis(age_ms)).batch;
         if age_ms >= delay_ms {
             prop_assert!(result.is_some());
         } else {
@@ -107,13 +107,13 @@ proptest! {
             now_us += dt;
             let now = SimTime::from_micros(now_us);
             if is_push {
-                if let Some(batch) = b.push(next_id, now) {
+                if let Some(batch) = b.offer(next_id, now, now, None).batch {
                     prop_assert_eq!(batch.len(), preferred as usize);
                     dispatched.extend(batch.iter().map(|r| r.id));
                 }
                 next_id += 1;
             } else {
-                while let Some(batch) = b.poll_deadline(now) {
+                while let Some(batch) = b.poll(now).batch {
                     prop_assert!(!batch.is_empty());
                     prop_assert!(batch.len() <= preferred as usize);
                     dispatched.extend(batch.iter().map(|r| r.id));
@@ -161,7 +161,7 @@ proptest! {
             SimTime::from_millis(10),
         )).expect("valid config");
         for i in 0..pushes {
-            let _ = b.push(i, SimTime::ZERO);
+            let _ = b.offer(i, SimTime::ZERO, SimTime::ZERO, None);
         }
         prop_assert_eq!(b.dispatched_requests() + b.queued() as u64, pushes);
         // Size-trigger arithmetic: everything beyond the last full batch is
@@ -179,7 +179,7 @@ proptest! {
             SimTime::from_millis(1),
         )).expect("valid config");
         for i in 0..n {
-            let _ = b.push(i, SimTime::ZERO);
+            let _ = b.offer(i, SimTime::ZERO, SimTime::ZERO, None);
         }
         let _ = b.flush();
         let mean = b.mean_batch();
@@ -485,7 +485,7 @@ mod faulted_conservation {
                     .with_transient_errors(f64::from(transient_pct) / 100.0),
                 policy: Default::default(),
             };
-            let report = run_online_protected_faulted(&config, &admission, &faults)
+            let report = run_online_protected(&config, &admission, Some(&faults))
                 .expect("protected run");
             prop_assert!(
                 report.conserved(),

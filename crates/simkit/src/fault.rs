@@ -5,10 +5,6 @@
 //!
 //! * **engine crashes** — per-node windows during which the model engine is
 //!   down; work in flight when a window opens is lost and must be retried;
-//! * **preprocessing stalls** — per-node windows during which decode/resize
-//!   runs `slowdown`× slower (thermal throttling on Jetson-class devices);
-//! * **link degradation** — windows during which the frontend's per-request
-//!   dispatch cost is multiplied (a congested or flapping uplink);
 //! * **transient per-request errors** — each (request, attempt) pair fails
 //!   with a fixed probability;
 //! * **silent data corruption** — weight bit-flips by (round, tensor,
@@ -69,28 +65,11 @@ struct EngineCrash {
     window: FaultWindow,
 }
 
-/// A preprocessing stall window on one node.
-#[derive(Clone, Copy, Debug)]
-struct PreprocStall {
-    node: u32,
-    window: FaultWindow,
-    slowdown: f64,
-}
-
-/// A frontend-link degradation window (cluster-wide).
-#[derive(Clone, Copy, Debug)]
-struct LinkDegradation {
-    window: FaultWindow,
-    factor: f64,
-}
-
 /// The deterministic fault schedule. See the module docs for semantics.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     seed: u64,
     engine_crashes: Vec<EngineCrash>,
-    preproc_stalls: Vec<PreprocStall>,
-    link_degradations: Vec<LinkDegradation>,
     transient_error_rate: f64,
     weight_flip_rate: f64,
     weight_flips_sticky: bool,
@@ -128,8 +107,6 @@ impl FaultPlan {
     /// True if any fault is scheduled or possible.
     pub fn is_active(&self) -> bool {
         !self.engine_crashes.is_empty()
-            || !self.preproc_stalls.is_empty()
-            || !self.link_degradations.is_empty()
             || self.transient_error_rate > 0.0
             || self.corrupts_weights()
             || self.corrupts_activations()
@@ -141,35 +118,6 @@ impl FaultPlan {
         self.engine_crashes.push(EngineCrash {
             node,
             window: FaultWindow::new(start, end),
-        });
-        self
-    }
-
-    /// Schedule a preprocessing stall on `node` over `[start, end)`:
-    /// preprocessing started inside the window takes `slowdown`× as long.
-    pub fn with_preproc_stall(
-        mut self,
-        node: u32,
-        start: SimTime,
-        end: SimTime,
-        slowdown: f64,
-    ) -> Self {
-        assert!(slowdown >= 1.0, "stall slowdown must be >= 1");
-        self.preproc_stalls.push(PreprocStall {
-            node,
-            window: FaultWindow::new(start, end),
-            slowdown,
-        });
-        self
-    }
-
-    /// Schedule a link degradation over `[start, end)`: frontend dispatch
-    /// overhead is multiplied by `factor`.
-    pub fn with_link_degradation(mut self, start: SimTime, end: SimTime, factor: f64) -> Self {
-        assert!(factor >= 1.0, "link degradation factor must be >= 1");
-        self.link_degradations.push(LinkDegradation {
-            window: FaultWindow::new(start, end),
-            factor,
         });
         self
     }
@@ -257,26 +205,6 @@ impl FaultPlan {
         }
     }
 
-    /// Preprocessing slowdown factor on `node` at instant `at` (the max of
-    /// all covering stall windows; `1.0` when healthy).
-    pub fn preproc_slowdown(&self, node: u32, at: SimTime) -> f64 {
-        self.preproc_stalls
-            .iter()
-            .filter(|s| s.node == node && s.window.covers(at))
-            .map(|s| s.slowdown)
-            .fold(1.0, f64::max)
-    }
-
-    /// Frontend dispatch-cost multiplier at instant `at` (`1.0` when the
-    /// link is healthy).
-    pub fn link_factor(&self, at: SimTime) -> f64 {
-        self.link_degradations
-            .iter()
-            .filter(|l| l.window.covers(at))
-            .map(|l| l.factor)
-            .fold(1.0, f64::max)
-    }
-
     /// Does attempt `attempt` of request `id` fail transiently? Pure hash
     /// coin — independent of call order, so chaos runs stay bit-reproducible.
     pub fn transient_failure(&self, id: u64, attempt: u32) -> bool {
@@ -285,14 +213,6 @@ impl FaultPlan {
         }
         let h = hash3(self.seed, id, attempt as u64);
         (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < self.transient_error_rate
-    }
-
-    /// Deterministic backoff jitter in `[0, 1)` for `(id, attempt)`, for
-    /// retry scheduling that neither synchronizes retries nor perturbs any
-    /// other consumer's randomness.
-    pub fn backoff_jitter(&self, id: u64, attempt: u32) -> f64 {
-        let h = hash3(self.seed ^ 0xD6E8_FEB8_6659_FD93, id, attempt as u64);
-        (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Flip each weight element's bit independently with probability
@@ -426,7 +346,7 @@ impl FaultPlan {
     }
 
     /// Total engine downtime on `node` overlapping `[0, until)`.
-    pub fn engine_downtime(&self, node: u32, until: SimTime) -> SimTime {
+    fn engine_downtime(&self, node: u32, until: SimTime) -> SimTime {
         // Merge overlapping windows so chained crashes aren't double-counted.
         let mut windows: Vec<FaultWindow> = self
             .engine_crashes
@@ -888,8 +808,6 @@ mod tests {
         assert!(!plan.is_active());
         assert!(!plan.engine_down(0, ms(5)));
         assert_eq!(plan.engine_crash_in(0, ms(0), ms(100)), None);
-        assert_eq!(plan.preproc_slowdown(0, ms(5)), 1.0);
-        assert_eq!(plan.link_factor(ms(5)), 1.0);
         assert!(!plan.transient_failure(42, 0));
         assert_eq!(plan.engine_availability(0, ms(100)), 1.0);
     }
@@ -948,19 +866,6 @@ mod tests {
     }
 
     #[test]
-    fn stall_and_link_factors_compose_by_max() {
-        let plan = FaultPlan::new(1)
-            .with_preproc_stall(0, ms(0), ms(50), 3.0)
-            .with_preproc_stall(0, ms(30), ms(60), 5.0)
-            .with_link_degradation(ms(10), ms(20), 8.0);
-        assert_eq!(plan.preproc_slowdown(0, ms(40)), 5.0);
-        assert_eq!(plan.preproc_slowdown(0, ms(10)), 3.0);
-        assert_eq!(plan.preproc_slowdown(0, ms(70)), 1.0);
-        assert_eq!(plan.link_factor(ms(15)), 8.0);
-        assert_eq!(plan.link_factor(ms(25)), 1.0);
-    }
-
-    #[test]
     fn transient_coin_is_order_independent_and_calibrated() {
         let plan = FaultPlan::new(7).with_transient_errors(0.25);
         // Same (id, attempt) always gives the same answer.
@@ -1012,16 +917,6 @@ mod tests {
             })
             .count();
         assert!(same < 1000, "nodes crash in lockstep");
-    }
-
-    #[test]
-    fn backoff_jitter_is_deterministic_in_unit_interval() {
-        let plan = FaultPlan::new(11);
-        for id in 0..100 {
-            let j = plan.backoff_jitter(id, 3);
-            assert!((0.0..1.0).contains(&j));
-            assert_eq!(j, plan.backoff_jitter(id, 3));
-        }
     }
 
     #[test]

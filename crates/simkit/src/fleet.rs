@@ -326,15 +326,6 @@ impl<S: Shard> FleetSim<S> {
     pub fn run(&mut self) {
         while self.step_window(SimTime::MAX) {}
     }
-
-    /// Run until the fleet drains or the next event would fire after
-    /// `deadline`; the clock is advanced to `deadline` if cut short.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        while self.step_window(deadline) {}
-        if self.now < deadline {
-            self.now = deadline;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -457,22 +448,5 @@ mod tests {
         core.schedule_at(SimTime::from_millis(1), ());
         let mut fleet = FleetSim::new(vec![Rogue { core }], SimTime::from_millis(10));
         fleet.run();
-    }
-
-    #[test]
-    fn run_until_stops_and_advances_clock() {
-        let n = 3;
-        let link = SimTime::from_millis(3);
-        let mut shards: Vec<RingShard> = (0..n).map(|i| RingShard::new(i, n, link)).collect();
-        shards[0].core.schedule_at(SimTime::from_millis(1), 0);
-        let mut fleet = FleetSim::new(shards, SimTime::from_millis(2));
-        fleet.run_until(SimTime::from_millis(10));
-        assert_eq!(fleet.now(), SimTime::from_millis(10));
-        let fired: usize = fleet.shards().map(|s| s.seen.len()).sum();
-        // Hops at 1, 4, 7, 10 ms have fired; the rest are pending.
-        assert_eq!(fired, 4);
-        fleet.run();
-        let fired: usize = fleet.shards().map(|s| s.seen.len()).sum();
-        assert_eq!(fired, 41);
     }
 }

@@ -155,25 +155,6 @@ impl Sim {
         self.fired - start
     }
 
-    /// Run until the queue drains or the next event would fire after
-    /// `deadline`. The clock is advanced to `deadline` if the run was cut
-    /// short (pending events stay queued). Returns the number of events fired.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let start = self.fired;
-        loop {
-            match self.next_event_time() {
-                Some(at) if at <= deadline => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
-        if self.now < deadline {
-            self.now = deadline;
-        }
-        self.fired - start
-    }
-
     /// Time of the earliest pending event, if any.
     pub fn next_event_time(&mut self) -> Option<SimTime> {
         self.queue.peek_time().map(SimTime::from_nanos)
@@ -246,18 +227,6 @@ mod tests {
             sim.schedule_at(SimTime::from_millis(1), |_| {});
         });
         sim.run();
-    }
-
-    #[test]
-    fn run_until_advances_clock_and_keeps_pending() {
-        let mut sim = Sim::new();
-        sim.schedule_at(SimTime::from_millis(100), |_| {});
-        let fired = sim.run_until(SimTime::from_millis(50));
-        assert_eq!(fired, 0);
-        assert_eq!(sim.now(), SimTime::from_millis(50));
-        assert_eq!(sim.pending(), 1);
-        sim.run();
-        assert_eq!(sim.now(), SimTime::from_millis(100));
     }
 
     #[test]

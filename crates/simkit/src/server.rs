@@ -23,10 +23,6 @@ pub struct JobStats {
 }
 
 impl JobStats {
-    /// Time spent waiting in the queue.
-    pub fn queue_wait(&self) -> SimTime {
-        self.started - self.submitted
-    }
     /// Time spent in service.
     pub fn service(&self) -> SimTime {
         self.finished - self.started
@@ -202,7 +198,10 @@ mod tests {
         assert_eq!(stats[0].started, SimTime::ZERO);
         assert_eq!(stats[1].started, SimTime::from_millis(10));
         assert_eq!(stats[2].started, SimTime::from_millis(20));
-        assert_eq!(stats[2].queue_wait(), SimTime::from_millis(20));
+        assert_eq!(
+            stats[2].started - stats[2].submitted,
+            SimTime::from_millis(20)
+        );
         assert_eq!(server.completed(), 3);
     }
 
@@ -234,7 +233,7 @@ mod tests {
         let server = Server::new("gpu", 1);
         let stats = collect_stats(&server, &mut sim, &[(5, 3)]);
         assert_eq!(stats[0].started, SimTime::from_millis(5));
-        assert_eq!(stats[0].queue_wait(), SimTime::ZERO);
+        assert_eq!(stats[0].started, stats[0].submitted);
         assert_eq!(stats[0].finished, SimTime::from_millis(8));
     }
 

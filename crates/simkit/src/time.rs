@@ -71,12 +71,6 @@ impl SimTime {
         SimTime((s * 1e9).round().min(u64::MAX as f64) as u64)
     }
 
-    /// From fractional milliseconds (same clamping as [`SimTime::from_secs_f64`]).
-    #[inline]
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms * 1e-3)
-    }
-
     /// Raw nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -225,7 +219,6 @@ mod tests {
         assert_eq!(SimTime::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimTime::from_micros(3).as_nanos(), 3_000);
         assert!((SimTime::from_secs_f64(1.5).as_secs_f64() - 1.5).abs() < 1e-12);
-        assert!((SimTime::from_millis_f64(16.7).as_millis_f64() - 16.7).abs() < 1e-9);
     }
 
     #[test]

