@@ -23,7 +23,7 @@ use harvest_simkit::fault::{SocketFate, SocketFaultPlan};
 use std::io::{self, Read, Write};
 
 /// A `Read + Write` stream with a deterministic fault plan applied.
-pub struct FaultySocket<S> {
+pub(crate) struct FaultySocket<S> {
     inner: S,
     plan: SocketFaultPlan,
     fate: SocketFate,
@@ -36,7 +36,7 @@ pub struct FaultySocket<S> {
 impl<S: Read + Write> FaultySocket<S> {
     /// Wrap `inner` as connection `conn` sending a `request_len`-byte
     /// request stream under `plan`.
-    pub fn new(inner: S, plan: SocketFaultPlan, conn: u64, request_len: usize) -> Self {
+    pub(crate) fn new(inner: S, plan: SocketFaultPlan, conn: u64, request_len: usize) -> Self {
         let fate = plan.fate(conn, request_len);
         FaultySocket {
             inner,
@@ -48,13 +48,8 @@ impl<S: Read + Write> FaultySocket<S> {
         }
     }
 
-    /// The fate this connection acts out.
-    pub fn fate(&self) -> SocketFate {
-        self.fate
-    }
-
     /// The wrapped stream (to shut down or drop after the fate fires).
-    pub fn get_ref(&self) -> &S {
+    pub(crate) fn get_ref(&self) -> &S {
         &self.inner
     }
 

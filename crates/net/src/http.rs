@@ -53,7 +53,7 @@ impl HttpLimits {
 
     /// Largest buffer a connection may accumulate before the parser must
     /// have produced a request: one full head plus one full body.
-    pub fn max_buffered(&self) -> usize {
+    pub(crate) fn max_buffered(&self) -> usize {
         self.max_head_bytes + self.max_body_bytes
     }
 }

@@ -12,9 +12,9 @@
 //! * [`http`] — a from-scratch bounded HTTP/1.1 parser (typed `Err`, never
 //!   panic, never over-read) plus the response writer and the client-side
 //!   response parser;
-//! * [`chaos`] — [`chaos::FaultySocket`], a deterministic chaos transport
-//!   that replays seeded resets, truncations, garbling, stalls, and short
-//!   reads/writes bit-for-bit;
+//! * `chaos` — `FaultySocket`, the load generator's deterministic chaos
+//!   transport, which replays seeded resets, truncations, garbling, stalls,
+//!   and short reads/writes bit-for-bit;
 //! * [`server`] — [`server::WireServer`]: per-connection deadlines, body
 //!   caps shared with the serving layer's [`harvest_serving::ServingLimits`]
 //!   (single source of truth), keep-alive with bounded pipelining, graceful
@@ -24,13 +24,12 @@
 //!   [`harvest_simkit::SocketFaultPlan`] and writes the conservation +
 //!   latency artifact behind `experiments wire`.
 
-pub mod chaos;
+mod chaos;
 pub mod http;
 pub mod loadgen;
 mod pool;
 pub mod server;
 
-pub use chaos::FaultySocket;
 pub use http::{parse_request, parse_response, write_response, HttpLimits, ParseError, Parsed};
-pub use loadgen::{run_loadgen, FateCounts, LoadgenConfig, LoadgenReport, LATENCY_BUCKETS_MS};
+pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport, LATENCY_BUCKETS_MS};
 pub use server::{DrainReport, WireConfig, WireServer, WireSnapshot};

@@ -1,7 +1,7 @@
 //! Deterministic chaos load generator for the wire front-end.
 //!
 //! Drives N connections at a [`crate::WireServer`] through
-//! [`FaultySocket`], so every connection acts out the fate its
+//! `FaultySocket` (the crate's chaos transport), so every connection acts out the fate its
 //! [`SocketFaultPlan`] assigns: clean exchange, mid-request reset,
 //! truncation + half-close, one garbled byte, or a stall past the server's
 //! read deadline. The client keeps a ledger per connection and the report
@@ -187,7 +187,7 @@ fn fnv_mix(hash: &mut u64, bytes: &[u8]) {
 /// The deterministic request body for connection `conn`: a small image in
 /// one of the two container formats the frontend sniffs, with enough
 /// variety to spread argmax classes around.
-pub fn sample_body(conn: u64) -> Vec<u8> {
+pub(crate) fn sample_body(conn: u64) -> Vec<u8> {
     let side = 16 + (conn % 3) as usize * 8;
     let img = if conn % 3 == 1 {
         RgbImage::solid(

@@ -97,8 +97,7 @@ pub(crate) struct WorkerDone {
     /// The worker executor's scratch counters, piggybacked so `/metrics`
     /// never has to stop the pool.
     pub(crate) scratch: ScratchStats,
-    /// How long the worker held the batch (forward plus any configured
-    /// floor), nanoseconds.
+    /// How long the worker held the batch, nanoseconds.
     pub(crate) busy_ns: u64,
 }
 
@@ -568,13 +567,16 @@ mod tests {
 
     /// Plays the shell and the workers: performs every effect into plain
     /// records and checks, after every event, the invariants no event may
-    /// break.
+    /// break. Time is virtual: it moves only when a test sets `now`.
     struct Rig<'g> {
         pool: Pool<'g>,
         preferred: usize,
-        clock: u64,
-        /// What each worker holds.
+        /// The virtual clock, microseconds.
+        now: u64,
+        /// What each worker holds, and until when (each batch, whatever its
+        /// size, holds its worker for `S`).
         running: Vec<Option<Batch>>,
+        free_at: Vec<u64>,
         /// Every `Run` effect: (worker, seq, ids, guarded).
         runs: Vec<(usize, u64, Vec<u64>, bool)>,
         answers: Vec<(u64, WireOutcome)>,
@@ -590,18 +592,14 @@ mod tests {
             Rig {
                 pool: Pool::new(graph, 7, batcher, width, guard),
                 preferred: batcher.preferred_batch as usize,
-                clock: 0,
+                now: 0,
                 running: (0..width).map(|_| None).collect(),
+                free_at: vec![0; width],
                 runs: Vec::new(),
                 answers: Vec::new(),
                 swaps: Vec::new(),
                 installs: 0,
             }
-        }
-
-        fn advance(&mut self) -> SimTime {
-            self.clock += 50;
-            SimTime::from_micros(self.clock)
         }
 
         fn absorb(&mut self, effects: Vec<Effect>) {
@@ -621,6 +619,7 @@ mod tests {
                         self.runs
                             .push((worker, batch.seq, batch.ids.clone(), guarded));
                         self.running[worker] = Some(batch);
+                        self.free_at[worker] = self.now + S;
                     }
                     Effect::Install(_) => {
                         assert!(
@@ -653,7 +652,7 @@ mod tests {
         }
 
         fn submit(&mut self, id: u64) {
-            let t = self.advance();
+            let t = SimTime::from_micros(self.now);
             let effects = self.pool.on_submit(id, Tensor::zeros(&[1]), t).collect();
             self.absorb(effects);
         }
@@ -663,7 +662,7 @@ mod tests {
         fn complete(&mut self, worker: usize, violate: bool) {
             let batch = self.running[worker].take().expect("worker holds a batch");
             let violation = violate && batch.guard.is_some();
-            let t = self.advance();
+            let t = SimTime::from_micros(self.now);
             let done = WorkerDone {
                 seq: batch.seq,
                 worker,
@@ -704,6 +703,74 @@ mod tests {
 
     fn batcher(preferred: u32) -> BatcherConfig {
         BatcherConfig::new(preferred, SimTime::from_millis(5))
+    }
+
+    /// One batch's virtual service time, microseconds.
+    const S: u64 = 1_000;
+    /// The closed loop: clients, and requests each client sends in turn.
+    const CLIENTS: usize = 8;
+    const PER_CLIENT: usize = 4;
+
+    /// `CLIENTS` closed-loop clients against a pool of `width`, in virtual
+    /// time: each batch holds its worker for `S`, the busy worker that
+    /// finishes first (the lowest index on a tie) reports next, and every
+    /// answer sends its client's next request at that same instant. Returns
+    /// the makespan and the rig, with no clock, thread or socket involved.
+    fn closed_loop(graph: &Graph, width: usize, preferred: u32) -> (u64, Rig<'_>) {
+        let mut rig = Rig::new(graph, width, batcher(preferred));
+        let mut client_of: Vec<usize> = (0..CLIENTS).collect();
+        for id in 0..CLIENTS as u64 {
+            rig.submit(id);
+        }
+        let earliest = |rig: &Rig| {
+            rig.busy_workers()
+                .into_iter()
+                .min_by_key(|&w| rig.free_at[w])
+        };
+        while let Some(worker) = earliest(&rig) {
+            rig.now = rig.free_at[worker];
+            let heard = rig.answers.len();
+            rig.complete(worker, false);
+            for i in heard..rig.answers.len() {
+                let client = client_of[rig.answers[i].0 as usize];
+                if client_of.iter().filter(|&&c| c == client).count() < PER_CLIENT {
+                    rig.submit(client_of.len() as u64);
+                    client_of.push(client);
+                }
+            }
+        }
+        (rig.now, rig)
+    }
+
+    #[test]
+    fn a_pool_of_w_finishes_a_closed_loop_w_times_sooner_in_virtual_time() {
+        let graph = vit("pool-test", &model());
+        let total = CLIENTS * PER_CLIENT;
+        for preferred in [1, 4] {
+            for width in [1, 2, 4, 8] {
+                let what = format!("width {width}, preferred_batch {preferred}");
+                let (makespan, rig) = closed_loop(&graph, width, preferred);
+                assert_eq!(rig.done_ids().len(), total, "{what}");
+                assert!(rig.pool.quiescent(), "{what}");
+                // Batches of one at a fixed cost: no worker idles while a
+                // request waits, so w workers serve 32 requests in 32/w
+                // rounds. A batch costs what one request does, so batching
+                // can only shorten that.
+                let rounds = (total / width) as u64;
+                if preferred == 1 {
+                    assert_eq!(makespan, rounds * S, "{what}");
+                } else {
+                    assert!(makespan <= rounds * S, "{what}: {makespan}");
+                }
+                let (again, rerun) = closed_loop(&graph, width, preferred);
+                assert_eq!(again, makespan, "{what}");
+                assert_eq!(rerun.runs, rig.runs, "{what}: the dispatch log");
+                assert_eq!(
+                    rerun.pool.batch_size.counts, rig.pool.batch_size.counts,
+                    "{what}"
+                );
+            }
+        }
     }
 
     #[test]

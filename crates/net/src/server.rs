@@ -116,11 +116,6 @@ pub struct WireConfig {
     /// dispatch order, so serving is bit-identical at every width. The
     /// in-flight and queue bounds in `limits` stay pool-wide. Must be ≥ 1.
     pub engine_workers: usize,
-    /// Deterministic per-batch service-time floor, milliseconds (0 = off).
-    /// A worker holds each batch at least this long, so pool overlap is
-    /// measurable even on hosts with fewer cores than workers — logits and
-    /// fingerprints are unaffected. The serve scale-up experiment uses it.
-    pub engine_batch_floor_ms: u64,
 }
 
 impl Default for WireConfig {
@@ -160,12 +155,30 @@ impl Default for WireConfig {
             }),
             swap_guard_range_limit: Some(1e6),
             engine_workers: 2,
-            engine_batch_floor_ms: 0,
         }
     }
 }
 
-/// Outcome counters, updated live by every connection.
+/// The live outcome counters behind [`WireSnapshot`], one atomic per field
+/// of the same name, bumped by every connection.
+#[derive(Debug, Default)]
+pub(crate) struct WireStats {
+    connections: AtomicU64,
+    accepted: AtomicU64,
+    responded_ok: AtomicU64,
+    responded_error: AtomicU64,
+    rejected: AtomicU64,
+    shed: AtomicU64,
+    bad_requests: AtomicU64,
+    incomplete: AtomicU64,
+    timeouts: AtomicU64,
+    idle_closes: AtomicU64,
+    write_failures: AtomicU64,
+    breaker_open: AtomicU64,
+    degraded_ok: AtomicU64,
+}
+
+/// A point-in-time copy of the wire's outcome counters.
 ///
 /// The conservation classes: `accepted` counts fully parsed requests, and
 /// each accepted request lands in exactly one of `responded_ok`,
@@ -174,46 +187,12 @@ impl Default for WireConfig {
 /// `incomplete`, `idle_closes`) sit outside the ledger — nothing was
 /// promised for them beyond the error/close they got. Every response is
 /// counted by the one reply path, which bumps exactly one of the six
-/// answering classes; [`WireSnapshot`] lists the statuses each class holds.
-#[derive(Debug, Default)]
-pub struct WireStats {
-    /// Connections that delivered at least one byte.
-    pub connections: AtomicU64,
-    /// Fully parsed requests (the conservation base).
-    pub accepted: AtomicU64,
-    /// See [`WireSnapshot::responded_ok`].
-    pub responded_ok: AtomicU64,
-    /// See [`WireSnapshot::responded_error`].
-    pub responded_error: AtomicU64,
-    /// See [`WireSnapshot::rejected`].
-    pub rejected: AtomicU64,
-    /// See [`WireSnapshot::shed`].
-    pub shed: AtomicU64,
-    /// See [`WireSnapshot::bad_requests`].
-    pub bad_requests: AtomicU64,
-    /// Connections that died mid-request (reset/EOF with bytes pending).
-    pub incomplete: AtomicU64,
-    /// See [`WireSnapshot::timeouts`].
-    pub timeouts: AtomicU64,
-    /// Clean closes with no partial request pending.
-    pub idle_closes: AtomicU64,
-    /// Responses the peer was gone for (diagnostic; the outcome above
-    /// still counts — the server kept its side of the ledger).
-    pub write_failures: AtomicU64,
-    /// Diagnostic overlap counter: 503s issued because the admission
-    /// breaker was open (every one is also counted in `rejected`).
-    pub breaker_open: AtomicU64,
-    /// Diagnostic overlap counter: 2xx responses served by the degraded
-    /// ladder rung (every one is also counted in `responded_ok`).
-    pub degraded_ok: AtomicU64,
-}
-
-/// A point-in-time copy of [`WireStats`].
+/// answering classes; each field below lists the statuses it holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WireSnapshot {
-    /// See [`WireStats::connections`].
+    /// Connections that delivered at least one byte.
     pub connections: u64,
-    /// See [`WireStats::accepted`].
+    /// Fully parsed requests (the conservation base).
     pub accepted: u64,
     /// `200` to an accepted request: `/healthz`, `/classify` (full model or
     /// degraded rung), `/admin/swap` that swapped, `/metrics`.
@@ -236,18 +215,21 @@ pub struct WireSnapshot {
     /// typed status (`400`, `413`, `414`, `431`, `501`) or `431` when the
     /// read buffer hits its cap; outside the ledger.
     pub bad_requests: u64,
-    /// See [`WireStats::incomplete`].
+    /// Connections that died mid-request (reset/EOF with bytes pending).
     pub incomplete: u64,
     /// Read deadlines that fired with a partial request pending, answered
     /// `408`; outside the ledger.
     pub timeouts: u64,
-    /// See [`WireStats::idle_closes`].
+    /// Clean closes with no partial request pending.
     pub idle_closes: u64,
-    /// See [`WireStats::write_failures`].
+    /// Responses the peer was gone for (diagnostic; the outcome above
+    /// still counts — the server kept its side of the ledger).
     pub write_failures: u64,
-    /// See [`WireStats::breaker_open`].
+    /// Diagnostic overlap counter: 503s issued because the admission
+    /// breaker was open (every one is also counted in `rejected`).
     pub breaker_open: u64,
-    /// See [`WireStats::degraded_ok`].
+    /// Diagnostic overlap counter: 2xx responses served by the degraded
+    /// ladder rung (every one is also counted in `responded_ok`).
     pub degraded_ok: u64,
 }
 
@@ -295,8 +277,9 @@ enum EngineMsg {
         input: Tensor,
         reply: mpsc::Sender<WireOutcome>,
     },
-    /// Force the admission breaker open (operator hook; also what the
-    /// deterministic wire tests use to stage an outage).
+    /// Force the admission breaker open (how the wire tests stage an
+    /// outage).
+    #[cfg(test)]
     TripBreaker,
     /// Flush every queued request and refuse new ones.
     Drain,
@@ -360,21 +343,7 @@ pub struct WireServer {
 impl WireServer {
     /// Bind, spawn the engine and the accept loops, and start serving.
     pub fn start(config: WireConfig) -> io::Result<WireServer> {
-        let mut batcher = config
-            .limits
-            .batcher_config(
-                config.preferred_batch,
-                SimTime::from_millis(config.max_queue_delay_ms),
-            )
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        if config.drop_oldest {
-            batcher.shed = ShedPolicy::DropOldest;
-        }
-        // The derived config must still agree with the limits it came from.
-        config
-            .limits
-            .check_batcher(&batcher)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        let batcher = batcher_config(&config)?;
         if config.accept_threads == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -449,21 +418,6 @@ impl WireServer {
         &self.config
     }
 
-    /// Live counters.
-    pub fn stats(&self) -> WireSnapshot {
-        self.shared.stats.snapshot()
-    }
-
-    /// Force the admission breaker open: `/classify` answers
-    /// `503 Retry-After` until the cooldown elapses, then the half-open
-    /// probes run through the degradation ladder. Operator hook — also the
-    /// deterministic way for tests to stage an engine outage.
-    pub fn trip_breaker(&self) {
-        if let Some(tx) = self.engine_tx.lock().expect("engine tx lock").as_ref() {
-            let _ = tx.send(EngineMsg::TripBreaker);
-        }
-    }
-
     /// Enter drain mode: flush the queued work, answer everything new with
     /// `503 Retry-After`. Idempotent; the listener stays up so clients get
     /// explicit refusals instead of connection errors.
@@ -506,6 +460,28 @@ impl WireServer {
             threads_joined: joined,
         }
     }
+}
+
+/// The pool's batcher: the queue bound and the shed policy of `limits`,
+/// DropOldest if `drop_oldest` asks for it, checked against the limits it
+/// came from.
+fn batcher_config(config: &WireConfig) -> io::Result<BatcherConfig> {
+    let mut batcher = config
+        .limits
+        .batcher_config(
+            config.preferred_batch,
+            SimTime::from_millis(config.max_queue_delay_ms),
+        )
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    if config.drop_oldest {
+        batcher.shed = ShedPolicy::DropOldest;
+    }
+    // The derived config must still agree with the limits it came from.
+    config
+        .limits
+        .check_batcher(&batcher)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    Ok(batcher)
 }
 
 /// A request the engine has admitted but not yet resolved.
@@ -575,7 +551,6 @@ fn worker_loop(
     worker: usize,
     graph: &harvest_models::Graph,
     seed: u64,
-    floor: Duration,
     rx: mpsc::Receiver<WorkerMsg>,
     done: mpsc::Sender<EngineMsg>,
 ) {
@@ -597,9 +572,6 @@ fn worker_loop(
                         .chunks_exact(run.per_image.max(1))
                         .map(argmax)
                         .collect();
-                    if let Some(rest) = floor.checked_sub(started.elapsed()) {
-                        std::thread::sleep(rest);
-                    }
                     let out = WorkerDone {
                         seq,
                         worker,
@@ -650,7 +622,6 @@ fn engine_loop(
     let graph = vit("wire-served", &config.model);
     let seed = config.model_seed;
     let width = config.engine_workers.max(1);
-    let floor = Duration::from_millis(config.engine_batch_floor_ms);
     let degraded_graph = config
         .degraded_model
         .as_ref()
@@ -672,7 +643,7 @@ fn engine_loop(
             let graph = &graph;
             std::thread::Builder::new()
                 .name(format!("wire-exec-{w}"))
-                .spawn_scoped(scope, move || worker_loop(w, graph, seed, floor, wrx, done))
+                .spawn_scoped(scope, move || worker_loop(w, graph, seed, wrx, done))
                 .expect("spawn pool worker");
         }
         // Workers hold their own clones; dropping this one means the
@@ -737,6 +708,7 @@ fn engine_loop(
                     }
                 }
                 EngineMsg::WorkerDone(d) => shell.perform(pool.on_done(d, t), t),
+                #[cfg(test)]
                 EngineMsg::TripBreaker => shell.breaker.force_open(t),
                 EngineMsg::Swap { body, reply } => {
                     if !pool.draining() && matches!(shell.breaker.state(t), BreakerState::Open) {
@@ -1266,6 +1238,17 @@ mod tests {
         let head_end = resp.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
         let body = String::from_utf8_lossy(&resp[head_end + 4..consumed]).into_owned();
         (status, body)
+    }
+
+    impl WireServer {
+        /// Force the admission breaker open: `/classify` answers
+        /// `503 Retry-After` until the cooldown elapses, then the half-open
+        /// probes run through the degradation ladder.
+        fn trip_breaker(&self) {
+            if let Some(tx) = self.engine_tx.lock().expect("engine tx lock").as_ref() {
+                let _ = tx.send(EngineMsg::TripBreaker);
+            }
+        }
     }
 
     fn sample_image() -> Vec<u8> {
@@ -1804,127 +1787,199 @@ mod tests {
         assert_eq!(run(), run(), "mid-burst swap must replay byte-identically");
     }
 
-    /// One closed-loop client per image, each classifying back to back
-    /// until some client has been refused with a 503 whose body contains
-    /// `refusal`; returns every (status, body) seen. With more clients than
-    /// the bound under test admits, each keeping a request outstanding, the
-    /// bound engages as soon as the clients overlap — no request has to
-    /// arrive inside any time window for that.
-    fn classify_until_refused(
-        addr: SocketAddr,
-        imgs: &[Vec<u8>],
-        refusal: &str,
-    ) -> Vec<(u16, String)> {
-        let refused = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = imgs
-                .iter()
-                .map(|img| {
-                    let refused = &refused;
-                    s.spawn(move || {
-                        let mut seen = Vec::new();
-                        while !refused.load(Ordering::SeqCst) && seen.len() < 500 {
-                            let (status, body) = post_classify(addr, img);
-                            if status == 503 && body.contains(refusal) {
-                                refused.store(true, Ordering::SeqCst);
-                            }
-                            seen.push((status, body));
-                        }
-                        seen
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("client thread"))
-                .collect()
-        })
-    }
-
     #[test]
     fn in_flight_gate_is_pool_wide_under_saturation() {
-        // max_in_flight=2 over a width-4 pool: the frontend gate counts
-        // every admitted request no matter which worker would serve it, so
-        // eight clients that each keep a request outstanding see 503s even
-        // though the pool has idle workers. The service-time floor is what
-        // a request costs here; the gate engages however long it is.
-        let img = sample_image();
-        let imgs: Vec<Vec<u8>> = (0..8).map(|_| img.clone()).collect();
-        let server = WireServer::start(WireConfig {
-            accept_threads: 8,
-            engine_workers: 4,
-            preferred_batch: 1,
-            engine_batch_floor_ms: 20,
+        // max_in_flight=2 with no pool behind it at all: the gate sits in
+        // front of the engine channel and counts every admitted request,
+        // whichever worker would serve it. A stand-in engine holds the
+        // first two submits, so both slots stay taken until it answers;
+        // a third classify in that window is refused and never reaches it.
+        let config = WireConfig {
             limits: ServingLimits {
                 max_in_flight: 2,
                 ..ServingLimits::default()
             },
             ..WireConfig::default()
-        })
-        .expect("start");
-        let addr = server.addr();
-        let results = classify_until_refused(addr, &imgs, "overloaded");
-        let mut ok = 0u64;
-        let mut overloaded = 0u64;
-        for (status, body) in &results {
-            match status {
-                200 => ok += 1,
-                503 => {
-                    assert!(body.contains("overloaded"), "{body}");
-                    overloaded += 1;
+        };
+        let shared = Shared::default();
+        let request = Request {
+            method: Method::Post,
+            path: "/classify".to_string(),
+            keep_alive: false,
+            body: sample_image(),
+        };
+        // One accepted request through its own `Conn`; the bytes it drew.
+        let classify = |tx: &mpsc::Sender<EngineMsg>| {
+            shared.stats.accepted.fetch_add(1, Ordering::SeqCst);
+            let mut conn = Conn {
+                out: Vec::new(),
+                wout: Vec::new(),
+                shared: &shared,
+                tx,
+                config: &config,
+                keep_alive: false,
+            };
+            assert!(respond(&mut conn, &request));
+            String::from_utf8(conn.out).expect("ascii response")
+        };
+        let (tx, rx) = mpsc::channel::<EngineMsg>();
+        let (held_tx, held) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        // Nothing is asserted inside the scope, so a broken gate fails the
+        // test instead of leaving the stand-in waiting for its release.
+        let (refused, served, extra) = std::thread::scope(|s| {
+            let engine = s.spawn(move || {
+                let replies: Vec<_> = rx
+                    .iter()
+                    .take(2)
+                    .map(|msg| match msg {
+                        EngineMsg::Submit { reply, .. } => reply,
+                        _ => panic!("the stand-in expects submits"),
+                    })
+                    .collect();
+                held_tx.send(()).expect("signal");
+                release_rx.recv().expect("release");
+                for reply in replies {
+                    let done = WireOutcome::Done {
+                        class: 1,
+                        batch: 1,
+                        degraded: false,
+                        generation: 0,
+                    };
+                    let _ = reply.send(done);
                 }
-                other => panic!("unexpected status {other}: {body}"),
-            }
+                // Whatever else reaches the engine before every sender is gone.
+                rx.iter().count()
+            });
+            let clients: Vec<_> = (0..2)
+                .map(|_| {
+                    let tx = tx.clone();
+                    let classify = &classify;
+                    s.spawn(move || classify(&tx))
+                })
+                .collect();
+            held.recv().expect("the stand-in holds both submits");
+            let refused = classify(&tx);
+            release.send(()).expect("release");
+            let served: Vec<String> = clients
+                .into_iter()
+                .map(|c| c.join().expect("client"))
+                .collect();
+            drop(tx);
+            (refused, served, engine.join().expect("stand-in"))
+        });
+        assert_eq!(
+            refused,
+            "HTTP/1.1 503 Service Unavailable\r\n\
+             Content-Length: 22\r\n\
+             Content-Type: application/json\r\n\
+             Retry-After: 1\r\n\
+             Connection: close\r\n\r\n\
+             {\"error\":\"overloaded\"}"
+        );
+        assert_eq!(extra, 0, "a third submit got through");
+        for out in &served {
+            assert!(out.starts_with("HTTP/1.1 200 OK\r\n"), "{out}");
+            assert!(
+                out.ends_with("{\"class\":1,\"batch\":1,\"degraded\":false,\"generation\":0}"),
+                "{out}"
+            );
         }
-        assert!(ok >= 2, "the two admitted slots must serve: {results:?}");
-        assert!(overloaded >= 1, "the gate never engaged: {results:?}");
-        let report = server.shutdown();
-        assert!(report.stats.conserved(), "{:?}", report.stats);
-        assert_eq!(report.stats.responded_ok, ok, "{:?}", report.stats);
-        assert_eq!(report.stats.rejected, overloaded, "{:?}", report.stats);
+        let snap = shared.stats.snapshot();
+        assert_eq!((snap.responded_ok, snap.rejected), (2, 1), "{snap:?}");
+        assert!(snap.conserved(), "{snap:?}");
+        assert_eq!(shared.in_flight.load(Ordering::SeqCst), 0);
+    }
+
+    /// Runs the real `engine_loop` (its shell, its `Pool`, `engine_workers`
+    /// worker threads) over `n` submits and a `Stop`, all queued before the
+    /// loop starts, and returns what each id was answered. Worker
+    /// completions travel on the same FIFO channel behind them, so every
+    /// submit is decided while every dispatched batch is still running: the
+    /// pool is saturated by construction, however long a forward takes.
+    fn preloaded_engine(config: WireConfig, n: u64) -> Vec<Vec<WireOutcome>> {
+        let batcher = batcher_config(&config).expect("valid batcher");
+        let (tx, rx) = mpsc::channel();
+        let answers: Vec<_> = (0..n)
+            .map(|id| {
+                let (reply, answers) = mpsc::channel();
+                let input = Tensor::zeros(&[3, config.out_res, config.out_res]);
+                tx.send(EngineMsg::Submit { id, input, reply })
+                    .expect("queued");
+                answers
+            })
+            .collect();
+        tx.send(EngineMsg::Stop).expect("queued");
+        engine_loop(rx, tx, config, batcher);
+        answers.iter().map(|a| a.try_iter().collect()).collect()
+    }
+
+    /// `Done` from the full model at generation 0, in a batch of `batch`.
+    fn done_in(batch: usize, outcome: &WireOutcome) -> bool {
+        matches!(
+            *outcome,
+            WireOutcome::Done { batch: b, degraded: false, generation: 0, .. } if b == batch
+        )
     }
 
     #[test]
     fn queue_saturation_rejects_cleanly_at_the_pool_frontier() {
         // max_queue=1 at width 2: two requests run, one waits in the shared
         // batcher queue, and while both workers are busy everything past
-        // that is answered with a typed 503, never dropped — the queue
-        // bound is pool-wide and governs everything not yet running. Six
-        // clients that each keep a request outstanding overflow it.
-        let img = sample_image();
-        let imgs: Vec<Vec<u8>> = (0..6).map(|_| img.clone()).collect();
-        let server = WireServer::start(WireConfig {
-            accept_threads: 6,
-            engine_workers: 2,
-            preferred_batch: 4,
-            engine_batch_floor_ms: 10,
-            limits: ServingLimits {
-                max_queue: 1,
-                ..ServingLimits::default()
+        // that is refused at once, typed, never dropped: the queue bound is
+        // pool-wide and governs everything not yet running.
+        let answers = preloaded_engine(
+            WireConfig {
+                preferred_batch: 4,
+                limits: ServingLimits {
+                    max_queue: 1,
+                    ..ServingLimits::default()
+                },
+                ..WireConfig::default()
             },
-            ..WireConfig::default()
-        })
-        .expect("start");
-        let addr = server.addr();
-        let results = classify_until_refused(addr, &imgs, "queue full");
-        let mut ok = 0u64;
-        let mut rejected = 0u64;
-        for (status, body) in &results {
-            match status {
-                200 => ok += 1,
-                503 => {
-                    assert!(body.contains("queue full"), "{body}");
-                    rejected += 1;
-                }
-                other => panic!("unexpected status {other}: {body}"),
-            }
+            6,
+        );
+        for (id, answer) in answers.iter().enumerate() {
+            let [outcome] = answer[..] else {
+                panic!("id {id}: {answer:?}, want exactly one reply");
+            };
+            let expected = if id < 3 {
+                done_in(1, &outcome)
+            } else {
+                outcome == WireOutcome::Rejected
+            };
+            assert!(expected, "id {id}: {outcome:?}");
         }
-        assert!(ok >= 1, "somebody must be served: {results:?}");
-        assert!(rejected >= 1, "the queue bound never engaged: {results:?}");
-        let report = server.shutdown();
-        assert!(report.stats.conserved(), "{:?}", report.stats);
-        assert_eq!(report.stats.responded_ok, ok, "{:?}", report.stats);
-        assert_eq!(report.stats.rejected, rejected, "{:?}", report.stats);
+    }
+
+    #[test]
+    fn overload_with_drop_oldest_sheds_but_conserves() {
+        // max_queue=2 at width 2 under DropOldest: ids 0 and 1 run, 2 and 3
+        // queue, and each later arrival evicts the oldest queued request, so
+        // 2..=5 are shed and 6 and 7 leave together as one batch.
+        let answers = preloaded_engine(
+            WireConfig {
+                preferred_batch: 8,
+                drop_oldest: true,
+                limits: ServingLimits {
+                    max_queue: 2,
+                    ..ServingLimits::default()
+                },
+                ..WireConfig::default()
+            },
+            8,
+        );
+        for (id, answer) in answers.iter().enumerate() {
+            let [outcome] = answer[..] else {
+                panic!("id {id}: {answer:?}, want exactly one reply");
+            };
+            let expected = match id {
+                0 | 1 => done_in(1, &outcome),
+                6 | 7 => done_in(2, &outcome),
+                _ => outcome == WireOutcome::Shed,
+            };
+            assert!(expected, "id {id}: {outcome:?}");
+        }
     }
 
     /// The value of one `name value` line of a `/metrics` body.

@@ -7,7 +7,6 @@
 
 use harvest_imaging::{ajpg_encode, AjpgOptions, RgbImage};
 use harvest_net::{parse_response, run_loadgen, HttpLimits, LoadgenConfig, WireConfig, WireServer};
-use harvest_serving::ServingLimits;
 use harvest_simkit::SocketFaultPlan;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -316,74 +315,6 @@ fn pipelined_loadgen_saturates_a_wide_pool_and_conserves() {
         fingerprints.push(report.fingerprint);
     }
     assert_eq!(fingerprints[0], fingerprints[1]);
-}
-
-#[test]
-fn overload_with_drop_oldest_sheds_but_conserves() {
-    // Two workers and a queue of 2 under DropOldest, against eight clients
-    // that each keep one request outstanding until the server has shed
-    // something: with both workers busy a fifth outstanding request evicts
-    // the oldest queued one, and every shed request must still draw its
-    // 503. The floor is what a request costs here; no request has to land
-    // inside any time window for the bound to engage.
-    let server = WireServer::start(WireConfig {
-        accept_threads: 8,
-        preferred_batch: 8,
-        engine_batch_floor_ms: 10,
-        drop_oldest: true,
-        limits: ServingLimits {
-            max_queue: 2,
-            ..ServingLimits::default()
-        },
-        ..WireConfig::default()
-    })
-    .expect("start");
-    let addr = server.addr();
-
-    let statuses: Vec<u16> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..8u64)
-            .map(|w| {
-                let server = &server;
-                s.spawn(move || {
-                    let body = image_body(w);
-                    let mut seen = Vec::new();
-                    while server.stats().shed == 0 && seen.len() < 500 {
-                        seen.push(classify_once(addr, &body));
-                    }
-                    seen
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("client"))
-            .collect()
-    });
-    for &s in &statuses {
-        assert!(s == 200 || s == 503, "got {s}");
-    }
-    let refused = statuses.iter().filter(|&&s| s == 503).count() as u64;
-
-    let report = server.shutdown();
-    assert!(report.stats.conserved(), "ledger: {:?}", report.stats);
-    assert!(
-        report.stats.shed >= 1,
-        "nothing was shed: {:?}",
-        report.stats
-    );
-    assert_eq!(report.stats.accepted, statuses.len() as u64);
-    assert_eq!(
-        report.stats.rejected + report.stats.shed,
-        refused,
-        "every shed request drew its 503: {:?}",
-        report.stats
-    );
-    assert_eq!(
-        report.stats.responded_ok + refused,
-        report.stats.accepted,
-        "every accepted request is accounted: {:?}",
-        report.stats
-    );
 }
 
 #[test]
