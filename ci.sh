@@ -38,7 +38,13 @@
 #                        a wall clock: non-test crates/*/src names no
 #                        per-batch sleep floor (`engine_batch_floor_ms`,
 #                        `FLOOR_MS`) and the wire server never calls
-#                        `thread::sleep`
+#                        `thread::sleep`; one weight-generation contract:
+#                        non-test crates/*/src names no second sentinel
+#                        knob (`swap_guard_range_limit`, `set_swap_guard`),
+#                        no second swap entry (`swap_artifact_staged`), no
+#                        hand-kept guard flag (`guard_pending`) and no
+#                        integrity skew fault (`IntegrityStateSkew`): the
+#                        lifecycle is `WeightsCell::{load, guard, settle}`
 #   3. tier-1 tests      cargo build --release && cargo test -q, run twice:
 #                        once with the harvest-threads pool forced sequential
 #                        (HARVEST_THREADS=1) and once at the host default
@@ -252,6 +258,23 @@ done)
 if [ -n "$sleep_floor" ]; then
     echo "$sleep_floor"
     echo "a per-batch sleep floor is back (scale-up is proven in virtual time)"
+    exit 1
+fi
+
+# One weight-generation contract: `WeightsCell` loads, guards and settles a
+# generation for both batching cores, with the swap sentinel as one private
+# constant. A config field or setter for the sentinel, a second swap entry,
+# a flag that mirrors the cell's freshness, or a fault for an integrity
+# state the code cannot express is the lifecycle being written out by hand
+# again.
+generation_forks=$(find crates/*/src -name '*.rs' | sort | while read -r f; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+        /swap_guard_range_limit|set_swap_guard|swap_artifact_staged|IntegrityStateSkew|guard_pending/ {
+            print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$generation_forks" ]; then
+    echo "$generation_forks"
+    echo "a generation's lifecycle is kept outside WeightsCell again"
     exit 1
 fi
 

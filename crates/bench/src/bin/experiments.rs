@@ -412,7 +412,7 @@ fn wire(save: &dyn Fn(&str, String), smoke: bool) {
 /// to `swap_latency.json` (schema-gated only).
 fn swap(save: &dyn Fn(&str, String), smoke: bool) {
     use harvest_engine::{
-        encode_artifact, ActivationGuard, ArtifactError, Executor, MaterializedWeights, WeightStore,
+        encode_artifact, ArtifactError, Executor, MaterializedWeights, WeightStore,
     };
     use harvest_models::{vit, VitConfig};
     use harvest_serving::{BatcherConfig, Completion, RealBatchServer, ShedPolicy, Submission};
@@ -574,9 +574,6 @@ fn swap(save: &dyn Fn(&str, String), smoke: bool) {
         };
         let mut server =
             RealBatchServer::new(Executor::new(&graph, 7), bcfg).expect("valid batcher config");
-        server.set_swap_guard(ActivationGuard {
-            range_limit: Some(1e6),
-        });
         let mut ledger = Ledger::new();
         let mut latencies = Vec::new();
         let mut fates = [0u64; 5];
@@ -626,7 +623,7 @@ fn swap(save: &dyn Fn(&str, String), smoke: bool) {
                 }
             };
             let started = std::time::Instant::now();
-            let result = server.swap_artifact_staged(&bytes, crash_after);
+            let result = server.swap_artifact(&bytes, crash_after);
             latencies.push(started.elapsed().as_secs_f64() * 1e6);
             ledger.mix(10 + fate_tag(&fate) as u64);
             match (&fate, &result) {

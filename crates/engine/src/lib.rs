@@ -28,7 +28,9 @@
 //!   checksummed artifact format ([`encode_artifact`] / [`decode_artifact`]
 //!   with typed rejection), and the double-buffered [`WeightsCell`] whose
 //!   numbered, fingerprinted [`Generation`]s let serving layers publish new
-//!   weights under live traffic and roll back in O(1).
+//!   weights under live traffic and roll back in O(1). The cell alone
+//!   decides a generation's lifecycle (load, guard, settle), so both
+//!   batching cores obey one contract.
 
 pub mod engine;
 pub mod exec;
@@ -44,7 +46,7 @@ pub use exec::{
 pub use passes::{compile, ExecPlan, ExecStep, StepKind};
 pub use planner::{plan_activations, ActivationPlan};
 pub use swap::{
-    decode_artifact, decode_artifact_staged, encode_artifact, ArtifactError, Generation,
-    WeightsCell, ARTIFACT_MAGIC, ARTIFACT_VERSION,
+    decode_artifact, encode_artifact, ArtifactError, Generation, WeightsCell, ARTIFACT_MAGIC,
+    ARTIFACT_VERSION,
 };
 pub use weights::{MaterializedWeights, WeightCorruption, WeightStore};

@@ -22,9 +22,15 @@
 //! * [`WeightsCell`] — the double buffer: the current generation plus the
 //!   retained previous one, so a post-publication failure (an activation
 //!   sentinel firing on the new weights) can roll back in O(1) and
-//!   quarantine the bad generation. Swap / rollback / rejected-load
-//!   counters feed the `/metrics` snapshot.
+//!   quarantine the bad generation. It is also the one place a
+//!   generation's lifecycle is decided, for every batching core:
+//!   [`WeightsCell::load`] verifies and publishes (or rejects),
+//!   [`WeightsCell::guard`] hands out the swap sentinel while the current
+//!   generation is fresh, and [`WeightsCell::settle`] turns a batch's
+//!   verdict into "proven" or into the weights to reinstall. Swap /
+//!   rollback / rejected-load counters feed the `/metrics` snapshot.
 
+use crate::exec::ActivationGuard;
 use crate::weights::{MaterializedWeights, WeightStore};
 use harvest_models::Graph;
 use harvest_tensor::integrity::{checksum_bytes, checksum_f32};
@@ -152,8 +158,8 @@ pub fn encode_artifact(weights: &MaterializedWeights) -> Vec<u8> {
     out
 }
 
-/// Verify and materialize an artifact against `graph`. See
-/// [`decode_artifact_staged`]; this is the no-crash-point entry.
+/// Verify and materialize an artifact against `graph`: the no-crash-point
+/// entry of the staged decode behind [`WeightsCell::load`].
 pub fn decode_artifact(
     bytes: &[u8],
     graph: &Graph,
@@ -169,7 +175,7 @@ pub fn decode_artifact(
 /// nothing else. `crash_after` simulates a loader crash after that many
 /// tensors were applied to the staging copy (the copy is dropped, proving
 /// a mid-load crash can never corrupt the serving weights).
-pub fn decode_artifact_staged(
+fn decode_artifact_staged(
     bytes: &[u8],
     graph: &Graph,
     int8_linears: bool,
@@ -319,6 +325,13 @@ impl Generation {
     }
 }
 
+/// The sentinel a fresh generation's first batch runs under: NaN/Inf or any
+/// activation beyond this magnitude is a violation. Logits keep their bits:
+/// a guarded run only scans.
+const SWAP_GUARD: ActivationGuard = ActivationGuard {
+    range_limit: Some(1e6),
+};
+
 /// The double-buffered generation cell: current + retained previous, plus
 /// the ledger of swaps, rollbacks, rejected loads, and quarantined
 /// generations.
@@ -371,49 +384,70 @@ impl WeightsCell {
         self.previous.as_ref()
     }
 
-    /// Publish verified `weights` as the next generation; the old current
-    /// becomes the retained previous. Returns the new generation number.
-    pub fn publish(&mut self, weights: Arc<MaterializedWeights>) -> u64 {
-        let next = Generation {
-            number: self.next_number,
-            fingerprint: weights.fingerprint(),
-            weights,
-        };
-        self.next_number += 1;
-        self.previous = Some(std::mem::replace(&mut self.current, next));
-        self.swaps += 1;
-        self.fresh = true;
-        self.current.number
+    /// Verify `bytes` as an artifact for `graph` and, when every check
+    /// passes, publish it as the next generation (fresh until a batch
+    /// settles it). A failure is a typed error, counts as a rejected load
+    /// and leaves the serving generation untouched. `crash_after`
+    /// simulates a loader crash after that many tensors were applied to
+    /// the staging copy. Returns the new generation number.
+    pub fn load(
+        &mut self,
+        bytes: &[u8],
+        graph: &Graph,
+        int8_linears: bool,
+        crash_after: Option<u64>,
+    ) -> Result<u64, ArtifactError> {
+        match decode_artifact_staged(bytes, graph, int8_linears, crash_after) {
+            Ok(weights) => {
+                // The old current becomes the retained previous.
+                let next = Generation {
+                    number: self.next_number,
+                    fingerprint: weights.fingerprint(),
+                    weights: Arc::new(weights),
+                };
+                self.next_number += 1;
+                self.previous = Some(std::mem::replace(&mut self.current, next));
+                self.swaps += 1;
+                self.fresh = true;
+                Ok(self.current.number)
+            }
+            Err(e) => {
+                self.rejected_loads += 1;
+                Err(e)
+            }
+        }
     }
 
-    /// Roll back to the retained previous generation, quarantining the
-    /// current one. Returns the generation number now serving, or `None`
-    /// when there is nothing to roll back to.
-    pub fn rollback(&mut self) -> Option<u64> {
-        let prev = self.previous.take()?;
-        let bad = std::mem::replace(&mut self.current, prev);
-        self.quarantined.push((bad.number, bad.fingerprint));
-        self.rollbacks += 1;
-        self.fresh = false;
-        Some(self.current.number)
+    /// The swap sentinel while the current generation is fresh (published
+    /// and not yet settled), `None` once it has proven itself or been
+    /// rolled back. A core runs the fresh generation's first batch under
+    /// it and hands the verdict to [`Self::settle`].
+    pub fn guard(&self) -> Option<ActivationGuard> {
+        self.fresh.then_some(SWAP_GUARD)
     }
 
-    /// Has the current generation been published but not yet proven on
-    /// live traffic?
-    pub fn is_fresh(&self) -> bool {
-        self.fresh
-    }
-
-    /// Mark the current generation proven (a batch completed cleanly on
-    /// it): detectors firing later mean in-memory corruption, not a bad
-    /// artifact, so recovery rematerializes instead of rolling back.
-    pub fn mark_proven(&mut self) {
-        self.fresh = false;
-    }
-
-    /// Count a load rejected at the integrity gate.
-    pub fn record_rejected_load(&mut self) {
-        self.rejected_loads += 1;
+    /// Settle a batch's verdict on the current generation. A clean batch
+    /// proves it and returns `None`. A violation returns the weights every
+    /// executor must install: on a fresh generation, the retained previous
+    /// one it rolls back to, quarantining the bad one (an artifact that
+    /// passed its checksums but computes garbage); on a proven generation,
+    /// the pristine copy of the current one (in-memory corruption: the
+    /// cell's copy is never injection-targeted, so reinstalling it is the
+    /// rematerialization).
+    pub fn settle(&mut self, violated: bool) -> Option<Arc<MaterializedWeights>> {
+        let fresh = std::mem::replace(&mut self.fresh, false);
+        if !violated {
+            return None;
+        }
+        if fresh {
+            // Publication retained the predecessor; it serves again.
+            if let Some(prev) = self.previous.take() {
+                let bad = std::mem::replace(&mut self.current, prev);
+                self.quarantined.push((bad.number, bad.fingerprint));
+                self.rollbacks += 1;
+            }
+        }
+        Some(self.current.weights())
     }
 
     /// Completed swaps (publications).
@@ -598,37 +632,55 @@ mod tests {
     }
 
     #[test]
-    fn cell_publish_rollback_and_ledger() {
+    fn cell_load_guard_settle_and_ledger() {
         let g = small_vit();
         let w0 = Arc::new(weights_for(&g, 1));
-        let w1 = Arc::new(weights_for(&g, 2));
+        let fp = |seed| weights_for(&g, seed).fingerprint();
+        let artifact = |seed| encode_artifact(&weights_for(&g, seed));
         let mut cell = WeightsCell::new(Arc::clone(&w0));
         assert_eq!(cell.current().number(), 0);
-        assert!(!cell.is_fresh());
-        assert!(cell.rollback().is_none(), "nothing to roll back to yet");
+        assert!(cell.guard().is_none(), "the booted generation is trusted");
 
-        let n = cell.publish(Arc::clone(&w1));
-        assert_eq!(n, 1);
-        assert!(cell.is_fresh());
-        assert_eq!(cell.current().fingerprint(), w1.fingerprint());
-        assert_eq!(
-            cell.previous().map(|p| p.fingerprint()),
-            Some(w0.fingerprint())
-        );
+        // A rejected load counts, publishes nothing and arms no guard.
+        let mut corrupt = artifact(2);
+        corrupt[40] ^= 1;
+        assert!(cell.load(&corrupt, &g, false, None).is_err());
+        let crashed = cell.load(&artifact(2), &g, false, Some(1));
+        assert!(matches!(crashed, Err(ArtifactError::CrashedMidLoad { .. })));
+        assert_eq!((cell.swaps(), cell.rejected_loads()), (0, 2));
+        assert_eq!(cell.current().number(), 0);
+        assert!(cell.guard().is_none());
 
-        let back = cell.rollback().expect("previous retained");
-        assert_eq!(back, 0);
-        assert_eq!(cell.current().fingerprint(), w0.fingerprint());
+        // A clean load publishes a fresh generation under the sentinel.
+        assert_eq!(cell.load(&artifact(2), &g, false, None), Ok(1));
+        let guard = cell.guard().expect("a fresh generation is guarded");
+        assert_eq!(guard.range_limit, Some(1e6));
+        assert_eq!(cell.current().fingerprint(), fp(2));
+        assert_eq!(cell.previous().map(|p| p.fingerprint()), Some(fp(1)));
+
+        // Its violation rolls back: generation 0's weights, to install
+        // everywhere, and generation 1 quarantined.
+        let back = cell.settle(true).expect("a violation reinstalls");
+        assert!(Arc::ptr_eq(&back, &w0));
+        assert_eq!(cell.current().number(), 0);
         assert!(cell.previous().is_none());
-        assert_eq!(cell.quarantined(), &[(1, w1.fingerprint())]);
+        assert_eq!(cell.quarantined(), &[(1, fp(2))]);
         assert_eq!((cell.swaps(), cell.rollbacks()), (1, 1));
+        assert!(cell.guard().is_none());
 
         // Numbers stay monotonic across a rollback: the quarantined
-        // number 1 is never reused.
-        let n2 = cell.publish(Arc::new(weights_for(&g, 3)));
-        assert_eq!(n2, 2);
-        cell.mark_proven();
-        assert!(!cell.is_fresh());
+        // number 1 is never reused. A clean verdict proves the generation.
+        assert_eq!(cell.load(&artifact(3), &g, false, None), Ok(2));
+        assert!(cell.settle(false).is_none());
+        assert!(cell.guard().is_none(), "proven: no sentinel");
+
+        // A violation on a proven generation rematerializes it: the
+        // cell's pristine copy of the same generation, no rollback.
+        let pristine = cell.settle(true).expect("a violation reinstalls");
+        assert_eq!(pristine.fingerprint(), fp(3));
+        assert_eq!(cell.current().number(), 2);
+        assert_eq!(cell.previous().map(|p| p.number()), Some(0));
+        assert_eq!(cell.rollbacks(), 1);
     }
 
     #[test]

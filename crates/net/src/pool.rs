@@ -18,8 +18,7 @@
 //! reply senders, the breaker and the clock.
 
 use harvest_engine::{
-    decode_artifact_staged, ActivationGuard, MaterializedWeights, ScratchStats, WeightStore,
-    WeightsCell,
+    ActivationGuard, MaterializedWeights, ScratchStats, WeightStore, WeightsCell,
 };
 use harvest_models::Graph;
 use harvest_serving::{BatcherConfig, DynamicBatcher};
@@ -167,7 +166,6 @@ struct WorkerCounters {
 /// The pool coordinator's state (see the module doc for the rule).
 pub(crate) struct Pool<'g> {
     graph: &'g Graph,
-    swap_guard: ActivationGuard,
     cell: WeightsCell,
     batcher: DynamicBatcher,
     payloads: HashMap<u64, Tensor>,
@@ -178,9 +176,9 @@ pub(crate) struct Pool<'g> {
     next_done: u64,
     /// A staged `/admin/swap`, held until the pool-wide batch boundary.
     staged_swap: Option<Vec<u8>>,
-    /// The freshly published generation's first batch must run guarded and
-    /// solo (a pool-wide barrier until its verdict).
-    guard_pending: bool,
+    /// The seq of the fresh generation's guarded first batch while it runs.
+    /// While the cell hands out a guard, that batch runs solo: it waits for
+    /// the pool to empty, and nothing else leaves until its verdict.
     guard_inflight: Option<u64>,
     draining: bool,
     workers: Vec<WorkerCounters>,
@@ -197,16 +195,9 @@ impl<'g> Pool<'g> {
     /// A pool of `width` idle workers serving `graph` at the weights
     /// `seed` materializes — bit-identical to every worker's boot weights,
     /// so generation 0's fingerprint matches what the workers serve.
-    pub(crate) fn new(
-        graph: &'g Graph,
-        seed: u64,
-        batcher: BatcherConfig,
-        width: usize,
-        swap_guard: ActivationGuard,
-    ) -> Self {
+    pub(crate) fn new(graph: &'g Graph, seed: u64, batcher: BatcherConfig, width: usize) -> Self {
         Pool {
             graph,
-            swap_guard,
             cell: WeightsCell::new(Arc::new(MaterializedWeights::new(
                 graph,
                 &WeightStore::new(seed),
@@ -219,7 +210,6 @@ impl<'g> Pool<'g> {
             next_seq: 0,
             next_done: 0,
             staged_swap: None,
-            guard_pending: false,
             guard_inflight: None,
             draining: false,
             workers: vec![WorkerCounters::default(); width],
@@ -261,16 +251,18 @@ impl<'g> Pool<'g> {
     /// submission order. Either way the rule then runs.
     pub(crate) fn on_done(&mut self, d: WorkerDone, t: SimTime) -> Drain<'_, Effect> {
         self.workers[d.worker].scratch = d.scratch;
-        if d.violation {
-            // The swap sentinel fired on the fresh generation's first
-            // batch: roll back, reinstall the serving weights on every
-            // worker, and re-serve the same batch on the same worker — no
-            // request is ever answered from the quarantined generation.
+        if self.guard_inflight == Some(d.seq) {
+            // The guarded first batch's verdict settles the generation: a
+            // clean one proves it, a violation rolls it back everywhere.
             self.guard_inflight = None;
-            if self.cell.rollback().is_some() {
-                self.effects
-                    .push(Effect::Install(self.cell.current().weights()));
+            if let Some(weights) = self.cell.settle(d.violation) {
+                self.effects.push(Effect::Install(weights));
             }
+        }
+        if d.violation {
+            // Re-serve the same batch on the same worker, on the
+            // rolled-back-to generation: no request is ever answered from
+            // the quarantined one.
             self.effects.push(Effect::Run {
                 worker: d.worker,
                 batch: Batch {
@@ -284,10 +276,6 @@ impl<'g> Pool<'g> {
             self.busy[d.worker] = false;
             self.worker_busy_ns += d.busy_ns * d.ids.len() as u64;
             self.worker_busy_requests += d.ids.len() as u64;
-            if self.guard_inflight == Some(d.seq) {
-                self.guard_inflight = None;
-                self.cell.mark_proven();
-            }
             self.done_buf.insert(d.seq, d);
             while let Some(d) = self.done_buf.remove(&self.next_done) {
                 self.next_done += 1;
@@ -344,7 +332,7 @@ impl<'g> Pool<'g> {
     pub(crate) fn barrier(&self) -> bool {
         self.staged_swap.is_some()
             || self.guard_inflight.is_some()
-            || (self.guard_pending && self.any_busy())
+            || (self.cell.guard().is_some() && self.any_busy())
     }
 
     fn answer(&mut self, id: u64, outcome: WireOutcome) {
@@ -360,23 +348,18 @@ impl<'g> Pool<'g> {
         let Some(body) = self.staged_swap.take() else {
             return;
         };
-        let outcome = match decode_artifact_staged(&body, self.graph, false, None) {
-            Ok(w) => {
-                let generation = self.cell.publish(Arc::new(w));
+        let outcome = match self.cell.load(&body, self.graph, false, None) {
+            Ok(generation) => {
                 self.effects
                     .push(Effect::Install(self.cell.current().weights()));
-                self.guard_pending = true;
                 SwapOutcome::Swapped {
                     generation,
                     fingerprint: self.cell.current().fingerprint(),
                 }
             }
-            Err(e) => {
-                self.cell.record_rejected_load();
-                SwapOutcome::Rejected {
-                    error: e.to_string(),
-                }
-            }
+            Err(e) => SwapOutcome::Rejected {
+                error: e.to_string(),
+            },
         };
         self.effects.push(Effect::Swap(outcome));
     }
@@ -413,13 +396,12 @@ impl<'g> Pool<'g> {
             }
             let seq = self.next_seq;
             self.next_seq += 1;
-            let guard = if self.guard_pending {
-                self.guard_pending = false;
+            // Past the barrier, a guard means this is the fresh
+            // generation's first batch, and the pool is otherwise idle.
+            let guard = self.cell.guard();
+            if guard.is_some() {
                 self.guard_inflight = Some(seq);
-                Some(self.swap_guard)
-            } else {
-                None
-            };
+            }
             self.batch_size.observe(ids.len() as u64);
             self.busy[worker] = true;
             self.effects.push(Effect::Run {
@@ -586,11 +568,8 @@ mod tests {
 
     impl<'g> Rig<'g> {
         fn new(graph: &'g Graph, width: usize, batcher: BatcherConfig) -> Self {
-            let guard = ActivationGuard {
-                range_limit: Some(1e6),
-            };
             Rig {
-                pool: Pool::new(graph, 7, batcher, width, guard),
+                pool: Pool::new(graph, 7, batcher, width),
                 preferred: batcher.preferred_batch as usize,
                 now: 0,
                 running: (0..width).map(|_| None).collect(),
@@ -647,7 +626,9 @@ mod tests {
                 );
             }
             if !busy.contains(&true) {
-                assert!(!self.pool.barrier() || self.pool.guard_pending);
+                let guard_pending =
+                    self.pool.cell.guard().is_some() && self.pool.guard_inflight.is_none();
+                assert!(!self.pool.barrier() || guard_pending);
             }
         }
 

@@ -65,7 +65,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use harvest_engine::{ActivationGuard, Executor, MaterializedWeights};
+use harvest_engine::{Executor, MaterializedWeights};
 
 /// Everything the wire needs to come up.
 #[derive(Clone, Debug)]
@@ -106,10 +106,6 @@ pub struct WireConfig {
     /// Must share `img` and `classes` with `model`. `None` probes the full
     /// model directly.
     pub degraded_model: Option<VitConfig>,
-    /// Finite-magnitude ceiling for the swap sentinel that vets a freshly
-    /// swapped generation's first batch (a violation rolls the swap back);
-    /// `None` still checks for NaN/Inf.
-    pub swap_guard_range_limit: Option<f32>,
     /// Width of the data-parallel engine worker pool. Each worker owns a
     /// replica executor over the shared weight generations; a batch goes to
     /// the lowest-numbered idle worker and completions merge back in
@@ -153,7 +149,6 @@ impl Default for WireConfig {
                 mlp_ratio: 2,
                 classes: 4,
             }),
-            swap_guard_range_limit: Some(1e6),
             engine_workers: 2,
         }
     }
@@ -608,11 +603,12 @@ fn worker_loop(
 /// error EWMA.
 ///
 /// Swap semantics under the pool: a staged artifact resolves only at the
-/// pool-wide batch boundary (no batch in flight on any worker), the fresh
-/// generation's first batch runs guarded and solo, and a sentinel
-/// violation rolls back and quarantines across all workers before anyone
-/// is answered. Every completion is tagged with the generation that
-/// actually served it.
+/// pool-wide batch boundary (no batch in flight on any worker), and the
+/// generation's lifecycle is the weight cell's (`WeightsCell::load`,
+/// `guard`, `settle`): the fresh generation's first batch runs solo under
+/// the cell's sentinel, and a violation rolls back and quarantines across
+/// all workers before anyone is answered. Every completion is tagged with
+/// the generation that actually served it.
 fn engine_loop(
     rx: mpsc::Receiver<EngineMsg>,
     pool_tx: mpsc::Sender<EngineMsg>,
@@ -650,10 +646,7 @@ fn engine_loop(
         // channel's liveness tracks the accept loops and the pool only.
         drop(pool_tx);
 
-        let swap_guard = ActivationGuard {
-            range_limit: config.swap_guard_range_limit,
-        };
-        let mut pool = Pool::new(&graph, seed, batcher_config, width, swap_guard);
+        let mut pool = Pool::new(&graph, seed, batcher_config, width);
         let mut shell = Shell {
             worker_txs: &worker_txs,
             waiting: HashMap::new(),

@@ -67,10 +67,10 @@ pub struct BatcherConfig {
     /// Dispatch a partial batch once the oldest request is this old.
     pub max_queue_delay: SimTime,
     /// Queue bound; `0` means unbounded (the pre-admission-control
-    /// behavior). Defaults to [`BatcherConfig::DEFAULT_MAX_QUEUE`]. A bound
-    /// *below* `preferred_batch` is legal and selects a latency-biased
-    /// regime: the size trigger can never fire, so short batches leave on
-    /// the delay trigger and the shed policy works the full queue hard.
+    /// behavior). Defaults to 4096. A bound *below* `preferred_batch` is
+    /// legal and selects a latency-biased regime: the size trigger can never
+    /// fire, so short batches leave on the delay trigger and the shed policy
+    /// works the full queue hard.
     pub max_queue: usize,
     /// What gives way when the queue is full.
     pub shed: ShedPolicy,
@@ -80,7 +80,7 @@ impl BatcherConfig {
     /// Default queue bound: deep enough that no tier-1 workload ever
     /// touches it (the size trigger keeps the queue below one preferred
     /// batch), shallow enough to bound memory under true overload.
-    pub const DEFAULT_MAX_QUEUE: usize = 4096;
+    pub(crate) const DEFAULT_MAX_QUEUE: usize = 4096;
 
     /// A config with the default bound and reject-new shedding.
     pub fn new(preferred_batch: u32, max_queue_delay: SimTime) -> Self {

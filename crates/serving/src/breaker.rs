@@ -245,13 +245,13 @@ impl CircuitBreaker {
 /// The cluster's per-node breakers, shared between the frontend dispatcher,
 /// the failover router, and the per-node completion handlers.
 #[derive(Debug)]
-pub struct BreakerBank {
+pub(crate) struct BreakerBank {
     breakers: Vec<std::cell::RefCell<CircuitBreaker>>,
 }
 
 impl BreakerBank {
     /// One breaker per node, all with the same tuning.
-    pub fn new(nodes: u32, config: BreakerConfig) -> Self {
+    pub(crate) fn new(nodes: u32, config: BreakerConfig) -> Self {
         BreakerBank {
             breakers: (0..nodes)
                 .map(|_| std::cell::RefCell::new(CircuitBreaker::new(config)))
@@ -259,48 +259,43 @@ impl BreakerBank {
         }
     }
 
-    /// Nodes covered.
-    pub fn nodes(&self) -> u32 {
-        self.breakers.len() as u32
-    }
-
     /// May `node` receive a request at `now`? Consumes a half-open probe
     /// slot on success.
-    pub fn allow(&self, node: u32, now: SimTime) -> bool {
+    pub(crate) fn allow(&self, node: u32, now: SimTime) -> bool {
         self.breakers[node as usize].borrow_mut().allow(now)
     }
 
     /// Record a successful batch service on `node`.
-    pub fn record_success(&self, node: u32, now: SimTime, latency: SimTime) {
+    pub(crate) fn record_success(&self, node: u32, now: SimTime, latency: SimTime) {
         self.breakers[node as usize]
             .borrow_mut()
             .record_success(now, latency);
     }
 
     /// Record a failed batch service on `node`.
-    pub fn record_failure(&self, node: u32, now: SimTime) {
+    pub(crate) fn record_failure(&self, node: u32, now: SimTime) {
         self.breakers[node as usize]
             .borrow_mut()
             .record_failure(now);
     }
 
     /// Force `node`'s breaker open (integrity quarantine).
-    pub fn force_open(&self, node: u32, now: SimTime) {
+    pub(crate) fn force_open(&self, node: u32, now: SimTime) {
         self.breakers[node as usize].borrow_mut().force_open(now);
     }
 
     /// `node`'s state at `now`.
-    pub fn state(&self, node: u32, now: SimTime) -> BreakerState {
+    pub(crate) fn state(&self, node: u32, now: SimTime) -> BreakerState {
         self.breakers[node as usize].borrow_mut().state(now)
     }
 
     /// Total trips across all nodes.
-    pub fn total_trips(&self) -> u64 {
+    pub(crate) fn total_trips(&self) -> u64 {
         self.breakers.iter().map(|b| b.borrow().trips()).sum()
     }
 
     /// Total recoveries across all nodes.
-    pub fn total_closes(&self) -> u64 {
+    pub(crate) fn total_closes(&self) -> u64 {
         self.breakers.iter().map(|b| b.borrow().closes()).sum()
     }
 }

@@ -1,7 +1,7 @@
 //! Fleet-scale continuum serving: region-sharded clusters replaying
 //! million-user traces on the conservative-sync simulator.
 //!
-//! Each [`RegionShard`] is one simulated cluster of the Jetson → V100 →
+//! Each `RegionShard` is one simulated cluster of the Jetson → V100 →
 //! A100 continuum serving its region's slice of a
 //! [`harvest_simkit::FleetTraceConfig`] workload:
 //!
@@ -47,7 +47,7 @@ const LAT_BUCKETS: usize = 1000;
 
 /// One hardware tier of a region cluster.
 #[derive(Clone, Debug)]
-pub struct TierSpec {
+pub(crate) struct TierSpec {
     /// The platform every node of this tier runs.
     pub platform: PlatformId,
     /// The model served at this tier.
@@ -67,7 +67,7 @@ pub struct FleetConfig {
     pub trace: FleetTraceConfig,
     /// Tier layout of every region cluster, edge first. Requests escalate
     /// toward later tiers when earlier ones are saturated.
-    pub tiers: Vec<TierSpec>,
+    pub(crate) tiers: Vec<TierSpec>,
     /// Per-node circuit-breaker tuning.
     pub breaker: BreakerConfig,
     /// Conservative-sync window; cross-shard latency must be at least this.
@@ -176,7 +176,7 @@ fn mix_id(id: u64) -> u64 {
 /// A request in flight inside the fleet (public because it is the
 /// cross-shard message type of [`RegionShard`]; fields are internal).
 #[derive(Clone, Copy, Debug)]
-pub struct Req {
+pub(crate) struct Req {
     id: u64,
     t0: SimTime,
     kind: RequestKind,
@@ -280,7 +280,7 @@ pub struct ShardStats {
 }
 
 /// One region cluster: the [`Shard`] implementation for the fleet.
-pub struct RegionShard {
+pub(crate) struct RegionShard {
     region: u32,
     regions: u32,
     core: ShardCore<Ev>,
@@ -304,7 +304,7 @@ pub struct RegionShard {
 
 impl RegionShard {
     /// The shard for `region` under `cfg` (validate `cfg` first).
-    pub fn new(cfg: &FleetConfig, region: u32) -> Self {
+    pub(crate) fn new(cfg: &FleetConfig, region: u32) -> Self {
         let npr = cfg.total_nodes_per_region();
         let mut gid = region * npr;
         let tiers = cfg
@@ -346,16 +346,6 @@ impl RegionShard {
             ledger_terminal: 0,
             lat_hist: harvest_simkit::Histogram::new(LAT_LO, LAT_HI, LAT_BUCKETS),
         }
-    }
-
-    /// This shard's counters.
-    pub fn stats(&self) -> &ShardStats {
-        &self.stats
-    }
-
-    /// Events the shard's private loop fired.
-    pub fn events_fired(&self) -> u64 {
-        self.core.events_fired()
     }
 
     fn preferred_tier(&self, kind: RequestKind) -> usize {

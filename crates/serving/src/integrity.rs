@@ -18,7 +18,7 @@
 //!   dispatched exactly once as quarantined / clean / masked / escaped, and
 //!   every detection resolves as recovered or quarantined
 //!   ([`IntegrityStats::conserved`]).
-//! * [`NodeIntegrity`] — one node's fault plan + detector config + a
+//! * `NodeIntegrity` — one node's fault plan + detector config + a
 //!   pristine oracle executor: the same deterministic executor on the
 //!   serving generation's weights, never injection-targeted. Its one
 //!   forward per attempt is both the cross-check's reference and the ground
@@ -103,7 +103,7 @@ impl DetectorConfig {
     }
 
     /// Does batch number `batch` get an oracle cross-check?
-    pub fn cross_checks(&self, batch: u64) -> bool {
+    pub(crate) fn cross_checks(&self, batch: u64) -> bool {
         self.cross_check_period != 0 && batch.is_multiple_of(self.cross_check_period)
     }
 }
@@ -167,7 +167,7 @@ impl IntegrityStats {
 /// One node's integrity state: the fault plan corrupting it, the detectors
 /// defending it, the pristine oracle classifying what it emits, and the
 /// counters.
-pub struct NodeIntegrity<'g> {
+pub(crate) struct NodeIntegrity<'g> {
     pub(crate) plan: FaultPlan,
     pub(crate) config: DetectorConfig,
     /// Clean twin of the node's executor (same graph + seed, never
@@ -181,7 +181,12 @@ pub struct NodeIntegrity<'g> {
 impl<'g> NodeIntegrity<'g> {
     /// Integrity state for a node whose executor was built from
     /// (`graph`, `seed`) — the oracle must match that construction.
-    pub fn new(graph: &'g Graph, seed: u64, plan: FaultPlan, config: DetectorConfig) -> Self {
+    pub(crate) fn new(
+        graph: &'g Graph,
+        seed: u64,
+        plan: FaultPlan,
+        config: DetectorConfig,
+    ) -> Self {
         NodeIntegrity {
             plan,
             config,
@@ -189,16 +194,6 @@ impl<'g> NodeIntegrity<'g> {
             stats: IntegrityStats::default(),
             quarantined: false,
         }
-    }
-
-    /// The node's counters.
-    pub fn stats(&self) -> &IntegrityStats {
-        &self.stats
-    }
-
-    /// Has this node been quarantined?
-    pub fn is_quarantined(&self) -> bool {
-        self.quarantined
     }
 }
 
@@ -274,40 +269,6 @@ impl<'g> IntegrityCluster<'g> {
             .enumerate()
             .filter(|(_, s)| s.is_quarantined())
             .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// The breaker bank fronting the nodes.
-    pub fn breakers(&self) -> &BreakerBank {
-        &self.bank
-    }
-
-    /// Broadcast a weight artifact to every node. Each node verifies and
-    /// publishes independently (a node rejecting the artifact keeps its
-    /// serving generation); per-node results come back in node order.
-    pub fn swap_artifact(
-        &mut self,
-        bytes: &[u8],
-    ) -> Vec<Result<u64, harvest_engine::ArtifactError>> {
-        self.servers
-            .iter_mut()
-            .map(|s| s.swap_artifact(bytes))
-            .collect()
-    }
-
-    /// Per-node `(generation, swaps, rollbacks, rejected_loads)` snapshot.
-    pub fn generations(&self) -> Vec<(u64, u64, u64, u64)> {
-        self.servers
-            .iter()
-            .map(|s| {
-                let c = s.weights_cell();
-                (
-                    c.current().number(),
-                    c.swaps(),
-                    c.rollbacks(),
-                    c.rejected_loads(),
-                )
-            })
             .collect()
     }
 
@@ -514,7 +475,7 @@ mod tests {
 
         assert_eq!(cluster.quarantined_nodes(), vec![0]);
         assert_eq!(
-            cluster.breakers().state(0, SimTime::from_millis(total)),
+            cluster.bank.state(0, SimTime::from_millis(total)),
             BreakerState::Open,
             "quarantine forces the breaker open"
         );

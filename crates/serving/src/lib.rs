@@ -27,9 +27,10 @@
 //!   node open, half-open probes re-admit it.
 //! * [`overload`] — admission-controlled online serving: bounded queues,
 //!   shed policies, deadline-aware dropping, and goodput accounting.
-//! * [`realexec`] — the batcher driving *actual* host inference: dispatched
-//!   batches run through the batched execution engine and completions carry
-//!   real logits.
+//! * `realexec` ([`RealBatchServer`]) — the batcher driving *actual* host
+//!   inference: dispatched batches run through the batched execution engine
+//!   and completions carry real logits; the weight generation they run on
+//!   is decided by the engine's `WeightsCell` (load, guard, settle).
 //! * [`limits`] — shared serving limits: the body-size / queue / in-flight
 //!   bounds the wire front-end and the queueing layer must agree on, with
 //!   drift-catching validation (single source of truth).
@@ -51,30 +52,27 @@ pub mod cluster;
 pub mod fleet;
 pub mod integrity;
 pub mod limits;
-pub mod multimodel;
+pub(crate) mod multimodel;
 pub mod overload;
-pub mod realexec;
+pub(crate) mod realexec;
 pub mod resilience;
 pub mod scenario;
 pub mod server;
 
 pub use batcher::{BatcherConfig, BatcherConfigError, DynamicBatcher, ShedPolicy};
-pub use breaker::{BreakerBank, BreakerConfig, BreakerState, CircuitBreaker};
+pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use cluster::{run_cluster_offline, ClusterConfig, ClusterReport, Dispatch};
-pub use fleet::{
-    run_fleet, FleetConfig, FleetReport, RegionShard, ShardReport, ShardStats, TierSpec,
-};
+pub use fleet::{run_fleet, FleetConfig, FleetReport, ShardReport, ShardStats};
 pub use integrity::{
-    ClusterOutcome, DetectorConfig, IntegrityCluster, IntegrityStats, NodeIntegrity, DETECT_TOL,
-    ESCAPE_TOL,
+    ClusterOutcome, DetectorConfig, IntegrityCluster, IntegrityStats, DETECT_TOL, ESCAPE_TOL,
 };
 pub use limits::{LimitsError, ServingLimits};
 pub use multimodel::{HostedModel, LadderConfig, LadderSummary, MultiModelServer};
 pub use overload::{run_online_protected, OverloadReport};
 pub use realexec::{Completion, RealBatchServer, ServeFault, Submission};
-pub use resilience::{FaultInjection, ResilienceStats, ResilienceSummary, RetryPolicy};
+pub use resilience::{FaultInjection, ResilienceSummary, RetryPolicy};
 pub use scenario::{
     run_offline, run_online, run_realtime, OfflineConfig, OfflineReport, OnlineConfig,
     OnlineReport, RealTimeConfig, RealTimeReport,
 };
-pub use server::{AdmissionConfig, PipelineConfig, PipelineCore};
+pub use server::{AdmissionConfig, PipelineConfig};

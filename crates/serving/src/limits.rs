@@ -7,13 +7,12 @@
 //! drift: a frontend advertising a 1 MiB body cap over a queue sized for a
 //! different regime, or an admission gate bounding in-flight work the wire
 //! never learned about. [`ServingLimits`] pins all three in one struct; the
-//! check methods verify a [`BatcherConfig`] / `AdmissionConfig` against it
+//! check methods verify a [`BatcherConfig`] and an engine pool against it
 //! (equality, not `<=` — a *tighter* downstream bound would still make the
 //! wire's advertised limits a lie), and the constructor helpers derive
 //! consistent configs so there is nothing to keep in sync by hand.
 
 use crate::batcher::{BatcherConfig, BatcherConfigError, ShedPolicy};
-use crate::server::AdmissionConfig;
 use harvest_simkit::SimTime;
 
 /// The bounds a serving deployment advertises and enforces.
@@ -52,13 +51,6 @@ pub enum LimitsError {
         /// The bound the config enforces.
         config: usize,
     },
-    /// An admission config carries a different in-flight bound.
-    InFlightMismatch {
-        /// The bound the limits advertise.
-        limits: u64,
-        /// The bound the config enforces.
-        config: u64,
-    },
     /// The checked batcher config is itself invalid.
     Batcher(BatcherConfigError),
     /// An engine worker pool of width zero could never serve a request.
@@ -72,10 +64,6 @@ impl std::fmt::Display for LimitsError {
             LimitsError::QueueMismatch { limits, config } => write!(
                 f,
                 "queue bound drift: limits say {limits}, batcher enforces {config}"
-            ),
-            LimitsError::InFlightMismatch { limits, config } => write!(
-                f,
-                "in-flight bound drift: limits say {limits}, admission enforces {config}"
             ),
             LimitsError::Batcher(e) => write!(f, "invalid batcher config: {e}"),
             LimitsError::ZeroWorkers => write!(f, "engine worker pool must have at least 1 worker"),
@@ -108,24 +96,6 @@ impl ServingLimits {
             return Err(LimitsError::QueueMismatch {
                 limits: self.max_queue,
                 config: config.max_queue,
-            });
-        }
-        Ok(())
-    }
-
-    /// Verify an admission config enforces exactly these limits.
-    pub fn check_admission(&self, config: &AdmissionConfig) -> Result<(), LimitsError> {
-        self.validate()?;
-        if config.max_queue != self.max_queue {
-            return Err(LimitsError::QueueMismatch {
-                limits: self.max_queue,
-                config: config.max_queue,
-            });
-        }
-        if config.max_in_flight != self.max_in_flight {
-            return Err(LimitsError::InFlightMismatch {
-                limits: self.max_in_flight,
-                config: config.max_in_flight,
             });
         }
         Ok(())
@@ -183,13 +153,6 @@ mod tests {
             .expect("derived config is consistent");
         assert_eq!(batcher.max_queue, limits.max_queue);
         assert!(limits.check_batcher(&batcher).is_ok());
-        let admission = AdmissionConfig {
-            max_in_flight: limits.max_in_flight,
-            max_queue: limits.max_queue,
-            shed: ShedPolicy::RejectNew,
-            deadline: SimTime::from_millis(100),
-        };
-        assert!(limits.check_admission(&admission).is_ok());
     }
 
     #[test]
@@ -226,27 +189,6 @@ mod tests {
             limits.check_batcher(&batcher),
             Err(LimitsError::QueueMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn in_flight_drift_is_caught() {
-        let limits = ServingLimits {
-            max_in_flight: 64,
-            ..ServingLimits::default()
-        };
-        let admission = AdmissionConfig {
-            max_in_flight: 32,
-            max_queue: limits.max_queue,
-            shed: ShedPolicy::RejectNew,
-            deadline: SimTime::from_millis(100),
-        };
-        assert_eq!(
-            limits.check_admission(&admission),
-            Err(LimitsError::InFlightMismatch {
-                limits: 64,
-                config: 32,
-            })
-        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! the *computation* side: requests carry real input tensors, the
 //! [`DynamicBatcher`] decides when a batch dispatches (size or delay
 //! trigger, shed policies included), and dispatched batches run through
-//! [`Executor::forward_batch`] — the batched, weight-cached engine — so
-//! every completion carries real logits. One batcher decision layer, two
+//! [`Executor::run`] — the batched, weight-cached engine — so every
+//! completion carries real logits. One batcher decision layer, two
 //! backends: the DES uses modeled service times, this one does the math.
 //!
 //! Dispatched batches run under the `harvest-threads` work pool (GEMM row
@@ -19,10 +19,7 @@
 
 use crate::batcher::{BatcherConfig, BatcherConfigError, DynamicBatcher, QueuedRequest};
 use crate::integrity::{IntegrityStats, NodeIntegrity, DETECT_TOL, ESCAPE_TOL};
-use harvest_engine::{
-    decode_artifact_staged, ActivationGuard, ActivationInjection, ArtifactError, Executor,
-    WeightsCell,
-};
+use harvest_engine::{ActivationInjection, ArtifactError, Executor, WeightsCell};
 use harvest_simkit::SimTime;
 use harvest_tensor::integrity::max_abs_gap;
 use harvest_tensor::Tensor;
@@ -60,9 +57,9 @@ pub struct Submission {
 ///
 /// These are "can't happen" conditions — invariants the batcher/payload
 /// bookkeeping is supposed to make impossible. With a wire attached they
-/// must surface as a 500 for the affected request (and a quarantined
-/// attempt for the integrity path), never as a process panic: one skewed
-/// request must not take down every other connection on the box.
+/// must surface as a 500 for the affected request, never as a process
+/// panic: one skewed request must not take down every other connection on
+/// the box.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeFault {
     /// A dispatched batch referenced a queued id whose payload was missing
@@ -72,13 +69,6 @@ pub enum ServeFault {
         /// The orphaned request id.
         id: u64,
     },
-    /// An integrity-path attempt finished undetected but carried no
-    /// outputs (the detect/emit bookkeeping skewed). The attempt is treated
-    /// as a detection so the retry/quarantine ladder contains it.
-    IntegrityStateSkew {
-        /// The integrity round (batch counter) in which the skew appeared.
-        round: u64,
-    },
 }
 
 impl std::fmt::Display for ServeFault {
@@ -86,12 +76,6 @@ impl std::fmt::Display for ServeFault {
         match self {
             ServeFault::MissingPayload { id } => {
                 write!(f, "dispatched request {id} had no pending payload")
-            }
-            ServeFault::IntegrityStateSkew { round } => {
-                write!(
-                    f,
-                    "integrity round {round}: undetected attempt without outputs"
-                )
             }
         }
     }
@@ -116,12 +100,8 @@ pub struct RealBatchServer<'g> {
     faults: Vec<ServeFault>,
     /// The double-buffered weight-generation cell: the generation serving
     /// now plus the retained previous one, with the swap/rollback ledger.
+    /// It decides each generation's lifecycle (load, guard, settle).
     cell: WeightsCell,
-    /// Sentinel applied to a fresh generation's first batch on the plain
-    /// (no integrity state machine) path, so a poisoned artifact that
-    /// passed its checksums is rolled back instead of served. `None` keeps
-    /// the plain path bit-identical to the pre-swap server.
-    swap_guard: Option<ActivationGuard>,
 }
 
 impl<'g> RealBatchServer<'g> {
@@ -138,7 +118,6 @@ impl<'g> RealBatchServer<'g> {
             failed: Vec::new(),
             faults: Vec::new(),
             cell,
-            swap_guard: None,
         })
     }
 
@@ -146,7 +125,7 @@ impl<'g> RealBatchServer<'g> {
     /// fault injection from the node's plan, the configured detector
     /// ladder, re-materialize-and-retry recovery, and quarantine when the
     /// retry also fails.
-    pub fn with_integrity(
+    pub(crate) fn with_integrity(
         exec: Executor<'g>,
         config: BatcherConfig,
         integrity: NodeIntegrity<'g>,
@@ -157,18 +136,18 @@ impl<'g> RealBatchServer<'g> {
     }
 
     /// The node's integrity counters, when integrity is enabled.
-    pub fn integrity_stats(&self) -> Option<&IntegrityStats> {
+    pub(crate) fn integrity_stats(&self) -> Option<&IntegrityStats> {
         self.integrity.as_ref().map(|i| &i.stats)
     }
 
     /// Has this node been quarantined by the integrity layer?
-    pub fn is_quarantined(&self) -> bool {
+    pub(crate) fn is_quarantined(&self) -> bool {
         self.integrity.as_ref().is_some_and(|i| i.quarantined)
     }
 
     /// Drain the requests whose batches failed under quarantine (id +
     /// payload), for re-dispatch elsewhere.
-    pub fn take_failed(&mut self) -> Vec<(u64, Tensor)> {
+    pub(crate) fn take_failed(&mut self) -> Vec<(u64, Tensor)> {
         std::mem::take(&mut self.failed)
     }
 
@@ -209,54 +188,29 @@ impl<'g> RealBatchServer<'g> {
         self.cell.current().number()
     }
 
-    /// Arm the swap sentinel for the plain path: a freshly published
-    /// generation's first batch runs guarded, and a violation rolls the
-    /// swap back. The integrity path uses its own detector ladder instead.
-    pub fn set_swap_guard(&mut self, guard: ActivationGuard) {
-        self.swap_guard = Some(guard);
-    }
-
     /// Verify `bytes` as a weight artifact and, when every check passes,
     /// publish it as the next generation and install it for serving — the
-    /// next dispatched batch runs on it. Any framing, manifest or checksum
-    /// failure is a typed error, counts as a rejected load, and leaves the
-    /// serving generation untouched.
-    pub fn swap_artifact(&mut self, bytes: &[u8]) -> Result<u64, ArtifactError> {
-        self.swap_artifact_staged(bytes, None)
-    }
-
-    /// [`Self::swap_artifact`] with a simulated loader crash point after
-    /// `crash_after` tensors (see [`decode_artifact_staged`]): the staging
-    /// copy is dropped and the serving generation is untouched.
-    pub fn swap_artifact_staged(
+    /// next dispatched batch runs on it, under the cell's swap sentinel.
+    /// Any framing, manifest or checksum failure, or a simulated loader
+    /// crash after `crash_after` tensors, is a typed error, counts as a
+    /// rejected load, and leaves the serving generation untouched.
+    pub fn swap_artifact(
         &mut self,
         bytes: &[u8],
         crash_after: Option<u64>,
     ) -> Result<u64, ArtifactError> {
-        let decoded = decode_artifact_staged(
-            bytes,
-            self.exec.graph(),
-            self.exec.int8_linears(),
-            crash_after,
-        );
-        match decoded {
-            Ok(w) => {
-                let number = self.cell.publish(Arc::new(w));
-                let weights = self.cell.current().weights();
-                self.exec.install_weights(Arc::clone(&weights));
-                if let Some(intg) = self.integrity.as_mut() {
-                    // The oracle tracks published generations so post-swap
-                    // cross-checks and dispositions compare against the new
-                    // clean weights (its copy is never injection-targeted).
-                    intg.oracle.install_weights(weights);
-                }
-                Ok(number)
-            }
-            Err(e) => {
-                self.cell.record_rejected_load();
-                Err(e)
-            }
+        let graph = self.exec.graph();
+        let int8 = self.exec.int8_linears();
+        let number = self.cell.load(bytes, graph, int8, crash_after)?;
+        let weights = self.cell.current().weights();
+        self.exec.install_weights(Arc::clone(&weights));
+        if let Some(intg) = self.integrity.as_mut() {
+            // The oracle tracks published generations so post-swap
+            // cross-checks and dispositions compare against the new clean
+            // weights (its copy is never injection-targeted).
+            intg.oracle.install_weights(weights);
         }
+        Ok(number)
     }
 
     /// Requests admitted but not yet dispatched.
@@ -335,14 +289,18 @@ impl<'g> RealBatchServer<'g> {
         if ids.is_empty() {
             return Vec::new();
         }
-        let outputs = if self.integrity.is_some() {
-            match self.run_batch_integrity(&ids, inputs) {
-                Some(outputs) => outputs,
-                // Quarantined: the batch failed, nothing completes.
-                None => return Vec::new(),
+        let outputs = match self.integrity.as_mut() {
+            Some(intg) => {
+                match run_batch_integrity(&mut self.exec, &mut self.cell, intg, &inputs) {
+                    Some(outputs) => outputs,
+                    None => {
+                        // Quarantined: the batch failed, nothing completes.
+                        self.failed.extend(ids.into_iter().zip(inputs));
+                        return Vec::new();
+                    }
+                }
             }
-        } else {
-            self.run_batch_plain(&inputs)
+            None => self.run_batch_plain(&inputs),
         };
         self.executed_batches += 1;
         self.executed_requests += ids.len() as u64;
@@ -361,98 +319,76 @@ impl<'g> RealBatchServer<'g> {
             .collect()
     }
 
-    /// The plain execution path, with one swap hook: when a swap guard is
-    /// armed, a freshly published generation's first batch runs under the
-    /// activation sentinel. A violation means the artifact passed its
-    /// checksums but computes garbage (a poisoned producer): the swap is
-    /// rolled back and the batch re-served on the retained previous
-    /// generation — no request is ever answered from the bad one.
+    /// The plain execution path, with one swap hook: a freshly published
+    /// generation's first batch runs under the cell's sentinel. A violation
+    /// means the artifact passed its checksums but computes garbage (a
+    /// poisoned producer): the cell rolls the swap back and the batch is
+    /// re-served on the retained previous generation — no request is ever
+    /// answered from the bad one.
     fn run_batch_plain(&mut self, inputs: &[Tensor]) -> Vec<Tensor> {
-        let fresh = self.cell.is_fresh();
-        let guard = self.swap_guard.filter(|_| fresh);
+        let guard = self.cell.guard();
         let mut sink = Vec::new();
         let run = self.exec.run(inputs, guard.as_ref(), None, &mut sink);
-        if run.violation.is_some() {
-            if self.cell.rollback().is_some() {
-                self.exec.install_weights(self.cell.current().weights());
-            }
+        if let Some(weights) = self.cell.settle(run.violation.is_some()) {
+            self.exec.install_weights(weights);
             return self.exec.forward_batch(inputs);
-        }
-        if fresh {
-            // Unguarded, the batch itself is the proof.
-            self.cell.mark_proven();
         }
         self.exec.outputs(&sink, run.per_image)
     }
+}
 
-    /// The integrity state machine for one dispatched batch. Returns the
-    /// outputs to emit, or `None` when the batch was quarantined (its
-    /// requests moved to the failed list).
-    ///
-    /// Per batch: inject weight flips (round-keyed, so reruns replay
-    /// identically) → attempt 0: verify checksums, run the guarded forward
-    /// with activation injection, cross-check against the clean oracle →
-    /// on any detection, re-materialize the weights (re-injecting when the
-    /// fault is sticky — a failing cell, not a transient hit) and retry
-    /// once with fresh activation coins → a second detection quarantines
-    /// the node. Every emitted batch is classified against the clean
-    /// oracle: bit-identical (`clean`), within tolerance (`masked`), or
-    /// materially wrong (`escaped`).
-    fn run_batch_integrity(&mut self, ids: &[u64], inputs: Vec<Tensor>) -> Option<Vec<Tensor>> {
-        let Some(intg) = self.integrity.as_mut() else {
-            // Only reachable if the integrity flag and state drift apart.
-            // Record the skew and serve the batch plainly rather than
-            // panicking or silently dropping it.
-            self.faults.push(ServeFault::IntegrityStateSkew {
-                round: self.executed_batches,
-            });
-            return Some(self.exec.forward_batch(&inputs));
-        };
-        if intg.quarantined {
-            self.failed
-                .extend(ids.iter().copied().zip(inputs.iter().cloned()));
-            return None;
-        }
-        let round = intg.stats.batches;
-        intg.stats.batches += 1;
-        intg.stats.injected_weight_flips += self.exec.inject_weight_flips(&intg.plan, round);
+/// The integrity state machine for one dispatched batch. Returns the outputs
+/// to emit, or `None` when the batch was quarantined (the caller moves its
+/// requests to the failed list).
+///
+/// Per batch: inject weight flips (round-keyed, so reruns replay
+/// identically) → attempt 0: verify checksums, run the guarded forward with
+/// activation injection, cross-check against the clean oracle → on any
+/// detection, the weight cell settles the violation and the weights it names
+/// are reinstalled (re-injecting when the fault is sticky — a failing cell,
+/// not a transient hit) and the batch is retried once with fresh activation
+/// coins → a second detection quarantines the node. Every emitted batch is
+/// classified against the clean oracle: bit-identical (`clean`), within
+/// tolerance (`masked`), or materially wrong (`escaped`).
+fn run_batch_integrity(
+    exec: &mut Executor<'_>,
+    cell: &mut WeightsCell,
+    intg: &mut NodeIntegrity<'_>,
+    inputs: &[Tensor],
+) -> Option<Vec<Tensor>> {
+    if intg.quarantined {
+        return None;
+    }
+    let round = intg.stats.batches;
+    intg.stats.batches += 1;
+    intg.stats.injected_weight_flips += exec.inject_weight_flips(&intg.plan, round);
 
-        let mut detected_once = false;
-        for attempt in 0..=1u32 {
-            let mut detected = intg.config.weight_checksums && self.exec.verify_weights().is_err();
-            let mut outputs = None;
-            if !detected {
-                let inj_ctx = ActivationInjection {
-                    plan: &intg.plan,
-                    batch: round,
-                    attempt,
-                };
-                let inject = intg.plan.corrupts_activations().then_some(&inj_ctx);
-                let mut sink = Vec::new();
-                let run = self
-                    .exec
-                    .run(&inputs, intg.config.guard.as_ref(), inject, &mut sink);
-                intg.stats.injected_activation_flips += run.activation_flips;
-                if run.violation.is_some() {
-                    detected = true;
-                } else {
-                    // The oracle executor tracks published generations and
-                    // is never injection-targeted: its outputs are both the
-                    // cross-check's reference and the ground truth the
-                    // emitted batch is classified against.
-                    let outs = self.exec.outputs(&sink, run.per_image);
-                    let clean = intg.oracle.forward_batch(&inputs);
-                    detected = intg.config.cross_checks(round)
-                        && outs
-                            .iter()
-                            .zip(&clean)
-                            .any(|(y, c)| max_abs_gap(c.data(), y.data()) > DETECT_TOL);
-                    outputs = Some((outs, clean));
-                }
-            }
-            if !detected {
-                if let Some((outs, clean)) = outputs {
-                    if detected_once {
+    for attempt in 0..=1u32 {
+        if !(intg.config.weight_checksums && exec.verify_weights().is_err()) {
+            let inj_ctx = ActivationInjection {
+                plan: &intg.plan,
+                batch: round,
+                attempt,
+            };
+            let inject = intg.plan.corrupts_activations().then_some(&inj_ctx);
+            let mut sink = Vec::new();
+            let run = exec.run(inputs, intg.config.guard.as_ref(), inject, &mut sink);
+            intg.stats.injected_activation_flips += run.activation_flips;
+            if run.violation.is_none() {
+                // The oracle executor tracks published generations and is
+                // never injection-targeted: its outputs are both the
+                // cross-check's reference and the ground truth the emitted
+                // batch is classified against.
+                let outs = exec.outputs(&sink, run.per_image);
+                let clean = intg.oracle.forward_batch(inputs);
+                let mismatch = intg.config.cross_checks(round)
+                    && outs
+                        .iter()
+                        .zip(&clean)
+                        .any(|(y, c)| max_abs_gap(c.data(), y.data()) > DETECT_TOL);
+                if !mismatch {
+                    // Attempt 1 runs only after a detection.
+                    if attempt == 1 {
                         intg.stats.recovered += 1;
                     }
                     // Ground-truth disposition of what we are about to emit.
@@ -473,48 +409,34 @@ impl<'g> RealBatchServer<'g> {
                     }
                     // The generation carried a batch through the full
                     // ladder: it has proven itself on live traffic.
-                    self.cell.mark_proven();
+                    cell.settle(false);
                     return Some(outs);
                 }
-                // An undetected attempt must carry outputs; the detect/emit
-                // bookkeeping skewed. Surface a typed fault and fall through
-                // to the detection ladder (retry, then quarantine) instead
-                // of panicking.
-                self.faults.push(ServeFault::IntegrityStateSkew { round });
-            }
-            if attempt == 0 {
-                detected_once = true;
-                intg.stats.detected += 1;
-                // Recovery has two cases. A freshly published generation
-                // failing its very first checks is a bad artifact that
-                // slipped the load gate: roll back to the retained previous
-                // generation and quarantine it. A proven generation failing
-                // means in-memory corruption: reinstall the pristine bits
-                // of the *same* generation (the cell's copy is never
-                // injection-targeted, thanks to copy-on-write — this is the
-                // rematerialization step).
-                if self.cell.is_fresh() {
-                    self.cell.rollback();
-                }
-                let pristine = self.cell.current().weights();
-                self.exec.install_weights(Arc::clone(&pristine));
-                intg.oracle.install_weights(pristine);
-                if intg.plan.weight_flips_sticky() {
-                    // The failing cell corrupts the fresh copy too: same
-                    // round key, identical flips.
-                    intg.stats.injected_weight_flips +=
-                        self.exec.inject_weight_flips(&intg.plan, round);
-                }
-            } else {
-                intg.stats.quarantined += 1;
-                intg.quarantined = true;
-                self.failed
-                    .extend(ids.iter().copied().zip(inputs.iter().cloned()));
-                return None;
             }
         }
-        unreachable!("attempt loop emits or quarantines")
+        if attempt == 1 {
+            intg.stats.quarantined += 1;
+            intg.quarantined = true;
+            return None;
+        }
+        intg.stats.detected += 1;
+        // The cell names the recovery: a freshly published generation
+        // failing its very first checks is a bad artifact that slipped the
+        // load gate, rolled back and quarantined; a proven generation
+        // failing means in-memory corruption, and the pristine bits of the
+        // *same* generation are reinstalled (the cell's copy is never
+        // injection-targeted, thanks to copy-on-write).
+        if let Some(weights) = cell.settle(true) {
+            exec.install_weights(Arc::clone(&weights));
+            intg.oracle.install_weights(weights);
+        }
+        if intg.plan.weight_flips_sticky() {
+            // The failing cell corrupts the fresh copy too: same round key,
+            // identical flips.
+            intg.stats.injected_weight_flips += exec.inject_weight_flips(&intg.plan, round);
+        }
     }
+    unreachable!("attempt loop emits or quarantines")
 }
 
 #[cfg(test)]
@@ -925,7 +847,7 @@ mod tests {
             let mut server = integrity_server(&g, plan, config, 2);
             for n in 1..=swaps {
                 let number = server
-                    .swap_artifact(&artifact_bytes(&g, 98 + n))
+                    .swap_artifact(&artifact_bytes(&g, 98 + n), None)
                     .expect("clean artifact loads");
                 assert_eq!(number, n);
             }
@@ -993,10 +915,11 @@ mod tests {
             assert_eq!(c.output, before.forward(&input(c.id + 1)));
         }
         let n = server
-            .swap_artifact(&artifact_bytes(&g, 99))
+            .swap_artifact(&artifact_bytes(&g, 99), None)
             .expect("clean artifact loads");
         assert_eq!(n, 1);
         assert_eq!(server.generation(), 1);
+        assert!(server.weights_cell().guard().is_some(), "fresh: guarded");
         server.submit(2, input(3), SimTime::ZERO);
         let second = server.flush();
         assert_eq!(second.len(), 1);
@@ -1006,6 +929,7 @@ mod tests {
         );
         assert_eq!(second[0].output, after.forward(&input(3)));
         let cell = server.weights_cell();
+        assert!(cell.guard().is_none(), "its clean first batch proved it");
         assert_eq!(
             (cell.swaps(), cell.rollbacks(), cell.rejected_loads()),
             (1, 0, 0)
@@ -1030,14 +954,17 @@ mod tests {
         let mut corrupt = good.clone();
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0x10;
-        assert!(server.swap_artifact(&corrupt).is_err(), "bit flip rejects");
         assert!(
-            server.swap_artifact(&good[..good.len() / 3]).is_err(),
+            server.swap_artifact(&corrupt, None).is_err(),
+            "bit flip rejects"
+        );
+        assert!(
+            server.swap_artifact(&good[..good.len() / 3], None).is_err(),
             "truncation rejects"
         );
         assert!(
             matches!(
-                server.swap_artifact_staged(&good, Some(2)),
+                server.swap_artifact(&good, Some(2)),
                 Err(ArtifactError::CrashedMidLoad { applied: 2, .. })
             ),
             "mid-load crash rejects"
@@ -1062,13 +989,10 @@ mod tests {
             BatcherConfig::new(2, SimTime::from_millis(1000)),
         )
         .expect("valid config");
-        server.set_swap_guard(ActivationGuard {
-            range_limit: Some(1e6),
-        });
         // The poisoned artifact is internally consistent: the load gate
         // passes and the swap publishes.
         let n = server
-            .swap_artifact(&poisoned_bytes(&g, 99))
+            .swap_artifact(&poisoned_bytes(&g, 99), None)
             .expect("load gate passes");
         assert_eq!(n, 1);
         assert_eq!(server.generation(), 1);
@@ -1090,7 +1014,9 @@ mod tests {
         assert_eq!(cell.quarantined()[0].0, 1, "generation 1 quarantined");
         // A later good swap gets a fresh number, never reusing 1.
         assert_eq!(
-            server.swap_artifact(&artifact_bytes(&g, 4)).expect("clean"),
+            server
+                .swap_artifact(&artifact_bytes(&g, 4), None)
+                .expect("clean"),
             2
         );
     }
@@ -1103,7 +1029,7 @@ mod tests {
         drive(&mut server, 4);
         assert_eq!(
             server
-                .swap_artifact(&artifact_bytes(&g, 99))
+                .swap_artifact(&artifact_bytes(&g, 99), None)
                 .expect("clean artifact loads"),
             1
         );
@@ -1133,6 +1059,21 @@ mod tests {
         assert_eq!(stats.clean, stats.batches);
         assert_eq!(stats.escaped, 0);
         assert!(stats.conserved(), "{stats:?}");
+
+        // Its clean batches proved generation 1, so in-memory corruption
+        // found later is rematerialized from the cell's pristine copy of
+        // generation 1, not rolled back to generation 0.
+        let flips = FaultPlan::new(2024).with_weight_bit_flips(1e-3, false);
+        assert!(server.exec.inject_weight_flips(&flips, 0) > 0);
+        let healed = drive(&mut server, 2);
+        assert_eq!(healed.len(), 2);
+        for c in &healed {
+            assert_eq!(c.generation, 1, "a proven generation is not rolled back");
+            assert_eq!(c.output, after.forward(&input(c.id + 1)));
+        }
+        let stats = *server.integrity_stats().expect("integrity on");
+        assert_eq!((stats.detected, stats.recovered), (1, 1), "{stats:?}");
+        assert_eq!(server.weights_cell().rollbacks(), 0);
     }
 
     #[test]
@@ -1142,7 +1083,7 @@ mod tests {
         let mut server = integrity_server(&g, FaultPlan::none(), DetectorConfig::full(1e6), 2);
         assert_eq!(
             server
-                .swap_artifact(&poisoned_bytes(&g, 99))
+                .swap_artifact(&poisoned_bytes(&g, 99), None)
                 .expect("load gate passes"),
             1
         );

@@ -83,7 +83,7 @@ impl FaultInjection {
 
 /// Mutable counters shared by every fault-aware event handler in a run.
 #[derive(Debug, Default)]
-pub struct ResilienceStats {
+pub(crate) struct ResilienceStats {
     /// Re-dispatched request-attempts (transient retries + crash retries).
     pub retries: u64,
     /// Request-attempts whose failure was detected by client timeout.
@@ -117,14 +117,14 @@ pub struct ResilienceStats {
 
 impl ResilienceStats {
     /// Record request `id` completing; detects duplicate completions.
-    pub fn record_completion(&mut self, id: u64) {
+    pub(crate) fn record_completion(&mut self, id: u64) {
         if !self.completed_ids.insert(id) {
             self.duplicated += 1;
         }
     }
 
     /// Distinct requests that completed at least once.
-    pub fn distinct_completed(&self) -> u64 {
+    pub(crate) fn distinct_completed(&self) -> u64 {
         self.completed_ids.len() as u64
     }
 }
@@ -204,7 +204,7 @@ impl ResilienceSummary {
     /// `accepted` (requests actually admitted to the pipeline), and
     /// availability as the mean over `nodes` of each engine's uptime
     /// fraction across `[0, until)`.
-    pub fn from_stats(
+    pub(crate) fn from_stats(
         stats: &ResilienceStats,
         accepted: u64,
         plan: &FaultPlan,
@@ -245,7 +245,7 @@ pub(crate) type FailoverFn = Rc<dyn Fn(&mut Sim, Vec<QueuedRequest>, u32, u32)>;
 
 /// Per-node fault-handling context threaded into the pipeline's hooks.
 #[derive(Clone)]
-pub struct FaultContext {
+pub(crate) struct FaultContext {
     pub(crate) plan: Rc<FaultPlan>,
     pub(crate) node: u32,
     pub(crate) policy: RetryPolicy,
@@ -256,7 +256,7 @@ pub struct FaultContext {
 
 impl FaultContext {
     /// Context for `node`, sharing `plan` and `stats` with sibling nodes.
-    pub fn new(
+    pub(crate) fn new(
         plan: Rc<FaultPlan>,
         node: u32,
         policy: RetryPolicy,
@@ -274,7 +274,7 @@ impl FaultContext {
 
     /// Attach the cluster's per-node circuit breakers: completions and
     /// crash aborts on this context's node feed its breaker.
-    pub fn set_breakers(&mut self, bank: Rc<BreakerBank>) {
+    pub(crate) fn set_breakers(&mut self, bank: Rc<BreakerBank>) {
         self.breakers = Some(bank);
     }
 }

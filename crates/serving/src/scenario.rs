@@ -1,5 +1,5 @@
 //! The three deployment scenarios of §2.2, one public driver each, every
-//! one a [`Sim`] plus a [`PipelineCore`]: [`run_online`], [`run_offline`]
+//! one a [`Sim`] plus a `PipelineCore`: [`run_online`], [`run_offline`]
 //! and [`run_realtime`] (with [`crate::overload::run_online_protected`] the
 //! online driver behind admission control, and
 //! [`crate::cluster::run_cluster_offline`] the offline one over several

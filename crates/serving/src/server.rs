@@ -100,7 +100,7 @@ pub struct Metrics {
 /// One wired pipeline instance (servers + batcher + metrics) that runs on a
 /// caller-provided simulator — multiple cores can share one [`Sim`], which
 /// is how the cluster scale-out simulation composes nodes.
-pub struct PipelineCore {
+pub(crate) struct PipelineCore {
     engine: Rc<Engine>,
     preproc_server: Server,
     engine_server: Server,
@@ -116,7 +116,7 @@ pub struct PipelineCore {
 impl PipelineCore {
     /// Build the pipeline wiring; fails if the engine cannot be built at
     /// `max_batch` within the platform's memory budget.
-    pub fn new(config: &PipelineConfig) -> Result<Self, EngineError> {
+    pub(crate) fn new(config: &PipelineConfig) -> Result<Self, EngineError> {
         let engine = Engine::build(config.model, config.platform, config.ctx, config.max_batch)?;
         let cost = PreprocCostModel::new(config.platform);
         let preproc_s = cost.per_image_s(config.preproc, config.dataset);
@@ -145,7 +145,7 @@ impl PipelineCore {
     /// [`PipelineCore::set_fault_context`] first.
     ///
     /// [`ResilienceStats`]: crate::resilience::ResilienceStats
-    pub fn set_admission(&mut self, config: &AdmissionConfig) -> Result<(), EngineError> {
+    pub(crate) fn set_admission(&mut self, config: &AdmissionConfig) -> Result<(), EngineError> {
         let mut bc = self.batcher.borrow().config();
         bc.max_queue = config.max_queue;
         bc.shed = config.shed;
@@ -166,37 +166,37 @@ impl PipelineCore {
     /// [`ResilienceStats`].
     ///
     /// [`ResilienceStats`]: crate::resilience::ResilienceStats
-    pub fn set_fault_context(&mut self, ctx: FaultContext) {
+    pub(crate) fn set_fault_context(&mut self, ctx: FaultContext) {
         self.fault = Some(ctx);
     }
 
     /// The built engine.
-    pub fn engine(&self) -> &Engine {
+    pub(crate) fn engine(&self) -> &Engine {
         &self.engine
     }
 
     /// Shared metrics handle.
-    pub fn metrics(&self) -> Rc<RefCell<Metrics>> {
+    pub(crate) fn metrics(&self) -> Rc<RefCell<Metrics>> {
         self.metrics.clone()
     }
 
     /// Requests submitted so far.
-    pub fn submitted(&self) -> u64 {
+    pub(crate) fn submitted(&self) -> u64 {
         self.submitted
     }
 
     /// Images currently in flight (submitted minus completed).
-    pub fn in_flight(&self) -> u64 {
+    pub(crate) fn in_flight(&self) -> u64 {
         self.submitted - self.metrics.borrow().completed
     }
 
     /// Mean dispatched batch size so far.
-    pub fn mean_batch(&self) -> f64 {
+    pub(crate) fn mean_batch(&self) -> f64 {
         self.batcher.borrow().mean_batch()
     }
 
     /// Per-image preprocessing service time, seconds.
-    pub fn preproc_s(&self) -> f64 {
+    pub(crate) fn preproc_s(&self) -> f64 {
         self.preproc_s
     }
 
@@ -221,7 +221,7 @@ impl PipelineCore {
     }
 
     /// Submit one request arriving at `at` (absolute sim time).
-    pub fn submit(&mut self, sim: &mut Sim, at: SimTime) {
+    pub(crate) fn submit(&mut self, sim: &mut Sim, at: SimTime) {
         let id = self.submitted;
         self.submit_as(sim, at, id);
     }
@@ -230,14 +230,14 @@ impl PipelineCore {
     /// cluster drivers use this to keep ids globally unique so shared
     /// conservation accounting (and the per-request fault coins) see one
     /// namespace across nodes.
-    pub fn submit_as(&mut self, sim: &mut Sim, at: SimTime, id: u64) {
+    pub(crate) fn submit_as(&mut self, sim: &mut Sim, at: SimTime, id: u64) {
         self.submitted += 1;
         let hooks = self.hooks();
         sim.schedule_at(at, move |sim| hooks.admit_now(sim, id, at));
     }
 
     /// Flush any residual partial batch (end of stream).
-    pub fn flush(&mut self, sim: &mut Sim) {
+    pub(crate) fn flush(&mut self, sim: &mut Sim) {
         let residual = self.batcher.borrow_mut().flush();
         for batch in residual {
             self.hooks().dispatch_attempt(sim, batch, 0);
@@ -246,7 +246,7 @@ impl PipelineCore {
 
     /// End a single-node run: drain `sim`, flush any residual partial batch
     /// and drain again.
-    pub fn run_to_completion(&mut self, sim: &mut Sim) {
+    pub(crate) fn run_to_completion(&mut self, sim: &mut Sim) {
         sim.run();
         self.flush(sim);
         sim.run();
