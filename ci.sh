@@ -2,9 +2,10 @@
 # CI gate for this repository. Run before sending a PR.
 #
 #   1. formatting        cargo fmt --check
-#   2. lints             cargo clippy -D warnings (core crates of this stack)
-#                        and rustdoc over the whole workspace with warnings
-#                        promoted to errors (public-API docs can't rot)
+#   2. lints             cargo clippy -D warnings over the whole workspace
+#                        (every crate and shim, all targets) and rustdoc
+#                        over the whole workspace with warnings promoted to
+#                        errors (public-API docs can't rot)
 #  2b. no libm           non-test code of harvest-tensor and harvest-engine calls
 #                        no libm transcendental: logits bits must depend on
 #                        this repo's code, not on the host's glibc (`mul_add`
@@ -44,7 +45,16 @@
 #                        no second swap entry (`swap_artifact_staged`), no
 #                        hand-kept guard flag (`guard_pending`) and no
 #                        integrity skew fault (`IntegrityStateSkew`): the
-#                        lifecycle is `WeightsCell::{load, guard, settle}`
+#                        lifecycle is `WeightsCell::{load, guard, settle}`;
+#                        no feature only tests called: non-test
+#                        crates/*/src names no `DataLoader`, `Roofline`,
+#                        `Timeline`, `Streaming` or `to_honx` / `from_honx`
+#  2d. pub surface       a ratchet on cross-crate-unnamed `pub` items: the
+#                        non-test `pub fn|struct|enum|trait|type|const|
+#                        static|mod` lines of every crates/* but bench whose
+#                        name no other crate, benchmark/src, examples/,
+#                        tests/ or src/ names may not rise above
+#                        PUB_UNNAMED_MAX (a change may only lower it)
 #   3. tier-1 tests      cargo build --release && cargo test -q, run twice:
 #                        once with the harvest-threads pool forced sequential
 #                        (HARVEST_THREADS=1) and once at the host default
@@ -108,12 +118,7 @@ echo "== fmt =="
 cargo fmt --check
 
 echo "== clippy =="
-cargo clippy --offline --release \
-    -p harvest-simkit -p harvest-serving -p harvest-core -p harvest-bench \
-    -p harvest -p harvest-perf -p harvest-models \
-    -p harvest-engine -p harvest-tensor -p harvest-imaging \
-    -p harvest-threads -p harvest-net -p harvest-preproc -p harvest-data \
-    --all-targets -- -D warnings
+cargo clippy --offline --release --workspace --all-targets -- -D warnings
 
 echo "== docs =="
 # Broken intra-doc links, ambiguous paths, and links to private items are
@@ -275,6 +280,55 @@ done)
 if [ -n "$generation_forks" ]; then
     echo "$generation_forks"
     echo "a generation's lifecycle is kept outside WeightsCell again"
+    exit 1
+fi
+
+# No feature only tests called: the data loader, the roofline model, the
+# timeline recorder, the streaming-moments accumulator and the HONX text
+# interchange had no caller outside their own tests and were deleted; a
+# non-test line naming one of them is that surface growing back.
+test_only_features=$(find crates/*/src -name '*.rs' | sort | while read -r f; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// { next }
+        /(^|[^A-Za-z0-9_])(DataLoader|Roofline|Timeline|Streaming|to_honx|from_honx)/ {
+            print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$test_only_features" ]; then
+    echo "$test_only_features"
+    echo "a feature only tests called is back (a capability counts only with a caller)"
+    exit 1
+fi
+
+echo "== pub surface ratchet =="
+# A `pub` item no other crate names is either part of another item's public
+# signature or reachable only from its own crate's tests; narrowing the
+# rest to `pub(crate)` lets rustc's dead-code lint find what nothing calls.
+# Count the non-test `pub` item lines (each file read up to its first
+# column-0 `#[cfg(test)]`) of every crate but the bench binaries whose name
+# appears as a word on no non-comment line of another crate, benchmark/src,
+# examples/, tests/ or src/. The count may only fall: lower PUB_UNNAMED_MAX
+# when a change lowers it, never raise it.
+PUB_UNNAMED_MAX=129
+unnamed_pub=$(for c in crates/*/; do
+    c=${c%/}
+    [ "$c" = crates/bench ] && continue
+    awk 'NR == FNR { named[$0]; next } !($NF in named)' \
+        <({ find crates -name '*.rs' -not -path "$c/*"
+            find benchmark/src examples tests src -name '*.rs'; } | sort \
+            | xargs awk '!/^[[:space:]]*\/\//' \
+            | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u) \
+        <(find "$c/src" -name '*.rs' | sort | while read -r f; do
+            awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+                match($0, /^[[:space:]]*pub (fn|struct|enum|trait|type|const|static|mod) [A-Za-z_][A-Za-z0-9_]*/) {
+                    n = split(substr($0, RSTART, RLENGTH), w, " ")
+                    print f ":" FNR ": " w[n] }' "$f"
+        done)
+done)
+unnamed_count=$(printf '%s' "$unnamed_pub" | grep -c . || true)
+echo "cross-crate-unnamed pub items: $unnamed_count (max $PUB_UNNAMED_MAX)"
+if [ "$unnamed_count" -gt "$PUB_UNNAMED_MAX" ]; then
+    echo "$unnamed_pub"
+    echo "pub surface grew: narrow a new item to pub(crate), or name it from another crate"
     exit 1
 fi
 

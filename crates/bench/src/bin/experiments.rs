@@ -6,8 +6,9 @@
 //!              fleet|host]... [--json DIR] [--smoke]
 //! ```
 //!
-//! With no subcommand, everything runs; a name that is none of the above is
-//! an error (exit 2) before anything runs. `--json DIR` additionally writes each
+//! With no subcommand, everything runs; a name that is none of the above,
+//! or a `--json` with no directory after it, is an error (exit 2) before
+//! anything runs. `--json DIR` additionally writes each
 //! result as a JSON artifact into DIR. `--smoke` keeps the self-checks but
 //! suppresses the tables — CI uses it to regenerate artifacts cheaply and
 //! diff them for drift. `host` runs the *real* host measurements (GEMM
@@ -96,7 +97,10 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--json" {
-            let dir = it.next().expect("--json needs a directory");
+            let Some(dir) = it.next() else {
+                eprintln!("experiments: `--json` needs a directory");
+                std::process::exit(2);
+            };
             json_dir = Some(PathBuf::from(dir));
         } else if a == "--smoke" {
             smoke = true;

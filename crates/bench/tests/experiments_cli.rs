@@ -24,6 +24,18 @@ fn unknown_subcommand_is_rejected_before_anything_runs() {
     }
 }
 
+/// A bare `--json` is a usage error like an unknown name: exit 2 with a
+/// message naming the flag, not a panic (exit 101), and nothing runs.
+#[test]
+fn bare_json_flag_is_rejected_before_anything_runs() {
+    let out = experiments(&["table2", "--json"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "a subcommand ran before validation");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("`--json`"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
 /// The autotuner went with the kernels it chose between; its name is now
 /// one more unknown subcommand, and the valid list no longer offers it.
 #[test]

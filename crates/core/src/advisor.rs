@@ -104,47 +104,6 @@ impl Advisor {
             .max_by(|a, b| a.1.throughput.partial_cmp(&b.1.throughput).expect("finite"))
             .map(|(model, batch)| ModelRecommendation { model, batch })
     }
-
-    /// Recommend the most energy-efficient batch that still meets the
-    /// latency bound — the "energy efficiency" axis the paper's conclusion
-    /// says tuning must balance. Under the power model, energy per image
-    /// improves monotonically with batch, so this coincides with
-    /// [`Advisor::recommend_batch`]'s choice; the value of this method is
-    /// the attached energy figures.
-    pub fn recommend_batch_energy_aware(
-        &self,
-        model: ModelId,
-        latency_bound_ms: f64,
-    ) -> Option<(BatchRecommendation, harvest_perf::EnergyPoint)> {
-        let rec = self.recommend_batch(model, latency_bound_ms)?;
-        let energy = harvest_perf::EnergyModel::new(self.platform, model).point(rec.batch);
-        Some((rec, energy))
-    }
-
-    /// The largest model (by parameters) that can still sustain
-    /// `min_throughput` img/s under the latency bound — "elaborate selected
-    /// hyperparameters can improve throughput under latency constraints".
-    pub fn largest_model_sustaining(
-        &self,
-        latency_bound_ms: f64,
-        min_throughput: f64,
-    ) -> Option<ModelRecommendation> {
-        let mut candidates: Vec<(u64, ModelId, BatchRecommendation)> = ALL_MODELS
-            .iter()
-            .filter_map(|&m| {
-                let rec = self.recommend_batch(m, latency_bound_ms)?;
-                if rec.throughput >= min_throughput {
-                    Some((m.build().stats().params, m, rec))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        candidates.sort_by_key(|(params, _, _)| *params);
-        candidates
-            .pop()
-            .map(|(_, model, batch)| ModelRecommendation { model, batch })
-    }
 }
 
 #[cfg(test)]
@@ -199,38 +158,6 @@ mod tests {
             .recommend_model(16.7)
             .unwrap();
         assert_eq!(rec.model, ModelId::VitTiny);
-    }
-
-    #[test]
-    fn largest_model_sustaining_trades_capacity_for_accuracy_headroom() {
-        // Asking for ≥2000 img/s under 60 QPS on the A100 should pick a
-        // bigger model than the throughput champion.
-        let advisor = Advisor::new(PlatformId::MriA100);
-        let rec = advisor.largest_model_sustaining(16.7, 2000.0).unwrap();
-        assert_eq!(
-            rec.model,
-            ModelId::VitBase,
-            "largest model that still clears the bar"
-        );
-        // An absurd floor excludes everything but the small models.
-        let fast = advisor.largest_model_sustaining(16.7, 50_000.0);
-        if let Some(r) = fast {
-            // None is also acceptable: nothing sustains 50k under the bound.
-            assert_ne!(r.model, ModelId::VitBase);
-        }
-    }
-
-    #[test]
-    fn energy_aware_recommendation_reports_consistent_figures() {
-        let (rec, energy) = Advisor::new(PlatformId::JetsonOrinNano)
-            .recommend_batch_energy_aware(ModelId::VitTiny, 33.3)
-            .expect("feasible");
-        assert_eq!(rec.batch, energy.batch);
-        assert!(energy.mj_per_image > 0.0);
-        // Energy at the recommended batch beats batch-1 energy.
-        let e1 =
-            harvest_perf::EnergyModel::new(PlatformId::JetsonOrinNano, ModelId::VitTiny).point(1);
-        assert!(energy.mj_per_image < e1.mj_per_image);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub struct PlacementAnalysis {
 
 /// Mean encoded image size for a dataset: exact arithmetic for raw
 /// containers, measured over real encodes for the JPEG-like ones.
-pub fn mean_encoded_bytes(dataset: DatasetId, samples: u32) -> u64 {
+pub(crate) fn mean_encoded_bytes(dataset: DatasetId, samples: u32) -> u64 {
     let spec = DatasetSpec::get(dataset);
     match spec.format {
         ImageFormat::Rtif => 12 + (spec.mean_pixels() * 3.0) as u64,

@@ -13,7 +13,7 @@
 //!   them (the TensorRT-vs-naive-runtime gap).
 
 use harvest_data::DatasetId;
-use harvest_engine::{compile, Engine};
+use harvest_engine::compile;
 use harvest_hw::PlatformId;
 use harvest_models::{ModelId, Precision};
 use harvest_perf::{EnginePerfModel, MemoryContext};
@@ -101,7 +101,7 @@ pub struct PrecisionAblationRow {
 
 /// Relative tensor-math speed per precision (tensor cores: INT8 doubles
 /// FP16 throughput; FP32 runs at roughly half).
-pub fn precision_speedup(p: Precision) -> f64 {
+pub(crate) fn precision_speedup(p: Precision) -> f64 {
     match p {
         Precision::Fp32 => 0.5,
         Precision::Fp16 | Precision::Bf16 => 1.0,
@@ -164,12 +164,6 @@ pub fn fusion_ablation(platform: PlatformId) -> Vec<FusionAblationRow> {
             }
         })
         .collect()
-}
-
-/// Convenience: is the engine still buildable at total_batch on a platform
-/// (used by the harness to pick ablation configs)?
-pub fn feasible(platform: PlatformId, model: ModelId, batch: u32) -> bool {
-    Engine::build(model, platform, MemoryContext::EngineOnly, batch).is_ok()
 }
 
 /// One row of the quantization-accuracy probe.

@@ -45,7 +45,7 @@ pub struct Fig5Platform {
 }
 
 /// Regenerate one platform panel.
-pub fn fig5_platform(platform: PlatformId) -> Fig5Platform {
+pub(crate) fn fig5_platform(platform: PlatformId) -> Fig5Platform {
     let spec = platform.spec();
     let axis = batch_axis(platform);
     let series = ALL_MODELS

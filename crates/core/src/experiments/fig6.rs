@@ -66,7 +66,7 @@ fn fig6_series(platform: PlatformId, model: ModelId, axis: &[u32]) -> Fig6Series
 }
 
 /// Regenerate one platform panel.
-pub fn fig6_platform(platform: PlatformId) -> Fig6Platform {
+pub(crate) fn fig6_platform(platform: PlatformId) -> Fig6Platform {
     let axis = batch_axis(platform);
     Fig6Platform {
         platform: platform.name().to_string(),

@@ -29,7 +29,7 @@ pub struct Fig7Platform {
 }
 
 /// Regenerate one platform panel.
-pub fn fig7_platform(platform: PlatformId) -> Fig7Platform {
+pub(crate) fn fig7_platform(platform: PlatformId) -> Fig7Platform {
     let model = PreprocCostModel::new(platform);
     let mut cells = Vec::new();
     for method in PreprocMethod::ALL {

@@ -11,7 +11,7 @@ use harvest_simkit::SimTime;
 use serde::Serialize;
 
 /// The serving cap the paper's A100 column runs at.
-pub const SERVING_MAX_BATCH: u32 = 64;
+pub(crate) const SERVING_MAX_BATCH: u32 = 64;
 
 /// One (model × dataset) cell of a Fig. 8 panel.
 #[derive(Clone, Debug, Serialize)]
@@ -43,7 +43,7 @@ const IMAGES_PER_RUN: u32 = 1024;
 
 /// The Fig. 8 dataset list: the five classification datasets (the figure's
 /// legend omits the CRSA feed).
-pub fn fig8_datasets() -> Vec<DatasetId> {
+pub(crate) fn fig8_datasets() -> Vec<DatasetId> {
     ALL_DATASETS
         .iter()
         .map(|d| d.id)
@@ -81,7 +81,7 @@ pub fn preproc_instances(platform: PlatformId) -> u32 {
 
 /// Regenerate one platform panel by running the offline serving scenario
 /// for every model × dataset pair.
-pub fn fig8_platform(platform: PlatformId) -> Fig8Platform {
+pub(crate) fn fig8_platform(platform: PlatformId) -> Fig8Platform {
     let mut cells = Vec::new();
     for &model in &ALL_MODELS {
         let Some(batch) = fig8_batch(platform, model) else {

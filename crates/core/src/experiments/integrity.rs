@@ -30,14 +30,14 @@ use harvest_tensor::Tensor;
 use serde::Serialize;
 
 /// Fault families swept.
-pub const FAMILIES: [&str; 3] = ["weight", "weight-sticky", "activation"];
+pub(crate) const FAMILIES: [&str; 3] = ["weight", "weight-sticky", "activation"];
 
 /// Per-element fault rates swept (both land ≳1 expected flip per batch on
 /// the micro model's ~9k parameters).
-pub const RATES: [f64; 2] = [1e-4, 1e-3];
+pub(crate) const RATES: [f64; 2] = [1e-4, 1e-3];
 
 /// Detector rungs swept, weakest to strongest.
-pub const RUNGS: [&str; 4] = ["off", "sentinels", "checksums", "full"];
+pub(crate) const RUNGS: [&str; 4] = ["off", "sentinels", "checksums", "full"];
 
 /// Finite-activation ceiling for the sentinels: far above anything the
 /// micro model produces honestly, so the guard only fires on exponent-bit

@@ -126,7 +126,7 @@ pub struct OverloadExperiment {
 
 /// Load factors swept on every platform: half load, saturation, 1.5× and
 /// 2× past it.
-pub const LOAD_FACTORS: [f64; 4] = [0.5, 1.0, 1.5, 2.0];
+pub(crate) const LOAD_FACTORS: [f64; 4] = [0.5, 1.0, 1.5, 2.0];
 
 const REQUESTS_PER_POINT: u32 = 1200;
 

@@ -15,12 +15,10 @@
 //! Everything is seed-addressed: `sample i` of a dataset always produces the
 //! same size, class and bytes.
 
-pub mod loader;
-pub mod registry;
+pub(crate) mod registry;
 pub mod sampler;
 pub mod sizedist;
 
-pub use loader::{DataLoader, Split};
 pub use registry::{DatasetId, DatasetSpec, ALL_DATASETS};
 pub use sampler::{EncodedSample, SampleMeta, Sampler};
 pub use sizedist::SizeDist;

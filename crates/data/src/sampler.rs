@@ -107,11 +107,6 @@ impl Sampler {
             bytes: self.spec.format.encode(&img),
         }
     }
-
-    /// Iterator over the first `n` sample metas (clamped to dataset size).
-    pub fn metas(&self, n: u32) -> impl Iterator<Item = SampleMeta> + '_ {
-        (0..n.min(self.spec.samples)).map(move |i| self.meta(i))
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +137,7 @@ mod tests {
     fn classes_are_in_range_for_all_datasets() {
         for spec in &ALL_DATASETS {
             let s = Sampler::new(spec.id, 7);
-            for meta in s.metas(64) {
+            for meta in (0..64).map(|i| s.meta(i)) {
                 match (spec.classes, meta.class) {
                     (Some(n), Some(c)) => assert!(c < n, "{:?}: class {c} >= {n}", spec.id),
                     (None, None) => {}
@@ -155,7 +150,7 @@ mod tests {
     #[test]
     fn fixed_datasets_have_fixed_sizes() {
         let s = Sampler::new(DatasetId::PlantVillage, 3);
-        for meta in s.metas(32) {
+        for meta in (0..32).map(|i| s.meta(i)) {
             assert_eq!((meta.width, meta.height), (256, 256));
         }
     }

@@ -123,7 +123,7 @@ impl SizeHistogram {
     }
 
     /// Bins per axis.
-    pub fn bins(&self) -> usize {
+    pub(crate) fn bins(&self) -> usize {
         self.extent.div_ceil(self.cell)
     }
 

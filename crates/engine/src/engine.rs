@@ -1,7 +1,6 @@
 //! The built engine: OOM-checked, latency-modelled batched execution.
 
 use crate::passes::{compile, ExecPlan};
-use crate::planner::{plan_activations, ActivationPlan};
 use harvest_hw::PlatformId;
 use harvest_models::{Graph, ModelId, Precision};
 use harvest_perf::{EngineMemoryModel, EnginePerfModel, MemoryContext};
@@ -61,7 +60,6 @@ pub struct Engine {
     platform: PlatformId,
     max_batch: u32,
     plan: ExecPlan,
-    activation_plan: ActivationPlan,
     perf: EnginePerfModel,
     memory: EngineMemoryModel,
     precision: Precision,
@@ -83,7 +81,6 @@ impl Engine {
         let graph: Graph = model.build();
         let precision = Precision::Fp16;
         let plan = compile(&graph);
-        let activation_plan = plan_activations(&graph, precision);
         let perf = EnginePerfModel::new(platform, model);
         let memory = EngineMemoryModel::new(platform, model, ctx);
         if !memory.fits(max_batch) {
@@ -98,23 +95,10 @@ impl Engine {
             platform,
             max_batch,
             plan,
-            activation_plan,
             perf,
             memory,
             precision,
         })
-    }
-
-    /// Build with the largest batch from `axis` that fits; `None` if none.
-    pub fn build_max(
-        model: ModelId,
-        platform: PlatformId,
-        ctx: MemoryContext,
-        axis: &[u32],
-    ) -> Option<Engine> {
-        let memory = EngineMemoryModel::new(platform, model, ctx);
-        let best = harvest_perf::max_batch_under_memory(&memory, axis)?;
-        Engine::build(model, platform, ctx, best).ok()
     }
 
     /// Model served by this engine.
@@ -132,10 +116,6 @@ impl Engine {
     /// The fused execution plan.
     pub fn plan(&self) -> &ExecPlan {
         &self.plan
-    }
-    /// The activation memory plan (per image).
-    pub fn activation_plan(&self) -> &ActivationPlan {
-        &self.activation_plan
     }
     /// The calibrated performance model.
     pub fn perf(&self) -> &EnginePerfModel {
@@ -214,27 +194,6 @@ mod tests {
             8
         )
         .is_ok());
-    }
-
-    #[test]
-    fn build_max_lands_on_fig5c_walls() {
-        use harvest_perf::batch_axis::JETSON_BATCHES;
-        let walls = [
-            (ModelId::VitTiny, 196),
-            (ModelId::VitSmall, 64),
-            (ModelId::ResNet50, 64),
-            (ModelId::VitBase, 8),
-        ];
-        for (model, wall) in walls {
-            let e = Engine::build_max(
-                model,
-                PlatformId::JetsonOrinNano,
-                MemoryContext::EngineOnly,
-                &JETSON_BATCHES,
-            )
-            .expect("some batch fits");
-            assert_eq!(e.max_batch(), wall, "{model:?}");
-        }
     }
 
     #[test]

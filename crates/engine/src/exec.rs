@@ -30,7 +30,7 @@
 //!
 //! On top of the forward sits the **integrity layer**: every materialized
 //! tensor carries an FNV-1a checksum taken at construction
-//! ([`MaterializedWeights::verify_integrity`] detects any bit of weight
+//! (`MaterializedWeights::verify_integrity` detects any bit of weight
 //! corruption), and [`Executor::run`] takes opt-in NaN/Inf/range sentinels
 //! after each GEMM stage plus deterministic activation-flip injection. The
 //! sampled cross-check against a clean executor lives in

@@ -45,8 +45,5 @@ pub use exec::{
 };
 pub use passes::{compile, ExecPlan, ExecStep, StepKind};
 pub use planner::{plan_activations, ActivationPlan};
-pub use swap::{
-    decode_artifact, encode_artifact, ArtifactError, Generation, WeightsCell, ARTIFACT_MAGIC,
-    ARTIFACT_VERSION,
-};
+pub use swap::{decode_artifact, encode_artifact, ArtifactError, Generation, WeightsCell};
 pub use weights::{MaterializedWeights, WeightCorruption, WeightStore};

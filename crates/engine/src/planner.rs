@@ -4,8 +4,13 @@
 //! (definition → last use) over the topological order, then allocate
 //! intervals through the real free-list allocator in `harvest-hw`,
 //! releasing buffers the moment their last consumer has run. The resulting
-//! high-water mark is the per-image activation peak — the number the
-//! engine's memory estimate is built on.
+//! high-water mark is the per-image activation peak.
+//!
+//! No build or serving path calls this planner. The engine's OOM wall is
+//! `harvest_perf::EngineMemoryModel::fits`, a per-image working set
+//! calibrated to the paper's walls; the liveness peak here is the reference
+//! that model can be compared against. The planner's pool is sized to the
+//! no-reuse total, so none of its allocations can fail.
 
 use harvest_hw::MemoryPool;
 use harvest_models::{Graph, NodeId, Op, Precision};
@@ -19,17 +24,6 @@ pub struct ActivationPlan {
     pub total_bytes: u64,
     /// Number of distinct buffers allocated.
     pub buffers: usize,
-}
-
-impl ActivationPlan {
-    /// How much memory reuse saved versus no planning.
-    pub fn reuse_factor(&self) -> f64 {
-        if self.peak_bytes == 0 {
-            1.0
-        } else {
-            self.total_bytes as f64 / self.peak_bytes as f64
-        }
-    }
 }
 
 /// Plan activation memory for `graph` at `precision`.
@@ -115,7 +109,8 @@ mod tests {
         assert_eq!(plan.buffers, 4);
         assert!(plan.peak_bytes <= 2 * 4096, "peak {}", plan.peak_bytes);
         assert!(plan.peak_bytes >= 2 * one as u64);
-        assert!(plan.reuse_factor() > 1.9, "reuse {}", plan.reuse_factor());
+        let reuse = plan.total_bytes as f64 / plan.peak_bytes as f64;
+        assert!(reuse > 1.9, "reuse {reuse}");
     }
 
     #[test]
@@ -144,10 +139,10 @@ mod tests {
     fn resnet_peak_is_far_below_total() {
         let g = resnet50(1000);
         let plan = plan_activations(&g, Precision::Fp16);
+        let reuse = plan.total_bytes as f64 / plan.peak_bytes as f64;
         assert!(
-            plan.reuse_factor() > 5.0,
-            "liveness planning should reuse heavily: {}",
-            plan.reuse_factor()
+            reuse > 5.0,
+            "liveness planning should reuse heavily: {reuse}"
         );
         // Peak is a small multiple of the largest single activation
         // (64×112×112 fp16 ≈ 1.6 MB).

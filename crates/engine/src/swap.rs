@@ -37,9 +37,9 @@ use harvest_tensor::integrity::{checksum_bytes, checksum_f32};
 use std::sync::Arc;
 
 /// First bytes of every weight artifact.
-pub const ARTIFACT_MAGIC: [u8; 4] = *b"HVWA";
+pub(crate) const ARTIFACT_MAGIC: [u8; 4] = *b"HVWA";
 /// Current artifact format version.
-pub const ARTIFACT_VERSION: u32 = 1;
+pub(crate) const ARTIFACT_VERSION: u32 = 1;
 
 /// Why an artifact was rejected before publication. Every variant leaves
 /// the previously serving generation untouched.
@@ -52,7 +52,7 @@ pub enum ArtifactError {
         /// Bytes actually remaining.
         have: usize,
     },
-    /// The first four bytes are not [`ARTIFACT_MAGIC`].
+    /// The first four bytes are not `ARTIFACT_MAGIC` (`HVWA`).
     BadMagic,
     /// Unknown format version.
     BadVersion {

@@ -450,11 +450,6 @@ impl MaterializedWeights {
         }
     }
 
-    /// Total f32 weight elements held (≈ parameter count).
-    pub fn f32_elements(&self) -> usize {
-        self.f32_elements
-    }
-
     pub(crate) fn of(&self, id: NodeId) -> &NodeWeights {
         &self.nodes[id.0]
     }
@@ -486,7 +481,7 @@ impl MaterializedWeights {
     /// checksums; reports the first corrupt tensor found. O(parameters) —
     /// cheap relative to a batch forward, so serving layers can afford to
     /// run it per dispatched batch.
-    pub fn verify_integrity(&self) -> Result<(), WeightCorruption> {
+    pub(crate) fn verify_integrity(&self) -> Result<(), WeightCorruption> {
         for ((id, expect), actual) in self
             .checksums
             .iter()
@@ -548,7 +543,7 @@ impl MaterializedWeights {
     /// from the new weights' `k×n` views and the construction-time checksums
     /// are re-taken, so [`MaterializedWeights::verify_integrity`] passes
     /// against the *new* bits.
-    pub fn rebuild_derived(&mut self) {
+    pub(crate) fn rebuild_derived(&mut self) {
         for w in &mut self.nodes {
             let linears: Vec<&mut LinearWeight> = match w {
                 NodeWeights::Linear { w, .. } => vec![w],
@@ -670,7 +665,7 @@ mod tests {
             let tails: usize = shapes.map(|(k, n)| (n.next_multiple_of(32) - n) * k).sum();
             // Only the 16-class head (k = 192) is not a whole number of panels.
             assert_eq!(tails, 16 * 192, "{}", g.name());
-            assert_eq!(stored, w.f32_elements() + tails, "{}", g.name());
+            assert_eq!(stored, w.f32_elements + tails, "{}", g.name());
         }
     }
 
@@ -683,9 +678,9 @@ mod tests {
         // positional embeddings).
         let params = g.stats().params as usize;
         assert!(
-            exec.materialized().f32_elements() >= params,
+            exec.materialized().f32_elements >= params,
             "{} < {}",
-            exec.materialized().f32_elements(),
+            exec.materialized().f32_elements,
             params
         );
     }

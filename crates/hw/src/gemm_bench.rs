@@ -64,7 +64,7 @@ pub fn device_gemm_time(spec: &PlatformSpec, shape: &GemmShape) -> f64 {
 }
 
 /// Simulated achieved TFLOPS for one GEMM on a device.
-pub fn device_gemm_tflops(spec: &PlatformSpec, shape: &GemmShape) -> f64 {
+pub(crate) fn device_gemm_tflops(spec: &PlatformSpec, shape: &GemmShape) -> f64 {
     shape.flops() / device_gemm_time(spec, shape) / 1e12
 }
 

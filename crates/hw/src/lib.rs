@@ -13,18 +13,17 @@
 //!
 //! * [`platform`] — the static descriptors (cores, memory, bandwidths,
 //!   launch overheads, scenario fit).
-//! * [`memory`] — a real free-list device-memory allocator with peak/OOM
-//!   accounting; the engine's memory planner allocates through it, and the
-//!   Jetson OOM walls of Figs 5c/6c/8 fall out of its arithmetic.
-//! * [`gemm_bench`] — the Table 1 microbenchmark: a roofline-style device
+//! * [`memory`] — a real free-list device-memory allocator with peak
+//!   accounting; the engine's activation planner allocates through it.
+//! * `gemm_bench` — the Table 1 microbenchmark: a roofline-style device
 //!   GEMM model whose large-GEMM plateau is calibrated to the paper's
 //!   practical TFLOPS, plus a *real* host GEMM measurement (run on the
 //!   machine this reproduction executes on) so the efficiency-gap story is
 //!   demonstrated on real silicon too.
 
-pub mod gemm_bench;
+pub(crate) mod gemm_bench;
 pub mod memory;
-pub mod network;
+pub(crate) mod network;
 pub mod platform;
 
 pub use gemm_bench::{device_gemm_time, host_gemm_gflops, measure_practical_tflops, GemmShape};

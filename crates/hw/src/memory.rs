@@ -1,10 +1,12 @@
 //! Device-memory accounting: a real first-fit free-list allocator.
 //!
-//! The engine's memory planner and the serving simulator allocate through
-//! this pool; when an allocation fails, that *is* the out-of-memory wall the
-//! paper hits on the Jetson (Figs 5c, 6c, 8). The allocator maintains a
-//! sorted free list with coalescing, so fragmentation behaviour is real
-//! rather than assumed.
+//! `harvest_engine::plan_activations` allocates its liveness intervals
+//! through this pool to find a graph's activation peak; it sizes the pool
+//! to the no-reuse total, so none of those allocations fails. The
+//! out-of-memory wall the paper hits on the Jetson (Figs 5c, 6c, 8) is not
+//! an allocation failure here but `harvest_perf::EngineMemoryModel::fits`.
+//! The allocator maintains a sorted free list with coalescing, so
+//! fragmentation behaviour is real rather than assumed.
 
 use std::fmt;
 
@@ -58,7 +60,7 @@ impl MemoryPool {
     }
 
     /// Pool with explicit alignment (must be a power of two).
-    pub fn with_alignment(capacity: u64, alignment: u64) -> Self {
+    pub(crate) fn with_alignment(capacity: u64, alignment: u64) -> Self {
         assert!(
             alignment.is_power_of_two(),
             "alignment must be a power of two"
@@ -165,12 +167,6 @@ impl MemoryPool {
             }
         }
     }
-
-    /// Would an allocation of `size` bytes succeed right now?
-    pub fn can_alloc(&self, size: u64) -> bool {
-        let size = self.align_up(size.max(1));
-        self.largest_free_block() >= size
-    }
 }
 
 #[cfg(test)]
@@ -231,10 +227,9 @@ mod tests {
         pool.release(blocks[2]);
         assert_eq!(pool.free(), 2048);
         assert_eq!(pool.largest_free_block(), 1024);
-        assert!(!pool.can_alloc(2048));
-        assert!(pool.can_alloc(1024));
         let err = pool.alloc(2048).unwrap_err();
         assert_eq!(err.largest_block, 1024);
+        assert!(pool.alloc(1024).is_ok());
     }
 
     #[test]

@@ -30,7 +30,7 @@ impl NetworkLink {
         overhead: 0.12,
     };
     /// Good LTE coverage.
-    pub const LTE: NetworkLink = NetworkLink {
+    pub(crate) const LTE: NetworkLink = NetworkLink {
         name: "LTE",
         uplink_mbps: 25.0,
         rtt_ms: 45.0,
@@ -44,7 +44,7 @@ impl NetworkLink {
         overhead: 0.08,
     };
     /// Fixed wireless / farm Wi-Fi backhaul.
-    pub const FIXED_WIRELESS: NetworkLink = NetworkLink {
+    pub(crate) const FIXED_WIRELESS: NetworkLink = NetworkLink {
         name: "fixed wireless",
         uplink_mbps: 80.0,
         rtt_ms: 15.0,

@@ -2,10 +2,9 @@
 //! actually produce.
 //!
 //! The paper's motivating applications include "residue cover on soil
-//! surface estimation" (the CRSA pipeline's purpose) and canopy/vegetation
-//! assessment for the row-crop workloads. These estimators are the simple
-//! colour-index versions agronomists use as baselines — enough to turn a
-//! classified mosaic into the heatmap outputs Fig 3a describes.
+//! surface estimation" (the CRSA pipeline's purpose). The estimator is the
+//! simple colour-threshold version agronomists use as a baseline — enough to
+//! turn a classified mosaic into the heatmap outputs Fig 3a describes.
 
 use crate::image::RgbImage;
 
@@ -24,19 +23,6 @@ pub fn residue_cover_fraction(img: &RgbImage) -> f64 {
         }
     }
     residue as f64 / img.pixels() as f64
-}
-
-/// Fraction of pixels classified as green canopy using the excess-green
-/// index `ExG = 2g − r − b` (the classic vegetation segmentation baseline).
-pub fn canopy_cover_fraction(img: &RgbImage) -> f64 {
-    let mut canopy = 0usize;
-    for px in img.data().chunks_exact(3) {
-        let (r, g, b) = (px[0] as i32, px[1] as i32, px[2] as i32);
-        if 2 * g - r - b > 40 {
-            canopy += 1;
-        }
-    }
-    canopy as f64 / img.pixels() as f64
 }
 
 /// A coarse per-cell heatmap of a scalar estimator over an image — the
@@ -79,20 +65,17 @@ mod tests {
     fn solid_straw_is_all_residue() {
         let img = RgbImage::solid(16, 16, [190, 170, 130]);
         assert!((residue_cover_fraction(&img) - 1.0).abs() < 1e-9);
-        assert_eq!(canopy_cover_fraction(&img), 0.0);
     }
 
     #[test]
     fn solid_soil_is_neither() {
         let img = RgbImage::solid(16, 16, [110, 85, 60]);
         assert_eq!(residue_cover_fraction(&img), 0.0);
-        assert_eq!(canopy_cover_fraction(&img), 0.0);
     }
 
     #[test]
-    fn solid_canopy_is_all_vegetation() {
+    fn solid_canopy_is_no_residue() {
         let img = RgbImage::solid(16, 16, [60, 130, 55]);
-        assert!((canopy_cover_fraction(&img) - 1.0).abs() < 1e-9);
         assert_eq!(residue_cover_fraction(&img), 0.0);
     }
 
@@ -110,33 +93,15 @@ mod tests {
     }
 
     #[test]
-    fn row_crop_scene_has_substantial_canopy() {
-        let img = FieldScene::RowCrop.render(&SynthImageSpec {
-            width: 256,
-            height: 256,
-            seed: 9,
-        });
-        let f = canopy_cover_fraction(&img);
-        assert!((0.15..0.85).contains(&f), "canopy fraction {f}");
-        // And clearly more canopy than the bare ground-vehicle scene.
-        let soil = FieldScene::GroundFeed.render(&SynthImageSpec {
-            width: 256,
-            height: 256,
-            seed: 9,
-        });
-        assert!(f > canopy_cover_fraction(&soil));
-    }
-
-    #[test]
     fn heatmap_partitions_the_image() {
         let mut img = RgbImage::solid(64, 64, [110, 85, 60]); // soil
-                                                              // Paint the top-left quadrant with canopy.
+                                                              // Paint the top-left quadrant with straw.
         for y in 0..32 {
             for x in 0..32 {
-                img.put(x, y, [60, 130, 55]);
+                img.put(x, y, [190, 170, 130]);
             }
         }
-        let cells = heatmap(&img, 2, 2, canopy_cover_fraction);
+        let cells = heatmap(&img, 2, 2, residue_cover_fraction);
         assert_eq!(cells.len(), 4);
         assert!((cells[0] - 1.0).abs() < 1e-9, "top-left {}", cells[0]);
         assert!(cells[1] < 1e-9);
@@ -147,6 +112,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "smaller than grid")]
     fn oversized_grid_rejected() {
-        heatmap(&RgbImage::new(4, 4), 8, 8, canopy_cover_fraction);
+        heatmap(&RgbImage::new(4, 4), 8, 8, residue_cover_fraction);
     }
 }

@@ -98,18 +98,6 @@ impl RgbImage {
         let i = (y * self.width + x) * 3;
         self.data[i..i + 3].copy_from_slice(&rgb);
     }
-
-    /// Mean value per channel — a cheap content fingerprint for tests.
-    pub fn channel_means(&self) -> [f64; 3] {
-        let mut sums = [0u64; 3];
-        for px in self.data.chunks_exact(3) {
-            for c in 0..3 {
-                sums[c] += px[c] as u64;
-            }
-        }
-        let n = self.pixels() as f64;
-        [sums[0] as f64 / n, sums[1] as f64 / n, sums[2] as f64 / n]
-    }
 }
 
 impl std::fmt::Debug for RgbImage {
@@ -143,6 +131,20 @@ pub fn psnr(a: &RgbImage, b: &RgbImage) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RgbImage {
+        /// Mean value per channel — a cheap content fingerprint for tests.
+        pub(crate) fn channel_means(&self) -> [f64; 3] {
+            let mut sums = [0u64; 3];
+            for px in self.data.chunks_exact(3) {
+                for c in 0..3 {
+                    sums[c] += px[c] as u64;
+                }
+            }
+            let n = self.pixels() as f64;
+            [sums[0] as f64 / n, sums[1] as f64 / n, sums[2] as f64 / n]
+        }
+    }
 
     #[test]
     fn new_is_black() {

@@ -16,17 +16,17 @@
 //! All generation is seeded: the same dataset/sample id always produces the
 //! same bytes, which keeps every experiment reproducible.
 
-pub mod ajpg;
-pub mod analysis;
+pub(crate) mod ajpg;
+pub(crate) mod analysis;
 pub mod bitio;
 pub mod dct;
 pub mod image;
-pub mod rtif;
+pub(crate) mod rtif;
 pub mod stitch;
-pub mod synth;
+pub(crate) mod synth;
 
 pub use ajpg::{ajpg_decode, ajpg_decode_rows, ajpg_encode, AjpgOptions};
-pub use analysis::{canopy_cover_fraction, heatmap, residue_cover_fraction};
+pub use analysis::{heatmap, residue_cover_fraction};
 pub use image::{psnr, RgbImage};
 pub use rtif::{rtif_decode, rtif_encode};
 pub use stitch::{capture_survey, stitch, tile_mosaic, SurveyGrid};

@@ -153,34 +153,6 @@ pub enum Op {
     Softmax,
 }
 
-/// Classification of ops for the FLOPs-breakdown experiments (§4.0.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum LayerClass {
-    /// Convolutions (incl. patch embedding, itself a strided conv).
-    Conv,
-    /// Attention projections + score/value matmuls.
-    Attention,
-    /// Transformer MLPs and classifier linears.
-    Mlp,
-    /// Normalization layers.
-    Norm,
-    /// Everything else (activations, pooling, adds, softmax).
-    Other,
-}
-
-impl Op {
-    /// Which breakdown bucket this op belongs to.
-    pub fn layer_class(&self) -> LayerClass {
-        match self {
-            Op::Conv2d { .. } | Op::PatchEmbed { .. } => LayerClass::Conv,
-            Op::Attention { .. } | Op::LinearAttention { .. } => LayerClass::Attention,
-            Op::Linear { .. } | Op::Mlp { .. } => LayerClass::Mlp,
-            Op::BatchNorm { .. } | Op::LayerNorm { .. } => LayerClass::Norm,
-            _ => LayerClass::Other,
-        }
-    }
-}
-
 /// Node handle within a [`Graph`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
@@ -617,41 +589,6 @@ mod tests {
                 h: 56,
                 w: 56
             }
-        );
-    }
-
-    #[test]
-    fn layer_classes_bucket_correctly() {
-        assert_eq!(
-            Op::Conv2d {
-                cin: 1,
-                cout: 1,
-                kernel: 1,
-                stride: 1,
-                pad: 0,
-                bias: false
-            }
-            .layer_class(),
-            LayerClass::Conv
-        );
-        assert_eq!(
-            Op::Attention { dim: 8, heads: 2 }.layer_class(),
-            LayerClass::Attention
-        );
-        assert_eq!(
-            Op::Mlp { dim: 8, hidden: 32 }.layer_class(),
-            LayerClass::Mlp
-        );
-        assert_eq!(Op::LayerNorm { dim: 8 }.layer_class(), LayerClass::Norm);
-        assert_eq!(Op::Relu.layer_class(), LayerClass::Other);
-        assert_eq!(
-            Op::PatchEmbed {
-                in_ch: 3,
-                dim: 8,
-                patch: 2
-            }
-            .layer_class(),
-            LayerClass::Conv
         );
     }
 

@@ -13,7 +13,7 @@
 //!   be ~17.5 G, not the printed 16.86 G),
 //! * **per-layer-class breakdown** (the paper's MLP-vs-attention and
 //!   conv-share observations in §4.0.2),
-//! * **activation memory footprints** feeding the engine's OOM model.
+//! * **activation memory footprints** (per-image total and liveness peak).
 //!
 //! A configuration note recovered while calibrating: the only ViT geometry
 //! that reproduces the paper's "input 32×32, 1.37 / 5.47 GFLOPs" rows is
@@ -22,13 +22,12 @@
 //! therefore built at 32×32/p2 and `vit_base` at 224×224/p16, exactly as
 //! Table 3 implies.
 
-pub mod analytics;
-pub mod ir;
-pub mod textfmt;
+pub(crate) mod analytics;
+pub(crate) mod ir;
 pub mod zoo;
 
 pub use analytics::{ModelStats, Precision};
-pub use ir::{Graph, GraphBuilder, LayerClass, Node, NodeId, Op, Shape};
+pub use ir::{Graph, GraphBuilder, Node, NodeId, Op, Shape};
 pub use zoo::{
     resnet50, rwkv_vision, vit, vit_base, vit_small, vit_tiny, ModelId, ModelSpec, VitConfig,
     ALL_MODELS,

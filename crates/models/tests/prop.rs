@@ -1,6 +1,5 @@
-//! Property-based tests for the model IR, analytics and HONX round trip.
+//! Property-based tests for the model IR and analytics.
 
-use harvest_models::textfmt::{from_honx, to_honx};
 use harvest_models::{vit, VitConfig};
 use proptest::prelude::*;
 
@@ -61,17 +60,6 @@ proptest! {
         // Attention-inclusive count adds 2·s²·d per block.
         let attn = cfg.depth as f64 * 2.0 * seq * seq * d;
         prop_assert!((stats.macs_with_attention - (expected + attn)).abs() < 1.0);
-    }
-
-    #[test]
-    fn honx_roundtrip_preserves_any_vit(cfg in vit_config()) {
-        let g = vit("prop", &cfg);
-        let text = to_honx(&g);
-        let back = from_honx(&text).unwrap();
-        prop_assert_eq!(back.nodes().len(), g.nodes().len());
-        prop_assert_eq!(back.stats().params, g.stats().params);
-        prop_assert_eq!(back.stats().macs as u64, g.stats().macs as u64);
-        prop_assert_eq!(back.output_shape(), g.output_shape());
     }
 
     #[test]

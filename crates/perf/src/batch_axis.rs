@@ -7,7 +7,7 @@ use harvest_hw::PlatformId;
 pub const LATENCY_BOUND_60QPS_MS: f64 = 16.7;
 
 /// Batch sizes swept on the cloud platforms (Figs 5a/5b, 6a/6b).
-pub const CLOUD_BATCHES: [u32; 16] = [
+pub(crate) const CLOUD_BATCHES: [u32; 16] = [
     1, 2, 4, 8, 16, 32, 64, 96, 128, 196, 256, 384, 512, 640, 768, 1024,
 ];
 

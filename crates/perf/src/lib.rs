@@ -11,12 +11,10 @@
 //!   `F · (bs + bs_half) / (P · mfu_inf)` — a constant floor at small batch
 //!   (the non-linear region of Fig 6) turning into the linear asymptote at
 //!   large batch, while achieved TFLOPS saturate (Fig 5).
-//! * [`memory_model`] — engine memory as weights + per-image working set,
+//! * `memory_model` — engine memory as weights + per-image working set,
 //!   with per-platform budgets; produces the Jetson OOM walls of Fig 5c
 //!   (ViT-Tiny 196 / Small 64 / ResNet50 64 / Base 8) and the end-to-end
 //!   walls of Fig 8 (V100 & Jetson: 64 / 32 / 2 / 32).
-//! * [`roofline`] — classical roofline helpers (compute- vs bandwidth-bound
-//!   classification) used by ablation benches.
 //! * [`mod@batch_axis`] — the exact batch-size axes the figures sweep.
 //!
 //! Calibration provenance: `(mfu_inf, bs_half)` pairs are pinned so that
@@ -27,12 +25,10 @@
 
 pub mod batch_axis;
 pub mod energy;
-pub mod memory_model;
+pub(crate) mod memory_model;
 pub mod mfu;
-pub mod roofline;
 
 pub use batch_axis::{batch_axis, LATENCY_BOUND_60QPS_MS};
 pub use energy::{EnergyModel, EnergyPoint, FleetEnergy};
 pub use memory_model::{max_batch_under_memory, EngineMemoryModel, MemoryContext};
 pub use mfu::{EnginePerfModel, MfuCurve};
-pub use roofline::{Roofline, RooflineBound};

@@ -118,11 +118,6 @@ impl EnginePerfModel {
         self.curve
     }
 
-    /// FLOPs per image used by this model's accounting.
-    pub fn flops_per_image(&self) -> f64 {
-        self.flops_per_image
-    }
-
     /// Batch inference latency in seconds:
     /// `F·(bs + bs_half) / (P·mfu_inf)`.
     pub fn latency_s(&self, bs: u32) -> f64 {

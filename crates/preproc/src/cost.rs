@@ -137,7 +137,7 @@ impl PreprocCostModel {
     }
 
     /// Request latency at the method's batch size, milliseconds.
-    pub fn batch_latency_ms(&self, method: PreprocMethod, dataset: DatasetId) -> f64 {
+    pub(crate) fn batch_latency_ms(&self, method: PreprocMethod, dataset: DatasetId) -> f64 {
         // GPU pipelines stream the batch through stages; per-image costs
         // accumulate (the figure's DALI latencies at BS64 are tens of ms).
         self.per_image_s(method, dataset) * method.batch() as f64 * 1e3

@@ -25,7 +25,7 @@ use crate::time::SimTime;
 
 /// A half-open time window `[start, end)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultWindow {
+pub(crate) struct FaultWindow {
     /// When the fault begins.
     pub start: SimTime,
     /// When the fault clears (exclusive).
@@ -41,19 +41,19 @@ impl FaultWindow {
 
     /// Does the window cover instant `at`?
     #[inline]
-    pub fn covers(&self, at: SimTime) -> bool {
+    pub(crate) fn covers(&self, at: SimTime) -> bool {
         self.start <= at && at < self.end
     }
 
     /// Does the window intersect the half-open span `[from, to)`?
     #[inline]
-    pub fn intersects(&self, from: SimTime, to: SimTime) -> bool {
+    pub(crate) fn intersects(&self, from: SimTime, to: SimTime) -> bool {
         self.start < to && from < self.end
     }
 
     /// Window length.
     #[inline]
-    pub fn duration(&self) -> SimTime {
+    pub(crate) fn duration(&self) -> SimTime {
         self.end.saturating_sub(self.start)
     }
 }
@@ -102,15 +102,6 @@ impl FaultPlan {
     /// The plan's seed.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// True if any fault is scheduled or possible.
-    pub fn is_active(&self) -> bool {
-        !self.engine_crashes.is_empty()
-            || self.transient_error_rate > 0.0
-            || self.corrupts_weights()
-            || self.corrupts_activations()
-            || self.corrupts_inputs()
     }
 
     /// Schedule an engine crash on `node` over `[start, end)`.
@@ -277,11 +268,6 @@ impl FaultPlan {
     /// The graph pass whose output activation flips target.
     pub fn activation_pass(&self) -> Option<&str> {
         self.activation_pass.as_deref()
-    }
-
-    /// Can this plan corrupt input byte streams?
-    pub fn corrupts_inputs(&self) -> bool {
-        self.input_corruption_rate > 0.0
     }
 
     /// Should `element` of `tensor` be flipped in injection round `round`,
@@ -515,15 +501,6 @@ impl SocketFaultPlan {
         );
     }
 
-    /// Does any fault fire with nonzero probability?
-    pub fn is_active(&self) -> bool {
-        self.reset_rate > 0.0
-            || self.truncate_rate > 0.0
-            || self.garble_rate > 0.0
-            || self.stall_rate > 0.0
-            || self.short_chunks
-    }
-
     /// The fate of connection `conn` whose full request stream is
     /// `request_len` bytes. One uniform draw, partitioned by the cumulative
     /// rates, so fates are mutually exclusive; damage offsets come from
@@ -714,14 +691,6 @@ impl ArtifactFaultPlan {
         );
     }
 
-    /// Does any fault fire with nonzero probability?
-    pub fn is_active(&self) -> bool {
-        self.corrupt_rate > 0.0
-            || self.truncate_rate > 0.0
-            || self.crash_rate > 0.0
-            || self.poison_rate > 0.0
-    }
-
     /// The fate of artifact `artifact`, whose encoded form is `len` bytes
     /// carrying `tensors` tensors. One uniform draw partitioned by the
     /// cumulative rates; damage coordinates come from disjoint hash lanes.
@@ -805,7 +774,6 @@ mod tests {
     #[test]
     fn empty_plan_is_inert() {
         let plan = FaultPlan::none();
-        assert!(!plan.is_active());
         assert!(!plan.engine_down(0, ms(5)));
         assert_eq!(plan.engine_crash_in(0, ms(0), ms(100)), None);
         assert!(!plan.transient_failure(42, 0));
@@ -924,7 +892,6 @@ mod tests {
         let plan = FaultPlan::new(5);
         assert!(!plan.corrupts_weights());
         assert!(!plan.corrupts_activations());
-        assert!(!plan.corrupts_inputs());
         assert_eq!(plan.weight_flip(0, 0, 0), None);
         assert_eq!(plan.activation_flip(0, 0, 0), None);
         let mut bytes = vec![1u8, 2, 3];
@@ -935,7 +902,6 @@ mod tests {
     #[test]
     fn weight_flip_coin_is_deterministic_and_calibrated() {
         let plan = FaultPlan::new(9).with_weight_bit_flips(0.01, false);
-        assert!(plan.is_active());
         let mut hits = 0u64;
         for e in 0..100_000u64 {
             let a = plan.weight_flip(3, 7, e);
@@ -995,7 +961,6 @@ mod tests {
     #[test]
     fn empty_socket_plan_is_clean_everywhere() {
         let plan = SocketFaultPlan::none();
-        assert!(!plan.is_active());
         for conn in 0..100u64 {
             assert_eq!(plan.fate(conn, 4096), SocketFate::Clean);
             assert_eq!(plan.chunk_len(conn, 0, 100), 100);
@@ -1009,7 +974,6 @@ mod tests {
             .with_truncations(0.10)
             .with_garbling(0.10)
             .with_stalls(0.10, 500);
-        assert!(plan.is_active());
         let mut counts = [0u64; 5];
         for conn in 0..100_000u64 {
             let fate = plan.fate(conn, 1000);
@@ -1070,7 +1034,6 @@ mod tests {
     #[test]
     fn short_chunks_are_pure_and_positive() {
         let plan = SocketFaultPlan::new(5).with_short_chunks();
-        assert!(plan.is_active());
         for conn in 0..50u64 {
             for call in 0..50u64 {
                 let c = plan.chunk_len(conn, call, 9000);
@@ -1107,7 +1070,6 @@ mod tests {
             .with_truncation(0.10)
             .with_crash_points(0.10)
             .with_poison(0.10, 1e-3);
-        assert!(plan.is_active());
         assert_eq!(plan.seed(), 17);
         let mut counts = [0u64; 5];
         for art in 0..100_000u64 {

@@ -13,11 +13,12 @@
 //!   xoshiro256**) with the distributions the workload generators need.
 //! * [`server`] — capacity-limited FIFO servers (the building block for GPU
 //!   compute engines, copy engines and CPU pools).
-//! * [`stats`] — streaming moments, percentile reservoirs and fixed-width
+//! * [`stats`] — percentile reservoirs and fixed-width
 //!   histograms for latency/throughput accounting.
-//! * [`fault`] — seeded, schedulable fault plans (engine crashes, preproc
-//!   stalls, link degradation, transient errors) whose every decision is a
-//!   pure function of the plan, keeping chaos runs bit-reproducible.
+//! * [`fault`] — seeded, schedulable fault plans (engine crashes, transient
+//!   errors, weight / activation / input corruption, socket and artifact
+//!   fates) whose every decision is a pure function of the plan, keeping
+//!   chaos runs bit-reproducible.
 //! * [`calendar`] — the hierarchical calendar/bucket queue backing the event
 //!   loop: O(1) amortized schedule/pop at millions of pending events. The
 //!   seed's `BinaryHeap` engine is its conformance oracle and lives outside
@@ -44,15 +45,13 @@ pub mod time;
 pub mod trace;
 
 pub use calendar::CalendarQueue;
-pub use fault::{
-    ArtifactFate, ArtifactFaultPlan, FaultPlan, FaultWindow, SocketFate, SocketFaultPlan,
-};
+pub use fault::{ArtifactFate, ArtifactFaultPlan, FaultPlan, SocketFate, SocketFaultPlan};
 pub use fleet::{FleetSim, Outbox, Shard};
 pub use rng::SimRng;
 pub use server::{JobStats, Server};
-pub use stats::{Histogram, Reservoir, Streaming};
+pub use stats::{Histogram, Reservoir};
 pub use time::SimTime;
-pub use trace::{FleetTraceConfig, RegionTrace, RequestKind, Timeline, TraceEvent, TraceRequest};
+pub use trace::{FleetTraceConfig, RegionTrace, RequestKind, TraceRequest};
 
 /// A scheduled event's action.
 type EventFn = Box<dyn FnOnce(&mut Sim)>;

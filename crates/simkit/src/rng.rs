@@ -3,7 +3,7 @@
 //! The simulator needs reproducible randomness that is independent of crate
 //! versions and platform, so we carry a small self-contained generator:
 //! xoshiro256** seeded through SplitMix64. Every distribution used by the
-//! workload generators (uniform, normal, lognormal, exponential, Poisson
+//! workload generators (uniform, normal, exponential, Poisson
 //! inter-arrival) lives here.
 
 /// xoshiro256** PRNG with SplitMix64 seeding.
@@ -39,7 +39,7 @@ impl SimRng {
 
     /// Derive a child stream, e.g. one per dataset or per request source, so
     /// adding a consumer never perturbs another consumer's draws.
-    pub fn fork(&mut self, stream: u64) -> SimRng {
+    pub(crate) fn fork(&mut self, stream: u64) -> SimRng {
         SimRng::new(self.next_u64() ^ stream.wrapping_mul(0xA24B_AED4_963E_E407))
     }
 
@@ -95,12 +95,12 @@ impl SimRng {
     }
 
     /// `true` with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
         self.f64() < p
     }
 
     /// Standard normal via Box–Muller (polar-free variant; fine statistically).
-    pub fn std_normal(&mut self) -> f64 {
+    pub(crate) fn std_normal(&mut self) -> f64 {
         // Guard against log(0) by nudging u1 away from zero.
         let u1 = (self.f64()).max(1e-300);
         let u2 = self.f64();
@@ -110,11 +110,6 @@ impl SimRng {
     /// Normal with the given mean and standard deviation.
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.std_normal()
-    }
-
-    /// Lognormal where the *underlying* normal has the given mu/sigma.
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
     }
 
     /// Exponential with the given rate (mean `1/rate`); the canonical Poisson
@@ -131,7 +126,7 @@ impl SimRng {
     /// Small means use Knuth's product method (exact); large means use the
     /// normal approximation with continuity correction, which is within the
     /// noise floor of any workload model at `lambda >= 32`.
-    pub fn poisson(&mut self, lambda: f64) -> u64 {
+    pub(crate) fn poisson(&mut self, lambda: f64) -> u64 {
         assert!(
             lambda.is_finite() && lambda >= 0.0,
             "poisson({lambda}) needs a finite non-negative mean"
@@ -157,12 +152,6 @@ impl SimRng {
         } else {
             draw as u64
         }
-    }
-
-    /// Pick one element of a slice uniformly.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        assert!(!items.is_empty());
-        &items[self.below(items.len() as u64) as usize]
     }
 
     /// Fisher–Yates shuffle.

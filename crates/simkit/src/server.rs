@@ -48,8 +48,6 @@ struct Inner {
     busy: u32,
     queue: VecDeque<Pending>,
     completed: u64,
-    busy_time: SimTime,
-    peak_queue: usize,
 }
 
 /// A shared handle to a FIFO server. Cloning the handle shares the server.
@@ -69,8 +67,6 @@ impl Server {
                 busy: 0,
                 queue: VecDeque::new(),
                 completed: 0,
-                busy_time: SimTime::ZERO,
-                peak_queue: 0,
             })),
         }
     }
@@ -83,16 +79,6 @@ impl Server {
     /// Jobs completed so far.
     pub fn completed(&self) -> u64 {
         self.inner.borrow().completed
-    }
-
-    /// Cumulative slot-busy time (for utilization accounting).
-    pub fn busy_time(&self) -> SimTime {
-        self.inner.borrow().busy_time
-    }
-
-    /// Largest queue depth observed.
-    pub fn peak_queue(&self) -> usize {
-        self.inner.borrow().peak_queue
     }
 
     /// Jobs currently queued (not yet in service).
@@ -117,14 +103,7 @@ impl Server {
             submitted: sim.now(),
             on_done: Box::new(on_done),
         };
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.queue.push_back(job);
-            let depth = inner.queue.len();
-            if depth > inner.peak_queue {
-                inner.peak_queue = depth;
-            }
-        }
+        self.inner.borrow_mut().queue.push_back(job);
         self.try_dispatch(sim);
     }
 
@@ -152,7 +131,6 @@ impl Server {
                     let mut inner = this.inner.borrow_mut();
                     inner.busy -= 1;
                     inner.completed += 1;
-                    inner.busy_time += job.service;
                 }
                 let stats = JobStats {
                     submitted: job.submitted,
@@ -235,22 +213,6 @@ mod tests {
         assert_eq!(stats[0].started, SimTime::from_millis(5));
         assert_eq!(stats[0].started, stats[0].submitted);
         assert_eq!(stats[0].finished, SimTime::from_millis(8));
-    }
-
-    #[test]
-    fn busy_time_accumulates() {
-        let mut sim = Sim::new();
-        let server = Server::new("gpu", 4);
-        collect_stats(&server, &mut sim, &[(0, 7), (0, 9), (3, 2)]);
-        assert_eq!(server.busy_time(), SimTime::from_millis(18));
-    }
-
-    #[test]
-    fn peak_queue_tracks_backlog() {
-        let mut sim = Sim::new();
-        let server = Server::new("gpu", 1);
-        collect_stats(&server, &mut sim, &[(0, 50), (1, 1), (2, 1), (3, 1)]);
-        assert!(server.peak_queue() >= 3, "peak {}", server.peak_queue());
     }
 
     #[test]

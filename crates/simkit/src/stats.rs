@@ -1,98 +1,8 @@
-//! Measurement accumulators: streaming moments, percentile reservoirs and
-//! fixed-width histograms.
+//! Measurement accumulators: percentile reservoirs and fixed-width
+//! histograms.
 //!
 //! The serving experiments report mean/percentile latency and throughput;
 //! these helpers keep that accounting allocation-light and deterministic.
-
-/// Streaming mean/variance/min/max (Welford's algorithm).
-#[derive(Clone, Debug, Default)]
-pub struct Streaming {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Streaming {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Streaming {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        if x < self.min {
-            self.min = x;
-        }
-        if x > self.max {
-            self.max = x;
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-    /// Population variance (0 for fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-    /// Smallest observation (NaN-free; +inf when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-    /// Largest observation (-inf when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merge another accumulator into this one (parallel reduction step).
-    pub fn merge(&mut self, other: &Streaming) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// Exact-percentile reservoir: stores every sample. The experiments produce
 /// at most a few hundred thousand samples, so exactness is affordable and
@@ -230,7 +140,7 @@ impl Histogram {
     }
 
     /// Centre of bucket `i`.
-    pub fn bucket_center(&self, i: usize) -> f64 {
+    pub(crate) fn bucket_center(&self, i: usize) -> f64 {
         let width = (self.hi - self.lo) / self.buckets.len() as f64;
         self.lo + width * (i as f64 + 0.5)
     }
@@ -246,66 +156,11 @@ impl Histogram {
             .expect("histogram has buckets");
         (idx, self.bucket_center(idx))
     }
-
-    /// Normalized densities (sum to 1 over in-range buckets; all-zero when empty).
-    pub fn densities(&self) -> Vec<f64> {
-        let total: u64 = self.buckets.iter().sum();
-        if total == 0 {
-            return vec![0.0; self.buckets.len()];
-        }
-        self.buckets
-            .iter()
-            .map(|&c| c as f64 / total as f64)
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn streaming_matches_closed_form() {
-        let mut s = Streaming::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn streaming_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Streaming::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = Streaming::new();
-        let mut b = Streaming::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_streaming_is_zeroish() {
-        let s = Streaming::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-    }
 
     #[test]
     fn reservoir_percentiles() {
@@ -343,9 +198,6 @@ mod tests {
         let (idx, center) = h.mode();
         assert_eq!(idx, 3);
         assert!((center - 3.5).abs() < 1e-9);
-        let d = h.densities();
-        assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((d[3] - 5.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

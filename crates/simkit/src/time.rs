@@ -88,7 +88,7 @@ impl SimTime {
     }
     /// As fractional microseconds.
     #[inline]
-    pub fn as_micros_f64(self) -> f64 {
+    pub(crate) fn as_micros_f64(self) -> f64 {
         self.0 as f64 * 1e-3
     }
 

@@ -1,11 +1,4 @@
-//! Lightweight event tracing for simulations, plus the fleet-scale
-//! replayable workload generator.
-//!
-//! A [`Timeline`] records `(time, track, label)` events from anywhere in a
-//! simulation (it is cheaply cloneable and shareable across event
-//! closures), then answers the questions debugging a serving pipeline
-//! raises: what happened to request N, how long did each stage take, what
-//! does the whole run look like.
+//! The fleet-scale replayable workload generator.
 //!
 //! [`FleetTraceConfig`]/[`RegionTrace`] generate the million-user,
 //! multi-day workloads the fleet simulation replays: per-region streams of
@@ -21,98 +14,7 @@
 
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use std::cell::RefCell;
 use std::ops::Range;
-use std::rc::Rc;
-
-/// One recorded event.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// When it happened.
-    pub at: SimTime,
-    /// Which track (request id, resource id…).
-    pub track: u64,
-    /// What happened (static label keeps recording allocation-free).
-    pub label: &'static str,
-}
-
-/// A shareable event recorder.
-#[derive(Clone, Default)]
-pub struct Timeline {
-    events: Rc<RefCell<Vec<TraceEvent>>>,
-}
-
-impl Timeline {
-    /// Empty timeline.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record an event.
-    pub fn record(&self, at: SimTime, track: u64, label: &'static str) {
-        self.events
-            .borrow_mut()
-            .push(TraceEvent { at, track, label });
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.borrow().len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.borrow().is_empty()
-    }
-
-    /// All events on one track, in recording order.
-    pub fn track(&self, track: u64) -> Vec<TraceEvent> {
-        self.events
-            .borrow()
-            .iter()
-            .filter(|e| e.track == track)
-            .cloned()
-            .collect()
-    }
-
-    /// Duration between the first `from` and the first subsequent `to`
-    /// event on a track (`None` if either is missing).
-    pub fn span(&self, track: u64, from: &str, to: &str) -> Option<SimTime> {
-        let events = self.track(track);
-        let start = events.iter().find(|e| e.label == from)?.at;
-        let end = events.iter().find(|e| e.label == to && e.at >= start)?.at;
-        Some(end - start)
-    }
-
-    /// Count events with a given label across all tracks.
-    pub fn count(&self, label: &str) -> usize {
-        self.events
-            .borrow()
-            .iter()
-            .filter(|e| e.label == label)
-            .count()
-    }
-
-    /// Render a compact per-track text timeline (sorted by time), capped at
-    /// `max_tracks` tracks for readability.
-    pub fn render(&self, max_tracks: usize) -> String {
-        let events = self.events.borrow();
-        let mut tracks: Vec<u64> = events.iter().map(|e| e.track).collect();
-        tracks.sort_unstable();
-        tracks.dedup();
-        let mut out = String::new();
-        for &t in tracks.iter().take(max_tracks) {
-            out.push_str(&format!("track {t}:"));
-            let mut evs: Vec<&TraceEvent> = events.iter().filter(|e| e.track == t).collect();
-            evs.sort_by_key(|e| e.at);
-            for e in evs {
-                out.push_str(&format!(" [{} @{}]", e.label, e.at));
-            }
-            out.push('\n');
-        }
-        out
-    }
-}
 
 /// What a simulated request is doing — drives image class mix and, in the
 /// fleet model, which tier the request prefers.
@@ -195,7 +97,7 @@ impl FleetTraceConfig {
     }
 
     /// The global user-id range owned by `region`.
-    pub fn region_users(&self, region: u32) -> Range<u64> {
+    pub(crate) fn region_users(&self, region: u32) -> Range<u64> {
         assert!(region < self.regions);
         let base = self.users / self.regions as u64;
         let extra = self.users % self.regions as u64;
@@ -207,7 +109,7 @@ impl FleetTraceConfig {
 
     /// The region's time-zone offset: local time leads fleet time by this
     /// many hours, spreading diurnal peaks across the fleet.
-    pub fn tz_offset_hours(&self, region: u32) -> u64 {
+    pub(crate) fn tz_offset_hours(&self, region: u32) -> u64 {
         // Spread regions around the clock rather than packing neighbours
         // into the same zone (co-prime stride).
         (region as u64 * 7) % 24
@@ -265,7 +167,6 @@ pub struct RegionTrace {
     /// descending; merged into later bins so the stream stays globally
     /// nondecreasing.
     carry: Vec<TraceRequest>,
-    generated: u64,
 }
 
 impl RegionTrace {
@@ -285,14 +186,8 @@ impl RegionTrace {
             total_hours: cfg.days as u64 * 24,
             buf: Vec::new(),
             carry: Vec::new(),
-            generated: 0,
             cfg: cfg.clone(),
         }
-    }
-
-    /// Arrivals yielded so far.
-    pub fn generated(&self) -> u64 {
-        self.generated
     }
 
     fn fill_hour(&mut self) {
@@ -376,7 +271,6 @@ impl Iterator for RegionTrace {
             self.fill_hour();
             self.hour += 1;
         }
-        self.generated += 1;
         self.buf.pop()
     }
 }
@@ -399,65 +293,6 @@ mod tests {
         let bursts =
             cfg.regions as f64 * cfg.bursts_per_region_day * days * cfg.burst_frames as f64;
         routine + bursts
-    }
-
-    #[test]
-    fn records_and_filters_by_track() {
-        let tl = Timeline::new();
-        tl.record(SimTime::from_millis(1), 0, "arrive");
-        tl.record(SimTime::from_millis(2), 1, "arrive");
-        tl.record(SimTime::from_millis(5), 0, "done");
-        assert_eq!(tl.len(), 3);
-        assert_eq!(tl.track(0).len(), 2);
-        assert_eq!(tl.track(1).len(), 1);
-        assert_eq!(tl.count("arrive"), 2);
-    }
-
-    #[test]
-    fn span_measures_stage_durations() {
-        let tl = Timeline::new();
-        tl.record(SimTime::from_millis(10), 7, "preproc_start");
-        tl.record(SimTime::from_millis(14), 7, "preproc_done");
-        tl.record(SimTime::from_millis(20), 7, "inference_done");
-        assert_eq!(
-            tl.span(7, "preproc_start", "preproc_done"),
-            Some(SimTime::from_millis(4))
-        );
-        assert_eq!(
-            tl.span(7, "preproc_done", "inference_done"),
-            Some(SimTime::from_millis(6))
-        );
-        assert_eq!(tl.span(7, "inference_done", "preproc_start"), None);
-        assert_eq!(tl.span(8, "preproc_start", "preproc_done"), None);
-    }
-
-    #[test]
-    fn clones_share_the_buffer() {
-        let tl = Timeline::new();
-        let clone = tl.clone();
-        clone.record(SimTime::ZERO, 1, "x");
-        assert_eq!(tl.len(), 1);
-    }
-
-    #[test]
-    fn render_orders_by_time_within_track() {
-        let tl = Timeline::new();
-        tl.record(SimTime::from_millis(5), 0, "b");
-        tl.record(SimTime::from_millis(1), 0, "a");
-        let s = tl.render(4);
-        let a_pos = s.find("[a ").unwrap();
-        let b_pos = s.find("[b ").unwrap();
-        assert!(a_pos < b_pos, "{s}");
-    }
-
-    #[test]
-    fn render_caps_tracks() {
-        let tl = Timeline::new();
-        for t in 0..10 {
-            tl.record(SimTime::ZERO, t, "e");
-        }
-        let s = tl.render(3);
-        assert_eq!(s.lines().count(), 3);
     }
 
     #[test]

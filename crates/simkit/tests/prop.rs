@@ -1,6 +1,6 @@
 //! Property-based tests for the DES core, RNG and statistics.
 
-use harvest_simkit::{Reservoir, Server, Sim, SimRng, SimTime, Streaming};
+use harvest_simkit::{Reservoir, Server, Sim, SimRng, SimTime};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -31,7 +31,7 @@ proptest! {
     }
 
     #[test]
-    fn server_conserves_jobs_and_busy_time(
+    fn server_conserves_jobs(
         jobs in proptest::collection::vec((0u64..10_000, 0u64..5_000), 1..100),
         capacity in 1u32..8,
     ) {
@@ -52,8 +52,6 @@ proptest! {
         }
         sim.run();
         prop_assert_eq!(*completions.borrow(), jobs.len() as u64);
-        let total_service: u64 = jobs.iter().map(|j| j.1).sum();
-        prop_assert_eq!(server.busy_time().as_nanos(), total_service);
     }
 
     #[test]
@@ -73,27 +71,6 @@ proptest! {
         }
         prop_assert_eq!(r.percentile(0.0), min);
         prop_assert_eq!(r.percentile(100.0), max);
-    }
-
-    #[test]
-    fn streaming_merge_is_order_independent(
-        a in proptest::collection::vec(-100.0f64..100.0, 0..50),
-        b in proptest::collection::vec(-100.0f64..100.0, 0..50),
-    ) {
-        let fill = |xs: &[f64]| {
-            let mut s = Streaming::new();
-            for &x in xs {
-                s.push(x);
-            }
-            s
-        };
-        let mut ab = fill(&a);
-        ab.merge(&fill(&b));
-        let mut ba = fill(&b);
-        ba.merge(&fill(&a));
-        prop_assert_eq!(ab.count(), ba.count());
-        prop_assert!((ab.mean() - ba.mean()).abs() < 1e-9);
-        prop_assert!((ab.variance() - ba.variance()).abs() < 1e-6);
     }
 
     #[test]

@@ -125,31 +125,6 @@ pub fn resize_normalize_hwc_u8(
     out
 }
 
-/// Centre crop a CHW image to `ch × cw`. Panics if the crop exceeds the image.
-pub fn center_crop(
-    input: &[f32],
-    channels: usize,
-    h: usize,
-    w: usize,
-    ch: usize,
-    cw: usize,
-) -> Vec<f32> {
-    assert_eq!(input.len(), channels * h * w);
-    assert!(ch <= h && cw <= w, "crop {ch}x{cw} exceeds image {h}x{w}");
-    let y0 = (h - ch) / 2;
-    let x0 = (w - cw) / 2;
-    let mut out = vec![0.0f32; channels * ch * cw];
-    for c in 0..channels {
-        let plane_in = &input[c * h * w..(c + 1) * h * w];
-        let plane_out = &mut out[c * ch * cw..(c + 1) * ch * cw];
-        for y in 0..ch {
-            let src = &plane_in[(y0 + y) * w + x0..(y0 + y) * w + x0 + cw];
-            plane_out[y * cw..(y + 1) * cw].copy_from_slice(src);
-        }
-    }
-    out
-}
-
 /// Per-channel `(x - mean) / std` normalization of a CHW image, in place.
 pub fn normalize_chw(x: &mut [f32], channels: usize, mean: &[f32], std: &[f32]) {
     assert_eq!(mean.len(), channels);
@@ -177,11 +152,6 @@ impl Homography {
         Homography([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
     }
 
-    /// Pure translation by `(tx, ty)` in source space.
-    pub fn translation(tx: f32, ty: f32) -> Self {
-        Homography([1.0, 0.0, tx, 0.0, 1.0, ty, 0.0, 0.0, 1.0])
-    }
-
     /// The bird's-eye correction a forward-tilted ground-vehicle camera
     /// needs: rows nearer the horizon sample a wider source strip. `k`
     /// controls tilt strength (0 = identity), heights are of the *output*.
@@ -202,7 +172,7 @@ impl Homography {
 
     /// Map an output (x, y) to source coordinates.
     #[inline]
-    pub fn apply(&self, x: f32, y: f32) -> (f32, f32) {
+    pub(crate) fn apply(&self, x: f32, y: f32) -> (f32, f32) {
         let m = &self.0;
         let sx = m[0] * x + m[1] * y + m[2];
         let sy = m[3] * x + m[4] * y + m[5];
@@ -341,19 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn center_crop_picks_the_middle() {
-        let input: Vec<f32> = (0..16).map(|i| i as f32).collect();
-        let out = center_crop(&input, 1, 4, 4, 2, 2);
-        assert_eq!(out, vec![5.0, 6.0, 9.0, 10.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds image")]
-    fn oversize_crop_panics() {
-        center_crop(&[0.0; 4], 1, 2, 2, 3, 3);
-    }
-
-    #[test]
     fn normalize_imagenet_style() {
         let mut x = vec![0.5f32; 2 * 4];
         normalize_chw(&mut x, 2, &[0.5, 0.25], &[0.5, 0.25]);
@@ -374,7 +331,8 @@ mod tests {
     fn translation_shifts_content() {
         // Source lookup at (x+1, y): output col j shows input col j+1.
         let input: Vec<f32> = (0..16).map(|i| i as f32).collect();
-        let out = perspective_warp(&input, 1, 4, 4, 4, 4, &Homography::translation(1.0, 0.0));
+        let shift = Homography([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
+        let out = perspective_warp(&input, 1, 4, 4, 4, 4, &shift);
         assert!((out[0] - 1.0).abs() < 1e-5);
         assert!((out[1] - 2.0).abs() < 1e-5);
         // Column 3 maps to source column 4: out of bounds -> zero.

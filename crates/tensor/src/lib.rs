@@ -36,8 +36,8 @@ pub use gemm::{
     gemm, gemm_naive, gemm_v, gemm_with, lane_tier, KernelVariant, PackedB, PanelSource,
 };
 pub use image::{
-    bilinear_taps, center_crop, chw_to_hwc_u8, hwc_u8_to_chw, normalize_chw, perspective_warp,
-    resize_bilinear, resize_normalize_hwc_u8, Homography,
+    bilinear_taps, chw_to_hwc_u8, hwc_u8_to_chw, normalize_chw, perspective_warp, resize_bilinear,
+    resize_normalize_hwc_u8, Homography,
 };
 pub use integrity::{checksum_bytes, checksum_f32, flip_bit_in, max_abs_gap, scan_f32, ScanReport};
 pub use ops::{add_bias, batchnorm_inference, gelu, layernorm, relu, softmax_rows};

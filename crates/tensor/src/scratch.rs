@@ -45,28 +45,17 @@ pub fn set_recycling(enabled: bool) {
     RECYCLING.store(enabled, Ordering::SeqCst);
 }
 
-/// Whether recycling is currently enabled.
-pub fn recycling_enabled() -> bool {
-    RECYCLING.load(Ordering::SeqCst)
-}
-
 /// `(takes, hits)` — loans issued and loans served without a fresh heap
-/// allocation, process-wide since start (or the last [`reset_counters`]).
+/// allocation, process-wide since start.
 pub fn counters() -> (u64, u64) {
     (TAKES.load(Ordering::SeqCst), HITS.load(Ordering::SeqCst))
-}
-
-/// Zero the loan counters (used by the bench probe between phases).
-pub fn reset_counters() {
-    TAKES.store(0, Ordering::SeqCst);
-    HITS.store(0, Ordering::SeqCst);
 }
 
 /// Run `f` with a zero-filled scratch slice of `len` f32s.
 ///
 /// Re-entrant: the buffer is removed from the pool for the duration of the
 /// closure, so nested `with_f32` calls each get their own backing store.
-pub fn with_f32<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+pub(crate) fn with_f32<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     TAKES.fetch_add(1, Ordering::Relaxed);
     if !RECYCLING.load(Ordering::Relaxed) {
         let mut v = vec![0.0f32; len];
@@ -121,13 +110,16 @@ mod tests {
 
     #[test]
     fn reuse_is_counted() {
-        reset_counters();
+        let (takes0, hits0) = counters();
         with_f32(16, |_| {});
         with_f32(16, |_| {});
         let (takes, hits) = counters();
-        assert!(takes >= 2);
-        if recycling_enabled() {
-            assert!(hits >= 1, "second identical loan should hit the pool");
+        assert!(takes - takes0 >= 2);
+        if RECYCLING.load(Ordering::SeqCst) {
+            assert!(
+                hits - hits0 >= 1,
+                "second identical loan should hit the pool"
+            );
         }
     }
 

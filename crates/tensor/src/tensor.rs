@@ -88,12 +88,6 @@ impl Tensor {
         self.data.is_empty()
     }
 
-    /// Number of dimensions.
-    #[inline]
-    pub fn ndim(&self) -> usize {
-        self.shape.len()
-    }
-
     /// Flat immutable view.
     #[inline]
     pub fn data(&self) -> &[f32] {
@@ -111,28 +105,9 @@ impl Tensor {
         self.data
     }
 
-    /// Reinterpret with a new shape of identical element count.
-    pub fn reshape(mut self, shape: &[usize]) -> Self {
-        let len: usize = shape.iter().product();
-        assert_eq!(
-            len,
-            self.data.len(),
-            "reshape {:?} -> {shape:?}",
-            self.shape
-        );
-        self.shape = shape.to_vec();
-        self
-    }
-
     /// Element at a multi-dimensional index (row-major).
     pub fn at(&self, index: &[usize]) -> f32 {
         self.data[self.flat_index(index)]
-    }
-
-    /// Mutable element at a multi-dimensional index.
-    pub fn at_mut(&mut self, index: &[usize]) -> &mut f32 {
-        let i = self.flat_index(index);
-        &mut self.data[i]
     }
 
     fn flat_index(&self, index: &[usize]) -> usize {
@@ -213,31 +188,10 @@ mod tests {
     }
 
     #[test]
-    fn at_mut_writes() {
-        let mut t = Tensor::zeros(&[2, 2]);
-        *t.at_mut(&[1, 1]) = 7.0;
-        assert_eq!(t.data()[3], 7.0);
-    }
-
-    #[test]
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_panics() {
         let t = Tensor::zeros(&[2, 2]);
         t.at(&[2, 0]);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(&[2, 3], vec![0., 1., 2., 3., 4., 5.]);
-        let r = t.reshape(&[3, 2]);
-        assert_eq!(r.shape(), &[3, 2]);
-        assert_eq!(r.at(&[2, 1]), 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "reshape")]
-    fn reshape_wrong_count_panics() {
-        Tensor::zeros(&[2, 3]).reshape(&[4, 2]);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The one parallel API of this workspace: a [`std::thread::scope`]-based
 //! work-sharing pool that hands out task indices from an atomic counter, with
 //! the calling thread itself participating as a worker. Kernels call
-//! [`run_tasks`], [`for_each_chunk_mut`], [`for_each_zipped_chunks`] and
-//! [`par_map`] directly. There is no persistent thread state and no unsafe
+//! [`for_each_chunk_mut`], [`for_each_zipped_chunks`] and [`par_map`]
+//! directly; all three share one private task loop, `run_tasks`. There is no persistent thread state and no unsafe
 //! lifetime erasure of closures — each parallel region borrows its inputs
 //! through the scope, so the borrow checker sees everything.
 //!
@@ -112,7 +112,7 @@ impl Drop for PoolGuard {
 /// sequential loop: no scope, no spawn, no atomics.
 ///
 /// A panic inside any task propagates to the caller once the scope joins.
-pub fn run_tasks<F: Fn(usize) + Sync>(n_tasks: usize, f: F) {
+pub(crate) fn run_tasks<F: Fn(usize) + Sync>(n_tasks: usize, f: F) {
     let threads = max_threads().min(n_tasks);
     if threads <= 1 {
         for i in 0..n_tasks {

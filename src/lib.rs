@@ -10,7 +10,7 @@
 //! * [`data`] — the six agriculture datasets of Table 2 / Fig. 4
 //! * [`models`] — layer IR + the ViT/ResNet zoo of Table 3
 //! * [`hw`] — the V100/A100/Jetson platform models of Table 1
-//! * [`perf`] — roofline/MFU performance model behind Figs 5–6
+//! * [`perf`] — MFU, memory and energy models behind Figs 5–6 and 8
 //! * [`engine`] — TensorRT-analog engine compiler + memory planner
 //! * [`preproc`] — DALI/PyTorch/OpenCV preprocessing framework models (Fig 7)
 //! * [`serving`] — Triton-analog serving simulator (online/offline/real-time)

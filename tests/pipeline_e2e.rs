@@ -1,6 +1,6 @@
 //! Cross-crate end-to-end tests: synthetic dataset sample → real codec
-//! decode → real preprocessing → real model forward pass, plus the HONX
-//! interchange → engine build path.
+//! decode → real preprocessing → real model forward pass, plus the engine
+//! build path.
 
 use harvest::engine::Executor;
 use harvest::models::vit_tiny;
@@ -54,21 +54,6 @@ fn crsa_4k_frame_full_pipeline() {
     let pre = run_real(sampler.spec(), &sample, 224).expect("preproc");
     assert!(pre.dataset_stage_s > 0.0, "perspective stage must run");
     assert_eq!(pre.tensor.shape(), &[3, 224, 224]);
-}
-
-#[test]
-fn honx_export_reimport_preserves_engine_behaviour() {
-    let graph = ModelId::VitSmall.build();
-    let text = harvest::models::textfmt::to_honx(&graph);
-    let back = harvest::models::textfmt::from_honx(&text).expect("parse");
-    // Same analytics...
-    assert_eq!(graph.stats().params, back.stats().params);
-    assert_eq!(graph.stats().macs, back.stats().macs);
-    // ...and the same compiled plan.
-    let a = harvest::engine::compile(&graph);
-    let b = harvest::engine::compile(&back);
-    assert_eq!(a.launch_count(), b.launch_count());
-    assert_eq!(a.total_macs(), b.total_macs());
 }
 
 #[test]
