@@ -180,7 +180,7 @@ impl Deployment {
 /// A scenario-specific report with common accessors.
 #[derive(Clone, Debug)]
 pub enum DeploymentReport {
-    /// Streaming-inference report.
+    /// On-demand inference report.
     Online(harvest_serving::OnlineReport),
     /// Batch-processing report.
     Offline(harvest_serving::OfflineReport),

@@ -41,7 +41,7 @@ impl PlatformId {
 /// Deployment scenarios of §2.2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DeploymentScenario {
-    /// Streaming inference on demand (cloud or edge).
+    /// Inference on demand, request by request (cloud or edge).
     Online,
     /// Batch processing after full data collection.
     Offline,

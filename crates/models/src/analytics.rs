@@ -106,10 +106,6 @@ pub struct ModelStats {
     pub macs_with_attention: f64,
     /// Per-class compute breakdown.
     pub breakdown: ComputeBreakdown,
-    /// Sum of all per-image activation elements (every node output).
-    pub activation_elements_total: u64,
-    /// Largest single per-image activation (elements).
-    pub activation_elements_peak: u64,
 }
 
 impl ModelStats {
@@ -241,14 +237,9 @@ fn node_compute(graph: &Graph, node_idx: usize, acc: &mut ComputeBreakdown) {
 pub fn stats(graph: &Graph) -> ModelStats {
     let mut params = 0u64;
     let mut breakdown = ComputeBreakdown::default();
-    let mut act_total = 0u64;
-    let mut act_peak = 0u64;
     for idx in 0..graph.nodes().len() {
         params += node_params(graph, idx);
         node_compute(graph, idx, &mut breakdown);
-        let elems = graph.nodes()[idx].out_shape.elements() as u64;
-        act_total += elems;
-        act_peak = act_peak.max(elems);
     }
     let macs = breakdown.conv_macs + breakdown.linear_macs;
     ModelStats {
@@ -256,8 +247,6 @@ pub fn stats(graph: &Graph) -> ModelStats {
         macs,
         macs_with_attention: macs + breakdown.attn_matmul_macs,
         breakdown,
-        activation_elements_total: act_total,
-        activation_elements_peak: act_peak,
     }
 }
 
@@ -382,22 +371,5 @@ mod tests {
         assert_eq!(Precision::Int8.bytes(), 1);
         let s = vit_tiny(39).stats();
         assert_eq!(s.weight_bytes(Precision::Fp16), s.params * 2);
-    }
-
-    #[test]
-    fn activation_accounting_is_positive_and_peak_le_total() {
-        for g in [vit_tiny(39), resnet50(10)] {
-            let s = g.stats();
-            assert!(s.activation_elements_total > 0);
-            assert!(s.activation_elements_peak > 0);
-            assert!(s.activation_elements_peak <= s.activation_elements_total);
-        }
-    }
-
-    #[test]
-    fn resnet_peak_activation_is_early_conv() {
-        // 64×112×112 = 802,816 elements is the stem output.
-        let s = resnet50(1000).stats();
-        assert_eq!(s.activation_elements_peak, 64 * 112 * 112);
     }
 }

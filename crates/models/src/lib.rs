@@ -12,8 +12,7 @@
 //!   tool the paper evidently used — with them included ViT-Base @224 would
 //!   be ~17.5 G, not the printed 16.86 G),
 //! * **per-layer-class breakdown** (the paper's MLP-vs-attention and
-//!   conv-share observations in §4.0.2),
-//! * **activation memory footprints** (per-image total and liveness peak).
+//!   conv-share observations in §4.0.2).
 //!
 //! A configuration note recovered while calibrating: the only ViT geometry
 //! that reproduces the paper's "input 32×32, 1.37 / 5.47 GFLOPs" rows is
