@@ -12,8 +12,9 @@
 //! cargo run -p harvest-bench --bin experiments --release -- --json out/
 //! ```
 //!
-//! Real kernels are timed in two places only: `experiments bench` / `host`
-//! here, and the repo benchmark (`benchmark/`, gated end to end).
+//! Real kernels are timed in two places only: `experiments host` here, and
+//! the repo benchmark (`benchmark/`, gated end to end). `experiments bench`
+//! times nothing: it writes the logits ledger.
 
 use std::fmt::Write as _;
 

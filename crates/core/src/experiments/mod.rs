@@ -20,7 +20,7 @@ pub mod table1;
 pub mod table2;
 pub mod table3;
 
-pub use bench::{bench, BenchEventCore, BenchKernel, BenchModel, BenchReport};
+pub use bench::{bench, BenchModel, BenchReport};
 pub use fig4::{fig4, Fig4Dataset};
 pub use fig5::{fig5, Fig5Platform, Fig5Point, Fig5Series};
 pub use fig6::{fig6, Fig6Platform, Fig6Point, Fig6Series};

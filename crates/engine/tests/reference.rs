@@ -53,7 +53,7 @@ fn batched_matches_reference_within_tolerance_vit() {
 fn default_variant_batched_equals_reference_bitwise() {
     // With the scalar GEMM both paths run one accumulation order, and
     // gelu, softmax, layernorm and φ give an element the same bits
-    // wherever it sits in a batch buffer: BENCH.json's
+    // wherever it sits in a batch buffer: the logits ledger's (BENCH.json)
     // `rel_err_vs_reference` of exactly 0 depends on it.
     let cfg = VitConfig {
         dim: 48,

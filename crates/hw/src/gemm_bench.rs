@@ -166,8 +166,9 @@ mod tests {
 
     #[test]
     fn host_gemm_measures_something_sane() {
-        // Tiny problem so the test stays fast; any positive GFLOPS works.
+        // Tiny problem so the test stays fast. Positive (NaN fails too) at
+        // any speed: no gate may ride on a wall clock.
         let gf = host_gemm_gflops(128, 2);
-        assert!(gf > 0.05, "host GEMM {gf:.3} GFLOPS");
+        assert!(gf > 0.0, "host GEMM {gf:.3} GFLOPS");
     }
 }

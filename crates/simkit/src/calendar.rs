@@ -24,8 +24,9 @@
 //! time-ordered with FIFO tie-breaking on insertion sequence. The
 //! differential suite in `tests/calendar_diff.rs` pins that equivalence
 //! under adversarial workloads (tie storms, zero-delay self-schedules,
-//! far-future outliers); the event-core rows in `BENCH.json` track the
-//! throughput gap that justifies the extra machinery.
+//! far-future outliers), and its `#[ignore]`d, release-only
+//! `hold_throughput_heap_vs_calendar` measures the throughput gap that
+//! justifies the extra machinery.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

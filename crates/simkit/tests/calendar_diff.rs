@@ -18,6 +18,7 @@ use proptest::prelude::*;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::rc::Rc;
+use std::time::Instant;
 
 /// One scripted operation. `Push` carries a *delay above the current
 /// floor* so random scripts can never violate the queue's monotone-push
@@ -212,4 +213,54 @@ fn zero_delay_chases_merge_identically() {
         }
     }
     assert!(cal.is_empty());
+}
+
+/// The throughput gap that pays for the calendar's machinery, measured:
+/// the hold model (pop the earliest event, reschedule it a random delay
+/// ahead) on the heap oracle and on the calendar queue, each fed the same
+/// delay stream, at 10k to 2M pending. Four queue turnovers per population
+/// charge rung respawns at their steady-state rate. It prints events/s and
+/// the ratio, best of two, and asserts nothing about time: the 2M ratio has
+/// read anywhere from 8× to 13× on one 2-vCPU guest. Run it with
+/// `cargo test --release -p harvest-simkit --test calendar_diff -- --ignored
+/// --nocapture`.
+#[test]
+#[ignore = "wall clock: run in release with --ignored --nocapture"]
+fn hold_throughput_heap_vs_calendar() {
+    if cfg!(debug_assertions) {
+        eprintln!("hold_throughput_heap_vs_calendar: release builds only");
+        return;
+    }
+    let max_delay = 1_000_000_000;
+    for pending in [10_000u64, 100_000, 1_000_000, 2_000_000] {
+        let ops = (4 * pending).max(500_000);
+        let (mut heap_s, mut cal_s) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..2 {
+            let mut rng = SimRng::new(0xe7e1);
+            let mut heap = HeapOracle::default();
+            (0..pending).for_each(|_| heap.push(rng.below(max_delay)));
+            let start = Instant::now();
+            for _ in 0..ops {
+                let (t, _) = heap.pop().expect("population never drains");
+                heap.push(t + 1 + rng.below(max_delay));
+            }
+            heap_s = heap_s.min(start.elapsed().as_secs_f64());
+
+            let mut rng = SimRng::new(0xe7e1);
+            let mut cal = CalendarQueue::new();
+            (0..pending).for_each(|_| cal.push(rng.below(max_delay), ()));
+            let start = Instant::now();
+            for _ in 0..ops {
+                let (t, ()) = cal.pop().expect("population never drains");
+                cal.push(t + 1 + rng.below(max_delay), ());
+            }
+            cal_s = cal_s.min(start.elapsed().as_secs_f64());
+        }
+        let (heap_eps, cal_eps) = (ops as f64 / heap_s, ops as f64 / cal_s);
+        println!(
+            "pending {pending:>9}: heap {heap_eps:>12.0} events/s, calendar {cal_eps:>12.0} \
+             events/s, calendar over heap {:.2}x",
+            cal_eps / heap_eps
+        );
+    }
 }

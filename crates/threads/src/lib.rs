@@ -76,7 +76,7 @@ pub fn max_threads() -> usize {
 /// Run `f` with the calling thread's budget forced to `n` (clamped to at
 /// least 1). Restores the previous override on exit, panics included. This
 /// is the in-process twin of the `HARVEST_THREADS` env knob, used by the
-/// determinism tests and the bench thread-scaling sweep.
+/// determinism tests and the logits ledger's two pool widths.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
     impl Drop for Restore {
