@@ -90,6 +90,7 @@ crates/engine/src/**/*.rs (^|[^A-Za-z0-9_])gemm(_bt)?\(|kxn an engine matmul pac
 crates/*/src/**/*.rs engine_batch_floor_ms|FLOOR_MS a per-batch sleep floor is back (the pool's scale-up is proven in virtual time)
 crates/*/src/**/*.rs swap_guard_range_limit|set_swap_guard|swap_artifact_staged|IntegrityStateSkew|guard_pending a generation's lifecycle is kept outside WeightsCell::{load, guard, settle} again
 crates/*/src/**/*.rs (^|[^A-Za-z0-9_])(DataLoader|Roofline|Timeline|Streaming|to_honx|from_honx) a feature only tests called is back (a capability counts only with a caller)
+crates/!(hw)/src/**/*.rs use[[:space:]]+(harvest_hw::)?PlatformId::\*|PlatformId::[A-Za-z0-9]+[[:space:]]*(=>|\|) a platform constant is matched outside its PlatformSpec record
 EOF
 
 echo "== pub surface ratchet =="
@@ -99,7 +100,7 @@ echo "== pub surface ratchet =="
 # `pub` item lines of every crate but bench whose name is a word on no
 # non-comment line of another crate, benchmark/src, examples/, tests/ or
 # src/. Lower PUB_UNNAMED_MAX when a change lowers the count, never raise it.
-PUB_UNNAMED_MAX=127
+PUB_UNNAMED_MAX=126
 unnamed_pub=$(for c in crates/*/; do
     c=${c%/}
     [ "$c" = crates/bench ] && continue

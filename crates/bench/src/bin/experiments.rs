@@ -1422,7 +1422,7 @@ fn cluster(save: &dyn Fn(&str, String)) {
 fn energy(save: &dyn Fn(&str, String)) {
     use harvest_hw::PlatformId;
     use harvest_models::ALL_MODELS;
-    use harvest_perf::{batch_axis, EnergyModel};
+    use harvest_perf::EnergyModel;
     println!("== Extension: energy per image across the continuum ==");
     let mut rows = Vec::new();
     let mut json = Vec::new();
@@ -1434,7 +1434,7 @@ fn energy(save: &dyn Fn(&str, String)) {
         for model in ALL_MODELS {
             let e = EnergyModel::new(platform, model);
             let bs1 = e.point(1);
-            let best = e.best_batch(batch_axis(platform));
+            let best = e.best_batch(platform.spec().batch_axis);
             rows.push(vec![
                 platform.name().to_string(),
                 model.name().to_string(),

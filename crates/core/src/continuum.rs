@@ -12,8 +12,8 @@ use harvest_data::{DatasetId, DatasetSpec, Sampler};
 use harvest_hw::{NetworkLink, PlatformId};
 use harvest_imaging::ImageFormat;
 use harvest_models::ModelId;
-use harvest_perf::{EnginePerfModel, MemoryContext};
-use harvest_preproc::{PreprocCostModel, PreprocMethod};
+use harvest_perf::{end_to_end_batch, EnginePerfModel};
+use harvest_preproc::PreprocCostModel;
 
 /// Where to run inference.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,14 +77,9 @@ pub fn analyze(
     let bytes = mean_encoded_bytes(dataset, 3);
     let uplink_rate = link.image_rate(bytes);
 
-    let preproc_method = match model.input_size() {
-        32 => PreprocMethod::Dali32,
-        _ => PreprocMethod::Dali224,
-    };
+    let preproc_method = crate::pipeline::preproc_method(model);
     let pipeline_rate = |platform: PlatformId| -> f64 {
-        let mem = harvest_perf::EngineMemoryModel::new(platform, model, MemoryContext::EndToEnd);
-        let batch =
-            harvest_perf::max_batch_under_memory(&mem, &[1, 2, 4, 8, 16, 32, 64]).unwrap_or(1);
+        let batch = end_to_end_batch(platform, model).unwrap_or(1);
         let engine = EnginePerfModel::new(platform, model).throughput(batch);
         let preproc = 1.0 / PreprocCostModel::new(platform).per_image_s(preproc_method, dataset);
         engine.min(preproc)

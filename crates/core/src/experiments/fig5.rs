@@ -2,9 +2,7 @@
 
 use harvest_hw::PlatformId;
 use harvest_models::{ModelId, ALL_MODELS};
-use harvest_perf::{
-    batch_axis, max_batch_under_memory, EngineMemoryModel, EnginePerfModel, MemoryContext,
-};
+use harvest_perf::{max_batch_under_memory, EngineMemoryModel, EnginePerfModel, MemoryContext};
 use serde::Serialize;
 
 /// One point of a Fig. 5 series.
@@ -47,7 +45,7 @@ pub struct Fig5Platform {
 /// Regenerate one platform panel.
 pub(crate) fn fig5_platform(platform: PlatformId) -> Fig5Platform {
     let spec = platform.spec();
-    let axis = batch_axis(platform);
+    let axis = spec.batch_axis;
     let series = ALL_MODELS
         .iter()
         .map(|&model| fig5_series(platform, model, axis))

@@ -3,7 +3,7 @@
 use harvest_hw::PlatformId;
 use harvest_models::{ModelId, ALL_MODELS};
 use harvest_perf::{
-    batch_axis, max_batch_under_memory, EngineMemoryModel, EnginePerfModel, MemoryContext,
+    max_batch_under_memory, EngineMemoryModel, EnginePerfModel, MemoryContext,
     LATENCY_BOUND_60QPS_MS,
 };
 use serde::Serialize;
@@ -67,7 +67,7 @@ fn fig6_series(platform: PlatformId, model: ModelId, axis: &[u32]) -> Fig6Series
 
 /// Regenerate one platform panel.
 pub(crate) fn fig6_platform(platform: PlatformId) -> Fig6Platform {
-    let axis = batch_axis(platform);
+    let axis = platform.spec().batch_axis;
     Fig6Platform {
         platform: platform.name().to_string(),
         threshold_ms: LATENCY_BOUND_60QPS_MS,

@@ -3,15 +3,11 @@
 
 use harvest_data::{DatasetId, ALL_DATASETS};
 use harvest_hw::PlatformId;
-use harvest_models::{ModelId, ALL_MODELS};
-use harvest_perf::{max_batch_under_memory, EngineMemoryModel, MemoryContext};
-use harvest_preproc::PreprocMethod;
+use harvest_models::ALL_MODELS;
+use harvest_perf::{end_to_end_batch, MemoryContext};
 use harvest_serving::{run_offline, OfflineConfig, PipelineConfig};
 use harvest_simkit::SimTime;
 use serde::Serialize;
-
-/// The serving cap the paper's A100 column runs at.
-pub(crate) const SERVING_MAX_BATCH: u32 = 64;
 
 /// One (model × dataset) cell of a Fig. 8 panel.
 #[derive(Clone, Debug, Serialize)]
@@ -51,40 +47,12 @@ pub(crate) fn fig8_datasets() -> Vec<DatasetId> {
         .collect()
 }
 
-fn preproc_for(model: ModelId) -> PreprocMethod {
-    match model.input_size() {
-        32 => PreprocMethod::Dali32,
-        _ => PreprocMethod::Dali224,
-    }
-}
-
-/// Largest batch (≤ serving cap) that fits end-to-end — the "@BSn" label.
-pub fn fig8_batch(platform: PlatformId, model: ModelId) -> Option<u32> {
-    let mem = EngineMemoryModel::new(platform, model, MemoryContext::EndToEnd);
-    let axis: Vec<u32> = [1u32, 2, 4, 8, 16, 32, 64]
-        .iter()
-        .copied()
-        .filter(|&b| b <= SERVING_MAX_BATCH)
-        .collect();
-    max_batch_under_memory(&mem, &axis)
-}
-
-/// Parallel preprocessing lanes per platform: the A100 has five hardware
-/// NVJPEG engines (we run four pipeline instances); the V100 decodes on its
-/// SMs and the Jetson's single engine shares the iGPU — one lane each.
-pub fn preproc_instances(platform: PlatformId) -> u32 {
-    match platform {
-        PlatformId::MriA100 => 4,
-        PlatformId::PitzerV100 | PlatformId::JetsonOrinNano => 1,
-    }
-}
-
 /// Regenerate one platform panel by running the offline serving scenario
 /// for every model × dataset pair.
 pub(crate) fn fig8_platform(platform: PlatformId) -> Fig8Platform {
     let mut cells = Vec::new();
     for &model in &ALL_MODELS {
-        let Some(batch) = fig8_batch(platform, model) else {
+        let Some(batch) = end_to_end_batch(platform, model) else {
             continue;
         };
         for dataset in fig8_datasets() {
@@ -92,11 +60,11 @@ pub(crate) fn fig8_platform(platform: PlatformId) -> Fig8Platform {
                 platform,
                 model,
                 dataset,
-                preproc: preproc_for(model),
+                preproc: crate::pipeline::preproc_method(model),
                 ctx: MemoryContext::EndToEnd,
                 max_batch: batch,
                 max_queue_delay: SimTime::from_millis(20),
-                preproc_instances: preproc_instances(platform),
+                preproc_instances: platform.spec().preproc_instances,
                 engine_instances: 1,
             };
             let report = run_offline(&OfflineConfig {
@@ -138,6 +106,7 @@ pub fn fig8() -> Vec<Fig8Platform> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harvest_models::ModelId;
     use harvest_perf::EnginePerfModel;
 
     #[test]
@@ -145,7 +114,7 @@ mod tests {
         // A100: all @64. V100/Jetson: Tiny 64, Small 32, Base 2, RN50 32.
         for model in ALL_MODELS {
             assert_eq!(
-                fig8_batch(PlatformId::MriA100, model),
+                end_to_end_batch(PlatformId::MriA100, model),
                 Some(64),
                 "{model:?}"
             );
@@ -159,7 +128,7 @@ mod tests {
         for platform in [PlatformId::PitzerV100, PlatformId::JetsonOrinNano] {
             for (model, bs) in expect {
                 assert_eq!(
-                    fig8_batch(platform, model),
+                    end_to_end_batch(platform, model),
                     Some(bs),
                     "{platform:?}/{model:?}"
                 );

@@ -5,7 +5,7 @@ use harvest_data::DatasetId;
 use harvest_engine::EngineError;
 use harvest_hw::{DeploymentScenario, PlatformId};
 use harvest_models::ModelId;
-use harvest_perf::MemoryContext;
+use harvest_perf::{end_to_end_batch, EngineMemoryModel, MemoryContext};
 use harvest_preproc::PreprocMethod;
 use harvest_serving::{
     run_offline, run_online, run_realtime, OfflineConfig, OnlineConfig, PipelineConfig,
@@ -100,37 +100,24 @@ impl Deployment {
         self
     }
 
-    /// The preprocessing method matched to the model's input size (the
-    /// DALI output resolution must equal what the model eats).
-    fn preproc_method(&self) -> PreprocMethod {
-        match self.model.input_size() {
-            32 => PreprocMethod::Dali32,
-            96 => PreprocMethod::Dali96,
-            _ => PreprocMethod::Dali224,
-        }
-    }
-
     fn pipeline_config(&self) -> Result<PipelineConfig, EngineError> {
         let ctx = MemoryContext::EndToEnd;
         let batch = match self.batch {
             Some(b) => b,
-            None => {
-                let mem = harvest_perf::EngineMemoryModel::new(self.platform, self.model, ctx);
-                let axis: Vec<u32> = [1u32, 2, 4, 8, 16, 32, 64].to_vec();
-                harvest_perf::max_batch_under_memory(&mem, &axis).ok_or(
-                    EngineError::OutOfMemory {
-                        batch: 1,
-                        required: mem.engine_bytes(1),
-                        budget: mem.budget_bytes(),
-                    },
-                )?
-            }
+            None => end_to_end_batch(self.platform, self.model).ok_or_else(|| {
+                let mem = EngineMemoryModel::new(self.platform, self.model, ctx);
+                EngineError::OutOfMemory {
+                    batch: 1,
+                    required: mem.engine_bytes(1),
+                    budget: mem.budget_bytes(),
+                }
+            })?,
         };
         Ok(PipelineConfig {
             platform: self.platform,
             model: self.model,
             dataset: self.dataset,
-            preproc: self.preproc_method(),
+            preproc: preproc_method(self.model),
             ctx,
             max_batch: batch,
             max_queue_delay: match self.scenario {
@@ -138,7 +125,7 @@ impl Deployment {
                 DeploymentScenario::Online => SimTime::from_millis(5),
                 DeploymentScenario::RealTime => SimTime::from_millis(1),
             },
-            preproc_instances: crate::experiments::fig8::preproc_instances(self.platform),
+            preproc_instances: self.platform.spec().preproc_instances,
             engine_instances: 1,
         })
     }
@@ -174,6 +161,16 @@ impl Deployment {
             )
             .map(DeploymentReport::RealTime),
         }
+    }
+}
+
+/// The DALI method matched to the model's input size (the DALI output
+/// resolution must equal what the model eats).
+pub(crate) fn preproc_method(model: ModelId) -> PreprocMethod {
+    match model.input_size() {
+        32 => PreprocMethod::Dali32,
+        96 => PreprocMethod::Dali96,
+        _ => PreprocMethod::Dali224,
     }
 }
 
@@ -294,17 +291,7 @@ mod tests {
 
     #[test]
     fn preproc_method_follows_model_input() {
-        let d32 = Deployment::new(
-            PlatformId::MriA100,
-            ModelId::VitTiny,
-            DatasetId::PlantVillage,
-        );
-        assert_eq!(d32.preproc_method(), PreprocMethod::Dali32);
-        let d224 = Deployment::new(
-            PlatformId::MriA100,
-            ModelId::VitBase,
-            DatasetId::PlantVillage,
-        );
-        assert_eq!(d224.preproc_method(), PreprocMethod::Dali224);
+        assert_eq!(preproc_method(ModelId::VitTiny), PreprocMethod::Dali32);
+        assert_eq!(preproc_method(ModelId::VitBase), PreprocMethod::Dali224);
     }
 }

@@ -12,7 +12,9 @@
 //! Three pieces:
 //!
 //! * [`platform`] — the static descriptors (cores, memory, bandwidths,
-//!   launch overheads, scenario fit).
+//!   launch overheads, scenario fit), each also its platform's one
+//!   calibration record for the figure models (MFU anchors, batch axes,
+//!   working sets, preprocessing constants).
 //! * [`memory`] — a real free-list device-memory allocator with peak
 //!   accounting; the engine's activation planner allocates through it.
 //! * `gemm_bench` — the Table 1 microbenchmark: a roofline-style device

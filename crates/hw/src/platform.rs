@@ -49,7 +49,10 @@ pub enum DeploymentScenario {
     RealTime,
 }
 
-/// One Table 1 column plus the modelling constants the simulator needs.
+/// One Table 1 column plus the modelling constants the simulator needs: the
+/// one calibration record per platform, so a new platform is one more
+/// record. Per-model arrays are indexed by `ModelId::index()` (Table 3 /
+/// `ALL_MODELS` order: ViT-Tiny, ViT-Small, ViT-Base, ResNet50).
 #[derive(Clone, Debug)]
 pub struct PlatformSpec {
     /// Which platform.
@@ -92,6 +95,32 @@ pub struct PlatformSpec {
     /// Memory the OS/runtime reserves before any engine allocates (bytes);
     /// significant on the 8 GB unified Jetson.
     pub system_reserved_bytes: u64,
+    /// Figs 5–6 label anchors per model: the throughput (img/s) printed
+    /// inside the figure at a batch size. The MFU curve passes through it.
+    pub mfu_anchor: [(f64, u32); 4],
+    /// Half-saturation batch sizes per model. Larger models saturate at
+    /// smaller batches; smaller devices saturate earlier than big ones.
+    /// Values are chosen so the Fig 6 operating-point statements hold (V100
+    /// ViT-Base meets 16.7 ms at BS 8 but not BS 16; Jetson margins are
+    /// narrow; A100 wants BS > 16).
+    pub bs_half: [f64; 4],
+    /// The batch sizes Figs 5 and 6 sweep on this platform.
+    pub batch_axis: &'static [u32],
+    /// Per-image working set of the engine alone (Figs 5c/6c), MiB per
+    /// model: activations, tactic workspace and allocator overhead.
+    pub engine_working_set_mib: [f64; 4],
+    /// Per-image working set in the full serving pipeline (Fig 8), MiB per
+    /// model: the engine's plus per-request I/O staging and
+    /// double-buffering.
+    pub e2e_working_set_mib: [f64; 4],
+    /// Device memory the preprocessing pool claims end to end (resident
+    /// DALI pipelines for every dataset at BS 64).
+    pub preproc_pool_bytes: u64,
+    /// Per-image fixed pipeline overhead on the GPU preprocessing path
+    /// (scheduling, H2D of the encoded buffer, kernel launches), seconds.
+    pub gpu_preproc_fixed_s: f64,
+    /// Parallel preprocessing pipeline instances (lanes) a deployment runs.
+    pub preproc_instances: u32,
 }
 
 impl PlatformSpec {
@@ -113,6 +142,25 @@ impl PlatformSpec {
 }
 
 const GIB: u64 = 1 << 30;
+const MIB: u64 = 1 << 20;
+
+/// Batch sizes swept on the cloud platforms (Figs 5a/5b, 6a/6b).
+const CLOUD_BATCHES: [u32; 16] = [
+    1, 2, 4, 8, 16, 32, 64, 96, 128, 196, 256, 384, 512, 640, 768, 1024,
+];
+
+/// Batch sizes swept on the Jetson (Figs 5c, 6c) — the axis stops at 196.
+const JETSON_BATCHES: [u32; 10] = [1, 2, 4, 8, 16, 32, 64, 96, 128, 196];
+
+/// Engine-only working set on both cloud GPUs: dedicated VRAM, pooled
+/// workspace; per-image cost is essentially live activations (+ small
+/// workspace share). Every model runs at BS 1024 there (Figs 5a/5b), which
+/// bounds these from above.
+const CLOUD_ENGINE_MIB: [f64; 4] = [1.5, 3.0, 8.0, 10.0];
+
+/// End-to-end working set: one table reproduces both the V100 and the
+/// Jetson Fig 8 walls (64 / 32 / 2 / 32).
+const V100_JETSON_E2E_MIB: [f64; 4] = [40.0, 80.0, 1500.0, 80.0];
 
 /// All three platforms, Table 1 order (V100, A100, Jetson).
 pub static ALL_PLATFORMS: [PlatformSpec; 3] = [
@@ -135,6 +183,20 @@ pub static ALL_PLATFORMS: [PlatformSpec; 3] = [
         power_w: 300.0,
         scenarios: &[DeploymentScenario::Online, DeploymentScenario::Offline],
         system_reserved_bytes: 600 * (1 << 20),
+        mfu_anchor: [
+            (7_179.0, 1024),
+            (2_929.3, 1024),
+            (1_482.6, 1024),
+            (8_107.3, 1024),
+        ],
+        bs_half: [64.0, 32.0, 12.0, 16.0],
+        batch_axis: &CLOUD_BATCHES,
+        engine_working_set_mib: CLOUD_ENGINE_MIB,
+        e2e_working_set_mib: V100_JETSON_E2E_MIB,
+        preproc_pool_bytes: 12_288 * MIB,
+        gpu_preproc_fixed_s: 350e-6,
+        // Decodes on its SMs: one lane.
+        preproc_instances: 1,
     },
     PlatformSpec {
         id: PlatformId::MriA100,
@@ -155,6 +217,22 @@ pub static ALL_PLATFORMS: [PlatformSpec; 3] = [
         power_w: 400.0,
         scenarios: &[DeploymentScenario::Online, DeploymentScenario::Offline],
         system_reserved_bytes: GIB,
+        mfu_anchor: [
+            (22_879.3, 1024),
+            (9_344.2, 1024),
+            (4_095.9, 1024),
+            (16_230.7, 1024),
+        ],
+        bs_half: [96.0, 48.0, 16.0, 24.0],
+        batch_axis: &CLOUD_BATCHES,
+        engine_working_set_mib: CLOUD_ENGINE_MIB,
+        // Pooled BF16 workspaces and plenty of headroom: lean enough to hold
+        // every model at the serving cap of 64.
+        e2e_working_set_mib: [40.0, 80.0, 300.0, 80.0],
+        preproc_pool_bytes: 12_288 * MIB,
+        gpu_preproc_fixed_s: 70e-6,
+        // Five hardware NVJPEG engines: we run four pipeline instances.
+        preproc_instances: 4,
     },
     PlatformSpec {
         id: PlatformId::JetsonOrinNano,
@@ -175,6 +253,20 @@ pub static ALL_PLATFORMS: [PlatformSpec; 3] = [
         power_w: 25.0,
         scenarios: &[DeploymentScenario::RealTime],
         system_reserved_bytes: 2_560 * (1 << 20), // OS + runtime on 8 GB unified
+        mfu_anchor: [(1_170.1, 196), (469.4, 64), (201.0, 8), (842.9, 64)],
+        bs_half: [8.0, 5.0, 2.0, 5.0],
+        batch_axis: &JETSON_BATCHES,
+        // iGPU at 25 W: no dedicated pool, unified-memory allocator overhead
+        // and conservative tactic workspaces inflate the effective per-image
+        // footprint (calibrated to Fig 5c).
+        engine_working_set_mib: [24.0, 70.0, 420.0, 70.0],
+        e2e_working_set_mib: V100_JETSON_E2E_MIB,
+        // The lighter real-time pipelines (no 4K offline stitching feeds),
+        // but the pool is shared with the CPU.
+        preproc_pool_bytes: 2_048 * MIB,
+        gpu_preproc_fixed_s: 400e-6,
+        // Its single NVJPEG engine shares the iGPU: one lane.
+        preproc_instances: 1,
     },
 ];
 

@@ -43,6 +43,7 @@ use crate::chaos::FaultySocket;
 use crate::http::{parse_response, HttpLimits};
 use harvest_imaging::{ajpg_encode, rtif_encode, AjpgOptions, RgbImage};
 use harvest_simkit::fault::{SocketFate, SocketFaultPlan};
+use harvest_tensor::integrity::{fnv1a_fold, FNV_OFFSET};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -174,16 +175,6 @@ fn percentile(samples: &[f64], p: f64) -> f64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_mix(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
 /// The deterministic request body for connection `conn`: a small image in
 /// one of the two container formats the frontend sniffs, with enough
 /// variety to spread argmax classes around.
@@ -309,13 +300,13 @@ pub fn run_loadgen(addr: SocketAddr, config: &LoadgenConfig) -> LoadgenReport {
         if let Some(ms) = r.latency_ms {
             report.latencies_ms.push(ms);
         }
-        fnv_mix(&mut report.fingerprint, &(conn as u64).to_le_bytes());
-        fnv_mix(&mut report.fingerprint, &[fate_tag, r.sent as u8]);
-        fnv_mix(
+        fnv1a_fold(&mut report.fingerprint, &(conn as u64).to_le_bytes());
+        fnv1a_fold(&mut report.fingerprint, &[fate_tag, r.sent as u8]);
+        fnv1a_fold(
             &mut report.fingerprint,
             &r.status.unwrap_or(0).to_le_bytes(),
         );
-        fnv_mix(
+        fnv1a_fold(
             &mut report.fingerprint,
             &r.class.unwrap_or(-1).to_le_bytes(),
         );
@@ -344,13 +335,13 @@ pub fn run_loadgen(addr: SocketAddr, config: &LoadgenConfig) -> LoadgenReport {
             if let Some(ms) = e.latency_ms {
                 report.latencies_ms.push(ms);
             }
-            fnv_mix(&mut report.fingerprint, &(conn as u64).to_le_bytes());
-            fnv_mix(&mut report.fingerprint, &[fate_tag, e.sent as u8]);
-            fnv_mix(
+            fnv1a_fold(&mut report.fingerprint, &(conn as u64).to_le_bytes());
+            fnv1a_fold(&mut report.fingerprint, &[fate_tag, e.sent as u8]);
+            fnv1a_fold(
                 &mut report.fingerprint,
                 &e.status.unwrap_or(0).to_le_bytes(),
             );
-            fnv_mix(
+            fnv1a_fold(
                 &mut report.fingerprint,
                 &e.class.unwrap_or(-1).to_le_bytes(),
             );
@@ -691,12 +682,12 @@ mod tests {
     #[test]
     fn fnv_fingerprint_is_order_sensitive_and_stable() {
         let mut a = FNV_OFFSET;
-        fnv_mix(&mut a, b"ab");
+        fnv1a_fold(&mut a, b"ab");
         let mut b = FNV_OFFSET;
-        fnv_mix(&mut b, b"ba");
+        fnv1a_fold(&mut b, b"ba");
         assert_ne!(a, b);
         let mut c = FNV_OFFSET;
-        fnv_mix(&mut c, b"ab");
+        fnv1a_fold(&mut c, b"ab");
         assert_eq!(a, c);
     }
 }

@@ -176,7 +176,6 @@ impl FleetEnergy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch_axis::{CLOUD_BATCHES, JETSON_BATCHES};
     use harvest_models::ALL_MODELS;
 
     #[test]
@@ -232,8 +231,8 @@ mod tests {
                 j1.images_per_joule,
                 a1.images_per_joule
             );
-            let j_best = jetson.best_batch(&JETSON_BATCHES);
-            let a_best = a100.best_batch(&CLOUD_BATCHES);
+            let j_best = jetson.best_batch(PlatformId::JetsonOrinNano.spec().batch_axis);
+            let a_best = a100.best_batch(PlatformId::MriA100.spec().batch_axis);
             assert!(
                 a_best.images_per_joule > j_best.images_per_joule,
                 "{model:?} saturated: a100 {} vs jetson {}",
@@ -286,7 +285,7 @@ mod tests {
         // images/joule is monotone in batch under this model, so the best
         // batch is the axis maximum; the method must find it.
         let e = EnergyModel::new(PlatformId::MriA100, ModelId::VitTiny);
-        let best = e.best_batch(&CLOUD_BATCHES);
+        let best = e.best_batch(PlatformId::MriA100.spec().batch_axis);
         assert_eq!(best.batch, 1024);
     }
 }

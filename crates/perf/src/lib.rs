@@ -15,7 +15,12 @@
 //!   with per-platform budgets; produces the Jetson OOM walls of Fig 5c
 //!   (ViT-Tiny 196 / Small 64 / ResNet50 64 / Base 8) and the end-to-end
 //!   walls of Fig 8 (V100 & Jetson: 64 / 32 / 2 / 32).
-//! * [`mod@batch_axis`] — the exact batch-size axes the figures sweep.
+//! * [`mod@batch_axis`] — the 60 QPS latency line of Fig 6. The batch-size
+//!   axes the figures sweep are `PlatformSpec::batch_axis`.
+//!
+//! Every per-platform constant these models read (MFU anchors and
+//! `bs_half`, batch axes, working sets, the preprocessing pool) is a field
+//! of the platform's one `PlatformSpec` record in `harvest_hw::ALL_PLATFORMS`.
 //!
 //! Calibration provenance: `(mfu_inf, bs_half)` pairs are pinned so that
 //! throughput at each figure's labelled batch equals the labelled img/s
@@ -28,7 +33,9 @@ pub mod energy;
 pub(crate) mod memory_model;
 pub mod mfu;
 
-pub use batch_axis::{batch_axis, LATENCY_BOUND_60QPS_MS};
+pub use batch_axis::LATENCY_BOUND_60QPS_MS;
 pub use energy::{EnergyModel, EnergyPoint, FleetEnergy};
-pub use memory_model::{max_batch_under_memory, EngineMemoryModel, MemoryContext};
+pub use memory_model::{
+    end_to_end_batch, max_batch_under_memory, EngineMemoryModel, MemoryContext,
+};
 pub use mfu::{EnginePerfModel, MfuCurve};

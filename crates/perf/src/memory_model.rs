@@ -16,6 +16,11 @@
 //!   that), and per-image footprints grow with I/O staging. Under that
 //!   squeeze V100 and Jetson land on the printed 64 / 32 / 2 / 32 walls
 //!   while the A100's 40 GB keeps everything at the serving cap of 64.
+//!
+//! The constants are fields of each platform's `PlatformSpec` record
+//! (`engine_working_set_mib`, `e2e_working_set_mib`, `preproc_pool_bytes`);
+//! this module is the arithmetic over them, and [`end_to_end_batch`] is the
+//! one place the end-to-end operating point is chosen.
 
 use harvest_hw::PlatformId;
 use harvest_models::{ModelId, Precision};
@@ -29,63 +34,6 @@ pub enum MemoryContext {
     EngineOnly,
     /// Full serving pipeline: preprocessing pool + engine (Fig 8).
     EndToEnd,
-}
-
-/// Per-image working set (bytes) for a context.
-fn working_set_bytes(ctx: MemoryContext, platform: PlatformId, model: ModelId) -> u64 {
-    use ModelId::*;
-    let mb = match ctx {
-        MemoryContext::EngineOnly => match platform {
-            // Cloud GPUs: dedicated VRAM, pooled workspace; per-image cost is
-            // essentially live activations (+ small workspace share).
-            PlatformId::MriA100 | PlatformId::PitzerV100 => match model {
-                VitTiny => 1.5,
-                VitSmall => 3.0,
-                VitBase => 8.0,
-                ResNet50 => 10.0,
-            },
-            // Jetson iGPU at 25 W: no dedicated pool, unified-memory
-            // allocator overhead and conservative tactic workspaces inflate
-            // the effective per-image footprint (calibrated to Fig 5c).
-            PlatformId::JetsonOrinNano => match model {
-                VitTiny => 24.0,
-                VitSmall => 70.0,
-                VitBase => 420.0,
-                ResNet50 => 70.0,
-            },
-        },
-        // End-to-end adds per-request I/O staging and double-buffering; one
-        // table reproduces both the V100 and Jetson Fig 8 walls, while the
-        // A100 (pooled BF16 workspaces, plenty of headroom) stays lean
-        // enough to hold every model at the serving cap of 64.
-        MemoryContext::EndToEnd => match platform {
-            PlatformId::MriA100 => match model {
-                VitTiny => 40.0,
-                VitSmall => 80.0,
-                VitBase => 300.0,
-                ResNet50 => 80.0,
-            },
-            PlatformId::PitzerV100 | PlatformId::JetsonOrinNano => match model {
-                VitTiny => 40.0,
-                VitSmall => 80.0,
-                VitBase => 1500.0,
-                ResNet50 => 80.0,
-            },
-        },
-    };
-    (mb * MIB as f64) as u64
-}
-
-/// Device memory claimed by the preprocessing pool in the end-to-end
-/// configuration (resident DALI pipelines for every dataset at BS 64).
-fn preproc_pool_bytes(platform: PlatformId) -> u64 {
-    match platform {
-        PlatformId::MriA100 => 12_288 * MIB,
-        PlatformId::PitzerV100 => 12_288 * MIB,
-        // The Jetson runs the lighter real-time pipelines (no 4K offline
-        // stitching feeds) but shares the pool with the CPU.
-        PlatformId::JetsonOrinNano => 2_048 * MIB,
-    }
 }
 
 /// Memory model for one (platform, model, context) triple.
@@ -118,7 +66,12 @@ impl EngineMemoryModel {
 
     /// Per-image working set bytes.
     pub fn per_image_bytes(&self) -> u64 {
-        working_set_bytes(self.ctx, self.platform, self.model)
+        let spec = self.platform.spec();
+        let mb = match self.ctx {
+            MemoryContext::EngineOnly => spec.engine_working_set_mib,
+            MemoryContext::EndToEnd => spec.e2e_working_set_mib,
+        }[self.model.index()];
+        (mb * MIB as f64) as u64
     }
 
     /// Total engine memory at a batch size.
@@ -128,10 +81,11 @@ impl EngineMemoryModel {
 
     /// Memory budget available to the engine in this context.
     pub fn budget_bytes(&self) -> u64 {
-        let usable = self.platform.spec().usable_gpu_mem_bytes();
+        let spec = self.platform.spec();
+        let usable = spec.usable_gpu_mem_bytes();
         match self.ctx {
             MemoryContext::EngineOnly => usable,
-            MemoryContext::EndToEnd => usable.saturating_sub(preproc_pool_bytes(self.platform)),
+            MemoryContext::EndToEnd => usable.saturating_sub(spec.preproc_pool_bytes),
         }
     }
 
@@ -147,10 +101,20 @@ pub fn max_batch_under_memory(model: &EngineMemoryModel, axis: &[u32]) -> Option
     axis.iter().copied().filter(|&bs| model.fits(bs)).max()
 }
 
+/// The serving cap the paper's A100 column runs at.
+const SERVING_MAX_BATCH: u32 = 64;
+
+/// The end-to-end operating point: the largest power-of-two batch up to the
+/// serving cap that fits beside the preprocessing pool — Fig 8's "@BSn"
+/// label. `None` if not even batch 1 fits.
+pub fn end_to_end_batch(platform: PlatformId, model: ModelId) -> Option<u32> {
+    let mem = EngineMemoryModel::new(platform, model, MemoryContext::EndToEnd);
+    max_batch_under_memory(&mem, &[1, 2, 4, 8, 16, 32, SERVING_MAX_BATCH])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch_axis::{CLOUD_BATCHES, JETSON_BATCHES};
     use harvest_models::ALL_MODELS;
 
     #[test]
@@ -169,7 +133,7 @@ mod tests {
                 MemoryContext::EngineOnly,
             );
             assert_eq!(
-                max_batch_under_memory(&m, &JETSON_BATCHES),
+                max_batch_under_memory(&m, PlatformId::JetsonOrinNano.spec().batch_axis),
                 Some(wall),
                 "{model:?}"
             );
@@ -199,12 +163,9 @@ mod tests {
         ];
         for platform in [PlatformId::PitzerV100, PlatformId::JetsonOrinNano] {
             for (model, wall) in expect {
-                let m = EngineMemoryModel::new(platform, model, MemoryContext::EndToEnd);
-                // Serving caps batches at 64 (the A100 column's value), so
-                // search the axis only up to 64.
-                let axis: Vec<u32> = CLOUD_BATCHES.iter().copied().filter(|&b| b <= 64).collect();
+                // Serving caps batches at 64 (the A100 column's value).
                 assert_eq!(
-                    max_batch_under_memory(&m, &axis),
+                    end_to_end_batch(platform, model),
                     Some(wall),
                     "{platform:?}/{model:?}"
                 );

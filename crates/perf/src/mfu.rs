@@ -24,50 +24,6 @@ impl MfuCurve {
     }
 }
 
-/// Figure-label anchors: throughput (img/s) observed at a given batch size,
-/// per (platform, model) — the text printed inside Figs 5 and 6.
-fn anchor(platform: PlatformId, model: ModelId) -> (f64, u32) {
-    use ModelId::*;
-    use PlatformId::*;
-    match (platform, model) {
-        (MriA100, VitTiny) => (22_879.3, 1024),
-        (MriA100, VitSmall) => (9_344.2, 1024),
-        (MriA100, VitBase) => (4_095.9, 1024),
-        (MriA100, ResNet50) => (16_230.7, 1024),
-        (PitzerV100, VitTiny) => (7_179.0, 1024),
-        (PitzerV100, VitSmall) => (2_929.3, 1024),
-        (PitzerV100, VitBase) => (1_482.6, 1024),
-        (PitzerV100, ResNet50) => (8_107.3, 1024),
-        (JetsonOrinNano, VitTiny) => (1_170.1, 196),
-        (JetsonOrinNano, VitSmall) => (469.4, 64),
-        (JetsonOrinNano, VitBase) => (201.0, 8),
-        (JetsonOrinNano, ResNet50) => (842.9, 64),
-    }
-}
-
-/// Half-saturation batch sizes. Larger models saturate at smaller batches;
-/// smaller devices saturate earlier than big ones. Values are chosen so the
-/// Fig 6 operating-point statements hold (V100 ViT-Base meets 16.7 ms at
-/// BS 8 but not BS 16; Jetson margins are narrow; A100 wants BS > 16).
-fn bs_half(platform: PlatformId, model: ModelId) -> f64 {
-    use ModelId::*;
-    use PlatformId::*;
-    match (platform, model) {
-        (MriA100, VitTiny) => 96.0,
-        (MriA100, VitSmall) => 48.0,
-        (MriA100, VitBase) => 16.0,
-        (MriA100, ResNet50) => 24.0,
-        (PitzerV100, VitTiny) => 64.0,
-        (PitzerV100, VitSmall) => 32.0,
-        (PitzerV100, VitBase) => 12.0,
-        (PitzerV100, ResNet50) => 16.0,
-        (JetsonOrinNano, VitTiny) => 8.0,
-        (JetsonOrinNano, VitSmall) => 5.0,
-        (JetsonOrinNano, VitBase) => 2.0,
-        (JetsonOrinNano, ResNet50) => 5.0,
-    }
-}
-
 /// Analytic engine performance model for one (platform, model) pair.
 #[derive(Clone, Debug)]
 pub struct EnginePerfModel {
@@ -86,8 +42,8 @@ impl EnginePerfModel {
         let stats = model.build().stats();
         let flops_per_image = stats.macs;
         let spec = platform.spec();
-        let (anchor_tput, anchor_bs) = anchor(platform, model);
-        let half = bs_half(platform, model);
+        let (anchor_tput, anchor_bs) = spec.mfu_anchor[model.index()];
+        let half = spec.bs_half[model.index()];
         // Invert throughput(bs) = P·MFU(bs)/F at the anchor point.
         let mfu_at_anchor = anchor_tput * flops_per_image / spec.practical_flops();
         let b = anchor_bs as f64;
@@ -170,6 +126,7 @@ impl EnginePerfModel {
 mod tests {
     use super::*;
     use crate::batch_axis::LATENCY_BOUND_60QPS_MS;
+    use harvest_hw::ALL_PLATFORMS;
     use harvest_models::ALL_MODELS;
 
     const PLATFORMS: [PlatformId; 3] = [
@@ -180,14 +137,15 @@ mod tests {
 
     #[test]
     fn anchors_reproduce_figure_labels() {
-        for platform in PLATFORMS {
+        for spec in &ALL_PLATFORMS {
             for model in ALL_MODELS {
-                let m = EnginePerfModel::new(platform, model);
-                let (tput, bs) = anchor(platform, model);
+                let m = EnginePerfModel::new(spec.id, model);
+                let (tput, bs) = spec.mfu_anchor[model.index()];
                 let got = m.throughput(bs);
                 assert!(
                     (got - tput).abs() / tput < 1e-9,
-                    "{platform:?}/{model:?}: {got:.1} vs {tput}"
+                    "{:?}/{model:?}: {got:.1} vs {tput}",
+                    spec.id
                 );
             }
         }

@@ -54,16 +54,6 @@ const TRANSFORM_OUT_OPS_PER_PIXEL: f64 = 3.0;
 /// The CRSA perspective warp reads the full frame with bilinear sampling.
 const PERSPECTIVE_OPS_PER_PIXEL: f64 = 2.0;
 
-/// Per-image fixed pipeline overhead on the GPU path (scheduling, H2D of the
-/// encoded buffer, kernel launches), seconds.
-fn gpu_fixed_s(platform: PlatformId) -> f64 {
-    match platform {
-        PlatformId::MriA100 => 70e-6,
-        PlatformId::PitzerV100 => 350e-6,
-        PlatformId::JetsonOrinNano => 400e-6,
-    }
-}
-
 /// Effective CPU parallel speedup applied to a single request's latency
 /// (intra-op threading in torchvision/OpenCV).
 fn cpu_intra_parallel(spec: &PlatformSpec) -> f64 {
@@ -121,7 +111,7 @@ impl PreprocCostModel {
         let ds = DatasetSpec::get(dataset);
         let ops = self.image_ops(method, ds);
         if method.is_gpu() {
-            gpu_fixed_s(self.platform) + ops / (spec.gpu_preproc_gpix_s * 1e9)
+            spec.gpu_preproc_fixed_s + ops / (spec.gpu_preproc_gpix_s * 1e9)
         } else {
             // Single-core ops rate, accelerated by intra-op threads; the
             // CV2 path is ~30% slower per op (numpy round-trips, BGR

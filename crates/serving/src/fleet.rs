@@ -37,6 +37,7 @@ use harvest_simkit::fleet::{FleetSim, Outbox, Shard, ShardCore};
 use harvest_simkit::{
     FaultPlan, FleetTraceConfig, RegionTrace, RequestKind, SimTime, TraceRequest,
 };
+use harvest_tensor::integrity::{fnv1a_fold, FNV_OFFSET};
 use std::collections::VecDeque;
 
 /// Latency histogram shape shared by every shard (merging requires
@@ -665,20 +666,6 @@ fn hist_quantile_ms(buckets: &[u64], total: u64, p: f64) -> f64 {
     LAT_HI * 1e3
 }
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn push(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-}
-
 /// Run the whole fleet scenario to completion and roll up the report.
 ///
 /// Deterministic by construction: the same `cfg` yields a bit-identical
@@ -705,7 +692,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     let mut events = 0u64;
     let mut merged = vec![0u64; LAT_BUCKETS];
     let mut merged_above = 0u64;
-    let mut fnv = Fnv::new();
+    let mut fingerprint = FNV_OFFSET;
     let mut reports = Vec::with_capacity(shards.len());
     for s in &shards {
         let st = s.stats;
@@ -749,10 +736,10 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
             s.core.events_fired(),
             shard_energy.total_joules().to_bits(),
         ] {
-            fnv.push(v);
+            fnv1a_fold(&mut fingerprint, &v.to_le_bytes());
         }
         for &b in s.lat_hist.buckets() {
-            fnv.push(b);
+            fnv1a_fold(&mut fingerprint, &b.to_le_bytes());
         }
         reports.push(ShardReport {
             region: s.region,
@@ -762,8 +749,8 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
             events: s.core.events_fired(),
         });
     }
-    fnv.push(windows);
-    fnv.push(messages);
+    fnv1a_fold(&mut fingerprint, &windows.to_le_bytes());
+    fnv1a_fold(&mut fingerprint, &messages.to_le_bytes());
 
     let total_lat = merged.iter().sum::<u64>() + merged_above;
     let width = (LAT_HI - LAT_LO) / LAT_BUCKETS as f64;
@@ -813,7 +800,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         windows,
         messages,
         events,
-        fingerprint: fnv.0,
+        fingerprint,
         shards: reports,
     }
 }

@@ -22,8 +22,8 @@
 //!   inequality holds exactly), which the recovery layer's "detect ⇒ no
 //!   escape" guarantee depends on.
 
-/// FNV-1a 64 offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64 offset basis: the value a fold starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64 prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -40,12 +40,20 @@ pub fn checksum_f32(data: &[f32]) -> u64 {
     h
 }
 
+/// Fold `bytes` into a running FNV-1a 64 `hash`, one byte at a time.
+/// Starting from [`FNV_OFFSET`], folding a buffer in any number of pieces
+/// gives its [`checksum_bytes`].
+#[inline]
+pub fn fnv1a_fold(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash = (*hash ^ b as u64).wrapping_mul(FNV_PRIME);
+    }
+}
+
 /// FNV-1a 64 over raw bytes (encoded inputs, quantized weights).
 pub fn checksum_bytes(data: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
-    for &b in data {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
+    fnv1a_fold(&mut h, data);
     h
 }
 

@@ -7,7 +7,7 @@
 //! cargo run --example drone_offline_survey --release
 //! ```
 
-use harvest::core::experiments::fig8::preproc_instances;
+use harvest::perf::end_to_end_batch;
 use harvest::prelude::*;
 use harvest::serving::{run_offline, OfflineConfig};
 
@@ -21,8 +21,7 @@ fn main() {
     // the two strongest models.
     for platform in [PlatformId::MriA100, PlatformId::PitzerV100] {
         for model in [ModelId::ResNet50, ModelId::VitBase] {
-            let advisor = Advisor::end_to_end(platform);
-            let Some(batch) = advisor.max_feasible_batch(model).map(|b| b.min(64)) else {
+            let Some(batch) = end_to_end_batch(platform, model) else {
                 println!("{} {}: does not fit", platform.name(), model.name());
                 continue;
             };
@@ -34,7 +33,7 @@ fn main() {
                 ctx: MemoryContext::EndToEnd,
                 max_batch: batch,
                 max_queue_delay: SimTime::from_millis(50),
-                preproc_instances: preproc_instances(platform),
+                preproc_instances: platform.spec().preproc_instances,
                 engine_instances: 1,
             };
             let report = run_offline(&OfflineConfig {

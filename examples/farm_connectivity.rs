@@ -10,7 +10,7 @@
 //! ```
 
 use harvest::core::continuum::{analyze, crossover_bandwidth_mbps, Placement};
-use harvest::perf::{batch_axis, EnergyModel};
+use harvest::perf::EnergyModel;
 use harvest::prelude::*;
 
 fn main() {
@@ -62,7 +62,7 @@ fn main() {
     for platform in [PlatformId::JetsonOrinNano, cloud] {
         let e = EnergyModel::new(platform, model);
         let bs1 = e.point(1);
-        let best = e.best_batch(batch_axis(platform));
+        let best = e.best_batch(platform.spec().batch_axis);
         println!(
             "  {:<7} single-frame {:>7.1} mJ/img; saturated {:>6.1} mJ/img @BS{}",
             platform.name(),

@@ -4,7 +4,7 @@
 use harvest::core::continuum::{analyze, Placement};
 use harvest::core::experiments::ablations::{multi_instance_ablation, quantization_error_probe};
 use harvest::core::experiments::scaling::scaling_sweep;
-use harvest::perf::{batch_axis, EnergyModel};
+use harvest::perf::EnergyModel;
 use harvest::prelude::*;
 use harvest::serving::cluster::scaling_sweep as cluster_sweep;
 use harvest::serving::{HostedModel, MultiModelServer};
@@ -16,8 +16,8 @@ fn energy_story_is_two_regime() {
     // Single frame: edge wins.
     assert!(jetson.point(1).images_per_joule > a100.point(1).images_per_joule);
     // Saturated: cloud wins.
-    let j_best = jetson.best_batch(batch_axis(PlatformId::JetsonOrinNano));
-    let a_best = a100.best_batch(batch_axis(PlatformId::MriA100));
+    let j_best = jetson.best_batch(PlatformId::JetsonOrinNano.spec().batch_axis);
+    let a_best = a100.best_batch(PlatformId::MriA100.spec().batch_axis);
     assert!(a_best.images_per_joule > j_best.images_per_joule);
 }
 

@@ -156,15 +156,15 @@ fn fig7_gpu_preprocessing_wins() {
 
 #[test]
 fn fig8_batch_annotations() {
-    use harvest::core::experiments::fig8::fig8_batch;
+    use harvest::perf::end_to_end_batch;
     for model in ALL_MODELS {
-        assert_eq!(fig8_batch(PlatformId::MriA100, model), Some(64));
+        assert_eq!(end_to_end_batch(PlatformId::MriA100, model), Some(64));
     }
     for platform in [PlatformId::PitzerV100, PlatformId::JetsonOrinNano] {
-        assert_eq!(fig8_batch(platform, ModelId::VitTiny), Some(64));
-        assert_eq!(fig8_batch(platform, ModelId::VitSmall), Some(32));
-        assert_eq!(fig8_batch(platform, ModelId::VitBase), Some(2));
-        assert_eq!(fig8_batch(platform, ModelId::ResNet50), Some(32));
+        assert_eq!(end_to_end_batch(platform, ModelId::VitTiny), Some(64));
+        assert_eq!(end_to_end_batch(platform, ModelId::VitSmall), Some(32));
+        assert_eq!(end_to_end_batch(platform, ModelId::VitBase), Some(2));
+        assert_eq!(end_to_end_batch(platform, ModelId::ResNet50), Some(32));
     }
 }
 
