@@ -39,24 +39,12 @@ pub struct ModelRecommendation {
 #[derive(Clone, Copy, Debug)]
 pub struct Advisor {
     platform: PlatformId,
-    ctx: MemoryContext,
 }
 
 impl Advisor {
     /// Advisor for engine-only deployments on `platform`.
     pub fn new(platform: PlatformId) -> Self {
-        Advisor {
-            platform,
-            ctx: MemoryContext::EngineOnly,
-        }
-    }
-
-    /// Advisor for end-to-end serving deployments.
-    pub fn end_to_end(platform: PlatformId) -> Self {
-        Advisor {
-            platform,
-            ctx: MemoryContext::EndToEnd,
-        }
+        Advisor { platform }
     }
 
     /// The platform being advised on.
@@ -67,7 +55,7 @@ impl Advisor {
     /// Largest batch of `model` that fits in memory on this platform
     /// (`None` when not even batch 1 fits).
     pub fn max_feasible_batch(&self, model: ModelId) -> Option<u32> {
-        let mem = EngineMemoryModel::new(self.platform, model, self.ctx);
+        let mem = EngineMemoryModel::new(self.platform, model, MemoryContext::EngineOnly);
         let axis: Vec<u32> = (0..=12).map(|i| 1u32 << i).collect(); // 1..4096
         max_batch_under_memory(&mem, &axis)
     }
@@ -165,16 +153,5 @@ mod tests {
         let advisor = Advisor::new(PlatformId::JetsonOrinNano);
         // ViT-Base engine-only wall is 8 on the Jetson.
         assert_eq!(advisor.max_feasible_batch(ModelId::VitBase), Some(8));
-    }
-
-    #[test]
-    fn e2e_advisor_is_stricter_than_engine_only() {
-        let engine = Advisor::new(PlatformId::PitzerV100);
-        let e2e = Advisor::end_to_end(PlatformId::PitzerV100);
-        for model in ALL_MODELS {
-            let a = engine.max_feasible_batch(model).unwrap_or(0);
-            let b = e2e.max_feasible_batch(model).unwrap_or(0);
-            assert!(b <= a, "{model:?}: e2e {b} > engine {a}");
-        }
     }
 }

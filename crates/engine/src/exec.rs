@@ -13,20 +13,28 @@
 //! [`crate::weights`]): every matmul weight is held as the GEMM's B panels,
 //! laid out once so that no call packs it again, and INT8 executors
 //! additionally cache the quantized weight matrices. The batch dimension is
-//! folded into the GEMMs (`Linear`/`Mlp`/QKV become single `(B·s)×k`
-//! matmuls; the patch embedding is one token GEMM per image writing straight
-//! into its sequence rows; a conv is one implicit GEMM per image, its panels
-//! packed straight from the image planes; the attention core reads Q, Kᵀ
-//! and V out of the fused `qkv` buffer where they lie and writes each head
-//! into its columns), and a liveness pass drops every intermediate after its
-//! last consumer, recycling the backing buffers through a per-executor
-//! arena. `forward`, `forward_batch`, `forward_batch_with_peak` and
-//! `forward_batch_into` are thin forwards to it.
+//! folded into the kernels: a `Linear` is one `(B·s)×k` matmul; the patch
+//! embedding is one token GEMM per image writing straight into its sequence
+//! rows; a conv is one implicit GEMM per image, its panels packed straight
+//! from the image planes. The `Mlp` and `Attention` nodes walk the batch in
+//! chunks of rows sized to the cache (`CHUNK_BUDGET_BYTES`): fc1 → bias →
+//! GELU → fc2 → bias per chunk of rows, QKV → bias → attention core →
+//! projection → bias per chunk of whole images, each chunk's hidden, `qkv`
+//! and `mixed` rows a per-thread scratch loan, the chunks one parallel
+//! region. The attention core reads Q, Kᵀ and V out of the fused `qkv`
+//! buffer where they lie and writes each head into its columns. A liveness
+//! pass drops every node output after its last consumer, recycling the
+//! backing buffers through a per-executor arena. `forward`, `forward_batch`,
+//! `forward_batch_with_peak` and `forward_batch_into` are thin forwards to
+//! it.
 //!
 //! The seed per-image path (weights regenerated from the seed on every
 //! call, linears via `gemm_bt`) is not in the library: it lives in
 //! `crates/engine/tests/oracle/reference.rs` as the correctness oracle that
-//! `tests/reference.rs` holds this path to.
+//! `tests/reference.rs` holds this path to. The whole-batch `Mlp` and
+//! `Attention` walks the chunks replaced live in
+//! `crates/engine/tests/oracle/whole_batch.rs`, held bit for bit to this
+//! path by `tests/chunked_nodes.rs`.
 //!
 //! On top of the forward sits the **integrity layer**: every materialized
 //! tensor carries an FNV-1a checksum taken at construction
@@ -42,9 +50,11 @@ use crate::weights::{
 };
 use harvest_models::{Graph, Node, NodeId, Op, Shape};
 use harvest_simkit::fault::FaultPlan;
+use harvest_tensor::gemm::MR;
 use harvest_tensor::integrity::{flip_bit_in, scan_f32, ScanReport};
 use harvest_tensor::ops::exp;
 use harvest_tensor::quant::gemm_exact_i32;
+use harvest_tensor::scratch::with_f32;
 use harvest_tensor::{
     add_bias, attention_core, avg_pool2d_global, conv2d_into, gelu, gemm_with, layernorm,
     max_pool2d, relu, softmax_rows, KernelVariant, PanelSource, Tensor,
@@ -204,6 +214,41 @@ fn is_gemm_stage(op: &Op) -> bool {
             | Op::LinearAttention { .. }
             | Op::Mlp { .. }
     )
+}
+
+/// Bytes of one f32.
+const F32: usize = std::mem::size_of::<f32>();
+
+/// Working-set budget of one chunk of an `Mlp` or `Attention` node: the
+/// chunk's input, intermediate and output rows (`(2·dim + hidden)` f32 per
+/// row for an MLP, `6·dim` for attention), with the node's weights beside
+/// them in the core's 2 MiB L2. Sized on whole ViT-Tiny B = 8 forwards at
+/// one thread, chunked over whole-batch time interleaved rep by rep in one
+/// process (15 reps each, 2-vCPU AVX-512 guest, medians): 256 KiB 0.83,
+/// 384 KiB 0.83, 512 KiB 0.84, 768 KiB 0.80–0.81, 1 MiB 0.85, 1.5 MiB 0.85.
+/// At 768 KiB a wire batch of two vit96 images (74 rows) is one chunk.
+const CHUNK_BUDGET_BYTES: usize = 768 << 10;
+
+/// Rows per chunk of a `rows`-row `Mlp` or `Attention` node whose chunk
+/// holds `row_bytes` per row, cut in multiples of `unit` rows. The most
+/// that fit [`CHUNK_BUDGET_BYTES`] and no more than an equal share per pool
+/// thread: the chunk count is rounded up to a multiple of the pool width
+/// before it is divided into the rows. When the chunks cannot be dealt out
+/// evenly and some thread would get fewer than two (three images on two
+/// threads), the node is one chunk and its kernels split its rows over the
+/// pool instead. A batch that fits the budget is one chunk, so it makes the
+/// calls a whole-batch walk would.
+fn chunk_rows(rows: usize, row_bytes: usize, unit: usize) -> usize {
+    let threads = harvest_threads::max_threads();
+    let fit = (CHUNK_BUDGET_BYTES / row_bytes).max(1);
+    let chunks = rows.div_ceil(fit).next_multiple_of(threads);
+    let chunk = rows.div_ceil(chunks).next_multiple_of(unit);
+    let count = rows.div_ceil(chunk);
+    if count.is_multiple_of(threads) || count >= 2 * threads {
+        chunk
+    } else {
+        rows
+    }
 }
 
 /// Executes a graph on the host kernels through one batched, weight-cached
@@ -558,15 +603,15 @@ impl<'g> Executor<'g> {
     }
 
     /// Matrix multiply `x[rows×k] → out[rows×n]` against a materialized
-    /// weight, honouring the precision mode. `groups` is the batch size:
-    /// INT8 activation quantization is applied per image (rows/groups rows
-    /// at a time) so batched results match per-image results exactly.
+    /// weight, honouring the precision mode. `image_rows` is the rows of one
+    /// image: INT8 activation quantization is applied per image so batched
+    /// results match per-image results exactly.
     fn matmul_into(
         &self,
         x: &[f32],
         w: &LinearWeight,
         rows: usize,
-        groups: usize,
+        image_rows: usize,
         out: &mut [f32],
     ) {
         let (k, n) = (w.b.k(), w.b.n());
@@ -574,14 +619,13 @@ impl<'g> Executor<'g> {
         debug_assert_eq!(out.len(), rows * n);
         match (&w.int8, self.int8_linears) {
             (Some((qw, w_scale)), true) => {
-                debug_assert_eq!(rows % groups, 0);
-                let rpg = rows / groups;
-                for g in 0..groups {
-                    let xs = &x[g * rpg * k..(g + 1) * rpg * k];
+                debug_assert_eq!(rows % image_rows, 0);
+                let images = x.chunks_exact(image_rows * k);
+                for (xs, out) in images.zip(out.chunks_exact_mut(image_rows * n)) {
                     let (qa, a_scale) = quantize_widened(xs);
-                    let acc = gemm_exact_i32(&qa, qw, rpg, k, n);
+                    let acc = gemm_exact_i32(&qa, qw, image_rows, k, n);
                     let scale = a_scale * w_scale;
-                    for (o, v) in out[g * rpg * n..(g + 1) * rpg * n].iter_mut().zip(acc) {
+                    for (o, v) in out.iter_mut().zip(acc) {
                         *o = v as f32 * scale;
                     }
                 }
@@ -736,7 +780,7 @@ impl<'g> Executor<'g> {
                     .expect("topological order");
                 let rows = x.data.len() / cin;
                 let mut out = arena.take(rows * w.b.n());
-                self.matmul_into(&x.data, w, rows, b, &mut out);
+                self.matmul_into(&x.data, w, rows, rows / b, &mut out);
                 if let Some(bias) = bias_t {
                     add_bias(&mut out, bias.data());
                 }
@@ -827,20 +871,25 @@ impl<'g> Executor<'g> {
                 let x = values[node.inputs[0].0]
                     .as_ref()
                     .expect("topological order");
-                // Fused QKV over the whole batch: one (B·s)×(3·dim) GEMM.
-                let mut qkv = arena.take(bs * 3 * dim);
-                self.matmul_into(&x.data, w_qkv, bs, b, &mut qkv);
-                add_bias(&mut qkv, b_qkv.data());
-                // The cores read Q, K and V out of `qkv` where they lie and
-                // write each head into its columns of `mixed`; blocks of the
-                // batch's query rows fan out over the pool in one region.
-                let mut mixed = arena.take(bs * dim);
-                attention_core(&qkv, s, *dim, *heads, &mut mixed);
-                arena.give(qkv);
+                // Chunks of whole images: per chunk, the fused QKV GEMM, the
+                // cores (which read Q, K and V out of `qkv` where they lie
+                // and write each head into its columns of `mixed`) and the
+                // output projection.
+                let chunk = chunk_rows(bs, 6 * dim * F32, s);
                 let mut y = arena.take(bs * dim);
-                self.matmul_into(&mixed, w_out, bs, b, &mut y);
-                add_bias(&mut y, b_out.data());
-                arena.give(mixed);
+                harvest_threads::for_each_chunk_mut(&mut y, chunk * dim, |i, y| {
+                    let rows = y.len() / dim;
+                    let x = &x.data[i * chunk * dim..][..rows * dim];
+                    with_f32(rows * 3 * dim, |qkv| {
+                        self.matmul_into(x, w_qkv, rows, s, qkv);
+                        add_bias(qkv, b_qkv.data());
+                        with_f32(rows * dim, |mixed| {
+                            attention_core(qkv, s, *dim, *heads, mixed);
+                            self.matmul_into(mixed, w_out, rows, s, y);
+                        });
+                    });
+                    add_bias(y, b_out.data());
+                });
                 BatchVal {
                     data: y,
                     per_image: per_out,
@@ -860,7 +909,7 @@ impl<'g> Executor<'g> {
                     .as_ref()
                     .expect("topological order");
                 let mut rkv = arena.take(bs * 3 * dim);
-                self.matmul_into(&x.data, w_rkv, bs, b, &mut rkv);
+                self.matmul_into(&x.data, w_rkv, bs, s, &mut rkv);
                 let mut mixed = arena.take(bs * dim);
                 // Per-image mixes are independent: each task owns one
                 // image's slice of `mixed` and reads its slice of `rkv`.
@@ -879,7 +928,7 @@ impl<'g> Executor<'g> {
                 );
                 arena.give(rkv);
                 let mut y = arena.take(bs * dim);
-                self.matmul_into(&mixed, w_out, bs, b, &mut y);
+                self.matmul_into(&mixed, w_out, bs, s, &mut y);
                 arena.give(mixed);
                 BatchVal {
                     data: y,
@@ -898,14 +947,22 @@ impl<'g> Executor<'g> {
                 let x = values[node.inputs[0].0]
                     .as_ref()
                     .expect("topological order");
-                let mut h1 = arena.take(bs * hidden);
-                self.matmul_into(&x.data, w1, bs, b, &mut h1);
-                add_bias(&mut h1, b1.data());
-                gelu(&mut h1);
+                // Chunks of rows (of whole images when INT8 quantizes them
+                // per image): per chunk, fc1 → bias → GELU → fc2 → bias.
+                let unit = if self.int8_linears { s } else { MR };
+                let chunk = chunk_rows(bs, (2 * dim + hidden) * F32, unit);
                 let mut out = arena.take(bs * dim);
-                self.matmul_into(&h1, w2, bs, b, &mut out);
-                arena.give(h1);
-                add_bias(&mut out, b2.data());
+                harvest_threads::for_each_chunk_mut(&mut out, chunk * dim, |i, out| {
+                    let rows = out.len() / dim;
+                    let x = &x.data[i * chunk * dim..][..rows * dim];
+                    with_f32(rows * hidden, |h1| {
+                        self.matmul_into(x, w1, rows, s, h1);
+                        add_bias(h1, b1.data());
+                        gelu(h1);
+                        self.matmul_into(h1, w2, rows, s, out);
+                    });
+                    add_bias(out, b2.data());
+                });
                 BatchVal {
                     data: out,
                     per_image: per_out,

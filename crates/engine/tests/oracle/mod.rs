@@ -9,7 +9,11 @@
 //! * `patch_embed` — the batched patch embedding as a strided convolution
 //!   plus a token transpose, which the token GEMM on the packed patch weight
 //!   replaced.
+//! * `whole_batch` — the `Mlp` and `Attention` nodes run once over all
+//!   `B·s` rows of a batch, the hidden and `qkv` buffers batch-sized, which
+//!   the walk in chunks of rows sized to the cache replaced.
 #![allow(dead_code)]
 
 pub mod patch_embed;
 pub mod reference;
+pub mod whole_batch;

@@ -28,10 +28,13 @@ pub struct AttentionWeights<'a> {
 /// (`[q | k | v]`, head `h` at columns `h·head_dim..`) and head `h` is
 /// written into its columns of `mixed`'s `[seq, dim]` rows.
 ///
-/// Equal blocks of query rows — of the whole stack, so that a batch smaller
+/// The executor calls it once per chunk of whole images of a batch, so the
+/// stack is that chunk, and `qkv` and `mixed` are the chunk's scratch rows.
+/// Equal blocks of query rows — of the whole stack, so that a stack smaller
 /// than the pool still fills it — fan out in one region; a block that spans
-/// two images runs each image's part against that image's K and V. No
-/// element's arithmetic depends on the split.
+/// two images runs each image's part against that image's K and V. When
+/// the executor's chunks are themselves the pool's tasks, the core runs on
+/// one thread. No element's arithmetic depends on the split.
 pub fn attention_core(qkv: &[f32], seq: usize, dim: usize, heads: usize, mixed: &mut [f32]) {
     assert_eq!(qkv.len(), mixed.len() * 3);
     if seq == 0 || dim == 0 {

@@ -48,7 +48,9 @@ use harvest_threads::{for_each_chunk_mut, max_threads};
 /// the 8 independent chains their 4-cycle latency needs. (It spills on
 /// AVX2's 16 half-width registers: that tier is correct and, run capped on
 /// the reference host, about as fast as the unfused kernel it replaces.)
-const MR: usize = 12;
+/// The executor cuts a batch's MLP rows in multiples of `MR`, so only a
+/// chunk's last tile runs the row tail.
+pub const MR: usize = 12;
 const NR: usize = 32;
 
 /// Cache-block sizes (`MC` a multiple of `MR`, `NC` of `NR`): a packed B

@@ -1,6 +1,7 @@
 //! Thread-local recycling pool for kernel scratch buffers.
 //!
-//! The GEMM's packed B panels and the attention core's score rows are
+//! The GEMM's packed B panels, the attention core's score rows and the
+//! executor's per-chunk MLP hidden and attention `qkv` / `mixed` rows are
 //! short-lived `Vec<f32>`s whose sizes repeat exactly from forward to
 //! forward. On the serving hot path that used to
 //! mean a handful of heap allocations per layer per request. This module
@@ -55,7 +56,7 @@ pub fn counters() -> (u64, u64) {
 ///
 /// Re-entrant: the buffer is removed from the pool for the duration of the
 /// closure, so nested `with_f32` calls each get their own backing store.
-pub(crate) fn with_f32<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+pub fn with_f32<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     TAKES.fetch_add(1, Ordering::Relaxed);
     if !RECYCLING.load(Ordering::Relaxed) {
         let mut v = vec![0.0f32; len];

@@ -96,6 +96,20 @@ fn fig5_peak_throughput_labels() {
         );
         assert_eq!(s.peak_batch, 1024);
     }
+    // V100 panel (index 1).
+    for (model, tput) in [
+        ("ViT_Tiny", 7_179.0),
+        ("ViT_Small", 2_929.3),
+        ("ViT_Base", 1_482.6),
+        ("ResNet50", 8_107.3),
+    ] {
+        let s = series(1, model);
+        assert!(
+            (s.peak_throughput - tput).abs() / tput < 0.001,
+            "V100 {model}"
+        );
+        assert_eq!(s.peak_batch, 1024, "V100 {model}");
+    }
     // Jetson panel (index 2) — labels carry the OOM walls.
     for (model, tput, bs) in [
         ("ViT_Tiny", 1_170.1, 196),
