@@ -82,7 +82,7 @@ done <<'EOF'
 crates/@(tensor|engine)/src/*.rs \.(tanh|exp|exp2|ln)\(\)|\.powf\( libm transcendental on a forward path: its last bits vary by host (use harvest_tensor::ops::exp)
 crates/tensor/src/!(gemm).rs (^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$) unsafe in harvest-tensor outside gemm.rs's lane-tier dispatcher
 crates/net/src/server.rs \.(responded_ok|responded_error|rejected|shed)\.fetch_add a ledger class is bumped by name outside Conn::reply
-crates/net/src/server.rs decode_auto\( the wire server calls decode_auto (its one ingest entry is decode_for)
+crates/net/src/server.rs decode_auto\(|decode_for|preprocess_decoded the wire server decodes or transforms a body outside harvest_preproc::ingest, its one ingest entry
 crates/net/src/server.rs thread::sleep the wire server sleeps (it waits only on its channels and sockets)
 crates/*/src/**/*.rs forward_reference|eval_reference|reference_gap|new_oracle|Queue::Heap test-only oracle code is back in the library (it lives under tests/oracle/)
 crates/*/src/**/*.rs PipelineSim|run_online_faulted|run_online_protected_faulted|run_realtime_degraded|run_cluster_offline_(faulted|protected)|with_preproc_stall|with_link_degradation|push_with_arrival|poll_deadline a scenario wrapper, PipelineSim, a deleted fault kind or a batcher wrapper is back (fault and protection layers are Option arguments)

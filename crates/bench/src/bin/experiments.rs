@@ -1925,6 +1925,7 @@ fn fig8(save: &dyn Fn(&str, String)) {
 
 fn host() {
     println!("== Host measurements (real kernels on this machine) ==");
+    ingest_table();
     println!(
         "  GEMM lane tier: {}, host threads: {}",
         harvest_tensor::lane_tier(),
@@ -1992,13 +1993,23 @@ fn host() {
         rtif_s * 1e6,
         ajpg_s / rtif_s
     );
-    // The wire's ingest, decode + transform of one body: the full decode
-    // against the rows-only one the server runs, best of 9 each, the two
-    // interleaved rep by rep so a swing in the host's speed hits both.
-    // 128 -> 96 taps every row, so there the two should tie. Recorded,
-    // never asserted.
+}
+
+/// The wire's ingest, one body to the model's input tensor: the full
+/// decode + transform against `ingest`, best of 9 each, the two interleaved
+/// rep by rep so a swing in the host's speed hits both. Once with both on
+/// this thread, and once with each on a spawned thread of its own kept for
+/// every rep, as a server's connection thread is: such a thread's allocator
+/// arena can give a freed image's pages back between calls, and then the
+/// next call faults them in again. glibc raises its trim threshold for the
+/// whole process when it frees a large mapped block, which `host`'s GEMMs
+/// do, so `host` runs this first.
+/// 128 -> 96 reads every row, so there the two should tie. Recorded, never
+/// asserted.
+fn ingest_table() {
     use harvest_imaging::decode_auto;
-    use harvest_preproc::{decode_for, preprocess_decoded};
+    use harvest_imaging::{ajpg_encode, AjpgOptions, FieldScene, SynthImageSpec};
+    use harvest_preproc::{ingest, preprocess_decoded};
     for (side, out_res) in [(512, 16), (128, 96), (512, 224)] {
         let body = ajpg_encode(
             &FieldScene::RowCrop.render(&SynthImageSpec {
@@ -2008,21 +2019,76 @@ fn host() {
             }),
             &AjpgOptions::default(),
         );
-        let time = |decode: &dyn Fn() -> harvest_imaging::RgbImage| {
-            let t = std::time::Instant::now();
-            std::hint::black_box(preprocess_decoded(&decode(), out_res));
-            t.elapsed().as_secs_f64()
-        };
-        let (mut full, mut rows) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..9 {
-            full = full.min(time(&|| decode_auto(&body).unwrap()));
-            rows = rows.min(time(&|| decode_for(&body, out_res).unwrap()));
+        let full = || preprocess_decoded(&decode_auto(&body).unwrap(), out_res);
+        let direct = || ingest(&body, out_res).unwrap();
+        let sides: [&(dyn Fn() -> harvest_tensor::Tensor + Sync); 2] = [&full, &direct];
+        let here = ingest_pair(&|k| timed_call(sides[k]));
+        let spawned = std::thread::scope(|s| {
+            let threads = sides.map(|side| {
+                let (go, runs) = std::sync::mpsc::channel::<()>();
+                let (report, reports) = std::sync::mpsc::channel();
+                s.spawn(move || {
+                    for () in runs {
+                        report.send(timed_call(side)).unwrap();
+                    }
+                });
+                (go, reports)
+            });
+            ingest_pair(&|k| {
+                threads[k].0.send(()).unwrap();
+                threads[k].1.recv().unwrap()
+            })
+        });
+        for (thread, [full, direct]) in [("main", here), ("spawned", spawned)] {
+            println!(
+                "  ingest {side}->{out_res} RowCrop, {thread} thread: full {:.3} ms {} faults/call, \
+                 direct {:.3} ms {} faults/call = {:.2}x",
+                full.0 * 1e3,
+                full.1,
+                direct.0 * 1e3,
+                direct.1,
+                full.0 / direct.0
+            );
         }
-        println!(
-            "  ingest {side}->{out_res} RowCrop: full {:.3} ms, rows {:.3} ms = {:.2}x",
-            full * 1e3,
-            rows * 1e3,
-            full / rows
-        );
     }
+}
+
+/// One call of `side`: its wall time, and the minor page faults the
+/// process took meanwhile (field 10 of `/proc/self/stat`, the 8th after
+/// the parenthesised command name; `None` where there is no such file).
+fn timed_call(side: &dyn Fn() -> harvest_tensor::Tensor) -> (f64, Option<u64>) {
+    let minor_faults = || -> Option<u64> {
+        let stat = fs::read_to_string("/proc/self/stat").ok()?;
+        stat.rsplit_once(')')?
+            .1
+            .split_whitespace()
+            .nth(7)?
+            .parse()
+            .ok()
+    };
+    let before = minor_faults();
+    let t = std::time::Instant::now();
+    std::hint::black_box(side());
+    let secs = t.elapsed().as_secs_f64();
+    (secs, before.zip(minor_faults()).map(|(b, a)| a - b))
+}
+
+/// Sides 0 and 1 through `call`, after one warm-up call each: the best of 9
+/// interleaved calls, in seconds, and the minor faults per call (`n/a` off
+/// Linux).
+fn ingest_pair(call: &dyn Fn(usize) -> (f64, Option<u64>)) -> [(f64, String); 2] {
+    call(0);
+    call(1);
+    let (mut best, mut faults) = ([f64::INFINITY; 2], [Some(0u64); 2]);
+    for _ in 0..9 {
+        for k in 0..2 {
+            let (secs, n) = call(k);
+            best[k] = best[k].min(secs);
+            faults[k] = faults[k].zip(n).map(|(sum, n)| sum + n);
+        }
+    }
+    [0, 1].map(|k| {
+        let per_call = faults[k].map_or("n/a".into(), |n| format!("{:.1}", n as f64 / 9.0));
+        (best[k], per_call)
+    })
 }

@@ -66,9 +66,10 @@ fn times_on(stdout: &str, key: &str, tags: [&str; 2]) -> Vec<f64> {
         .collect()
 }
 
-/// The AJPG-vs-RTIF decode gap and the full-vs-rows ingest table
+/// The AJPG-vs-RTIF decode gap and the full-vs-direct ingest table
 /// EXPERIMENTS.md quotes are lines of `host`: two timings a line are
-/// printed, nothing is asserted about their values.
+/// printed, on the main thread and on a spawned one, nothing is asserted
+/// about their values (or the fault counts beside them).
 #[test]
 fn host_prints_the_format_gap_and_the_ingest_table() {
     let out = experiments(&["host"]);
@@ -76,11 +77,13 @@ fn host_prints_the_format_gap_and_the_ingest_table() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     let mut times = times_on(&stdout, "decode 224x224 RowCrop", ["AJPG ", "RTIF "]);
     for case in ["512->16", "128->96", "512->224"] {
-        times.extend(times_on(
-            &stdout,
-            &format!("ingest {case} "),
-            ["full ", "rows "],
-        ));
+        for thread in ["main", "spawned"] {
+            times.extend(times_on(
+                &stdout,
+                &format!("ingest {case} RowCrop, {thread} thread:"),
+                ["full ", "direct "],
+            ));
+        }
     }
     assert!(times.iter().all(|&t| t > 0.0), "{times:?}");
 }

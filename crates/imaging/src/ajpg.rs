@@ -10,8 +10,9 @@
 //! property the Fig. 7 preprocessing characterization depends on.
 
 use crate::bitio::{read_u32_le, BitReader, BitWriter};
-use crate::dct::{dct2_8x8, idct2_8x8_dc, idct2_8x8_sparse, ZIGZAG};
+use crate::dct::{dct2_8x8, idct2_8x8_dc, idct2_8x8_sparse, idct2_8x8_sparse_rows, ZIGZAG};
 use crate::image::RgbImage;
+use std::ops::Range;
 
 const MAGIC: &[u8; 4] = b"AJPG";
 
@@ -139,20 +140,15 @@ struct Plane {
 }
 
 impl Plane {
-    /// A `w × h` plane for the decoder, which writes every block of it.
-    fn blank(w: usize, h: usize) -> Self {
-        let (padded_w, padded_h) = (w.div_ceil(8) * 8, h.div_ceil(8) * 8);
-        Plane {
-            padded_w,
-            padded_h,
-            data: vec![0.0; padded_w * padded_h],
-        }
-    }
-
     /// `samples` (`w × h`, row-major) padded by edge replication.
     fn from_samples(w: usize, h: usize, samples: &[f32]) -> Self {
         assert_eq!(samples.len(), w * h);
-        let mut plane = Plane::blank(w, h);
+        let (padded_w, padded_h) = (w.div_ceil(8) * 8, h.div_ceil(8) * 8);
+        let mut plane = Plane {
+            padded_w,
+            padded_h,
+            data: vec![0.0; padded_w * padded_h],
+        };
         for (py, row) in plane.data.chunks_exact_mut(plane.padded_w).enumerate() {
             let src = &samples[py.min(h - 1) * w..][..w];
             row[..w].copy_from_slice(src);
@@ -213,73 +209,130 @@ fn encode_plane(plane: &Plane, table: &[u16; 64], w: &mut BitWriter) {
     }
 }
 
-/// Decode one plane's blocks (inverse of [`encode_plane`]). Every block is
-/// entropy-walked — the DC deltas chain and the AC runs move the bit
-/// position, so the stream's verdict cannot depend on `wanted` — but only
-/// blocks in a block row `wanted` names are dequantized and inverse-
-/// transformed; the others leave their samples as they were.
-fn decode_plane(
-    plane: &mut Plane,
+/// Walk one plane's blocks, `bw × bh` of them in raster order (the inverse
+/// of [`encode_plane`]). Every block is entropy-walked — the DC deltas chain
+/// and the AC runs move the bit position, so the stream's verdict cannot
+/// depend on `keep` — but only a block `keep(by, bx)` names is dequantized
+/// and handed to `inverse` with the masks of the coefficient rows and
+/// columns it touches (see [`idct2_8x8_sparse_rows`]).
+fn walk_plane(
+    (bw, bh): (usize, usize),
     table: &[u16; 64],
-    wanted: &[bool],
     r: &mut BitReader<'_>,
+    keep: impl Fn(usize, usize) -> bool,
+    mut inverse: impl FnMut(usize, usize, &[f32; 64], u8, u8),
 ) -> Result<(), String> {
     let factors = scan_order_f32(table);
-    let stride = plane.padded_w;
     let mut prev_dc = 0i64;
-    for bi in 0..plane.blocks() {
-        let keep = wanted[bi / (stride / 8)];
-        prev_dc = prev_dc
-            .checked_add(r.get_se()?)
-            .ok_or_else(|| format!("DC accumulator overflow in block {bi}"))?;
-        // Dequantize straight off the scan, noting which coefficient rows
-        // and columns the block touches.
-        let mut coeffs = [0.0f32; 64];
-        coeffs[0] = prev_dc as f32 * factors[0];
-        let (mut rows, mut cols) = (1u8, 1u8);
-        let mut zi = 1usize;
-        loop {
-            let run = r.get_ue()?;
-            if run == 63 {
-                break; // EOB
+    let mut coeffs = [0.0f32; 64];
+    let mut bi = 0usize;
+    for by in 0..bh {
+        for bx in 0..bw {
+            let keep = keep(by, bx);
+            prev_dc = prev_dc
+                .checked_add(r.get_se()?)
+                .ok_or_else(|| format!("DC accumulator overflow in block {bi}"))?;
+            // Dequantize straight off the scan, noting which coefficient
+            // rows and columns the block touches.
+            let (mut rows, mut cols) = (1u8, 1u8);
+            let mut zi = 1usize;
+            loop {
+                let run = r.get_ue()?;
+                if run == 63 {
+                    break; // EOB
+                }
+                if run > 62 {
+                    // Valid AC runs are 0..=62 (63 coefficients); 63 is EOB.
+                    return Err(format!("AC run {run} out of range in block {bi}"));
+                }
+                zi += run as usize;
+                if zi >= 64 {
+                    return Err(format!("AC index overflow in block {bi}"));
+                }
+                let level = r.get_se()?;
+                if keep {
+                    let dst = ZIGZAG[zi];
+                    coeffs[dst] = level as f32 * factors[zi];
+                    rows |= 1 << (dst / 8);
+                    cols |= 1 << (dst % 8);
+                }
+                zi += 1;
             }
-            if run > 62 {
-                // Valid AC runs are 0..=62 (63 coefficients); 63 is EOB.
-                return Err(format!("AC run {run} out of range in block {bi}"));
-            }
-            zi += run as usize;
-            if zi >= 64 {
-                return Err(format!("AC index overflow in block {bi}"));
-            }
-            let level = r.get_se()?;
             if keep {
-                let dst = ZIGZAG[zi];
-                coeffs[dst] = level as f32 * factors[zi];
-                rows |= 1 << (dst / 8);
-                cols |= 1 << (dst % 8);
+                coeffs[0] = prev_dc as f32 * factors[0];
+                inverse(by, bx, &coeffs, rows, cols);
+                coeffs = [0.0; 64];
             }
-            zi += 1;
+            bi += 1;
         }
-        if !keep {
-            continue;
-        }
-        let origin = plane.block_origin(bi);
-        if (rows, cols) == (1, 1) {
+    }
+    Ok(())
+}
+
+/// The rows and block columns of one plane that a sampled decode keeps.
+struct GridPlane<'a> {
+    /// Plane rows, ascending, no repeats.
+    rows: &'a [usize],
+    /// Block columns, ascending, no repeats: grid row `i` holds row
+    /// `rows[i]` of each of them, eight samples apiece.
+    blocks: &'a [usize],
+}
+
+/// Decode one `w × h` plane at the rows and block columns `grid` names,
+/// into `out` (`grid.rows.len()` rows of `8 · grid.blocks.len()` samples),
+/// walking the whole plane: only a block in a kept block column and holding
+/// a kept row is dequantized, and in it only those rows are
+/// inverse-transformed. `spans` and `slots` are scratch.
+fn decode_plane_grid(
+    (w, h): (usize, usize),
+    table: &[u16; 64],
+    grid: &GridPlane<'_>,
+    (spans, slots): (&mut Vec<(Range<usize>, u8)>, &mut Vec<usize>),
+    out: &mut [f32],
+    r: &mut BitReader<'_>,
+) -> Result<(), String> {
+    let (bw, bh) = (w.div_ceil(8), h.div_ceil(8));
+    let rows = grid.rows;
+    // Per block row: the grid rows in it and the mask of their rows in the
+    // block. Per block column: its place among the kept ones, or none.
+    spans.clear();
+    spans.extend((0..bh).map(|by| {
+        let span = rows.partition_point(|&y| y < 8 * by)..rows.partition_point(|&y| y < 8 * by + 8);
+        let mask = rows[span.clone()]
+            .iter()
+            .fold(0u8, |m, &y| m | 1 << (y % 8));
+        (span, mask)
+    }));
+    slots.clear();
+    slots.resize(bw, usize::MAX);
+    for (slot, &bx) in grid.blocks.iter().enumerate() {
+        slots[bx] = slot;
+    }
+    let stride = 8 * grid.blocks.len();
+    let keep = |by: usize, bx: usize| spans[by].1 != 0 && slots[bx] != usize::MAX;
+    walk_plane((bw, bh), table, r, keep, |by, bx, coeffs, rmask, cmask| {
+        let (span, outputs) = &spans[by];
+        let at = 8 * slots[bx];
+        if (rmask, cmask) == (1, 1) {
             let flat = idct2_8x8_dc(coeffs[0]) + 128.0;
-            for y in 0..8 {
-                plane.data[origin + y * stride..][..8].fill(flat);
+            for i in span.clone() {
+                out[i * stride + at..][..8].fill(flat);
             }
         } else {
-            let block = idct2_8x8_sparse(&coeffs, rows, cols);
-            for (y, src) in block.chunks_exact(8).enumerate() {
-                let dst = &mut plane.data[origin + y * stride..][..8];
-                for (d, &s) in dst.iter_mut().zip(src) {
+            // Every row kept (the full decode, a dense pick): the whole
+            // transform, whose constant row mask compiles to no per-row test.
+            let block = match *outputs {
+                0xFF => idct2_8x8_sparse(coeffs, rmask, cmask),
+                some => idct2_8x8_sparse_rows(coeffs, rmask, cmask, some),
+            };
+            for i in span.clone() {
+                let src = &block[rows[i] % 8 * 8..][..8];
+                for (d, &s) in out[i * stride + at..][..8].iter_mut().zip(src) {
                     *d = s + 128.0;
                 }
             }
         }
-    }
-    Ok(())
+    })
 }
 
 /// 2×2 box average of a `w × h` plane, the boxes clipped at its edges.
@@ -341,90 +394,270 @@ pub fn ajpg_encode(img: &RgbImage, opts: &AjpgOptions) -> Vec<u8> {
     out
 }
 
-/// Decode AJPG bytes back to an RGB image: [`ajpg_decode_rows`] with every
-/// row.
-pub fn ajpg_decode(bytes: &[u8]) -> Result<RgbImage, String> {
-    ajpg_decode_rows(bytes, |_, h| 0..h)
+/// An AJPG header that passed every check.
+struct Header {
+    w: usize,
+    h: usize,
+    quality: u8,
+    subsample: bool,
 }
 
-/// Decode AJPG bytes, producing only the image rows `rows(w, h)` names —
-/// the others stay black (all zero). `rows` is called once, with the
-/// header's dimensions, after they have passed every header check; each
-/// row it names must be below `h`.
-///
-/// The verdict is [`ajpg_decode`]'s for every stream, error text included,
-/// and every named row is its row byte for byte: the whole entropy stream
-/// is still walked, while dequantization and the inverse DCT run only for
-/// the luma block rows holding a named row and the chroma block rows
-/// holding its chroma row, and colour conversion only for the named rows.
-pub fn ajpg_decode_rows<R>(
-    bytes: &[u8],
-    rows: impl FnOnce(usize, usize) -> R,
-) -> Result<RgbImage, String>
-where
-    R: IntoIterator<Item = usize>,
-{
-    if bytes.get(..4) != Some(MAGIC.as_slice()) {
-        return Err("not an AJPG stream".into());
-    }
-    let w = read_u32_le(bytes, 4)? as usize;
-    let h = read_u32_le(bytes, 8)? as usize;
-    let quality = *bytes.get(12).ok_or("truncated AJPG header")?;
-    let subsample = *bytes.get(13).ok_or("truncated AJPG header")? != 0;
-    if w == 0 || h == 0 {
-        return Err("degenerate dimensions".into());
-    }
-    if w > MAX_DIM || h > MAX_DIM || w * h > MAX_PIXELS {
-        return Err(format!("implausible dimensions {w}x{h}"));
-    }
-    let (cw, ch, step) = if subsample {
-        (w.div_ceil(2), h.div_ceil(2), 2)
-    } else {
-        (w, h, 1)
-    };
-
-    // The named rows, and the block rows of each plane they reach.
-    let mut named = vec![false; h];
-    let mut luma_rows = vec![false; h.div_ceil(8)];
-    let mut chroma_rows = vec![false; ch.div_ceil(8)];
-    for yy in rows(w, h) {
-        assert!(yy < h, "row {yy} of a {h}-row image");
-        named[yy] = true;
-        luma_rows[yy / 8] = true;
-        chroma_rows[yy / step / 8] = true;
-    }
-
-    let q_luma = scaled_table(&Q_LUMA, quality);
-    let q_chroma = scaled_table(&Q_CHROMA, quality);
-
-    let mut r = BitReader::new(&bytes[14..]);
-    let mut y_plane = Plane::blank(w, h);
-    let mut cb_plane = Plane::blank(cw, ch);
-    let mut cr_plane = Plane::blank(cw, ch);
-    decode_plane(&mut y_plane, &q_luma, &luma_rows, &mut r)?;
-    decode_plane(&mut cb_plane, &q_chroma, &chroma_rows, &mut r)?;
-    decode_plane(&mut cr_plane, &q_chroma, &chroma_rows, &mut r)?;
-
-    // Colour conversion, a padded row at a time; under 4:2:0 each chroma
-    // row serves two image rows.
-    let mut img = RgbImage::new(w, h);
-    let mut row = vec![0u8; y_plane.padded_w * 3];
-    let convert = if subsample {
-        rgb_row::<4> as fn(&mut [u8], &[f32], &[f32], &[f32])
-    } else {
-        rgb_row::<8> as _
-    };
-    for (yy, out) in img.data_mut().chunks_exact_mut(w * 3).enumerate() {
-        if !named[yy] {
-            continue;
+impl Header {
+    /// The first 14 bytes of `bytes`, checked; each rejection's text is the
+    /// decoder's.
+    fn read(bytes: &[u8]) -> Result<Self, String> {
+        if bytes.get(..4) != Some(MAGIC.as_slice()) {
+            return Err("not an AJPG stream".into());
         }
-        let y_row = &y_plane.data[yy * y_plane.padded_w..];
-        let cb_row = &cb_plane.data[yy / step * cb_plane.padded_w..];
-        let cr_row = &cr_plane.data[yy / step * cr_plane.padded_w..];
-        convert(&mut row, y_row, cb_row, cr_row);
-        out.copy_from_slice(&row[..w * 3]);
+        let w = read_u32_le(bytes, 4)? as usize;
+        let h = read_u32_le(bytes, 8)? as usize;
+        let quality = *bytes.get(12).ok_or("truncated AJPG header")?;
+        let subsample = *bytes.get(13).ok_or("truncated AJPG header")? != 0;
+        if w == 0 || h == 0 {
+            return Err("degenerate dimensions".into());
+        }
+        if w > MAX_DIM || h > MAX_DIM || w * h > MAX_PIXELS {
+            return Err(format!("implausible dimensions {w}x{h}"));
+        }
+        Ok(Header {
+            w,
+            h,
+            quality,
+            subsample,
+        })
     }
-    Ok(img)
+
+    /// How many image samples share a chroma sample along each axis: 2
+    /// under 4:2:0, else 1.
+    fn step(&self) -> usize {
+        1 + self.subsample as usize
+    }
+
+    /// The chroma planes' width and height.
+    fn chroma_size(&self) -> (usize, usize) {
+        (self.w.div_ceil(self.step()), self.h.div_ceil(self.step()))
+    }
+
+    /// The luma and chroma quantization tables.
+    fn tables(&self) -> ([u16; 64], [u16; 64]) {
+        (
+            scaled_table(&Q_LUMA, self.quality),
+            scaled_table(&Q_CHROMA, self.quality),
+        )
+    }
+}
+
+/// Decode AJPG bytes back to an RGB image: [`AjpgGrid::decode`] at every
+/// pixel, its grid rows (the padded width) cut to the image's in place.
+pub fn ajpg_decode(bytes: &[u8]) -> Result<RgbImage, String> {
+    let mut grid = AjpgGrid::default();
+    let mut size = (0, 0);
+    grid.decode(bytes, |w, h| {
+        size = (w, h);
+        (0..h, 0..w)
+    })?;
+    let ((w, h), padded) = (size, grid.width());
+    let mut rgb = grid.rgb;
+    for y in 1..h {
+        rgb.copy_within(3 * y * padded..3 * (y * padded + w), 3 * y * w);
+    }
+    rgb.truncate(3 * w * h);
+    Ok(RgbImage::from_raw(w, h, rgb))
+}
+
+/// Makes `set` the values of `from`, ascending, without repeats.
+fn collect_set(set: &mut Vec<usize>, from: impl IntoIterator<Item = usize>) {
+    set.clear();
+    set.extend(from);
+    set.sort_unstable();
+    set.dedup();
+}
+
+/// An AJPG decode at chosen pixels, and the buffers it keeps from call to
+/// call so that a thread decoding body after body allocates them once.
+#[derive(Default)]
+pub struct AjpgGrid {
+    /// The sampled image rows, and the luma block columns holding a
+    /// sampled column; then the chroma rows and block columns they reach.
+    /// Each ascending, without repeats.
+    rows: Vec<usize>,
+    blocks: Vec<usize>,
+    chroma_rows: Vec<usize>,
+    chroma_blocks: Vec<usize>,
+    /// Luma at the grid, then Cb and Cr at its chroma grid.
+    samples: Vec<f32>,
+    /// [`decode_plane_grid`]'s scratch.
+    spans: Vec<(Range<usize>, u8)>,
+    slots: Vec<usize>,
+    /// The decoded grid, RGB.
+    rgb: Vec<u8>,
+}
+
+impl AjpgGrid {
+    /// Decode an AJPG stream at the pixels `pick` names. Once the header
+    /// has passed every check, `pick(w, h)` returns the rows and the columns
+    /// to sample, in any order and with repeats, each inside the image;
+    /// only those rows are decoded, and in them only the 8-pixel blocks
+    /// holding one of those columns. Grid row [`Self::row`]`(y)` of
+    /// [`Self::rgb`] is image row `y`, and [`Self::column`] says where in it
+    /// a sampled column is; each of those pixels is byte for byte the one
+    /// [`ajpg_decode`], this decode at every pixel, returns.
+    ///
+    /// Every stream gets one verdict whatever is sampled, error text
+    /// included: every block is still entropy-walked, while dequantization
+    /// runs only for the blocks the grid reaches, the inverse DCT only for
+    /// their rows in it, and colour conversion only at the grid. Nothing
+    /// is allocated beyond the grid, at most one row of the image's width
+    /// rounded up to 8 per sampled row. A failed call leaves the grid
+    /// empty.
+    pub fn decode<R, C>(
+        &mut self,
+        bytes: &[u8],
+        pick: impl FnOnce(usize, usize) -> (R, C),
+    ) -> Result<(), String>
+    where
+        R: IntoIterator<Item = usize>,
+        C: IntoIterator<Item = usize>,
+    {
+        let decoded = self.decode_picked(bytes, pick);
+        if decoded.is_err() {
+            self.rows.clear();
+            self.blocks.clear();
+        }
+        decoded
+    }
+
+    fn decode_picked<R, C>(
+        &mut self,
+        bytes: &[u8],
+        pick: impl FnOnce(usize, usize) -> (R, C),
+    ) -> Result<(), String>
+    where
+        R: IntoIterator<Item = usize>,
+        C: IntoIterator<Item = usize>,
+    {
+        let hd = Header::read(bytes)?;
+        let (w, h, step) = (hd.w, hd.h, hd.step());
+        let (rows, cols) = pick(w, h);
+        let AjpgGrid {
+            rows: luma_rows,
+            blocks,
+            chroma_rows,
+            chroma_blocks,
+            samples,
+            spans,
+            slots,
+            rgb,
+        } = self;
+        collect_set(luma_rows, rows);
+        assert!(
+            luma_rows.last().is_none_or(|&y| y < h),
+            "rows of a {h}-row image"
+        );
+        collect_set(
+            blocks,
+            cols.into_iter().map(|x| {
+                assert!(x < w, "columns of a {w}-wide image");
+                x / 8
+            }),
+        );
+        collect_set(chroma_rows, luma_rows.iter().map(|&y| y / step));
+        collect_set(chroma_blocks, blocks.iter().map(|&bx| bx / step));
+        let luma = GridPlane {
+            rows: luma_rows,
+            blocks,
+        };
+        let chroma = GridPlane {
+            rows: chroma_rows,
+            blocks: chroma_blocks,
+        };
+
+        let (stride, cstride) = (8 * blocks.len(), 8 * chroma_blocks.len());
+        let (luma_len, chroma_len) = (luma_rows.len() * stride, chroma_rows.len() * cstride);
+        // Every sample and byte of the grid is written below, so growing
+        // the buffers is the only filling they need.
+        samples.resize(luma_len + 2 * chroma_len, 0.0);
+        let (y, rest) = samples.split_at_mut(luma_len);
+        let (cb, cr) = rest.split_at_mut(chroma_len);
+        let (q_luma, q_chroma) = hd.tables();
+        let chroma_size = hd.chroma_size();
+        let mut r = BitReader::new(&bytes[14..]);
+        decode_plane_grid((w, h), &q_luma, &luma, (spans, slots), y, &mut r)?;
+        decode_plane_grid(chroma_size, &q_chroma, &chroma, (spans, slots), cb, &mut r)?;
+        decode_plane_grid(chroma_size, &q_chroma, &chroma, (spans, slots), cr, &mut r)?;
+
+        rgb.resize(luma_len * 3, 0);
+        let planes = (&*y, &*cb, &*cr);
+        if hd.subsample {
+            grid_rgb::<4>(rgb, planes, &luma, &chroma);
+        } else {
+            grid_rgb::<8>(rgb, planes, &luma, &chroma);
+        }
+        Ok(())
+    }
+
+    /// The grid the last successful [`Self::decode`] made: [`Self::width`]
+    /// RGB pixels to a row, a row per sampled image row.
+    pub fn rgb(&self) -> &[u8] {
+        &self.rgb[..3 * self.width() * self.rows.len()]
+    }
+
+    /// Pixels to a grid row.
+    pub fn width(&self) -> usize {
+        8 * self.blocks.len()
+    }
+
+    /// The grid row holding image row `y`, one the last [`Self::decode`]
+    /// sampled.
+    pub fn row(&self, y: usize) -> usize {
+        self.rows.binary_search(&y).expect("a sampled row")
+    }
+
+    /// Where image column `x`, one the last [`Self::decode`] sampled, sits
+    /// in a grid row.
+    pub fn column(&self, x: usize) -> usize {
+        let slot = self
+            .blocks
+            .binary_search(&(x / 8))
+            .expect("a sampled column");
+        8 * slot + x % 8
+    }
+}
+
+/// Colour conversion of a sampled decode with [`rgb_row`], a run of
+/// adjacent luma block columns at a time: luma block column `bx` takes its
+/// chroma from chroma block column `8·bx / step / 8`, starting at sample
+/// `8·bx / step % 8` (`N` = `8 / step` chroma samples to a block), so a run
+/// reads adjacent chroma too.
+fn grid_rgb<const N: usize>(
+    rgb: &mut [u8],
+    (y, cb, cr): (&[f32], &[f32], &[f32]),
+    luma: &GridPlane<'_>,
+    chroma: &GridPlane<'_>,
+) {
+    let step = 8 / N;
+    let (stride, cstride) = (8 * luma.blocks.len(), 8 * chroma.blocks.len());
+    let mut ci = 0;
+    for (i, &yy) in luma.rows.iter().enumerate() {
+        while chroma.rows[ci] < yy / step {
+            ci += 1;
+        }
+        let (mut j, mut cj) = (0, 0);
+        while j < luma.blocks.len() {
+            let bx = luma.blocks[j];
+            let mut end = j + 1;
+            while end < luma.blocks.len() && luma.blocks[end] == bx + (end - j) {
+                end += 1;
+            }
+            while chroma.blocks[cj] < bx / step {
+                cj += 1;
+            }
+            let at = ci * cstride + cj * 8 + bx * N % 8;
+            let out = &mut rgb[(i * stride + 8 * j) * 3..(i * stride + 8 * end) * 3];
+            rgb_row::<N>(out, &y[i * stride + 8 * j..], &cb[at..], &cr[at..]);
+            j = end;
+        }
+    }
 }
 
 #[cfg(test)]

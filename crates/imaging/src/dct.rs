@@ -69,29 +69,46 @@ fn set_bits(mask: u8) -> ([usize; 8], usize) {
 /// column `k`; naming more than that is harmless). Same bits as the dense
 /// transform (see the module docs).
 pub fn idct2_8x8_sparse(coeffs: &[f32; 64], rows: u8, cols: u8) -> [f32; 64] {
+    idct2_8x8_sparse_rows(coeffs, rows, cols, 0xFF)
+}
+
+/// The output rows `outputs` names (bit `n` = row `n`) of
+/// [`idct2_8x8_sparse`], the same bits; the others are left zero. A decode
+/// that reads a few rows of a block transforms only those.
+#[inline]
+pub(crate) fn idct2_8x8_sparse_rows(
+    coeffs: &[f32; 64],
+    rows: u8,
+    cols: u8,
+    outputs: u8,
+) -> [f32; 64] {
     let ((rows, nrows), (cols, ncols)) = (set_bits(rows), set_bits(cols));
-    // Columns: tmp[n][x] = Σₖ coeffs[k][x]·BASIS[k][n] over the live rows.
-    let mut tmp = [0.0f32; 64];
-    for (n, dst) in tmp.chunks_exact_mut(8).enumerate() {
-        let mut acc = [0.0f32; 8];
-        for &k in &rows[..nrows] {
-            for (a, &c) in acc.iter_mut().zip(&coeffs[k * 8..k * 8 + 8]) {
-                *a += c * BASIS[k][n];
-            }
-        }
-        dst.copy_from_slice(&acc);
-    }
-    // Rows: out[y][n] = Σₖ tmp[y][k]·BASIS[k][n] over the live columns
-    // (tmp is +0.0 all the way down a column that held no coefficient).
     let mut out = [0.0f32; 64];
-    for (src, dst) in tmp.chunks_exact(8).zip(out.chunks_exact_mut(8)) {
-        let mut acc = [0.0f32; 8];
-        for &k in &cols[..ncols] {
-            for (a, &b) in acc.iter_mut().zip(&BASIS[k]) {
-                *a += src[k] * b;
-            }
+    for (n, dst) in out.chunks_exact_mut(8).enumerate() {
+        if outputs >> n & 1 == 1 {
+            dst.copy_from_slice(&idct_row(coeffs, &rows[..nrows], &cols[..ncols], n));
         }
-        dst.copy_from_slice(&acc);
+    }
+    out
+}
+
+/// Output row `n` over the live coefficient rows and columns.
+#[inline(always)]
+fn idct_row(coeffs: &[f32; 64], rows: &[usize], cols: &[usize], n: usize) -> [f32; 8] {
+    // Columns: tmp[x] = Σₖ coeffs[k][x]·BASIS[k][n] over the live rows.
+    let mut tmp = [0.0f32; 8];
+    for &k in rows {
+        for (a, &c) in tmp.iter_mut().zip(&coeffs[k * 8..k * 8 + 8]) {
+            *a += c * BASIS[k][n];
+        }
+    }
+    // Rows: out[x] = Σₖ tmp[k]·BASIS[k][x] over the live columns (tmp is
+    // +0.0 at a column that held no coefficient).
+    let mut out = [0.0f32; 8];
+    for &k in cols {
+        for (a, &b) in out.iter_mut().zip(&BASIS[k]) {
+            *a += tmp[k] * b;
+        }
     }
     out
 }
@@ -187,6 +204,29 @@ mod tests {
         for (i, &c) in coeffs.iter().enumerate() {
             if i != k {
                 assert!(c.abs() < peak * 1e-3 + 1e-4, "leak at {i}: {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn named_output_rows_are_the_whole_transforms_rows() {
+        let mut coeffs = [0.0f32; 64];
+        for (i, c) in coeffs.iter_mut().enumerate() {
+            *c = ((i * 53 % 97) as f32 - 48.0) * 3.5;
+        }
+        for (rows, cols) in [(0xFF, 0xFF), (0x03, 0x81), (0x01, 0x01)] {
+            let whole = idct2_8x8_sparse(&coeffs, rows, cols);
+            for outputs in [0u8, 0x01, 0x80, 0x5A, 0xFF] {
+                let some = idct2_8x8_sparse_rows(&coeffs, rows, cols, outputs);
+                for n in 0..8 {
+                    let want = if outputs >> n & 1 == 1 {
+                        whole[n * 8..n * 8 + 8].to_vec()
+                    } else {
+                        vec![0.0; 8]
+                    };
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&some[n * 8..n * 8 + 8]), bits(&want), "row {n}");
+                }
             }
         }
     }

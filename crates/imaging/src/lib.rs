@@ -25,7 +25,7 @@ pub(crate) mod rtif;
 pub mod stitch;
 pub(crate) mod synth;
 
-pub use ajpg::{ajpg_decode, ajpg_decode_rows, ajpg_encode, AjpgOptions};
+pub use ajpg::{ajpg_decode, ajpg_encode, AjpgGrid, AjpgOptions};
 pub use analysis::{heatmap, residue_cover_fraction};
 pub use image::{psnr, RgbImage};
 pub use rtif::{rtif_decode, rtif_encode};

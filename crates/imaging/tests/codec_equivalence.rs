@@ -2,7 +2,8 @@
 //! against the codec it replaced (`oracle/`, verbatim): same decoded
 //! pixels, same encoded bytes, same `Ok`/`Err` — and the same error text —
 //! for every stream, whole or damaged. Every stream also goes through the
-//! wire's row-sampled ingest entry (`ingest/`), held to the full decode.
+//! wire's ingest entry (`ingest/`), held to the full decode's verdict and
+//! tensor.
 
 mod ingest;
 mod oracle;
@@ -68,7 +69,7 @@ fn streams_and_pixels_match_the_oracle_across_sizes_qualities_and_scenes() {
                     let pixels = ajpg_decode(&stream).expect("decodes");
                     let expected = oracle::ajpg::ajpg_decode(&stream).expect("oracle decodes");
                     assert!(pixels == expected, "{case}: decoded pixels differ");
-                    ingest::decode_for_agrees(&stream, &case).expect("decodes");
+                    ingest::ingest_agrees(&stream, &case).expect("decodes");
                 }
             }
         }
@@ -101,7 +102,32 @@ fn flat_and_checkerboard_extremes_match_the_oracle() {
                     oracle::ajpg::ajpg_decode(&stream),
                     "{case}"
                 );
-                ingest::decode_for_agrees(&stream, &case).expect("decodes");
+                ingest::ingest_agrees(&stream, &case).expect("decodes");
+            }
+        }
+    }
+}
+
+#[test]
+fn ingest_matches_the_full_decode_on_ragged_oblong_bodies_either_subsampling() {
+    // Width and height sampled apart and not multiples of 8: the grid's
+    // columns and rows, and chroma blocks the image only partly covers.
+    for (si, &(width, height)) in [(9, 7), (61, 47), (100, 37), (37, 100), (233, 64), (512, 24)]
+        .iter()
+        .enumerate()
+    {
+        for (ci, scene) in SCENES.iter().enumerate() {
+            let img = scene.render(&SynthImageSpec {
+                width,
+                height,
+                seed: (si * 4 + ci) as u64,
+            });
+            for quality in [1, 85] {
+                for subsample in [true, false] {
+                    let stream = ajpg_encode(&img, &AjpgOptions { quality, subsample });
+                    let case = format!("{scene:?} {width}x{height} q{quality} 420={subsample}");
+                    ingest::ingest_agrees(&stream, &case).expect("decodes");
+                }
             }
         }
     }
@@ -139,7 +165,7 @@ fn every_truncation_gets_the_oracles_verdict() {
                 oracle::ajpg::ajpg_decode(&clean[..cut]),
                 "{case}"
             );
-            let _ = ingest::decode_for_agrees(&clean[..cut], &case);
+            let _ = ingest::ingest_agrees(&clean[..cut], &case);
         }
     }
 }
@@ -155,7 +181,7 @@ fn every_single_bit_flip_gets_the_oracles_verdict() {
                 let case = format!("stream {i} byte {byte} bit {bit}");
                 let got = ajpg_decode(&bytes);
                 assert_eq!(got, oracle::ajpg::ajpg_decode(&bytes), "{case}");
-                let _ = ingest::decode_for_agrees(&bytes, &case);
+                let _ = ingest::ingest_agrees(&bytes, &case);
                 match got {
                     Ok(_) => accepted += 1,
                     Err(_) => rejected += 1,

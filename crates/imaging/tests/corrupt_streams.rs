@@ -3,10 +3,11 @@
 //! and with hand-built hostile headers. The contract under test is the
 //! integrity layer's foundation — a corrupt byte stream must surface as
 //! `Err`, never as a panic, an abort, or a runaway allocation. Every stream
-//! also goes through the wire's row-sampled ingest entry (`ingest/`), which
-//! must reach the full decode's verdict, error text included.
+//! also goes through the wire's ingest entry (`ingest/`), which must reach
+//! the full decode's verdict, error text included, and its tensor.
 
 mod ingest;
+mod oracle;
 
 use harvest_imaging::{ajpg_decode, rtif_decode, ImageFormat, RgbImage};
 use harvest_imaging::{FieldScene, SynthImageSpec};
@@ -48,7 +49,7 @@ fn injector_mangled_streams_never_panic_either_codec() {
                 if decode(&fmt, &bytes).is_err() {
                     rejected += 1;
                 }
-                let _ = ingest::decode_for_agrees(&bytes, &format!("{} id {id}", fmt.label()));
+                let _ = ingest::ingest_agrees(&bytes, &format!("{} id {id}", fmt.label()));
             }
         }
         assert!(corrupted > 150, "{}: injector barely fired", fmt.label());
@@ -90,18 +91,18 @@ fn hostile_ajpg_headers_are_rejected_without_allocation() {
     bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
     let err = ajpg_decode(&bytes).unwrap_err();
     assert!(err.contains("implausible"), "got: {err}");
-    ingest::decode_for_agrees(&bytes, "4G x 4G").unwrap_err();
+    ingest::ingest_agrees(&bytes, "4G x 4G").unwrap_err();
     // Dimensions under the per-axis cap whose product is still huge.
     bytes[4..8].copy_from_slice(&16384u32.to_le_bytes());
     bytes[8..12].copy_from_slice(&16384u32.to_le_bytes());
     assert!(ajpg_decode(&bytes).is_err());
-    ingest::decode_for_agrees(&bytes, "16384 x 16384").unwrap_err();
+    ingest::ingest_agrees(&bytes, "16384 x 16384").unwrap_err();
     // Header cut mid-field.
     assert!(ajpg_decode(&bytes[..7]).is_err());
     assert!(ajpg_decode(&bytes[..13]).is_err());
-    ingest::decode_for_agrees(&bytes[..7], "7-byte stream").unwrap_err();
+    ingest::ingest_agrees(&bytes[..7], "7-byte stream").unwrap_err();
     let clean = ImageFormat::camera_default().encode(&img);
-    ingest::decode_for_agrees(&clean[..13], "13-byte stream").unwrap_err();
+    ingest::ingest_agrees(&clean[..13], "13-byte stream").unwrap_err();
     // A zero axis either way round (the resize's taps need a positive
     // height), one past the per-axis cap, and an area one past the pixel
     // cap with both axes under it.
@@ -115,7 +116,7 @@ fn hostile_ajpg_headers_are_rejected_without_allocation() {
         let mut bytes = ImageFormat::camera_default().encode(&img);
         bytes[4..8].copy_from_slice(&w.to_le_bytes());
         bytes[8..12].copy_from_slice(&h.to_le_bytes());
-        let err = ingest::decode_for_agrees(&bytes, what).unwrap_err();
+        let err = ingest::ingest_agrees(&bytes, what).unwrap_err();
         assert!(ajpg_decode(&bytes).is_err(), "{what}: {err}");
     }
 }
@@ -144,7 +145,7 @@ fn every_byte_truncation_of_an_ajpg_stream_errors_or_decodes() {
         // prefixes must error; longer ones may decode if only padding was
         // lost.)
         let res = ajpg_decode(&clean[..cut]);
-        let _ = ingest::decode_for_agrees(&clean[..cut], &format!("cut {cut}"));
+        let _ = ingest::ingest_agrees(&clean[..cut], &format!("cut {cut}"));
         if cut < 14 {
             assert!(res.is_err(), "cut {cut}: accepted a headerless stream");
         }
@@ -164,7 +165,7 @@ fn single_bit_flips_in_the_entropy_stream_never_panic() {
             let mut bytes = clean.clone();
             bytes[byte] ^= 1 << bit;
             let _ = ajpg_decode(&bytes); // Ok or Err both fine; no panic.
-            let _ = ingest::decode_for_agrees(&bytes, &format!("byte {byte} bit {bit}"));
+            let _ = ingest::ingest_agrees(&bytes, &format!("byte {byte} bit {bit}"));
         }
     }
 }

@@ -51,7 +51,7 @@
 use crate::http::{parse_request, write_response, HttpLimits, Method, Parsed, Request};
 use crate::pool::{Batch, Effect, Pool, SwapOutcome, WireOutcome, WorkerDone};
 use harvest_models::{vit, VitConfig};
-use harvest_preproc::{decode_for, preprocess_decoded};
+use harvest_preproc::ingest;
 use harvest_serving::{
     BatcherConfig, BreakerConfig, BreakerState, CircuitBreaker, ServingLimits, ShedPolicy,
 };
@@ -1019,15 +1019,15 @@ fn respond<W: Write>(conn: &mut Conn<W>, request: &Request) -> bool {
     }
 }
 
-/// The classification path: decode (the rows `out_res` samples) →
-/// preprocess → engine round-trip.
+/// The classification path: ingest (the body straight to the model's
+/// input tensor) → engine round-trip.
 fn classify<W: Write>(conn: &mut Conn<W>, request: &Request) -> bool {
     let shared = conn.shared;
     if shared.draining.load(Ordering::SeqCst) {
         return conn.reply(Class::Rejected, 503, &[], b"{\"error\":\"draining\"}");
     }
-    let img = match decode_for(&request.body, conn.config.out_res) {
-        Ok(img) => img,
+    let input = match ingest(&request.body, conn.config.out_res) {
+        Ok(input) => input,
         Err(e) => {
             let body = format!("{{\"error\":\"bad image: {e}\"}}");
             return conn.reply(Class::Error, 422, &[], body.as_bytes());
@@ -1046,10 +1046,6 @@ fn classify<W: Write>(conn: &mut Conn<W>, request: &Request) -> bool {
             return conn.reply(Class::Rejected, 503, &[], b"{\"error\":\"overloaded\"}");
         }
     }
-    let input = preprocess_decoded(&img, conn.config.out_res);
-    // The decoded image (3·w·h bytes) has served its purpose; free it now
-    // rather than hold it through the engine round-trip below.
-    drop(img);
     let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
     let (reply_tx, reply_rx) = mpsc::channel();
     let handed_off = Instant::now();
@@ -1212,7 +1208,7 @@ fn metrics<W: Write>(conn: &mut Conn<W>) -> bool {
 mod tests {
     use super::*;
     use crate::http::parse_response;
-    use harvest_imaging::{ajpg_encode, decode_auto, AjpgOptions, RgbImage};
+    use harvest_imaging::{ajpg_encode, AjpgOptions, RgbImage};
 
     fn post_classify(addr: SocketAddr, body: &[u8]) -> (u16, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -1454,8 +1450,7 @@ mod tests {
             "wire-degraded",
             config.degraded_model.as_ref().expect("a rung"),
         );
-        let decoded = decode_auto(&img).expect("sample decodes");
-        let input = preprocess_decoded(&decoded, config.out_res);
+        let input = ingest(&img, config.out_res).expect("sample decodes");
         let class = argmax(Executor::new(&rung, 7 ^ 0x0dd).forward(&input).data());
         let degraded =
             format!("{{\"class\":{class},\"batch\":1,\"degraded\":true,\"generation\":0}}");
@@ -2283,7 +2278,7 @@ mod tests {
                     (expected AJPG or RTIF magic)\"}",
             },
             Row {
-                // An AJPG body cut short in its entropy stream: the rows-only
+                // An AJPG body cut short in its entropy stream: the sampled
                 // decode walks every block, so its verdict is the full one's.
                 via: Via::Request(Post, "/classify", img[..20].to_vec()),
                 engine: Engine::Gone,

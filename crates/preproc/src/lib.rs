@@ -24,4 +24,4 @@ pub mod real;
 
 pub use cost::{PreprocCostModel, PreprocPoint};
 pub use method::PreprocMethod;
-pub use real::{decode_for, preprocess_decoded, run_real, RealPreprocResult};
+pub use real::{ingest, preprocess_decoded, run_real, RealPreprocResult};

@@ -7,11 +7,12 @@
 //! measured host numbers alongside the modelled platform numbers.
 
 use harvest_data::{DatasetSpec, EncodedSample};
-use harvest_imaging::{ajpg_decode_rows, decode_auto, RgbImage};
+use harvest_imaging::{decode_auto, AjpgGrid, RgbImage};
 use harvest_tensor::{
     bilinear_taps, hwc_u8_to_chw, normalize_chw, perspective_warp, resize_bilinear,
-    resize_normalize_hwc_u8, Homography, Tensor,
+    resize_normalize_hwc_u8, sample_normalize_hwc_u8, Homography, Tensor,
 };
+use std::cell::RefCell;
 use std::time::Instant;
 
 /// ImageNet-style normalization constants (what torchvision applies).
@@ -43,33 +44,59 @@ impl RealPreprocResult {
 /// ImageNet normalization → `[3, out_res, out_res]` CHW tensor, in one pass
 /// over the source pixels the resize samples.
 ///
-/// This is the wire-serving entry point: the frontend has already decoded
-/// the request body with [`decode_for`], which produces only the rows read
-/// here, and no dataset stage applies to traffic of unknown provenance. It
-/// is also the transform stage of [`run_real`] for every dataset without
-/// one.
+/// This is the transform stage of [`run_real`] for every dataset without a
+/// dataset stage, and of [`ingest`] for bodies it decodes in full.
 pub fn preprocess_decoded(img: &RgbImage, out_res: usize) -> Tensor {
     let (h, w, res) = (img.height(), img.width(), out_res);
     let chw = resize_normalize_hwc_u8(img.data(), h, w, res, res, &NORM_MEAN, &NORM_STD);
     Tensor::from_vec(&[3, res, res], chw)
 }
 
-/// Decode a request body for [`preprocess_decoded`] at `out_res` (which
-/// must be positive, as there). The format is sniffed as [`decode_auto`]
-/// sniffs it, with the same `Ok`/`Err` and error text for every body, but
-/// an AJPG body is decoded only in the source rows the resize's bilinear
-/// taps name ([`ajpg_decode_rows`]); every other row is black. The tensor
-/// `preprocess_decoded` makes from it is bit-identical to the one it makes
-/// from the full decode. RTIF bodies decode in full.
-pub fn decode_for(bytes: &[u8], out_res: usize) -> Result<RgbImage, String> {
+thread_local! {
+    /// The sampled decode's buffers, kept for the thread's next body.
+    static GRID: RefCell<AjpgGrid> = RefCell::default();
+}
+
+/// A request body straight to the model-ready `[3, out_res, out_res]`
+/// tensor (`out_res` positive): the wire's one ingest entry. The format is
+/// sniffed as [`decode_auto`] sniffs it, with the same `Ok`/`Err` and error
+/// text for every body, and the tensor is bit-identical to
+/// [`preprocess_decoded`] of that decode.
+///
+/// An AJPG body is decoded only at the pixels the resize's bilinear taps
+/// read ([`AjpgGrid::decode`]), into buffers the calling thread keeps, so a
+/// steady stream of bodies allocates nothing the size of an image; the
+/// taps, re-pointed at that grid, resize and normalize it in
+/// [`resize_normalize_hwc_u8`]'s order. RTIF bodies decode in full.
+pub fn ingest(bytes: &[u8], out_res: usize) -> Result<Tensor, String> {
     if bytes.get(..4) != Some(b"AJPG".as_slice()) {
-        return decode_auto(bytes);
+        return decode_auto(bytes).map(|img| preprocess_decoded(&img, out_res));
     }
-    ajpg_decode_rows(bytes, |_, h| {
-        bilinear_taps(h, out_res)
-            .into_iter()
-            .flat_map(|(y0, y1, _)| [y0, y1])
+    GRID.with_borrow_mut(|grid| {
+        let mut taps = None;
+        grid.decode(bytes, |w, h| {
+            let (ys, xs) = taps.insert((bilinear_taps(h, out_res), bilinear_taps(w, out_res)));
+            (sources(ys), sources(xs))
+        })?;
+        let (mut ys, mut xs) = taps.expect("the header passed");
+        repoint(&mut ys, |y| grid.row(y));
+        repoint(&mut xs, |x| grid.column(x));
+        let chw =
+            sample_normalize_hwc_u8(grid.rgb(), grid.width(), &ys, &xs, &NORM_MEAN, &NORM_STD);
+        Ok(Tensor::from_vec(&[3, out_res, out_res], chw))
     })
+}
+
+/// Both source indices of every tap.
+fn sources(taps: &[(usize, usize, f32)]) -> impl Iterator<Item = usize> + '_ {
+    taps.iter().flat_map(|&(i0, i1, _)| [i0, i1])
+}
+
+/// Both source indices of every tap, through `at`.
+fn repoint(taps: &mut [(usize, usize, f32)], at: impl Fn(usize) -> usize) {
+    for (i0, i1, _) in taps {
+        (*i0, *i1) = (at(*i0), at(*i1));
+    }
 }
 
 /// Run the full real preprocessing pipeline on one encoded sample. The
@@ -227,7 +254,7 @@ mod tests {
         // Why a full decode dominates a JPEG-like source at a small output:
         // it produces every source pixel (as `run_real`'s does), while the
         // transform reads only the pixels bilinear sampling names — at most
-        // 4 per output pixel. That gap is what `decode_for` closes by rows.
+        // 4 per output pixel. That gap is what `ingest` closes.
         let sampler = Sampler::new(DatasetId::PlantVillage, 11);
         let sample = sampler.encode(3);
         let img = sampler.spec().format.decode(&sample.bytes).expect("decode");

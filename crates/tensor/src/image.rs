@@ -102,20 +102,39 @@ pub fn resize_normalize_hwc_u8(
     mean: &[f32],
     std: &[f32],
 ) -> Vec<f32> {
+    assert_eq!(pixels.len(), h * w * mean.len());
+    let (ys, xs) = (bilinear_taps(h, oh), bilinear_taps(w, ow));
+    sample_normalize_hwc_u8(pixels, w, &ys, &xs, mean, std)
+}
+
+/// [`resize_normalize_hwc_u8`] with its taps given, in the same arithmetic
+/// and order: output row `i`, column `j` blends source rows `ys[i].0` and
+/// `ys[i].1` by `ys[i].2` and source columns `xs[j].0` and `xs[j].1` by
+/// `xs[j].2`, of `pixels` (interleaved HWC u8, `w` pixels to a row). So taps
+/// re-pointed at a grid of decoded pixels give the bits the whole image
+/// gives.
+pub fn sample_normalize_hwc_u8(
+    pixels: &[u8],
+    w: usize,
+    ys: &[(usize, usize, f32)],
+    xs: &[(usize, usize, f32)],
+    mean: &[f32],
+    std: &[f32],
+) -> Vec<f32> {
     let channels = mean.len();
     assert_eq!(std.len(), channels);
-    assert_eq!(pixels.len(), h * w * channels);
+    assert!(pixels.len().is_multiple_of(w * channels));
     let unit: [f32; 256] = std::array::from_fn(|v| v as f32 / 255.0);
-    let (ys, xs) = (bilinear_taps(h, oh), bilinear_taps(w, ow));
+    let (oh, ow) = (ys.len(), xs.len());
     let mut out = vec![0.0f32; channels * oh * ow];
     for (c, plane) in out.chunks_exact_mut(oh * ow).enumerate() {
         let (mean, inv) = (mean[c], 1.0 / std[c]);
-        for (row_out, &(y0, y1, wy)) in plane.chunks_exact_mut(ow).zip(&ys) {
+        for (row_out, &(y0, y1, wy)) in plane.chunks_exact_mut(ow).zip(ys) {
             // Channel `c` of a source row: sample `x` is at `x * channels`.
             let row0 = &pixels[y0 * w * channels + c..];
             let row1 = &pixels[y1 * w * channels + c..];
             let p = |row: &[u8], x: usize| unit[row[x * channels] as usize];
-            for (v, &(x0, x1, wx)) in row_out.iter_mut().zip(&xs) {
+            for (v, &(x0, x1, wx)) in row_out.iter_mut().zip(xs) {
                 let top = p(row0, x0) * (1.0 - wx) + p(row0, x1) * wx;
                 let bot = p(row1, x0) * (1.0 - wx) + p(row1, x1) * wx;
                 *v = (top * (1.0 - wy) + bot * wy - mean) * inv;

@@ -37,7 +37,7 @@ pub use gemm::{
 };
 pub use image::{
     bilinear_taps, chw_to_hwc_u8, hwc_u8_to_chw, normalize_chw, perspective_warp, resize_bilinear,
-    resize_normalize_hwc_u8, Homography,
+    resize_normalize_hwc_u8, sample_normalize_hwc_u8, Homography,
 };
 pub use integrity::{checksum_bytes, checksum_f32, flip_bit_in, max_abs_gap, scan_f32, ScanReport};
 pub use ops::{add_bias, batchnorm_inference, gelu, layernorm, relu, softmax_rows};
