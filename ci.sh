@@ -91,6 +91,7 @@ crates/*/src/**/*.rs engine_batch_floor_ms|FLOOR_MS a per-batch sleep floor is b
 crates/*/src/**/*.rs swap_guard_range_limit|set_swap_guard|swap_artifact_staged|IntegrityStateSkew|guard_pending a generation's lifecycle is kept outside WeightsCell::{load, guard, settle} again
 crates/*/src/**/*.rs (^|[^A-Za-z0-9_])(DataLoader|Roofline|Timeline|Streaming|to_honx|from_honx) a feature only tests called is back (a capability counts only with a caller)
 crates/!(hw)/src/**/*.rs use[[:space:]]+(harvest_hw::)?PlatformId::\*|PlatformId::[A-Za-z0-9]+[[:space:]]*(=>|\|) a platform constant is matched outside its PlatformSpec record
+crates/engine/src/swap.rs WeightStore::new|checksum_bytes\(|checksum_f32\( the artifact loader hashes outside its one verify pass, or builds a random template again
 EOF
 
 echo "== pub surface ratchet =="

@@ -1926,6 +1926,7 @@ fn fig8(save: &dyn Fn(&str, String)) {
 fn host() {
     println!("== Host measurements (real kernels on this machine) ==");
     ingest_table();
+    load_path();
     println!(
         "  GEMM lane tier: {}, host threads: {}",
         harvest_tensor::lane_tier(),
@@ -1992,6 +1993,61 @@ fn host() {
         ajpg_s * 1e6,
         rtif_s * 1e6,
         ajpg_s / rtif_s
+    );
+}
+
+/// ResNet50's weight bring-up against its floor: materialize, encode and
+/// decode of its `HVWA` artifact beside one FNV-1a chain over the artifact
+/// (decode's one verify pass cannot beat it) and a copy of it into memory
+/// already touched (its one copy cannot beat that). Best of 3 each, the
+/// five interleaved rep by rep. Recorded, never asserted.
+fn load_path() {
+    use harvest_engine::{decode_artifact, encode_artifact, MaterializedWeights, WeightStore};
+    use harvest_tensor::integrity::checksum_bytes;
+    let graph = harvest_models::resnet50(16);
+    let timed = |f: &mut dyn FnMut()| {
+        let t = std::time::Instant::now();
+        f();
+        t.elapsed().as_secs_f64() * 1e3
+    };
+    let weights = MaterializedWeights::new(&graph, &WeightStore::new(1), false);
+    let bytes = encode_artifact(&weights);
+    let mut copy = vec![0u8; bytes.len()];
+    let mut best = [f64::INFINITY; 5];
+    for _ in 0..3 {
+        let ms = [
+            timed(&mut || {
+                std::hint::black_box(MaterializedWeights::new(
+                    &graph,
+                    &WeightStore::new(1),
+                    false,
+                ));
+            }),
+            timed(&mut || {
+                std::hint::black_box(encode_artifact(&weights));
+            }),
+            timed(&mut || {
+                std::hint::black_box(decode_artifact(&bytes, &graph, false).unwrap());
+            }),
+            timed(&mut || {
+                std::hint::black_box(checksum_bytes(&bytes));
+            }),
+            timed(&mut || {
+                copy.copy_from_slice(&bytes);
+                std::hint::black_box(&copy);
+            }),
+        ];
+        for (b, m) in best.iter_mut().zip(ms) {
+            *b = b.min(m);
+        }
+    }
+    let [materialize, encode, decode, fnv, memcpy] = best;
+    println!(
+        "  weights load ResNet50, artifact {:.1} MB: materialize {materialize:.1} ms, \
+         encode {encode:.1} ms, decode {decode:.1} ms; floor: FNV-1a pass {fnv:.1} ms, \
+         memcpy {memcpy:.1} ms; decode = {:.2}x the floor",
+        bytes.len() as f64 / 1e6,
+        decode / (fnv + memcpy)
     );
 }
 

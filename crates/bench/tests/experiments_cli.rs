@@ -52,8 +52,8 @@ fn tune_is_no_longer_a_subcommand() {
     );
 }
 
-/// The two timings after `tags` on the line of `stdout` containing `key`.
-fn times_on(stdout: &str, key: &str, tags: [&str; 2]) -> Vec<f64> {
+/// The timings after `tags` on the line of `stdout` containing `key`.
+fn times_on<const N: usize>(stdout: &str, key: &str, tags: [&str; N]) -> Vec<f64> {
     let line = stdout
         .lines()
         .find(|l| l.contains(key))
@@ -66,10 +66,11 @@ fn times_on(stdout: &str, key: &str, tags: [&str; 2]) -> Vec<f64> {
         .collect()
 }
 
-/// The AJPG-vs-RTIF decode gap and the full-vs-direct ingest table
-/// EXPERIMENTS.md quotes are lines of `host`: two timings a line are
-/// printed, on the main thread and on a spawned one, nothing is asserted
-/// about their values (or the fault counts beside them).
+/// The AJPG-vs-RTIF decode gap, the full-vs-direct ingest table and the
+/// weight load path EXPERIMENTS.md quotes are lines of `host`: two timings
+/// a line are printed, on the main thread and on a spawned one, and the
+/// load path's five against its floor; nothing is asserted about their
+/// values (or the fault counts beside them).
 #[test]
 fn host_prints_the_format_gap_and_the_ingest_table() {
     let out = experiments(&["host"]);
@@ -85,5 +86,16 @@ fn host_prints_the_format_gap_and_the_ingest_table() {
             ));
         }
     }
+    times.extend(times_on(
+        &stdout,
+        "weights load ResNet50",
+        [
+            "materialize ",
+            "encode ",
+            "decode ",
+            "FNV-1a pass ",
+            "memcpy ",
+        ],
+    ));
     assert!(times.iter().all(|&t| t > 0.0), "{times:?}");
 }

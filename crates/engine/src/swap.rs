@@ -31,9 +31,9 @@
 //!   rollback / rejected-load counters feed the `/metrics` snapshot.
 
 use crate::exec::ActivationGuard;
-use crate::weights::{MaterializedWeights, WeightStore};
+use crate::weights::MaterializedWeights;
 use harvest_models::Graph;
-use harvest_tensor::integrity::{checksum_bytes, checksum_f32};
+use harvest_tensor::integrity::{fnv1a_fold, fnv1a_fold_pair, FNV_OFFSET};
 use std::sync::Arc;
 
 /// First bytes of every weight artifact.
@@ -137,23 +137,32 @@ impl std::fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
-/// Serialize `weights` into the length-framed artifact format.
+/// Serialize `weights` into the length-framed artifact format. The
+/// per-tensor sums are taken first, four chains at a time, because each
+/// precedes its payload in the stream; the payload is then written in bulk
+/// into the one allocation the artifact needs, and the whole-artifact sum
+/// is a second pass over what was written.
 pub fn encode_artifact(weights: &MaterializedWeights) -> Vec<u8> {
-    let mut count = 0u64;
-    weights.for_each_buffer(|_, _| count += 1);
-    let mut out = Vec::new();
+    let sums = weights.current_checksums();
+    let count = sums.len();
+    let mut out = Vec::with_capacity(16 + 24 * count + 4 * weights.f32_elements() + 8);
     out.extend_from_slice(&ARTIFACT_MAGIC);
     out.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-    out.extend_from_slice(&count.to_le_bytes());
+    out.extend_from_slice(&(count as u64).to_le_bytes());
+    let mut sums = sums.into_iter();
     weights.for_each_buffer(|id, buf| {
+        let (_, sum) = sums.next().expect("one sum per tensor");
         out.extend_from_slice(&id.to_le_bytes());
         out.extend_from_slice(&(buf.len() as u64).to_le_bytes());
-        out.extend_from_slice(&checksum_f32(buf).to_le_bytes());
-        for v in buf {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
+        out.extend_from_slice(&sum.to_le_bytes());
+        let at = out.len();
+        out.resize(at + 4 * buf.len(), 0);
+        for (bytes, v) in out[at..].chunks_exact_mut(4).zip(buf) {
+            bytes.copy_from_slice(&v.to_le_bytes());
         }
     });
-    let sum = checksum_bytes(&out);
+    let mut sum = FNV_OFFSET;
+    fnv1a_fold(&mut sum, &out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -168,6 +177,13 @@ pub fn decode_artifact(
     decode_artifact_staged(bytes, graph, int8_linears, None)
 }
 
+/// One tensor of an artifact, verified against its declared sum.
+struct Declared<'b> {
+    id: u64,
+    sum: u64,
+    payload: &'b [u8],
+}
+
 /// Verify `bytes` and build a fresh [`MaterializedWeights`] for `graph`
 /// from it. The artifact is checked completely — framing, per-tensor
 /// checksums, manifest compatibility, whole-artifact sum — before the
@@ -175,6 +191,12 @@ pub fn decode_artifact(
 /// nothing else. `crash_after` simulates a loader crash after that many
 /// tensors were applied to the staging copy (the copy is dropped, proving
 /// a mid-load crash can never corrupt the serving weights).
+///
+/// Every byte is hashed once: one pass folds it into the artifact's sum
+/// and, for a payload byte, into its tensor's sum too (two independent
+/// chains, so the cost of one). Each payload is then copied once, into a
+/// zero-valued staging copy, and the verified declared sums become its
+/// checksums.
 fn decode_artifact_staged(
     bytes: &[u8],
     graph: &Graph,
@@ -191,30 +213,31 @@ fn decode_artifact_staged(
         return Err(ArtifactError::BadVersion { got: version });
     }
     let count = cur.u64()?;
+    let mut artifact_sum = FNV_OFFSET;
+    fnv1a_fold(&mut artifact_sum, &bytes[..cur.pos]);
 
-    let mut tensors: Vec<(u64, Vec<f32>)> = Vec::new();
+    // Each tensor takes at least its 24-byte header: no more can follow.
+    let mut tensors: Vec<Declared> = Vec::with_capacity((count as usize).min(cur.remaining() / 24));
     for _ in 0..count {
+        let head = cur.pos;
         let id = cur.u64()?;
         let len = cur.u64()?;
-        let declared_sum = cur.u64()?;
-        // Bound the allocation by what the bytes can actually back.
+        let sum = cur.u64()?;
+        fnv1a_fold(&mut artifact_sum, &bytes[head..cur.pos]);
+        // Bound the read by what the bytes can actually back.
         let need = (len as usize)
             .checked_mul(4)
             .ok_or(ArtifactError::Truncated {
                 needed: usize::MAX,
                 have: cur.remaining(),
             })?;
-        let raw = cur.take(need)?;
-        let mut data = Vec::with_capacity(len as usize);
-        for chunk in raw.chunks_exact(4) {
-            data.push(f32::from_bits(u32::from_le_bytes(
-                chunk.try_into().expect("4 bytes"),
-            )));
-        }
-        if checksum_f32(&data) != declared_sum {
+        let payload = cur.take(need)?;
+        let mut tensor_sum = FNV_OFFSET;
+        fnv1a_fold_pair(&mut artifact_sum, &mut tensor_sum, payload);
+        if tensor_sum != sum {
             return Err(ArtifactError::TensorChecksum { tensor: id });
         }
-        tensors.push((id, data));
+        tensors.push(Declared { id, sum, payload });
     }
     let trailer = cur.u64()?;
     if cur.remaining() != 0 {
@@ -222,42 +245,37 @@ fn decode_artifact_staged(
             extra: cur.remaining(),
         });
     }
-    if checksum_bytes(&bytes[..bytes.len() - 8]) != trailer {
+    if artifact_sum != trailer {
         return Err(ArtifactError::ArtifactChecksum);
     }
 
-    // Manifest check against the target graph, then overwrite a staging
-    // copy. The template's random init is throwaway: every buffer is
-    // either fully overwritten or the whole copy is dropped.
-    let mut staging = MaterializedWeights::new(graph, &WeightStore::new(0), int8_linears);
-    let mut manifest: Vec<(u64, u64)> = Vec::new();
-    staging.for_each_buffer(|id, buf| manifest.push((id, buf.len() as u64)));
+    // Manifest check against the target graph, then write the staging
+    // copy: every buffer is either fully overwritten or the whole copy is
+    // dropped.
+    let mut staging = MaterializedWeights::zeroed(graph, int8_linears);
+    let manifest = staging.manifest();
     if manifest.len() as u64 != count {
         return Err(ArtifactError::TensorCount {
             expected: manifest.len() as u64,
             got: count,
         });
     }
-    for (i, ((id, data), (want_id, want_len))) in tensors.iter().zip(&manifest).enumerate() {
-        if id != want_id || data.len() as u64 != *want_len {
+    for (i, (t, &(want_id, want_len))) in tensors.iter().zip(&manifest).enumerate() {
+        let len = (t.payload.len() / 4) as u64;
+        if t.id != want_id || len != want_len {
             return Err(ArtifactError::ManifestMismatch {
                 index: i as u64,
-                expected: (*want_id, *want_len),
-                got: (*id, data.len() as u64),
+                expected: (want_id, want_len),
+                got: (t.id, len),
             });
         }
     }
 
-    let mut applied = 0u64;
     let crash = crash_after.filter(|k| *k < count);
-    let mut i = 0usize;
-    staging.for_each_buffer_mut(|_, buf| {
-        if crash.is_some_and(|k| applied >= k) {
-            return;
+    staging.overwrite(crash.unwrap_or(count) as usize, |i, buf| {
+        for (v, b) in buf.iter_mut().zip(tensors[i].payload.chunks_exact(4)) {
+            *v = f32::from_le_bytes(b.try_into().expect("4 bytes"));
         }
-        buf.copy_from_slice(&tensors[i].1);
-        i += 1;
-        applied += 1;
     });
     if let Some(k) = crash {
         return Err(ArtifactError::CrashedMidLoad {
@@ -265,7 +283,7 @@ fn decode_artifact_staged(
             total: count,
         });
     }
-    staging.rebuild_derived();
+    staging.seal(tensors.iter().map(|t| (t.id, t.sum)).collect());
     Ok(staging)
 }
 
@@ -475,6 +493,7 @@ impl WeightsCell {
 mod tests {
     use super::*;
     use crate::exec::Executor;
+    use crate::weights::WeightStore;
     use harvest_models::{vit, VitConfig};
     use harvest_tensor::Tensor;
 

@@ -11,19 +11,21 @@
 //! order, so the panels' layout never reaches them.
 
 use harvest_models::{Graph, NodeId, Op, Shape};
-use harvest_tensor::integrity::checksum_f32;
+use harvest_tensor::integrity::checksums_f32;
 use harvest_tensor::quant::quantize_symmetric;
 use harvest_tensor::{PackedB, PanelSource, Tensor};
+use std::cmp::Reverse;
 
 /// Deterministic per-node weights for a graph.
 pub struct WeightStore {
-    seed: u64,
+    /// `None`: every weight zero, the staging copy an artifact load fills.
+    seed: Option<u64>,
 }
 
 impl WeightStore {
     /// Weights derived from `seed`.
     pub fn new(seed: u64) -> Self {
-        WeightStore { seed }
+        WeightStore { seed: Some(seed) }
     }
 
     /// The out-major `[n][k]` weight [`WeightStore::tensor`] generates
@@ -32,19 +34,37 @@ impl WeightStore {
     /// instead of leaving a hole under them.
     fn packed(&self, node: NodeId, role: u64, k: usize, n: usize) -> PackedB {
         let mut b = PackedB::zeros(k, n);
-        let w = self.tensor(node, role, &[n * k], k);
-        b.repack(PanelSource::Transposed {
-            b: w.data(),
-            ldb: k,
-        });
+        if self.seed.is_some() {
+            let w = self.tensor(node, role, &[n * k], k);
+            b.repack(PanelSource::Transposed {
+                b: w.data(),
+                ldb: k,
+            });
+        }
         b
     }
 
+    /// [`WeightStore::packed`] as a linear, its INT8 quantization cached
+    /// when `quantize`. A zero store's cache is an empty placeholder, taken
+    /// for real once the load has written the weight
+    /// ([`MaterializedWeights::seal`]).
+    fn linear(&self, node: NodeId, role: u64, k: usize, n: usize, quantize: bool) -> LinearWeight {
+        let b = self.packed(node, role, k, n);
+        let int8 = quantize.then(|| match self.seed {
+            Some(_) => quantize_widened(&Order::KxN.view(&b)),
+            None => (Vec::new(), 0.0),
+        });
+        LinearWeight { b, int8 }
+    }
+
     fn tensor(&self, node: NodeId, role: u64, shape: &[usize], fan_in: usize) -> Tensor {
+        let Some(seed) = self.seed else {
+            return Tensor::zeros(shape);
+        };
         let scale = 1.0 / (fan_in.max(1) as f32).sqrt();
         Tensor::random(
             shape,
-            self.seed ^ (node.0 as u64) << 20 ^ role.wrapping_mul(0x517C_C1B7_2722_0A95),
+            seed ^ (node.0 as u64) << 20 ^ role.wrapping_mul(0x517C_C1B7_2722_0A95),
             scale,
         )
     }
@@ -61,14 +81,6 @@ impl WeightStore {
 pub(crate) struct LinearWeight {
     pub(crate) b: PackedB,
     pub(crate) int8: Option<(Vec<f32>, f32)>,
-}
-
-impl LinearWeight {
-    /// `b`, with its INT8 quantization cached when `quantize`.
-    fn new(b: PackedB, quantize: bool) -> Self {
-        let int8 = quantize.then(|| quantize_widened(&Order::KxN.view(&b)));
-        LinearWeight { b, int8 }
-    }
 }
 
 /// The order a packed weight is shown in outside the kernel; every
@@ -112,6 +124,16 @@ impl Order {
 enum Held<B, P> {
     Plain(B),
     Packed(P, Order),
+}
+
+impl Held<&[f32], &PackedB> {
+    /// Elements of the tensor in its logical order.
+    fn elements(&self) -> usize {
+        match self {
+            Held::Plain(buf) => buf.len(),
+            Held::Packed(w, _) => w.k() * w.n(),
+        }
+    }
 }
 
 /// Symmetric INT8 quantization of `x` as the integer-valued f32 operand
@@ -356,6 +378,33 @@ impl MaterializedWeights {
     /// `int8_linears` additionally caches symmetric INT8 quantizations for
     /// the weights the quantized path consumes (`Linear` and `Mlp`).
     pub fn new(graph: &Graph, store: &WeightStore, int8_linears: bool) -> Self {
+        let nodes = Self::lay_out(graph, store, int8_linears);
+        let checksums = Self::compute_checksums(&nodes);
+        Self::with_checksums(nodes, checksums)
+    }
+
+    /// An all-zero copy of `graph`'s weights, in the layouts [`Self::new`]
+    /// builds, drawing no random number and hashing nothing: the staging
+    /// copy an artifact load writes ([`Self::overwrite`]) and then seals
+    /// ([`Self::seal`]). Its INT8 caches, when `int8_linears`, are
+    /// placeholders until the seal.
+    pub(crate) fn zeroed(graph: &Graph, int8_linears: bool) -> Self {
+        let nodes = Self::lay_out(graph, &WeightStore { seed: None }, int8_linears);
+        Self::with_checksums(nodes, Vec::new())
+    }
+
+    fn with_checksums(nodes: Vec<NodeWeights>, checksums: Vec<(u64, u64)>) -> Self {
+        let f32_elements = Self::held(&nodes).map(|(_, held)| held.elements()).sum();
+        MaterializedWeights {
+            nodes,
+            f32_elements,
+            checksums,
+        }
+    }
+
+    /// Every weight of `graph` from `store`, in the layouts the executor
+    /// reads.
+    fn lay_out(graph: &Graph, store: &WeightStore, int8_linears: bool) -> Vec<NodeWeights> {
         let mut nodes = Vec::with_capacity(graph.nodes().len());
         for node in graph.nodes() {
             let id = node.id;
@@ -394,7 +443,7 @@ impl MaterializedWeights {
                     beta: vec![0.0; *dim],
                 },
                 Op::Linear { cin, cout, bias } => NodeWeights::Linear {
-                    w: LinearWeight::new(store.packed(id, 0, *cin, *cout), int8_linears),
+                    w: store.linear(id, 0, *cin, *cout, int8_linears),
                     bias: bias.then(|| store.tensor(id, 1, &[*cout], *cin)),
                 },
                 Op::PatchEmbed { in_ch, dim, patch } => {
@@ -414,67 +463,106 @@ impl MaterializedWeights {
                     NodeWeights::Attention {
                         // Attention projections stay f32 even in INT8 mode,
                         // matching the seed's precision ablation.
-                        w_qkv: LinearWeight::new(store.packed(id, 0, *dim, 3 * dim), false),
+                        w_qkv: store.linear(id, 0, *dim, 3 * dim, false),
                         b_qkv: store.tensor(id, 1, &[3 * dim], *dim),
-                        w_out: LinearWeight::new(store.packed(id, 2, *dim, *dim), false),
+                        w_out: store.linear(id, 2, *dim, *dim, false),
                         b_out: store.tensor(id, 3, &[*dim], *dim),
                     }
                 }
                 Op::LinearAttention { dim, .. } => NodeWeights::LinearAttention {
-                    w_rkv: LinearWeight::new(store.packed(id, 0, *dim, 3 * dim), false),
-                    w_out: LinearWeight::new(store.packed(id, 2, *dim, *dim), false),
+                    w_rkv: store.linear(id, 0, *dim, 3 * dim, false),
+                    w_out: store.linear(id, 2, *dim, *dim, false),
                 },
                 Op::Mlp { dim, hidden } => NodeWeights::Mlp {
-                    w1: LinearWeight::new(store.packed(id, 0, *dim, *hidden), int8_linears),
+                    w1: store.linear(id, 0, *dim, *hidden, int8_linears),
                     b1: store.tensor(id, 1, &[*hidden], *dim),
-                    w2: LinearWeight::new(store.packed(id, 2, *hidden, *dim), int8_linears),
+                    w2: store.linear(id, 2, *hidden, *dim, int8_linears),
                     b2: store.tensor(id, 3, &[*dim], *hidden),
                 },
                 _ => NodeWeights::None,
             };
             nodes.push(w);
         }
-        let f32_elements = nodes
-            .iter()
-            .flat_map(NodeWeights::buffers)
-            .map(|(_, held)| match held {
-                Held::Plain(buf) => buf.len(),
-                Held::Packed(w, _) => w.k() * w.n(),
-            })
-            .sum();
-        let checksums = Self::compute_checksums(&nodes);
-        MaterializedWeights {
-            nodes,
-            f32_elements,
-            checksums,
-        }
+        nodes
     }
 
     pub(crate) fn of(&self, id: NodeId) -> &NodeWeights {
         &self.nodes[id.0]
     }
 
+    /// Every tensor of `nodes` as it is held, tagged with its id
+    /// (`node << 3 | role`), in enumeration order.
+    fn held(nodes: &[NodeWeights]) -> impl Iterator<Item = (u64, Held<&[f32], &PackedB>)> {
+        nodes.iter().enumerate().flat_map(|(node, w)| {
+            w.buffers()
+                .into_iter()
+                .map(move |(role, held)| ((node as u64) << 3 | role, held))
+        })
+    }
+
+    /// `(id, checksum)` of every tensor in its logical order, in
+    /// enumeration order. The tensors are hashed four at a time
+    /// ([`checksums_f32`]), longest first, so the four chains of a group
+    /// run side by side nearly to their ends; a packed weight is read out
+    /// into one of four views for its group.
     fn compute_checksums(nodes: &[NodeWeights]) -> Vec<(u64, u64)> {
-        let mut sums = Vec::new();
-        Self::walk(nodes, |id, buf| sums.push((id, checksum_f32(buf))));
+        let held: Vec<_> = Self::held(nodes).collect();
+        let mut longest_first: Vec<usize> = (0..held.len()).collect();
+        longest_first.sort_unstable_by_key(|&i| (Reverse(held[i].1.elements()), i));
+        let mut sums: Vec<(u64, u64)> = held.iter().map(|(id, _)| (*id, 0)).collect();
+        let mut views: [Vec<f32>; 4] = Default::default();
+        for group in longest_first.chunks(4) {
+            for (&i, view) in group.iter().zip(&mut views) {
+                if let Held::Packed(w, order) = held[i].1 {
+                    order.read(w, view);
+                }
+            }
+            let bufs: Vec<&[f32]> = group
+                .iter()
+                .zip(&views)
+                .map(|(&i, view)| match held[i].1 {
+                    Held::Plain(buf) => buf,
+                    Held::Packed(..) => &view[..],
+                })
+                .collect();
+            for (&i, sum) in group.iter().zip(checksums_f32(&bufs)) {
+                sums[i].1 = sum;
+            }
+        }
         sums
     }
 
     /// Every tensor of `nodes` in its logical order, tagged with its id.
     fn walk(nodes: &[NodeWeights], mut f: impl FnMut(u64, &[f32])) {
         let mut view = Vec::new();
-        for (node, w) in nodes.iter().enumerate() {
-            for (role, held) in w.buffers() {
-                let id = (node as u64) << 3 | role;
-                match held {
-                    Held::Plain(buf) => f(id, buf),
-                    Held::Packed(w, order) => {
-                        order.read(w, &mut view);
-                        f(id, &view);
-                    }
+        for (id, held) in Self::held(nodes) {
+            match held {
+                Held::Plain(buf) => f(id, buf),
+                Held::Packed(w, order) => {
+                    order.read(w, &mut view);
+                    f(id, &view);
                 }
             }
         }
+    }
+
+    /// `(id, elements)` of every tensor, in enumeration order: what an
+    /// artifact for this graph must declare, read without a view.
+    pub(crate) fn manifest(&self) -> Vec<(u64, u64)> {
+        Self::held(&self.nodes)
+            .map(|(id, held)| (id, held.elements() as u64))
+            .collect()
+    }
+
+    /// Elements over every tensor in its logical order.
+    pub(crate) fn f32_elements(&self) -> usize {
+        self.f32_elements
+    }
+
+    /// Every tensor's checksum over its current bits, `(id, sum)` in
+    /// enumeration order: what an artifact declares.
+    pub(crate) fn current_checksums(&self) -> Vec<(u64, u64)> {
+        Self::compute_checksums(&self.nodes)
     }
 
     /// Re-hash every tensor and compare against the construction-time
@@ -538,12 +626,38 @@ impl MaterializedWeights {
         harvest_tensor::integrity::checksum_bytes(&bytes)
     }
 
-    /// Recompute every derived form after the f32 buffers were overwritten
-    /// in bulk (an artifact load): cached INT8 quantizations are re-derived
-    /// from the new weights' `k×n` views and the construction-time checksums
-    /// are re-taken, so [`MaterializedWeights::verify_integrity`] passes
-    /// against the *new* bits.
-    pub(crate) fn rebuild_derived(&mut self) {
+    /// Write the first `n` tensors in enumeration order, each through
+    /// `fill(index, buf)`, which must set every element of `buf`: a plain
+    /// tensor is handed out as itself, a packed one as a view of
+    /// unspecified contents that is packed over its panels afterwards. Only
+    /// writes: nothing is read out of the panels first.
+    pub(crate) fn overwrite(&mut self, n: usize, mut fill: impl FnMut(usize, &mut [f32])) {
+        let widest = Self::held(&self.nodes)
+            .take(n)
+            .filter(|(_, held)| matches!(held, Held::Packed(..)))
+            .map(|(_, held)| held.elements())
+            .max();
+        let mut view = Vec::with_capacity(widest.unwrap_or(0));
+        let tensors = self.nodes.iter_mut().flat_map(NodeWeights::buffers_mut);
+        for (i, (_, held)) in tensors.take(n).enumerate() {
+            match held {
+                Held::Plain(buf) => fill(i, buf),
+                Held::Packed(w, order) => {
+                    view.resize(w.k() * w.n(), 0.0);
+                    fill(i, &mut view);
+                    order.write(w, &view);
+                }
+            }
+        }
+    }
+
+    /// Finish a load whose every tensor was written ([`Self::overwrite`]):
+    /// `checksums` — `(id, sum)` per tensor, in enumeration order, which the
+    /// loader verified against the bytes it wrote — become the sums
+    /// [`MaterializedWeights::verify_integrity`] and the fingerprint read,
+    /// and each cached INT8 quantization is taken from the new weight's
+    /// `k×n` view.
+    pub(crate) fn seal(&mut self, checksums: Vec<(u64, u64)>) {
         for w in &mut self.nodes {
             let linears: Vec<&mut LinearWeight> = match w {
                 NodeWeights::Linear { w, .. } => vec![w],
@@ -556,7 +670,7 @@ impl MaterializedWeights {
                 }
             }
         }
-        self.checksums = Self::compute_checksums(&self.nodes);
+        self.checksums = checksums;
     }
 }
 

@@ -1,6 +1,9 @@
 //! Replaced engine code, kept verbatim outside the library as correctness
 //! oracles, so nothing here may be "improved":
 //!
+//! * `artifact` — the `HVWA` encoder and the staged decoder that hashed
+//!   every payload byte four times and overwrote a random template, which
+//!   the one-pass loader replaced.
 //! * `reference` — the seed per-image executor, the oracle for `Executor`'s
 //!   batched forward: weights regenerated from the seed on every call,
 //!   linears through `gemm_bt`, the INT8 path re-transposing and
@@ -14,6 +17,7 @@
 //!   the walk in chunks of rows sized to the cache replaced.
 #![allow(dead_code)]
 
+pub mod artifact;
 pub mod patch_embed;
 pub mod reference;
 pub mod whole_batch;

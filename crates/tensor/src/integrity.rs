@@ -9,7 +9,8 @@
 //! * [`checksum_f32`] — an order-sensitive FNV-1a 64 hash over the exact bit
 //!   patterns of a buffer. Any single-bit change anywhere changes the sum,
 //!   so it detects arbitrarily small weight corruption (a low mantissa bit
-//!   included), which no magnitude-based scan can.
+//!   included), which no magnitude-based scan can. [`checksums_f32`] gives
+//!   the same sums for many buffers, four chains at a time.
 //! * [`scan_f32`] / [`ScanReport`] — a cheap one-pass NaN/Inf/max-|v| scan,
 //!   the "activation sentinel" primitive: catches the exponent-bit flips
 //!   that explode values without paying for a reference re-run.
@@ -50,11 +51,58 @@ pub fn fnv1a_fold(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
+/// Fold `bytes` into two running FNV-1a 64 chains at once: the same as
+/// [`fnv1a_fold`] into each. The chains do not depend on each other, so the
+/// second rides in the first one's latency: one pass for two sums (an
+/// artifact's whole-stream sum and a tensor's own).
+#[inline]
+pub fn fnv1a_fold_pair(a: &mut u64, b: &mut u64, bytes: &[u8]) {
+    let (mut x, mut y) = (*a, *b);
+    for &v in bytes {
+        x = (x ^ v as u64).wrapping_mul(FNV_PRIME);
+        y = (y ^ v as u64).wrapping_mul(FNV_PRIME);
+    }
+    (*a, *b) = (x, y);
+}
+
 /// FNV-1a 64 over raw bytes (encoded inputs, quantized weights).
 pub fn checksum_bytes(data: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     fnv1a_fold(&mut h, data);
     h
+}
+
+/// [`checksum_f32`] of every buffer of `bufs`, in order, hashed four at a
+/// time: one FNV-1a chain per buffer, the four interleaved element by
+/// element over their common length, then each one's rest alone. Each
+/// chain is serial, so four independent ones fill the multiplier where one
+/// waits on it; a caller that groups buffers of like length gets most of
+/// that. The sums are [`checksum_f32`]'s, bit for bit.
+pub fn checksums_f32(bufs: &[&[f32]]) -> Vec<u64> {
+    let mut sums = Vec::with_capacity(bufs.len());
+    let mut quads = bufs.chunks_exact(4);
+    for quad in &mut quads {
+        let common = quad.iter().map(|b| b.len()).min().unwrap_or(0);
+        let mut h = [FNV_OFFSET; 4];
+        let [a, b, c, d] = [0, 1, 2, 3].map(|lane| &quad[lane][..common]);
+        for (((a, b), c), d) in a.iter().zip(b).zip(c).zip(d) {
+            let words = [a, b, c, d].map(|v| v.to_bits());
+            // Little-endian: the low byte of each word first.
+            for shift in [0, 8, 16, 24] {
+                for (h, word) in h.iter_mut().zip(words) {
+                    *h = (*h ^ (word >> shift & 0xff) as u64).wrapping_mul(FNV_PRIME);
+                }
+            }
+        }
+        for (lane, buf) in quad.iter().enumerate() {
+            for v in &buf[common..] {
+                fnv1a_fold(&mut h[lane], &v.to_bits().to_le_bytes());
+            }
+        }
+        sums.extend_from_slice(&h);
+    }
+    sums.extend(quads.remainder().iter().map(|buf| checksum_f32(buf)));
+    sums
 }
 
 /// Result of a one-pass corruption scan over a buffer.
@@ -149,6 +197,44 @@ mod tests {
         assert_eq!(checksum_bytes(&[]), 0xcbf2_9ce4_8422_2325);
         // And of "a": (basis ^ 0x61) * prime.
         assert_eq!(checksum_bytes(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn four_chains_give_each_buffers_own_sum() {
+        let buf = |n: usize, salt: f32| -> Vec<f32> {
+            (0..n).map(|i| (i as f32) * 0.731 - salt).collect()
+        };
+        let lens: [&[usize]; 7] = [
+            &[],
+            &[0],
+            &[5],
+            &[0, 0, 0, 0],
+            &[3, 17, 0, 9],
+            &[64, 64, 64, 64, 64],
+            &[100, 1, 37, 37, 0, 258, 2, 9, 11],
+        ];
+        for set in lens {
+            let owned: Vec<Vec<f32>> = set
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| buf(n, i as f32))
+                .collect();
+            let bufs: Vec<&[f32]> = owned.iter().map(Vec::as_slice).collect();
+            let want: Vec<u64> = bufs.iter().map(|b| checksum_f32(b)).collect();
+            assert_eq!(checksums_f32(&bufs), want, "lengths {set:?}");
+        }
+    }
+
+    #[test]
+    fn a_folded_pair_is_two_folds() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        let (mut a, mut b) = (FNV_OFFSET, 7);
+        fnv1a_fold_pair(&mut a, &mut b, &bytes);
+        let (mut x, mut y) = (FNV_OFFSET, 7);
+        fnv1a_fold(&mut x, &bytes);
+        fnv1a_fold(&mut y, &bytes);
+        assert_eq!((a, b), (x, y));
+        assert_eq!(a, checksum_bytes(&bytes));
     }
 
     #[test]
